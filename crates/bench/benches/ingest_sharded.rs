@@ -10,6 +10,14 @@
 //! shows up even on a single-core host (the CI gate compares the
 //! noise-robust `peak_elems_per_sec` minimum statistic).
 //!
+//! The `ingest_runtime*` groups measure the staged runtime three ways:
+//! `ingest_runtime` feeds it run-shaped string-keyed batches (one device's
+//! history is contiguous), `ingest_runtime_strings` feeds it the traffic
+//! the pipeline's storage consumer actually produces — nine different
+//! series per uplink, interleaved, one uplink per submit — still keyed by
+//! strings, and `ingest_runtime_handles` feeds it the same traffic by
+//! pre-registered `SeriesRef`, the way the pipeline does.
+//!
 //! CI exports the results as `BENCH_ingest.json` (via `CRITERION_JSON`)
 //! and the `bench_check` validator asserts 4-shard throughput beats
 //! 1-shard.
@@ -18,9 +26,9 @@ use criterion::{
     black_box, criterion_group, criterion_main, report_metric, BenchmarkId, Criterion, Throughput,
 };
 use ctt_core::time::{Span, Timestamp};
-use ctt_ingest::{IngestConfig, IngestRuntime};
+use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
 use ctt_obs::Registry;
-use ctt_tsdb::{DataPoint, Query, ShardedTsdb};
+use ctt_tsdb::{DataPoint, Query, ShardedTsdb, DEFAULT_SHARDS};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const DEVICES: u32 = 8;
@@ -30,6 +38,10 @@ const POINTS_PER_DEVICE: usize = 1_600;
 const BATCH: usize = 200;
 /// Dashboard threads querying while the writer ingests.
 const READERS: usize = 2;
+/// Pipeline-shaped input: Trondheim's twelve nodes, 300 reporting rounds
+/// (≈ one simulated day), nine points per uplink.
+const UPLINK_DEVICES: u32 = 12;
+const UPLINK_ROUNDS: usize = 300;
 
 fn preloaded(shards: usize, batch: &[DataPoint]) -> ShardedTsdb {
     let db = ShardedTsdb::new(shards);
@@ -105,6 +117,15 @@ fn ingest_single_writer(c: &mut Criterion) {
     g.finish();
 }
 
+/// A fresh store with its registry and a running ingest runtime.
+fn fresh_runtime(writers: usize) -> (Registry, ShardedTsdb, IngestRuntime) {
+    let registry = Registry::new();
+    let mut db = ShardedTsdb::new(writers);
+    db.attach_registry(&registry);
+    let rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
+    (registry, db, rt)
+}
+
 fn ingest_runtime(c: &mut Criterion) {
     // The staged runtime: producers route by hash onto per-shard SPSC
     // lanes, one writer thread per shard applies batches. Structurally
@@ -130,13 +151,7 @@ fn ingest_runtime(c: &mut Criterion) {
             &writers,
             |b, &writers| {
                 b.iter_with_setup(
-                    || {
-                        let registry = Registry::new();
-                        let mut db = ShardedTsdb::new(writers);
-                        db.attach_registry(&registry);
-                        let rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
-                        (registry, db, rt)
-                    },
+                    || fresh_runtime(writers),
                     |(registry, db, mut rt)| {
                         for chunk in batch.chunks(BATCH) {
                             rt.submit(chunk);
@@ -168,10 +183,75 @@ fn ingest_runtime(c: &mut Criterion) {
     g.finish();
 }
 
+fn ingest_runtime_uplinks(c: &mut Criterion) {
+    // The traffic the pipeline's storage consumer produces: every submit is
+    // one uplink's nine points, each for a different series, so consecutive
+    // points never share a series. Same shape as `ingest_runtime`
+    // otherwise (fresh store per iteration, flush closes the timed region,
+    // teardown deferred). By handle, the series are registered in untimed
+    // setup — the pipeline pays that once per device lifetime — so the two
+    // groups differ by exactly the per-point cost of resolving strings.
+    let points = ctt_bench::uplink_points(UPLINK_DEVICES, UPLINK_ROUNDS);
+    let per_submit = ctt_bench::POINTS_PER_UPLINK;
+    for (group, by_handle) in [
+        ("ingest_runtime_strings", false),
+        ("ingest_runtime_handles", true),
+    ] {
+        let mut g = c.benchmark_group(group);
+        g.sample_size(10);
+        g.throughput(Throughput::Elements(points.len() as u64));
+        for writers in [1usize, DEFAULT_SHARDS] {
+            let mut graveyard = Vec::new();
+            g.bench_with_input(
+                BenchmarkId::new("writers", writers),
+                &writers,
+                |b, &writers| {
+                    b.iter_with_setup(
+                        || {
+                            let (registry, db, mut rt) = fresh_runtime(writers);
+                            let resolved: Vec<(SeriesRef, Timestamp, f64)> = if by_handle {
+                                points
+                                    .iter()
+                                    .filter_map(|p| {
+                                        let h = rt.register(&p.metric, &p.tags)?;
+                                        Some((h, p.time, p.value))
+                                    })
+                                    .collect()
+                            } else {
+                                Vec::new()
+                            };
+                            (registry, db, rt, resolved)
+                        },
+                        |(registry, db, mut rt, resolved)| {
+                            if by_handle {
+                                for uplink in resolved.chunks(per_submit) {
+                                    rt.submit_resolved(uplink);
+                                }
+                            } else {
+                                for uplink in points.chunks(per_submit) {
+                                    rt.submit(uplink);
+                                }
+                            }
+                            rt.flush();
+                            let stored = db.stats().points;
+                            assert_eq!(stored, points.len() as u64, "{group}: points lost");
+                            graveyard.push((registry, rt, resolved));
+                            black_box(stored)
+                        },
+                    );
+                },
+            );
+            drop(graveyard);
+        }
+        g.finish();
+    }
+}
+
 criterion_group!(
     benches,
     ingest_throughput,
     ingest_single_writer,
-    ingest_runtime
+    ingest_runtime,
+    ingest_runtime_uplinks
 );
 criterion_main!(benches);

@@ -7,6 +7,7 @@
 
 use ctt_core::deployment::Deployment;
 use ctt_core::measurement::Series;
+use ctt_core::quantity::Quantity;
 use ctt_core::time::{Span, TimeRange, Timestamp};
 use ctt_tsdb::{DataPoint, ShardedTsdb, Tsdb};
 
@@ -68,6 +69,44 @@ pub fn writer_batches(
         .collect()
 }
 
+/// Points one uplink stores: the eight payload quantities plus RSSI.
+pub const POINTS_PER_UPLINK: usize = Quantity::ALL.len() + 1;
+
+/// Pipeline-shaped ingest workload: `uplinks` reporting rounds in which
+/// each of `devices` devices delivers one uplink, and every uplink is
+/// [`POINTS_PER_UPLINK`] points — one per metric, same timestamp — in the
+/// storage consumer's order. Consecutive points therefore always belong to
+/// *different* series (the opposite of [`writer_batches`], where one
+/// device's whole history is contiguous), which is what the ingest
+/// producer actually sees between the broker and the store.
+pub fn uplink_points(devices: u32, uplinks: usize) -> Vec<DataPoint> {
+    let start = Timestamp::from_civil(2017, 1, 1, 0, 0, 0);
+    let metrics: Vec<String> = Quantity::ALL
+        .iter()
+        .map(|q| q.metric_name())
+        .chain(std::iter::once("ctt.net.rssi".to_string()))
+        .collect();
+    let mut points = Vec::with_capacity(uplinks * devices as usize * metrics.len());
+    for i in 0..uplinks {
+        let t = start + Span::minutes(5 * i as i64);
+        for device in 0..devices {
+            let tags = [
+                ("city".to_string(), "trondheim".to_string()),
+                ("device".to_string(), format!("n{device}")),
+            ];
+            for (m, metric) in metrics.iter().enumerate() {
+                let v = 100.0 * (m + 1) as f64
+                    + 25.0 * ((i as f64) * 0.02).sin()
+                    + ((i * 7919 + device as usize * 31) % 13) as f64 * 0.1;
+                points.push(
+                    DataPoint::new(metric.as_str(), tags.clone(), t, v).expect("valid point"),
+                );
+            }
+        }
+    }
+    points
+}
+
 /// A sealed [`ShardedTsdb`] pre-loaded with `devices × points` synthetic
 /// points, for the query-latency benches.
 pub fn loaded_sharded_tsdb(shards: usize, devices: u32, points: usize) -> ShardedTsdb {
@@ -108,6 +147,21 @@ mod tests {
         let pts = synthetic_points(1, 0, 288);
         assert_eq!(pts.len(), 288);
         assert!(pts.windows(2).all(|w| w[0].time < w[1].time));
+    }
+
+    #[test]
+    fn uplink_points_interleave_series() {
+        let pts = uplink_points(3, 4);
+        assert_eq!(pts.len(), 3 * 4 * POINTS_PER_UPLINK);
+        // No two consecutive points share a series; one uplink shares a
+        // timestamp and a device.
+        assert!(pts
+            .windows(2)
+            .all(|w| w[0].series_key() != w[1].series_key()));
+        let uplink = &pts[..POINTS_PER_UPLINK];
+        assert!(uplink
+            .iter()
+            .all(|p| p.time == uplink[0].time && p.tags == uplink[0].tags));
     }
 
     #[test]

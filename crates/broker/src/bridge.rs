@@ -51,8 +51,19 @@ impl fmt::Display for BridgeDecodeError {
 
 impl std::error::Error for BridgeDecodeError {}
 
+/// Lower-case hex of `bytes`: two nibble-table pushes per byte into one
+/// pre-sized `String` (this runs once per published uplink).
 fn hex_encode(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    const NIBBLES: [char; 16] = [
+        '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c', 'd', 'e', 'f',
+    ];
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for b in bytes {
+        for nibble in [b >> 4, b & 0x0f] {
+            out.push(NIBBLES.get(usize::from(nibble)).copied().unwrap_or('0'));
+        }
+    }
+    out
 }
 
 fn hex_decode(s: &str) -> Result<Vec<u8>, BridgeDecodeError> {
@@ -500,6 +511,15 @@ mod tests {
         // Multi-byte chars used to panic on the non-boundary slice.
         assert!(hex_decode("日日").is_err());
         assert!(hex_decode("¡¡").is_err());
+    }
+
+    #[test]
+    fn hex_encode_matches_format_for_every_byte_value() {
+        let all: Vec<u8> = (0..=255).collect();
+        let encoded = hex_encode(&all);
+        let reference: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(encoded, reference);
+        assert_eq!(hex_decode(&encoded).unwrap(), all);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! lower layers — notably `ctt-tsdb`'s parallel per-shard query collection
 //! — can reuse the same pool without a dependency cycle.
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Sender};
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,15 +40,22 @@ fn clamp_width(par: usize, lo: usize, hi: usize) -> usize {
     par.clamp(lo, hi)
 }
 
+/// One unit of pool work: the caller's submission index, the input, and the
+/// reply channel of the `map` call that submitted it.
+type Job<I, O> = (usize, I, Sender<(usize, O)>);
+
 /// A fixed pool of worker threads applying one pure function to batches of
 /// jobs, returning results in submission order (deterministic merge).
 ///
 /// The function must be pure (no shared mutable state): the pool guarantees
 /// *ordering* of results, while purity is what guarantees their *values*
 /// are schedule-independent.
+///
+/// `map` may be called from several threads at once: every call carries its
+/// own reply channel with its jobs, so callers never see each other's
+/// outputs.
 pub struct OrderedPool<I, O> {
-    jobs: Option<Sender<(usize, I)>>,
-    results: Receiver<(usize, O)>,
+    jobs: Option<Sender<Job<I, O>>>,
     workers: Vec<JoinHandle<()>>,
     /// Kept for the single-item inline fast path in [`OrderedPool::map`].
     f: Arc<dyn Fn(I) -> O + Send + Sync>,
@@ -69,25 +76,21 @@ impl<I: Send + 'static, O: Send + 'static> OrderedPool<I, O> {
         F: Fn(I) -> O + Send + Sync + 'static,
     {
         let f = Arc::new(f);
-        let (jobs_tx, jobs_rx) = channel::unbounded::<(usize, I)>();
-        let (results_tx, results_rx) = channel::unbounded::<(usize, O)>();
+        let (jobs_tx, jobs_rx) = channel::unbounded::<Job<I, O>>();
         let handles = (0..workers.max(1))
             .map(|_| {
                 let rx = jobs_rx.clone();
-                let tx = results_tx.clone();
                 let f = Arc::clone(&f);
                 std::thread::spawn(move || {
-                    while let Ok((seq, job)) = rx.recv() {
-                        if tx.send((seq, f(job))).is_err() {
-                            break;
-                        }
+                    while let Ok((seq, job, reply)) = rx.recv() {
+                        // A caller that gave up only loses its own reply.
+                        let _ = reply.send((seq, f(job)));
                     }
                 })
             })
             .collect();
         OrderedPool {
             jobs: Some(jobs_tx),
-            results: results_rx,
             workers: handles,
             f,
         }
@@ -99,31 +102,36 @@ impl<I: Send + 'static, O: Send + 'static> OrderedPool<I, O> {
     /// Single-item batches run inline on the caller thread, skipping the
     /// channel round-trip: the function is pure, so where it runs cannot
     /// change the value, and one-item batches are the common shape for
-    /// fleet slices that touch a single shard.
+    /// fleet slices that touch a single shard. (Empty batches take the
+    /// same exit, so they never set up a reply channel.)
     pub fn map(&self, items: Vec<I>) -> Vec<O> {
-        if items.len() == 1 {
+        if items.len() <= 1 {
             return items.into_iter().map(|item| (self.f)(item)).collect();
         }
         let Some(jobs) = self.jobs.as_ref() else {
             return Vec::new();
         };
+        // The reply channel is private to this call: concurrent callers on
+        // one pool number their jobs from 0 too, and a shared receiver would
+        // let them take (and discard) each other's outputs.
+        let (reply, results) = channel::unbounded::<(usize, O)>();
         let mut submitted = 0usize;
         for (seq, item) in items.into_iter().enumerate() {
-            if jobs.send((seq, item)).is_err() {
+            if jobs.send((seq, item, reply.clone())).is_err() {
                 break;
             }
             submitted += 1;
         }
+        // Only the queued jobs hold reply senders now, so `recv` reports a
+        // disconnect instead of blocking if a job dies without replying.
+        drop(reply);
         let mut slots: Vec<Option<O>> = (0..submitted).map(|_| None).collect();
-        let mut received = 0usize;
-        while received < submitted {
-            let Ok((seq, out)) = self.results.recv() else {
-                break; // all workers gone; return what arrived
+        for _ in 0..submitted {
+            let Ok((seq, out)) = results.recv() else {
+                break; // a job died without replying; return what arrived
             };
             if let Some(slot) = slots.get_mut(seq) {
-                if slot.replace(out).is_none() {
-                    received += 1;
-                }
+                *slot = Some(out);
             }
         }
         slots.into_iter().flatten().collect()
@@ -212,6 +220,54 @@ mod tests {
         // Single-item batches take the inline fast path; same contract.
         assert_eq!(pool.map(vec![5]), vec![10]);
         assert_eq!(pool.map(Vec::new()), Vec::<u64>::new());
+    }
+
+    /// Two threads inside `map` on one pool, forced to overlap: each job
+    /// blocks until both callers have queued their batch. With a shared
+    /// result channel the callers took each other's outputs (both number
+    /// their jobs from 0) and the loser waited forever.
+    #[test]
+    fn concurrent_callers_get_exactly_their_own_outputs() {
+        use std::sync::Barrier;
+        let both_queued = Arc::new(Barrier::new(2));
+        let gate = Arc::clone(&both_queued);
+        let pool: Arc<OrderedPool<(u64, bool), u64>> =
+            Arc::new(OrderedPool::new(2, move |(x, first): (u64, bool)| {
+                if first {
+                    gate.wait();
+                }
+                x * 10
+            }));
+        let callers: Vec<_> = (0..2u64)
+            .map(|c| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    (0..50)
+                        .map(|round| {
+                            let base = c * 1000 + round * 3;
+                            // Only the very first job of each caller waits at
+                            // the barrier: both are then inside `map` at once.
+                            pool.map(vec![
+                                (base, round == 0),
+                                (base + 1, false),
+                                (base + 2, false),
+                            ])
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for (c, handle) in callers.into_iter().enumerate() {
+            let rounds = handle.join().expect("caller thread");
+            for (round, out) in rounds.iter().enumerate() {
+                let base = (c * 1000 + round * 3) as u64;
+                assert_eq!(
+                    out,
+                    &vec![base * 10, (base + 1) * 10, (base + 2) * 10],
+                    "caller {c} round {round}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,14 +14,18 @@
 //!   (The writer still takes its shard's `RwLock` once per ring batch so
 //!   concurrent *readers* stay safe, but no other writer ever touches it —
 //!   the put path itself acquires no lock.)
-//! * **Resolve once, ship runs.** A series is resolved producer-side
-//!   exactly once: the first point of a new series hashes its key, lands
-//!   in the producer's open-addressed table, and appends a definition to
-//!   the owning lane's log. Every later point ships as a bare
-//!   `(timestamp, value)` pair under a run header `(ref, len)` — real
-//!   ingest is run-shaped (devices drain contiguously), so one memoized
-//!   equality check replaces hash + probe on the fast path, and the
-//!   writer feeds whole runs straight into the shard without regrouping.
+//! * **Register once, ship handles.** A device's series set is fixed at
+//!   enrolment, so a producer resolves each series exactly once:
+//!   [`IngestRuntime::register`] validates the names, hashes the key into
+//!   the producer's open-addressed table, appends a definition to the
+//!   owning lane's log, and returns a `Copy` [`SeriesRef`]. From then on
+//!   [`IngestRuntime::submit_resolved`] takes `(SeriesRef, ts, value)` —
+//!   no strings, no hash, no probe per point — and every point ships as a
+//!   bare `(timestamp, value)` pair under a run header `(ref, len)` the
+//!   writer feeds straight into the shard. The string-keyed
+//!   [`IngestRuntime::submit`] is the external/text boundary and the test
+//!   oracle: it resolves each point through the same table and stages it
+//!   through the same code.
 //! * **Batch interning.** The writer interns a series into the shard's
 //!   map once per series *lifetime* (the id is cached per ref), not once
 //!   per point, and applies each ring batch through one write session.
@@ -71,6 +75,7 @@ pub mod ring;
 
 use ctt_core::time::Timestamp;
 use ctt_obs::{Counter, Gauge, Registry};
+use ctt_tsdb::model::is_valid_name;
 use ctt_tsdb::{series_key_hash, DataPoint, SeriesId, ShardWriter, ShardedTsdb, TagSet};
 use parking_lot::Mutex;
 use ring::SpscRing;
@@ -107,6 +112,17 @@ impl Default for IngestConfig {
     }
 }
 
+/// An opaque handle to one registered series: the lane (= shard) that owns
+/// it and its index in that lane's definition log. Obtained from
+/// [`IngestRuntime::register`] and only meaningful to the runtime that
+/// issued it; [`IngestRuntime::submit_resolved`] drops handles that are out
+/// of range for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeriesRef {
+    lane: u32,
+    r: u32,
+}
+
 /// One routed batch on a lane's ring: run headers `(ref, len)` over a flat
 /// point array. The producer emits a new header only when the series
 /// changes mid-stream, so the writer can feed each run straight into
@@ -130,7 +146,7 @@ impl LaneBatch {
 /// taken at flush barriers are replay-deterministic.
 #[derive(Debug, Clone)]
 struct LaneObs {
-    /// Points accepted into this lane by `submit`.
+    /// Points shipped into this lane (by handle or by string key).
     enqueued: Counter,
     /// Ring batches applied by the writer (equals batches pushed, at
     /// barriers).
@@ -215,17 +231,20 @@ struct LaneLocal {
     /// `pushed` as of the last completed barrier; `pushed - acked` is the
     /// deterministic unflushed budget admission charges against.
     acked: AtomicU64,
+    /// Refs issued for this lane (= the definition log's length). Written
+    /// and read by the producer only — it publishes nothing — so a handle's
+    /// range check on the per-point path never takes the defs lock.
+    defined: AtomicU64,
     join: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// One resolved series on the producer side: its identity (for probe
-/// verification) and its routing — owning lane plus lane-local ref.
+/// verification) and the handle that routes it.
 #[derive(Debug)]
 struct ProducerSlot {
     metric: String,
     tags: TagSet,
-    lane: u32,
-    r: u32,
+    handle: SeriesRef,
 }
 
 /// Open-addressed series-key-hash table with full-key verification on
@@ -289,6 +308,60 @@ impl KeyTable {
                 self.insert(h, s);
             }
         }
+    }
+}
+
+/// Producer-side series resolution: `(metric, tags)` → handle, assigned in
+/// first-occurrence order. Shared by [`IngestRuntime::register`] and the
+/// string-keyed [`IngestRuntime::submit`], so both name a series the same.
+#[derive(Debug, Default)]
+struct Resolver {
+    table: KeyTable,
+    slots: Vec<ProducerSlot>,
+    /// Memo of the slot the previous lookup resolved to. String-keyed
+    /// input that arrives series by series (a bulk import, the run-shaped
+    /// `ingest_runtime` bench) pays one equality check instead of hash +
+    /// probe — ≈ 1.6× on that shape. The pipeline's traffic is nine
+    /// different series per uplink and never hits it; that traffic goes by
+    /// handle instead.
+    last_slot: Option<u32>,
+}
+
+impl Resolver {
+    /// Resolve a series to its handle, registering a new series (key
+    /// table + the owning lane's definition log) on first sight.
+    #[inline]
+    fn resolve(&mut self, lanes: &[LaneLocal], metric: &str, tags: &TagSet) -> Option<SeriesRef> {
+        if let Some(slot) = self.last_slot.and_then(|idx| self.slots.get(idx as usize)) {
+            if slot.metric == metric && slot.tags == *tags {
+                return Some(slot.handle);
+            }
+        }
+        let hash = series_key_hash(metric, tags);
+        let idx = match self.table.probe(&self.slots, hash, metric, tags) {
+            Some(idx) => idx,
+            None => {
+                let lane = hash.checked_rem(lanes.len() as u64)? as u32;
+                let owner = lanes.get(lane as usize)?;
+                // The definition is in the lane's log before the handle
+                // exists, so no point can reach the ring ahead of it.
+                let mut defs = owner.shared.defs.lock();
+                let r = defs.len() as u32;
+                defs.push((metric.to_string(), tags.clone()));
+                owner.defined.store(defs.len() as u64, Ordering::Relaxed);
+                drop(defs);
+                let idx = self.slots.len() as u32;
+                self.slots.push(ProducerSlot {
+                    metric: metric.to_string(),
+                    tags: tags.clone(),
+                    handle: SeriesRef { lane, r },
+                });
+                self.table.insert(hash, idx + 1);
+                idx
+            }
+        };
+        self.last_slot = Some(idx);
+        Some(self.slots.get(idx as usize)?.handle)
     }
 }
 
@@ -418,21 +491,15 @@ pub struct IngestRuntime {
     staging: Mutex<Vec<LaneBatch>>,
     /// Staged points per lane that trigger shipping a ring batch.
     ship_points: usize,
-    /// Series resolution: (metric, tags) → (lane, ref), assigned in first
-    /// occurrence order.
-    table: KeyTable,
-    slots: Vec<ProducerSlot>,
-    /// Memo of the slot the previous point resolved to. Real ingest is
-    /// run-shaped (consecutive points from one series), so this one
-    /// equality check replaces hash + probe on the fast path.
-    last_slot: Option<u32>,
+    /// Series resolution: (metric, tags) → handle.
+    resolver: Resolver,
 }
 
 impl std::fmt::Debug for IngestRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngestRuntime")
             .field("lanes", &self.lanes.len())
-            .field("series", &self.slots.len())
+            .field("series", &self.resolver.slots.len())
             .finish_non_exhaustive()
     }
 }
@@ -469,6 +536,7 @@ impl IngestRuntime {
                 writer,
                 pushed: AtomicU64::new(0),
                 acked: AtomicU64::new(0),
+                defined: AtomicU64::new(0),
                 join: Mutex::new(None),
             };
             Self::spawn_writer(&lane);
@@ -478,9 +546,7 @@ impl IngestRuntime {
             staging: Mutex::new((0..lanes.len()).map(|_| LaneBatch::default()).collect()),
             ship_points: config.ship_points.max(1),
             lanes,
-            table: KeyTable::default(),
-            slots: Vec::new(),
-            last_slot: None,
+            resolver: Resolver::default(),
         }
     }
 
@@ -506,93 +572,103 @@ impl IngestRuntime {
         self.lanes.len()
     }
 
-    /// Resolve a point's series to its routing — owning lane plus
-    /// lane-local ref — registering a new series (producer table + lane
-    /// definition log) on first sight. Free-standing over the resolution
-    /// fields so `submit` can hold its staging lock alongside.
-    #[inline]
-    fn resolve_in(
-        table: &mut KeyTable,
-        slots: &mut Vec<ProducerSlot>,
-        last_slot: &mut Option<u32>,
-        lanes: &[LaneLocal],
-        p: &DataPoint,
-    ) -> Option<(u32, u32)> {
-        if let Some(idx) = *last_slot {
-            if let Some(slot) = slots.get(idx as usize) {
-                if slot.metric == p.metric && slot.tags == p.tags {
-                    return Some((slot.lane, slot.r));
-                }
-            }
+    /// Register a series and get its handle. Validates the metric and every
+    /// tag key/value exactly as [`DataPoint::new`] does (`None` on an
+    /// invalid name, or on a runtime with no lanes), then resolves the
+    /// series once: key hash, table insert, and an append to the owning
+    /// lane's definition log — all before any point can carry the handle.
+    /// Registering the same series again returns the same handle. Handles
+    /// are assigned in registration order per lane; a registered series
+    /// costs the store nothing until its first point arrives.
+    pub fn register(&mut self, metric: &str, tags: &TagSet) -> Option<SeriesRef> {
+        let valid = is_valid_name(metric)
+            && tags
+                .iter()
+                .all(|(k, v)| is_valid_name(k) && is_valid_name(v));
+        if !valid {
+            return None;
         }
-        let hash = series_key_hash(&p.metric, &p.tags);
-        let idx = match table.probe(slots, hash, &p.metric, &p.tags) {
-            Some(idx) => idx,
-            None => {
-                let lane = (hash % lanes.len() as u64) as u32;
-                let shared = &lanes.get(lane as usize)?.shared;
-                let mut defs = shared.defs.lock();
-                let r = defs.len() as u32;
-                defs.push((p.metric.clone(), p.tags.clone()));
-                drop(defs);
-                let idx = slots.len() as u32;
-                slots.push(ProducerSlot {
-                    metric: p.metric.clone(),
-                    tags: p.tags.clone(),
-                    lane,
-                    r,
-                });
-                table.insert(hash, idx + 1);
-                idx
-            }
-        };
-        *last_slot = Some(idx);
-        let slot = slots.get(idx as usize)?;
-        Some((slot.lane, slot.r))
+        self.resolver.resolve(&self.lanes, metric, tags)
     }
 
-    /// Submit a batch of points for ingest. Routes each point to its
-    /// owning shard's lane under the same FNV-1a series-key discipline as
-    /// [`ShardedTsdb::put_batch`] — resolved once per series, memoized
-    /// across runs — and pushes one compact run-structured batch per
-    /// touched lane. Returns the number of points accepted — all of them;
-    /// when a lane's unflushed budget is exhausted this blocks on that
-    /// lane's barrier (counted in `full_stalls`) rather than dropping
-    /// data.
-    pub fn submit(&mut self, points: &[DataPoint]) -> u64 {
-        if self.lanes.is_empty() {
-            return 0;
+    /// Stage one point under its lane's current run header. Returns false
+    /// (staging untouched) for a handle this runtime never issued: a lane
+    /// it does not have, or a ref past that lane's definition log.
+    #[inline]
+    fn stage(
+        staging: &mut [LaneBatch],
+        lanes: &[LaneLocal],
+        h: SeriesRef,
+        t: Timestamp,
+        v: f64,
+    ) -> bool {
+        let (Some(stage), Some(lane)) =
+            (staging.get_mut(h.lane as usize), lanes.get(h.lane as usize))
+        else {
+            return false;
+        };
+        if u64::from(h.r) >= lane.defined.load(Ordering::Relaxed) {
+            return false;
         }
+        match stage.runs.last_mut() {
+            Some(run) if run.0 == h.r => run.1 += 1,
+            _ => stage.runs.push((h.r, 1)),
+        }
+        stage.pts.push((t, v));
+        true
+    }
+
+    /// Ship every lane whose staged points reached `ship_points`.
+    fn ship_full(&self, staging: &mut [LaneBatch]) {
+        for (lane, stage) in self.lanes.iter().zip(staging) {
+            if stage.pts.len() >= self.ship_points {
+                Self::ship(lane, stage);
+            }
+        }
+    }
+
+    /// Submit points by handle: the pipeline's put path. Each point is
+    /// staged as a bare `(ts, value)` under its lane's run header and
+    /// shipped once the lane reaches `ship_points` (or at the next flush
+    /// barrier) — no strings, no hash, no probe. A non-finite value is
+    /// skipped, as [`DataPoint::new`] would have refused it, and so is a
+    /// handle this runtime never issued (lane or ref out of range); the
+    /// return value counts only the points accepted. Blocks on a lane's
+    /// barrier (counted in `full_stalls`) rather than dropping data when
+    /// that lane's unflushed budget is exhausted.
+    pub fn submit_resolved(&mut self, points: &[(SeriesRef, Timestamp, f64)]) -> u64 {
         let mut staging = self.staging.lock();
+        let mut accepted = 0u64;
+        for &(h, t, v) in points {
+            if v.is_finite() && Self::stage(&mut staging, &self.lanes, h, t, v) {
+                accepted += 1;
+            }
+        }
+        self.ship_full(&mut staging);
+        accepted
+    }
+
+    /// Submit string-keyed points: the external/text boundary and the test
+    /// oracle. Resolves each point's series through the same table
+    /// [`IngestRuntime::register`] fills (routing by the same FNV-1a
+    /// series-key discipline as [`ShardedTsdb::put_batch`]) and stages it
+    /// through the same code as [`IngestRuntime::submit_resolved`]. A
+    /// [`DataPoint`] is already validated by its constructor, so nothing
+    /// is filtered here: returns the number of points accepted — all of
+    /// them, on a runtime with lanes.
+    pub fn submit(&mut self, points: &[DataPoint]) -> u64 {
+        let mut staging = self.staging.lock();
+        let mut accepted = 0u64;
         for p in points {
-            let Some((lane, r)) = Self::resolve_in(
-                &mut self.table,
-                &mut self.slots,
-                &mut self.last_slot,
-                &self.lanes,
-                p,
-            ) else {
+            let Some(h) = self.resolver.resolve(&self.lanes, &p.metric, &p.tags) else {
                 continue;
             };
-            if let Some(stage) = staging.get_mut(lane as usize) {
-                match stage.runs.last_mut() {
-                    Some(run) if run.0 == r => run.1 += 1,
-                    _ => stage.runs.push((r, 1)),
-                }
-                stage.pts.push((p.time, p.value));
+            if Self::stage(&mut staging, &self.lanes, h, p.time, p.value) {
+                accepted += 1;
             }
         }
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let full_enough = staging
-                .get(i)
-                .is_some_and(|s| s.pts.len() >= self.ship_points);
-            if full_enough {
-                if let Some(stage) = staging.get_mut(i) {
-                    Self::ship(lane, stage);
-                }
-            }
-        }
-        points.len() as u64
+        self.ship_full(&mut staging);
+        accepted
     }
 
     /// Hand one lane's staged batch to its writer: deterministic
@@ -858,6 +934,80 @@ mod tests {
             db.execute(&q).expect("db"),
             reference.execute(&q).expect("reference")
         );
+    }
+
+    fn device_tags(device: &str) -> TagSet {
+        [("device".to_string(), device.to_string())].into()
+    }
+
+    #[test]
+    fn register_validates_names_like_datapoint_new() {
+        let registry = Registry::new();
+        let db = ShardedTsdb::with_chunk_size(2, 16);
+        let mut rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
+        assert!(rt.register("bad metric", &device_tags("n0")).is_none());
+        assert!(rt.register("", &device_tags("n0")).is_none());
+        assert!(rt.register("m", &device_tags("bad value")).is_none());
+        let bad_key: TagSet = [("bad key".to_string(), "n0".to_string())].into();
+        assert!(rt.register("m", &bad_key).is_none());
+        let h = rt.register("m", &device_tags("n0")).expect("valid names");
+        assert_eq!(rt.register("m", &device_tags("n0")), Some(h), "idempotent");
+        assert_ne!(rt.register("m", &device_tags("n1")), Some(h));
+        // Rejected names left nothing behind; registered ones cost the
+        // store nothing until a point arrives.
+        rt.flush();
+        assert_eq!(db.stats().series, 0);
+    }
+
+    #[test]
+    fn submit_resolved_skips_non_finite_values_uncounted() {
+        let registry = Registry::new();
+        let db = ShardedTsdb::with_chunk_size(2, 16);
+        let mut rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
+        let h = rt.register("m", &device_tags("n0")).expect("valid names");
+        let accepted = rt.submit_resolved(&[
+            (h, Timestamp(0), 1.0),
+            (h, Timestamp(300), f64::NAN),
+            (h, Timestamp(600), f64::INFINITY),
+            (h, Timestamp(900), f64::NEG_INFINITY),
+            (h, Timestamp(1200), 2.0),
+        ]);
+        assert_eq!(accepted, 2);
+        rt.flush();
+        assert_eq!(db.stats().points, 2);
+        let (stored, _) = db
+            .read_series("m", &device_tags("n0"), Timestamp(0), Timestamp(i64::MAX))
+            .expect("series exists");
+        assert_eq!(stored, vec![(Timestamp(0), 1.0), (Timestamp(1200), 2.0)]);
+    }
+
+    #[test]
+    fn foreign_handles_are_dropped_without_panic() {
+        let registry = Registry::new();
+        let wide_db = ShardedTsdb::with_chunk_size(8, 16);
+        let mut wide = IngestRuntime::new(&wide_db, &registry, IngestConfig::default());
+        // Enough series that some lane of the wide runtime holds several
+        // refs and every lane index up to 7 is in use.
+        let foreign: Vec<SeriesRef> = (0..64)
+            .filter_map(|d| wide.register("m", &device_tags(&format!("n{d}"))))
+            .collect();
+        assert_eq!(foreign.len(), 64);
+
+        let narrow_db = ShardedTsdb::with_chunk_size(1, 16);
+        let mut narrow = IngestRuntime::new(&narrow_db, &Registry::new(), IngestConfig::default());
+        let own = narrow
+            .register("m", &device_tags("n0"))
+            .expect("valid names");
+        let mut batch: Vec<(SeriesRef, Timestamp, f64)> =
+            foreign.iter().map(|&h| (h, Timestamp(0), 1.0)).collect();
+        batch.push((own, Timestamp(0), 1.0));
+        // Only handles that are in range for `narrow` (lane 0, ref 0) can
+        // be taken for its own; everything else is dropped.
+        let in_range = 1 + foreign.iter().filter(|&&h| h == own).count() as u64;
+        assert_eq!(narrow.submit_resolved(&batch), in_range);
+        narrow.flush();
+        assert_eq!(narrow_db.stats().points, in_range);
+        assert_eq!(narrow_db.stats().series, 1, "nothing foreign was interned");
     }
 
     #[test]

@@ -1,21 +1,25 @@
 //! Property: at a flush barrier, a [`ShardedTsdb`] fed through the staged
 //! [`IngestRuntime`] is observationally identical to one fed by direct
-//! `put_batch` calls — for *any* interleaving of batched writes, forced
-//! seals, retention evictions, chunk-bit corruption, and injected writer
+//! `put_batch` calls — for *any* interleaving of batched writes (string-keyed
+//! `submit` and handle-keyed `submit_resolved` alike), forced seals, retention evictions, chunk-bit corruption, and injected writer
 //! crashes. The runtime is a performance structure; it must never leak
 //! into stats, queries, shard put counters, or chaos-flip targeting.
 
 use ctt_core::time::{Span, Timestamp};
-use ctt_ingest::{IngestConfig, IngestRuntime};
+use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
 use ctt_obs::Registry;
 use ctt_tsdb::{Aggregator, DataPoint, Downsample, FillPolicy, Query, ShardedTsdb, TagSet};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// One step of an interleaved workload, applied to both stores.
 #[derive(Debug, Clone)]
 enum Op {
     /// Write a batch of points (metric idx, device idx, time, value).
     PutBatch(Vec<(u8, u8, i64, f64)>),
+    /// Write the same kind of batch by handle: each series is registered
+    /// once, at first use, and its points go through `submit_resolved`.
+    SubmitResolved(Vec<(u8, u8, i64, f64)>),
     /// Force-seal open buffers.
     SealAll,
     /// Drop everything strictly before the cutoff.
@@ -27,13 +31,14 @@ enum Op {
     ArmCrash(u8),
 }
 
+fn specs_strategy() -> impl Strategy<Value = Vec<(u8, u8, i64, f64)>> {
+    proptest::collection::vec((0u8..3, 0u8..5, 0i64..50_000, -1e6f64..1e6), 1..40)
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => proptest::collection::vec(
-            (0u8..3, 0u8..5, 0i64..50_000, -1e6f64..1e6),
-            1..40
-        )
-        .prop_map(Op::PutBatch),
+        3 => specs_strategy().prop_map(Op::PutBatch),
+        3 => specs_strategy().prop_map(Op::SubmitResolved),
         1 => Just(Op::SealAll),
         1 => (0i64..50_000).prop_map(Op::EvictBefore),
         1 => (0u8..20, 0u8..200).prop_map(|(c, b)| Op::FlipBit(c, b)),
@@ -45,14 +50,19 @@ fn metric_name(m: u8) -> String {
     format!("metric.{m}")
 }
 
+fn device_tags(d: u8) -> TagSet {
+    [("device".to_string(), format!("node{d}"))].into()
+}
+
 fn build_point(m: u8, d: u8, t: i64, v: f64) -> DataPoint {
-    DataPoint::new(
-        metric_name(m),
-        vec![("device".to_string(), format!("node{d}"))],
-        Timestamp(t),
-        v,
-    )
-    .expect("valid point")
+    DataPoint::new(metric_name(m), device_tags(d), Timestamp(t), v).expect("valid point")
+}
+
+fn build_batch(specs: &[(u8, u8, i64, f64)]) -> Vec<DataPoint> {
+    specs
+        .iter()
+        .map(|&(m, d, t, v)| build_point(m, d, t, v))
+        .collect()
 }
 
 fn queries() -> Vec<Query> {
@@ -92,16 +102,27 @@ proptest! {
         let mut staged = ShardedTsdb::with_chunk_size(SHARDS, 16);
         staged.attach_registry(&reg_rt);
         let mut rt = IngestRuntime::new(&staged, &reg_rt, IngestConfig { lane_capacity, ship_points });
+        let mut handles: HashMap<(u8, u8), SeriesRef> = HashMap::new();
 
         for op in &ops {
             match op {
                 Op::PutBatch(specs) => {
-                    let batch: Vec<DataPoint> = specs
-                        .iter()
-                        .map(|&(m, d, t, v)| build_point(m, d, t, v))
-                        .collect();
+                    let batch = build_batch(specs);
                     let a = direct.put_batch(&batch);
                     let b = rt.submit(&batch);
+                    prop_assert_eq!(a, b, "accepted counts diverged");
+                }
+                Op::SubmitResolved(specs) => {
+                    let mut resolved = Vec::with_capacity(specs.len());
+                    for &(m, d, t, v) in specs {
+                        let h = *handles.entry((m, d)).or_insert_with(|| {
+                            rt.register(&metric_name(m), &device_tags(d))
+                                .expect("valid names")
+                        });
+                        resolved.push((h, Timestamp(t), v));
+                    }
+                    let a = direct.put_batch(&build_batch(specs));
+                    let b = rt.submit_resolved(&resolved);
                     prop_assert_eq!(a, b, "accepted counts diverged");
                 }
                 Op::SealAll => {
@@ -135,8 +156,7 @@ proptest! {
 
         for m in 0..3u8 {
             for d in 0..5u8 {
-                let tags: TagSet =
-                    [("device".to_string(), format!("node{d}"))].into();
+                let tags = device_tags(d);
                 let a = direct.read_series(
                     &metric_name(m), &tags, Timestamp(0), Timestamp(i64::MAX));
                 let b = staged.read_series(

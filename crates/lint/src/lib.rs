@@ -217,8 +217,12 @@ impl Default for LintConfig {
                 ("ShardedEventQueue".into(), "pop_slice".into()),
                 ("ShardedEventQueue".into(), "pop_slice_until".into()),
                 ("Fleet".into(), "run_until".into()),
-                // Ingest runtime: submit is the producer put path; flush is
-                // the sync barrier every observation point crosses.
+                // Ingest runtime: register + submit_resolved are the
+                // pipeline's put path (handles), submit is the string-keyed
+                // boundary over the same staging code; flush is the sync
+                // barrier every observation point crosses.
+                ("IngestRuntime".into(), "register".into()),
+                ("IngestRuntime".into(), "submit_resolved".into()),
                 ("IngestRuntime".into(), "submit".into()),
                 ("IngestRuntime".into(), "flush".into()),
             ],

@@ -30,14 +30,14 @@ use ctt_core::scenario::ScenarioSet;
 use ctt_core::time::{Span, Timestamp};
 use ctt_core::units::Dbm;
 use ctt_dataport::{AlarmKind, Dataport, DataportConfig};
-use ctt_ingest::{IngestConfig, IngestRuntime};
+use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
 use ctt_lorawan::{
     collision_horizon, DataRate, GatewayConfig, LinkBackoff, NetworkServer, RadioSimulator,
     SimConfig, TxRequest, UplinkFrame, UplinkRecord,
 };
 use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
 use ctt_sim::{EventKey, EventQueue, QueueObs, Schedulable, SimClock};
-use ctt_tsdb::{Aggregator, BitFlipOutcome, DataPoint, Query, ShardedTsdb, DEFAULT_SHARDS};
+use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, ShardedTsdb, TagSet, DEFAULT_SHARDS};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -143,6 +143,11 @@ const DEFAULT_DRAIN_BATCH: usize = 64;
 /// sequential numbering, so spike traffic can never collide with a real
 /// device's ledger keys.
 const SPIKE_EUI_BASE: u32 = 0x00FA_0000;
+
+/// Points stored per uplink: the eight quantities in [`Quantity::ALL`]
+/// order, then the link-quality RSSI for the network dashboards.
+const SERIES_PER_DEVICE: usize = Quantity::ALL.len() + 1;
+const RSSI_METRIC: &str = "ctt.net.rssi";
 
 /// How many span events the pipeline's flight recorder retains. Sized for
 /// post-mortems: enough dispatch context around a failure, bounded so a
@@ -253,6 +258,15 @@ pub struct Pipeline {
     chaos_dead: HashMap<DevEui, bool>,
     /// Deployment order of each device, for health toggling by EUI.
     node_index: HashMap<DevEui, usize>,
+    /// The storage consumer's series handles per device, registered with
+    /// the ingest runtime at the device's first decoded uplink — deployment
+    /// node, synthetic spike device or chaos-mangled EUI alike, so handles
+    /// are issued in the order the store first sees the series. `None`
+    /// marks a device whose series names failed validation: its points are
+    /// dropped uncounted.
+    series: HashMap<DevEui, Option<[SeriesRef; SERIES_PER_DEVICE]>>,
+    /// One drain pass's points, reused across passes.
+    points: Vec<(SeriesRef, Timestamp, f64)>,
     /// The metrics registry every layer publishes into (broker subscriber
     /// counters, TSDB shard counters, chaos activations).
     registry: Registry,
@@ -353,6 +367,8 @@ impl Pipeline {
             ledger: LossLedger::new(),
             chaos_dead: HashMap::new(),
             node_index,
+            series: HashMap::new(),
+            points: Vec::new(),
             registry,
             chaos_obs,
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
@@ -1129,7 +1145,6 @@ impl Pipeline {
         // serial apply below is byte-identical to the old inline loop.
         let decoded = self.decode_pool.map(batch);
         // Stage 3 (serial): ledger, twins, and one batched TSDB write.
-        let mut points: Vec<DataPoint> = Vec::with_capacity(decoded.len() * 9);
         for outcome in decoded {
             match outcome {
                 DecodeOutcome::BadEvent => {
@@ -1146,7 +1161,7 @@ impl Pipeline {
                         .as_ref()
                         .and_then(|c| c.clock_skew(event.device, event.time))
                         .unwrap_or(Span::seconds(0));
-                    self.collect_points(&event, &reading, skew, &mut points);
+                    self.collect_points(&event, &reading, skew);
                     self.ledger.stored(event.device, event.time);
                     self.dataport.on_uplink(
                         event.device,
@@ -1158,7 +1173,8 @@ impl Pipeline {
                 }
             }
         }
-        self.stats.points_stored += self.ingest.submit(&points);
+        self.stats.points_stored += self.ingest.submit_resolved(&self.points);
+        self.points.clear();
         // Queue headroom opened: pull back QoS1 deliveries deferred while
         // it was full. One round per pass — a scheduled drain picks up
         // whatever is still deferred.
@@ -1182,45 +1198,45 @@ impl Pipeline {
     }
 
     /// Turn one decoded uplink into its TSDB points, appended to the batch
-    /// the storage stage writes with one `put_batch` call.
-    fn collect_points(
-        &self,
-        event: &UplinkEvent,
-        reading: &SensorReading,
-        skew: Span,
-        out: &mut Vec<DataPoint>,
-    ) {
+    /// the storage stage submits with one `submit_resolved` call.
+    fn collect_points(&mut self, event: &UplinkEvent, reading: &SensorReading, skew: Span) {
+        let handles = match self.series.get(&event.device) {
+            Some(&handles) => handles,
+            None => {
+                let handles = self.register_device(event.device);
+                self.series.insert(event.device, handles);
+                handles
+            }
+        };
+        let Some(handles) = handles else {
+            return;
+        };
         // Clock skew perturbs only the stored timestamps — the twins (and
         // the ledger key) still see the uplink's transport time.
         let at = event.time + skew;
-        let device_tag = format!("{:016x}", event.device.0);
-        for q in Quantity::ALL {
-            let point = DataPoint::new(
-                q.metric_name(),
-                vec![
-                    ("city".to_string(), self.city_slug.clone()),
-                    ("device".to_string(), device_tag.clone()),
-                ],
-                at,
-                reading.value(q),
-            );
-            if let Ok(p) = point {
-                out.push(p);
-            }
-        }
-        // Link-quality metrics for the network dashboards.
-        let rssi = DataPoint::new(
-            "ctt.net.rssi",
-            vec![
-                ("city".to_string(), self.city_slug.clone()),
-                ("device".to_string(), device_tag),
-            ],
-            at,
-            event.rssi_dbm,
-        );
-        if let Ok(p) = rssi {
-            out.push(p);
-        }
+        let values = Quantity::ALL
+            .iter()
+            .map(|&q| reading.value(q))
+            .chain(std::iter::once(event.rssi_dbm));
+        self.points
+            .extend(handles.iter().zip(values).map(|(&h, v)| (h, at, v)));
+    }
+
+    /// Register one device's series with the ingest runtime, in the order
+    /// its points are stored. `None` if the runtime refuses a name.
+    fn register_device(&mut self, device: DevEui) -> Option<[SeriesRef; SERIES_PER_DEVICE]> {
+        let tags: TagSet = [
+            ("city".to_string(), self.city_slug.clone()),
+            ("device".to_string(), format!("{:016x}", device.0)),
+        ]
+        .into();
+        let handles: Vec<SeriesRef> = Quantity::ALL
+            .iter()
+            .map(|q| q.metric_name())
+            .chain(std::iter::once(RSSI_METRIC.to_string()))
+            .map(|metric| self.ingest.register(&metric, &tags))
+            .collect::<Option<_>>()?;
+        handles.try_into().ok()
     }
 
     /// Query one device's series for a quantity over `[from, to)` at the
