@@ -53,4 +53,7 @@ cargo run --offline -q --release -p ctt-bench --bin bench_check \
     BENCH_ingest.json BENCH_query.json BENCH_query_multiuser.json \
     BENCH_scheduler.json BENCH_obs.json BENCH_overload.json
 
+echo "==> end-to-end benchmark gate (benchmark/run.sh: harness compiles against the root crate; solo == fleet and served == raw checks on a smoke pass)"
+./benchmark/run.sh
+
 echo "CI: all green"

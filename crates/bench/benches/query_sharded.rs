@@ -8,11 +8,11 @@
 //! every query while the 4-shard store re-collects only the written shard
 //! and serves the rest from the seal-aware collection cache — the scaling
 //! gate (`bench_check`) measures invalidation *granularity*, which holds
-//! even on a single-core host where parallel collect cannot help.
+//! on any core count: collection runs on the calling thread.
 //!
 //! `query_downsample_aggregate` compares the raw decode path against
 //! seal-time rollup serving on identical data (cache disabled for both),
-//! gated at ≥3× in `bench_check`.
+//! gated at ≥2.5× in `bench_check`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ctt_core::time::{Span, Timestamp};
@@ -76,9 +76,8 @@ fn downsample_aggregate(c: &mut Criterion) {
     // Cache disabled on both sides: this isolates rollup serving against
     // Gorilla re-decode on identical sealed data.
     let rollup = ServePolicy {
-        cache: false,
         rollups: true,
-        parallel: false,
+        ..ServePolicy::raw()
     };
     for (label, policy) in [("raw", ServePolicy::raw()), ("rollup", rollup)] {
         g.bench_with_input(BenchmarkId::new(label, 4), &policy, |b, policy| {

@@ -1,7 +1,7 @@
 //! Fleet-level chaos: several cities under dense fault plans dispatched
 //! through the sharded event space. Conservation must hold per city —
 //! every produced uplink stored or attributed to a typed cause — and
-//! parallel in-slice dispatch must not perturb a single byte of it.
+//! spreading the cities over shards must not perturb a single byte of it.
 
 use ctt::fleet::{Fleet, FleetConfig};
 use ctt::prelude::*;
@@ -64,13 +64,12 @@ fn build_cities() -> Vec<Pipeline> {
     cities
 }
 
-fn run(parallel: bool) -> Vec<Pipeline> {
+fn run(shards: usize) -> Vec<Pipeline> {
     let end = Deployment::vejle().started + Span::days(2);
     let mut fleet = Fleet::with_config(
         build_cities(),
         FleetConfig {
-            shards: 4,
-            parallel,
+            shards,
             ..FleetConfig::default()
         },
     );
@@ -79,11 +78,11 @@ fn run(parallel: bool) -> Vec<Pipeline> {
 }
 
 #[test]
-fn fleet_under_chaos_conserves_per_city_and_parallel_matches_sequential() {
-    let parallel = run(true);
-    let sequential = run(false);
-    assert_eq!(parallel.len(), sequential.len());
-    for (p, s) in parallel.iter().zip(&sequential) {
+fn fleet_under_chaos_conserves_per_city_and_sharded_matches_single_queue() {
+    let sharded = run(4);
+    let single = run(1);
+    assert_eq!(sharded.len(), single.len());
+    for (p, s) in sharded.iter().zip(&single) {
         let city = &p.deployment.city;
         // Conservation per city, even with faults dispatched through the
         // sharded space: zero unattributed loss, zero conflicts.
@@ -99,7 +98,7 @@ fn fleet_under_chaos_conserves_per_city_and_parallel_matches_sequential() {
         assert!(verdict.stored > 0, "{city}: nothing stored");
         // The plan actually bit.
         assert!(p.chaos_stats().corrupted_frames > 0, "{city}");
-        // Parallel slice dispatch is byte-identical to sequential.
+        // 4-shard slice dispatch is byte-identical to a single queue.
         assert_eq!(p.ledger().render(), s.ledger().render(), "{city}");
         assert_eq!(p.alarm_trace(), s.alarm_trace(), "{city}");
         assert_eq!(p.stats(), s.stats(), "{city}");

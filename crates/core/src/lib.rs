@@ -16,8 +16,6 @@
 //!   [`scenario`] for synthetic pollution injection.
 //! * **Pilots**: [`deployment`] — the Trondheim (12-node) and Vejle (2-node)
 //!   configurations and the paper's cost model.
-//! * **Concurrency**: [`pool`] — the deterministic ordered worker pool and
-//!   fork/join helpers shared by the pipeline and the sharded TSDB.
 //!
 //! Everything is deterministic given explicit seeds; nothing here performs
 //! I/O. Reproduces the domain layer of *"Analysis and Visualization of
@@ -36,7 +34,6 @@ pub mod ids;
 pub mod measurement;
 pub mod node;
 pub mod payload;
-pub mod pool;
 pub mod quantity;
 pub mod scenario;
 pub mod solar;
@@ -53,7 +50,6 @@ pub use geo::{BoundingBox, LatLon, LocalProjection};
 pub use ids::{DevEui, GatewayId};
 pub use measurement::{Measurement, QualityFlag, SensorReading, Series};
 pub use node::{NodeHealth, SensorNode, SensorSpec};
-pub use pool::{join_all, worker_width, OrderedPool};
 pub use quantity::{Pollutant, Quantity};
 pub use scenario::{Injection, ScenarioKind, ScenarioSet};
 pub use time::{Span, TimeRange, Timestamp, Weekday};

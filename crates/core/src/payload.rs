@@ -116,30 +116,34 @@ pub fn decode(
     device: DevEui,
     time: Timestamp,
 ) -> Result<SensorReading, PayloadError> {
-    if bytes.len() != PAYLOAD_LEN {
+    // Slice patterns instead of indexing: the length check and the field
+    // layout are one statement, and nothing here can panic.
+    let Some((body, &[crc_hi, crc_lo, _reserved])) = bytes.split_last_chunk::<3>() else {
         return Err(PayloadError::BadLength(bytes.len()));
+    };
+    let &[version, c0, c1, n0, n1, f0, f1, m0, m1, t0, t1, p0, p1, humidity, battery] = body else {
+        return Err(PayloadError::BadLength(bytes.len()));
+    };
+    if version != PAYLOAD_VERSION {
+        return Err(PayloadError::BadVersion(version));
     }
-    if bytes[0] != PAYLOAD_VERSION {
-        return Err(PayloadError::BadVersion(bytes[0]));
-    }
-    let stored = u16::from_be_bytes([bytes[15], bytes[16]]);
-    let computed = crc16_ccitt(&bytes[0..15]);
+    let stored = u16::from_be_bytes([crc_hi, crc_lo]);
+    let computed = crc16_ccitt(body);
     if stored != computed {
         return Err(PayloadError::BadCrc { computed, stored });
     }
-    let u16_at = |i: usize| f64::from(u16::from_be_bytes([bytes[i], bytes[i + 1]]));
-    let i16_at = |i: usize| f64::from(i16::from_be_bytes([bytes[i], bytes[i + 1]]));
+    let unsigned = |hi: u8, lo: u8| f64::from(u16::from_be_bytes([hi, lo]));
     Ok(SensorReading {
         device,
         time,
-        co2_ppm: u16_at(1) / 10.0,
-        no2_ppb: u16_at(3) / 10.0,
-        pm25_ug_m3: u16_at(5) / 10.0,
-        pm10_ug_m3: u16_at(7) / 10.0,
-        temperature_c: i16_at(9) / 100.0,
-        pressure_hpa: u16_at(11) / 10.0 + 500.0,
-        humidity_pct: f64::from(bytes[13]) / 2.0,
-        battery_pct: f64::from(bytes[14]) / 2.0,
+        co2_ppm: unsigned(c0, c1) / 10.0,
+        no2_ppb: unsigned(n0, n1) / 10.0,
+        pm25_ug_m3: unsigned(f0, f1) / 10.0,
+        pm10_ug_m3: unsigned(m0, m1) / 10.0,
+        temperature_c: f64::from(i16::from_be_bytes([t0, t1])) / 100.0,
+        pressure_hpa: unsigned(p0, p1) / 10.0 + 500.0,
+        humidity_pct: f64::from(humidity) / 2.0,
+        battery_pct: f64::from(battery) / 2.0,
     })
 }
 

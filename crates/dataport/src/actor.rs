@@ -19,7 +19,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// A dynamically-typed message. `Send` so a whole actor system (and the
-/// pipeline that owns it) can move across threads for parallel city runs.
+/// pipeline that owns it) can move across threads.
 pub type AnyMessage = Box<dyn Any + Send>;
 
 /// Actor failure signalled from `handle`.

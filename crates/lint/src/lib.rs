@@ -167,7 +167,6 @@ impl Default for LintConfig {
                 "crates/tsdb/src/bits.rs".into(),
                 "crates/tsdb/src/rollup.rs".into(),
                 "crates/tsdb/src/cache.rs".into(),
-                "crates/core/src/pool.rs".into(),
                 "crates/lorawan/src/server.rs".into(),
                 "crates/lorawan/src/sim.rs".into(),
                 "crates/sim/src/".into(),
@@ -175,7 +174,6 @@ impl Default for LintConfig {
                 "crates/dataport/src/".into(),
                 "crates/ingest/src/".into(),
                 "src/pipeline.rs".into(),
-                "src/parallel.rs".into(),
                 "src/fleet.rs".into(),
             ],
             replay_paths: vec![

@@ -12,14 +12,11 @@
 //! Dispatch is by **time slice**: [`ShardedEventQueue::pop_slice`] removes
 //! every pending event at the next instant and returns them grouped by
 //! shard — groups in ascending shard index, events inside a group in the
-//! shard's `(priority, seq)` order, cross-lane events separate. Because
-//! same-slice groups touch disjoint shards, a driver may dispatch the
-//! groups in parallel and merge outcomes in shard-index order (the
-//! *sequence everywhere* rule from `ctt_core::pool`): the result is
-//! byte-identical to dispatching the groups sequentially. Cross-lane
-//! events run at the slice barrier, after every shard-local event of the
-//! slice — that is the cross-shard routing rule, and it is what keeps a
-//! rollup's view of the shards replay-stable.
+//! shard's `(priority, seq)` order, cross-lane events separate. The
+//! driver (`ctt::Fleet`) dispatches the groups one after another on its
+//! own thread. Cross-lane events run at the slice barrier, after every
+//! shard-local event of the slice — that is the cross-shard routing rule,
+//! and it is what keeps a rollup's view of the shards replay-stable.
 //!
 //! Per-shard `seq` counters are independent: the order *between* shards at
 //! one instant is fixed by shard index, never by scheduling interleaving,

@@ -2,9 +2,8 @@
 //! shards must be a pure regrouping of N independent [`EventQueue`]
 //! replays — same per-shard event streams, slice times strictly
 //! increasing, groups in ascending shard index, cross lane equal to its
-//! own solo-queue replay. This is the property that lets a driver run
-//! same-slice shard groups in parallel and still be byte-identical to
-//! sequential dispatch.
+//! own solo-queue replay. This is the property that makes an N-shard
+//! fleet byte-identical to single-queue dispatch.
 
 use ctt_core::time::Timestamp;
 use ctt_sim::{fnv1a_64, EventKey, EventQueue, ShardedEventQueue};

@@ -28,9 +28,6 @@
 //! * **Rollups + block index** — inside each shard, downsample queries are
 //!   answered from seal-time rollups and non-overlapping chunks are
 //!   skipped via the block index (see [`crate::rollup`], [`crate::store`]).
-//! * **Parallel collect** — on multi-core hosts, phase-1 runs on the
-//!   shared [`OrderedPool`]; results merge in submission (= shard) order,
-//!   so parallelism never changes bytes.
 
 use crate::cache::{query_signature, CacheStats, QueryCache};
 use crate::error::TsdbError;
@@ -40,13 +37,12 @@ use crate::store::{
     BitFlipOutcome, IntegrityReport, QuarantineReport, ScanCounts, StoreStats, Tsdb,
     DEFAULT_CHUNK_SIZE, DEFAULT_ROLLUP_INTERVAL,
 };
-use ctt_core::pool::{worker_width, OrderedPool};
 use ctt_core::time::{Span, Timestamp};
 use ctt_obs::{Counter, Registry};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Default shard count: matches the ingest worker pool's default width.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -97,7 +93,8 @@ pub struct ServePolicy {
     pub cache: bool,
     /// Serve downsample buckets from seal-time rollups where provable.
     pub rollups: bool,
-    /// Collect shards on the worker pool when the host has spare cores.
+    /// No effect — kept only because `benchmark/` names it. Phase-1
+    /// collection always runs on the calling thread, in shard order.
     pub parallel: bool,
 }
 
@@ -111,7 +108,7 @@ impl ServePolicy {
         }
     }
 
-    /// Reference path: sequential, uncached, raw chunk decode only.
+    /// Reference path: uncached, raw chunk decode only.
     pub fn raw() -> Self {
         ServePolicy {
             cache: false,
@@ -152,8 +149,6 @@ impl ShardObs {
 }
 
 type ShardCollections = BTreeMap<TagSet, GroupCollection>;
-type PoolJob = (Arc<RwLock<Tsdb>>, Arc<Query>, bool);
-type PoolOut = Result<ShardCollections, TsdbError>;
 
 /// A time-series database partitioned across N single-owner shards.
 #[derive(Debug)]
@@ -164,10 +159,6 @@ pub struct ShardedTsdb {
     epochs: Vec<Arc<AtomicU64>>,
     obs: Vec<ShardObs>,
     cache: QueryCache,
-    /// Lazily-built phase-1 collection pool; `None` once initialized on a
-    /// host where `worker_width` resolves to a single worker (parallel
-    /// collect would only add channel overhead there).
-    pool: OnceLock<Option<OrderedPool<PoolJob, PoolOut>>>,
 }
 
 impl Default for ShardedTsdb {
@@ -199,7 +190,6 @@ impl ShardedTsdb {
             epochs: (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             obs: vec![ShardObs::default(); n],
             cache: QueryCache::default(),
-            pool: OnceLock::new(),
         }
     }
 
@@ -331,40 +321,9 @@ impl ShardedTsdb {
         written
     }
 
-    /// The shared phase-1 collection pool, built on first use; `None` on
-    /// single-worker hosts (sequential collect is strictly cheaper there).
-    fn pool(&self) -> Option<&OrderedPool<PoolJob, PoolOut>> {
-        self.pool
-            .get_or_init(|| {
-                let width = worker_width(1, self.shards.len());
-                (width > 1).then(|| {
-                    OrderedPool::new(width, |(db, q, rollups): PoolJob| {
-                        collect_groups(&db.read(), &q, rollups)
-                    })
-                })
-            })
-            .as_ref()
-    }
-
-    fn collect_sequential(
-        &self,
-        missing: &[usize],
-        q: &Query,
-        rollups: bool,
-    ) -> Vec<(usize, PoolOut)> {
-        missing
-            .iter()
-            .filter_map(|&i| {
-                self.shards
-                    .get(i)
-                    .map(|s| (i, collect_groups(&s.read(), q, rollups)))
-            })
-            .collect()
-    }
-
-    /// Execute a query with the full serving stack (cache + rollups +
-    /// parallel collect). Byte-identical to running the same query against
-    /// a single [`Tsdb`] holding all the data.
+    /// Execute a query with the full serving stack (cache + rollups).
+    /// Byte-identical to running the same query against a single [`Tsdb`]
+    /// holding all the data.
     pub fn execute(&self, q: &Query) -> Result<Vec<QueryResult>, TsdbError> {
         self.execute_with(q, ServePolicy::full())
     }
@@ -403,8 +362,8 @@ impl ShardedTsdb {
             }
         }
         // Per-shard phase-1 collections: cache-valid shards are reused, the
-        // rest are collected under their read lock (in parallel when the
-        // host allows). Cache locks and shard locks are never held together.
+        // rest are collected under their read lock, in shard order. Cache
+        // locks and shard locks are never held together.
         let n = self.shards.len();
         let mut collections: Vec<Option<ShardCollections>> = (0..n).map(|_| None).collect();
         if let Some(sig) = &sig {
@@ -414,29 +373,11 @@ impl ShardedTsdb {
                     .get_collection(sig, i, epochs.get(i).copied().unwrap_or(0));
             }
         }
-        let missing: Vec<usize> = collections
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let fresh: Vec<(usize, PoolOut)> = match self.pool() {
-            Some(pool) if policy.parallel && missing.len() > 1 => {
-                let qa = Arc::new(q.clone());
-                let jobs: Vec<PoolJob> = missing
-                    .iter()
-                    .filter_map(|&i| {
-                        self.shards
-                            .get(i)
-                            .map(|s| (Arc::clone(s), Arc::clone(&qa), policy.rollups))
-                    })
-                    .collect();
-                missing.iter().copied().zip(pool.map(jobs)).collect()
+        for (i, (slot, shard)) in collections.iter_mut().zip(&self.shards).enumerate() {
+            if slot.is_some() {
+                continue;
             }
-            _ => self.collect_sequential(&missing, q, policy.rollups),
-        };
-        for (i, result) in fresh {
-            let collected = result?;
+            let collected = collect_groups(&shard.read(), q, policy.rollups)?;
             if let Some(o) = self.obs_of(i) {
                 let mut counts = ScanCounts::default();
                 for c in collected.values() {
@@ -452,9 +393,7 @@ impl ShardedTsdb {
                     collected.clone(),
                 );
             }
-            if let Some(slot) = collections.get_mut(i) {
-                *slot = Some(collected);
-            }
+            *slot = Some(collected);
         }
         // Merge in shard index order; finalize once over the merged set.
         let mut merged: ShardCollections = BTreeMap::new();

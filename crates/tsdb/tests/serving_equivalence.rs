@@ -1,6 +1,6 @@
 //! Property: the full serving stack (seal-time rollups + block index +
-//! seal-aware cache + parallel collect) is byte-identical to the raw
-//! reference path (sequential, uncached, full Gorilla re-decode) for *any*
+//! seal-aware cache) is byte-identical to the raw
+//! reference path (uncached, full Gorilla re-decode) for *any*
 //! interleaving of batched writes, seals, retention sweeps, and bit-flip
 //! corruption. [`ServePolicy`] chooses how much work a query skips — never
 //! what it answers.

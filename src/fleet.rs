@@ -5,33 +5,30 @@
 //! pending events into a [`ShardedEventQueue`], each city keyed onto a
 //! shard by FNV of its slug (the `ShardedTsdb` discipline). The run loop
 //! pops *time slices* — all events at the next instant, grouped by shard —
-//! and dispatches the groups; because same-slice groups touch disjoint
-//! shards (and therefore disjoint cities), they may run on the
-//! `OrderedPool` worker pool in parallel, with outcomes merged back in
-//! shard-index order. Follow-up events each dispatch files are routed back
-//! into the owning shard at the merge stage, and cross-shard events (fleet
+//! and dispatches the groups on the calling thread in ascending shard
+//! index. After each group, the follow-up events its cities filed are
+//! routed back into the owning shard, and cross-shard events (fleet
 //! rollups) run at the slice barrier after every shard-local event.
 //!
-//! # Why this is byte-identical to sequential dispatch
+//! # Why this is byte-identical to solo dispatch
 //!
 //! * Within a shard, events dispatch in the shard's `(time, priority,
 //!   seq)` order — and a city's events keep their relative order through
 //!   mount and follow-up routing, so each city sees exactly the dispatch
 //!   sequence its solo `run_until` would produce.
-//! * Between shards at one instant, order is fixed by shard index — never
-//!   by worker scheduling. Cities on different shards share no state, so
-//!   even that order is observable only in fleet-level aggregates.
-//! * Follow-ups are filed at the merge stage in (shard, city-index,
-//!   drain) order by the caller thread, so the per-shard seq assignment is
-//!   a pure function of the schedule history, independent of worker
-//!   timing. The `fleet_identity` proptest pins all of this byte-for-byte.
+//! * Between shards at one instant, order is fixed by shard index. Cities
+//!   on different shards share no state, so that order is observable only
+//!   in fleet-level aggregates.
+//! * Follow-ups are filed per shard group in (city-index, drain) order, so
+//!   the per-shard seq assignment is a pure function of the schedule
+//!   history and the shard count changes nothing a city can observe. The
+//!   `fleet_identity` proptest pins all of this byte-for-byte.
 //!
 //! The run boundary uses the same rule as [`Pipeline::run_until`] (ticks
 //! and radio deadlines landing exactly on `end` belong to this run), so
 //! run-splitting is invariant through the sharded path too.
 
 use crate::pipeline::{Pipeline, SimEvent, PRIO_RADIO, PRIO_TICK};
-use ctt_core::pool::{worker_width, OrderedPool};
 use ctt_core::time::{Span, Timestamp};
 use ctt_dataport::TwinState;
 use ctt_obs::{Registry, Snapshot};
@@ -47,11 +44,11 @@ pub struct FleetConfig {
     /// Shard count (clamped to at least 1). Cities hash onto shards by
     /// FNV-1a of their slug.
     pub shards: usize,
-    /// Dispatch same-slice groups on the worker pool. Off means the same
-    /// groups run on the caller thread in the same shard-index order —
-    /// the byte-identity reference mode.
+    /// No effect — kept only because `benchmark/` names it. Slice groups
+    /// always dispatch on the calling thread, in shard-index order.
     pub parallel: bool,
-    /// Cadence of the cross-shard fleet rollup event (`None` disables).
+    /// Cadence of the cross-shard fleet rollup event (`None`, or a
+    /// non-positive span, disables).
     pub rollup_cadence: Option<Span>,
 }
 
@@ -80,60 +77,15 @@ enum FleetEvent {
     Rollup,
 }
 
-/// The unit of parallel work: one shard's event group for one slice, plus
-/// the (distinct) cities those events belong to, moved in and out of the
-/// fleet around the dispatch.
-struct ShardJob {
-    shard: usize,
-    events: Vec<(EventKey, u32, SimEvent)>,
-    /// The involved cities in ascending fleet index, taken from the fleet.
-    cities: Vec<(u32, Pipeline)>,
-    /// Follow-up events drained after dispatch, in (city, drain) order.
-    followups: Vec<(u32, EventKey, SimEvent)>,
-}
-
-impl std::fmt::Debug for ShardJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardJob")
-            .field("shard", &self.shard)
-            .field("events", &self.events.len())
-            .field("cities", &self.cities.len())
-            .finish()
-    }
-}
-
-/// Dispatch one shard group: the pure function run on the worker pool (or
-/// inline in sequential mode — identical code either way, which is the
-/// byte-identity argument made mechanical). Events run in the shard's
-/// dispatch order; afterwards each involved city's follow-ups are drained
-/// in ascending city order.
-fn run_shard_job(mut job: ShardJob) -> ShardJob {
-    let events = std::mem::take(&mut job.events);
-    for (key, city, ev) in events {
-        if let Some((_, p)) = job.cities.iter_mut().find(|(c, _)| *c == city) {
-            p.dispatch_sliced(key, ev);
-        }
-    }
-    for (city, p) in &mut job.cities {
-        for (key, ev) in p.drain_followups() {
-            job.followups.push((*city, key, ev));
-        }
-    }
-    job
-}
-
 /// A set of city pipelines driven by one sharded event space. See the
 /// module docs for the dispatch protocol and determinism argument.
 #[derive(Debug)]
 pub struct Fleet {
-    /// `Some` except transiently while a city is out on a shard job.
-    cities: Vec<Option<Pipeline>>,
+    cities: Vec<Pipeline>,
     /// Shard owning each city (FNV of the city slug).
     city_shard: Vec<usize>,
     space: ShardedEventQueue<FleetEvent>,
     config: FleetConfig,
-    /// Worker pool for parallel slice dispatch, spawned on first use.
-    pool: Option<OrderedPool<ShardJob, ShardJob>>,
     /// Fleet time: the frontier of dispatched slices.
     clock: SimClock,
     /// Fleet-level gauges the rollup event maintains.
@@ -149,9 +101,12 @@ impl Fleet {
     /// A fleet with an explicit [`FleetConfig`]. Every pipeline's pending
     /// calendar is mounted into the sharded space, preserving per-city
     /// dispatch order.
-    pub fn with_config(pipelines: Vec<Pipeline>, config: FleetConfig) -> Self {
+    pub fn with_config(pipelines: Vec<Pipeline>, mut config: FleetConfig) -> Self {
+        // A rollup that reschedules itself zero or fewer seconds ahead
+        // would be handed back by `pop_slice_until` forever.
+        config.rollup_cadence = config.rollup_cadence.filter(|c| *c > Span::seconds(0));
         let mut space = ShardedEventQueue::new(config.shards);
-        let mut cities: Vec<Option<Pipeline>> = Vec::with_capacity(pipelines.len());
+        let mut cities = Vec::with_capacity(pipelines.len());
         let mut city_shard = Vec::with_capacity(pipelines.len());
         let mut start: Option<Timestamp> = None;
         for (idx, mut p) in pipelines.into_iter().enumerate() {
@@ -169,7 +124,7 @@ impl Fleet {
             }
             start = Some(start.map_or(p.now(), |s: Timestamp| s.min(p.now())));
             city_shard.push(shard);
-            cities.push(Some(p));
+            cities.push(p);
         }
         let clock = SimClock::new(start.unwrap_or(Timestamp(0)));
         if let Some(cadence) = config.rollup_cadence {
@@ -180,7 +135,6 @@ impl Fleet {
             city_shard,
             space,
             config,
-            pool: None,
             clock,
             registry: Registry::new(),
         }
@@ -203,12 +157,12 @@ impl Fleet {
 
     /// The city at fleet index `idx`.
     pub fn city(&self, idx: usize) -> Option<&Pipeline> {
-        self.cities.get(idx).and_then(Option::as_ref)
+        self.cities.get(idx)
     }
 
     /// The cities in fleet order.
     pub fn cities(&self) -> impl Iterator<Item = &Pipeline> {
-        self.cities.iter().filter_map(Option::as_ref)
+        self.cities.iter()
     }
 
     /// Advance every city until `end` by dispatching time slices from the
@@ -222,7 +176,7 @@ impl Fleet {
             self.dispatch_slice(slice);
         }
         for idx in 0..self.cities.len() {
-            if let Some(p) = self.cities.get_mut(idx).and_then(Option::as_mut) {
+            if let Some(p) = self.cities.get_mut(idx) {
                 p.finish_segment(end);
             }
             self.mount_followups(idx);
@@ -230,88 +184,43 @@ impl Fleet {
         self.clock.advance(end);
     }
 
-    /// Dispatch one slice: shard groups first (parallel when configured,
-    /// merged in shard-index order), then the cross lane at the barrier.
+    /// Dispatch one slice: shard groups in shard-index order, then the
+    /// cross lane at the barrier.
     fn dispatch_slice(&mut self, slice: TimeSlice<FleetEvent>) {
-        let time = slice.time;
-        // Partition the shard groups into jobs and move each involved
-        // city out of the fleet and into its (single) job.
-        let mut jobs: Vec<ShardJob> = Vec::with_capacity(slice.shards.len());
-        for (shard, group) in slice.shards {
-            let mut events = Vec::with_capacity(group.len());
+        for (_shard, group) in slice.shards {
+            // Events run in the shard's dispatch order; afterwards each
+            // involved city's follow-ups are filed in ascending city order.
+            let mut involved: Vec<usize> = Vec::with_capacity(group.len());
             for (key, fe) in group {
                 if let FleetEvent::City { city, ev } = fe {
-                    events.push((key, city, ev));
+                    if let Some(p) = self.cities.get_mut(city as usize) {
+                        p.dispatch_sliced(key, ev);
+                        involved.push(city as usize);
+                    }
                 }
             }
-            if events.is_empty() {
-                continue;
-            }
-            let mut involved: Vec<u32> = events.iter().map(|&(_, c, _)| c).collect();
             involved.sort_unstable();
             involved.dedup();
-            let mut cities = Vec::with_capacity(involved.len());
-            for c in involved {
-                if let Some(p) = self.cities.get_mut(c as usize).and_then(Option::take) {
-                    cities.push((c, p));
-                }
-            }
-            jobs.push(ShardJob {
-                shard,
-                events,
-                cities,
-                followups: Vec::new(),
-            });
-        }
-        // Disjoint shards → disjoint cities: the groups may race freely.
-        // The pool merges results back into submission (= shard) order,
-        // and sequential mode runs the identical function in the identical
-        // order, so the two modes are byte-equivalent.
-        let done: Vec<ShardJob> = if self.config.parallel && jobs.len() > 1 {
-            let pool = self
-                .pool
-                .take()
-                .unwrap_or_else(|| OrderedPool::new(worker_width(2, 8), run_shard_job));
-            let done = pool.map(jobs);
-            self.pool = Some(pool);
-            done
-        } else {
-            jobs.into_iter().map(run_shard_job).collect()
-        };
-        // Merge stage: restore cities, then file follow-ups back into the
-        // owning shard in (shard, city, drain) order — all on this thread,
-        // so per-shard seq assignment is schedule-history-pure.
-        for job in done {
-            for (c, p) in job.cities {
-                if let Some(slot) = self.cities.get_mut(c as usize) {
-                    *slot = Some(p);
-                }
-            }
-            for (c, key, ev) in job.followups {
-                self.space.schedule(
-                    job.shard,
-                    key.time,
-                    key.priority,
-                    FleetEvent::City { city: c, ev },
-                );
+            for idx in involved {
+                self.mount_followups(idx);
             }
         }
         // Cross lane at the barrier: after every shard-local event of the
         // slice, in the lane's own dispatch order.
         for (_key, fe) in slice.cross {
             if let FleetEvent::Rollup = fe {
-                self.rollup(time);
+                self.rollup(slice.time);
             }
         }
     }
 
-    /// Route a city's pending private-calendar events (filed outside
-    /// slice dispatch, e.g. by `finish_segment`) into its shard.
+    /// Route the events a city filed into its private calendar (during
+    /// slice dispatch or `finish_segment`) into its shard.
     fn mount_followups(&mut self, idx: usize) {
-        let followups = match self.cities.get_mut(idx).and_then(Option::as_mut) {
-            Some(p) => p.drain_followups(),
-            None => return,
+        let Some(p) = self.cities.get_mut(idx) else {
+            return;
         };
+        let followups = p.drain_followups();
         let shard = self.city_shard.get(idx).copied().unwrap_or(0);
         for (key, ev) in followups {
             self.space.schedule(
@@ -334,7 +243,7 @@ impl Fleet {
         let mut stored = 0u64;
         let mut online = 0i64;
         let mut alarms = 0i64;
-        for p in self.cities.iter().filter_map(Option::as_ref) {
+        for p in &self.cities {
             let st = p.stats();
             readings += st.readings;
             stored += st.points_stored;
@@ -395,17 +304,12 @@ impl Fleet {
             }
         }
         let _ = self.space.drain_cross();
-        let mut out = Vec::with_capacity(self.cities.len());
-        for (idx, slot) in self.cities.iter_mut().enumerate() {
-            let Some(mut p) = slot.take() else { continue };
-            if let Some(bucket) = per_city.get_mut(idx) {
-                for (key, ev) in bucket.drain(..) {
-                    p.remount_event(key.time, key.priority, ev);
-                }
+        for (p, bucket) in self.cities.iter_mut().zip(per_city) {
+            for (key, ev) in bucket {
+                p.remount_event(key.time, key.priority, ev);
             }
-            out.push(p);
         }
-        out
+        self.cities
     }
 }
 
@@ -477,5 +381,31 @@ mod tests {
         assert!(snap.value("sim.cross_shard_events").unwrap_or(0) >= 2);
         let profile = fleet.scheduling_profile();
         assert!(profile.contains("slice_width"), "{profile}");
+    }
+
+    #[test]
+    fn non_positive_rollup_cadence_disables_the_rollup() {
+        // A rollup rescheduling itself at `now + 0` (or into the past) is
+        // handed straight back by `pop_slice_until`, so `run_until` never
+        // returns; the run goes on its own thread under a watchdog.
+        for secs in [0, -300] {
+            let (done, watchdog) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let mut fleet = Fleet::with_config(
+                    vec![Pipeline::new(Deployment::vejle(), 3)],
+                    FleetConfig {
+                        rollup_cadence: Some(Span::seconds(secs)),
+                        ..FleetConfig::default()
+                    },
+                );
+                fleet.run_until(Deployment::vejle().started + Span::minutes(10));
+                let _ = done.send(fleet.metrics_snapshot().value("sim.cross_shard_events"));
+            });
+            let crossed = watchdog
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("run_until livelocked at cadence {secs}s"));
+            assert_eq!(crossed, Some(0), "cadence {secs}s");
+            runner.join().expect("runner thread");
+        }
     }
 }

@@ -34,7 +34,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod fleet;
-pub mod parallel;
 pub mod pipeline;
 
 pub use ctt_analytics as analytics;
@@ -51,7 +50,6 @@ pub use ctt_tsdb as tsdb;
 pub use ctt_viz as viz;
 
 pub use fleet::{Fleet, FleetConfig, DEFAULT_FLEET_SHARDS};
-pub use parallel::{run_cities_parallel, worker_width, OrderedPool};
 pub use pipeline::{Pipeline, PipelineStats};
 
 /// Commonly used items for examples and applications.

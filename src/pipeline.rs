@@ -16,7 +16,6 @@
 //! pinned key is what makes `run_until(a); run_until(b)` replay exactly
 //! like `run_until(b)`.
 
-use crate::parallel::{worker_width, OrderedPool};
 use ctt_broker::{Admission, AdmissionControl, Broker, QoS, RetryPolicy, Subscriber, UplinkEvent};
 use ctt_chaos::{CauseCode, ChaosEngine, FaultPlan, FrameFault, InjectionStats, LossLedger};
 use ctt_core::deployment::Deployment;
@@ -40,7 +39,6 @@ use ctt_sim::{EventKey, EventQueue, QueueObs, Schedulable, SimClock};
 use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, ShardedTsdb, TagSet, DEFAULT_SHARDS};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Pipeline counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,44 +76,6 @@ impl Default for RadioState {
             backoff: LinkBackoff::new(4),
         }
     }
-}
-
-/// What the parallel decode stage produced for one delivery, in delivery
-/// order. Decoding is pure, so fanning it out to workers cannot perturb
-/// replay; everything stateful stays in the serial apply stage.
-#[derive(Debug)]
-enum DecodeOutcome {
-    /// Event + payload decoded; ready to store.
-    Decoded(Box<(UplinkEvent, SensorReading)>),
-    /// The event envelope decoded but the sensor payload did not.
-    BadPayload {
-        /// Device the event named (for loss attribution).
-        device: DevEui,
-        /// Transport time of the event.
-        time: Timestamp,
-    },
-    /// The event envelope itself failed to decode.
-    BadEvent,
-}
-
-/// Decode one delivery payload (the pure function run on the worker pool).
-fn decode_delivery(bytes: Arc<Vec<u8>>) -> DecodeOutcome {
-    let Ok(event) = UplinkEvent::decode(&bytes) else {
-        return DecodeOutcome::BadEvent;
-    };
-    match payload::decode(&event.payload, event.device, event.time) {
-        Ok(reading) => DecodeOutcome::Decoded(Box::new((event, reading))),
-        Err(_) => DecodeOutcome::BadPayload {
-            device: event.device,
-            time: event.time,
-        },
-    }
-}
-
-/// Worker width for the decode stage: the machine's parallelism, bounded so
-/// a fleet of test pipelines doesn't oversubscribe the host.
-fn decode_workers() -> usize {
-    worker_width(2, 8)
 }
 
 // Priority classes for same-instant events, in dispatch order. Ticks run
@@ -235,9 +195,6 @@ pub struct Pipeline {
     /// lane per shard. All pipeline writes go through it; every read path
     /// crosses a flush barrier first, so replay stays byte-identical.
     ingest: IngestRuntime,
-    /// Worker pool for the storage consumer's decode stage. Results are
-    /// merged in delivery order, so replay stays byte-identical.
-    decode_pool: OrderedPool<Arc<Vec<u8>>, DecodeOutcome>,
     /// The monitoring dataport.
     pub dataport: Dataport,
     radio_state: HashMap<DevEui, RadioState>,
@@ -354,7 +311,6 @@ impl Pipeline {
             storage_sub,
             tsdb,
             ingest,
-            decode_pool: OrderedPool::new(decode_workers(), decode_delivery),
             dataport,
             radio_state: HashMap::new(),
             scenario: ScenarioSet::new(),
@@ -1122,12 +1078,11 @@ impl Pipeline {
     }
 
     /// One bounded drain pass: up to `limit` deliveries through the
-    /// exactly-once ack gate, decoded in parallel, applied serially.
+    /// exactly-once ack gate, each decoded and applied in delivery order,
+    /// then one `submit_resolved` for the pass.
     fn drain_storage(&mut self, limit: usize) {
-        // Stage 1 (serial): drain the queue through the exactly-once
-        // ack gate, in delivery order.
-        let mut batch: Vec<Arc<Vec<u8>>> = Vec::new();
-        while batch.len() < limit {
+        let mut taken = 0;
+        while taken < limit {
             let Some(delivery) = self.storage_sub.try_recv() else {
                 break;
             };
@@ -1138,40 +1093,8 @@ impl Pipeline {
                     continue;
                 }
             }
-            batch.push(Arc::clone(&delivery.message.payload));
-        }
-        // Stage 2 (parallel): decode on the worker pool. The pool's
-        // id-ordered merge returns outcomes in delivery order, so the
-        // serial apply below is byte-identical to the old inline loop.
-        let decoded = self.decode_pool.map(batch);
-        // Stage 3 (serial): ledger, twins, and one batched TSDB write.
-        for outcome in decoded {
-            match outcome {
-                DecodeOutcome::BadEvent => {
-                    self.stats.decode_errors += 1;
-                }
-                DecodeOutcome::BadPayload { device, time } => {
-                    self.stats.decode_errors += 1;
-                    self.ledger.attribute(device, time, CauseCode::DecodeError);
-                }
-                DecodeOutcome::Decoded(pair) => {
-                    let (event, reading) = *pair;
-                    let skew = self
-                        .chaos
-                        .as_ref()
-                        .and_then(|c| c.clock_skew(event.device, event.time))
-                        .unwrap_or(Span::seconds(0));
-                    self.collect_points(&event, &reading, skew);
-                    self.ledger.stored(event.device, event.time);
-                    self.dataport.on_uplink(
-                        event.device,
-                        event.time,
-                        reading.battery_pct,
-                        event.gateway,
-                        Dbm(event.rssi_dbm),
-                    );
-                }
-            }
+            taken += 1;
+            self.decode_delivery(&delivery.message.payload);
         }
         self.stats.points_stored += self.ingest.submit_resolved(&self.points);
         self.points.clear();
@@ -1179,6 +1102,36 @@ impl Pipeline {
         // it was full. One round per pass — a scheduled drain picks up
         // whatever is still deferred.
         self.broker.redeliver_deferred();
+    }
+
+    /// Decode one delivery and apply it: ledger, twins, and the points
+    /// the pass submits. A payload that fails to decode is counted, and
+    /// attributed in the ledger when its envelope named the device.
+    fn decode_delivery(&mut self, bytes: &[u8]) {
+        let Ok(event) = UplinkEvent::decode(bytes) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        let Ok(reading) = payload::decode(&event.payload, event.device, event.time) else {
+            self.stats.decode_errors += 1;
+            self.ledger
+                .attribute(event.device, event.time, CauseCode::DecodeError);
+            return;
+        };
+        let skew = self
+            .chaos
+            .as_ref()
+            .and_then(|c| c.clock_skew(event.device, event.time))
+            .unwrap_or(Span::seconds(0));
+        self.collect_points(&event, &reading, skew);
+        self.ledger.stored(event.device, event.time);
+        self.dataport.on_uplink(
+            event.device,
+            event.time,
+            reading.battery_pct,
+            event.gateway,
+            Dbm(event.rssi_dbm),
+        );
     }
 
     /// Schedule a [`SimEvent::StorageDrain`] one logical second out if

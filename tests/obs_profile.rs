@@ -16,7 +16,6 @@ fn fleet_run(shards: usize) -> (String, String, String) {
         ],
         FleetConfig {
             shards,
-            parallel: true,
             ..FleetConfig::default()
         },
     );
@@ -126,7 +125,6 @@ fn fleet_profile_is_byte_identical_across_replays_and_pins_shard_metrics() {
             ],
             FleetConfig {
                 shards: 4,
-                parallel: true,
                 ..FleetConfig::default()
             },
         );
