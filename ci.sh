@@ -25,6 +25,10 @@ cargo test --offline -q -p ctt-chaos
 echo "==> cargo test"
 cargo test --offline -q --workspace
 
+echo "==> figures (results/ is the standing golden: every SVG, CSV and profile export byte for byte)"
+cargo run --offline -q --release -p ctt-bench --bin figures > /dev/null
+git diff --exit-code --stat -- results/
+
 echo "==> obs smoke (two-city metrics snapshot + scheduling profile replay-identical)"
 cargo test --offline -q -p ctt --test obs_profile
 

@@ -1,9 +1,10 @@
 //! Analytics benchmarks: correlation, calibration, outlier screening,
-//! battery analysis, and the Fig. 5 study end to end.
+//! battery analysis, the Fig. 5 study end to end, and the Fig. 6 dashboard
+//! render that turns analysed series into SVG.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ctt_analytics as analytics;
-use ctt_bench::series_from;
+use ctt_bench::{series_from, Fig6Fixture};
 use ctt_core::geo::LatLon;
 use ctt_core::time::{Span, Timestamp};
 
@@ -109,9 +110,16 @@ fn bench_impute(c: &mut Criterion) {
     });
 }
 
+fn bench_dashboard_render(c: &mut Criterion) {
+    let fixture = Fig6Fixture::fixed();
+    c.bench_function("dashboard_render", |b| {
+        b.iter(|| black_box(black_box(&fixture).render().len()))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_correlation, bench_fig5_study, bench_calibration, bench_outliers, bench_battery, bench_impute
+    targets = bench_correlation, bench_fig5_study, bench_calibration, bench_outliers, bench_battery, bench_impute, bench_dashboard_render
 }
 criterion_main!(benches);

@@ -5,11 +5,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
+use ctt_core::aqi::AqiBand;
 use ctt_core::deployment::Deployment;
+use ctt_core::geo::LatLon;
 use ctt_core::measurement::Series;
 use ctt_core::quantity::Quantity;
 use ctt_core::time::{Span, TimeRange, Timestamp};
 use ctt_tsdb::{DataPoint, ShardedTsdb, Tsdb};
+use ctt_viz::{Canvas, Dashboard, LineChart, MapView, Marker, MarkerKind, StatTile};
 
 /// Default seed used across the evaluation.
 pub const SEED: u64 = 42;
@@ -130,6 +133,116 @@ pub fn series_from(start: Timestamp, step: Span, n: usize, f: impl Fn(usize) -> 
     .collect()
 }
 
+/// The inputs of one Fig. 6 citizen-dashboard refresh, in the shape the
+/// end-to-end benchmark's dashboard client renders: two stat tiles, the
+/// city's CO2 over 24 h at 5 minutes (288 points), hourly CO2 by device over
+/// 7 days (12 × 168 points, legend names 16 hex digits) and a 12-marker map.
+/// Every value comes from integer arithmetic, so the rendered bytes do not
+/// depend on the platform's libm.
+#[derive(Debug, Clone)]
+pub struct Fig6Fixture {
+    city_co2: Series,
+    co2_by_device: Vec<(String, Series)>,
+    map: MapView,
+}
+
+impl Fig6Fixture {
+    /// The fixture; takes no seed, every call builds the same inputs.
+    pub fn fixed() -> Self {
+        let start = Timestamp::from_civil(2017, 5, 1, 0, 0, 0);
+        // A sawtooth plus a small multiplicative-hash jitter.
+        let wave = |i: usize, period: usize, amp: f64| {
+            let phase = (i % period) as f64 / period as f64;
+            amp * (1.0 - (2.0 * phase - 1.0).abs())
+        };
+        let jitter = |i: usize| (i.wrapping_mul(7919) % 101) as f64 * 0.037;
+        let city_co2 = series_from(start + Span::days(6), Span::minutes(5), 288, |i| {
+            402.0 + wave(i, 288, 31.0) + jitter(i)
+        });
+        let co2_by_device = (0..12usize)
+            .map(|d| {
+                let name = format!("{:016x}", 0x70b3_d57e_d000_0100_u64 + d as u64);
+                let series = series_from(start, Span::hours(1), 168, |i| {
+                    395.0 + 1.7 * d as f64 + wave(i + 2 * d, 24, 28.0) + jitter(i * 13 + d)
+                });
+                (name, series)
+            })
+            .collect();
+        let bands = [
+            AqiBand::VeryLow,
+            AqiBand::Low,
+            AqiBand::Medium,
+            AqiBand::High,
+            AqiBand::VeryHigh,
+        ];
+        let mut map = MapView::new("Air quality right now");
+        for i in 0..12usize {
+            let band = bands[i % bands.len()];
+            map.markers.push(Marker {
+                position: LatLon::new(
+                    63.40 + 0.004 * (i * 5 % 12) as f64,
+                    10.35 + 0.009 * i as f64,
+                ),
+                kind: MarkerKind::Sensor,
+                color: band.color().to_string(),
+                label: format!("node-{i:02}"),
+                value: Some(band.label().to_string()),
+            });
+        }
+        Fig6Fixture {
+            city_co2,
+            co2_by_device,
+            map,
+        }
+    }
+
+    /// One refresh's render: the dashboard SVG followed by the map SVG.
+    pub fn render(&self) -> String {
+        fn chart<'a>(
+            title: &str,
+            groups: impl IntoIterator<Item = (&'a str, &'a Series)>,
+        ) -> Canvas {
+            let mut c = LineChart::new(title, "ppm");
+            for (name, series) in groups {
+                c.add(name, series.clone());
+            }
+            c.width = 740.0;
+            c.height = 260.0;
+            c.render_canvas()
+        }
+        let tile = |label: &str, value: &str, color: &str| {
+            StatTile {
+                label: label.to_string(),
+                value: value.to_string(),
+                color: color.to_string(),
+            }
+            .render_canvas(360.0, 260.0)
+        };
+        let worst = AqiBand::Medium;
+        let mut dash = Dashboard::new("CTT — citizens' air quality", 3, 2, 360.0, 260.0);
+        dash.place(
+            0,
+            0,
+            1,
+            1,
+            tile("overall air quality", worst.label(), worst.color()),
+        );
+        dash.place(0, 1, 1, 1, tile("cleanest hour", "04:00", "#0072B2"));
+        dash.place(
+            1,
+            0,
+            2,
+            1,
+            chart("City CO2 (last 24 h)", [("city mean", &self.city_co2)]),
+        );
+        let by_device = self.co2_by_device.iter().map(|(n, s)| (n.as_str(), s));
+        dash.place(1, 1, 2, 1, chart("CO2 by device (7 d, hourly)", by_device));
+        let mut svg = dash.render();
+        svg.push_str(&self.map.render());
+        svg
+    }
+}
+
 /// Run a full city pipeline for a span and return it.
 pub fn run_pipeline(deployment: Deployment, hours: i64) -> ctt::Pipeline {
     let mut p = ctt::Pipeline::new(deployment, SEED);
@@ -169,6 +282,19 @@ mod tests {
         let db = loaded_tsdb(3, 100);
         assert_eq!(db.stats().points, 300);
         assert_eq!(db.stats().series, 3);
+    }
+
+    /// The byte-identity witness for `ctt-viz`'s emitter: length and FNV-1a 64
+    /// of the Fig. 6 render, recorded while every number still went through
+    /// `core::fmt`'s `{:.2}`.
+    #[test]
+    fn fig6_render_is_byte_identical_to_the_recorded_golden() {
+        let svg = Fig6Fixture::fixed().render();
+        assert_eq!(svg.matches("<polyline").count(), 13);
+        assert_eq!(
+            (svg.len(), ctt_sim::fnv1a_64(&svg)),
+            (48_058, 0xba12_ed9f_db50_c1c3)
+        );
     }
 
     #[test]

@@ -87,10 +87,10 @@ impl LineChart {
         let plot_y0 = self.height - MARGIN_BOTTOM;
         let plot_y1 = MARGIN_TOP;
         // Domains.
-        let all_times: Vec<Timestamp> = self.series.iter().flat_map(|s| s.series.times()).collect();
-        let (t0, t1) = match (all_times.iter().min(), all_times.iter().max()) {
-            (Some(&a), Some(&b)) if a < b => (a, b),
-            (Some(&a), _) => (a, Timestamp(a.as_seconds() + 1)),
+        let times = || self.series.iter().flat_map(|s| s.series.times());
+        let (t0, t1) = match (times().min(), times().max()) {
+            (Some(a), Some(b)) if a < b => (a, b),
+            (Some(a), _) => (a, Timestamp(a.as_seconds() + 1)),
             _ => (Timestamp(0), Timestamp(1)),
         };
         let xs = TimeScale::new(t0, t1, plot_x0, plot_x1);
@@ -130,13 +130,8 @@ impl LineChart {
         );
         // Series.
         for s in &self.series {
-            let pts: Vec<(f64, f64)> = s
-                .series
-                .points
-                .iter()
-                .map(|&(t, v)| (xs.map(t), ys.map(v)))
-                .collect();
-            c.polyline(&pts, &s.color, 1.4);
+            let pts = s.series.points.iter();
+            c.polyline_from(pts.map(|&(t, v)| (xs.map(t), ys.map(v))), &s.color, 1.4);
         }
         // Legend.
         let mut lx = plot_x0 + 8.0;

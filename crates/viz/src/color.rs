@@ -10,14 +10,16 @@ pub fn category(i: usize) -> &'static str {
     CATEGORY[i % CATEGORY.len()]
 }
 
-/// Parse `#rrggbb` to components.
+/// Parse `#rrggbb` to components. A channel that is missing, not hex, or
+/// not on a character boundary (named, 3-digit, non-ASCII colours) reads 0.
 fn parse_hex(c: &str) -> (u8, u8, u8) {
     let h = c.trim_start_matches('#');
-    (
-        u8::from_str_radix(&h[0..2], 16).unwrap_or(0),
-        u8::from_str_radix(&h[2..4], 16).unwrap_or(0),
-        u8::from_str_radix(&h[4..6], 16).unwrap_or(0),
-    )
+    let channel = |at: usize| {
+        h.get(at..at + 2)
+            .and_then(|d| u8::from_str_radix(d, 16).ok())
+            .unwrap_or(0)
+    };
+    (channel(0), channel(2), channel(4))
 }
 
 fn to_hex(r: u8, g: u8, b: u8) -> String {
@@ -80,6 +82,21 @@ mod tests {
             let c = ramp(f64::from(i) / 10.0);
             assert!(c.starts_with('#') && c.len() == 7, "{c}");
         }
+    }
+
+    #[test]
+    fn colours_that_are_not_rrggbb_do_not_panic() {
+        // Everything else in the crate takes these as plain strings.
+        assert_eq!(shade("red", 0.5), "#000000");
+        // Three digits: "ff" is a whole red channel, green and blue are absent.
+        assert_eq!(lerp("#fff", "#000", 0.5), "#800000");
+        assert_eq!(shade("", 1.0), "#000000");
+        assert_eq!(shade("#", 1.0), "#000000");
+        // Five digits: the blue channel is cut short.
+        assert_eq!(shade("#12345", 1.0), "#123400");
+        // A two-byte character across the red/green boundary; bytes 4..6 are "45".
+        assert_eq!(shade("#1é3456", 1.0), "#000045");
+        assert_eq!(lerp("blå", "grønn", 0.3), "#000000");
     }
 
     #[test]

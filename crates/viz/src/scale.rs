@@ -73,9 +73,15 @@ impl LinearScale {
         let first = (self.d0 / step).ceil() * step;
         let mut ticks = Vec::new();
         let mut t = first;
-        while t <= self.d1 + step * 1e-9 {
+        // The 1/2/5 step is never below two thirds of `raw_step`, so a domain
+        // the step can resolve yields under `2·max_ticks + 2` ticks. One it
+        // cannot (step below the domain's ulp) would leave `t` where it is.
+        while t <= self.d1 + step * 1e-9 && ticks.len() < 2 * max_ticks + 2 {
             // Snap tiny float error to zero.
             ticks.push(if t.abs() < step * 1e-9 { 0.0 } else { t });
+            if t + step <= t {
+                break;
+            }
             t += step;
         }
         ticks
@@ -187,6 +193,26 @@ mod tests {
         for w in ticks.windows(2) {
             assert!(w[1] > w[0]);
         }
+    }
+
+    #[test]
+    fn ticks_terminate_when_the_step_is_below_the_domain_ulp() {
+        // 1e16..1e16+4 asks for a step of 0.5 where one ulp is 2: `t += step`
+        // makes no progress, and a loop that only tests `t <= d1` pushes onto
+        // its Vec forever; the call goes on its own thread under a watchdog.
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = done.send(LinearScale::new(1e16, 1e16 + 4.0, 0.0, 100.0).ticks(6));
+        });
+        let ticks = watchdog
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("ticks() never returned");
+        runner.join().expect("runner thread");
+        assert!(!ticks.is_empty() && ticks.len() <= 14, "{ticks:?}");
+        assert!(ticks.iter().all(|t| (1e16..=1e16 + 4.0).contains(t)));
+        // Through the chart that reaches it: a narrow series at large magnitude.
+        let s = LinearScale::fit([1e16, 1e16 + 4.0], 0.08, 0.0, 100.0);
+        assert!(s.ticks(6).len() <= 14);
     }
 
     #[test]
