@@ -11,6 +11,7 @@ use crate::topic::{Topic, TopicFilter};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use ctt_obs::{Counter, Gauge, Registry};
 use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -130,18 +131,24 @@ impl TrieNode {
         }
     }
 
-    fn collect(&self, levels: &[&str], out: &mut Vec<SubscriptionId>) {
+    /// Append every subscription matching the topic whose remaining levels
+    /// are `tail` (`None` once the topic is used up). Walks the string in
+    /// place: no per-publish list of levels.
+    fn collect(&self, tail: Option<&str>, out: &mut Vec<SubscriptionId>) {
         out.extend_from_slice(&self.hash_subs);
-        match levels.split_first() {
-            None => out.extend_from_slice(&self.subs),
-            Some((first, rest)) => {
-                if let Some(child) = self.children.get(*first) {
-                    child.collect(rest, out);
-                }
-                if let Some(plus) = &self.plus {
-                    plus.collect(rest, out);
-                }
-            }
+        let Some(tail) = tail else {
+            out.extend_from_slice(&self.subs);
+            return;
+        };
+        let (first, rest) = match tail.split_once('/') {
+            Some((first, rest)) => (first, Some(rest)),
+            None => (tail, None),
+        };
+        if let Some(child) = self.children.get(first) {
+            child.collect(rest, out);
+        }
+        if let Some(plus) = &self.plus {
+            plus.collect(rest, out);
         }
     }
 }
@@ -195,6 +202,14 @@ struct Session {
     counters: SessionCounters,
 }
 
+/// How many packet ids there are: 1..=65 535 (0 is not a valid MQTT id).
+const PACKET_IDS: usize = 65_535;
+
+/// The id after `pid`, wrapping 65 535 → 1.
+fn next_packet_id(pid: u16) -> u16 {
+    pid.wrapping_add(1).max(1)
+}
+
 /// Result of one delivery attempt.
 enum DeliverOutcome {
     Enqueued,
@@ -211,6 +226,9 @@ struct Inner {
     retained: BTreeMap<String, Message>,
     next_id: u64,
     stats: BrokerStats,
+    /// The subscriptions one publish routes to; emptied after every publish
+    /// and kept for its capacity.
+    routed: Vec<SubscriptionId>,
     /// Where per-subscriber counters are registered. A private (default)
     /// registry when the broker runs standalone; shared via
     /// [`Broker::with_registry`] when embedded in an instrumented pipeline.
@@ -335,7 +353,7 @@ impl Broker {
             .filter(|m| filter.matches(&m.topic))
             .cloned()
             .collect();
-        for m in retained {
+        for m in &retained {
             Self::deliver_to(&mut session, m, &mut inner.stats);
         }
         inner.sessions.insert(id, session);
@@ -354,38 +372,52 @@ impl Broker {
         inner.stats.subscriptions = inner.sessions.len();
     }
 
+    /// Deliver one copy of `message` to `session`. A copy is two reference
+    /// count bumps (topic and payload), never a byte copy.
     fn deliver_to(
         session: &mut Session,
-        message: Message,
+        message: &Message,
         stats: &mut BrokerStats,
     ) -> DeliverOutcome {
         if session.zero_capacity {
             return DeliverOutcome::Misconfigured;
         }
-        let effective = message.qos.min(session.qos);
-        if effective == QoS::AtLeastOnce {
-            if let Some(cap) = session.inflight_cap {
-                if session.inflight.len() >= cap {
-                    // Deferral space is exhausted: shed the copy. The
-                    // publisher sees it in the outcome and owns the loss
-                    // accounting.
-                    stats.shed += 1;
-                    session.counters.shed.inc();
-                    return DeliverOutcome::Shed;
+        let packet_id = if message.qos.min(session.qos) == QoS::AtLeastOnce {
+            // Full means the in-flight cap when one is configured, and in
+            // any case every packet id being taken. Deferral space is
+            // exhausted either way: shed the copy. The publisher sees it in
+            // the outcome and owns the loss accounting.
+            let room = session.inflight_cap.unwrap_or(usize::MAX).min(PACKET_IDS);
+            if session.inflight.len() >= room {
+                stats.shed += 1;
+                session.counters.shed.inc();
+                return DeliverOutcome::Shed;
+            }
+            // MQTT 3.1.1 §2.3.1: a packet id is reusable only after its
+            // ack, so step past the ids still in flight. One is free — the
+            // store holds fewer than `PACKET_IDS` entries.
+            let mut pid = session.next_pid;
+            loop {
+                match session.inflight.entry(pid) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(message.clone());
+                        break;
+                    }
+                    Entry::Occupied(_) => pid = next_packet_id(pid),
                 }
             }
-        }
-        let packet_id = if effective == QoS::AtLeastOnce {
-            let pid = session.next_pid;
-            session.next_pid = session.next_pid.wrapping_add(1).max(1);
-            session.inflight.insert(pid, message.clone());
+            session.next_pid = next_packet_id(pid);
             let depth = i64::try_from(session.inflight.len()).unwrap_or(i64::MAX);
             session.counters.inflight_hw.raise_to(depth);
             Some(pid)
         } else {
             None
         };
-        match session.tx.try_send(Delivery { message, packet_id }) {
+        let delivery = Delivery {
+            message: message.clone(),
+            packet_id,
+        };
+        match session.tx.try_send(delivery) {
             Ok(()) => {
                 stats.delivered += 1;
                 session.counters.delivered.inc();
@@ -429,20 +461,23 @@ impl Broker {
             }
             inner.stats.retained = inner.retained.len();
         }
-        let levels: Vec<&str> = message.topic.levels().collect();
-        let mut ids = Vec::new();
-        inner.trie.collect(&levels, &mut ids);
-        ids.sort_unstable();
-        ids.dedup();
+        let Inner {
+            trie,
+            sessions,
+            stats,
+            routed,
+            ..
+        } = &mut *inner;
+        trie.collect(Some(message.topic.as_str()), routed);
+        routed.sort_unstable();
+        routed.dedup();
         let mut outcome = PublishOutcome {
-            routed: ids.len(),
+            routed: routed.len(),
             ..PublishOutcome::default()
         };
-        // Split borrows: move stats out, restore after.
-        let mut stats = inner.stats;
-        for id in ids {
-            if let Some(session) = inner.sessions.get_mut(&id) {
-                match Self::deliver_to(session, message.clone(), &mut stats) {
+        for id in routed.drain(..) {
+            if let Some(session) = sessions.get_mut(&id) {
+                match Self::deliver_to(session, &message, stats) {
                     DeliverOutcome::Enqueued => outcome.enqueued += 1,
                     DeliverOutcome::Deferred => outcome.deferred_qos1 += 1,
                     DeliverOutcome::Dropped => outcome.dropped_qos0 += 1,
@@ -451,7 +486,6 @@ impl Broker {
                 }
             }
         }
-        inner.stats = stats;
         outcome
     }
 
@@ -890,6 +924,54 @@ mod tests {
         }
         assert_eq!(b.inflight_count(s.id), 50);
         assert_eq!(b.stats().shed, 0);
+    }
+
+    #[test]
+    fn packet_ids_are_not_reused_while_in_flight() {
+        // More unacked deliveries than there are packet ids: the ids run
+        // out before the queue does. Reusing one would overwrite an
+        // unacked message in the store, and the consumer's ack gate would
+        // then drop the later delivery as a duplicate, uncounted.
+        let b = Broker::new();
+        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 70_000);
+        let topic = topic("t");
+        let published = 65_540u64;
+        let mut shed = 0;
+        for i in 0..published {
+            let body = i.to_string().into_bytes();
+            let m = Message::new(topic.clone(), body, Timestamp(0)).with_qos(QoS::AtLeastOnce);
+            shed += b.publish_with_outcome(m).shed as u64;
+        }
+        assert_eq!(b.inflight_count(s.id), PACKET_IDS);
+        let (mut processed, mut skipped) = (Vec::new(), 0u64);
+        while let Some(d) = s.try_recv() {
+            if b.ack(s.id, d.packet_id.unwrap()) {
+                processed.push(d.message.payload_str().unwrap().parse::<u64>().unwrap());
+            } else {
+                skipped += 1;
+            }
+        }
+        assert_eq!(skipped, 0, "a delivery was dropped as a duplicate");
+        assert_eq!(processed.len() as u64 + shed, published);
+        assert_eq!(shed, 5, "the copies past the last free id are shed");
+        assert_eq!(b.stats().shed, 5);
+        assert_eq!(processed, (0..65_535).collect::<Vec<u64>>());
+        // Ids freed by the acks are handed out again, past the ones a
+        // straggler still holds.
+        let m = |body: &str| msg("t", body).with_qos(QoS::AtLeastOnce);
+        b.publish(m("straggler"));
+        let straggler = s.try_recv().unwrap().packet_id.unwrap();
+        for _ in 0..PACKET_IDS - 1 {
+            b.publish(m("x"));
+            let d = s.try_recv().unwrap();
+            assert_ne!(d.packet_id, Some(straggler));
+            assert!(b.ack(s.id, d.packet_id.unwrap()));
+        }
+        b.publish(m("wrapped"));
+        let wrapped = s.try_recv().unwrap();
+        assert_ne!(wrapped.packet_id, Some(straggler), "stepped past it");
+        assert!(b.ack(s.id, wrapped.packet_id.unwrap()));
+        assert!(b.ack(s.id, straggler));
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod broker;
 pub mod message;
 pub mod topic;
 
-pub use bridge::{Admission, AdmissionControl, PublishReport, RetryPolicy, UplinkEvent};
+pub use bridge::{city_slug, Admission, AdmissionControl, PublishReport, RetryPolicy, UplinkEvent};
 pub use broker::{
     Broker, BrokerStats, Delivery, PublishOutcome, Subscriber, SubscriberStats, SubscriptionId,
 };

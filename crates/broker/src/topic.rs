@@ -5,10 +5,13 @@
 //! wildcard `#` (only as the final level), with MQTT 3.1.1 matching rules.
 
 use std::fmt;
+use std::sync::Arc;
 
-/// A concrete topic name (no wildcards).
+/// A concrete topic name (no wildcards). Shared by reference count: a
+/// message is cloned once per subscriber queue and once more into the QoS1
+/// in-flight store, and none of those clones copies the string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Topic(String);
+pub struct Topic(Arc<str>);
 
 /// A subscription filter (may contain wildcards).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -50,15 +53,15 @@ impl Topic {
         if s.contains('+') || s.contains('#') {
             return Err(TopicError::WildcardInTopic);
         }
-        Ok(Topic(s))
+        Ok(Topic(s.into()))
     }
 
     /// Crate-internal infallible constructor for topics assembled from
     /// pre-sanitized levels (see the bridge's level sanitizer). Validity is
     /// debug-asserted; release builds trust the caller.
-    pub(crate) fn from_sanitized(s: String) -> Topic {
-        debug_assert!(Topic::new(s.as_str()).is_ok(), "unsanitized topic: {s:?}");
-        Topic(s)
+    pub(crate) fn from_sanitized(s: &str) -> Topic {
+        debug_assert!(Topic::new(s).is_ok(), "unsanitized topic: {s:?}");
+        Topic(s.into())
     }
 
     /// The topic string.

@@ -27,8 +27,8 @@
 //!   propagated through the call graph into a lock-order graph; cycles are
 //!   potential deadlocks.
 //! * **R7 transitive panic reachability** — hot entry points
-//!   (`Broker::publish`, `ShardedTsdb::put_batch`/`execute`,
-//!   `EventQueue::pop`, `UplinkEvent::decode`) must not reach a panicking
+//!   (`Broker::publish`/`ack`, `ShardedTsdb::put_batch`/`execute`,
+//!   `EventQueue::pop`, `UplinkEvent::encode`/`decode`) must not reach a panicking
 //!   construct through *any* callee chain; the offending call path is
 //!   reported.
 //!
@@ -203,6 +203,12 @@ impl Default for LintConfig {
                 ("QueryCache".into(), "put_collection".into()),
                 ("EventQueue".into(), "pop".into()),
                 ("UplinkEvent".into(), "decode".into()),
+                // The rest of the broker hop, each once per uplink: the
+                // bridge's encode + publish, the consumer's receive + ack.
+                ("UplinkEvent".into(), "encode".into()),
+                ("UplinkEvent".into(), "publish_with_retry".into()),
+                ("Subscriber".into(), "try_recv".into()),
+                ("Broker".into(), "ack".into()),
                 // Backpressure paths: drain dispatch and bridge admission
                 // run on every overloaded tick.
                 ("Broker".into(), "redeliver_deferred".into()),

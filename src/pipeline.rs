@@ -16,7 +16,9 @@
 //! pinned key is what makes `run_until(a); run_until(b)` replay exactly
 //! like `run_until(b)`.
 
-use ctt_broker::{Admission, AdmissionControl, Broker, QoS, RetryPolicy, Subscriber, UplinkEvent};
+use ctt_broker::{
+    city_slug, Admission, AdmissionControl, Broker, QoS, RetryPolicy, Subscriber, UplinkEvent,
+};
 use ctt_chaos::{CauseCode, ChaosEngine, FaultPlan, FrameFault, InjectionStats, LossLedger};
 use ctt_core::deployment::Deployment;
 use ctt_core::emission::EmissionModel;
@@ -199,7 +201,14 @@ pub struct Pipeline {
     pub dataport: Dataport,
     radio_state: HashMap<DevEui, RadioState>,
     scenario: ScenarioSet,
+    /// The deployment's city in its normal form: topic level, wire field
+    /// and `city` tag all carry exactly this.
     city_slug: String,
+    /// The event the bridge publishes, refilled per uplink: `city` is set
+    /// once and `payload` keeps its capacity.
+    outbound: UplinkEvent,
+    /// The event the storage consumer decodes into, likewise reused.
+    inbound: UplinkEvent,
     /// The single monotone simulation clock, advanced only by dispatch.
     clock: SimClock,
     /// The discrete-event calendar every time-driven layer schedules into.
@@ -281,7 +290,11 @@ impl Pipeline {
         for g in &deployment.gateways {
             dataport.register_gateway(g.id);
         }
-        let city_slug = deployment.city.to_lowercase();
+        let city_slug = city_slug(&deployment.city);
+        let outbound = UplinkEvent {
+            city: city_slug.clone(),
+            ..UplinkEvent::default()
+        };
         let start = deployment.started;
         let node_index = deployment
             .nodes
@@ -315,6 +328,8 @@ impl Pipeline {
             radio_state: HashMap::new(),
             scenario: ScenarioSet::new(),
             city_slug,
+            outbound,
+            inbound: UplinkEvent::default(),
             clock: SimClock::new(start),
             events,
             stats: PipelineStats::default(),
@@ -1010,18 +1025,17 @@ impl Pipeline {
     /// only the storage subscription is ever capped, so `shed > 0` means
     /// the uplink will never be stored and the publisher owns the loss.
     fn publish_to_broker(&mut self, r: &UplinkRecord) {
-        let event = UplinkEvent {
-            city: self.city_slug.clone(),
-            device: r.device,
-            fcnt: r.fcnt,
-            port: r.port,
-            time: r.time,
-            gateway: r.via_gateway,
-            rssi_dbm: r.rssi_dbm,
-            snr_db: r.snr_db,
-            gateway_count: r.gateway_count,
-            payload: r.payload.clone(),
-        };
+        let event = &mut self.outbound;
+        event.device = r.device;
+        event.fcnt = r.fcnt;
+        event.port = r.port;
+        event.time = r.time;
+        event.gateway = r.via_gateway;
+        event.rssi_dbm = r.rssi_dbm;
+        event.snr_db = r.snr_db;
+        event.gateway_count = r.gateway_count;
+        event.payload.clear();
+        event.payload.extend_from_slice(&r.payload);
         // Bounded retry with exponential backoff: a full storage queue
         // defers QoS1 deliveries instead of losing them, and the bridge
         // gives up after the policy's attempts rather than spinning.
@@ -1081,6 +1095,7 @@ impl Pipeline {
     /// exactly-once ack gate, each decoded and applied in delivery order,
     /// then one `submit_resolved` for the pass.
     fn drain_storage(&mut self, limit: usize) {
+        let mut event = std::mem::take(&mut self.inbound);
         let mut taken = 0;
         while taken < limit {
             let Some(delivery) = self.storage_sub.try_recv() else {
@@ -1094,8 +1109,9 @@ impl Pipeline {
                 }
             }
             taken += 1;
-            self.decode_delivery(&delivery.message.payload);
+            self.decode_delivery(&mut event, &delivery.message.payload);
         }
+        self.inbound = event;
         self.stats.points_stored += self.ingest.submit_resolved(&self.points);
         self.points.clear();
         // Queue headroom opened: pull back QoS1 deliveries deferred while
@@ -1104,14 +1120,15 @@ impl Pipeline {
         self.broker.redeliver_deferred();
     }
 
-    /// Decode one delivery and apply it: ledger, twins, and the points
-    /// the pass submits. A payload that fails to decode is counted, and
-    /// attributed in the ledger when its envelope named the device.
-    fn decode_delivery(&mut self, bytes: &[u8]) {
-        let Ok(event) = UplinkEvent::decode(bytes) else {
+    /// Decode one delivery into `event` (the pass's reused scratch event)
+    /// and apply it: ledger, twins, and the points the pass submits. A
+    /// payload that fails to decode is counted, and attributed in the
+    /// ledger when its envelope named the device.
+    fn decode_delivery(&mut self, event: &mut UplinkEvent, bytes: &[u8]) {
+        if event.decode_into(bytes).is_err() {
             self.stats.decode_errors += 1;
             return;
-        };
+        }
         let Ok(reading) = payload::decode(&event.payload, event.device, event.time) else {
             self.stats.decode_errors += 1;
             self.ledger
@@ -1123,7 +1140,7 @@ impl Pipeline {
             .as_ref()
             .and_then(|c| c.clock_skew(event.device, event.time))
             .unwrap_or(Span::seconds(0));
-        self.collect_points(&event, &reading, skew);
+        self.collect_points(event, &reading, skew);
         self.ledger.stored(event.device, event.time);
         self.dataport.on_uplink(
             event.device,
@@ -1293,6 +1310,37 @@ mod tests {
         assert!(verdict.is_balanced(), "{verdict:?}");
         assert_eq!(verdict.produced, st.readings);
         assert_eq!(verdict.stored, st.delivered);
+    }
+
+    #[test]
+    fn a_city_name_with_a_space_is_stored_under_its_slug() {
+        // Verbatim, "New York" split the wire line's city field in two:
+        // every uplink failed to decode and, naming no device, went
+        // unattributed in the ledger.
+        let mut deployment = Deployment::trondheim();
+        deployment.city = "New York".to_string();
+        let mut p = Pipeline::new(deployment, 42);
+        let start = p.deployment.started;
+        p.run_until(start + Span::hours(3));
+        let st = p.stats();
+        assert!(st.delivered > 300, "delivered {}", st.delivered);
+        assert_eq!(st.decode_errors, 0);
+        assert_eq!(st.points_stored, st.delivered * 9);
+        assert_eq!(p.tsdb.stats().points, st.points_stored);
+        let verdict = p.ledger().verify();
+        assert!(verdict.is_balanced(), "{verdict:?}");
+        assert_eq!(verdict.stored, st.delivered);
+        let by_city = Query::range(
+            Quantity::Temperature.metric_name(),
+            start,
+            start + Span::hours(3),
+        )
+        .with_tag("city", "new_york");
+        let stored = p.tsdb.execute(&by_city).unwrap();
+        assert!(stored.iter().any(|r| !r.series.is_empty()));
+        assert!(!p
+            .city_series(Quantity::Temperature, start, start + Span::hours(3))
+            .is_empty());
     }
 
     #[test]
