@@ -10,7 +10,7 @@
 //! shows up even on a single-core host (the CI gate compares the
 //! noise-robust `peak_elems_per_sec` minimum statistic).
 //!
-//! The `ingest_runtime*` groups measure the staged runtime three ways:
+//! The `ingest_runtime*` groups measure the ingest runtime three ways:
 //! `ingest_runtime` feeds it run-shaped string-keyed batches (one device's
 //! history is contiguous), `ingest_runtime_strings` feeds it the traffic
 //! the pipeline's storage consumer actually produces — nine different
@@ -22,9 +22,7 @@
 //! and the `bench_check` validator asserts 4-shard throughput beats
 //! 1-shard.
 
-use criterion::{
-    black_box, criterion_group, criterion_main, report_metric, BenchmarkId, Criterion, Throughput,
-};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ctt_core::time::{Span, Timestamp};
 use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
 use ctt_obs::Registry;
@@ -91,11 +89,11 @@ fn ingest_throughput(c: &mut Criterion) {
 fn ingest_single_writer(c: &mut Criterion) {
     // Single-threaded batched ingest with no read load: the per-point cost
     // floor (hash + route + intern + append) at 1 vs 4 shards. Store
-    // construction is untimed setup (mirroring `ingest_runtime`, which
-    // keeps its writer spawn/join untimed): the timed region is ingest
-    // work only. This and `ingest_runtime` use a doubled workload so each
-    // timed region spans several scheduler timeslices — the two means are
-    // gate-compared, and short iterations flap on single-core hosts.
+    // construction is untimed setup, as in `ingest_runtime`: the timed
+    // region is ingest work only. This and `ingest_runtime` use a doubled
+    // workload so each timed region spans several scheduler timeslices —
+    // the two means are gate-compared, and short iterations flap on
+    // single-core hosts.
     let batches = ctt_bench::writer_batches(1, DEVICES, 2 * POINTS_PER_DEVICE);
     let batch = &batches[0];
     let mut g = c.benchmark_group("ingest_serial");
@@ -117,68 +115,39 @@ fn ingest_single_writer(c: &mut Criterion) {
     g.finish();
 }
 
-/// A fresh store with its registry and a running ingest runtime.
-fn fresh_runtime(writers: usize) -> (Registry, ShardedTsdb, IngestRuntime) {
+/// A fresh store with an ingest runtime in front of it.
+fn fresh_runtime(shards: usize) -> (ShardedTsdb, IngestRuntime) {
     let registry = Registry::new();
-    let mut db = ShardedTsdb::new(writers);
+    let mut db = ShardedTsdb::new(shards);
     db.attach_registry(&registry);
     let rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
-    (registry, db, rt)
+    (db, rt)
 }
 
 fn ingest_runtime(c: &mut Criterion) {
-    // The staged runtime: producers route by hash onto per-shard SPSC
-    // lanes, one writer thread per shard applies batches. Structurally
-    // identical to `ingest_serial` for a fair head-to-head: a fresh store
-    // per iteration, the same borrowed chunks, and the flush barrier
-    // closing every timed region so it always covers the full
-    // submit-to-applied path. Runtime construction (thread spawn) runs in
-    // untimed setup and teardown (join) is deferred past the group via the
-    // graveyard — an ingest tier is long-lived, and on a single-core host
-    // per-iteration spawn/join jitter would otherwise dominate sample
-    // noise. The loaded store itself still drops in the timed region on
-    // both arms.
+    // The handle-resolving, run-framing runtime against `ingest_serial`'s
+    // string-keyed `put_batch`, head to head: a fresh store per iteration
+    // (built in untimed setup), the same borrowed chunks, and a flush
+    // closing every timed region so it covers every point applied. The
+    // loaded store drops in the timed region on both arms.
     let batches = ctt_bench::writer_batches(1, DEVICES, 2 * POINTS_PER_DEVICE);
     let batch = &batches[0];
     let mut g = c.benchmark_group("ingest_runtime");
     g.sample_size(10);
     g.throughput(Throughput::Elements(batch.len() as u64));
-    for writers in [1usize, 2, 4, 8] {
-        let mut high_water = 0i128;
-        let mut graveyard = Vec::new();
-        g.bench_with_input(
-            BenchmarkId::new("writers", writers),
-            &writers,
-            |b, &writers| {
-                b.iter_with_setup(
-                    || fresh_runtime(writers),
-                    |(registry, db, mut rt)| {
-                        for chunk in batch.chunks(BATCH) {
-                            rt.submit(chunk);
-                        }
-                        rt.flush();
-                        graveyard.push((registry, rt));
-                        black_box(db.stats().points)
-                    },
-                );
-            },
-        );
-        // Lane occupancy at its worst: max over shards and iterations of
-        // the unflushed-batch high-water gauge.
-        for (registry, _) in &graveyard {
-            let snap = registry.snapshot(Timestamp(0));
-            high_water = high_water.max(
-                (0..writers)
-                    .filter_map(|i| snap.value(&format!("ingest.shard{i}.ring_high_water")))
-                    .max()
-                    .unwrap_or(0),
+    for shards in [1usize, DEFAULT_SHARDS] {
+        g.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
+            b.iter_with_setup(
+                || fresh_runtime(shards),
+                |(db, mut rt)| {
+                    for chunk in batch.chunks(BATCH) {
+                        rt.submit(chunk);
+                    }
+                    rt.flush();
+                    black_box(db.stats().points)
+                },
             );
-        }
-        drop(graveyard);
-        report_metric(
-            &format!("ingest_runtime/queue_high_water/{writers}"),
-            high_water as f64,
-        );
+        });
     }
     g.finish();
 }
@@ -187,10 +156,10 @@ fn ingest_runtime_uplinks(c: &mut Criterion) {
     // The traffic the pipeline's storage consumer produces: every submit is
     // one uplink's nine points, each for a different series, so consecutive
     // points never share a series. Same shape as `ingest_runtime`
-    // otherwise (fresh store per iteration, flush closes the timed region,
-    // teardown deferred). By handle, the series are registered in untimed
-    // setup — the pipeline pays that once per device lifetime — so the two
-    // groups differ by exactly the per-point cost of resolving strings.
+    // otherwise (fresh store per iteration, flush closes the timed
+    // region). By handle, the series are registered in untimed setup — the
+    // pipeline pays that once per device lifetime — so the two groups
+    // differ by exactly the per-point cost of resolving strings.
     let points = ctt_bench::uplink_points(UPLINK_DEVICES, UPLINK_ROUNDS);
     let per_submit = ctt_bench::POINTS_PER_UPLINK;
     for (group, by_handle) in [
@@ -200,48 +169,41 @@ fn ingest_runtime_uplinks(c: &mut Criterion) {
         let mut g = c.benchmark_group(group);
         g.sample_size(10);
         g.throughput(Throughput::Elements(points.len() as u64));
-        for writers in [1usize, DEFAULT_SHARDS] {
-            let mut graveyard = Vec::new();
-            g.bench_with_input(
-                BenchmarkId::new("writers", writers),
-                &writers,
-                |b, &writers| {
-                    b.iter_with_setup(
-                        || {
-                            let (registry, db, mut rt) = fresh_runtime(writers);
-                            let resolved: Vec<(SeriesRef, Timestamp, f64)> = if by_handle {
-                                points
-                                    .iter()
-                                    .filter_map(|p| {
-                                        let h = rt.register(&p.metric, &p.tags)?;
-                                        Some((h, p.time, p.value))
-                                    })
-                                    .collect()
-                            } else {
-                                Vec::new()
-                            };
-                            (registry, db, rt, resolved)
-                        },
-                        |(registry, db, mut rt, resolved)| {
-                            if by_handle {
-                                for uplink in resolved.chunks(per_submit) {
-                                    rt.submit_resolved(uplink);
-                                }
-                            } else {
-                                for uplink in points.chunks(per_submit) {
-                                    rt.submit(uplink);
-                                }
+        for shards in [1usize, DEFAULT_SHARDS] {
+            g.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
+                b.iter_with_setup(
+                    || {
+                        let (db, mut rt) = fresh_runtime(shards);
+                        let resolved: Vec<(SeriesRef, Timestamp, f64)> = if by_handle {
+                            points
+                                .iter()
+                                .filter_map(|p| {
+                                    let h = rt.register(&p.metric, &p.tags)?;
+                                    Some((h, p.time, p.value))
+                                })
+                                .collect()
+                        } else {
+                            Vec::new()
+                        };
+                        (db, rt, resolved)
+                    },
+                    |(db, mut rt, resolved)| {
+                        if by_handle {
+                            for uplink in resolved.chunks(per_submit) {
+                                rt.submit_resolved(uplink);
                             }
-                            rt.flush();
-                            let stored = db.stats().points;
-                            assert_eq!(stored, points.len() as u64, "{group}: points lost");
-                            graveyard.push((registry, rt, resolved));
-                            black_box(stored)
-                        },
-                    );
-                },
-            );
-            drop(graveyard);
+                        } else {
+                            for uplink in points.chunks(per_submit) {
+                                rt.submit(uplink);
+                            }
+                        }
+                        rt.flush();
+                        let stored = db.stats().points;
+                        assert_eq!(stored, points.len() as u64, "{group}: points lost");
+                        black_box(stored)
+                    },
+                );
+            });
         }
         g.finish();
     }

@@ -1,9 +1,10 @@
-//! Property: at a flush barrier, a [`ShardedTsdb`] fed through the staged
+//! Property: at a flush, a [`ShardedTsdb`] fed through the staged
 //! [`IngestRuntime`] is observationally identical to one fed by direct
 //! `put_batch` calls — for *any* interleaving of batched writes (string-keyed
-//! `submit` and handle-keyed `submit_resolved` alike), forced seals, retention evictions, chunk-bit corruption, and injected writer
-//! crashes. The runtime is a performance structure; it must never leak
-//! into stats, queries, shard put counters, or chaos-flip targeting.
+//! `submit` and handle-keyed `submit_resolved` alike), bare flushes, forced
+//! seals, retention evictions and chunk-bit corruption. The runtime is a
+//! performance structure; it must never leak into stats, queries, shard put
+//! counters, or chaos-flip targeting.
 
 use ctt_core::time::{Span, Timestamp};
 use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
@@ -26,9 +27,9 @@ enum Op {
     EvictBefore(i64),
     /// Flip one bit of the nth sealed chunk (corruption drill).
     FlipBit(u8, u8),
-    /// Kill one runtime writer mid-batch (no-op on the reference store:
-    /// the crash contract is that no point is lost or duplicated).
-    ArmCrash(u8),
+    /// Flush the runtime with no store mutation, so batch boundaries fall
+    /// at arbitrary points between submits.
+    Flush,
 }
 
 fn specs_strategy() -> impl Strategy<Value = Vec<(u8, u8, i64, f64)>> {
@@ -42,7 +43,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::SealAll),
         1 => (0i64..50_000).prop_map(Op::EvictBefore),
         1 => (0u8..20, 0u8..200).prop_map(|(c, b)| Op::FlipBit(c, b)),
-        1 => (0u8..4).prop_map(Op::ArmCrash),
+        1 => Just(Op::Flush),
     ]
 }
 
@@ -87,11 +88,10 @@ const SHARDS: usize = 4;
 proptest! {
     /// Replay an arbitrary op sequence against a direct store and a
     /// runtime-fed store; every observable must be byte-identical at the
-    /// barrier.
+    /// final flush.
     #[test]
     fn runtime_fed_store_equals_direct_put_batch(
         ops in proptest::collection::vec(op_strategy(), 1..25),
-        lane_capacity in 1usize..8,
         ship_points in 1usize..32,
     ) {
         let reg_direct = Registry::new();
@@ -101,7 +101,7 @@ proptest! {
         let reg_rt = Registry::new();
         let mut staged = ShardedTsdb::with_chunk_size(SHARDS, 16);
         staged.attach_registry(&reg_rt);
-        let mut rt = IngestRuntime::new(&staged, &reg_rt, IngestConfig { lane_capacity, ship_points });
+        let mut rt = IngestRuntime::new(&staged, &reg_rt, IngestConfig { ship_points });
         let mut handles: HashMap<(u8, u8), SeriesRef> = HashMap::new();
 
         for op in &ops {
@@ -137,16 +137,14 @@ proptest! {
                     prop_assert_eq!(a, b, "evicted counts diverged");
                 }
                 Op::FlipBit(nth, bit) => {
-                    // Chaos targets "the nth sealed chunk": the barrier
+                    // Chaos targets "the nth sealed chunk": the flush
                     // makes the chunk population identical first.
                     rt.flush();
                     let a = direct.flip_chunk_bit(u64::from(*nth), u64::from(*bit));
                     let b = staged.flip_chunk_bit(u64::from(*nth), u64::from(*bit));
                     prop_assert_eq!(a, b, "flip outcomes diverged");
                 }
-                Op::ArmCrash(shard) => {
-                    rt.arm_crash(*shard as usize % SHARDS);
-                }
+                Op::Flush => rt.flush(),
             }
         }
         rt.flush();

@@ -24,7 +24,9 @@
 //! deliberately local approximation that avoids whole-program type inference
 //! while catching the patterns this workspace actually writes.
 
-use crate::lexer::{matching_brace, skip_delimited, test_regions, Tok, TokKind};
+use crate::lexer::{
+    is_non_index_keyword, matching_brace, skip_delimited, test_regions, Tok, TokKind,
+};
 
 /// A source file handed to [`crate::lint_workspace`].
 #[derive(Debug, Clone)]
@@ -460,30 +462,6 @@ fn is_call_excluded_keyword(word: &str) -> bool {
     )
 }
 
-/// Keywords that may precede `[` without indexing (shared with R1).
-fn is_index_excluded_keyword(word: &str) -> bool {
-    matches!(
-        word,
-        "mut"
-            | "dyn"
-            | "impl"
-            | "ref"
-            | "as"
-            | "in"
-            | "return"
-            | "break"
-            | "else"
-            | "match"
-            | "if"
-            | "move"
-            | "const"
-            | "static"
-            | "where"
-            | "yield"
-            | "box"
-    )
-}
-
 #[derive(Debug)]
 struct Guard {
     depth: usize,
@@ -537,7 +515,7 @@ fn analyze_body(
             }
             TokKind::Punct('[') if i > open => {
                 let indexable = match toks[i - 1].kind {
-                    TokKind::Ident => !is_index_excluded_keyword(&toks[i - 1].text),
+                    TokKind::Ident => !is_non_index_keyword(&toks[i - 1].text),
                     TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('?') => true,
                     _ => false,
                 };

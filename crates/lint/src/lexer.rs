@@ -308,6 +308,33 @@ fn is_test_attr(toks: &[Tok], i: usize) -> bool {
         && punct(i + 6, ']')
 }
 
+/// Keywords after which `[` opens a slice/array type, pattern or
+/// expression (`&mut [T]`, `return [..]`, `if let [a, rest @ ..] = x`) —
+/// never an indexing operation. R1 and R7 both ask.
+pub(crate) fn is_non_index_keyword(word: &str) -> bool {
+    matches!(
+        word,
+        "mut"
+            | "dyn"
+            | "impl"
+            | "ref"
+            | "as"
+            | "in"
+            | "let"
+            | "return"
+            | "break"
+            | "else"
+            | "match"
+            | "if"
+            | "move"
+            | "const"
+            | "static"
+            | "where"
+            | "yield"
+            | "box"
+    )
+}
+
 /// Whether token index `idx` falls inside any of `regions`.
 pub(crate) fn in_regions(regions: &[(usize, usize)], idx: usize) -> bool {
     regions.iter().any(|&(s, e)| idx >= s && idx <= e)

@@ -57,7 +57,7 @@ mod rules;
 
 pub use facts::SourceFile;
 
-use lexer::{in_regions, scan, skip_delimited, test_regions, Tok, TokKind};
+use lexer::{in_regions, is_non_index_keyword, scan, skip_delimited, test_regions, Tok, TokKind};
 
 /// Which lint rule a [`Finding`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,8 +223,10 @@ impl Default for LintConfig {
                 ("Fleet".into(), "run_until".into()),
                 // Ingest runtime: register + submit_resolved are the
                 // pipeline's put path (handles), submit is the string-keyed
-                // boundary over the same staging code; flush is the sync
-                // barrier every observation point crosses.
+                // boundary over the same staging code; flush applies what
+                // is staged before every observation point. All three
+                // apply batches inline, so from here the call graph reaches
+                // `Tsdb::intern`/`append_run` and the Gorilla encoder.
                 ("IngestRuntime".into(), "register".into()),
                 ("IngestRuntime".into(), "submit_resolved".into()),
                 ("IngestRuntime".into(), "submit".into()),
@@ -331,30 +333,6 @@ fn parse_allows(relpath: &str, src: &str) -> (HashMap<usize, Vec<Rule>>, Vec<Fin
 // R1: panic-freedom
 // ---------------------------------------------------------------------------
 
-/// Rust keywords that may legally precede `[` without it being an index.
-fn is_keyword(word: &str) -> bool {
-    matches!(
-        word,
-        "mut"
-            | "dyn"
-            | "impl"
-            | "ref"
-            | "as"
-            | "in"
-            | "return"
-            | "break"
-            | "else"
-            | "match"
-            | "if"
-            | "move"
-            | "const"
-            | "static"
-            | "where"
-            | "yield"
-            | "box"
-    )
-}
-
 fn check_panic_freedom(relpath: &str, toks: &[Tok], skip: &[(usize, usize)]) -> Vec<Finding> {
     let mut out = Vec::new();
     let finding = |line: usize, message: String| Finding {
@@ -396,7 +374,7 @@ fn check_panic_freedom(relpath: &str, toks: &[Tok], skip: &[(usize, usize)]) -> 
                     // A keyword before `[` means a slice/array *type* or an
                     // expression position (`&mut [T]`, `return [..]`), never
                     // an indexing operation.
-                    TokKind::Ident => !is_keyword(&toks[i - 1].text),
+                    TokKind::Ident => !is_non_index_keyword(&toks[i - 1].text),
                     TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('?') => true,
                     _ => false,
                 };

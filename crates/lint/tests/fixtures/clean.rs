@@ -15,6 +15,14 @@ pub fn record_co2(reading: Ppm) -> f64 {
     reading.0
 }
 
+/// A slice pattern after `let` is not indexing.
+pub fn split_head(values: &[f64]) -> Option<(f64, usize)> {
+    if let [head, rest @ ..] = values {
+        return Some((*head, rest.len()));
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -247,13 +247,12 @@ impl ShardedTsdb {
         (hash % self.shards.len() as u64) as usize
     }
 
-    /// A standalone write handle for one shard, for single-writer ingest
-    /// runtimes: it holds its own `Arc`s to the shard's store and epoch
-    /// (plus a clone of the shard's `puts` counter), so a writer thread can
-    /// own it without borrowing the `ShardedTsdb`. Writes through the
-    /// handle bump the same epoch the query cache validates against, so
-    /// serving stays correct regardless of which path wrote. `None` for
-    /// out-of-range indices.
+    /// A standalone write handle for one shard, for the ingest runtime: it
+    /// holds its own `Arc`s to the shard's store and epoch (plus a clone of
+    /// the shard's `puts` counter), so its owner does not borrow the
+    /// `ShardedTsdb`. Writes through the handle bump the same epoch the
+    /// query cache validates against, so serving stays correct regardless
+    /// of which path wrote. `None` for out-of-range indices.
     ///
     /// Call after [`ShardedTsdb::attach_registry`]: the handle captures the
     /// shard's current counter, and attaching replaces counters.
@@ -548,9 +547,8 @@ impl ShardedTsdb {
 }
 
 /// A write handle bound to one shard of a [`ShardedTsdb`] (see
-/// [`ShardedTsdb::writer`]). Cheap to move across threads; the ingest
-/// runtime gives each shard exactly one, making that thread the shard's
-/// single writer.
+/// [`ShardedTsdb::writer`]). The ingest runtime keeps exactly one per
+/// shard, in the lane that stages that shard's points.
 #[derive(Debug, Clone)]
 pub struct ShardWriter {
     store: Arc<RwLock<Tsdb>>,

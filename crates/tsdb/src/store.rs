@@ -23,6 +23,14 @@ pub const DEFAULT_CHUNK_SIZE: usize = 512;
 /// paper's Zeppelin panels use (`1h-avg`).
 pub const DEFAULT_ROLLUP_INTERVAL: Span = Span::hours(1);
 
+/// An open buffer never spans this many seconds (2²⁶ ≈ 2.13 years): the
+/// Gorilla stream holds a chunk's first delta in 27 offset-encoded bits
+/// and escapes a delta-of-delta through `i32`, and both fit exactly while
+/// every pair of timestamps in a chunk is closer than this. Enforced in
+/// [`Series::push_point`]; real traffic is cut by the size threshold long
+/// before.
+const MAX_OPEN_SPAN_SECS: i64 = 1 << 26;
+
 /// Collapse duplicate timestamps in a time-sorted point list, keeping the
 /// last occurrence of each run (last write wins). Returns how many points
 /// were removed.
@@ -169,6 +177,9 @@ pub(crate) struct Series {
     pub(crate) tags: TagSet,
     pub(crate) sealed: Vec<SealedChunk>,
     pub(crate) open: Vec<(Timestamp, f64)>,
+    /// Minimum and maximum timestamp in `open` (which is unsorted between
+    /// seals); `None` when it is empty.
+    open_span: Option<(Timestamp, Timestamp)>,
     /// Block index: chunk positions sorted by `(start, seal order)`, so a
     /// range read binary-searches instead of walking every chunk.
     index: Vec<u32>,
@@ -189,6 +200,7 @@ impl Series {
             tags,
             sealed: Vec::new(),
             open: Vec::new(),
+            open_span: None,
             index: Vec::new(),
             points: 0,
             stream: Some(OpenEnc::new()),
@@ -198,8 +210,20 @@ impl Series {
 
     /// Append one arrival to the open buffer, keeping the streaming
     /// encoder in lockstep. The single write entry point shared by
-    /// [`Tsdb::put`] and [`Tsdb::append_run`].
+    /// [`Tsdb::put`] and [`Tsdb::append_run`], and so the one place that
+    /// keeps the buffer's span under [`MAX_OPEN_SPAN_SECS`]: an arrival
+    /// that would stretch it that far, in either direction, seals the
+    /// buffer first and starts the next one.
     fn push_point(&mut self, t: Timestamp, v: f64, interval: Span) {
+        let (lo, hi) = self
+            .open_span
+            .map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t)));
+        if hi.0.saturating_sub(lo.0) >= MAX_OPEN_SPAN_SECS {
+            self.seal_open(interval);
+            self.open_span = Some((t, t));
+        } else {
+            self.open_span = Some((lo, hi));
+        }
         self.open.push((t, v));
         self.points += 1;
         if let Some(st) = &mut self.stream {
@@ -207,6 +231,15 @@ impl Series {
                 self.stream = None;
             }
         }
+    }
+
+    /// Recompute `open_span` after points left the open buffer (a seal
+    /// drained a prefix, or retention dropped some).
+    fn rescan_open_span(&mut self) {
+        let mut times = self.open.iter().map(|&(t, _)| t);
+        self.open_span = times
+            .next()
+            .map(|t| times.fold((t, t), |(lo, hi), t| (lo.min(t), hi.max(t))));
     }
 
     /// Rebuild the streaming encoder from the current open buffer (after a
@@ -297,6 +330,7 @@ impl Series {
             rollups: Some(rollups),
         });
         self.open.drain(..cut);
+        self.rescan_open_span();
         self.rebuild_stream(interval);
     }
 
@@ -348,12 +382,10 @@ impl Series {
         (hits, skipped)
     }
 
-    /// Minimum and maximum timestamp currently in the open buffer (which
-    /// is unsorted between seals), or `None` when it is empty.
+    /// Minimum and maximum timestamp currently in the open buffer, or
+    /// `None` when it is empty.
     pub(crate) fn open_span(&self) -> Option<(Timestamp, Timestamp)> {
-        let mut it = self.open.iter().map(|&(t, _)| t);
-        let first = it.next()?;
-        Some(it.fold((first, first), |(lo, hi), t| (lo.min(t), hi.max(t))))
+        self.open_span
     }
 
     /// Collect points within `[start, end)`, sorted by time, with scan
@@ -582,8 +614,7 @@ impl Tsdb {
 
     /// Intern a series by metric + tags, returning its id (existing or
     /// freshly created). Ids are dense and never reused, so callers — the
-    /// ingest runtime's per-writer key tables in particular — may cache
-    /// them indefinitely.
+    /// ingest runtime's lanes in particular — may cache them indefinitely.
     pub fn intern(&mut self, metric: &str, tags: &TagSet) -> SeriesId {
         let key = series_key(metric, tags);
         match self.by_key.get(&key) {
@@ -860,6 +891,7 @@ impl Tsdb {
             if before != s.open.len() {
                 // Retention rewrote the open buffer underneath the
                 // streaming encoder; rebuild it over what survived.
+                s.rescan_open_span();
                 s.rebuild_stream(rollup_interval);
             }
         }

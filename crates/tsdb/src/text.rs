@@ -237,6 +237,50 @@ mod tests {
         );
     }
 
+    /// Import one series' lines, seal, and read every point back. The three
+    /// tests below put neighbours ≥ 2²⁶ s apart, which one Gorilla chunk
+    /// cannot hold (27-bit first delta, `i32` delta-of-delta escape): the
+    /// store must cut the buffer between them.
+    fn import_seal_read(times: &[i64]) -> Vec<(Timestamp, f64)> {
+        let mut db = Tsdb::new();
+        let text: String = times
+            .iter()
+            .enumerate()
+            .map(|(i, t)| format!("put m {t} {}\n", i + 1))
+            .collect();
+        assert_eq!(import(&mut db, &text), (times.len(), Vec::new()));
+        db.seal_all();
+        db.read(SeriesId(0), Timestamp(i64::MIN), Timestamp(i64::MAX))
+            .unwrap()
+    }
+
+    fn numbered(times: &[i64]) -> Vec<(Timestamp, f64)> {
+        (1..)
+            .zip(times)
+            .map(|(i, &t)| (Timestamp(t), f64::from(i)))
+            .collect()
+    }
+
+    #[test]
+    fn a_three_year_gap_after_the_first_point_round_trips() {
+        let times = [0, 100_000_000, 100_000_300];
+        assert_eq!(import_seal_read(&times), numbered(&times));
+    }
+
+    #[test]
+    fn a_gap_wider_than_i32_after_a_steady_cadence_round_trips() {
+        let times = [0, 300, 5_000_000_000];
+        assert_eq!(import_seal_read(&times), numbered(&times));
+    }
+
+    #[test]
+    fn the_first_delta_boundary_is_exact() {
+        for gap in [(1 << 26) - 1, 1 << 26] {
+            let times = [0, gap];
+            assert_eq!(import_seal_read(&times), numbered(&times), "gap {gap}");
+        }
+    }
+
     #[test]
     fn render_table_smoke() {
         let mut db = Tsdb::new();

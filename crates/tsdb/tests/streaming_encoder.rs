@@ -8,9 +8,14 @@
 //! The workload deliberately covers the encoder's awkward corners: NaN
 //! values (bit-exact XOR round-trip), duplicate timestamps (rewind +
 //! re-append), and negative timestamps (raw 64-bit first sample).
+//!
+//! The last property is the store's half of the bargain: the encoder holds a
+//! chunk's first delta in 27 bits and escapes a delta-of-delta through
+//! `i32`, so the store must never hand it two neighbours ≥ 2²⁶ s apart —
+//! whatever the gaps and arrival order, what was put is what is read.
 
 use ctt_core::time::Timestamp;
-use ctt_tsdb::{CompressedChunk, GorillaEncoder};
+use ctt_tsdb::{CompressedChunk, DataPoint, GorillaEncoder, SeriesId, Tsdb};
 use proptest::prelude::*;
 
 /// One generated series: a start instant (possibly negative), then a run
@@ -143,5 +148,47 @@ proptest! {
                 "cut at {} diverged from prefix re-encode", cut
             );
         }
+    }
+
+    /// Timestamps across ±2⁴⁰ s with gaps from seconds to millennia, in
+    /// arbitrary arrival order, through `put` → `seal_all` → `read`: the
+    /// store answers the sorted, last-write-wins input.
+    #[test]
+    fn any_gaps_in_any_arrival_order_read_back(
+        start in -(1i64 << 40)..0,
+        steps in proptest::collection::vec(
+            (
+                prop_oneof![0i64..600, 0i64..(1 << 27), 0i64..(1 << 38)],
+                -1e9f64..1e9,
+                any::<u16>(),
+            ),
+            1..60,
+        ),
+        shuffle in any::<bool>(),
+    ) {
+        let mut t: i64 = start;
+        let mut arrivals: Vec<(u16, i64, f64)> = steps
+            .iter()
+            .map(|&(gap, v, key): &(i64, f64, u16)| {
+                t = (t + gap).min(1 << 40);
+                (key, t, v)
+            })
+            .collect();
+        if shuffle {
+            arrivals.sort_by_key(|a| a.0);
+        }
+        let mut db = Tsdb::with_chunk_size(8);
+        for &(_, t, v) in &arrivals {
+            db.put(&DataPoint::new("m", Vec::new(), Timestamp(t), v).expect("valid point"));
+        }
+        db.seal_all();
+        let mut sorted: Vec<(i64, f64)> = arrivals.iter().map(|&(_, t, v)| (t, v)).collect();
+        sorted.sort_by_key(|p| p.0);
+        let expected: Vec<(Timestamp, f64)> = dedup_lww(&sorted)
+            .into_iter()
+            .map(|(t, v)| (Timestamp(t), v))
+            .collect();
+        let stored = db.read(SeriesId(0), Timestamp(i64::MIN), Timestamp(i64::MAX));
+        prop_assert_eq!(stored, Ok(expected));
     }
 }

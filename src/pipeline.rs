@@ -193,9 +193,9 @@ pub struct Pipeline {
     /// The time-series store (public: queried by analyses and dashboards).
     /// Sharded by series-key hash; safe to query while other threads write.
     pub tsdb: ShardedTsdb,
-    /// The staged ingest runtime in front of the store: one single-writer
-    /// lane per shard. All pipeline writes go through it; every read path
-    /// crosses a flush barrier first, so replay stays byte-identical.
+    /// The staged ingest runtime in front of the store: one lane per
+    /// shard, applied on this thread. All pipeline writes go through it;
+    /// every read path flushes it first, so replay stays byte-identical.
     ingest: IngestRuntime,
     /// The monitoring dataport.
     pub dataport: Dataport,
@@ -501,7 +501,7 @@ impl Pipeline {
     /// ledger-cause, and scheduler values — at the current simulation time.
     /// Byte-identical (CSV and JSON) across replays of the same seed+plan.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        // Barrier first: every in-flight ingest batch lands before the
+        // Flush first: every staged ingest batch lands before the
         // registry is read, so shard puts / ingest counters are exact and
         // replay-deterministic.
         self.ingest.flush();
@@ -666,7 +666,7 @@ impl Pipeline {
         let mut events = std::mem::take(&mut self.events);
         self.process_radio_outcomes(&mut events);
         self.events = events;
-        // Ingest flush barrier: the segment's writes are fully applied
+        // Ingest flush: the segment's writes are fully applied
         // before anything outside the segment (queries, fleet rollups,
         // replay comparisons) can observe the store.
         self.ingest.flush();
@@ -1250,27 +1250,6 @@ impl Pipeline {
             .next()
             .map(|r| r.series)
             .unwrap_or_default()
-    }
-
-    /// Ingest flush barrier: block until every submitted point has been
-    /// applied by its shard's writer. After this the store is
-    /// byte-identical to the same points having gone through
-    /// `put_batch` in submit order.
-    pub fn flush_ingest(&self) {
-        self.ingest.flush();
-    }
-
-    /// Force one ingest shard's writer thread to die mid-batch (the
-    /// `WriterCrash` chaos drill). The runtime respawns the writer at the
-    /// next barrier and reapplies the in-flight batch exactly once.
-    pub fn arm_writer_crash(&self, shard: usize) {
-        self.ingest.arm_crash(shard);
-    }
-
-    /// Whether an ingest shard's writer thread is currently alive
-    /// (crash-drill observability).
-    pub fn ingest_writer_alive(&self, shard: usize) -> bool {
-        self.ingest.writer_alive(shard)
     }
 
     /// The gateway ids of this pilot.
