@@ -33,9 +33,8 @@ echo "==> obs smoke (two-city metrics snapshot + scheduling profile replay-ident
 cargo test --offline -q -p ctt --test obs_profile
 
 echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_multiuser / BENCH_scheduler / BENCH_obs)"
-# The scheduler bench scales to the 100-city fleet shape: flat-queue vs
-# sharded slice dispatch at 2k/20k/100k nodes (setup untimed), alongside
-# the small-N min-scan comparison.
+# The scheduler bench is the event queue against the old min-scan loop at
+# 12, 200 and 2000 nodes.
 # cargo bench runs the bench binary with CWD = the package dir, so the
 # report paths must be absolute to land in the repo root.
 REPO_ROOT="$PWD"
@@ -52,7 +51,7 @@ CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_obs.json" \
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_overload.json" \
     cargo bench --offline -q -p ctt-bench --bench overload
 
-echo "==> bench_check (reports well-formed; ingest + query + multiuser + scheduler incl. 12-node and 100k-node gates + obs-overhead + overload)"
+echo "==> bench_check (reports well-formed; ingest + query + multiuser + scheduler incl. 12-node and 2000-node gates + obs-overhead + overload)"
 cargo run --offline -q --release -p ctt-bench --bin bench_check \
     BENCH_ingest.json BENCH_query.json BENCH_query_multiuser.json \
     BENCH_scheduler.json BENCH_obs.json BENCH_overload.json

@@ -10,29 +10,14 @@
 //! reschedule each node after it fires — so the numbers compare the
 //! substrates, not the payload work.
 //!
-//! The scaled series compares the two dispatch substrates a 100-city /
-//! 100k-node fleet can choose between, with queue construction moved to
-//! untimed setup (`iter_with_setup`) so only dispatch is measured:
-//!
-//! - `sequential/N`: one flat [`EventQueue`] holding every node.
-//! - `sharded/N`: an 8-shard [`ShardedEventQueue`] driven by `pop_slice`,
-//!   nodes routed by FNV of their id — the fleet dispatch shape. At 100k
-//!   nodes the dense same-instant slices amortize the slice machinery and
-//!   each per-shard heap is an eighth the depth, so slice dispatch must
-//!   hold the line against the flat heap (`bench_check` gates it).
-//!
-//! The min-scan baseline stops at 2000 nodes: at 100k its O(N)-per-event
-//! scan would take minutes per iteration and measures nothing new.
-//!
 //! CI exports the results as `BENCH_scheduler.json` (via `CRITERION_JSON`)
 //! and `bench_check` asserts the event queue beats the min-scan baseline
-//! at 12 and 2000 nodes, and that sharded slice dispatch keeps up with
-//! the flat queue at 100k.
+//! at 2000 nodes and holds parity with it at 12.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ctt_core::time::Timestamp;
 use ctt_lorawan::collision_horizon;
-use ctt_sim::{EventQueue, ShardedEventQueue};
+use ctt_sim::EventQueue;
 
 /// Events dispatched per iteration, regardless of fleet size: throughput
 /// is per event, so the two shapes are directly comparable.
@@ -94,71 +79,6 @@ fn event_queue_dispatch(n: usize) -> u64 {
     fired
 }
 
-/// Shards in the sharded series — the fleet default scaled up to the
-/// 100-city shape (and a power of two, spreading FNV residues evenly).
-const FLEET_SHARDS: usize = 8;
-
-/// Untimed setup for the sequential series: the filled flat queue.
-fn build_sequential(n: usize) -> EventQueue<usize> {
-    let mut q = EventQueue::new();
-    for (i, due) in initial_dues(n).into_iter().enumerate() {
-        q.schedule(due, 3, i);
-    }
-    q
-}
-
-/// Dispatch-only sequential loop over a prebuilt queue.
-fn sequential_dispatch(mut q: EventQueue<usize>) -> u64 {
-    let mut fired = 0u64;
-    while fired < EVENTS {
-        let Some((key, idx)) = q.pop() else { break };
-        q.schedule(
-            key.time + ctt_core::time::Span::seconds(cadence(idx)),
-            3,
-            idx,
-        );
-        fired += 1;
-    }
-    fired
-}
-
-/// Untimed setup for the sharded series: the filled space plus each
-/// node's shard assignment (FNV of the node id, computed once — the
-/// fleet computes it at mount time, not per dispatch).
-fn build_sharded(n: usize) -> (ShardedEventQueue<usize>, Vec<usize>) {
-    let mut space: ShardedEventQueue<usize> = ShardedEventQueue::new(FLEET_SHARDS);
-    let shard: Vec<usize> = (0..n)
-        .map(|i| space.shard_of(&format!("node{i}")))
-        .collect();
-    for (i, due) in initial_dues(n).into_iter().enumerate() {
-        space.schedule(shard.get(i).copied().unwrap_or(0), due, 3, i);
-    }
-    (space, shard)
-}
-
-/// Dispatch-only sharded loop: pop whole time slices, reschedule every
-/// fired node into its shard — the fleet's dispatch shape minus payload.
-fn sharded_dispatch((mut space, shard): (ShardedEventQueue<usize>, Vec<usize>)) -> u64 {
-    let mut fired = 0u64;
-    while fired < EVENTS {
-        let Some(slice) = space.pop_slice() else {
-            break;
-        };
-        for (_, group) in slice.shards {
-            for (key, idx) in group {
-                space.schedule(
-                    shard.get(idx).copied().unwrap_or(0),
-                    key.time + ctt_core::time::Span::seconds(cadence(idx)),
-                    3,
-                    idx,
-                );
-                fired += 1;
-            }
-        }
-    }
-    fired
-}
-
 fn scheduler_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler");
     g.sample_size(10);
@@ -169,19 +89,6 @@ fn scheduler_throughput(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("event_queue", n), &n, |b, &n| {
             b.iter(|| black_box(event_queue_dispatch(n)));
-        });
-    }
-    // The scaled series: flat queue vs sharded slice dispatch, setup
-    // untimed, up to the 100-city / 100k-node fleet shape.
-    for n in [2000usize, 20_000, 100_000] {
-        g.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, &n| {
-            b.iter_with_setup(
-                || build_sequential(n),
-                |q| black_box(sequential_dispatch(q)),
-            );
-        });
-        g.bench_with_input(BenchmarkId::new("sharded", n), &n, |b, &n| {
-            b.iter_with_setup(|| build_sharded(n), |s| black_box(sharded_dispatch(s)));
         });
     }
     g.finish();

@@ -171,11 +171,7 @@ fn check_handle_runs_vs_put_batch(benches: &[Bench]) -> Result<(), String> {
 ///   parity within noise. A 12-element linear scan is branchless,
 ///   SIMD-friendly, and two cache lines wide, so the heap only reaches
 ///   ~0.9-1.0x; the gate catches per-pop overhead regressions (the
-///   pre-packed-key queue sat at 0.6x);
-/// - at 100k nodes (the 100-city fleet shape) sharded slice dispatch
-///   must hold >= 0.75x of the flat queue — observed at parity (mean
-///   ratio 0.83-1.02 run to run), the gate catches the slice machinery
-///   regressing into a real cost.
+///   pre-packed-key queue sat at 0.6x).
 fn check_scheduler_scaling(benches: &[Bench]) -> Result<(), String> {
     let bench = |name: &str| {
         benches
@@ -213,19 +209,6 @@ fn check_scheduler_scaling(benches: &[Bench]) -> Result<(), String> {
     }
     println!(
         "bench_check: scheduler small-fleet ok — event queue {small:.2}x of min-scan at 12 nodes"
-    );
-    let fleet = best_ratio(
-        bench("scheduler/sharded/100000")?,
-        bench("scheduler/sequential/100000")?,
-    )
-    .ok_or("no 100k throughput in report")?;
-    if fleet < 0.75 {
-        return Err(format!(
-            "sharded slice dispatch at 100k nodes fell to {fleet:.2}x of the flat queue (floor 0.75x)"
-        ));
-    }
-    println!(
-        "bench_check: scheduler fleet-scale ok — sharded dispatch {fleet:.2}x of flat queue at 100k nodes"
     );
     Ok(())
 }

@@ -1,7 +1,7 @@
-//! Fleet-level chaos: several cities under dense fault plans dispatched
-//! through the sharded event space. Conservation must hold per city —
-//! every produced uplink stored or attributed to a typed cause — and
-//! spreading the cities over shards must not perturb a single byte of it.
+//! Fleet-level chaos: several cities under dense fault plans run as one
+//! fleet. Conservation must hold per city — every produced uplink stored
+//! or attributed to a typed cause — and running a city in the fleet must
+//! not perturb a single byte of it against the same city solo.
 
 use ctt::fleet::{Fleet, FleetConfig};
 use ctt::prelude::*;
@@ -64,28 +64,40 @@ fn build_cities() -> Vec<Pipeline> {
     cities
 }
 
-fn run(shards: usize) -> Vec<Pipeline> {
-    let end = Deployment::vejle().started + Span::days(2);
-    let mut fleet = Fleet::with_config(
-        build_cities(),
-        FleetConfig {
-            shards,
-            ..FleetConfig::default()
-        },
-    );
+/// The fleet's run to `end`, which stops every city at each hourly rollup.
+fn run_fleet(end: Timestamp) -> Vec<Pipeline> {
+    let mut fleet = Fleet::new(build_cities());
     fleet.run_until(end);
     fleet.into_pipelines()
 }
 
+/// The same cities solo, through the same boundaries: every rollup
+/// instant up to `end`.
+fn run_solo(end: Timestamp) -> Vec<Pipeline> {
+    let cadence = FleetConfig::default()
+        .rollup_cadence
+        .expect("default fleet rolls up");
+    let mut cities = build_cities();
+    for p in &mut cities {
+        let mut stop = p.now();
+        while stop < end {
+            stop = (stop + cadence).min(end);
+            p.run_until(stop);
+        }
+    }
+    cities
+}
+
 #[test]
-fn fleet_under_chaos_conserves_per_city_and_sharded_matches_single_queue() {
-    let sharded = run(4);
-    let single = run(1);
-    assert_eq!(sharded.len(), single.len());
-    for (p, s) in sharded.iter().zip(&single) {
+fn fleet_under_chaos_conserves_per_city_and_matches_solo() {
+    let end = Deployment::vejle().started + Span::days(2);
+    let fleet = run_fleet(end);
+    let solo = run_solo(end);
+    assert_eq!(fleet.len(), solo.len());
+    for (p, s) in fleet.iter().zip(&solo) {
         let city = &p.deployment.city;
-        // Conservation per city, even with faults dispatched through the
-        // sharded space: zero unattributed loss, zero conflicts.
+        // Conservation per city, even with faults in every city of the
+        // fleet: zero unattributed loss, zero conflicts.
         let verdict = p.ledger().verify();
         assert!(
             verdict.is_balanced(),
@@ -98,7 +110,7 @@ fn fleet_under_chaos_conserves_per_city_and_sharded_matches_single_queue() {
         assert!(verdict.stored > 0, "{city}: nothing stored");
         // The plan actually bit.
         assert!(p.chaos_stats().corrupted_frames > 0, "{city}");
-        // 4-shard slice dispatch is byte-identical to a single queue.
+        // A city in the fleet is byte-identical to the same city solo.
         assert_eq!(p.ledger().render(), s.ledger().render(), "{city}");
         assert_eq!(p.alarm_trace(), s.alarm_trace(), "{city}");
         assert_eq!(p.stats(), s.stats(), "{city}");

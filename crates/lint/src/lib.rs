@@ -215,11 +215,8 @@ impl Default for LintConfig {
                 ("AdmissionControl".into(), "admit".into()),
                 ("AdmissionControl".into(), "retry".into()),
                 ("Pipeline".into(), "consume_storage".into()),
-                // Sharded event space: slice pop and schedule run on every
-                // fleet dispatch; Fleet::run_until is the fleet hot loop.
-                ("ShardedEventQueue".into(), "schedule".into()),
-                ("ShardedEventQueue".into(), "pop_slice".into()),
-                ("ShardedEventQueue".into(), "pop_slice_until".into()),
+                // The fleet hot loop: every city's own `run_until`, so the
+                // call graph reaches `Pipeline::dispatch_event` from here.
                 ("Fleet".into(), "run_until".into()),
                 // Ingest runtime: register + submit_resolved are the
                 // pipeline's put path (handles), submit is the string-keyed

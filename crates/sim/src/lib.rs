@@ -33,10 +33,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod shard;
-
-pub use shard::{fnv1a_64, ShardedEventQueue, TimeSlice};
-
 use ctt_core::time::Timestamp;
 use ctt_obs::{FixedHistogram, Snapshot, TraceSink};
 use std::cmp::{Ordering, Reverse};
@@ -195,14 +191,6 @@ impl<E> QueueObs<E> {
         }
     }
 
-    /// Record a dispatch performed externally — by a driver that popped
-    /// this owner's event out of a [`ShardedEventQueue`] slice and
-    /// dispatched it on the owner's behalf. Same accounting as an
-    /// in-queue pop, so a mounted calendar keeps an accurate profile.
-    pub fn record_dispatch(&mut self, key: EventKey, payload: &E) {
-        self.record(key, payload);
-    }
-
     /// Total events dispatched while attached.
     pub fn dispatched(&self) -> u64 {
         self.dispatched
@@ -349,20 +337,6 @@ impl<E> EventQueue<E> {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
-
-    /// Remove every pending event in dispatch order, *without* recording
-    /// dispatch instrumentation. This is queue maintenance, not dispatch:
-    /// it exists so a fleet can mount a pipeline's private calendar into a
-    /// [`ShardedEventQueue`] (and unmount it back) with relative order and
-    /// obs counters both intact. The seq counter keeps running, so events
-    /// rescheduled after a drain still sort after everything drained.
-    pub fn drain_ordered(&mut self) -> Vec<(EventKey, E)> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(Reverse(e)) = self.heap.pop() {
-            out.push((unpack_key(e.packed), e.payload));
-        }
-        out
-    }
 }
 
 /// The simulation's single monotone clock. Time only moves forward: an
@@ -483,24 +457,6 @@ mod tests {
         for key in keys {
             assert_eq!(unpack_key(pack_key(key)), key, "round-trip broke");
         }
-    }
-
-    #[test]
-    fn drain_ordered_preserves_dispatch_order_and_skips_obs() {
-        let mut q: EventQueue<&'static str> = EventQueue::new();
-        q.attach_obs(QueueObs::new(|p| p));
-        q.schedule(Timestamp(20), 1, "b");
-        q.schedule(Timestamp(10), 0, "a");
-        q.schedule(Timestamp(20), 2, "c");
-        let drained = q.drain_ordered();
-        let order: Vec<&str> = drained.iter().map(|(_, p)| *p).collect();
-        assert_eq!(order, ["a", "b", "c"]);
-        assert!(q.is_empty());
-        // Maintenance, not dispatch: nothing recorded.
-        assert_eq!(q.obs().map(QueueObs::dispatched), Some(0));
-        // The seq counter keeps running across a drain.
-        let key = q.schedule(Timestamp(30), 0, "d");
-        assert_eq!(key.seq, 3);
     }
 
     #[test]

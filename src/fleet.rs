@@ -1,94 +1,67 @@
-//! Multi-city fleet: every pilot's calendar mounted in one sharded event
-//! space, dispatched slice by slice.
+//! Multi-city fleet: every pilot runs its own [`Pipeline::run_until`],
+//! stepped together to each fleet rollup instant.
 //!
-//! A [`Fleet`] takes ownership of a set of [`Pipeline`]s and moves their
-//! pending events into a [`ShardedEventQueue`], each city keyed onto a
-//! shard by FNV of its slug (the `ShardedTsdb` discipline). The run loop
-//! pops *time slices* — all events at the next instant, grouped by shard —
-//! and dispatches the groups on the calling thread in ascending shard
-//! index. After each group, the follow-up events its cities filed are
-//! routed back into the owning shard, and cross-shard events (fleet
-//! rollups) run at the slice barrier after every shard-local event.
+//! Cities share no state — each owns its nodes, gateways, broker, store,
+//! dataport and event calendar — so a fleet is its cities plus the one
+//! thing that reads across them: the rollup. [`Fleet::run_until`] stops
+//! every city at each rollup instant on the way to `end`, folds the fleet
+//! gauges there, and carries on; every city reaches `end` exactly once.
 //!
-//! # Why this is byte-identical to solo dispatch
+//! # Reading rule
 //!
-//! * Within a shard, events dispatch in the shard's `(time, priority,
-//!   seq)` order — and a city's events keep their relative order through
-//!   mount and follow-up routing, so each city sees exactly the dispatch
-//!   sequence its solo `run_until` would produce.
-//! * Between shards at one instant, order is fixed by shard index. Cities
-//!   on different shards share no state, so that order is observable only
-//!   in fleet-level aggregates.
-//! * Follow-ups are filed per shard group in (city-index, drain) order, so
-//!   the per-shard seq assignment is a pure function of the schedule
-//!   history and the shard count changes nothing a city can observe. The
-//!   `fleet_identity` proptest pins all of this byte-for-byte.
+//! A rollup at `r` reads every city as `run_until(r)` leaves it: ticks and
+//! radio deadlines at `r` have run, chaos transitions and transmissions at
+//! `r` have not. The rule is the same whether `r` is mid-segment or equal
+//! to `end`.
 //!
-//! The run boundary uses the same rule as [`Pipeline::run_until`] (ticks
-//! and radio deadlines landing exactly on `end` belong to this run), so
-//! run-splitting is invariant through the sharded path too.
+//! # Fleet ≡ solo
+//!
+//! A city in a fleet is byte-identical (ledger, alarm trace, stats, TSDB,
+//! full metrics snapshot) to the same city driven solo through the same
+//! boundaries: the caller's ends plus the rollup instants. The
+//! `fleet_identity` suite pins it.
 
-use crate::pipeline::{Pipeline, SimEvent, PRIO_RADIO, PRIO_TICK};
+use crate::pipeline::Pipeline;
 use ctt_core::time::{Span, Timestamp};
 use ctt_dataport::TwinState;
 use ctt_obs::{Registry, Snapshot};
-use ctt_sim::{EventKey, ShardedEventQueue, SimClock, TimeSlice};
+use ctt_sim::SimClock;
 
-/// Default shard count for the fleet event space — mirrors the TSDB's
-/// `DEFAULT_SHARDS`, so a four-city pilot set spreads one city per shard.
-pub const DEFAULT_FLEET_SHARDS: usize = 4;
-
-/// How a [`Fleet`] partitions and dispatches its event space.
+/// How a [`Fleet`] runs.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
-    /// Shard count (clamped to at least 1). Cities hash onto shards by
-    /// FNV-1a of their slug.
+    /// No effect — kept only because `benchmark/` names it. Every city
+    /// runs its own calendar.
     pub shards: usize,
-    /// No effect — kept only because `benchmark/` names it. Slice groups
-    /// always dispatch on the calling thread, in shard-index order.
+    /// No effect — kept only because `benchmark/` names it. Cities run on
+    /// the calling thread, in fleet order.
     pub parallel: bool,
-    /// Cadence of the cross-shard fleet rollup event (`None`, or a
-    /// non-positive span, disables).
+    /// Cadence of the fleet rollup (`None`, or a non-positive span,
+    /// disables).
     pub rollup_cadence: Option<Span>,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            shards: DEFAULT_FLEET_SHARDS,
+            shards: 4,
             parallel: true,
             rollup_cadence: Some(Span::hours(1)),
         }
     }
 }
 
-/// One scheduled unit in the fleet's event space.
-#[derive(Debug, Clone, Copy)]
-enum FleetEvent {
-    /// A city-local pipeline event, owned by the city's shard.
-    City {
-        /// Index into the fleet's city vector.
-        city: u32,
-        /// The pipeline event to dispatch.
-        ev: SimEvent,
-    },
-    /// Cross-shard rollup: aggregates fleet-wide health at the slice
-    /// barrier, after every shard-local event of its instant.
-    Rollup,
-}
-
-/// A set of city pipelines driven by one sharded event space. See the
-/// module docs for the dispatch protocol and determinism argument.
+/// A set of city pipelines stepped together to each rollup instant. See
+/// the module docs for the reading rule and the fleet ≡ solo contract.
 #[derive(Debug)]
 pub struct Fleet {
     cities: Vec<Pipeline>,
-    /// Shard owning each city (FNV of the city slug).
-    city_shard: Vec<usize>,
-    space: ShardedEventQueue<FleetEvent>,
     config: FleetConfig,
-    /// Fleet time: the frontier of dispatched slices.
+    /// The next rollup instant, if the rollup is enabled.
+    next_rollup: Option<Timestamp>,
+    /// Fleet time: the last instant every city was run to.
     clock: SimClock,
-    /// Fleet-level gauges the rollup event maintains.
+    /// Fleet-level gauges the rollup maintains.
     registry: Registry,
 }
 
@@ -98,45 +71,25 @@ impl Fleet {
         Fleet::with_config(pipelines, FleetConfig::default())
     }
 
-    /// A fleet with an explicit [`FleetConfig`]. Every pipeline's pending
-    /// calendar is mounted into the sharded space, preserving per-city
-    /// dispatch order.
+    /// A fleet with an explicit [`FleetConfig`]. The first rollup is one
+    /// cadence after the earliest city's clock.
     pub fn with_config(pipelines: Vec<Pipeline>, mut config: FleetConfig) -> Self {
-        // A rollup that reschedules itself zero or fewer seconds ahead
-        // would be handed back by `pop_slice_until` forever.
+        // A cadence of zero or less would never leave the current instant.
         config.rollup_cadence = config.rollup_cadence.filter(|c| *c > Span::seconds(0));
-        let mut space = ShardedEventQueue::new(config.shards);
-        let mut cities = Vec::with_capacity(pipelines.len());
-        let mut city_shard = Vec::with_capacity(pipelines.len());
-        let mut start: Option<Timestamp> = None;
-        for (idx, mut p) in pipelines.into_iter().enumerate() {
-            let shard = space.shard_of(&p.deployment.city.to_lowercase());
-            for (key, ev) in p.unmount_events() {
-                space.schedule(
-                    shard,
-                    key.time,
-                    key.priority,
-                    FleetEvent::City {
-                        city: idx as u32,
-                        ev,
-                    },
-                );
-            }
-            start = Some(start.map_or(p.now(), |s: Timestamp| s.min(p.now())));
-            city_shard.push(shard);
-            cities.push(p);
-        }
-        let clock = SimClock::new(start.unwrap_or(Timestamp(0)));
-        if let Some(cadence) = config.rollup_cadence {
-            space.schedule_cross(clock.now() + cadence, PRIO_TICK, FleetEvent::Rollup);
-        }
+        let start = pipelines
+            .iter()
+            .map(Pipeline::now)
+            .min()
+            .unwrap_or(Timestamp(0));
+        let registry = Registry::new();
+        // Registered up front so the snapshot reads 0 while no rollup ran.
+        registry.counter("fleet.rollups");
         Fleet {
-            cities,
-            city_shard,
-            space,
+            cities: pipelines,
             config,
-            clock,
-            registry: Registry::new(),
+            next_rollup: config.rollup_cadence.map(|c| start + c),
+            clock: SimClock::new(start),
+            registry,
         }
     }
 
@@ -150,7 +103,7 @@ impl Fleet {
         self.cities.is_empty()
     }
 
-    /// Fleet time (the frontier of dispatched slices).
+    /// Fleet time (the last instant every city was run to).
     pub fn now(&self) -> Timestamp {
         self.clock.now()
     }
@@ -165,79 +118,27 @@ impl Fleet {
         self.cities.iter()
     }
 
-    /// Advance every city until `end` by dispatching time slices from the
-    /// sharded space, then settle each city's open radio windows (the same
-    /// end-of-segment pass the solo runner makes, per city in fleet
-    /// order). Uses the solo boundary rule, so splitting a run at any
-    /// point replays identically.
+    /// Advance every city to `end`, stopping all of them at each rollup
+    /// instant `≤ end` to fold the fleet gauges there.
     pub fn run_until(&mut self, end: Timestamp) {
-        while let Some(slice) = self.space.pop_slice_until(end, PRIO_RADIO) {
-            self.clock.advance(slice.time);
-            self.dispatch_slice(slice);
-        }
-        for idx in 0..self.cities.len() {
-            if let Some(p) = self.cities.get_mut(idx) {
-                p.finish_segment(end);
+        loop {
+            let rollup = self.next_rollup.filter(|r| *r <= end);
+            let stop = rollup.unwrap_or(end);
+            for p in &mut self.cities {
+                p.run_until(stop);
             }
-            self.mount_followups(idx);
-        }
-        self.clock.advance(end);
-    }
-
-    /// Dispatch one slice: shard groups in shard-index order, then the
-    /// cross lane at the barrier.
-    fn dispatch_slice(&mut self, slice: TimeSlice<FleetEvent>) {
-        for (_shard, group) in slice.shards {
-            // Events run in the shard's dispatch order; afterwards each
-            // involved city's follow-ups are filed in ascending city order.
-            let mut involved: Vec<usize> = Vec::with_capacity(group.len());
-            for (key, fe) in group {
-                if let FleetEvent::City { city, ev } = fe {
-                    if let Some(p) = self.cities.get_mut(city as usize) {
-                        p.dispatch_sliced(key, ev);
-                        involved.push(city as usize);
-                    }
-                }
+            self.clock.advance(stop);
+            if let Some(r) = rollup {
+                self.rollup(r);
             }
-            involved.sort_unstable();
-            involved.dedup();
-            for idx in involved {
-                self.mount_followups(idx);
-            }
-        }
-        // Cross lane at the barrier: after every shard-local event of the
-        // slice, in the lane's own dispatch order.
-        for (_key, fe) in slice.cross {
-            if let FleetEvent::Rollup = fe {
-                self.rollup(slice.time);
+            if stop == end {
+                break;
             }
         }
     }
 
-    /// Route the events a city filed into its private calendar (during
-    /// slice dispatch or `finish_segment`) into its shard.
-    fn mount_followups(&mut self, idx: usize) {
-        let Some(p) = self.cities.get_mut(idx) else {
-            return;
-        };
-        let followups = p.drain_followups();
-        let shard = self.city_shard.get(idx).copied().unwrap_or(0);
-        for (key, ev) in followups {
-            self.space.schedule(
-                shard,
-                key.time,
-                key.priority,
-                FleetEvent::City {
-                    city: idx as u32,
-                    ev,
-                },
-            );
-        }
-    }
-
-    /// The cross-shard rollup: fold per-city health into fleet gauges and
-    /// reschedule at the configured cadence. Reads every city (that is
-    /// what makes it cross-shard); runs only at the slice barrier.
+    /// Fold per-city health into the fleet gauges at `now` and move the
+    /// next rollup one cadence on.
     fn rollup(&mut self, now: Timestamp) {
         let mut readings = 0u64;
         let mut stored = 0u64;
@@ -255,60 +156,28 @@ impl Fleet {
                 .count() as i64;
             alarms += p.dataport.active_alarms().len() as i64;
         }
+        self.registry.counter("fleet.rollups").inc();
         self.registry.gauge("fleet.readings").set(readings as i64);
         self.registry
             .gauge("fleet.points_stored")
             .set(stored as i64);
         self.registry.gauge("fleet.sensors_online").set(online);
         self.registry.gauge("fleet.active_alarms").set(alarms);
-        if let Some(cadence) = self.config.rollup_cadence {
-            self.space
-                .schedule_cross(now + cadence, PRIO_TICK, FleetEvent::Rollup);
-        }
+        self.next_rollup = self.config.rollup_cadence.map(|c| now + c);
     }
 
-    /// Fleet-level metrics: the rollup gauges plus the sharded space's
-    /// dispatch profile (`sim.shard<i>.dispatched`, `sim.cross_shard_events`,
-    /// the slice-width histogram). Byte-identical across replays of the
-    /// same fleet configuration.
+    /// Fleet-level metrics: `fleet.cities`, the `fleet.rollups` counter and
+    /// the rollup gauges. Byte-identical across replays of the same fleet.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = self.registry.snapshot(self.clock.now());
         snap.push_gauge("fleet.cities", self.cities.len() as i64);
-        self.space.publish(&mut snap);
         snap
     }
 
-    /// Canonical rendering of the space's dispatch profile: per-shard
-    /// dispatch counts, cross-lane count, and the slice-width histogram
-    /// with percentile estimates. Byte-identical across replays.
-    pub fn scheduling_profile(&self) -> String {
-        self.space.render_profile()
-    }
-
-    /// Dissolve the fleet back into its pipelines (fleet order): every
-    /// city's still-pending events are unmounted from the space and filed
-    /// back into its private calendar, so a returned pipeline's solo
-    /// `run_until` continues exactly where the fleet stopped. Cross-lane
-    /// events (fleet rollups) belong to the fleet, not any city, and are
-    /// dropped.
-    pub fn into_pipelines(mut self) -> Vec<Pipeline> {
-        let mut per_city: Vec<Vec<(EventKey, SimEvent)>> =
-            (0..self.cities.len()).map(|_| Vec::new()).collect();
-        for (_shard, events) in self.space.drain_shards() {
-            for (key, fe) in events {
-                if let FleetEvent::City { city, ev } = fe {
-                    if let Some(bucket) = per_city.get_mut(city as usize) {
-                        bucket.push((key, ev));
-                    }
-                }
-            }
-        }
-        let _ = self.space.drain_cross();
-        for (p, bucket) in self.cities.iter_mut().zip(per_city) {
-            for (key, ev) in bucket {
-                p.remount_event(key.time, key.priority, ev);
-            }
-        }
+    /// Dissolve the fleet back into its pipelines (fleet order). Each
+    /// city's calendar never left it, so a returned pipeline's solo
+    /// `run_until` continues exactly where the fleet stopped.
+    pub fn into_pipelines(self) -> Vec<Pipeline> {
         self.cities
     }
 }
@@ -378,16 +247,15 @@ mod tests {
         assert_eq!(snap.value("fleet.cities"), Some(2));
         assert_eq!(snap.value("fleet.sensors_online"), Some(14));
         assert!(snap.value("fleet.readings").unwrap_or(0) > 0);
-        assert!(snap.value("sim.cross_shard_events").unwrap_or(0) >= 2);
-        let profile = fleet.scheduling_profile();
-        assert!(profile.contains("slice_width"), "{profile}");
+        assert_eq!(snap.value("fleet.rollups"), Some(2));
     }
 
     #[test]
     fn non_positive_rollup_cadence_disables_the_rollup() {
-        // A rollup rescheduling itself at `now + 0` (or into the past) is
-        // handed straight back by `pop_slice_until`, so `run_until` never
-        // returns; the run goes on its own thread under a watchdog.
+        // A rollup rescheduling itself at `now + 0` (or into the past)
+        // would stop the cities at the same instant forever, so
+        // `run_until` would never return; the run goes on its own thread
+        // under a watchdog.
         for secs in [0, -300] {
             let (done, watchdog) = std::sync::mpsc::channel();
             let runner = std::thread::spawn(move || {
@@ -399,12 +267,12 @@ mod tests {
                     },
                 );
                 fleet.run_until(Deployment::vejle().started + Span::minutes(10));
-                let _ = done.send(fleet.metrics_snapshot().value("sim.cross_shard_events"));
+                let _ = done.send(fleet.metrics_snapshot().value("fleet.rollups"));
             });
-            let crossed = watchdog
+            let rollups = watchdog
                 .recv_timeout(std::time::Duration::from_secs(20))
                 .unwrap_or_else(|_| panic!("run_until livelocked at cadence {secs}s"));
-            assert_eq!(crossed, Some(0), "cadence {secs}s");
+            assert_eq!(rollups, Some(0), "cadence {secs}s");
             runner.join().expect("runner thread");
         }
     }

@@ -49,7 +49,7 @@ pub use ctt_sim as sim;
 pub use ctt_tsdb as tsdb;
 pub use ctt_viz as viz;
 
-pub use fleet::{Fleet, FleetConfig, DEFAULT_FLEET_SHARDS};
+pub use fleet::{Fleet, FleetConfig};
 pub use pipeline::{Pipeline, PipelineStats};
 
 /// Commonly used items for examples and applications.

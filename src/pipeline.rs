@@ -37,7 +37,7 @@ use ctt_lorawan::{
     SimConfig, TxRequest, UplinkFrame, UplinkRecord,
 };
 use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
-use ctt_sim::{EventKey, EventQueue, QueueObs, Schedulable, SimClock};
+use ctt_sim::{EventQueue, QueueObs, Schedulable, SimClock};
 use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, ShardedTsdb, TagSet, DEFAULT_SHARDS};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -87,8 +87,8 @@ impl Default for RadioState {
 // so resolving first is outcome-neutral — and it is what makes the
 // `run_until` boundary split-invariant); chaos transitions apply before
 // the node steps that observe them.
-pub(crate) const PRIO_TICK: u8 = 0;
-pub(crate) const PRIO_RADIO: u8 = 1;
+const PRIO_TICK: u8 = 0;
+const PRIO_RADIO: u8 = 1;
 const PRIO_CHAOS: u8 = 2;
 const PRIO_NODE: u8 = 3;
 /// Scheduled storage drains run after everything else at an instant: the
@@ -147,7 +147,7 @@ impl ChaosObs {
 /// TSDB bit flip) dispatch through the [`EventQueue`]; bit flips ride the
 /// chaos-transition events their fire times are scheduled under.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum SimEvent {
+enum SimEvent {
     /// Periodic dataport twin/component tick; reschedules itself at the
     /// dataport's registered cadence.
     DataportTick,
@@ -593,13 +593,7 @@ impl Pipeline {
     /// any time; every accepted transmission schedules its own
     /// airtime-derived resolution deadline.
     pub fn run_until(&mut self, end: Timestamp) {
-        // The calendar is taken out of `self` for the duration of the loop
-        // and every handler receives it as an explicit follow-up sink —
-        // the same protocol a fleet uses when this pipeline's events are
-        // mounted in a sharded space, so solo and fleet dispatch run the
-        // identical code path.
-        let mut events = std::mem::take(&mut self.events);
-        while let Some(key) = events.peek_key() {
+        while let Some(key) = self.events.peek_key() {
             // Boundary rule: ticks and radio deadlines landing exactly on
             // `end` belong to this run (the lockstep loop drained both);
             // chaos transitions and transmissions at `end` belong to the
@@ -609,63 +603,55 @@ impl Pipeline {
             if !within {
                 break;
             }
-            let Some((key, event)) = events.pop() else {
+            let Some((key, event)) = self.events.pop() else {
                 break;
             };
             let now = self.clock.advance(key.time);
-            self.dispatch_event(now, event, &mut events);
+            self.dispatch_event(now, event);
         }
-        self.events = events;
         self.finish_segment(end);
     }
 
-    /// Dispatch one popped event at `now`, filing any follow-up events
-    /// into `events`. This is the single dispatch body shared by the solo
-    /// runner and fleet slice dispatch.
-    pub(crate) fn dispatch_event(
-        &mut self,
-        now: Timestamp,
-        event: SimEvent,
-        events: &mut EventQueue<SimEvent>,
-    ) {
+    /// Dispatch one popped event at `now`; handlers file follow-up events
+    /// straight into `self.events`.
+    fn dispatch_event(&mut self, now: Timestamp, event: SimEvent) {
         self.recorder.enter(now, event.label());
         match event {
             SimEvent::DataportTick => {
                 self.dataport.tick(now);
                 if let Some(next) = self.dataport.next_event(now) {
-                    events.schedule(next, PRIO_TICK, SimEvent::DataportTick);
+                    self.events
+                        .schedule(next, PRIO_TICK, SimEvent::DataportTick);
                 }
             }
             SimEvent::RadioResolve => {
                 self.radio.resolve_until(now);
-                self.process_radio_outcomes(events);
+                self.process_radio_outcomes();
             }
             SimEvent::ChaosTransition => self.apply_chaos(now),
-            SimEvent::NodeTx(idx) => self.node_transmit(idx, now, events),
+            SimEvent::NodeTx(idx) => self.node_transmit(idx, now),
             SimEvent::StorageDrain => {
                 self.drain_scheduled = false;
                 self.pump_admission(now);
-                self.consume_storage(events);
+                self.consume_storage();
             }
         }
         self.recorder.exit(now, event.label());
     }
 
-    /// End-of-segment settlement, shared by the solo runner and the fleet:
-    /// windows still open whose deadlines lie beyond `end` can be resolved
-    /// early iff no future submission can overlap them — the fleet's next
-    /// transmission is that bound, so resolving up to it is exact (the
-    /// full interferer set of everything resolved is already in flight).
+    /// End-of-segment settlement: windows still open whose deadlines lie
+    /// beyond `end` can be resolved early iff no future submission can
+    /// overlap them — the nodes' next transmission is that bound, so
+    /// resolving up to it is exact (the full interferer set of everything
+    /// resolved is already in flight).
     /// One O(N) pass per segment, not per event; the leftover deadline
     /// events become no-ops when they fire. Finally the clock advances to
     /// `end`.
-    pub(crate) fn finish_segment(&mut self, end: Timestamp) {
+    fn finish_segment(&mut self, end: Timestamp) {
         if let Some(next_tx) = self.nodes.iter().map(SensorNode::next_due).min() {
             self.radio.resolve_until(next_tx);
         }
-        let mut events = std::mem::take(&mut self.events);
-        self.process_radio_outcomes(&mut events);
-        self.events = events;
+        self.process_radio_outcomes();
         // Ingest flush: the segment's writes are fully applied
         // before anything outside the segment (queries, fleet rollups,
         // replay comparisons) can observe the store.
@@ -673,46 +659,10 @@ impl Pipeline {
         self.clock.advance(end);
     }
 
-    /// Detach every pending event in dispatch order, for mounting this
-    /// pipeline's calendar into a fleet's sharded event space. The queue's
-    /// seq counter and dispatch instrumentation stay live, so unmounting
-    /// and remounting round-trips.
-    pub(crate) fn unmount_events(&mut self) -> Vec<(EventKey, SimEvent)> {
-        self.events.drain_ordered()
-    }
-
-    /// File one event back into the private calendar (the inverse of
-    /// [`Pipeline::unmount_events`]; `seq` is reassigned, order is the
-    /// caller's schedule order).
-    pub(crate) fn remount_event(&mut self, time: Timestamp, priority: u8, event: SimEvent) {
-        self.events.schedule(time, priority, event);
-    }
-
-    /// Dispatch one event popped from a fleet slice under its original
-    /// key. Follow-ups land in the private calendar (empty at fleet-mode
-    /// rest), to be drained by [`Pipeline::drain_followups`]; the key is
-    /// recorded against the calendar's own instrumentation so the city
-    /// keeps an accurate dispatch profile while mounted.
-    pub(crate) fn dispatch_sliced(&mut self, key: EventKey, event: SimEvent) {
-        let now = self.clock.advance(key.time);
-        if let Some(obs) = self.events.obs_mut() {
-            obs.record_dispatch(key, &event);
-        }
-        let mut events = std::mem::take(&mut self.events);
-        self.dispatch_event(now, event, &mut events);
-        self.events = events;
-    }
-
-    /// Follow-up events the last sliced dispatches filed, in dispatch
-    /// order, for the fleet to route back into the owning shard.
-    pub(crate) fn drain_followups(&mut self) -> Vec<(EventKey, SimEvent)> {
-        self.events.drain_ordered()
-    }
-
     /// Handle one node's transmission event at `now`: step the node,
     /// apply scenario overlays and inline chaos, submit to the radio, and
     /// reschedule the node at its new due time.
-    fn node_transmit(&mut self, idx: usize, now: Timestamp, events: &mut EventQueue<SimEvent>) {
+    fn node_transmit(&mut self, idx: usize, now: Timestamp) {
         let Some(node) = self.nodes.get_mut(idx) else {
             return;
         };
@@ -770,7 +720,7 @@ impl Pipeline {
                         // always within the airtime-derived horizon.
                         let bound = collision_horizon().as_seconds();
                         let delay = (airtime.ceil() as i64).clamp(1, bound);
-                        events.schedule(
+                        self.events.schedule(
                             now + Span::seconds(delay),
                             PRIO_RADIO,
                             SimEvent::RadioResolve,
@@ -788,7 +738,8 @@ impl Pipeline {
         // mutation of `next_due`, so exactly one event per node stays
         // outstanding.
         if let Some(node) = self.nodes.get(idx) {
-            events.schedule(node.next_due(), PRIO_NODE, SimEvent::NodeTx(idx));
+            self.events
+                .schedule(node.next_due(), PRIO_NODE, SimEvent::NodeTx(idx));
         }
     }
 
@@ -897,7 +848,7 @@ impl Pipeline {
     /// Push every already-resolved radio outcome downstream: losses first
     /// (as the lockstep loop did), then deliveries through server → broker
     /// → storage → dataport.
-    fn process_radio_outcomes(&mut self, events: &mut EventQueue<SimEvent>) {
+    fn process_radio_outcomes(&mut self) {
         self.absorb_radio_losses();
         // Held-back uplinks go first when tokens allow: admission is FIFO
         // per gateway, so a deferred record is never overtaken by a newer
@@ -924,16 +875,16 @@ impl Pipeline {
                 st.tx_power_dbm = cmd.tx_power_dbm;
                 self.stats.adr_commands += 1;
             }
-            self.publish_uplink(&record, events);
+            self.publish_uplink(&record);
             if let Some(factor) = self
                 .chaos
                 .as_ref()
                 .and_then(|c| c.traffic_spike_factor(record.time))
             {
-                self.amplify_spike(&record, factor, events);
+                self.amplify_spike(&record, factor);
             }
         }
-        self.consume_storage(events);
+        self.consume_storage();
     }
 
     /// Traffic-spike amplification: for each real uplink delivered inside
@@ -943,14 +894,14 @@ impl Pipeline {
     /// uplink is a first-class ledger entry — produced, accepted, and then
     /// either stored or shed with an attributed cause — so conservation
     /// still balances under a ×100 burst.
-    fn amplify_spike(&mut self, r: &UplinkRecord, factor: u32, events: &mut EventQueue<SimEvent>) {
+    fn amplify_spike(&mut self, r: &UplinkRecord, factor: u32) {
         for _ in 1..factor {
             let device = self.spike_device(r.time);
             let mut synth = r.clone();
             synth.device = device;
             self.ledger.produced(device, synth.time);
             self.ledger.accepted(device, synth.time);
-            self.publish_uplink(&synth, events);
+            self.publish_uplink(&synth);
         }
     }
 
@@ -971,7 +922,7 @@ impl Pipeline {
     /// bridge admission controller when one is configured. Deferred records
     /// wait in `admission_pending` for a token; shed records are owned as
     /// `Lost(Backpressure)` and raise the dataport's backpressure alarm.
-    fn publish_uplink(&mut self, r: &UplinkRecord, events: &mut EventQueue<SimEvent>) {
+    fn publish_uplink(&mut self, r: &UplinkRecord) {
         let now = self.clock.now();
         if let Some(ctrl) = self.admission.as_mut() {
             match ctrl.admit(r.via_gateway, now) {
@@ -980,7 +931,7 @@ impl Pipeline {
                     self.admission_pending.push_back(r.clone());
                     // A drain event doubles as the retry tick, so held
                     // records drain even if the radio goes quiet.
-                    self.ensure_drain_scheduled(now, events);
+                    self.ensure_drain_scheduled(now);
                     return;
                 }
                 Admission::Shed => {
@@ -1059,7 +1010,7 @@ impl Pipeline {
     /// under overload. While a drain is scheduled, opportunistic runs stand
     /// down — all backlog work flows through the calendar, which is what
     /// keeps segmented `run_until` calls split-invariant.
-    fn consume_storage(&mut self, events: &mut EventQueue<SimEvent>) {
+    fn consume_storage(&mut self) {
         let now = self.clock.now();
         if self
             .chaos
@@ -1078,7 +1029,7 @@ impl Pipeline {
             self.chaos_obs.stall_ticks.inc();
             // Keep a drain on the calendar so the backlog is picked up
             // when the window passes even if the radio goes quiet.
-            self.ensure_drain_scheduled(now, events);
+            self.ensure_drain_scheduled(now);
             return;
         }
         self.stall_active = false;
@@ -1088,7 +1039,7 @@ impl Pipeline {
         self.recorder.enter(now, "storage");
         self.drain_storage(self.drain_batch);
         self.recorder.exit(now, "storage");
-        self.ensure_drain_scheduled(now, events);
+        self.ensure_drain_scheduled(now);
     }
 
     /// One bounded drain pass: up to `limit` deliveries through the
@@ -1154,7 +1105,7 @@ impl Pipeline {
     /// Schedule a [`SimEvent::StorageDrain`] one logical second out if
     /// backlog remains anywhere — queued deliveries, deferred QoS1 copies,
     /// or admission-held records — and none is outstanding yet.
-    fn ensure_drain_scheduled(&mut self, now: Timestamp, events: &mut EventQueue<SimEvent>) {
+    fn ensure_drain_scheduled(&mut self, now: Timestamp) {
         if self.drain_scheduled {
             return;
         }
@@ -1162,7 +1113,8 @@ impl Pipeline {
             || self.broker.deferred_count() > 0
             || !self.admission_pending.is_empty()
         {
-            events.schedule(now + Span::seconds(1), PRIO_DRAIN, SimEvent::StorageDrain);
+            self.events
+                .schedule(now + Span::seconds(1), PRIO_DRAIN, SimEvent::StorageDrain);
             self.drain_scheduled = true;
         }
     }

@@ -1,13 +1,13 @@
-//! Byte-identity of the sharded event space: dispatching a multi-city
-//! fleet through [`Fleet`]'s sliced N-shard path must be bit-for-bit equal
-//! to single-queue (1-shard) dispatch — ledger, alarm trace, metrics
-//! snapshot (CSV and JSON), and TSDB contents — at 2 and 8 shards, over
-//! random workloads *including chaos faults*. Plus run-split invariance
-//! through the sharded path: pausing a fleet at any instant and resuming
-//! must replay identically.
+//! Fleet ≡ solo: a city in a [`Fleet`] must be bit-for-bit equal to the
+//! same city driven solo through the same boundaries (the caller's ends
+//! plus the fleet's rollup instants) — ledger, alarm trace, metrics
+//! snapshot (CSV and JSON), and TSDB contents — over random multi-city
+//! workloads *including chaos faults*. Plus run-split invariance through
+//! the fleet: pausing it at any instant and resuming must replay
+//! identically.
 //!
-//! Two test names still say "parallel"/"sequential": they are the ids the
-//! test floor tracks, kept stable; every fleet dispatches on one thread.
+//! The three test names are the ids the test floor tracks, kept stable
+//! from when this file compared N-shard against 1-shard dispatch.
 
 use ctt::fleet::{Fleet, FleetConfig};
 use ctt::prelude::*;
@@ -156,9 +156,8 @@ fn city_strategy() -> impl Strategy<Value = (u64, Vec<FaultSpec>)> {
     )
 }
 
-/// Build the fleet's pipelines for one case. Cities are renamed so they
-/// spread over shards by slug hash (two pipelines of the same slug
-/// sharing a shard is covered by `four_city_fleet_parallel_equals_sequential`).
+/// Build one case's cities, renamed so each has its own slug (two cities
+/// of one slug are covered by `four_city_fleet_parallel_equals_sequential`).
 fn build_cities(specs: &[(u64, Vec<FaultSpec>)]) -> Vec<Pipeline> {
     specs
         .iter()
@@ -172,39 +171,79 @@ fn build_cities(specs: &[(u64, Vec<FaultSpec>)]) -> Vec<Pipeline> {
         .collect()
 }
 
-fn run_fleet(pipelines: Vec<Pipeline>, shards: usize, end: Timestamp) -> Fleet {
-    let mut fleet = Fleet::with_config(
-        pipelines,
-        FleetConfig {
-            shards,
-            ..FleetConfig::default()
-        },
-    );
-    fleet.run_until(end);
+/// A default fleet of `cities` run through each of the caller's `ends`.
+fn run_fleet(cities: Vec<Pipeline>, ends: &[Timestamp]) -> Fleet {
+    let mut fleet = Fleet::new(cities);
+    for &end in ends {
+        fleet.run_until(end);
+    }
     fleet
 }
 
+/// The same cities driven solo through every boundary a default fleet
+/// stops them at on its way through `ends` (ascending): the caller's ends
+/// and every rollup instant up to the last of them.
+fn run_solo(mut cities: Vec<Pipeline>, ends: &[Timestamp]) -> Vec<Pipeline> {
+    let start = cities.iter().map(Pipeline::now).min().expect("a city");
+    let cadence = FleetConfig::default()
+        .rollup_cadence
+        .expect("default fleet rolls up");
+    let last = ends.last().copied().unwrap_or(start);
+    let mut stops = ends.to_vec();
+    let mut rollup = start + cadence;
+    while rollup <= last {
+        stops.push(rollup);
+        rollup += cadence;
+    }
+    stops.sort();
+    stops.dedup();
+    for p in &mut cities {
+        for &stop in &stops {
+            p.run_until(stop);
+        }
+    }
+    cities
+}
+
+/// Sum of the cities' own `sim.dispatch.total`.
+fn dispatched(fleet: &Fleet) -> i128 {
+    fleet
+        .cities()
+        .map(|p| {
+            p.metrics_snapshot()
+                .value("sim.dispatch.total")
+                .unwrap_or(0)
+        })
+        .sum()
+}
+
 proptest! {
-    /// Random multi-city workloads with chaos: slice dispatch at 2 and 8
-    /// shards must match single-queue dispatch byte for byte on every
-    /// per-city observable.
+    /// Random multi-city chaos workloads, paused at a random caller end
+    /// or not: every city in the fleet matches the same city solo, byte
+    /// for byte on every observable including the full metrics snapshot.
     #[test]
     fn sharded_parallel_matches_sequential_single_queue(
         specs in proptest::collection::vec(city_strategy(), 1..4),
+        split_min in 10i64..130,
         horizon_min in 45i64..110,
     ) {
-        let end = Deployment::vejle().started + Span::minutes(horizon_min);
-        let reference = run_fleet(build_cities(&specs), 1, end);
-        let ref_obs: Vec<_> = reference.into_pipelines().iter().map(observables).collect();
-        for shards in [2usize, 8] {
-            let fleet = run_fleet(build_cities(&specs), shards, end);
-            let got: Vec<_> = fleet.into_pipelines().iter().map(observables).collect();
-            prop_assert_eq!(&got, &ref_obs, "shards={} diverged from single queue", shards);
-        }
+        let start = Deployment::vejle().started;
+        let end = start + Span::minutes(horizon_min);
+        let ends = if split_min < horizon_min {
+            vec![start + Span::minutes(split_min), end]
+        } else {
+            vec![end]
+        };
+        let fleet = run_fleet(build_cities(&specs), &ends);
+        prop_assert_eq!(fleet.now(), end);
+        let got: Vec<_> = fleet.into_pipelines().iter().map(observables).collect();
+        let want: Vec<_> = run_solo(build_cities(&specs), &ends).iter().map(observables).collect();
+        prop_assert_eq!(&got, &want, "fleet diverged from solo at ends {:?}", ends);
     }
 
-    /// Run-split invariance through the sharded path: a fleet paused and
-    /// resumed at a random split replays the one-shot run exactly.
+    /// Run-split invariance through the fleet: a fleet paused and resumed
+    /// at a random split replays the one-shot run exactly — per-city
+    /// outcomes, total dispatches, and the fleet's own snapshot.
     #[test]
     fn fleet_run_split_is_invariant(
         specs in proptest::collection::vec(city_strategy(), 1..3),
@@ -213,29 +252,24 @@ proptest! {
     ) {
         let start = Deployment::vejle().started;
         let end = start + Span::minutes(horizon_min);
-        let oneshot = run_fleet(build_cities(&specs), 4, end);
-        let mut segmented = run_fleet(build_cities(&specs), 4, start + Span::seconds(split_s));
-        segmented.run_until(end);
+        let oneshot = run_fleet(build_cities(&specs), &[end]);
+        let segmented = run_fleet(build_cities(&specs), &[start + Span::seconds(split_s), end]);
         prop_assert_eq!(segmented.now(), oneshot.now());
         let a: Vec<_> = oneshot.cities().map(split_observables).collect();
         let b: Vec<_> = segmented.cities().map(split_observables).collect();
         prop_assert_eq!(&b, &a, "split at {}s diverged from one-shot", split_s);
-        // Per-shard dispatch totals agree (the same events flowed through
-        // the same shards). Slice *counts* may legitimately differ: a
-        // split landing exactly on a populated instant cuts that instant
-        // into two slices without reordering any dispatch.
+        prop_assert_eq!(dispatched(&segmented), dispatched(&oneshot));
         prop_assert_eq!(
-            segmented.metrics_snapshot().value("sim.shard0.dispatched"),
-            oneshot.metrics_snapshot().value("sim.shard0.dispatched")
+            segmented.metrics_snapshot().to_csv(),
+            oneshot.metrics_snapshot().to_csv()
         );
     }
 }
 
 /// The acceptance-criterion case, pinned deterministically: a 4-city fleet
-/// (two pilots plus two renamed vejles, all with fault plans, two cities
-/// hashing onto the same shard) dispatched over 4 shards equals
-/// single-queue dispatch bit for bit — and at equal shard counts even the
-/// fleet-level snapshot and scheduling profile replay identically.
+/// (two pilots plus two renamed vejles, all with fault plans) paused at an
+/// odd-second caller end and at a rollup instant replays its fleet-level
+/// snapshot exactly, and every city equals the same city solo.
 #[test]
 fn four_city_fleet_parallel_equals_sequential() {
     let build = || {
@@ -269,28 +303,20 @@ fn four_city_fleet_parallel_equals_sequential() {
         }
         cities
     };
-    let end = Deployment::vejle().started + Span::hours(4);
-    let replay = run_fleet(build(), 4, end);
-    let sharded = run_fleet(build(), 4, end);
-    // Equal shard count: fleet-level exports are byte-identical.
-    assert_eq!(
-        sharded.metrics_snapshot().to_csv(),
-        replay.metrics_snapshot().to_csv()
-    );
-    assert_eq!(
-        sharded.metrics_snapshot().to_json(),
-        replay.metrics_snapshot().to_json()
-    );
-    assert_eq!(sharded.scheduling_profile(), replay.scheduling_profile());
-    // Slices actually spread over multiple shards.
-    let snap = sharded.metrics_snapshot();
-    let active = (0..4)
-        .filter(|i| snap.value(&format!("sim.shard{i}.dispatched")).unwrap_or(0) > 0)
-        .count();
-    assert!(active >= 2, "fleet never spread over shards:\n{snap:?}");
-    // And against the single-queue reference, every per-city observable.
-    let reference = run_fleet(build(), 1, end);
-    let ref_obs: Vec<_> = reference.into_pipelines().iter().map(observables).collect();
-    let got: Vec<_> = sharded.into_pipelines().iter().map(observables).collect();
-    assert_eq!(got, ref_obs);
+    let start = Deployment::vejle().started;
+    let ends = [
+        start + Span::seconds(97 * 60 + 13),
+        start + Span::hours(2),
+        start + Span::hours(4),
+    ];
+    let fleet = run_fleet(build(), &ends);
+    let replay = run_fleet(build(), &ends);
+    let snap = fleet.metrics_snapshot();
+    assert_eq!(snap.to_csv(), replay.metrics_snapshot().to_csv());
+    assert_eq!(snap.to_json(), replay.metrics_snapshot().to_json());
+    assert_eq!(snap.value("fleet.cities"), Some(4));
+    assert_eq!(snap.value("fleet.rollups"), Some(4));
+    let got: Vec<_> = fleet.into_pipelines().iter().map(observables).collect();
+    let want: Vec<_> = run_solo(build(), &ends).iter().map(observables).collect();
+    assert_eq!(got, want);
 }
