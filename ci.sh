@@ -58,10 +58,11 @@ cargo run --offline -q --release -p ctt-bench --bin bench_check \
 
 echo "==> end-to-end benchmark gate (benchmark/run.sh: harness compiles against the root crate; solo == fleet and served == raw checks on a smoke pass)"
 ./benchmark/run.sh
-# benchmark/ is frozen (BENCHMARK.json `paths`). Every harness build rewrites
-# its Cargo.lock (it still lists `crossbeam` under two crates that dropped
-# it): put that back, then fail on any other change under the frozen paths
-# rather than let it be staged by accident.
+# benchmark/ is frozen (BENCHMARK.json `paths`). Its Cargo.lock still names
+# `crossbeam`, a vendored crate the workspace no longer has, and dependencies
+# several crates dropped, so every harness build rewrites it: put it back,
+# then fail on any other change under the frozen paths rather than let it be
+# staged by accident.
 git checkout -- benchmark/Cargo.lock
 git diff --exit-code --stat -- benchmark/ BENCHMARK.json
 

@@ -5,14 +5,16 @@
 //! messages provide "last known good" values to late subscribers (this is
 //! how the dashboards warm up, §2.4); QoS 1 subscriptions get packet ids,
 //! an in-flight store, acknowledgements, and redelivery.
+//!
+//! All state — every subscriber's queue included — sits behind the one
+//! broker mutex; a [`Subscriber`] is the broker handle plus its id.
 
 use crate::message::{Message, QoS};
 use crate::topic::{Topic, TopicFilter};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use ctt_obs::{Counter, Gauge, Registry};
 use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Identifies one subscription inside the broker.
@@ -185,7 +187,12 @@ impl SessionCounters {
 struct Session {
     filter: TopicFilter,
     qos: QoS,
-    tx: Sender<Delivery>,
+    /// Deliveries waiting for the subscriber, oldest first.
+    queue: VecDeque<Delivery>,
+    /// How many deliveries `queue` may hold: the subscription's capacity,
+    /// and 0 once its [`Subscriber`] is dropped, so every later copy counts
+    /// as a full queue's would (QoS1 deferred, QoS0 dropped).
+    room: usize,
     next_pid: u16,
     inflight: BTreeMap<u16, Message>,
     /// Packet ids whose initial delivery hit a full queue, in deferral
@@ -200,6 +207,18 @@ struct Session {
     /// [`PublishOutcome::misconfigured`].
     zero_capacity: bool,
     counters: SessionCounters,
+}
+
+impl Session {
+    /// Queue one delivery if the queue has room. `false` leaves the copy
+    /// to the caller, to defer or drop.
+    fn offer(&mut self, message: Message, packet_id: Option<u16>) -> bool {
+        if self.queue.len() >= self.room {
+            return false;
+        }
+        self.queue.push_back(Delivery { message, packet_id });
+        true
+    }
 }
 
 /// How many packet ids there are: 1..=65 535 (0 is not a valid MQTT id).
@@ -223,6 +242,9 @@ enum DeliverOutcome {
 struct Inner {
     trie: TrieNode,
     sessions: BTreeMap<SubscriptionId, Session>,
+    /// What an unsubscribed but still live [`Subscriber`] had queued: it
+    /// may drain these, and nothing new arrives. Freed when it is dropped.
+    unsubscribed: BTreeMap<SubscriptionId, VecDeque<Delivery>>,
     retained: BTreeMap<String, Message>,
     next_id: u64,
     stats: BrokerStats,
@@ -235,43 +257,64 @@ struct Inner {
     registry: Registry,
 }
 
+impl Inner {
+    /// The queue subscription `id` reads from: its session's, or what it
+    /// left queued when it unsubscribed.
+    fn queue_mut(&mut self, id: SubscriptionId) -> Option<&mut VecDeque<Delivery>> {
+        match self.sessions.get_mut(&id) {
+            Some(session) => Some(&mut session.queue),
+            None => self.unsubscribed.get_mut(&id),
+        }
+    }
+}
+
 /// The broker. Cheaply clonable handle (`Arc` inside).
 #[derive(Debug, Clone, Default)]
 pub struct Broker {
     inner: Arc<Mutex<Inner>>,
 }
 
-/// A subscriber handle: the receiving end of one subscription.
+/// A subscriber handle: the receiving end of one subscription. Its queue
+/// lives in the broker; dropping the handle frees it.
 #[derive(Debug)]
 pub struct Subscriber {
     /// Subscription identity (needed for acks).
     pub id: SubscriptionId,
-    rx: Receiver<Delivery>,
+    broker: Broker,
 }
 
 impl Subscriber {
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Delivery> {
-        self.rx.try_recv().ok()
+        self.broker.inner.lock().queue_mut(self.id)?.pop_front()
     }
 
     /// Drain everything currently queued.
     pub fn drain(&self) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        while let Ok(d) = self.rx.try_recv() {
-            out.push(d);
-        }
-        out
-    }
-
-    /// Blocking receive with timeout (for threaded consumers).
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Delivery> {
-        self.rx.recv_timeout(timeout).ok()
+        let mut inner = self.broker.inner.lock();
+        inner
+            .queue_mut(self.id)
+            .map_or_else(Vec::new, |queue| queue.drain(..).collect())
     }
 
     /// Number of deliveries currently waiting.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.broker
+            .inner
+            .lock()
+            .queue_mut(self.id)
+            .map_or(0, |queue| queue.len())
+    }
+}
+
+impl Drop for Subscriber {
+    fn drop(&mut self) {
+        let mut inner = self.broker.inner.lock();
+        if let Some(session) = inner.sessions.get_mut(&self.id) {
+            session.room = 0;
+            session.queue = VecDeque::new();
+        }
+        inner.unsubscribed.remove(&self.id);
     }
 }
 
@@ -328,7 +371,6 @@ impl Broker {
             "subscriber queue capacity 0 is a config error"
         );
         let zero_capacity = capacity == 0;
-        let (tx, rx) = bounded(capacity.max(1));
         let mut inner = self.inner.lock();
         let id = SubscriptionId(inner.next_id);
         inner.next_id += 1;
@@ -337,7 +379,8 @@ impl Broker {
         let mut session = Session {
             filter: filter.clone(),
             qos,
-            tx,
+            queue: VecDeque::new(),
+            room: capacity,
             next_pid: 1,
             inflight: BTreeMap::new(),
             deferred: Vec::new(),
@@ -358,16 +401,23 @@ impl Broker {
         }
         inner.sessions.insert(id, session);
         inner.stats.subscriptions = inner.sessions.len();
-        Subscriber { id, rx }
+        Subscriber {
+            id,
+            broker: self.clone(),
+        }
     }
 
-    /// Remove a subscription entirely.
+    /// Remove a subscription entirely. The subscriber can still drain what
+    /// was already queued for it.
     pub fn unsubscribe(&self, sub: &Subscriber) {
         let mut inner = self.inner.lock();
         if let Some(session) = inner.sessions.remove(&sub.id) {
             inner
                 .trie
                 .remove(session.filter.as_str().split('/'), sub.id);
+            if !session.queue.is_empty() {
+                inner.unsubscribed.insert(sub.id, session.queue);
+            }
         }
         inner.stats.subscriptions = inner.sessions.len();
     }
@@ -413,29 +463,20 @@ impl Broker {
         } else {
             None
         };
-        let delivery = Delivery {
-            message: message.clone(),
-            packet_id,
-        };
-        match session.tx.try_send(delivery) {
-            Ok(()) => {
-                stats.delivered += 1;
-                session.counters.delivered.inc();
-                DeliverOutcome::Enqueued
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                if let Some(pid) = packet_id {
-                    // Still in the in-flight store: will be redelivered.
-                    stats.deferred_qos1 += 1;
-                    session.counters.deferred_qos1.inc();
-                    session.deferred.push(pid);
-                    DeliverOutcome::Deferred
-                } else {
-                    stats.dropped_qos0 += 1;
-                    session.counters.dropped_qos0.inc();
-                    DeliverOutcome::Dropped
-                }
-            }
+        if session.offer(message.clone(), packet_id) {
+            stats.delivered += 1;
+            session.counters.delivered.inc();
+            DeliverOutcome::Enqueued
+        } else if let Some(pid) = packet_id {
+            // Still in the in-flight store: will be redelivered.
+            stats.deferred_qos1 += 1;
+            session.counters.deferred_qos1.inc();
+            session.deferred.push(pid);
+            DeliverOutcome::Deferred
+        } else {
+            stats.dropped_qos0 += 1;
+            session.counters.dropped_qos0.inc();
+            DeliverOutcome::Dropped
         }
     }
 
@@ -513,21 +554,13 @@ impl Broker {
             .map(|(&pid, msg)| (pid, msg.clone()))
             .collect();
         let mut n = 0;
-        let mut redelivered = 0u64;
         for (pid, msg) in entries {
-            if session
-                .tx
-                .try_send(Delivery {
-                    message: msg,
-                    packet_id: Some(pid),
-                })
-                .is_ok()
-            {
+            if session.offer(msg, Some(pid)) {
                 n += 1;
-                redelivered += 1;
                 session.deferred.retain(|&d| d != pid);
             }
         }
+        let redelivered = n as u64;
         session.counters.redelivered.add(redelivered);
         session.counters.delivered.add(redelivered);
         inner.stats.redelivered += redelivered;
@@ -541,36 +574,26 @@ impl Broker {
     /// across all subscriptions.
     pub fn redeliver_deferred(&self) -> usize {
         let mut inner = self.inner.lock();
-        // BTreeMap keys are already subscription order (replay determinism).
-        let ids: Vec<SubscriptionId> = inner.sessions.keys().copied().collect();
         let mut n = 0;
-        let mut redelivered = 0u64;
-        for id in ids {
-            let Some(session) = inner.sessions.get_mut(&id) else {
-                continue;
-            };
+        // BTreeMap values are already subscription order (replay determinism).
+        for session in inner.sessions.values_mut() {
             let pending = std::mem::take(&mut session.deferred);
             for pid in pending {
                 // Acked while deferred: nothing left to deliver.
                 let Some(msg) = session.inflight.get(&pid).cloned() else {
                     continue;
                 };
-                match session.tx.try_send(Delivery {
-                    message: msg,
-                    packet_id: Some(pid),
-                }) {
-                    Ok(()) => {
-                        n += 1;
-                        redelivered += 1;
-                        session.counters.redelivered.inc();
-                        session.counters.delivered.inc();
-                    }
-                    Err(_) => session.deferred.push(pid),
+                if session.offer(msg, Some(pid)) {
+                    n += 1;
+                    session.counters.redelivered.inc();
+                    session.counters.delivered.inc();
+                } else {
+                    session.deferred.push(pid);
                 }
             }
         }
-        inner.stats.redelivered += redelivered;
-        inner.stats.delivered += redelivered;
+        inner.stats.redelivered += n as u64;
+        inner.stats.delivered += n as u64;
         n
     }
 
@@ -806,6 +829,152 @@ mod tests {
         b.publish(msg("t", "2"));
         assert_eq!(s.drain().len(), 1);
         assert_eq!(b.stats().subscriptions, 0);
+    }
+
+    #[test]
+    fn subscriber_lifecycle_counts_exactly() {
+        let qos1 = |body: &str| msg("t", body).with_qos(QoS::AtLeastOnce);
+        let payloads = |ds: Vec<Delivery>| -> Vec<String> {
+            ds.iter()
+                .map(|d| d.message.payload_str().unwrap().to_string())
+                .collect()
+        };
+
+        // Queued, then unsubscribed, then drained: the queued copies stay
+        // readable, nothing new arrives, and the session is gone.
+        let b = Broker::new();
+        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 4);
+        b.publish(qos1("a"));
+        b.publish(qos1("b"));
+        b.unsubscribe(&s);
+        assert_eq!(b.publish(qos1("c")), 0);
+        assert_eq!(s.pending(), 2);
+        assert_eq!(payloads(s.drain()), ["a", "b"]);
+        assert!(s.try_recv().is_none());
+        assert!(!b.ack(s.id, 1), "no session left to ack into");
+        assert_eq!(b.subscriber_stats(s.id), None);
+        assert_eq!(b.inflight_count(s.id), 0);
+        let expected = BrokerStats {
+            published: 3,
+            delivered: 2,
+            ..BrokerStats::default()
+        };
+        assert_eq!(b.stats(), expected);
+
+        // Dropped while subscribed: every later copy counts as a full
+        // queue's would, QoS1 deferred and QoS0 dropped, and nothing can
+        // redeliver the deferred copy.
+        let b = Broker::new();
+        let s0 = b.subscribe(filter("t"), QoS::AtMostOnce, 4);
+        let s1 = b.subscribe(filter("t"), QoS::AtLeastOnce, 4);
+        b.publish(qos1("queued"));
+        let (id0, id1) = (s0.id, s1.id);
+        drop(s0);
+        drop(s1);
+        let qos0_out = b.publish_with_outcome(msg("t", "x"));
+        let expected = PublishOutcome {
+            routed: 2,
+            dropped_qos0: 2,
+            ..PublishOutcome::default()
+        };
+        assert_eq!(qos0_out, expected);
+        let qos1_out = b.publish_with_outcome(qos1("y"));
+        let expected = PublishOutcome {
+            routed: 2,
+            deferred_qos1: 1,
+            dropped_qos0: 1,
+            ..PublishOutcome::default()
+        };
+        assert_eq!(qos1_out, expected);
+        let expected = SubscriberStats {
+            delivered: 1,
+            dropped_qos0: 2,
+            ..SubscriberStats::default()
+        };
+        assert_eq!(b.subscriber_stats(id0), Some(expected));
+        let expected = SubscriberStats {
+            delivered: 1,
+            dropped_qos0: 1,
+            deferred_qos1: 1,
+            ..SubscriberStats::default()
+        };
+        assert_eq!(b.subscriber_stats(id1), Some(expected));
+        assert_eq!(
+            b.inflight_count(id1),
+            2,
+            "the unacked copy and the deferred one"
+        );
+        assert_eq!(b.redeliver_deferred(), 0);
+        assert_eq!(b.redeliver(id1), 0);
+        assert_eq!(b.deferred_count(), 1);
+        let expected = BrokerStats {
+            published: 3,
+            delivered: 2,
+            dropped_qos0: 3,
+            deferred_qos1: 1,
+            subscriptions: 2,
+            ..BrokerStats::default()
+        };
+        assert_eq!(b.stats(), expected);
+
+        // The storage consumer's swap on a chaos attach: unsubscribe, then
+        // resubscribe bounded in place (the old handle drops on assignment).
+        let registry = Registry::new();
+        let b = Broker::with_registry(registry.clone());
+        let mut sub = b.subscribe(filter("t"), QoS::AtLeastOnce, 65_536);
+        b.publish(qos1("before"));
+        let old = sub.id;
+        b.unsubscribe(&sub);
+        sub = b.subscribe_bounded(filter("t"), QoS::AtLeastOnce, 2, 3);
+        let shed: usize = ["a", "b", "c", "d", "e"]
+            .into_iter()
+            .map(|body| b.publish_with_outcome(qos1(body)).shed)
+            .sum();
+        assert_eq!(shed, 2);
+        assert_eq!(b.subscriber_stats(old), None);
+        let expected = SubscriberStats {
+            delivered: 2,
+            deferred_qos1: 1,
+            shed: 2,
+            ..SubscriberStats::default()
+        };
+        assert_eq!(b.subscriber_stats(sub.id), Some(expected));
+        let snap = registry.snapshot(Timestamp(0));
+        assert_eq!(snap.value("broker.sub0.delivered"), Some(1));
+        assert_eq!(snap.value("broker.sub1.delivered"), Some(2));
+        assert_eq!(snap.value("broker.sub1.shed"), Some(2));
+        // Drained as the pipeline drains: ack gate, then deferred retry.
+        let mut seen = Vec::new();
+        loop {
+            while let Some(d) = sub.try_recv() {
+                if b.ack(sub.id, d.packet_id.unwrap()) {
+                    seen.extend(payloads(vec![d]));
+                }
+            }
+            if b.redeliver_deferred() == 0 {
+                break;
+            }
+        }
+        assert_eq!(seen, ["a", "b", "c"]);
+        let expected = SubscriberStats {
+            delivered: 3,
+            deferred_qos1: 1,
+            redelivered: 1,
+            shed: 2,
+            ..SubscriberStats::default()
+        };
+        assert_eq!(b.subscriber_stats(sub.id), Some(expected));
+        let expected = BrokerStats {
+            published: 6,
+            delivered: 4,
+            deferred_qos1: 1,
+            redelivered: 1,
+            shed: 2,
+            subscriptions: 1,
+            ..BrokerStats::default()
+        };
+        assert_eq!(b.stats(), expected);
+        assert_eq!(b.inflight_count(sub.id), 0);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! results, per-shard `puts` counters) is byte-identical to having called
 //! [`ShardedTsdb::put_batch`] with the same points in the same order;
 //! between flushes at most `ship_points − 1` points per lane are staged
-//! and not yet visible. The pipeline flushes at segment ends, before
-//! snapshots, chaos actions and reads. The `ingest.shard<i>.*` counters
+//! and not yet visible. The pipeline flushes at the end of every run
+//! segment and before chaos actions, so its snapshots and reads never find
+//! staged points. The `ingest.shard<i>.*` counters
 //! are functions of the submitted workload and the flush points alone.
 
 #![warn(missing_docs)]
@@ -45,7 +46,6 @@ use ctt_core::time::Timestamp;
 use ctt_obs::{Counter, Registry};
 use ctt_tsdb::model::is_valid_name;
 use ctt_tsdb::{series_key_hash, DataPoint, SeriesId, ShardWriter, ShardedTsdb, TagSet};
-use parking_lot::Mutex;
 
 /// Default staging threshold: a lane's staged points are applied as one
 /// batch once they reach this many, amortizing the per-batch costs (shard
@@ -282,10 +282,8 @@ impl Resolver {
 /// The ingest runtime: one lane per TSDB shard, applied on the caller. See
 /// the crate docs for the design and the equivalence contract.
 pub struct IngestRuntime {
-    /// Behind a mutex only so `flush(&self)` can apply staged work — the
-    /// pipeline's read paths are `&self`. Never contended; `submit*` hold
-    /// `&mut self` and reach the lanes through `get_mut`.
-    lanes: Mutex<Vec<Lane>>,
+    /// One lane per shard, in shard order.
+    lanes: Vec<Lane>,
     /// Staged points per lane that trigger applying the batch.
     ship_points: usize,
     /// Series resolution: (metric, tags) → handle.
@@ -324,7 +322,7 @@ impl IngestRuntime {
             })
             .collect();
         IngestRuntime {
-            lanes: Mutex::new(lanes),
+            lanes,
             ship_points: config.ship_points.max(1),
             resolver: Resolver::default(),
         }
@@ -332,7 +330,7 @@ impl IngestRuntime {
 
     /// Number of lanes (= shards).
     pub fn lane_count(&self) -> usize {
-        self.lanes.lock().len()
+        self.lanes.len()
     }
 
     /// Register a series and get its handle. Validates the metric and every
@@ -350,7 +348,7 @@ impl IngestRuntime {
         if !valid {
             return None;
         }
-        self.resolver.resolve(self.lanes.get_mut(), metric, tags)
+        self.resolver.resolve(&mut self.lanes, metric, tags)
     }
 
     /// Stage one point under its lane's current run header. Returns false
@@ -374,7 +372,7 @@ impl IngestRuntime {
 
     /// Apply every lane whose staged points reached `ship_points`.
     fn ship_full(&mut self) {
-        for lane in self.lanes.get_mut() {
+        for lane in &mut self.lanes {
             if lane.staged.pts.len() >= self.ship_points {
                 lane.ship(&self.resolver.slots);
             }
@@ -389,10 +387,9 @@ impl IngestRuntime {
     /// runtime never issued (lane or ref out of range); the return value
     /// counts only the points accepted.
     pub fn submit_resolved(&mut self, points: &[(SeriesRef, Timestamp, f64)]) -> u64 {
-        let lanes = self.lanes.get_mut();
         let mut accepted = 0u64;
         for &(h, t, v) in points {
-            if v.is_finite() && Self::stage(lanes, h, t, v) {
+            if v.is_finite() && Self::stage(&mut self.lanes, h, t, v) {
                 accepted += 1;
             }
         }
@@ -409,13 +406,12 @@ impl IngestRuntime {
     /// is filtered here: returns the number of points accepted — all of
     /// them, on a runtime with lanes.
     pub fn submit(&mut self, points: &[DataPoint]) -> u64 {
-        let lanes = self.lanes.get_mut();
         let mut accepted = 0u64;
         for p in points {
-            let Some(h) = self.resolver.resolve(lanes, &p.metric, &p.tags) else {
+            let Some(h) = self.resolver.resolve(&mut self.lanes, &p.metric, &p.tags) else {
                 continue;
             };
-            if Self::stage(lanes, h, p.time, p.value) {
+            if Self::stage(&mut self.lanes, h, p.time, p.value) {
                 accepted += 1;
             }
         }
@@ -426,8 +422,8 @@ impl IngestRuntime {
     /// Apply everything still staged. After this, the sharded store is
     /// byte-identical to the same points having gone through
     /// [`ShardedTsdb::put_batch`] in submit order.
-    pub fn flush(&self) {
-        for lane in self.lanes.lock().iter_mut() {
+    pub fn flush(&mut self) {
+        for lane in &mut self.lanes {
             lane.ship(&self.resolver.slots);
         }
     }

@@ -23,8 +23,8 @@
 //!    This is what makes an N-shard store under sustained ingest ~N×
 //!    cheaper per query than a 1-shard store, even on a single core.
 //!
-//! Lock discipline (lint R6): the internal mutexes are leaves — no shard
-//! lock is ever acquired while one is held.
+//! Lock discipline (lint R6): the cache's one mutex is a leaf — no shard
+//! lock is ever acquired while it is held.
 
 use crate::model::{TagFilter, TagSet};
 use crate::query::{GroupCollection, Query, QueryResult};
@@ -106,17 +106,30 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// The two-level seal-aware cache. Interior-mutable: lookups and inserts
-/// take `&self`, so the sharded store can consult it under concurrent
-/// readers.
+/// Everything the cache holds, behind its one lock.
+#[derive(Debug, Default)]
+struct CacheState {
+    results: BTreeMap<String, ResultEntry>,
+    collections: BTreeMap<(String, usize), CollectionEntry>,
+    /// Logical recency clock (no wall time): bumped per cache operation.
+    tick: u64,
+    obs: CacheObs,
+}
+
+impl CacheState {
+    fn next_tick(&mut self) -> u64 {
+        self.tick = self.tick.wrapping_add(1);
+        self.tick
+    }
+}
+
+/// The two-level seal-aware cache. Lookups and inserts take `&self`, so
+/// the sharded store can consult it under concurrent readers; each one
+/// takes the cache's single lock once.
 #[derive(Debug)]
 pub struct QueryCache {
-    results: Mutex<BTreeMap<String, ResultEntry>>,
-    collections: Mutex<BTreeMap<(String, usize), CollectionEntry>>,
-    /// Logical recency clock (no wall time): bumped per cache operation.
-    tick: Mutex<u64>,
+    state: Mutex<CacheState>,
     capacity: usize,
-    obs: Mutex<CacheObs>,
 }
 
 impl Default for QueryCache {
@@ -129,53 +142,34 @@ impl QueryCache {
     /// New cache holding at most `capacity` entries per level.
     pub fn with_capacity(capacity: usize) -> Self {
         QueryCache {
-            results: Mutex::new(BTreeMap::new()),
-            collections: Mutex::new(BTreeMap::new()),
-            tick: Mutex::new(0),
+            state: Mutex::new(CacheState::default()),
             capacity: capacity.max(1),
-            obs: Mutex::new(CacheObs::default()),
         }
     }
 
     /// Register `tsdb.cache.{hits,misses,evictions}` into `registry`.
     /// Counts accumulated before attachment are discarded.
     pub fn attach_registry(&self, registry: &Registry) {
-        *self.obs.lock() = CacheObs {
+        self.state.lock().obs = CacheObs {
             hits: registry.counter("tsdb.cache.hits"),
             misses: registry.counter("tsdb.cache.misses"),
             evictions: registry.counter("tsdb.cache.evictions"),
         };
     }
 
-    fn next_tick(&self) -> u64 {
-        let mut t = self.tick.lock();
-        *t = t.wrapping_add(1);
-        *t
-    }
-
-    fn hit(&self) {
-        self.obs.lock().hits.inc();
-    }
-
-    fn miss(&self) {
-        self.obs.lock().misses.inc();
-    }
-
     /// Finalized results for `sig`, if cached at exactly these epochs.
     pub(crate) fn get_results(&self, sig: &str, epochs: &[u64]) -> Option<Vec<QueryResult>> {
-        let tick = self.next_tick();
-        let mut map = self.results.lock();
-        match map.get_mut(sig) {
+        let mut state = self.state.lock();
+        let tick = state.next_tick();
+        let CacheState { results, obs, .. } = &mut *state;
+        match results.get_mut(sig) {
             Some(entry) if entry.epochs == epochs => {
                 entry.tick = tick;
-                let out = entry.results.clone();
-                drop(map);
-                self.hit();
-                Some(out)
+                obs.hits.inc();
+                Some(entry.results.clone())
             }
             _ => {
-                drop(map);
-                self.miss();
+                obs.misses.inc();
                 None
             }
         }
@@ -183,8 +177,11 @@ impl QueryCache {
 
     /// Cache finalized results for `sig` computed at `epochs`.
     pub(crate) fn put_results(&self, sig: String, epochs: Vec<u64>, results: Vec<QueryResult>) {
-        let tick = self.next_tick();
-        let mut map = self.results.lock();
+        let mut state = self.state.lock();
+        let tick = state.next_tick();
+        let CacheState {
+            results: map, obs, ..
+        } = &mut *state;
         map.insert(
             sig,
             ResultEntry {
@@ -193,11 +190,7 @@ impl QueryCache {
                 tick,
             },
         );
-        let evicted = evict_lru(&mut map, self.capacity, |e| e.tick);
-        drop(map);
-        if evicted > 0 {
-            self.obs.lock().evictions.add(evicted);
-        }
+        obs.evictions.add(evict_lru(map, self.capacity, |e| e.tick));
     }
 
     /// One shard's phase-1 collections for `sig`, if cached at `epoch`.
@@ -207,19 +200,19 @@ impl QueryCache {
         shard: usize,
         epoch: u64,
     ) -> Option<BTreeMap<TagSet, GroupCollection>> {
-        let tick = self.next_tick();
-        let mut map = self.collections.lock();
-        match map.get_mut(&(sig.to_string(), shard)) {
+        let mut state = self.state.lock();
+        let tick = state.next_tick();
+        let CacheState {
+            collections, obs, ..
+        } = &mut *state;
+        match collections.get_mut(&(sig.to_string(), shard)) {
             Some(entry) if entry.epoch == epoch => {
                 entry.tick = tick;
-                let out = entry.groups.clone();
-                drop(map);
-                self.hit();
-                Some(out)
+                obs.hits.inc();
+                Some(entry.groups.clone())
             }
             _ => {
-                drop(map);
-                self.miss();
+                obs.misses.inc();
                 None
             }
         }
@@ -233,9 +226,12 @@ impl QueryCache {
         epoch: u64,
         groups: BTreeMap<TagSet, GroupCollection>,
     ) {
-        let tick = self.next_tick();
-        let mut map = self.collections.lock();
-        map.insert(
+        let mut state = self.state.lock();
+        let tick = state.next_tick();
+        let CacheState {
+            collections, obs, ..
+        } = &mut *state;
+        collections.insert(
             (sig.to_string(), shard),
             CollectionEntry {
                 epoch,
@@ -243,32 +239,31 @@ impl QueryCache {
                 tick,
             },
         );
-        let evicted = evict_lru(&mut map, self.capacity, |e| e.tick);
-        drop(map);
-        if evicted > 0 {
-            self.obs.lock().evictions.add(evicted);
-        }
+        obs.evictions
+            .add(evict_lru(collections, self.capacity, |e| e.tick));
     }
 
     /// Drop every entry (used by tests and explicit resets).
     pub fn clear(&self) {
-        self.results.lock().clear();
-        self.collections.lock().clear();
+        let mut state = self.state.lock();
+        state.results.clear();
+        state.collections.clear();
     }
 
     /// Current counter values.
     pub fn stats(&self) -> CacheStats {
-        let obs = self.obs.lock();
+        let state = self.state.lock();
         CacheStats {
-            hits: obs.hits.get(),
-            misses: obs.misses.get(),
-            evictions: obs.evictions.get(),
+            hits: state.obs.hits.get(),
+            misses: state.obs.misses.get(),
+            evictions: state.obs.evictions.get(),
         }
     }
 
     /// Entries currently held (both levels).
     pub fn len(&self) -> usize {
-        self.results.lock().len() + self.collections.lock().len()
+        let state = self.state.lock();
+        state.results.len() + state.collections.len()
     }
 
     /// True when nothing is cached.

@@ -31,6 +31,16 @@ pub const DEFAULT_ROLLUP_INTERVAL: Span = Span::hours(1);
 /// before.
 const MAX_OPEN_SPAN_SECS: i64 = 1 << 26;
 
+/// The first gap between neighbouring timestamps that a Gorilla chunk
+/// cannot hold: negative (out of order), or [`MAX_OPEN_SPAN_SECS`] or more
+/// (past the 27-bit first delta). `None` when every gap fits.
+fn unencodable_gap(pts: &[(Timestamp, f64)]) -> Option<i64> {
+    pts.iter()
+        .zip(pts.iter().skip(1))
+        .map(|(&(a, _), &(b, _))| b.0.saturating_sub(a.0))
+        .find(|gap| !(0..MAX_OPEN_SPAN_SECS).contains(gap))
+}
+
 /// Collapse duplicate timestamps in a time-sorted point list, keeping the
 /// last occurrence of each run (last write wins). Returns how many points
 /// were removed.
@@ -837,8 +847,9 @@ impl Tsdb {
 
     /// Retention: drop all data strictly before `cutoff`. Sealed chunks that
     /// straddle the cutoff are re-encoded. Returns points dropped, or the
-    /// decode error if a straddling chunk is corrupt (no data is discarded
-    /// for that series in that case — the chunk is kept as-is).
+    /// first error from a corrupt straddling chunk — one that fails to
+    /// decode, or decodes into points no chunk can hold
+    /// ([`TsdbError::UnencodableChunk`]). Such a chunk is kept as-is.
     pub fn evict_before(&mut self, cutoff: Timestamp) -> Result<u64, TsdbError> {
         let mut dropped = 0u64;
         let mut first_err = None;
@@ -853,10 +864,17 @@ impl Tsdb {
                     kept_sealed.push(sc);
                 } else {
                     // Straddles: re-encode the surviving tail.
-                    let pts: Vec<_> = match sc.chunk.decode() {
-                        Ok(pts) => pts.into_iter().filter(|&(t, _)| t >= cutoff).collect(),
+                    let tail = sc.chunk.decode().and_then(|pts| {
+                        let tail: Vec<_> = pts.into_iter().filter(|&(t, _)| t >= cutoff).collect();
+                        match unencodable_gap(&tail) {
+                            Some(gap) => Err(TsdbError::UnencodableChunk { gap }),
+                            None => Ok(tail),
+                        }
+                    });
+                    let pts = match tail {
+                        Ok(pts) => pts,
                         Err(e) => {
-                            // Keep the undecodable chunk rather than guess.
+                            // Keep the corrupt chunk rather than guess.
                             first_err.get_or_insert(e);
                             kept_sealed.push(sc);
                             continue;
@@ -1066,6 +1084,44 @@ mod tests {
             .unwrap();
         assert_eq!(pts.len(), 5);
         assert_eq!(pts.first().unwrap().0, Timestamp(500));
+    }
+
+    #[test]
+    fn retention_keeps_a_decodable_chunk_it_cannot_reencode() {
+        // A bit flip can leave a chunk decodable into timestamps that run
+        // backwards or lie 2²⁶ s apart, which no chunk can hold. Find the
+        // first such flip of one chunk, then evict through the middle of it.
+        let build = || {
+            let mut db = Tsdb::with_chunk_size(10);
+            for i in 0..10 {
+                db.put(&dp("m", "n1", i * 100, i as f64));
+            }
+            db
+        };
+        let bits = build().series[0].sealed[0].chunk.size_bytes() as u64 * 8;
+        let found = (0..bits).find_map(|bit| {
+            let mut db = build();
+            if db.flip_chunk_bit(0, bit) != BitFlipOutcome::StillReadable {
+                return None;
+            }
+            let sc = &db.series[0].sealed[0];
+            let cutoff = Timestamp(sc.start.0.saturating_add(1));
+            let pts = sc.chunk.decode().ok()?;
+            let tail: Vec<i64> = pts
+                .iter()
+                .map(|&(t, _)| t.0)
+                .filter(|&t| t >= cutoff.0)
+                .collect();
+            let bad = tail
+                .windows(2)
+                .any(|w| w[1] < w[0] || w[1].saturating_sub(w[0]) >= 1 << 26);
+            (bad && cutoff <= sc.end).then_some((db, cutoff))
+        });
+        let (mut db, cutoff) = found.expect("some flip decodes into an unencodable chunk");
+        let before = db.stats();
+        let err = db.evict_before(cutoff).unwrap_err();
+        assert!(matches!(err, TsdbError::UnencodableChunk { .. }), "{err:?}");
+        assert_eq!(db.stats(), before, "the chunk is kept as-is");
     }
 
     #[test]

@@ -194,8 +194,9 @@ pub struct Pipeline {
     /// Sharded by series-key hash; safe to query while other threads write.
     pub tsdb: ShardedTsdb,
     /// The staged ingest runtime in front of the store: one lane per
-    /// shard, applied on this thread. All pipeline writes go through it;
-    /// every read path flushes it first, so replay stays byte-identical.
+    /// shard, applied on this thread. All pipeline writes go through it,
+    /// and only inside `run_until`, which ends with a flush: no `&self`
+    /// read ever finds a staged point.
     ingest: IngestRuntime,
     /// The monitoring dataport.
     pub dataport: Dataport,
@@ -501,10 +502,6 @@ impl Pipeline {
     /// ledger-cause, and scheduler values — at the current simulation time.
     /// Byte-identical (CSV and JSON) across replays of the same seed+plan.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        // Flush first: every staged ingest batch lands before the
-        // registry is read, so shard puts / ingest counters are exact and
-        // replay-deterministic.
-        self.ingest.flush();
         let mut snap = self.registry.snapshot(self.clock.now());
         snap.push_counter("stage.node.readings", self.stats.readings);
         snap.push_counter("stage.radio.delivered", self.stats.delivered);
@@ -1173,7 +1170,6 @@ impl Pipeline {
         let q = Query::range(quantity.metric_name(), from, to)
             .with_tag("device", format!("{:016x}", device.0))
             .aggregate(Aggregator::Avg);
-        self.ingest.flush();
         // Storage corruption degrades to an empty series here: dashboard
         // reads prefer availability, and the error is already typed at the
         // tsdb layer for callers that need it.
@@ -1191,7 +1187,6 @@ impl Pipeline {
         let q = Query::range(quantity.metric_name(), from, to)
             .with_tag("city", self.city_slug.clone())
             .aggregate(Aggregator::Avg);
-        self.ingest.flush();
         // Storage corruption degrades to an empty series here: dashboard
         // reads prefer availability, and the error is already typed at the
         // tsdb layer for callers that need it.
