@@ -11,7 +11,7 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> ctt-lint (R1-R7, baseline diff, 5s budget)"
+echo "==> ctt-lint (R1-R5 + R7, baseline diff, 5s budget)"
 # Build first so --budget-ms measures the lint run, not compilation.
 cargo build --offline -q -p ctt-lint
 ./target/debug/ctt-lint . \

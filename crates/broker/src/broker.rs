@@ -12,6 +12,7 @@
 use crate::message::{Message, QoS};
 use crate::topic::{Topic, TopicFilter};
 use ctt_obs::{Counter, Gauge, Registry};
+// lint:allow(shared): a Broker is a Clone + Sync handle its callers share
 use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};

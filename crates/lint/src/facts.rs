@@ -1,5 +1,5 @@
 //! Per-function fact extraction: the lightweight item/function parser behind
-//! the semantic rules (R5–R7).
+//! the semantic rules (R5, R7).
 //!
 //! One pass over the token stream of each file recognizes `impl` blocks,
 //! `struct` bodies, and `fn` items, then walks every non-test function body
@@ -7,12 +7,9 @@
 //!
 //! * **calls** — free (`helper(..)`), method (`recv.helper(..)`), and
 //!   qualified (`Type::helper(..)` / `module::helper(..)`) call sites, each
-//!   stamped with the set of lock guards held at the call;
-//! * **lock acquisitions** — `.lock()` / `.read()` / `.write()` with no
-//!   arguments, with the receiver's final field/binding name as the lock
-//!   identity and the set of guards already held;
-//! * **panic sites** — `.unwrap()`, `.expect()`, `panic!`/`todo!`/
-//!   `unimplemented!`, and panicking indexing, same heuristics as R1;
+//!   marked when it chains directly off a `.lock()`/`.read()`/`.write()`;
+//! * **panic sites** — `.unwrap()`, `.expect()`, `panic!`/`unreachable!`/
+//!   `todo!`/`unimplemented!`, and panicking indexing, same heuristics as R1;
 //! * **determinism hazards** — iteration over bindings/fields known to be
 //!   `HashMap`/`HashSet` typed (unless the chain ends in an order-insensitive
 //!   fold or the collected result is sorted afterwards), plus wall-clock
@@ -25,7 +22,8 @@
 //! while catching the patterns this workspace actually writes.
 
 use crate::lexer::{
-    is_non_index_keyword, matching_brace, skip_delimited, test_regions, Tok, TokKind,
+    is_non_index_keyword, is_panic_macro, matching_brace, skip_delimited, test_regions, Tok,
+    TokKind,
 };
 
 /// A source file handed to [`crate::lint_workspace`].
@@ -52,9 +50,6 @@ pub(crate) enum Callee {
 #[derive(Debug, Clone)]
 pub(crate) struct CallSite {
     pub(crate) callee: Callee,
-    pub(crate) line: usize,
-    /// Lock identities (receiver names) held when the call is made.
-    pub(crate) held_locks: Vec<String>,
     /// The call chains directly off a `.lock()/.read()/.write()` guard
     /// (`s.read().stats()`): the callee is a method of the *inner* guarded
     /// type, never of the wrapper that owns the lock.
@@ -66,17 +61,6 @@ pub(crate) struct CallSite {
 pub(crate) struct PanicSite {
     pub(crate) line: usize,
     pub(crate) what: String,
-}
-
-/// One lock acquisition inside a function body.
-#[derive(Debug, Clone)]
-pub(crate) struct LockAcquire {
-    /// Receiver name (`inner` for `self.inner.lock()`, `shard` for
-    /// `shard.write()`).
-    pub(crate) lock: String,
-    pub(crate) line: usize,
-    /// Lock identities already held when this one is acquired.
-    pub(crate) held_before: Vec<String>,
 }
 
 /// Kind of determinism hazard (R5).
@@ -109,7 +93,6 @@ pub(crate) struct FnFacts {
     pub(crate) has_self: bool,
     pub(crate) calls: Vec<CallSite>,
     pub(crate) panics: Vec<PanicSite>,
-    pub(crate) acquires: Vec<LockAcquire>,
     pub(crate) det_sites: Vec<DetSite>,
 }
 
@@ -241,7 +224,6 @@ pub(crate) fn extract(relpath: &str, toks: &[Tok]) -> FileFacts {
             has_self,
             calls: Vec::new(),
             panics: Vec::new(),
-            acquires: Vec::new(),
             det_sites: Vec::new(),
         };
         analyze_body(toks, open, close, &hashy_fields, &mut local_hashy, &mut f);
@@ -462,16 +444,7 @@ fn is_call_excluded_keyword(word: &str) -> bool {
     )
 }
 
-#[derive(Debug)]
-struct Guard {
-    depth: usize,
-    name: Option<String>,
-    lock: String,
-    temp: bool,
-}
-
-/// Walk one function body collecting calls, panics, lock events, and
-/// determinism hazards.
+/// Walk one function body collecting calls, panics, and determinism hazards.
 fn analyze_body(
     toks: &[Tok],
     open: usize,
@@ -480,8 +453,6 @@ fn analyze_body(
     local_hashy: &mut Vec<String>,
     f: &mut FnFacts,
 ) {
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0usize;
     let mut stmt_has_let = false;
     let mut stmt_let_name: Option<String> = None;
     // (binding, det-site index) for collected iterations whose order is
@@ -497,19 +468,7 @@ fn analyze_body(
     while i <= close {
         let t = &toks[i];
         match t.kind {
-            TokKind::Punct('{') => {
-                depth += 1;
-                stmt_has_let = false;
-                stmt_let_name = None;
-            }
-            TokKind::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                guards.retain(|g| g.depth <= depth);
-                stmt_has_let = false;
-                stmt_let_name = None;
-            }
-            TokKind::Punct(';') => {
-                guards.retain(|g| !g.temp);
+            TokKind::Punct('{') | TokKind::Punct('}') | TokKind::Punct(';') => {
                 stmt_has_let = false;
                 stmt_let_name = None;
             }
@@ -669,52 +628,6 @@ fn analyze_body(
                     }
                 }
 
-                // --- locks -------------------------------------------------
-                if prev_dot
-                    && next_paren
-                    && matches!(word, "lock" | "read" | "write")
-                    && toks
-                        .get(i + 2)
-                        .is_some_and(|t| t.kind == TokKind::Punct(')'))
-                {
-                    if let Some(recv) = toks
-                        .get(i.wrapping_sub(2))
-                        .filter(|r| r.kind == TokKind::Ident)
-                        .map(|r| r.text.clone())
-                    {
-                        let held: Vec<String> = guards.iter().map(|g| g.lock.clone()).collect();
-                        f.acquires.push(LockAcquire {
-                            lock: recv.clone(),
-                            line: t.line,
-                            held_before: held,
-                        });
-                        let close_paren = i + 2;
-                        let chained = toks
-                            .get(close_paren + 1)
-                            .is_some_and(|t| t.kind == TokKind::Punct('.'));
-                        let bound = stmt_has_let && !chained;
-                        guards.push(Guard {
-                            depth,
-                            name: if bound { stmt_let_name.clone() } else { None },
-                            lock: recv,
-                            temp: !bound,
-                        });
-                    }
-                } else if word == "drop" && !prev_dot && next_paren {
-                    if let Some(dropped) = toks
-                        .get(i + 2)
-                        .filter(|t| t.kind == TokKind::Ident)
-                        .map(|t| t.text.clone())
-                    {
-                        if toks
-                            .get(i + 3)
-                            .is_some_and(|t| t.kind == TokKind::Punct(')'))
-                        {
-                            guards.retain(|g| g.name.as_deref() != Some(&dropped));
-                        }
-                    }
-                }
-
                 // --- sorted-afterwards bookkeeping -------------------------
                 if prev_dot && word.starts_with("sort") {
                     if let Some(recv) = toks
@@ -731,7 +644,7 @@ fn analyze_body(
                         line: t.line,
                         what: format!(".{word}()"),
                     });
-                } else if next_bang && matches!(word, "panic" | "todo" | "unimplemented") {
+                } else if next_bang && is_panic_macro(word) {
                     f.panics.push(PanicSite {
                         line: t.line,
                         what: format!("{word}!"),
@@ -764,12 +677,7 @@ fn analyze_body(
                         Some(Callee::Free(word.to_string()))
                     };
                     if let Some(callee) = callee {
-                        f.calls.push(CallSite {
-                            callee,
-                            line: t.line,
-                            held_locks: guards.iter().map(|g| g.lock.clone()).collect(),
-                            via_guard,
-                        });
+                        f.calls.push(CallSite { callee, via_guard });
                     }
                 }
             }

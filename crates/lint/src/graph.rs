@@ -1,5 +1,4 @@
-//! Workspace call graph and the two semantic graphs derived from it: panic
-//! reachability (R7) and the lock-order graph (R6).
+//! Workspace call graph, the substrate of panic reachability (R7).
 //!
 //! Call resolution is name-based and deliberately conservative:
 //!
@@ -15,7 +14,7 @@
 //! to wade through `Vec::push` lookalike edges, and the documented escape
 //! hatches cover what slips through.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::facts::{Callee, FileFacts};
 
@@ -121,8 +120,8 @@ pub(crate) type FnId = (usize, usize);
 #[derive(Debug)]
 pub(crate) struct CallGraph<'a> {
     pub(crate) files: &'a [FileFacts],
-    /// Resolved call edges: caller → (callee, call-site line).
-    pub(crate) edges: BTreeMap<FnId, Vec<(FnId, usize)>>,
+    /// Resolved call edges: caller → callees, one per resolved call site.
+    pub(crate) edges: BTreeMap<FnId, Vec<FnId>>,
 }
 
 impl<'a> CallGraph<'a> {
@@ -174,7 +173,7 @@ impl<'a> CallGraph<'a> {
             Vec::new()
         };
 
-        let mut edges: BTreeMap<FnId, Vec<(FnId, usize)>> = BTreeMap::new();
+        let mut edges: BTreeMap<FnId, Vec<FnId>> = BTreeMap::new();
         for (fi, file) in files.iter().enumerate() {
             for (gi, f) in file.functions.iter().enumerate() {
                 let caller = (fi, gi);
@@ -217,10 +216,10 @@ impl<'a> CallGraph<'a> {
                     // Bare-name self-links are almost always a shared method
                     // name on a different receiver (`s.write().put(p)` inside
                     // `ShardedTsdb::put`), not recursion — and recursion adds
-                    // no reachability or lock edges anyway. Drop them. A call
-                    // chained on a lock guard runs on the *inner* guarded
-                    // type, so candidates on the caller's own type (the lock
-                    // wrapper) are type confusion — drop those too.
+                    // no reachability anyway. Drop them. A call chained on a
+                    // lock guard runs on the *inner* guarded type, so
+                    // candidates on the caller's own type (the lock wrapper)
+                    // are type confusion — drop those too.
                     let caller_ty = f.impl_type.as_deref();
                     let via_guard = call.via_guard;
                     let targets = targets.into_iter().filter(|&t| {
@@ -229,9 +228,7 @@ impl<'a> CallGraph<'a> {
                                 && caller_ty.is_some()
                                 && files[t.0].functions[t.1].impl_type.as_deref() == caller_ty)
                     });
-                    for t in targets {
-                        edges.entry(caller).or_default().push((t, call.line));
-                    }
+                    edges.entry(caller).or_default().extend(targets);
                 }
             }
         }
@@ -263,7 +260,7 @@ impl<'a> CallGraph<'a> {
         queue.push_back(entry);
         while let Some(cur) = queue.pop_front() {
             if let Some(nexts) = self.edges.get(&cur) {
-                for &(next, _line) in nexts {
+                for &next in nexts {
                     if let std::collections::btree_map::Entry::Vacant(e) = pred.entry(next) {
                         e.insert(Some(cur));
                         queue.push_back(next);
@@ -288,181 +285,4 @@ impl<'a> CallGraph<'a> {
             .map(|id| format!("{} ({})", self.label(id), self.site(id)))
             .collect()
     }
-}
-
-/// One edge of the lock-order graph, with provenance.
-#[derive(Debug, Clone)]
-pub(crate) struct LockEdge {
-    pub(crate) from: String,
-    pub(crate) to: String,
-    /// `path:line` of the acquisition (or call) that creates the edge.
-    pub(crate) site: String,
-    pub(crate) line: usize,
-    pub(crate) path: String,
-    /// Function in which the edge arises.
-    pub(crate) via: String,
-}
-
-/// The lock-order graph: nodes are qualified lock identities, edges mean
-/// "acquired while holding".
-#[derive(Debug, Default)]
-pub(crate) struct LockGraph {
-    pub(crate) edges: Vec<LockEdge>,
-}
-
-impl LockGraph {
-    /// Build from facts + call graph: local acquire-while-held edges, plus
-    /// edges into every lock a callee transitively acquires while a guard is
-    /// held at the call site.
-    pub(crate) fn build(graph: &CallGraph<'_>) -> Self {
-        // Transitive lock sets per function (qualified identities).
-        let mut memo: BTreeMap<FnId, BTreeSet<String>> = BTreeMap::new();
-        let ids: Vec<FnId> = graph
-            .files
-            .iter()
-            .enumerate()
-            .flat_map(|(fi, f)| (0..f.functions.len()).map(move |gi| (fi, gi)))
-            .collect();
-        for &id in &ids {
-            let mut stack = Vec::new();
-            transitive_locks(graph, id, &mut memo, &mut stack);
-        }
-
-        let mut edges = Vec::new();
-        for &(fi, gi) in &ids {
-            let file = &graph.files[fi];
-            let f = &file.functions[gi];
-            let qualify = |raw: &str| qualify_lock(file, f.impl_type.as_deref(), raw);
-            for acq in &f.acquires {
-                for held in &acq.held_before {
-                    edges.push(LockEdge {
-                        from: qualify(held),
-                        to: qualify(&acq.lock),
-                        site: format!("{}:{}", file.relpath, acq.line),
-                        line: acq.line,
-                        path: file.relpath.clone(),
-                        via: graph.label((fi, gi)),
-                    });
-                }
-            }
-            for call in &f.calls {
-                if call.held_locks.is_empty() {
-                    continue;
-                }
-                let Some(targets) = graph.edges.get(&(fi, gi)) else {
-                    continue;
-                };
-                for &(target, line) in targets {
-                    if line != call.line {
-                        continue;
-                    }
-                    if let Some(locks) = memo.get(&target) {
-                        for held in &call.held_locks {
-                            for inner in locks {
-                                edges.push(LockEdge {
-                                    from: qualify(held),
-                                    to: inner.clone(),
-                                    site: format!("{}:{}", file.relpath, call.line),
-                                    line: call.line,
-                                    path: file.relpath.clone(),
-                                    via: format!(
-                                        "{} calling {}",
-                                        graph.label((fi, gi)),
-                                        graph.label(target)
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        LockGraph { edges }
-    }
-
-    /// Distinct cycles in the lock-order graph. Each cycle is reported once,
-    /// anchored at its lexicographically-smallest node, as the node sequence
-    /// `a → b → … → a` plus the edges that close it.
-    pub(crate) fn cycles(&self) -> Vec<Vec<&LockEdge>> {
-        let mut adj: BTreeMap<&str, Vec<&LockEdge>> = BTreeMap::new();
-        for e in &self.edges {
-            adj.entry(e.from.as_str()).or_default().push(e);
-        }
-        let mut out: Vec<Vec<&LockEdge>> = Vec::new();
-        let nodes: BTreeSet<&str> = self
-            .edges
-            .iter()
-            .flat_map(|e| [e.from.as_str(), e.to.as_str()])
-            .collect();
-        for &start in &nodes {
-            // DFS for a path start → … → start where start is the smallest
-            // node on the cycle (canonical representative).
-            let mut stack: Vec<(&str, Vec<&LockEdge>)> = vec![(start, Vec::new())];
-            let mut best: Option<Vec<&LockEdge>> = None;
-            let mut visited: BTreeSet<&str> = BTreeSet::new();
-            while let Some((node, path)) = stack.pop() {
-                if path.len() > 8 {
-                    continue; // bound the search; real cycles are short
-                }
-                for e in adj.get(node).into_iter().flatten() {
-                    if e.to == start {
-                        let mut cycle = path.clone();
-                        cycle.push(e);
-                        if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
-                            best = Some(cycle);
-                        }
-                    } else if e.to.as_str() > start && visited.insert(e.to.as_str()) {
-                        let mut next = path.clone();
-                        next.push(e);
-                        stack.push((e.to.as_str(), next));
-                    }
-                }
-            }
-            if let Some(cycle) = best {
-                out.push(cycle);
-            }
-        }
-        out
-    }
-}
-
-/// Qualified lock identity: `crate::Scope.name` where `Scope` is the impl
-/// type (or file stem for free functions).
-pub(crate) fn qualify_lock(file: &FileFacts, impl_type: Option<&str>, raw: &str) -> String {
-    format!(
-        "{}::{}.{raw}",
-        file.crate_name,
-        impl_type.unwrap_or(&file.file_stem)
-    )
-}
-
-fn transitive_locks(
-    graph: &CallGraph<'_>,
-    id: FnId,
-    memo: &mut BTreeMap<FnId, BTreeSet<String>>,
-    stack: &mut Vec<FnId>,
-) -> BTreeSet<String> {
-    if let Some(done) = memo.get(&id) {
-        return done.clone();
-    }
-    if stack.contains(&id) {
-        return BTreeSet::new(); // recursion cycle: already accounted upstream
-    }
-    stack.push(id);
-    let file = &graph.files[id.0];
-    let f = &file.functions[id.1];
-    let mut locks: BTreeSet<String> = f
-        .acquires
-        .iter()
-        .map(|a| qualify_lock(file, f.impl_type.as_deref(), &a.lock))
-        .collect();
-    if let Some(targets) = graph.edges.get(&id) {
-        let targets: Vec<FnId> = targets.iter().map(|&(t, _)| t).collect();
-        for t in targets {
-            locks.extend(transitive_locks(graph, t, memo, stack));
-        }
-    }
-    stack.pop();
-    memo.insert(id, locks.clone());
-    locks
 }

@@ -1,5 +1,5 @@
 //! Handwritten Rust token lexer shared by the line rules (R1–R4) and the
-//! semantic fact extractor (R5–R7).
+//! semantic fact extractor (R5, R7).
 //!
 //! Comments, string/char literal contents, and lifetimes are discarded; what
 //! remains is a flat stream of identifier / punctuation / literal tokens with
@@ -333,6 +333,11 @@ pub(crate) fn is_non_index_keyword(word: &str) -> bool {
             | "yield"
             | "box"
     )
+}
+
+/// Macros that panic when reached (`name!`). R1 and R7 both ask.
+pub(crate) fn is_panic_macro(word: &str) -> bool {
+    matches!(word, "panic" | "unreachable" | "todo" | "unimplemented")
 }
 
 /// Whether token index `idx` falls inside any of `regions`.

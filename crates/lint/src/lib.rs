@@ -1,43 +1,39 @@
 //! `ctt-lint`: workspace-local static analysis for the CTT pipeline.
 //!
-//! Seven rules, tuned to this codebase's invariants rather than general Rust
-//! style (that is clippy's job). R1–R4 are line-level pattern rules; R5–R7
-//! are semantic rules over a workspace cross-crate call graph built by a
+//! Six rules, tuned to this codebase's invariants rather than general Rust
+//! style (that is clippy's job). R1–R4 are line-level pattern rules; R5 and
+//! R7 are semantic rules over a workspace cross-crate call graph built by a
 //! lightweight item/function parser (see [`facts`] and [`graph`]) on top of
-//! the same handwritten lexer — still no `syn`, still std-only.
+//! the same handwritten lexer — still no `syn`, still std-only. R6 (lock
+//! order) is retired and its id is not reused.
 //!
-//! * **R1 panic-freedom** — on hot-path modules (broker, tsdb storage/query,
-//!   LoRaWAN server, dataport, pipeline) no `.unwrap()`, `.expect()`,
-//!   `panic!` or panicking indexing (`x[i]` — use `.get()`). Test code is
-//!   exempt.
+//! * **R1 panic-freedom** — on the hot paths of [`LintConfig::default`] no
+//!   `.unwrap()`, `.expect()`, `panic!`/`unreachable!`/`todo!`/
+//!   `unimplemented!` or panicking indexing (`x[i]` — use `.get()`). Test
+//!   code is exempt.
 //! * **R2 unit-safety** — public signatures must not take raw `f64`
 //!   parameters whose names claim a physical unit (`co2`, `ppm`, `ppb`,
 //!   `celsius`, `pa`, `rssi`, `dbm`, `lat`, `lon`); use the
 //!   `ctt-core::units` newtypes instead.
-//! * **R3 concurrency hygiene** — no `std::sync::Mutex` (`parking_lot` is
-//!   the workspace standard), and no blocking channel `send`/`recv` while a
-//!   lock guard is held on hot-path modules.
+//! * **R3 single thread of control** — outside test code, no `Mutex*`,
+//!   `RwLock*`, `Condvar*` or `Atomic*` named in a `use` item or after `::`,
+//!   and no `thread::spawn`. `Arc` is fine.
 //! * **R4 crate hygiene** — every `src/lib.rs` carries
 //!   `#![forbid(unsafe_code)]` and `#![deny(missing_debug_implementations)]`.
 //! * **R5 determinism** — in replay-affecting crates, no unordered
 //!   `HashMap`/`HashSet` iteration (unless the chain ends order-insensitive
 //!   or the collected result is sorted), no `SystemTime`/`Instant::now`, no
 //!   `thread::current()` identity, no explicit `RandomState`.
-//! * **R6 lock-order** — per-function lock-acquisition sequences are
-//!   propagated through the call graph into a lock-order graph; cycles are
-//!   potential deadlocks.
-//! * **R7 transitive panic reachability** — hot entry points
-//!   (`Broker::publish`/`ack`, `ShardedTsdb::put_batch`/`execute`,
-//!   `EventQueue::pop`, `UplinkEvent::encode`/`decode`) must not reach a panicking
-//!   construct through *any* callee chain; the offending call path is
-//!   reported.
+//! * **R7 transitive panic reachability** — the entry points of
+//!   [`LintConfig::default`] must not reach a panicking construct through
+//!   *any* callee chain; the offending call path is reported.
 //!
 //! Escape hatch: a `lint:allow` line comment — key in parens, then a
 //! justification — on the same or the preceding line suppresses one rule
-//! (`panic`, `units`, `lock`, `mutex`, `hygiene`, `det`, `lockorder`,
-//! `reach`). The justification text is mandatory — an allow without one is
-//! itself a violation. A `lint:allow(panic)` at a panic site also covers R7
-//! paths that end there (the rationale explains the panic, not the route).
+//! (`panic`, `units`, `shared`, `hygiene`, `det`, `reach`). The
+//! justification text is mandatory — an allow without one is itself a
+//! violation. A `lint:allow(panic)` at a panic site also covers R7 paths
+//! that end there (the rationale explains the panic, not the route).
 //!
 //! Machine-readable output and the baseline workflow live in [`report`]:
 //! `ctt-lint --json-out` writes a canonical JSON report, `--baseline` diffs
@@ -57,7 +53,10 @@ mod rules;
 
 pub use facts::SourceFile;
 
-use lexer::{in_regions, is_non_index_keyword, scan, skip_delimited, test_regions, Tok, TokKind};
+use lexer::{
+    in_regions, is_non_index_keyword, is_panic_macro, scan, skip_delimited, test_regions, Tok,
+    TokKind,
+};
 
 /// Which lint rule a [`Finding`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,15 +65,13 @@ pub enum Rule {
     PanicFreedom,
     /// R2: unit-bearing public parameters must use newtypes.
     UnitSafety,
-    /// R3: no `std::sync::Mutex`; no lock held across blocking channel ops.
-    ConcurrencyHygiene,
+    /// R3: no shared-state primitive and no `thread::spawn` outside tests.
+    SingleThread,
     /// R4: required crate-level attributes in every `lib.rs`.
     CrateHygiene,
     /// R5: no unordered iteration / wall-clock / thread identity in
     /// replay-affecting crates.
     Determinism,
-    /// R6: no cycles in the workspace lock-order graph.
-    LockOrder,
     /// R7: hot entry points must not transitively reach a panic.
     PanicReachability,
 }
@@ -85,10 +82,9 @@ impl Rule {
         match self {
             Rule::PanicFreedom => "R1",
             Rule::UnitSafety => "R2",
-            Rule::ConcurrencyHygiene => "R3",
+            Rule::SingleThread => "R3",
             Rule::CrateHygiene => "R4",
             Rule::Determinism => "R5",
-            Rule::LockOrder => "R6",
             Rule::PanicReachability => "R7",
         }
     }
@@ -111,8 +107,8 @@ pub struct Finding {
     pub line: usize,
     /// Human-readable description of the violation.
     pub message: String,
-    /// For R6/R7: the call path (or lock cycle) that produces the finding,
-    /// rendered as `label (path:line)` steps. Empty for line-level rules.
+    /// For R7: the call path that produces the finding, rendered as
+    /// `label (path:line)` steps. Empty for the other rules.
     pub call_path: Vec<String>,
 }
 
@@ -144,8 +140,7 @@ impl Finding {
 /// Where the path-scoped rules apply and which entry points R7 guards.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Workspace-relative path prefixes considered hot-path (R1 / R3 lock
-    /// discipline).
+    /// Workspace-relative path prefixes considered hot-path (R1).
     pub hot_paths: Vec<String>,
     /// Workspace-relative path prefixes whose behavior feeds replay goldens
     /// (R5).
@@ -265,10 +260,9 @@ fn allow_key_rule(key: &str) -> Option<Rule> {
     match key {
         "panic" => Some(Rule::PanicFreedom),
         "units" => Some(Rule::UnitSafety),
-        "lock" | "mutex" => Some(Rule::ConcurrencyHygiene),
+        "shared" => Some(Rule::SingleThread),
         "hygiene" => Some(Rule::CrateHygiene),
         "det" => Some(Rule::Determinism),
-        "lockorder" => Some(Rule::LockOrder),
         "reach" => Some(Rule::PanicReachability),
         _ => None,
     }
@@ -358,8 +352,7 @@ fn check_panic_freedom(relpath: &str, toks: &[Tok], skip: &[(usize, usize)]) -> 
                         t.line,
                         format!(".{}() on hot path — return a typed error instead", t.text),
                     ));
-                } else if next_bang && matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-                {
+                } else if next_bang && is_panic_macro(&t.text) {
                     out.push(finding(
                         t.line,
                         format!("{}! on hot path — return a typed error instead", t.text),
@@ -523,168 +516,54 @@ fn check_param_list(relpath: &str, params: &[Tok]) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// R3: concurrency hygiene
+// R3: single thread of control
 // ---------------------------------------------------------------------------
 
-fn check_std_mutex(relpath: &str, toks: &[Tok]) -> Vec<Finding> {
+/// Name prefixes of the shared-state primitives R3 keeps out of the system.
+const SHARED_PREFIXES: &[&str] = &["Mutex", "RwLock", "Condvar", "Atomic"];
+
+/// R3: flag every place that brings a shared-state primitive into scope (a
+/// `Mutex*`/`RwLock*`/`Condvar*`/`Atomic*` ident inside a `use` item or after
+/// `::`) or starts a thread (`thread::spawn`). A bare `Mutex<T>` or
+/// `RwLock::new` needs one of those first, so it is not flagged again.
+fn check_single_thread(relpath: &str, toks: &[Tok], skip: &[(usize, usize)]) -> Vec<Finding> {
     let mut out = Vec::new();
-    let ident = |k: usize, s: &str| {
-        toks.get(k)
-            .is_some_and(|t| t.kind == TokKind::Ident && t.text == s)
+    let colons_before = |k: usize| {
+        k >= 2 && toks[k - 1].kind == TokKind::Punct(':') && toks[k - 2].kind == TokKind::Punct(':')
     };
-    let punct = |k: usize, c: char| toks.get(k).is_some_and(|t| t.kind == TokKind::Punct(c));
-    let mut i = 0usize;
-    while i < toks.len() {
-        // `std :: sync ::` ...
-        if ident(i, "std")
-            && punct(i + 1, ':')
-            && punct(i + 2, ':')
-            && ident(i + 3, "sync")
-            && punct(i + 4, ':')
-            && punct(i + 5, ':')
-        {
-            let after = i + 6;
-            if ident(after, "Mutex") {
-                out.push(Finding {
-                    rule: Rule::ConcurrencyHygiene,
-                    path: relpath.to_string(),
-                    line: toks[after].line,
-                    message: "std::sync::Mutex — use parking_lot::Mutex (workspace standard)"
-                        .to_string(),
-                    call_path: Vec::new(),
-                });
-                i = after + 1;
-                continue;
-            }
-            if punct(after, '{') {
-                let close = skip_delimited(toks, after, '{', '}');
-                for t in &toks[after..close] {
-                    if t.kind == TokKind::Ident && t.text == "Mutex" {
-                        out.push(Finding {
-                            rule: Rule::ConcurrencyHygiene,
-                            path: relpath.to_string(),
-                            line: t.line,
-                            message:
-                                "std::sync::Mutex — use parking_lot::Mutex (workspace standard)"
-                                    .to_string(),
-                            call_path: Vec::new(),
-                        });
-                    }
-                }
-                i = close + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-#[derive(Debug)]
-struct HeldGuard {
-    depth: usize,
-    name: Option<String>,
-    /// Not `let`-bound: a temporary that dies at the end of the statement.
-    temp: bool,
-    line: usize,
-}
-
-fn check_lock_across_channel(relpath: &str, toks: &[Tok], skip: &[(usize, usize)]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut guards: Vec<HeldGuard> = Vec::new();
-    let mut depth = 0usize;
-    // Per-statement context for deciding whether a `.lock()` is let-bound.
-    let mut stmt_let_name: Option<String> = None;
-    let mut stmt_has_let = false;
-
-    for i in 0..toks.len() {
+    let mut in_use = false;
+    for (i, t) in toks.iter().enumerate() {
         if in_regions(skip, i) {
             continue;
         }
-        let t = &toks[i];
         match t.kind {
-            TokKind::Punct('{') => {
-                depth += 1;
-                stmt_has_let = false;
-                stmt_let_name = None;
-            }
-            TokKind::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                guards.retain(|g| g.depth <= depth);
-                stmt_has_let = false;
-                stmt_let_name = None;
-            }
-            TokKind::Punct(';') => {
-                guards.retain(|g| !g.temp);
-                stmt_has_let = false;
-                stmt_let_name = None;
-            }
+            TokKind::Punct(';') => in_use = false,
+            TokKind::Ident if t.text == "use" => in_use = true,
             TokKind::Ident => {
-                let prev_dot = i > 0 && toks[i - 1].kind == TokKind::Punct('.');
-                let next_paren = toks
-                    .get(i + 1)
-                    .is_some_and(|t| t.kind == TokKind::Punct('('));
-                match t.text.as_str() {
-                    "let" => {
-                        stmt_has_let = true;
-                        // Binding name: the next ident, skipping `mut`.
-                        let mut k = i + 1;
-                        if toks.get(k).is_some_and(|t| t.text == "mut") {
-                            k += 1;
-                        }
-                        stmt_let_name = toks
-                            .get(k)
-                            .filter(|t| t.kind == TokKind::Ident)
-                            .map(|t| t.text.clone());
-                    }
-                    "lock" if prev_dot && next_paren => {
-                        // `x.lock().len()` keeps the guard only for the
-                        // statement, even when let-bound — the binding holds
-                        // the chained result, not the guard.
-                        let close = skip_delimited(toks, i + 1, '(', ')');
-                        let chained = toks
-                            .get(close + 1)
-                            .is_some_and(|t| t.kind == TokKind::Punct('.'));
-                        let bound = stmt_has_let && !chained;
-                        guards.push(HeldGuard {
-                            depth,
-                            name: if bound { stmt_let_name.clone() } else { None },
-                            temp: !bound,
-                            line: t.line,
-                        });
-                    }
-                    "drop" if !prev_dot && next_paren => {
-                        // `drop(guard_name)` releases that guard early.
-                        if let Some(dropped) = toks
-                            .get(i + 2)
-                            .filter(|t| t.kind == TokKind::Ident)
-                            .map(|t| t.text.clone())
-                        {
-                            if toks
-                                .get(i + 3)
-                                .is_some_and(|t| t.kind == TokKind::Punct(')'))
-                            {
-                                guards.retain(|g| g.name.as_deref() != Some(&dropped));
-                            }
-                        }
-                    }
-                    "send" | "recv" | "recv_timeout" if prev_dot && next_paren => {
-                        if let Some(g) = guards.last() {
-                            out.push(Finding {
-                                rule: Rule::ConcurrencyHygiene,
-                                path: relpath.to_string(),
-                                line: t.line,
-                                message: format!(
-                                    "blocking .{}() while a lock guard is held (taken line {}) — \
-                                     release the lock or use try_* variants",
-                                    t.text, g.line
-                                ),
-                                call_path: Vec::new(),
-                            });
-                        }
-                    }
-                    _ => {}
-                }
+                let what = if (in_use || colons_before(i))
+                    && SHARED_PREFIXES.iter().any(|p| t.text.starts_with(p))
+                {
+                    format!("`{}` is shared state", t.text)
+                } else if t.text == "spawn"
+                    && colons_before(i)
+                    && toks
+                        .get(i.wrapping_sub(3))
+                        .is_some_and(|q| q.text == "thread")
+                {
+                    "`thread::spawn` starts a thread".to_string()
+                } else {
+                    continue;
+                };
+                out.push(Finding {
+                    rule: Rule::SingleThread,
+                    path: relpath.to_string(),
+                    line: t.line,
+                    message: format!(
+                        "{what} — the system runs on one thread of control; own the data, \
+                         or lint:allow(shared) with a rationale"
+                    ),
+                    call_path: Vec::new(),
+                });
             }
             _ => {}
         }
@@ -735,10 +614,9 @@ fn line_findings(relpath: &str, src: &str, config: &LintConfig) -> Vec<Finding> 
         let regions = test_regions(&toks);
         if config.is_hot(relpath) {
             findings.extend(check_panic_freedom(relpath, &toks, &regions));
-            findings.extend(check_lock_across_channel(relpath, &toks, &regions));
         }
         findings.extend(check_unit_safety(relpath, &toks, &regions));
-        findings.extend(check_std_mutex(relpath, &toks));
+        findings.extend(check_single_thread(relpath, &toks, &regions));
     }
     findings
 }
@@ -766,7 +644,7 @@ fn apply_allows(findings: &mut Vec<Finding>, allows: &HashMap<String, HashMap<us
 
 /// Lint one file with the line-level rules (R1–R4). `relpath` must be
 /// workspace-relative with `/` separators — it selects which rules apply
-/// (hot-path, lib.rs, test scaffolding). The semantic rules (R5–R7) need the
+/// (hot-path, lib.rs, test scaffolding). The semantic rules (R5, R7) need the
 /// whole workspace: use [`lint_workspace`].
 pub fn lint_file(relpath: &str, src: &str, config: &LintConfig) -> Vec<Finding> {
     let (file_allows, mut findings) = parse_allows(relpath, src);
@@ -779,8 +657,8 @@ pub fn lint_file(relpath: &str, src: &str, config: &LintConfig) -> Vec<Finding> 
 }
 
 /// Lint a whole workspace: line rules per file plus the semantic rules
-/// (R5 determinism, R6 lock-order, R7 transitive panic reachability) over
-/// the cross-crate call graph. Findings are sorted `(path, line, rule)`.
+/// (R5 determinism, R7 transitive panic reachability) over the cross-crate
+/// call graph. Findings are sorted `(path, line, rule)`.
 pub fn lint_workspace(files: &[SourceFile], config: &LintConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut allows: HashMap<String, HashMap<usize, Vec<Rule>>> = HashMap::new();
@@ -799,7 +677,6 @@ pub fn lint_workspace(files: &[SourceFile], config: &LintConfig) -> Vec<Finding>
 
     findings.extend(rules::check_determinism(&all_facts, config));
     let call_graph = graph::CallGraph::build(&all_facts);
-    findings.extend(rules::check_lock_order(&call_graph));
     findings.extend(rules::check_panic_reachability(&call_graph, config));
 
     apply_allows(&mut findings, &allows);
@@ -880,23 +757,38 @@ mod tests {
     }
 
     #[test]
-    fn r3_flags_std_mutex_and_lock_across_send() {
-        let src = "use std::sync::{Arc, Mutex};\n\
-                   fn f(tx: Sender<u8>) {\n    let g = STATE.lock();\n    tx.send(1);\n}\n";
+    fn r1_and_r7_flag_unreachable() {
+        let src = "pub fn f(x: u8) -> u8 {\n    match x {\n        0 => 1,\n        \
+                   _ => unreachable!(\"never\"),\n    }\n}\n";
         let f = lint_file("crates/x/src/a.rs", src, &hot_config());
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == Rule::ConcurrencyHygiene));
-        assert_eq!((f[0].line, f[1].line), (1, 4));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), (Rule::PanicFreedom, 4));
+        assert!(f[0].message.contains("unreachable!"));
+
+        let config = LintConfig {
+            hot_paths: vec![],
+            replay_paths: vec![],
+            entry_points: vec![("a".into(), "f".into())],
+        };
+        let files = [SourceFile {
+            relpath: "crates/x/src/a.rs".into(),
+            src: src.into(),
+        }];
+        let f = lint_workspace(&files, &config);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), (Rule::PanicReachability, 4));
     }
 
     #[test]
-    fn r3_released_guard_is_fine() {
-        let src = "fn f(tx: Sender<u8>) {\n    let g = STATE.lock();\n    drop(g);\n    \
-                   tx.send(1);\n}\nfn h(tx: Sender<u8>) {\n    { let g = STATE.lock(); }\n    \
-                   tx.send(2);\n}\nfn t(tx: Sender<u8>) {\n    let n = Q.lock().len();\n    \
-                   tx.send(3);\n}\n";
-        let f = lint_file("crates/x/src/a.rs", src, &hot_config());
-        assert!(f.is_empty(), "{f:?}");
+    fn r3_flags_shared_state_and_spawn_outside_tests() {
+        let src = "use std::sync::{Arc, Mutex};\n\
+                   struct S { n: std::sync::atomic::AtomicU64, m: Mutex<u8> }\n\
+                   fn f() { std::thread::spawn(|| ()); let _ = RwLock::new(0); }\n\
+                   #[cfg(test)]\nmod tests { use std::sync::Condvar; }\n";
+        let f = lint_file("crates/x/src/a.rs", src, &LintConfig::default());
+        assert_eq!(f.len(), 3, "{f:?}");
+        assert!(f.iter().all(|x| x.rule == Rule::SingleThread));
+        assert_eq!((f[0].line, f[1].line, f[2].line), (1, 2, 3));
     }
 
     #[test]

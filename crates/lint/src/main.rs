@@ -1,6 +1,7 @@
 //! `ctt-lint` binary: walk the workspace, lint every Rust source file with
-//! the line rules (R1–R4) and the workspace semantic rules (R5–R7), and exit
-//! non-zero on violations.
+//! the line rules (R1–R4) and the workspace semantic rules (R5, R7), and
+//! exit non-zero on violations. The rules, hot paths and entry points are
+//! those of `LintConfig::default()`.
 //!
 //! Usage:
 //!   cargo run -p ctt-lint [-- <workspace-root>] [--json-out <file>]

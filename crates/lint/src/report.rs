@@ -35,7 +35,7 @@ pub fn to_json(findings: &[Finding], files_scanned: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"ctt-lint\",\n");
-    out.push_str("  \"rules\": [\"R1\", \"R2\", \"R3\", \"R4\", \"R5\", \"R6\", \"R7\"],\n");
+    out.push_str("  \"rules\": [\"R1\", \"R2\", \"R3\", \"R4\", \"R5\", \"R7\"],\n");
     out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
     out.push_str(&format!(
         "  \"findings\": [{}\n",

@@ -1,11 +1,11 @@
-//! The semantic rule families: R5 determinism, R6 lock-order, R7 transitive
-//! panic reachability. Each consumes the extracted [`crate::facts`] and the
-//! graphs in [`crate::graph`] and yields ordinary [`Finding`]s.
+//! The semantic rule families: R5 determinism and R7 transitive panic
+//! reachability. Each consumes the extracted [`crate::facts`] (R7 also the
+//! call graph in [`crate::graph`]) and yields ordinary [`Finding`]s.
 
 use std::collections::BTreeMap;
 
 use crate::facts::{DetKind, FileFacts};
-use crate::graph::{CallGraph, FnId, LockGraph};
+use crate::graph::{CallGraph, FnId};
 use crate::{Finding, LintConfig, Rule};
 
 /// R5: flag determinism hazards in replay-affecting files.
@@ -49,35 +49,6 @@ pub(crate) fn check_determinism(files: &[FileFacts], config: &LintConfig) -> Vec
     // collapse.
     out.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
     out.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.message == b.message);
-    out
-}
-
-/// R6: lock-order cycles are potential deadlocks.
-pub(crate) fn check_lock_order(graph: &CallGraph<'_>) -> Vec<Finding> {
-    let lock_graph = LockGraph::build(graph);
-    let mut out = Vec::new();
-    for cycle in lock_graph.cycles() {
-        let Some(first) = cycle.first() else {
-            continue;
-        };
-        let mut nodes: Vec<&str> = cycle.iter().map(|e| e.from.as_str()).collect();
-        nodes.push(first.from.as_str());
-        let call_path: Vec<String> = cycle
-            .iter()
-            .map(|e| format!("{} -> {} in {} ({})", e.from, e.to, e.via, e.site))
-            .collect();
-        out.push(Finding {
-            rule: Rule::LockOrder,
-            path: first.path.clone(),
-            line: first.line,
-            message: format!(
-                "lock-order cycle {} — potential deadlock; acquire in one global order \
-                 or lint:allow(lockorder) with a rationale",
-                nodes.join(" -> ")
-            ),
-            call_path,
-        });
-    }
     out
 }
 

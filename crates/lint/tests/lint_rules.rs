@@ -1,6 +1,6 @@
-//! Fixture-driven tests for the seven ctt-lint rules: each violating fixture
+//! Fixture-driven tests for the six ctt-lint rules: each violating fixture
 //! must produce exactly the expected rule IDs at the expected lines (and for
-//! R6/R7 the expected call paths), the clean fixture must produce nothing,
+//! R7 the expected call paths), the clean fixture must produce nothing,
 //! and `ctt-lint` itself must pass every rule it enforces.
 
 use ctt_lint::{lint_file, lint_workspace, Finding, LintConfig, SourceFile};
@@ -66,16 +66,85 @@ fn r2_units_fixture_flags_public_raw_f64_params() {
 }
 
 #[test]
-fn r3_concurrency_fixture_flags_mutex_and_held_send() {
-    let src = include_str!("fixtures/r3_concurrency.rs");
-    let findings = lint_file("crates/fixture/src/hot.rs", src, &fixture_config());
+fn r3_shared_fixture_flags_shared_state_and_spawn() {
+    let src = include_str!("fixtures/r3_shared.rs");
+    // R3 applies workspace-wide, not only to hot paths.
+    let findings = lint_file("crates/fixture/src/shared.rs", src, &LintConfig::default());
     assert_eq!(
         ids_and_lines(&findings),
-        vec![("R3", 4), ("R3", 9)],
+        vec![("R3", 3), ("R3", 8), ("R3", 9), ("R3", 17), ("R3", 21)],
         "findings: {findings:?}"
     );
-    assert!(findings[0].message.contains("std::sync::Mutex"));
-    assert!(findings[1].message.contains("send"));
+    // The brace-group import flags `Mutex`, not `Arc`.
+    assert!(findings[0].message.contains("`Mutex`"));
+    // The unjustified allow is itself a finding and suppresses nothing.
+    assert!(findings[1]
+        .message
+        .contains("requires a written justification"));
+    assert!(findings[2].message.contains("`AtomicU64`"));
+    assert!(findings[3].message.contains("`AtomicBool`"));
+    assert!(findings[4].message.contains("thread::spawn"));
+    // The justified allow at line 5 covered line 6, and the
+    // `#[cfg(test)]` watchdog produced nothing.
+    assert!(findings.iter().all(|f| f.line != 6 && f.line < 24));
+}
+
+/// The real pipeline source, probed by the R3 tests below.
+const PIPELINE: &str = include_str!("../../../src/pipeline.rs");
+
+fn lint_pipeline(src: &str) -> Vec<Finding> {
+    lint_file("src/pipeline.rs", src, &LintConfig::default())
+}
+
+/// [`PIPELINE`] with `line` inserted after the first line equal to `anchor`,
+/// and the 1-based line number it landed on.
+fn pipeline_with(anchor: &str, line: &str) -> (String, usize) {
+    let mut out = String::new();
+    let mut at = None;
+    for (i, l) in PIPELINE.lines().enumerate() {
+        out.push_str(l);
+        out.push('\n');
+        if at.is_none() && l == anchor {
+            out.push_str(line);
+            out.push('\n');
+            at = Some(i + 2);
+        }
+    }
+    (out, at.expect("anchor line in src/pipeline.rs"))
+}
+
+#[test]
+fn r3_probe_flags_each_injection_into_the_pipeline() {
+    for (anchor, line) in [
+        ("use std::fmt::Write as _;", "use parking_lot::Mutex;"),
+        (
+            "pub struct Pipeline {",
+            "    probe: std::sync::atomic::AtomicU64,",
+        ),
+        (
+            "    pub fn stats(&self) -> PipelineStats {",
+            "        std::thread::spawn(|| ());",
+        ),
+    ] {
+        let (src, at) = pipeline_with(anchor, line);
+        let findings = lint_pipeline(&src);
+        assert_eq!(
+            ids_and_lines(&findings),
+            vec![("R3", at)],
+            "injected `{line}`: {findings:?}"
+        );
+    }
+}
+
+#[test]
+fn r3_probe_spares_the_pipeline_and_its_test_watchdogs() {
+    let findings = lint_pipeline(PIPELINE);
+    assert!(findings.is_empty(), "findings: {findings:?}");
+    let watchdog = "#[cfg(test)] mod watchdog { use std::sync::mpsc; #[test] fn w() { \
+                    let (tx, rx) = mpsc::channel(); std::thread::spawn(move || tx.send(())); \
+                    rx.recv().ok(); } }";
+    let findings = lint_pipeline(&format!("{PIPELINE}{watchdog}\n"));
+    assert!(findings.is_empty(), "findings: {findings:?}");
 }
 
 #[test]
@@ -139,43 +208,6 @@ fn r5_silent_outside_replay_paths() {
     };
     let files = one_file_workspace("crates/tools/src/r5_det.rs", src);
     assert!(lint_workspace(&files, &config).is_empty());
-}
-
-#[test]
-fn r6_lock_order_fixture_reports_each_cycle_with_its_edges() {
-    let src = include_str!("fixtures/r6_locks.rs");
-    let config = LintConfig {
-        hot_paths: vec![],
-        replay_paths: vec![],
-        entry_points: vec![],
-    };
-    let files = one_file_workspace("crates/fixture/src/r6_locks.rs", src);
-    let mut findings = lint_workspace(&files, &config);
-    findings.retain(|f| f.rule.id() == "R6");
-    assert_eq!(findings.len(), 3, "findings: {findings:?}");
-
-    let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-    // Direct cycle a <-> b.
-    assert!(
-        messages.iter().any(|m| m.contains("Pair.a -> ")
-            && m.contains("Pair.b")
-            && m.contains("potential deadlock")),
-        "messages: {messages:?}"
-    );
-    // Cycle c <-> d where the c -> d edge goes through `take_d`.
-    let cd = findings
-        .iter()
-        .find(|f| f.message.contains("Pair.c"))
-        .expect("c/d cycle");
-    assert!(
-        cd.call_path.iter().any(|step| step.contains("take_d")),
-        "c->d edge should be attributed through the callee: {cd:?}"
-    );
-    // Re-entrant self-acquisition of a.
-    assert!(
-        findings.iter().any(|f| f.line == 47),
-        "reentrant a -> a cycle at line 47: {findings:?}"
-    );
 }
 
 #[test]

@@ -346,7 +346,8 @@ impl RadioSimulator {
                         LossReason::Collision => self.stats.lost_collision += 1,
                         LossReason::GatewayBusy => self.stats.lost_gateway_busy += 1,
                         LossReason::GatewayDown => self.stats.lost_gateway_down += 1,
-                        LossReason::DutyCycle => unreachable!("handled at submit"),
+                        // Refused at `submit`; never resolved as a loss.
+                        LossReason::DutyCycle => self.stats.lost_duty_cycle += 1,
                     }
                     self.lost.push(LostUplink {
                         device: tx.req.device,

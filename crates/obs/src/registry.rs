@@ -9,9 +9,11 @@
 //! consumers of the export.
 
 use ctt_core::time::Timestamp;
+// lint:allow(shared): a Registry is a Clone handle every layer shares
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+// lint:allow(shared): Counter and Gauge handles share one cell per metric
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -39,8 +39,10 @@ use crate::store::{
 };
 use ctt_core::time::{Span, Timestamp};
 use ctt_obs::{Counter, Registry};
+// lint:allow(shared): ShardedTsdb is Sync (shard_stress, ingest_sharded readers)
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+// lint:allow(shared): the query cache reads each shard's epoch without its lock
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -584,6 +586,7 @@ impl ShardWriter {
 /// counter advances by the points written — the same observable effects
 /// per batch as [`ShardedTsdb::put_batch`] on that shard.
 pub struct ShardWriteSession<'a> {
+    // lint:allow(shared): a session holds its shard's write lock until it drops
     guard: parking_lot::RwLockWriteGuard<'a, Tsdb>,
     epoch: &'a AtomicU64,
     puts: &'a Counter,

@@ -1,6 +1,7 @@
-//! The system starts no threads: building a fleet, running it and reading
-//! its metrics all happen on the caller. This file holds exactly one test,
-//! so the harness itself adds no sibling test threads to the count.
+//! The system starts no threads: building a fleet, running it, reading its
+//! metrics and serving a query all happen on the caller. This file holds
+//! exactly one test, so the harness itself adds no sibling test threads to
+//! the count.
 
 #![cfg(target_os = "linux")]
 
@@ -37,4 +38,13 @@ fn an_eight_city_fleet_starts_no_threads() {
         city.metrics_snapshot();
     }
     assert_eq!(os_threads(), before, "snapshots");
+    let co2 = Quantity::Pollutant(Pollutant::Co2);
+    for city in fleet.cities() {
+        let served = city.city_series(co2, start, start + Span::hours(2));
+        assert!(
+            !served.is_empty(),
+            "a served query returns the stored points"
+        );
+    }
+    assert_eq!(os_threads(), before, "served queries");
 }
