@@ -31,30 +31,45 @@ use crate::query::{GroupCollection, Query, QueryResult};
 use ctt_obs::{Counter, Registry};
 // lint:allow(shared): the cache lives inside the Sync ShardedTsdb
 use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Default maximum entries per cache level.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// Canonical string form of a query, used as the cache key. Filters are a
-/// `BTreeMap`, so iteration (and therefore the signature) is deterministic
-/// for equal queries regardless of construction order.
+/// Canonical, injective string form of a query, used as the cache key:
+/// equal signatures mean equal queries. Every character of the metric, a
+/// tag key or a tag value that is not a name character (alphanumeric,
+/// `-`, `_`, `.`, `/`) is escaped with a `\`, so the unescaped punctuation
+/// that separates the fields and tags each filter's kind (`=` exact, `*`
+/// wildcard, `[…;]` one-of) can never come from a name: a literal `*` is
+/// not the group-by wildcard and a literal `a|b` is not a one-of. Filters
+/// are a `BTreeMap`, so equal queries render alike regardless of
+/// construction order.
 pub fn query_signature(q: &Query) -> String {
     let mut s = String::with_capacity(64);
-    let _ = write!(s, "{}|{}|{}|", q.metric, q.start.0, q.end.0);
+    push_name(&mut s, &q.metric);
+    let _ = write!(s, "|{}|{}|", q.start.0, q.end.0);
     for (k, f) in &q.filters {
+        push_name(&mut s, k);
         match f {
             TagFilter::Equals(v) => {
-                let _ = write!(s, "{k}={v},");
+                s.push('=');
+                push_name(&mut s, v);
             }
-            TagFilter::Wildcard => {
-                let _ = write!(s, "{k}=*,");
-            }
+            TagFilter::Wildcard => s.push('*'),
             TagFilter::OneOf(vs) => {
-                let _ = write!(s, "{k}={},", vs.join("|"));
+                s.push('[');
+                for v in vs {
+                    push_name(&mut s, v);
+                    s.push(';');
+                }
+                s.push(']');
             }
         }
+        s.push(',');
     }
     let _ = write!(s, "|agg={}", q.aggregator);
     if let Some(ds) = q.downsample {
@@ -72,12 +87,28 @@ pub fn query_signature(q: &Query) -> String {
     s
 }
 
+/// Append `v` with every character outside the name set escaped by a `\`.
+/// Valid names (the OpenTSDB set [`crate::model::is_valid_name`] admits)
+/// are copied as they are.
+fn push_name(s: &mut String, v: &str) {
+    let plain = |c: char| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '/');
+    if v.chars().all(plain) {
+        s.push_str(v);
+        return;
+    }
+    for c in v.chars() {
+        if !plain(c) {
+            s.push('\\');
+        }
+        s.push(c);
+    }
+}
+
 #[derive(Debug)]
 struct ResultEntry {
     /// Every shard's epoch at compute time; valid only on full match.
     epochs: Vec<u64>,
     results: Vec<QueryResult>,
-    tick: u64,
 }
 
 #[derive(Debug)]
@@ -85,7 +116,91 @@ struct CollectionEntry {
     /// The owning shard's epoch at collect time.
     epoch: u64,
     groups: BTreeMap<TagSet, GroupCollection>,
+}
+
+/// A cached value and the logical tick of its last use.
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
     tick: u64,
+}
+
+/// One cache level: entries under an exact LRU policy (the victim is the
+/// entry with the smallest tick).
+///
+/// Finding the victim by scanning every entry costs a walk of the whole
+/// level per insert once it is full, so a full level keeps a recency index
+/// instead. A level that never fills never builds one: below capacity an
+/// insert is one map insert, and a hit is one tick store at every fill.
+#[derive(Debug)]
+struct Level<K, V> {
+    entries: BTreeMap<K, Slot<V>>,
+    /// `tick → key`, built the first time the level overflows and kept
+    /// until [`Level::clear`] (nothing else removes entries, so a level
+    /// that has filled stays full). Exactly one record per entry: a new key
+    /// adds one, eviction removes one, and a re-put or a hit only moves the
+    /// entry's tick forward. A record older than its entry's tick is stale;
+    /// eviction re-files it at the entry's tick before trusting the next
+    /// minimum, so the victim is exactly the smallest-tick entry.
+    recency: Option<BTreeMap<u64, K>>,
+}
+
+impl<K, V> Default for Level<K, V> {
+    fn default() -> Self {
+        Level {
+            entries: BTreeMap::new(),
+            recency: None,
+        }
+    }
+}
+
+impl<K: Ord + Clone, V> Level<K, V> {
+    /// Insert (or replace) `key` at `tick`, then evict least-recently-used
+    /// entries until the level fits `capacity`. Returns how many were
+    /// evicted.
+    fn insert(&mut self, key: K, value: V, tick: u64, capacity: usize) -> u64 {
+        let slot = Slot { value, tick };
+        match &mut self.recency {
+            Some(recency) => {
+                if self.entries.insert(key.clone(), slot).is_none() {
+                    recency.insert(tick, key);
+                }
+            }
+            None => {
+                self.entries.insert(key, slot);
+            }
+        }
+        let mut evicted = 0u64;
+        while self.entries.len() > capacity {
+            let entries = &self.entries;
+            let recency = self.recency.get_or_insert_with(|| {
+                entries
+                    .iter()
+                    .map(|(k, slot)| (slot.tick, k.clone()))
+                    .collect()
+            });
+            let Some((filed, key)) = recency.pop_first() else {
+                break;
+            };
+            match self.entries.entry(key) {
+                Entry::Occupied(e) if e.get().tick == filed => {
+                    e.remove();
+                    evicted += 1;
+                }
+                // Touched since it was filed: re-file at its tick.
+                Entry::Occupied(e) => {
+                    recency.insert(e.get().tick, e.key().clone());
+                }
+                Entry::Vacant(_) => {}
+            }
+        }
+        evicted
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.recency = None;
+    }
 }
 
 /// Counters exported as `tsdb.cache.*` once attached to a registry.
@@ -107,11 +222,12 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Everything the cache holds, behind its one lock.
+/// Everything the cache holds, behind its one lock. Both levels key on the
+/// same shared signature, built once per query.
 #[derive(Debug, Default)]
 struct CacheState {
-    results: BTreeMap<String, ResultEntry>,
-    collections: BTreeMap<(String, usize), CollectionEntry>,
+    results: Level<Arc<str>, ResultEntry>,
+    collections: Level<(Arc<str>, usize), CollectionEntry>,
     /// Logical recency clock (no wall time): bumped per cache operation.
     tick: u64,
     obs: CacheObs,
@@ -163,11 +279,11 @@ impl QueryCache {
         let mut state = self.state.lock();
         let tick = state.next_tick();
         let CacheState { results, obs, .. } = &mut *state;
-        match results.get_mut(sig) {
-            Some(entry) if entry.epochs == epochs => {
-                entry.tick = tick;
+        match results.entries.get_mut(sig) {
+            Some(slot) if slot.value.epochs == epochs => {
+                slot.tick = tick;
                 obs.hits.inc();
-                Some(entry.results.clone())
+                Some(slot.value.results.clone())
             }
             _ => {
                 obs.misses.inc();
@@ -177,27 +293,23 @@ impl QueryCache {
     }
 
     /// Cache finalized results for `sig` computed at `epochs`.
-    pub(crate) fn put_results(&self, sig: String, epochs: Vec<u64>, results: Vec<QueryResult>) {
+    pub(crate) fn put_results(&self, sig: Arc<str>, epochs: Vec<u64>, results: Vec<QueryResult>) {
         let mut state = self.state.lock();
         let tick = state.next_tick();
         let CacheState {
-            results: map, obs, ..
+            results: level,
+            obs,
+            ..
         } = &mut *state;
-        map.insert(
-            sig,
-            ResultEntry {
-                epochs,
-                results,
-                tick,
-            },
-        );
-        obs.evictions.add(evict_lru(map, self.capacity, |e| e.tick));
+        let entry = ResultEntry { epochs, results };
+        obs.evictions
+            .add(level.insert(sig, entry, tick, self.capacity));
     }
 
     /// One shard's phase-1 collections for `sig`, if cached at `epoch`.
     pub(crate) fn get_collection(
         &self,
-        sig: &str,
+        sig: &Arc<str>,
         shard: usize,
         epoch: u64,
     ) -> Option<BTreeMap<TagSet, GroupCollection>> {
@@ -206,11 +318,11 @@ impl QueryCache {
         let CacheState {
             collections, obs, ..
         } = &mut *state;
-        match collections.get_mut(&(sig.to_string(), shard)) {
-            Some(entry) if entry.epoch == epoch => {
-                entry.tick = tick;
+        match collections.entries.get_mut(&(Arc::clone(sig), shard)) {
+            Some(slot) if slot.value.epoch == epoch => {
+                slot.tick = tick;
                 obs.hits.inc();
-                Some(entry.groups.clone())
+                Some(slot.value.groups.clone())
             }
             _ => {
                 obs.misses.inc();
@@ -222,7 +334,7 @@ impl QueryCache {
     /// Cache one shard's phase-1 collections computed at `epoch`.
     pub(crate) fn put_collection(
         &self,
-        sig: &str,
+        sig: &Arc<str>,
         shard: usize,
         epoch: u64,
         groups: BTreeMap<TagSet, GroupCollection>,
@@ -232,16 +344,9 @@ impl QueryCache {
         let CacheState {
             collections, obs, ..
         } = &mut *state;
-        collections.insert(
-            (sig.to_string(), shard),
-            CollectionEntry {
-                epoch,
-                groups,
-                tick,
-            },
-        );
+        let entry = CollectionEntry { epoch, groups };
         obs.evictions
-            .add(evict_lru(collections, self.capacity, |e| e.tick));
+            .add(collections.insert((Arc::clone(sig), shard), entry, tick, self.capacity));
     }
 
     /// Drop every entry (used by tests and explicit resets).
@@ -264,7 +369,7 @@ impl QueryCache {
     /// Entries currently held (both levels).
     pub fn len(&self) -> usize {
         let state = self.state.lock();
-        state.results.len() + state.collections.len()
+        state.results.entries.len() + state.collections.entries.len()
     }
 
     /// True when nothing is cached.
@@ -273,36 +378,12 @@ impl QueryCache {
     }
 }
 
-/// Evict least-recently-used entries until the map fits `capacity`.
-/// Deterministic: recency is the logical tick, ties impossible (ticks are
-/// unique). Returns how many entries were evicted.
-fn evict_lru<K: Ord + Clone, V>(
-    map: &mut BTreeMap<K, V>,
-    capacity: usize,
-    tick_of: impl Fn(&V) -> u64,
-) -> u64 {
-    let mut evicted = 0u64;
-    while map.len() > capacity {
-        let oldest = map
-            .iter()
-            .min_by_key(|(_, v)| tick_of(v))
-            .map(|(k, _)| k.clone());
-        match oldest {
-            Some(k) => {
-                map.remove(&k);
-                evicted += 1;
-            }
-            None => break,
-        }
-    }
-    evicted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::Query;
     use ctt_core::time::{Span, Timestamp};
+    use proptest::prelude::*;
 
     #[test]
     fn signature_is_canonical_and_distinguishes_queries() {
@@ -336,8 +417,8 @@ mod tests {
     #[test]
     fn results_served_only_at_matching_epochs() {
         let cache = QueryCache::default();
-        let sig = "s".to_string();
-        cache.put_results(sig.clone(), vec![1, 2], Vec::new());
+        let sig: Arc<str> = "s".into();
+        cache.put_results(Arc::clone(&sig), vec![1, 2], Vec::new());
         assert!(cache.get_results(&sig, &[1, 2]).is_some());
         assert!(
             cache.get_results(&sig, &[1, 3]).is_none(),
@@ -351,11 +432,12 @@ mod tests {
     #[test]
     fn collections_invalidate_per_shard() {
         let cache = QueryCache::default();
-        cache.put_collection("s", 0, 5, BTreeMap::new());
-        cache.put_collection("s", 1, 9, BTreeMap::new());
+        let sig: Arc<str> = "s".into();
+        cache.put_collection(&sig, 0, 5, BTreeMap::new());
+        cache.put_collection(&sig, 1, 9, BTreeMap::new());
         // Shard 1 mutated (epoch 9 → 10): shard 0 still serves.
-        assert!(cache.get_collection("s", 0, 5).is_some());
-        assert!(cache.get_collection("s", 1, 10).is_none());
+        assert!(cache.get_collection(&sig, 0, 5).is_some());
+        assert!(cache.get_collection(&sig, 1, 10).is_none());
     }
 
     #[test]
@@ -369,5 +451,220 @@ mod tests {
         assert!(cache.get_results("b", &[0]).is_none());
         assert!(cache.get_results("c", &[0]).is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    /// Field-by-field query equality (`Query` has no `PartialEq`).
+    fn same_query(a: &Query, b: &Query) -> bool {
+        a.metric == b.metric
+            && a.filters == b.filters
+            && a.start == b.start
+            && a.end == b.end
+            && a.downsample == b.downsample
+            && a.aggregator == b.aggregator
+            && a.rate == b.rate
+    }
+
+    /// A query over a tiny alphabet that includes every character the
+    /// signature uses as punctuation, so distinct queries often share a
+    /// rendering under any encoding that is not injective.
+    fn query_strategy() -> impl Strategy<Value = Query> {
+        let filter = (
+            "[a*|,=:1]{1,2}",
+            0u8..3,
+            collection::vec("[a*|,=]{0,1}", 1..3),
+        )
+            .prop_map(|(k, kind, vs)| {
+                let f = match kind {
+                    0 => TagFilter::Equals(vs.concat()),
+                    1 => TagFilter::Wildcard,
+                    _ => TagFilter::OneOf(vs),
+                };
+                (k, f)
+            });
+        (
+            "[a*|,=:1]{0,1}",
+            0i64..2,
+            collection::vec(filter, 0..3),
+            (0u8..3, any::<bool>()),
+        )
+            .prop_map(|(metric, end, filters, (shape, rate))| {
+                let mut q = Query::range(metric, Timestamp(0), Timestamp(end));
+                q.filters.extend(filters);
+                q.rate = rate;
+                match shape {
+                    0 => q,
+                    1 => q.aggregate(crate::query::Aggregator::Sum),
+                    _ => q.downsample(crate::query::Downsample {
+                        interval: Span::seconds(1),
+                        aggregator: crate::query::Aggregator::Avg,
+                        fill: crate::query::FillPolicy::None,
+                    }),
+                }
+            })
+    }
+
+    proptest! {
+        /// Equal signatures ⇒ equal queries: the cache can never serve one
+        /// query's answer for another.
+        #[test]
+        fn signature_is_injective(queries in collection::vec(query_strategy(), 2..256)) {
+            let mut seen: BTreeMap<String, &Query> = BTreeMap::new();
+            for q in &queries {
+                if let Some(prev) = seen.insert(query_signature(q), q) {
+                    prop_assert!(same_query(prev, q), "{:?} and {:?} share a signature", prev, q);
+                }
+            }
+        }
+    }
+
+    /// The reference victim search: scan the whole level for the smallest
+    /// tick after every insert. The recency index must agree with it.
+    fn evict_lru<K: Ord + Clone, V>(
+        map: &mut BTreeMap<K, V>,
+        capacity: usize,
+        tick_of: impl Fn(&V) -> u64,
+    ) -> u64 {
+        let mut evicted = 0u64;
+        while map.len() > capacity {
+            let oldest = map
+                .iter()
+                .min_by_key(|(_, v)| tick_of(v))
+                .map(|(k, _)| k.clone());
+            match oldest {
+                Some(k) => {
+                    map.remove(&k);
+                    evicted += 1;
+                }
+                None => break,
+            }
+        }
+        evicted
+    }
+
+    /// Reference cache: the same operations over plain maps of
+    /// `(epoch(s), tick)`, evicting through the scan.
+    #[derive(Default)]
+    struct Model {
+        results: BTreeMap<String, (Vec<u64>, u64)>,
+        collections: BTreeMap<(String, usize), (u64, u64)>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn next_tick(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
+
+        fn lookup<K: Ord, E: PartialEq>(
+            map: &mut BTreeMap<K, (E, u64)>,
+            key: &K,
+            at: &E,
+            tick: u64,
+            stats: &mut CacheStats,
+        ) -> bool {
+            match map.get_mut(key) {
+                Some((e, t)) if e == at => {
+                    *t = tick;
+                    stats.hits += 1;
+                    true
+                }
+                _ => {
+                    stats.misses += 1;
+                    false
+                }
+            }
+        }
+    }
+
+    /// Every level's recency index, when present, holds exactly one record
+    /// per entry, filed no later than the entry's tick.
+    fn recency_is_one_record_per_entry<K: Ord + Clone + std::fmt::Debug, V>(
+        level: &Level<K, V>,
+    ) -> Result<(), TestCaseError> {
+        let Some(recency) = &level.recency else {
+            return Ok(());
+        };
+        prop_assert_eq!(recency.len(), level.entries.len());
+        let mut keys: Vec<&K> = Vec::new();
+        for (&filed, key) in recency {
+            let slot = level.entries.get(key);
+            prop_assert!(slot.is_some_and(|s| s.tick >= filed), "record {:?}", key);
+            keys.push(key);
+        }
+        keys.sort();
+        keys.dedup();
+        prop_assert_eq!(keys.len(), level.entries.len());
+        Ok(())
+    }
+
+    proptest! {
+        /// Random get / put / epoch-bump / clear sequences over both levels
+        /// at capacities 1–8: the cache holds exactly the entries the
+        /// scanning model holds (so it evicted the same victims), counts the
+        /// same hits, misses and evictions, and keeps one recency record per
+        /// entry.
+        #[test]
+        fn recency_index_evicts_the_scan_victim(
+            capacity in 1usize..9,
+            ops in collection::vec((0u8..11, 0u8..10, 0usize..3), 1..200),
+        ) {
+            let cache = QueryCache::with_capacity(capacity);
+            let mut model = Model::default();
+            let mut epochs = vec![0u64; 3];
+            for &(kind, sig, shard) in &ops {
+                let name = format!("q{sig}");
+                let key: Arc<str> = name.as_str().into();
+                let epoch = epochs.get(shard).copied().unwrap_or(0);
+                match kind {
+                    0..=2 => {
+                        let tick = model.next_tick();
+                        let want = Model::lookup(&mut model.results, &name, &epochs, tick, &mut model.stats);
+                        prop_assert_eq!(cache.get_results(&key, &epochs).is_some(), want);
+                    }
+                    3..=4 => {
+                        let tick = model.next_tick();
+                        model.results.insert(name, (epochs.clone(), tick));
+                        model.stats.evictions += evict_lru(&mut model.results, capacity, |e| e.1);
+                        cache.put_results(key, epochs.clone(), Vec::new());
+                    }
+                    5..=6 => {
+                        let tick = model.next_tick();
+                        let want = Model::lookup(&mut model.collections, &(name, shard), &epoch, tick, &mut model.stats);
+                        prop_assert_eq!(cache.get_collection(&key, shard, epoch).is_some(), want);
+                    }
+                    7..=8 => {
+                        let tick = model.next_tick();
+                        model.collections.insert((name, shard), (epoch, tick));
+                        model.stats.evictions += evict_lru(&mut model.collections, capacity, |e| e.1);
+                        cache.put_collection(&key, shard, epoch, BTreeMap::new());
+                    }
+                    9 => {
+                        if let Some(e) = epochs.get_mut(shard) {
+                            *e += 1;
+                        }
+                    }
+                    _ => {
+                        model.results.clear();
+                        model.collections.clear();
+                        cache.clear();
+                    }
+                }
+                let state = cache.state.lock();
+                let results: Vec<&str> = state.results.entries.keys().map(|k| &**k).collect();
+                let want: Vec<&str> = model.results.keys().map(String::as_str).collect();
+                prop_assert_eq!(results, want);
+                let collections: Vec<(&str, usize)> =
+                    state.collections.entries.keys().map(|(k, s)| (&**k, *s)).collect();
+                let want: Vec<(&str, usize)> =
+                    model.collections.keys().map(|(k, s)| (k.as_str(), *s)).collect();
+                prop_assert_eq!(collections, want);
+                recency_is_one_record_per_entry(&state.results)?;
+                recency_is_one_record_per_entry(&state.collections)?;
+                drop(state);
+                prop_assert_eq!(cache.stats(), model.stats);
+            }
+        }
     }
 }

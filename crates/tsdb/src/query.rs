@@ -8,7 +8,7 @@
 
 use crate::error::TsdbError;
 use crate::model::{TagFilter, TagSet};
-use crate::rollup::{find_bucket, rollup_servable};
+use crate::rollup::{find_bucket, rollup_servable, RollupBucket};
 use crate::store::{dedup_last_write_wins, ScanCounts, Series, SeriesId, Tsdb};
 use ctt_core::measurement::Series as OutSeries;
 use ctt_core::time::{Span, Timestamp};
@@ -335,13 +335,16 @@ fn to_rate(points: &[(Timestamp, f64)]) -> Vec<(Timestamp, f64)> {
 }
 
 /// Serve one series' downsample over `[start, end)` bucket by bucket,
-/// answering from seal-time rollups wherever a bucket is provably owned by
-/// a single sealed chunk (and untouched by the open buffer), decoding raw
-/// points — memoized per chunk — everywhere else. The output is
-/// bit-identical to `downsample_points(collect(start, end), ...)`: rollup
-/// values replay the raw aggregator folds exactly (see [`crate::rollup`]),
-/// and every bucket the rollups cannot prove goes through the same decode
-/// → sort → dedup → aggregate sequence the raw path uses.
+/// answering from a fold wherever a bucket is provably owned by one: the
+/// seal-time rollups of the single sealed chunk that covers it, or — for a
+/// bucket only the open buffer covers — that buffer folded once per call
+/// with the same [`build_rollups`] a seal uses (when the buffer is strictly
+/// time-ordered; see [`Series::open_rollups`]). Everywhere else it decodes
+/// raw points, memoized per chunk. The output is bit-identical to
+/// `downsample_points(collect(start, end), ...)`: fold values replay the
+/// raw aggregator folds exactly (see [`crate::rollup`]), and every bucket
+/// no fold can prove goes through the same decode → sort → dedup →
+/// aggregate sequence the raw path uses.
 #[allow(clippy::too_many_arguments)]
 fn serve_downsample_series(
     s: &Series,
@@ -364,9 +367,15 @@ fn serve_downsample_series(
     let (hits, skipped) = s.chunks_overlapping(start, end);
     counts.chunks_skipped += skipped;
     let open_span = s.open_span();
+    // The open buffer's fold, built the first time a bucket needs it:
+    // `Some(None)` when the buffer is out of order and cannot be folded.
+    let mut head: Option<Option<Vec<RollupBucket>>> = None;
     // Per-call decode memo: a chunk is decoded (and, on failure,
     // quarantine-counted) at most once, matching the raw path's accounting.
     let mut memo: BTreeMap<usize, Option<Vec<(Timestamp, f64)>>> = BTreeMap::new();
+    let mut in_bucket: Vec<usize> = Vec::new();
+    let mut pts: Vec<(Timestamp, f64)> = Vec::new();
+    let mut vals: Vec<f64> = Vec::new();
     let mut out = Vec::new();
     let mut prev_value = seed;
     let mut bucket_start = start.align_down(ds.interval);
@@ -374,21 +383,22 @@ fn serve_downsample_series(
         let bucket_end = bucket_start + ds.interval;
         let lo = bucket_start.max(start);
         let hi = bucket_end.min(end);
-        let in_bucket: Vec<usize> = hits
-            .iter()
-            .copied()
-            .filter(|&i| s.sealed.get(i).is_some_and(|c| c.start < hi && c.end >= lo))
-            .collect();
+        in_bucket.clear();
+        in_bucket.extend(
+            hits.iter()
+                .copied()
+                .filter(|&i| s.sealed.get(i).is_some_and(|c| c.start < hi && c.end >= lo)),
+        );
         let open_overlaps = open_span.is_some_and(|(omin, omax)| omin < hi && omax >= lo);
         let interior = bucket_start >= start && bucket_end <= end;
         // `Some(v)` = the bucket's aggregated value; `None` = empty bucket.
         let mut value: Option<f64> = None;
         let mut resolved = false;
-        if interior && !open_overlaps {
-            match in_bucket.as_slice() {
-                // No chunk can contain the bucket: provably empty.
-                [] => resolved = true,
-                [only] => {
+        if interior {
+            match (in_bucket.as_slice(), open_overlaps) {
+                // No chunk and no open point can fall in the bucket.
+                ([], false) => resolved = true,
+                ([only], false) => {
                     if let Some(rollups) = s.sealed.get(*only).and_then(|c| c.rollups.as_ref()) {
                         resolved = true;
                         counts.rollup_buckets += 1;
@@ -396,14 +406,25 @@ fn serve_downsample_series(
                             .and_then(|b| b.value_for(ds.aggregator));
                     }
                 }
-                // Several chunks share the bucket (out-of-order seals):
-                // only a merged decode resolves duplicate timestamps.
+                // Only the open buffer can hold the bucket's points.
+                ([], true) => {
+                    let folded = head.get_or_insert_with(|| s.open_rollups(rollup_interval));
+                    if let Some(folded) = folded.as_deref() {
+                        resolved = true;
+                        counts.rollup_buckets += 1;
+                        value = find_bucket(folded, bucket_start)
+                            .and_then(|b| b.value_for(ds.aggregator));
+                    }
+                }
+                // Several owners (chunks from out-of-order seals, or a
+                // chunk and the open buffer): only a merged decode
+                // resolves duplicate timestamps.
                 _ => {}
             }
         }
         if !resolved {
             counts.raw_buckets += 1;
-            let mut pts: Vec<(Timestamp, f64)> = Vec::new();
+            pts.clear();
             for &i in &in_bucket {
                 let decoded = memo.entry(i).or_insert_with(|| match s.sealed.get(i) {
                     Some(sc) => match sc.chunk.decode() {
@@ -423,11 +444,14 @@ fn serve_downsample_series(
                     pts.extend(p.iter().copied().filter(|&(t, _)| t >= lo && t < hi));
                 }
             }
-            pts.extend(s.open.iter().copied().filter(|&(t, _)| t >= lo && t < hi));
+            if open_overlaps {
+                pts.extend(s.open.iter().copied().filter(|&(t, _)| t >= lo && t < hi));
+            }
             pts.sort_by_key(|&(t, _)| t);
             dedup_last_write_wins(&mut pts);
             if !pts.is_empty() {
-                let vals: Vec<f64> = pts.iter().map(|&(_, v)| v).collect();
+                vals.clear();
+                vals.extend(pts.iter().map(|&(_, v)| v));
                 value = Some(ds.aggregator.apply(&vals));
             }
         }
@@ -595,29 +619,7 @@ pub(crate) fn finalize_groups(
             }
             per_series.push(pts);
         }
-        let sole = if per_series.len() == 1 {
-            per_series.pop()
-        } else {
-            None
-        };
-        let series = match sole {
-            Some(only) => OutSeries::from_points(only),
-            None => {
-                // Merge: aggregate equal timestamps across series.
-                let mut merged: BTreeMap<Timestamp, Vec<f64>> = BTreeMap::new();
-                for pts in per_series {
-                    for (t, v) in pts {
-                        merged.entry(t).or_default().push(v);
-                    }
-                }
-                OutSeries::from_points(
-                    merged
-                        .into_iter()
-                        .map(|(t, vals)| (t, q.aggregator.apply(&vals)))
-                        .collect(),
-                )
-            }
-        };
+        let series = OutSeries::from_points(merge_series(per_series, q.aggregator));
         results.push(QueryResult {
             group,
             series,
@@ -627,6 +629,56 @@ pub(crate) fn finalize_groups(
         });
     }
     results
+}
+
+/// Cross-series aggregation: one point per distinct timestamp, the
+/// values sharing it folded through `agg` in series order (the caller
+/// passes series in canonical key order).
+///
+/// A stable sort of the concatenated series keeps, within each timestamp,
+/// exactly that order, so every fold sees the same values in the same
+/// order as a per-timestamp map would hand it. Each series is sorted and
+/// holds a timestamp at most once, so the sort merges presorted runs, and
+/// a lone series is already one value per timestamp.
+fn merge_series(
+    mut per_series: Vec<Vec<(Timestamp, f64)>>,
+    agg: Aggregator,
+) -> Vec<(Timestamp, f64)> {
+    if let [only] = per_series.as_mut_slice() {
+        // Skip the fold where a one-value fold is the value bit for bit:
+        // `First`/`Last` always, `Avg`/`Sum`/`Min`/`Max` unless a value is
+        // NaN (`f64::min(+∞, NaN)` is +∞). `Count`, `Dev`, `Median` and
+        // `P95` always fold, so one matching series answers as many would.
+        let identity = match agg {
+            Aggregator::First | Aggregator::Last => true,
+            Aggregator::Avg | Aggregator::Sum | Aggregator::Min | Aggregator::Max => {
+                only.iter().all(|&(_, v)| !v.is_nan())
+            }
+            Aggregator::Count | Aggregator::Median | Aggregator::P95 | Aggregator::Dev => false,
+        };
+        if !identity {
+            for p in only.iter_mut() {
+                p.1 = agg.apply(std::slice::from_ref(&p.1));
+            }
+        }
+        return std::mem::take(only);
+    }
+    // At least as many timestamps as the longest series holds.
+    let mut out = Vec::with_capacity(per_series.iter().map(Vec::len).max().unwrap_or(0));
+    let mut all: Vec<(Timestamp, f64)> = Vec::with_capacity(per_series.iter().map(Vec::len).sum());
+    for pts in per_series {
+        all.extend(pts);
+    }
+    all.sort_by_key(|&(t, _)| t);
+    let mut vals: Vec<f64> = Vec::new();
+    for run in all.chunk_by(|a, b| a.0 == b.0) {
+        vals.clear();
+        vals.extend(run.iter().map(|&(_, v)| v));
+        if let Some(&(t, _)) = run.first() {
+            out.push((t, agg.apply(&vals)));
+        }
+    }
+    out
 }
 
 /// Execute a query through the full serving stack (block index + seal-time
@@ -648,6 +700,107 @@ pub fn execute_raw(db: &Tsdb, q: &Query) -> Result<Vec<QueryResult>, TsdbError> 
 mod tests {
     use super::*;
     use crate::model::DataPoint;
+    use proptest::prelude::*;
+
+    const ALL_AGGREGATORS: [Aggregator; 10] = [
+        Aggregator::Avg,
+        Aggregator::Sum,
+        Aggregator::Min,
+        Aggregator::Max,
+        Aggregator::Count,
+        Aggregator::First,
+        Aggregator::Last,
+        Aggregator::Median,
+        Aggregator::P95,
+        Aggregator::Dev,
+    ];
+
+    fn bits(points: &[(Timestamp, f64)]) -> Vec<(i64, u64)> {
+        points.iter().map(|&(t, v)| (t.0, v.to_bits())).collect()
+    }
+
+    /// The reference cross-series merge — a per-timestamp map of value
+    /// lists — that [`merge_series`] must match bit for bit.
+    fn merge_series_oracle(
+        per_series: Vec<Vec<(Timestamp, f64)>>,
+        agg: Aggregator,
+    ) -> Vec<(Timestamp, f64)> {
+        let mut merged: BTreeMap<Timestamp, Vec<f64>> = BTreeMap::new();
+        for pts in per_series {
+            for (t, v) in pts {
+                merged.entry(t).or_default().push(v);
+            }
+        }
+        merged
+            .into_iter()
+            .map(|(t, vals)| (t, agg.apply(&vals)))
+            .collect()
+    }
+
+    /// Values whose folds are sign-, order- or NaN-sensitive.
+    fn palette(k: u8) -> f64 {
+        match k {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.5,
+            3 => -2.25,
+            4 => 1e300,
+            5 => f64::INFINITY,
+            6 => f64::NAN,
+            7 => f64::from_bits(0x7ff0_0000_0000_0001), // signaling NaN
+            _ => 0.1,
+        }
+    }
+
+    proptest! {
+        /// 1–16 series with shared timestamps: the sort-merge folds every
+        /// timestamp's values in the order the map merge did, bit for bit,
+        /// under every aggregator — the lone-series shortcut included.
+        #[test]
+        fn sort_merge_matches_the_map_merge_bit_for_bit(
+            series in collection::vec(collection::vec((0i64..24, 0u8..9), 0..24), 1..17),
+        ) {
+            // Each series arrives sorted with unique timestamps, as
+            // collect, downsample and rate hand it over.
+            let per_series: Vec<Vec<(Timestamp, f64)>> = series
+                .into_iter()
+                .map(|pts| {
+                    let unique: BTreeMap<i64, u8> = pts.into_iter().collect();
+                    unique.into_iter().map(|(t, k)| (Timestamp(t * 300), palette(k))).collect()
+                })
+                .collect();
+            for agg in ALL_AGGREGATORS {
+                let got = merge_series(per_series.clone(), agg);
+                let want = merge_series_oracle(per_series.clone(), agg);
+                prop_assert_eq!(bits(&got), bits(&want), "{}", agg);
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_series_is_aggregated_like_many() {
+        // One matching series: each timestamp's single value still goes
+        // through the cross-series aggregator, as it does when other
+        // series match at other timestamps (Count is 1, Dev is 0, and
+        // Median of -0.0 is 0.0).
+        let mut db = Tsdb::new();
+        let values = [0.0, -0.0, 2.0];
+        for (i, v) in values.into_iter().enumerate() {
+            db.put(&dp("co2", "n1", "trd", i as i64 * 300, v));
+        }
+        for agg in ALL_AGGREGATORS {
+            let q = Query::range("co2", Timestamp(0), Timestamp(900))
+                .with_tag("device", "n1")
+                .aggregate(agg);
+            let rs = execute(&db, &q).unwrap();
+            let want: Vec<(Timestamp, f64)> = values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (Timestamp(i as i64 * 300), agg.apply(&[v])))
+                .collect();
+            assert_eq!(bits(&rs[0].series.points), bits(&want), "{agg}");
+        }
+    }
 
     fn dp(metric: &str, device: &str, city: &str, t: i64, v: f64) -> DataPoint {
         DataPoint::new(

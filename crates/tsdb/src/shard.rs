@@ -352,16 +352,14 @@ impl ShardedTsdb {
             .iter()
             .map(|e| e.load(Ordering::Acquire))
             .collect();
-        let sig = if policy.cache {
-            Some(query_signature(q))
-        } else {
-            None
-        };
+        let sig = policy.cache.then(|| query_signature(q));
         if let Some(sig) = &sig {
             if let Some(results) = self.cache.get_results(sig, &epochs) {
                 return Ok(results);
             }
         }
+        // A miss: one key, shared by the result entry and every shard entry.
+        let sig: Option<Arc<str>> = sig.map(Arc::from);
         // Per-shard phase-1 collections: cache-valid shards are reused, the
         // rest are collected under their read lock, in shard order. Cache
         // locks and shard locks are never held together.
@@ -760,6 +758,30 @@ mod tests {
             db.execute_with(&q, ServePolicy::raw()).unwrap(),
             "post-invalidation answer matches raw"
         );
+    }
+
+    #[test]
+    fn cache_keys_tell_literal_star_and_bar_values_from_filter_kinds() {
+        // `*` and `a|b` as literal tag values match no stored series (they
+        // are not valid names); a cached wildcard or one-of answer must not
+        // be served for them.
+        let db = ShardedTsdb::new(2);
+        fill(&db, 2, 10);
+        let base = || Query::range("m", Timestamp(0), Timestamp(10_000));
+        let mut one_of = base();
+        one_of.filters.insert(
+            "device".to_string(),
+            crate::model::TagFilter::OneOf(vec!["n0".to_string(), "n1".to_string()]),
+        );
+        for (warm, probe) in [
+            (base().group_by("device"), base().with_tag("device", "*")),
+            (one_of, base().with_tag("device", "n0|n1")),
+        ] {
+            assert!(!db.execute(&warm).unwrap().is_empty());
+            let raw = db.execute_with(&probe, ServePolicy::raw()).unwrap();
+            assert!(raw.is_empty());
+            assert_eq!(db.execute(&probe).unwrap(), raw, "{probe:?}");
+        }
     }
 
     #[test]

@@ -88,7 +88,8 @@ pub struct ScanCounts {
     pub chunks_skipped: u64,
     /// Sealed chunks Gorilla-decoded.
     pub chunks_decoded: u64,
-    /// Downsample buckets served from seal-time rollups (no decode).
+    /// Downsample buckets served from a fold, no decode: a sealed chunk's
+    /// seal-time rollups, or the open buffer folded once per query.
     pub rollup_buckets: u64,
     /// Downsample buckets resolved by decoding raw points.
     pub raw_buckets: u64,
@@ -390,6 +391,22 @@ impl Series {
         }
         hits.sort_unstable();
         (hits, skipped)
+    }
+
+    /// The open buffer folded into rollup buckets with the same
+    /// [`build_rollups`] a seal uses, or `None` unless the buffer is
+    /// strictly time-ordered — the condition under which [`OpenEnc`] keeps
+    /// streaming. Only then is the fold in arrival order the fold of the
+    /// sorted, deduplicated points a raw read sees. Built per query, not
+    /// kept: it then needs no upkeep under dedup, retention, bit flips or
+    /// seals, and it costs one fold per buffered point.
+    pub(crate) fn open_rollups(&self, interval: Span) -> Option<Vec<RollupBucket>> {
+        let ordered = self
+            .open
+            .iter()
+            .zip(self.open.iter().skip(1))
+            .all(|(a, b)| a.0 < b.0);
+        ordered.then(|| build_rollups(&self.open, interval))
     }
 
     /// Minimum and maximum timestamp currently in the open buffer, or

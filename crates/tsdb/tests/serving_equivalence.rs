@@ -1,19 +1,25 @@
-//! Property: the full serving stack (seal-time rollups + block index +
-//! seal-aware cache) is byte-identical to the raw
-//! reference path (uncached, full Gorilla re-decode) for *any*
-//! interleaving of batched writes, seals, retention sweeps, and bit-flip
-//! corruption. [`ServePolicy`] chooses how much work a query skips — never
-//! what it answers.
+//! Property: the full serving stack (seal-time rollups, the open buffer's
+//! per-query fold, block index, seal-aware cache) is byte-identical to the
+//! raw reference path (uncached, full Gorilla re-decode) for *any*
+//! interleaving of batched writes, in-order appended runs, late
+//! out-of-order points, seals, retention sweeps, and bit-flip corruption.
+//! [`ServePolicy`] chooses how much work a query skips — never what it
+//! answers.
 //!
 //! The store uses a small rollup interval (10 min) and chunk size so that
 //! sealed chunks, rollup-served buckets, partially-covered edge buckets,
 //! open-buffer overlaps, and index skips all occur within short workloads.
 
 use ctt_core::time::{Span, Timestamp};
-use ctt_tsdb::{Aggregator, DataPoint, Downsample, FillPolicy, Query, ServePolicy, ShardedTsdb};
+use ctt_tsdb::{
+    series_key_hash, Aggregator, DataPoint, Downsample, FillPolicy, Query, ServePolicy, ShardedTsdb,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const HORIZON: i64 = 36_000; // 10 hours of 10-minute rollup buckets
+/// End of the full-range queries: appended runs continue past `HORIZON`.
+const END: i64 = 4 * HORIZON;
 const ROLLUP: Span = Span::minutes(10);
 
 /// One step of an interleaved workload.
@@ -27,6 +33,15 @@ enum Op {
     EvictBefore(i64),
     /// Corrupt one bit of one sealed chunk (drops its rollups).
     FlipBit(u64, u64),
+    /// Append a strictly increasing run to one series through a write
+    /// session, starting `gap` after the series' last point and `step`
+    /// apart (metric idx, device idx, gap, step, values): the open buffer
+    /// stays time-ordered, so its buckets are served from its fold.
+    AppendRun(u8, u8, i64, i64, Vec<f64>),
+    /// Write one point `back` seconds before the series' last point (0 =
+    /// a duplicate timestamp): the open buffer is no longer strictly
+    /// ordered, so its buckets fall back to raw decode.
+    LatePoint(u8, u8, i64, f64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -39,6 +54,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => Just(Op::SealAll),
         1 => (0i64..HORIZON).prop_map(Op::EvictBefore),
         2 => (0u64..64, 1u64..512).prop_map(|(n, b)| Op::FlipBit(n, b)),
+        4 => (
+            (0u8..2, 0u8..4),
+            1i64..1_200,
+            1i64..600,
+            proptest::collection::vec(
+                prop_oneof![1 => Just(-0.0), 1 => Just(0.0), 4 => -1e6f64..1e6],
+                1..40
+            ),
+        )
+            .prop_map(|((m, d), gap, step, vs)| Op::AppendRun(m, d, gap, step, vs)),
+        1 => ((0u8..2, 0u8..4), 0i64..3_000, -1e6f64..1e6)
+            .prop_map(|((m, d), back, v)| Op::LatePoint(m, d, back, v)),
     ]
 }
 
@@ -52,6 +79,17 @@ fn build_point(m: u8, d: u8, t: i64, v: f64) -> DataPoint {
     .expect("valid point")
 }
 
+/// Append `pts` to one series through its shard's write session — the
+/// ingest runtime's write path.
+fn append_run(db: &ShardedTsdb, m: u8, d: u8, pts: &[(Timestamp, f64)]) {
+    let p = build_point(m, d, 0, 0.0);
+    let shard = db.shard_of_hash(series_key_hash(&p.metric, &p.tags));
+    let writer = db.writer(shard).expect("shard in range");
+    let mut session = writer.session();
+    let id = session.intern(&p.metric, &p.tags);
+    session.append_run(id, pts);
+}
+
 /// Dashboard query shapes: rollup-servable downsamples (interval matches
 /// the store's), non-matching intervals (raw only), leading-gap Previous
 /// fill, rate, and order-sensitive aggregators that must bypass rollups.
@@ -61,7 +99,7 @@ fn queries() -> Vec<Query> {
         aggregator,
         fill,
     };
-    let full = || Query::range("metric.0", Timestamp(0), Timestamp(HORIZON));
+    let full = || Query::range("metric.0", Timestamp(0), Timestamp(END));
     vec![
         full(),
         full().downsample(ds(ROLLUP, Aggregator::Avg, FillPolicy::None)),
@@ -83,9 +121,16 @@ fn queries() -> Vec<Query> {
         full().downsample(ds(Span::minutes(7), Aggregator::Avg, FillPolicy::Previous)),
         // Order-sensitive bucket aggregator: never rollup-servable.
         full().downsample(ds(ROLLUP, Aggregator::P95, FillPolicy::None)),
-        Query::range("metric.1", Timestamp(0), Timestamp(HORIZON))
+        Query::range("metric.1", Timestamp(0), Timestamp(END))
             .as_rate()
             .downsample(ds(ROLLUP, Aggregator::Avg, FillPolicy::None)),
+        // Bounds off the bucket grid: partially covered edge buckets at
+        // both ends, the newest one over the open buffer.
+        Query::range("metric.0", Timestamp(1_000), Timestamp(END - 250)).downsample(ds(
+            ROLLUP,
+            Aggregator::First,
+            FillPolicy::None,
+        )),
         // Narrow window: exercises the block index skip path.
         Query::range("metric.1", Timestamp(600), Timestamp(1_800)).downsample(ds(
             ROLLUP,
@@ -105,6 +150,8 @@ proptest! {
         shards in 1usize..5,
     ) {
         let db = ShardedTsdb::with_layout(shards, 16, ROLLUP);
+        // Each series' latest timestamp written so far.
+        let mut last: BTreeMap<(u8, u8), i64> = BTreeMap::new();
         for op in &ops {
             match op {
                 Op::PutBatch(specs) => {
@@ -113,6 +160,27 @@ proptest! {
                         .map(|&(m, d, t, v)| build_point(m, d, t, v))
                         .collect();
                     db.put_batch(&batch);
+                    for &(m, d, t, _) in specs {
+                        let l = last.entry((m, d)).or_insert(t);
+                        *l = (*l).max(t);
+                    }
+                }
+                Op::AppendRun(m, d, gap, step, values) => {
+                    let first = last.get(&(*m, *d)).map_or(0, |&l| l + gap);
+                    let pts: Vec<(Timestamp, f64)> = values
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| (Timestamp(first + i as i64 * step), v))
+                        .collect();
+                    append_run(&db, *m, *d, &pts);
+                    if let Some(&(t, _)) = pts.last() {
+                        last.insert((*m, *d), t.0);
+                    }
+                }
+                Op::LatePoint(m, d, back, v) => {
+                    let t = last.get(&(*m, *d)).map_or(0, |&l| (l - back).max(0));
+                    db.put_batch(&[build_point(*m, *d, t, *v)]);
+                    last.entry((*m, *d)).or_insert(t);
                 }
                 Op::SealAll => db.seal_all(),
                 // Retention may legitimately report a corrupt straddling
