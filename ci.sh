@@ -32,16 +32,16 @@ git diff --exit-code --stat -- results/
 echo "==> obs smoke (two-city metrics snapshot + scheduling profile replay-identical)"
 cargo test --offline -q -p ctt --test obs_profile
 
-echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_multiuser / BENCH_scheduler / BENCH_obs)"
+echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_multiuser / BENCH_scheduler / BENCH_obs / BENCH_overload)"
 # The scheduler bench is the event queue against the old min-scan loop at
 # 12, 200 and 2000 nodes.
 # cargo bench runs the bench binary with CWD = the package dir, so the
 # report paths must be absolute to land in the repo root.
 REPO_ROOT="$PWD"
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_ingest.json" \
-    cargo bench --offline -q -p ctt-bench --bench ingest_sharded
+    cargo bench --offline -q -p ctt-bench --bench ingest
 CRITERION_SAMPLES=5 CRITERION_JSON="$REPO_ROOT/BENCH_query.json" \
-    cargo bench --offline -q -p ctt-bench --bench query_sharded
+    cargo bench --offline -q -p ctt-bench --bench query
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_query_multiuser.json" \
     cargo bench --offline -q -p ctt-bench --bench query_multiuser
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_scheduler.json" \
@@ -51,7 +51,7 @@ CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_obs.json" \
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_overload.json" \
     cargo bench --offline -q -p ctt-bench --bench overload
 
-echo "==> bench_check (reports well-formed; ingest + query + multiuser + scheduler incl. 12-node and 2000-node gates + obs-overhead + overload)"
+echo "==> bench_check (reports well-formed; handles vs put_batch + rollup vs raw + multiuser + scheduler incl. 12-node and 2000-node gates + obs-overhead + overload)"
 cargo run --offline -q --release -p ctt-bench --bin bench_check \
     BENCH_ingest.json BENCH_query.json BENCH_query_multiuser.json \
     BENCH_scheduler.json BENCH_obs.json BENCH_overload.json

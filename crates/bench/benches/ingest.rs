@@ -1,0 +1,130 @@
+//! Ingest throughput, one row per write path into a city's store, over two
+//! input shapes:
+//!
+//! * `ingest_uplinks/*` — the traffic the pipeline's storage consumer
+//!   produces: nine different series per uplink, interleaved, one uplink
+//!   per call. `put_batch` is string-keyed `ShardedTsdb::put_batch` (a key
+//!   string built and an intern map probed per point), `strings` is the
+//!   ingest runtime keyed by the same strings, and `handles` is the runtime
+//!   fed pre-registered `SeriesRef`s, the way the pipeline feeds it.
+//! * `ingest_runs/*` — a bulk import: one device's history after another,
+//!   200 points per call, through `put_batch` and through the runtime's
+//!   string-keyed `submit` (one equality check per point on this shape).
+//!
+//! Every row builds a fresh store per iteration in untimed setup, and a
+//! flush closes every runtime row's timed region so it covers every point
+//! applied; the loaded store drops in the timed region on every row. CI
+//! exports the results as `BENCH_ingest.json` (via `CRITERION_JSON`), and
+//! `bench_check` gates `ingest_uplinks/handles` at ≥ 2×
+//! `ingest_uplinks/put_batch`.
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use ctt_core::time::Timestamp;
+use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
+use ctt_obs::Registry;
+use ctt_tsdb::ShardedTsdb;
+
+/// Pipeline-shaped input: Trondheim's twelve nodes, 300 reporting rounds
+/// (≈ one simulated day), nine points per uplink.
+const UPLINK_DEVICES: u32 = 12;
+const UPLINK_ROUNDS: usize = 300;
+/// Run-shaped input: enough points that each timed region spans several
+/// scheduler timeslices, which keeps the means from flapping.
+const DEVICES: u32 = 8;
+const POINTS_PER_DEVICE: usize = 3_200;
+/// Points per call on the run-shaped rows.
+const BATCH: usize = 200;
+
+/// A fresh store with an ingest runtime in front of it.
+fn fresh_runtime() -> (ShardedTsdb, IngestRuntime) {
+    let registry = Registry::new();
+    let mut db = ShardedTsdb::default();
+    db.attach_registry(&registry);
+    let rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
+    (db, rt)
+}
+
+fn uplink_shaped(c: &mut Criterion) {
+    // Consecutive points never share a series. By handle, the series are
+    // registered in untimed setup — the pipeline pays that once per device
+    // lifetime — so `strings` and `handles` differ by exactly the per-point
+    // cost of resolving strings.
+    let points = ctt_bench::uplink_points(UPLINK_DEVICES, UPLINK_ROUNDS);
+    let per_call = ctt_bench::POINTS_PER_UPLINK;
+    let mut g = c.benchmark_group("ingest_uplinks");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(points.len() as u64));
+    g.bench_function("put_batch", |b| {
+        b.iter_with_setup(ShardedTsdb::default, |db| {
+            for uplink in points.chunks(per_call) {
+                db.put_batch(uplink);
+            }
+            black_box(db.stats().points)
+        });
+    });
+    for (row, by_handle) in [("strings", false), ("handles", true)] {
+        g.bench_function(row, |b| {
+            b.iter_with_setup(
+                || {
+                    let (db, mut rt) = fresh_runtime();
+                    let resolved: Vec<(SeriesRef, Timestamp, f64)> = if by_handle {
+                        points
+                            .iter()
+                            .filter_map(|p| {
+                                let h = rt.register(&p.metric, &p.tags)?;
+                                Some((h, p.time, p.value))
+                            })
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    (db, rt, resolved)
+                },
+                |(db, mut rt, resolved)| {
+                    if by_handle {
+                        for uplink in resolved.chunks(per_call) {
+                            rt.submit_resolved(uplink);
+                        }
+                    } else {
+                        for uplink in points.chunks(per_call) {
+                            rt.submit(uplink);
+                        }
+                    }
+                    rt.flush();
+                    let stored = db.stats().points;
+                    assert_eq!(stored, points.len() as u64, "{row}: points lost");
+                    black_box(stored)
+                },
+            );
+        });
+    }
+    g.finish();
+}
+
+fn run_shaped(c: &mut Criterion) {
+    let points = ctt_bench::device_points(DEVICES, POINTS_PER_DEVICE);
+    let mut g = c.benchmark_group("ingest_runs");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(points.len() as u64));
+    g.bench_function("put_batch", |b| {
+        b.iter_with_setup(ShardedTsdb::default, |db| {
+            for chunk in points.chunks(BATCH) {
+                db.put_batch(chunk);
+            }
+            black_box(db.stats().points)
+        });
+    });
+    g.bench_function("runtime", |b| {
+        b.iter_with_setup(fresh_runtime, |(db, mut rt)| {
+            for chunk in points.chunks(BATCH) {
+                rt.submit(chunk);
+            }
+            rt.flush();
+            black_box(db.stats().points)
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(benches, uplink_shaped, run_shaped);
+criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Multi-user dashboard serving: a zipfian mix of ~16 query shapes (a few
-//! hot panels, a long tail of ad-hoc queries) issued against a 4-shard
-//! store **under sustained ingest**, measuring per-query latency
+//! hot panels, a long tail of ad-hoc queries) issued against one store
+//! **under sustained ingest**, measuring per-query latency
 //! percentiles rather than means — the paper's dashboards are interactive,
 //! so tail latency is the gate.
 //!
@@ -8,8 +8,8 @@
 //! the full serving stack (rollups + seal-aware cache) and once with the
 //! raw reference path. `bench_check` gates the served p99 both absolutely
 //! and against the raw p99: caching must pay for itself at the tail, not
-//! just at the median, even though every ingest tick invalidates one
-//! shard's collections.
+//! just at the median, even though every ingest tick invalidates every
+//! cached answer.
 //!
 //! Results are exported as `BENCH_query_multiuser.json` via
 //! `CRITERION_JSON`; `CRITERION_SAMPLES` scales the number of queries.
@@ -139,7 +139,7 @@ fn ingest_batch(db: &ShardedTsdb, tick: &mut i64) {
 /// Replay the zipfian workload against a fresh store; return per-query
 /// latencies in nanoseconds, in issue order.
 fn run_workload(policy: ServePolicy, queries: usize) -> Vec<f64> {
-    let db = ctt_bench::loaded_sharded_tsdb(4, DEVICES, POINTS);
+    let db = ctt_bench::loaded_store(DEVICES, POINTS);
     let shapes = query_shapes();
     let mut rng = 0x5EED_u64;
     let mut tick = 0i64;
@@ -168,7 +168,7 @@ fn multiuser(c: &mut Criterion) {
     let shapes = query_shapes();
     if c.is_test_mode() {
         // Smoke: one pass over every shape under both policies.
-        let db = ctt_bench::loaded_sharded_tsdb(4, 4, 200);
+        let db = ctt_bench::loaded_store(4, 200);
         for q in &shapes {
             let full = db.execute_with(q, ServePolicy::full()).expect("query ok");
             let raw = db.execute_with(q, ServePolicy::raw()).expect("query ok");

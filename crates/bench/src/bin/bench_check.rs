@@ -3,9 +3,8 @@
 //! Usage: `bench_check BENCH_ingest.json BENCH_query.json ...`
 //!
 //! Fails (exit 1) when a report is missing, unparsable, or empty — a smoke
-//! run that silently produced nothing must not pass CI. For the ingest
-//! report it additionally checks the headline acceptance criterion: 4-shard
-//! multi-writer ingest throughput must exceed 1-shard.
+//! run that silently produced nothing must not pass CI — or when a report's
+//! gate (below, one `check_*` per report) fails.
 //!
 //! The parser is a minimal hand-rolled reader for the exact shape the
 //! vendored criterion shim emits (`{"benchmarks": [{"name": ..,
@@ -75,44 +74,6 @@ fn parse_report(text: &str) -> Result<Vec<Bench>, String> {
     Ok(out)
 }
 
-/// The multi-writer ingest scaling criterion: shards=4 beats shards=1.
-fn check_ingest_scaling(benches: &[Bench]) -> Result<(), String> {
-    // Mean throughput of the BEST parallel width vs 1-shard. Two layers of
-    // noise-robustness, both needed on the shared single-core container:
-    // peak (min-iteration) flaps when one lucky cold-store iteration of
-    // the 1-shard case spikes, and any single fixed width can lose a whole
-    // sample window to throttling. Across runs the best width's mean beats
-    // 1-shard by >=1.4x while fixed-width-4 inverted twice; the per-width
-    // raw-speed pass is a ROADMAP open item.
-    let throughput = |shards: &str| {
-        benches
-            .iter()
-            .find(|b| b.name == format!("ingest/shards/{shards}"))
-            .and_then(|b| b.elems_per_sec.or(b.peak_elems_per_sec))
-            .ok_or_else(|| format!("no ingest/shards/{shards} throughput in report"))
-    };
-    let one = throughput("1")?;
-    let mut best = f64::MIN;
-    let mut best_width = "";
-    for width in ["2", "4", "8"] {
-        let t = throughput(width)?;
-        if t > best {
-            best = t;
-            best_width = width;
-        }
-    }
-    if best <= one {
-        return Err(format!(
-            "best sharded ingest ({best:.0} elems/s at {best_width} shards) does not beat 1-shard ({one:.0} elems/s)"
-        ));
-    }
-    println!(
-        "bench_check: ingest scaling ok — 1 shard {one:.0} elems/s, best {best_width} shards {best:.0} elems/s ({:.2}x)",
-        best / one
-    );
-    Ok(())
-}
-
 /// The better of the mean-throughput and peak-throughput ratios between
 /// two benchmarks. Taking the max makes a parity gate survivable on the
 /// shared single-core container, where either statistic alone can lose a
@@ -132,14 +93,15 @@ fn best_ratio(num: &Bench, den: &Bench) -> Option<f64> {
     }
 }
 
-/// The handle-path criterion: run-shaped input through the ingest runtime
-/// — each point resolved to its series handle (one equality check on this
-/// shape), staged under run headers, each batch applied by `append_run`
-/// under one write session — must sustain at least 2x the mean throughput
-/// of the same input through string-keyed `put_batch` under `RwLock` on
-/// one shard. Both sides run on the calling thread, so the ratio measures
-/// handles + run framing and nothing else. Mean, not peak: the 2x margin
-/// is far enough from parity that scheduler noise cannot fake a pass.
+/// The handle-path criterion, on the pipeline's own traffic (one uplink's
+/// nine series per call): points fed to the ingest runtime by `SeriesRef`
+/// — staged under run headers, each batch applied by `append_run` under
+/// one write session — must sustain at least 2x the mean throughput of the
+/// same points through string-keyed `put_batch`, which builds a key string
+/// and probes the intern map per point. Both sides run on the calling
+/// thread against one store, so the ratio measures handles + run framing
+/// and nothing else. Mean, not peak: the 2x margin is far enough from
+/// parity that scheduler noise cannot fake a pass.
 fn check_handle_runs_vs_put_batch(benches: &[Bench]) -> Result<(), String> {
     let mean = |name: &str| {
         benches
@@ -148,18 +110,16 @@ fn check_handle_runs_vs_put_batch(benches: &[Bench]) -> Result<(), String> {
             .and_then(|b| b.elems_per_sec)
             .ok_or_else(|| format!("no {name} mean throughput in report"))
     };
-    let serial = mean("ingest_serial/shards/1")?;
-    let one = mean("ingest_runtime/shards/1")?;
-    let four = mean("ingest_runtime/shards/4")?;
-    let (best, best_width) = if four > one { (four, 4) } else { (one, 1) };
-    if best < 2.0 * serial {
+    let serial = mean("ingest_uplinks/put_batch")?;
+    let handles = mean("ingest_uplinks/handles")?;
+    if handles < 2.0 * serial {
         return Err(format!(
-            "handle-fed append_run ({best:.0} elems/s, {best_width}-shard store) is under 2x string-keyed put_batch on 1 shard ({serial:.0} elems/s)"
+            "handle-fed append_run ({handles:.0} elems/s) is under 2x string-keyed put_batch ({serial:.0} elems/s)"
         ));
     }
     println!(
-        "bench_check: handles + runs ok — put_batch {serial:.0} elems/s, runtime {best:.0} elems/s on a {best_width}-shard store ({:.2}x)",
-        best / serial
+        "bench_check: handles + runs ok — put_batch {serial:.0} elems/s, handles {handles:.0} elems/s ({:.2}x)",
+        handles / serial
     );
     Ok(())
 }
@@ -274,35 +234,6 @@ fn check_overload(benches: &[Bench]) -> Result<(), String> {
     Ok(())
 }
 
-/// The query-serving criterion under sustained ingest: 4 shards must beat
-/// 1 shard on both the range scan and the p95 panel. On a single-core host
-/// this measures cache-invalidation *granularity*, not parallelism — every
-/// iteration's write invalidates one shard, and the 4-shard store re-collects
-/// only that shard while the 1-shard store re-collects everything.
-fn check_query_scaling(benches: &[Bench]) -> Result<(), String> {
-    for group in ["query_range", "query_p95"] {
-        let throughput = |shards: &str| {
-            benches
-                .iter()
-                .find(|b| b.name == format!("{group}/shards/{shards}"))
-                .and_then(|b| b.peak_elems_per_sec.or(b.elems_per_sec))
-                .ok_or_else(|| format!("no {group}/shards/{shards} throughput in report"))
-        };
-        let one = throughput("1")?;
-        let four = throughput("4")?;
-        if four <= one {
-            return Err(format!(
-                "{group}: 4 shards ({four:.0} elems/s) does not beat 1 shard ({one:.0} elems/s) under sustained ingest"
-            ));
-        }
-        println!(
-            "bench_check: {group} scaling ok — 1 shard {one:.0} elems/s, 4 shards {four:.0} elems/s ({:.2}x)",
-            four / one
-        );
-    }
-    Ok(())
-}
-
 /// The rollup criterion: serving a matching-interval downsample from
 /// seal-time rollups must be at least 2.5× faster than re-decoding the
 /// Gorilla streams (cache disabled on both sides). The floor was 3×
@@ -313,9 +244,9 @@ fn check_rollup_speedup(benches: &[Bench]) -> Result<(), String> {
     let peak = |variant: &str| {
         benches
             .iter()
-            .find(|b| b.name == format!("query_downsample_aggregate/{variant}/4"))
+            .find(|b| b.name == format!("query_downsample_aggregate/{variant}"))
             .and_then(|b| b.peak_elems_per_sec.or(b.elems_per_sec))
-            .ok_or_else(|| format!("no query_downsample_aggregate/{variant}/4 in report"))
+            .ok_or_else(|| format!("no query_downsample_aggregate/{variant} in report"))
     };
     let raw = peak("raw")?;
     let rollup = peak("rollup")?;
@@ -394,12 +325,9 @@ fn check_file(path: &str) -> Result<(), String> {
                 .unwrap_or_default()
         );
     }
-    if benches.iter().any(|b| b.name.starts_with("ingest/")) {
-        check_ingest_scaling(&benches).map_err(|e| format!("{path}: {e}"))?;
-    }
     if benches
         .iter()
-        .any(|b| b.name.starts_with("ingest_runtime/"))
+        .any(|b| b.name.starts_with("ingest_uplinks/"))
     {
         check_handle_runs_vs_put_batch(&benches).map_err(|e| format!("{path}: {e}"))?;
     }
@@ -412,8 +340,10 @@ fn check_file(path: &str) -> Result<(), String> {
     if benches.iter().any(|b| b.name.starts_with("overload/")) {
         check_overload(&benches).map_err(|e| format!("{path}: {e}"))?;
     }
-    if benches.iter().any(|b| b.name.starts_with("query_range/")) {
-        check_query_scaling(&benches).map_err(|e| format!("{path}: {e}"))?;
+    if benches
+        .iter()
+        .any(|b| b.name.starts_with("query_downsample_aggregate/"))
+    {
         check_rollup_speedup(&benches).map_err(|e| format!("{path}: {e}"))?;
     }
     if benches.iter().any(|b| b.name.starts_with("multiuser/")) {

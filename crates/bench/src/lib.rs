@@ -51,24 +51,12 @@ pub fn loaded_tsdb(devices: u32, points: usize) -> Tsdb {
     db
 }
 
-/// Pre-built ingest workload for the sharded benches: one batch of points
-/// per writer thread, each writer owning a disjoint set of devices (as the
-/// per-city ingest paths do). Batches are independent of the shard count,
-/// so the same workload replays against 1-, 2-, 4-, and 8-shard stores.
-pub fn writer_batches(
-    writers: usize,
-    devices_per_writer: u32,
-    points: usize,
-) -> Vec<Vec<DataPoint>> {
-    (0..writers)
-        .map(|w| {
-            (0..devices_per_writer)
-                .flat_map(|d| {
-                    let device = w as u32 * devices_per_writer + d;
-                    synthetic_points(device, 0, points)
-                })
-                .collect()
-        })
+/// Run-shaped ingest workload for the ingest benches: `points` synthetic
+/// points for each of `devices` devices, one device's history after
+/// another.
+pub fn device_points(devices: u32, points: usize) -> Vec<DataPoint> {
+    (0..devices)
+        .flat_map(|d| synthetic_points(d, 0, points))
         .collect()
 }
 
@@ -79,7 +67,7 @@ pub const POINTS_PER_UPLINK: usize = Quantity::ALL.len() + 1;
 /// each of `devices` devices delivers one uplink, and every uplink is
 /// [`POINTS_PER_UPLINK`] points — one per metric, same timestamp — in the
 /// storage consumer's order. Consecutive points therefore always belong to
-/// *different* series (the opposite of [`writer_batches`], where one
+/// *different* series (the opposite of [`device_points`], where one
 /// device's whole history is contiguous), which is what the ingest
 /// producer actually sees between the broker and the store.
 pub fn uplink_points(devices: u32, uplinks: usize) -> Vec<DataPoint> {
@@ -112,8 +100,8 @@ pub fn uplink_points(devices: u32, uplinks: usize) -> Vec<DataPoint> {
 
 /// A sealed [`ShardedTsdb`] pre-loaded with `devices × points` synthetic
 /// points, for the query-latency benches.
-pub fn loaded_sharded_tsdb(shards: usize, devices: u32, points: usize) -> ShardedTsdb {
-    let db = ShardedTsdb::new(shards);
+pub fn loaded_store(devices: u32, points: usize) -> ShardedTsdb {
+    let db = ShardedTsdb::default();
     for d in 0..devices {
         db.put_batch(&synthetic_points(d, 0, points));
     }

@@ -1,7 +1,7 @@
-//! # ctt-ingest — handle-fed, run-framed ingest in front of the sharded store
+//! # ctt-ingest — handle-fed, run-framed ingest in front of the store
 //!
 //! [`ShardedTsdb::put_batch`] builds a series-key string and probes the
-//! shard's intern map for every point. This crate is the same write with
+//! store's intern map for every point. This crate is the same write with
 //! the per-point work taken out — and nothing else: it starts no thread
 //! and queues nothing.
 //!
@@ -14,29 +14,28 @@
 //!   [`IngestRuntime::submit`] is the external/text boundary and the test
 //!   oracle: it resolves each point through the same table and stages it
 //!   through the same code.
-//! * **Run framing.** Points are staged per lane (= shard, routed by the
-//!   same FNV-1a series-key hash as [`ShardedTsdb`]) as bare
+//! * **Run framing.** Points are staged in one lane as bare
 //!   `(timestamp, value)` pairs under run headers `(ref, len)`; a header is
 //!   emitted only when the series changes mid-stream.
-//! * **One write session per batch.** A lane's staged batch is applied on
+//! * **One write session per batch.** The lane's staged batch is applied on
 //!   the caller once it holds `ship_points` points, or at a
 //!   [`IngestRuntime::flush`]: one [`ctt_tsdb::ShardWriteSession`] (one
 //!   lock, one epoch bump, one `puts` update), each run fed straight into
 //!   [`ctt_tsdb::Tsdb::append_run`] and its streaming Gorilla encoder. A
-//!   series is interned into the shard at its first staged point — once
-//!   per series lifetime, in first-occurrence order, so shard series ids
-//!   match `put_batch`.
+//!   series is interned into the store at its first staged point — once
+//!   per series lifetime, in first-occurrence order, so series ids match
+//!   `put_batch`.
 //!
 //! ## Equivalence contract
 //!
-//! After [`IngestRuntime::flush`], the sharded store (state, stats, query
-//! results, per-shard `puts` counters) is byte-identical to having called
+//! After [`IngestRuntime::flush`], the store (state, stats, query results,
+//! `puts` counter) is byte-identical to having called
 //! [`ShardedTsdb::put_batch`] with the same points in the same order;
-//! between flushes at most `ship_points − 1` points per lane are staged
-//! and not yet visible. The pipeline flushes at the end of every run
-//! segment and before chaos actions, so its snapshots and reads never find
-//! staged points. The `ingest.shard<i>.*` counters
-//! are functions of the submitted workload and the flush points alone.
+//! between flushes at most `ship_points − 1` points are staged and not yet
+//! visible. The pipeline flushes at the end of every run segment and before
+//! chaos actions, so its snapshots and reads never find staged points. The
+//! `ingest.shard0.*` counters are functions of the submitted workload and
+//! the flush points alone.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,16 +46,16 @@ use ctt_obs::{Counter, Registry};
 use ctt_tsdb::model::is_valid_name;
 use ctt_tsdb::{series_key_hash, DataPoint, SeriesId, ShardWriter, ShardedTsdb, TagSet};
 
-/// Default staging threshold: a lane's staged points are applied as one
-/// batch once they reach this many, amortizing the per-batch costs (shard
-/// lock, epoch bump, counter updates) over more points. Anything still
-/// staged is applied at the next flush regardless.
+/// Default staging threshold: the staged points are applied as one batch
+/// once they reach this many, amortizing the per-batch costs (store lock,
+/// epoch bump, counter updates) over more points. Anything still staged is
+/// applied at the next flush regardless.
 pub const DEFAULT_SHIP_POINTS: usize = 1024;
 
 /// Ingest runtime tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
-    /// Staged points per lane that trigger applying the batch.
+    /// Staged points that trigger applying the batch.
     pub ship_points: usize,
 }
 
@@ -68,18 +67,14 @@ impl Default for IngestConfig {
     }
 }
 
-/// An opaque handle to one registered series: the lane (= shard) that owns
-/// it and its index among that lane's series. Obtained from
+/// An opaque handle to one registered series. Obtained from
 /// [`IngestRuntime::register`] and only meaningful to the runtime that
 /// issued it; [`IngestRuntime::submit_resolved`] drops handles that are out
 /// of range for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SeriesRef {
-    lane: u32,
-    r: u32,
-}
+pub struct SeriesRef(u32);
 
-/// One lane's staged batch: run headers `(ref, len)` over a flat point
+/// The lane's staged batch: run headers `(ref, len)` over a flat point
 /// array. A new header is emitted only when the series changes mid-stream,
 /// so each run feeds straight into [`ctt_tsdb::Tsdb::append_run`] — no
 /// per-point regrouping.
@@ -89,35 +84,31 @@ struct LaneBatch {
     pts: Vec<(Timestamp, f64)>,
 }
 
-/// Per-lane observability, registered as `ingest.shard<i>.*`.
+/// Lane observability, registered as `ingest.shard0.*`.
 #[derive(Debug)]
 struct LaneObs {
-    /// Points applied through this lane (by handle or by string key).
+    /// Points applied (by handle or by string key).
     enqueued: Counter,
-    /// Batches (= shard write sessions) applied.
+    /// Batches (= write sessions) applied.
     batches: Counter,
-    /// Compressed bytes this lane's shard encoded during those sessions.
+    /// Compressed bytes the store encoded during those sessions.
     encoded_bytes: Counter,
 }
 
-/// One lane: everything between a staged point and its shard.
+/// The lane: everything between a staged point and the store.
 #[derive(Debug)]
 struct Lane {
     writer: ShardWriter,
-    /// Per ref: the series' resolver slot, and its shard series id once a
-    /// batch has interned it. A ref is issued by pushing here, so a
-    /// handle's range check is a length compare.
-    series: Vec<(u32, Option<SeriesId>)>,
     staged: LaneBatch,
     obs: LaneObs,
 }
 
 impl Lane {
-    /// Apply the staged batch through one shard write session and clear it
-    /// for reuse. Unknown refs are interned from their resolver slot in
-    /// first-occurrence order — exactly serial interning order, so
+    /// Apply the staged batch through one write session and clear it for
+    /// reuse. Series not yet in the store are interned from their resolver
+    /// slot in first-occurrence order — exactly serial interning order, so
     /// new-series ids match `put_batch`.
-    fn ship(&mut self, slots: &[SeriesSlot]) {
+    fn ship(&mut self, slots: &mut [SeriesSlot]) {
         if self.staged.pts.is_empty() {
             return;
         }
@@ -131,17 +122,12 @@ impl Lane {
             let end = off + len as usize;
             let run = batch.pts.get(off..end);
             off = end;
-            let (Some(run), Some((slot, id))) = (run, self.series.get_mut(r as usize)) else {
+            let (Some(run), Some(slot)) = (run, slots.get_mut(r as usize)) else {
                 continue;
             };
-            let id = match *id {
+            let id = match slot.id {
                 Some(id) => id,
-                None => {
-                    let Some(def) = slots.get(*slot as usize) else {
-                        continue;
-                    };
-                    *id.insert(session.intern(&def.metric, &def.tags))
-                }
+                None => *slot.id.insert(session.intern(&slot.metric, &slot.tags)),
             };
             session.append_run(id, run);
         }
@@ -157,13 +143,13 @@ impl Lane {
 }
 
 /// One resolved series: its identity — the runtime's only copy, read by
-/// probe verification and by the owning lane's first-sight intern — and the
-/// handle that routes it.
+/// probe verification and by the first-sight intern — and its store series
+/// id once a batch has interned it. A [`SeriesRef`] is the slot's index.
 #[derive(Debug)]
 struct SeriesSlot {
     metric: String,
     tags: TagSet,
-    handle: SeriesRef,
+    id: Option<SeriesId>,
 }
 
 /// Open-addressed series-key-hash table with full-key verification on
@@ -238,8 +224,8 @@ struct Resolver {
     table: KeyTable,
     slots: Vec<SeriesSlot>,
     /// Memo of the slot the previous lookup resolved to. String-keyed
-    /// input that arrives series by series (a bulk import, the run-shaped
-    /// `ingest_runtime` bench) pays one equality check instead of hash +
+    /// input that arrives series by series (a bulk import, the
+    /// `ingest_runs/runtime` bench) pays one equality check instead of hash +
     /// probe — ≈ 1.6× on that shape. The pipeline's traffic is nine
     /// different series per uplink and never hits it; that traffic goes by
     /// handle instead.
@@ -247,44 +233,41 @@ struct Resolver {
 }
 
 impl Resolver {
-    /// Resolve a series to its handle, registering a new series (key
-    /// table, slot, and a ref in the owning lane) on first sight.
+    /// Resolve a series to its handle, registering a new series (key table
+    /// and slot) on first sight.
     #[inline]
-    fn resolve(&mut self, lanes: &mut [Lane], metric: &str, tags: &TagSet) -> Option<SeriesRef> {
-        if let Some(slot) = self.last_slot.and_then(|idx| self.slots.get(idx as usize)) {
-            if slot.metric == metric && slot.tags == *tags {
-                return Some(slot.handle);
+    fn resolve(&mut self, metric: &str, tags: &TagSet) -> SeriesRef {
+        if let Some(idx) = self.last_slot {
+            if let Some(slot) = self.slots.get(idx as usize) {
+                if slot.metric == metric && slot.tags == *tags {
+                    return SeriesRef(idx);
+                }
             }
         }
         let hash = series_key_hash(metric, tags);
         let idx = match self.table.probe(&self.slots, hash, metric, tags) {
             Some(idx) => idx,
             None => {
-                let lane = hash.checked_rem(lanes.len() as u64)? as u32;
-                let owner = lanes.get_mut(lane as usize)?;
                 let idx = self.slots.len() as u32;
-                let r = owner.series.len() as u32;
-                owner.series.push((idx, None));
                 self.slots.push(SeriesSlot {
                     metric: metric.to_string(),
                     tags: tags.clone(),
-                    handle: SeriesRef { lane, r },
+                    id: None,
                 });
                 self.table.insert(hash, idx + 1);
                 idx
             }
         };
         self.last_slot = Some(idx);
-        Some(self.slots.get(idx as usize)?.handle)
+        SeriesRef(idx)
     }
 }
 
-/// The ingest runtime: one lane per TSDB shard, applied on the caller. See
-/// the crate docs for the design and the equivalence contract.
+/// The ingest runtime: one lane in front of the store, applied on the
+/// caller. See the crate docs for the design and the equivalence contract.
 pub struct IngestRuntime {
-    /// One lane per shard, in shard order.
-    lanes: Vec<Lane>,
-    /// Staged points per lane that trigger applying the batch.
+    lane: Lane,
+    /// Staged points that trigger applying the batch.
     ship_points: usize,
     /// Series resolution: (metric, tags) → handle.
     resolver: Resolver,
@@ -293,103 +276,83 @@ pub struct IngestRuntime {
 impl std::fmt::Debug for IngestRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngestRuntime")
-            .field("lanes", &self.lane_count())
             .field("series", &self.resolver.slots.len())
+            .field("staged", &self.lane.staged.pts.len())
             .finish_non_exhaustive()
     }
 }
 
 impl IngestRuntime {
-    /// Build a runtime over `db`'s shards, registering `ingest.shard<i>.*`
-    /// metrics into `registry`.
+    /// Build a runtime over `db`, registering `ingest.shard0.*` metrics
+    /// into `registry`.
     ///
-    /// Call after [`ShardedTsdb::attach_registry`]: writer handles capture
-    /// the shard put counters current at this moment.
+    /// Call after [`ShardedTsdb::attach_registry`]: the writer handle
+    /// captures the store's put counter current at this moment.
     pub fn new(db: &ShardedTsdb, registry: &Registry, config: IngestConfig) -> Self {
-        let lanes = (0..db.shard_count())
-            .filter_map(|shard| {
-                Some(Lane {
-                    writer: db.writer(shard)?,
-                    series: Vec::new(),
-                    staged: LaneBatch::default(),
-                    obs: LaneObs {
-                        enqueued: registry.counter(&format!("ingest.shard{shard}.enqueued")),
-                        batches: registry.counter(&format!("ingest.shard{shard}.batches")),
-                        encoded_bytes: registry
-                            .counter(&format!("ingest.shard{shard}.encoded_bytes")),
-                    },
-                })
-            })
-            .collect();
+        let counter = |name: &str| registry.counter(&format!("ingest.shard0.{name}"));
         IngestRuntime {
-            lanes,
+            lane: Lane {
+                writer: db.writer(),
+                staged: LaneBatch::default(),
+                obs: LaneObs {
+                    enqueued: counter("enqueued"),
+                    batches: counter("batches"),
+                    encoded_bytes: counter("encoded_bytes"),
+                },
+            },
             ship_points: config.ship_points.max(1),
             resolver: Resolver::default(),
         }
     }
 
-    /// Number of lanes (= shards).
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Register a series and get its handle. Validates the metric and every
     /// tag key/value exactly as [`DataPoint::new`] does (`None` on an
-    /// invalid name, or on a runtime with no lanes), then resolves the
-    /// series once: key hash, table insert, and a ref in the owning lane.
-    /// Registering the same series again returns the same handle. Handles
-    /// are assigned in registration order per lane; a registered series
+    /// invalid name), then resolves the series once: key hash and table
+    /// insert. Registering the same series again returns the same handle.
+    /// Handles are assigned in registration order; a registered series
     /// costs the store nothing until its first point arrives.
     pub fn register(&mut self, metric: &str, tags: &TagSet) -> Option<SeriesRef> {
         let valid = is_valid_name(metric)
             && tags
                 .iter()
                 .all(|(k, v)| is_valid_name(k) && is_valid_name(v));
-        if !valid {
-            return None;
-        }
-        self.resolver.resolve(&mut self.lanes, metric, tags)
+        valid.then(|| self.resolver.resolve(metric, tags))
     }
 
-    /// Stage one point under its lane's current run header. Returns false
-    /// (nothing staged) for a handle this runtime never issued: a lane it
-    /// does not have, or a ref past that lane's series.
+    /// Stage one point under the lane's current run header. Returns false
+    /// (nothing staged) for a handle this runtime never issued.
     #[inline]
-    fn stage(lanes: &mut [Lane], h: SeriesRef, t: Timestamp, v: f64) -> bool {
-        let Some(lane) = lanes.get_mut(h.lane as usize) else {
-            return false;
-        };
-        if h.r as usize >= lane.series.len() {
+    fn stage(&mut self, h: SeriesRef, t: Timestamp, v: f64) -> bool {
+        if h.0 as usize >= self.resolver.slots.len() {
             return false;
         }
-        match lane.staged.runs.last_mut() {
-            Some(run) if run.0 == h.r => run.1 += 1,
-            _ => lane.staged.runs.push((h.r, 1)),
+        let staged = &mut self.lane.staged;
+        match staged.runs.last_mut() {
+            Some(run) if run.0 == h.0 => run.1 += 1,
+            _ => staged.runs.push((h.0, 1)),
         }
-        lane.staged.pts.push((t, v));
+        staged.pts.push((t, v));
         true
     }
 
-    /// Apply every lane whose staged points reached `ship_points`.
+    /// Apply the lane if its staged points reached `ship_points`.
     fn ship_full(&mut self) {
-        for lane in &mut self.lanes {
-            if lane.staged.pts.len() >= self.ship_points {
-                lane.ship(&self.resolver.slots);
-            }
+        if self.lane.staged.pts.len() >= self.ship_points {
+            self.lane.ship(&mut self.resolver.slots);
         }
     }
 
     /// Submit points by handle: the pipeline's put path. Each point is
-    /// staged as a bare `(ts, value)` under its lane's run header and
+    /// staged as a bare `(ts, value)` under the lane's run header and
     /// applied once the lane reaches `ship_points` (or at the next flush)
     /// — no strings, no hash, no probe. A non-finite value is skipped, as
     /// [`DataPoint::new`] would have refused it, and so is a handle this
-    /// runtime never issued (lane or ref out of range); the return value
-    /// counts only the points accepted.
+    /// runtime never issued; the return value counts only the points
+    /// accepted.
     pub fn submit_resolved(&mut self, points: &[(SeriesRef, Timestamp, f64)]) -> u64 {
         let mut accepted = 0u64;
         for &(h, t, v) in points {
-            if v.is_finite() && Self::stage(&mut self.lanes, h, t, v) {
+            if v.is_finite() && self.stage(h, t, v) {
                 accepted += 1;
             }
         }
@@ -399,19 +362,15 @@ impl IngestRuntime {
 
     /// Submit string-keyed points: the external/text boundary and the test
     /// oracle. Resolves each point's series through the same table
-    /// [`IngestRuntime::register`] fills (routing by the same FNV-1a
-    /// series-key discipline as [`ShardedTsdb::put_batch`]) and stages it
-    /// through the same code as [`IngestRuntime::submit_resolved`]. A
-    /// [`DataPoint`] is already validated by its constructor, so nothing
-    /// is filtered here: returns the number of points accepted — all of
-    /// them, on a runtime with lanes.
+    /// [`IngestRuntime::register`] fills and stages it through the same
+    /// code as [`IngestRuntime::submit_resolved`]. A [`DataPoint`] is
+    /// already validated by its constructor, so nothing is filtered here:
+    /// returns the number of points accepted — all of them.
     pub fn submit(&mut self, points: &[DataPoint]) -> u64 {
         let mut accepted = 0u64;
         for p in points {
-            let Some(h) = self.resolver.resolve(&mut self.lanes, &p.metric, &p.tags) else {
-                continue;
-            };
-            if Self::stage(&mut self.lanes, h, p.time, p.value) {
+            let h = self.resolver.resolve(&p.metric, &p.tags);
+            if self.stage(h, p.time, p.value) {
                 accepted += 1;
             }
         }
@@ -419,13 +378,11 @@ impl IngestRuntime {
         accepted
     }
 
-    /// Apply everything still staged. After this, the sharded store is
+    /// Apply everything still staged. After this, the store is
     /// byte-identical to the same points having gone through
     /// [`ShardedTsdb::put_batch`] in submit order.
     pub fn flush(&mut self) {
-        for lane in &mut self.lanes {
-            lane.ship(&self.resolver.slots);
-        }
+        self.lane.ship(&mut self.resolver.slots);
     }
 }
 
@@ -464,10 +421,10 @@ mod tests {
     #[test]
     fn runtime_matches_put_batch_at_flush() {
         let registry_a = Registry::new();
-        let mut a = ShardedTsdb::with_chunk_size(4, 16);
+        let mut a = ShardedTsdb::with_chunk_size(16);
         a.attach_registry(&registry_a);
         let registry_b = Registry::new();
-        let mut b = ShardedTsdb::with_chunk_size(4, 16);
+        let mut b = ShardedTsdb::with_chunk_size(16);
         b.attach_registry(&registry_b);
         let mut rt = IngestRuntime::new(&b, &registry_b, IngestConfig::default());
         for chunk in points(8, 60).chunks(37) {
@@ -478,21 +435,20 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         let q = Query::range("m", Timestamp(0), Timestamp(60 * 300)).group_by("device");
         assert_eq!(a.execute(&q).expect("a"), b.execute(&q).expect("b"));
-        // Shard put counters agree exactly.
+        // Put counters agree exactly.
         let at = Timestamp(0);
-        let snap_a = registry_a.snapshot(at);
-        let snap_b = registry_b.snapshot(at);
-        for i in 0..4 {
-            let name = format!("tsdb.shard{i}.puts");
-            assert_eq!(snap_a.value(&name), snap_b.value(&name), "{name}");
-        }
+        let name = "tsdb.shard0.puts";
+        assert_eq!(
+            registry_a.snapshot(at).value(name),
+            registry_b.snapshot(at).value(name)
+        );
     }
 
     #[test]
     fn ingest_metrics_are_deterministic_across_replays() {
         let run = || {
             let registry = Registry::new();
-            let mut db = ShardedTsdb::with_chunk_size(4, 16);
+            let mut db = ShardedTsdb::with_chunk_size(16);
             db.attach_registry(&registry);
             let mut rt = IngestRuntime::new(&db, &registry, IngestConfig { ship_points: 1 });
             for chunk in points(6, 50).chunks(23) {
@@ -515,7 +471,7 @@ mod tests {
     #[test]
     fn register_validates_names_like_datapoint_new() {
         let registry = Registry::new();
-        let db = ShardedTsdb::with_chunk_size(2, 16);
+        let db = ShardedTsdb::with_chunk_size(16);
         let mut rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
         assert!(rt.register("bad metric", &device_tags("n0")).is_none());
         assert!(rt.register("", &device_tags("n0")).is_none());
@@ -534,7 +490,7 @@ mod tests {
     #[test]
     fn submit_resolved_skips_non_finite_values_uncounted() {
         let registry = Registry::new();
-        let db = ShardedTsdb::with_chunk_size(2, 16);
+        let db = ShardedTsdb::with_chunk_size(16);
         let mut rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
         let h = rt.register("m", &device_tags("n0")).expect("valid names");
         let accepted = rt.submit_resolved(&[
@@ -557,7 +513,7 @@ mod tests {
     fn points_years_apart_flush_and_read_back() {
         // The Gorilla first delta does not hold 10⁸ s, so the store must
         // not put both in one chunk; an encoder panic would surface here.
-        let db = ShardedTsdb::with_chunk_size(1, 16);
+        let db = ShardedTsdb::with_chunk_size(16);
         let mut rt = IngestRuntime::new(&db, &Registry::new(), IngestConfig::default());
         let h = rt.register("m", &device_tags("n0")).expect("valid names");
         let points = [(Timestamp(0), 1.0), (Timestamp(100_000_000), 2.0)];
@@ -573,16 +529,15 @@ mod tests {
     #[test]
     fn foreign_handles_are_dropped_without_panic() {
         let registry = Registry::new();
-        let wide_db = ShardedTsdb::with_chunk_size(8, 16);
+        let wide_db = ShardedTsdb::with_chunk_size(16);
         let mut wide = IngestRuntime::new(&wide_db, &registry, IngestConfig::default());
-        // Enough series that some lane of the wide runtime holds several
-        // refs and every lane index up to 7 is in use.
+        // Handles far past anything the narrow runtime issued.
         let foreign: Vec<SeriesRef> = (0..64)
             .filter_map(|d| wide.register("m", &device_tags(&format!("n{d}"))))
             .collect();
         assert_eq!(foreign.len(), 64);
 
-        let narrow_db = ShardedTsdb::with_chunk_size(1, 16);
+        let narrow_db = ShardedTsdb::with_chunk_size(16);
         let mut narrow = IngestRuntime::new(&narrow_db, &Registry::new(), IngestConfig::default());
         let own = narrow
             .register("m", &device_tags("n0"))
@@ -590,7 +545,7 @@ mod tests {
         let mut batch: Vec<(SeriesRef, Timestamp, f64)> =
             foreign.iter().map(|&h| (h, Timestamp(0), 1.0)).collect();
         batch.push((own, Timestamp(0), 1.0));
-        // Only handles that are in range for `narrow` (lane 0, ref 0) can
+        // Only handles that are in range for `narrow` (its one series) can
         // be taken for its own; everything else is dropped.
         let in_range = 1 + foreign.iter().filter(|&&h| h == own).count() as u64;
         assert_eq!(narrow.submit_resolved(&batch), in_range);
@@ -602,7 +557,7 @@ mod tests {
     #[test]
     fn drop_flushes_outstanding_batches() {
         let registry = Registry::new();
-        let mut db = ShardedTsdb::with_chunk_size(2, 16);
+        let mut db = ShardedTsdb::with_chunk_size(16);
         db.attach_registry(&registry);
         {
             let mut rt = IngestRuntime::new(&db, &registry, IngestConfig::default());

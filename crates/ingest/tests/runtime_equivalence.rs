@@ -3,8 +3,8 @@
 //! `put_batch` calls — for *any* interleaving of batched writes (string-keyed
 //! `submit` and handle-keyed `submit_resolved` alike), bare flushes, forced
 //! seals, retention evictions and chunk-bit corruption. The runtime is a
-//! performance structure; it must never leak into stats, queries, shard put
-//! counters, or chaos-flip targeting.
+//! performance structure; it must never leak into stats, queries, the put
+//! counter, or chaos-flip targeting.
 
 use ctt_core::time::{Span, Timestamp};
 use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
@@ -83,8 +83,6 @@ fn queries() -> Vec<Query> {
     ]
 }
 
-const SHARDS: usize = 4;
-
 proptest! {
     /// Replay an arbitrary op sequence against a direct store and a
     /// runtime-fed store; every observable must be byte-identical at the
@@ -95,11 +93,11 @@ proptest! {
         ship_points in 1usize..32,
     ) {
         let reg_direct = Registry::new();
-        let mut direct = ShardedTsdb::with_chunk_size(SHARDS, 16);
+        let mut direct = ShardedTsdb::with_chunk_size(16);
         direct.attach_registry(&reg_direct);
 
         let reg_rt = Registry::new();
-        let mut staged = ShardedTsdb::with_chunk_size(SHARDS, 16);
+        let mut staged = ShardedTsdb::with_chunk_size(16);
         staged.attach_registry(&reg_rt);
         let mut rt = IngestRuntime::new(&staged, &reg_rt, IngestConfig { ship_points });
         let mut handles: HashMap<(u8, u8), SeriesRef> = HashMap::new();
@@ -169,17 +167,13 @@ proptest! {
             prop_assert_eq!(a, b, "query diverged: {:?}", q);
         }
 
-        // Per-shard put counters agree exactly: the writer sessions bump
-        // the same counters `put_batch` does, point for point.
+        // Put counters agree exactly: the writer sessions bump the same
+        // counter `put_batch` does, point for point.
         let at = Timestamp(0);
-        let snap_a = reg_direct.snapshot(at);
-        let snap_b = reg_rt.snapshot(at);
-        for i in 0..SHARDS {
-            let name = format!("tsdb.shard{i}.puts");
-            prop_assert_eq!(
-                snap_a.value(&name), snap_b.value(&name),
-                "{} diverged", name
-            );
-        }
+        let name = "tsdb.shard0.puts";
+        prop_assert_eq!(
+            reg_direct.snapshot(at).value(name), reg_rt.snapshot(at).value(name),
+            "{} diverged", name
+        );
     }
 }

@@ -214,7 +214,7 @@ impl<'a> CallGraph<'a> {
                         }
                     };
                     // Bare-name self-links are almost always a shared method
-                    // name on a different receiver (`s.write().put(p)` inside
+                    // name on a different receiver (`db.put(point)` inside
                     // `ShardedTsdb::put`), not recursion — and recursion adds
                     // no reachability anyway. Drop them. A call chained on a
                     // lock guard runs on the *inner* guarded type, so

@@ -194,8 +194,6 @@ impl Default for LintConfig {
                 // query; rollup serving runs per bucket.
                 ("QueryCache".into(), "get_results".into()),
                 ("QueryCache".into(), "put_results".into()),
-                ("QueryCache".into(), "get_collection".into()),
-                ("QueryCache".into(), "put_collection".into()),
                 ("EventQueue".into(), "pop".into()),
                 ("UplinkEvent".into(), "decode".into()),
                 // The rest of the broker hop, each once per uplink: the

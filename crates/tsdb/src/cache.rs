@@ -2,41 +2,29 @@
 //!
 //! Dashboard traffic is heavily repetitive — the same city-overview and
 //! drilldown queries fire over and over while ingest trickles in. This
-//! cache serves repeats without touching shard locks, and invalidates
-//! *deterministically*: every shard carries a monotonically increasing
-//! **epoch counter** bumped by any mutation (`put`, `put_batch`,
-//! `seal_all`, `evict_before`, `flip_chunk_bit`). A cached entry records
-//! the epochs it was computed at and is served only while they still
-//! match. No wall clock is involved anywhere (lint R5: replay-safe), and
-//! recency for eviction is a logical tick counter.
+//! cache serves repeats without running the query, and invalidates
+//! *deterministically*: the store carries a monotonically increasing
+//! **epoch counter** bumped by any mutation (`put`, `put_batch`, a write
+//! session, `seal_all`, `evict_before`, `flip_chunk_bit`). A cached entry —
+//! the finalized `Vec<QueryResult>`, keyed by the canonical query
+//! signature — records the epoch it was computed at and is served only
+//! while it still matches, so one write invalidates every entry. No wall
+//! clock is involved anywhere (lint R5: replay-safe), and recency for
+//! eviction is a logical tick counter.
 //!
-//! Two levels, because invalidation granularity is the whole point on a
-//! write-heavy system:
-//!
-//! 1. **Result level** — the finalized `Vec<QueryResult>` keyed by the
-//!    canonical query signature, valid only while *every* shard epoch
-//!    matches. One put anywhere invalidates it.
-//! 2. **Per-shard collection level** — each shard's phase-1
-//!    [`GroupCollection`]s keyed by `(signature, shard)`, valid while
-//!    *that shard's* epoch matches. A put into shard 2 forces re-collection
-//!    of shard 2 only; shards 0, 1 and 3 are served from cache and merged.
-//!    This is what makes an N-shard store under sustained ingest ~N×
-//!    cheaper per query than a 1-shard store, even on a single core.
-//!
-//! Lock discipline: the cache's one mutex is a leaf — no shard lock is ever
-//! acquired while it is held.
+//! Lock discipline: the cache's one mutex is a leaf — nothing else is
+//! locked while it is held.
 
-use crate::model::{TagFilter, TagSet};
-use crate::query::{GroupCollection, Query, QueryResult};
+use crate::model::TagFilter;
+use crate::query::{Query, QueryResult};
 use ctt_obs::{Counter, Registry};
 // lint:allow(shared): the cache lives inside the Sync ShardedTsdb
 use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-/// Default maximum entries per cache level.
+/// Default maximum number of cached queries.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Canonical, injective string form of a query, used as the cache key:
@@ -106,16 +94,9 @@ fn push_name(s: &mut String, v: &str) {
 
 #[derive(Debug)]
 struct ResultEntry {
-    /// Every shard's epoch at compute time; valid only on full match.
-    epochs: Vec<u64>,
-    results: Vec<QueryResult>,
-}
-
-#[derive(Debug)]
-struct CollectionEntry {
-    /// The owning shard's epoch at collect time.
+    /// The store's epoch at compute time; valid only while it matches.
     epoch: u64,
-    groups: BTreeMap<TagSet, GroupCollection>,
+    results: Vec<QueryResult>,
 }
 
 /// A cached value and the logical tick of its last use.
@@ -125,8 +106,8 @@ struct Slot<V> {
     tick: u64,
 }
 
-/// One cache level: entries under an exact LRU policy (the victim is the
-/// entry with the smallest tick).
+/// Entries under an exact LRU policy (the victim is the entry with the
+/// smallest tick).
 ///
 /// Finding the victim by scanning every entry costs a walk of the whole
 /// level per insert once it is full, so a full level keeps a recency index
@@ -211,23 +192,23 @@ struct CacheObs {
     evictions: Counter,
 }
 
-/// Aggregate cache statistics (reads the counters, not the maps).
+/// Aggregate cache statistics (reads the counters, not the maps). Every
+/// query served with the cache on looks it up exactly once, so `hits +
+/// misses` is the number of such queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Result- or collection-level hits served.
+    /// Queries answered from the cache.
     pub hits: u64,
-    /// Lookups that missed (absent or epoch-stale).
+    /// Queries the cache could not answer (absent or epoch-stale).
     pub misses: u64,
     /// Entries evicted to respect capacity.
     pub evictions: u64,
 }
 
-/// Everything the cache holds, behind its one lock. Both levels key on the
-/// same shared signature, built once per query.
+/// Everything the cache holds, behind its one lock.
 #[derive(Debug, Default)]
 struct CacheState {
-    results: Level<Arc<str>, ResultEntry>,
-    collections: Level<(Arc<str>, usize), CollectionEntry>,
+    results: Level<String, ResultEntry>,
     /// Logical recency clock (no wall time): bumped per cache operation.
     tick: u64,
     obs: CacheObs,
@@ -240,9 +221,9 @@ impl CacheState {
     }
 }
 
-/// The two-level seal-aware cache. Lookups and inserts take `&self`, so
-/// the sharded store can consult it under concurrent readers; each one
-/// takes the cache's single lock once.
+/// The seal-aware query cache. Lookups and inserts take `&self`, so the
+/// store can consult it under concurrent readers; each one takes the
+/// cache's single lock once.
 #[derive(Debug)]
 pub struct QueryCache {
     state: Mutex<CacheState>,
@@ -256,7 +237,7 @@ impl Default for QueryCache {
 }
 
 impl QueryCache {
-    /// New cache holding at most `capacity` entries per level.
+    /// New cache holding at most `capacity` entries.
     pub fn with_capacity(capacity: usize) -> Self {
         QueryCache {
             state: Mutex::new(CacheState::default()),
@@ -274,13 +255,13 @@ impl QueryCache {
         };
     }
 
-    /// Finalized results for `sig`, if cached at exactly these epochs.
-    pub(crate) fn get_results(&self, sig: &str, epochs: &[u64]) -> Option<Vec<QueryResult>> {
+    /// Finalized results for `sig`, if cached at exactly this epoch.
+    pub(crate) fn get_results(&self, sig: &str, epoch: u64) -> Option<Vec<QueryResult>> {
         let mut state = self.state.lock();
         let tick = state.next_tick();
         let CacheState { results, obs, .. } = &mut *state;
         match results.entries.get_mut(sig) {
-            Some(slot) if slot.value.epochs == epochs => {
+            Some(slot) if slot.value.epoch == epoch => {
                 slot.tick = tick;
                 obs.hits.inc();
                 Some(slot.value.results.clone())
@@ -292,8 +273,8 @@ impl QueryCache {
         }
     }
 
-    /// Cache finalized results for `sig` computed at `epochs`.
-    pub(crate) fn put_results(&self, sig: Arc<str>, epochs: Vec<u64>, results: Vec<QueryResult>) {
+    /// Cache finalized results for `sig` computed at `epoch`.
+    pub(crate) fn put_results(&self, sig: String, epoch: u64, results: Vec<QueryResult>) {
         let mut state = self.state.lock();
         let tick = state.next_tick();
         let CacheState {
@@ -301,59 +282,14 @@ impl QueryCache {
             obs,
             ..
         } = &mut *state;
-        let entry = ResultEntry { epochs, results };
+        let entry = ResultEntry { epoch, results };
         obs.evictions
             .add(level.insert(sig, entry, tick, self.capacity));
     }
 
-    /// One shard's phase-1 collections for `sig`, if cached at `epoch`.
-    pub(crate) fn get_collection(
-        &self,
-        sig: &Arc<str>,
-        shard: usize,
-        epoch: u64,
-    ) -> Option<BTreeMap<TagSet, GroupCollection>> {
-        let mut state = self.state.lock();
-        let tick = state.next_tick();
-        let CacheState {
-            collections, obs, ..
-        } = &mut *state;
-        match collections.entries.get_mut(&(Arc::clone(sig), shard)) {
-            Some(slot) if slot.value.epoch == epoch => {
-                slot.tick = tick;
-                obs.hits.inc();
-                Some(slot.value.groups.clone())
-            }
-            _ => {
-                obs.misses.inc();
-                None
-            }
-        }
-    }
-
-    /// Cache one shard's phase-1 collections computed at `epoch`.
-    pub(crate) fn put_collection(
-        &self,
-        sig: &Arc<str>,
-        shard: usize,
-        epoch: u64,
-        groups: BTreeMap<TagSet, GroupCollection>,
-    ) {
-        let mut state = self.state.lock();
-        let tick = state.next_tick();
-        let CacheState {
-            collections, obs, ..
-        } = &mut *state;
-        let entry = CollectionEntry { epoch, groups };
-        obs.evictions
-            .add(collections.insert((Arc::clone(sig), shard), entry, tick, self.capacity));
-    }
-
     /// Drop every entry (used by tests and explicit resets).
     pub fn clear(&self) {
-        let mut state = self.state.lock();
-        state.results.clear();
-        state.collections.clear();
+        self.state.lock().results.clear();
     }
 
     /// Current counter values.
@@ -366,10 +302,9 @@ impl QueryCache {
         }
     }
 
-    /// Entries currently held (both levels).
+    /// Entries currently held.
     pub fn len(&self) -> usize {
-        let state = self.state.lock();
-        state.results.entries.len() + state.collections.entries.len()
+        self.state.lock().results.entries.len()
     }
 
     /// True when nothing is cached.
@@ -417,39 +352,27 @@ mod tests {
     #[test]
     fn results_served_only_at_matching_epochs() {
         let cache = QueryCache::default();
-        let sig: Arc<str> = "s".into();
-        cache.put_results(Arc::clone(&sig), vec![1, 2], Vec::new());
-        assert!(cache.get_results(&sig, &[1, 2]).is_some());
+        cache.put_results("s".into(), 1, Vec::new());
+        assert!(cache.get_results("s", 1).is_some());
         assert!(
-            cache.get_results(&sig, &[1, 3]).is_none(),
+            cache.get_results("s", 2).is_none(),
             "a bumped epoch must invalidate"
         );
-        assert!(cache.get_results("other", &[1, 2]).is_none());
+        assert!(cache.get_results("other", 1).is_none());
         let st = cache.stats();
         assert_eq!((st.hits, st.misses), (1, 2));
     }
 
     #[test]
-    fn collections_invalidate_per_shard() {
-        let cache = QueryCache::default();
-        let sig: Arc<str> = "s".into();
-        cache.put_collection(&sig, 0, 5, BTreeMap::new());
-        cache.put_collection(&sig, 1, 9, BTreeMap::new());
-        // Shard 1 mutated (epoch 9 → 10): shard 0 still serves.
-        assert!(cache.get_collection(&sig, 0, 5).is_some());
-        assert!(cache.get_collection(&sig, 1, 10).is_none());
-    }
-
-    #[test]
     fn lru_eviction_by_logical_tick() {
         let cache = QueryCache::with_capacity(2);
-        cache.put_results("a".into(), vec![0], Vec::new());
-        cache.put_results("b".into(), vec![0], Vec::new());
-        let _ = cache.get_results("a", &[0]); // refresh "a"
-        cache.put_results("c".into(), vec![0], Vec::new()); // evicts "b"
-        assert!(cache.get_results("a", &[0]).is_some());
-        assert!(cache.get_results("b", &[0]).is_none());
-        assert!(cache.get_results("c", &[0]).is_some());
+        cache.put_results("a".into(), 0, Vec::new());
+        cache.put_results("b".into(), 0, Vec::new());
+        let _ = cache.get_results("a", 0); // refresh "a"
+        cache.put_results("c".into(), 0, Vec::new()); // evicts "b"
+        assert!(cache.get_results("a", 0).is_some());
+        assert!(cache.get_results("b", 0).is_none());
+        assert!(cache.get_results("c", 0).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -541,45 +464,40 @@ mod tests {
         evicted
     }
 
-    /// Reference cache: the same operations over plain maps of
-    /// `(epoch(s), tick)`, evicting through the scan.
+    /// Reference cache: the same operations over a plain map of `(epoch,
+    /// tick)`, evicting through the scan.
     #[derive(Default)]
     struct Model {
-        results: BTreeMap<String, (Vec<u64>, u64)>,
-        collections: BTreeMap<(String, usize), (u64, u64)>,
+        results: BTreeMap<String, (u64, u64)>,
         tick: u64,
         stats: CacheStats,
     }
 
     impl Model {
-        fn next_tick(&mut self) -> u64 {
+        fn lookup(&mut self, key: &str, at: u64) -> bool {
             self.tick += 1;
-            self.tick
-        }
-
-        fn lookup<K: Ord, E: PartialEq>(
-            map: &mut BTreeMap<K, (E, u64)>,
-            key: &K,
-            at: &E,
-            tick: u64,
-            stats: &mut CacheStats,
-        ) -> bool {
-            match map.get_mut(key) {
-                Some((e, t)) if e == at => {
-                    *t = tick;
-                    stats.hits += 1;
+            match self.results.get_mut(key) {
+                Some((e, t)) if *e == at => {
+                    *t = self.tick;
+                    self.stats.hits += 1;
                     true
                 }
                 _ => {
-                    stats.misses += 1;
+                    self.stats.misses += 1;
                     false
                 }
             }
         }
+
+        fn insert(&mut self, key: String, at: u64, capacity: usize) {
+            self.tick += 1;
+            self.results.insert(key, (at, self.tick));
+            self.stats.evictions += evict_lru(&mut self.results, capacity, |e| e.1);
+        }
     }
 
-    /// Every level's recency index, when present, holds exactly one record
-    /// per entry, filed no later than the entry's tick.
+    /// The recency index, when present, holds exactly one record per entry,
+    /// filed no later than the entry's tick.
     fn recency_is_one_record_per_entry<K: Ord + Clone + std::fmt::Debug, V>(
         level: &Level<K, V>,
     ) -> Result<(), TestCaseError> {
@@ -600,68 +518,40 @@ mod tests {
     }
 
     proptest! {
-        /// Random get / put / epoch-bump / clear sequences over both levels
-        /// at capacities 1–8: the cache holds exactly the entries the
-        /// scanning model holds (so it evicted the same victims), counts the
-        /// same hits, misses and evictions, and keeps one recency record per
-        /// entry.
+        /// Random get / put / epoch-bump / clear sequences at capacities
+        /// 1–8: the cache holds exactly the entries the scanning model holds
+        /// (so it evicted the same victims), counts the same hits, misses
+        /// and evictions, and keeps one recency record per entry.
         #[test]
         fn recency_index_evicts_the_scan_victim(
             capacity in 1usize..9,
-            ops in collection::vec((0u8..11, 0u8..10, 0usize..3), 1..200),
+            ops in collection::vec((0u8..7, 0u8..10), 1..200),
         ) {
             let cache = QueryCache::with_capacity(capacity);
             let mut model = Model::default();
-            let mut epochs = vec![0u64; 3];
-            for &(kind, sig, shard) in &ops {
+            let mut epoch = 0u64;
+            for &(kind, sig) in &ops {
                 let name = format!("q{sig}");
-                let key: Arc<str> = name.as_str().into();
-                let epoch = epochs.get(shard).copied().unwrap_or(0);
                 match kind {
                     0..=2 => {
-                        let tick = model.next_tick();
-                        let want = Model::lookup(&mut model.results, &name, &epochs, tick, &mut model.stats);
-                        prop_assert_eq!(cache.get_results(&key, &epochs).is_some(), want);
+                        let want = model.lookup(&name, epoch);
+                        prop_assert_eq!(cache.get_results(&name, epoch).is_some(), want);
                     }
                     3..=4 => {
-                        let tick = model.next_tick();
-                        model.results.insert(name, (epochs.clone(), tick));
-                        model.stats.evictions += evict_lru(&mut model.results, capacity, |e| e.1);
-                        cache.put_results(key, epochs.clone(), Vec::new());
+                        model.insert(name.clone(), epoch, capacity);
+                        cache.put_results(name, epoch, Vec::new());
                     }
-                    5..=6 => {
-                        let tick = model.next_tick();
-                        let want = Model::lookup(&mut model.collections, &(name, shard), &epoch, tick, &mut model.stats);
-                        prop_assert_eq!(cache.get_collection(&key, shard, epoch).is_some(), want);
-                    }
-                    7..=8 => {
-                        let tick = model.next_tick();
-                        model.collections.insert((name, shard), (epoch, tick));
-                        model.stats.evictions += evict_lru(&mut model.collections, capacity, |e| e.1);
-                        cache.put_collection(&key, shard, epoch, BTreeMap::new());
-                    }
-                    9 => {
-                        if let Some(e) = epochs.get_mut(shard) {
-                            *e += 1;
-                        }
-                    }
+                    5 => epoch += 1,
                     _ => {
                         model.results.clear();
-                        model.collections.clear();
                         cache.clear();
                     }
                 }
                 let state = cache.state.lock();
-                let results: Vec<&str> = state.results.entries.keys().map(|k| &**k).collect();
-                let want: Vec<&str> = model.results.keys().map(String::as_str).collect();
+                let results: Vec<&String> = state.results.entries.keys().collect();
+                let want: Vec<&String> = model.results.keys().collect();
                 prop_assert_eq!(results, want);
-                let collections: Vec<(&str, usize)> =
-                    state.collections.entries.keys().map(|(k, s)| (&**k, *s)).collect();
-                let want: Vec<(&str, usize)> =
-                    model.collections.keys().map(|(k, s)| (k.as_str(), *s)).collect();
-                prop_assert_eq!(collections, want);
                 recency_is_one_record_per_entry(&state.results)?;
-                recency_is_one_record_per_entry(&state.collections)?;
                 drop(state);
                 prop_assert_eq!(cache.stats(), model.stats);
             }

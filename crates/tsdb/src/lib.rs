@@ -10,8 +10,9 @@
 //!   time-range block index, retention, stats.
 //! * [`rollup`] — seal-time materialized rollups (pre-downsampled
 //!   per-bucket summaries) serving dashboard queries without decode.
-//! * [`shard`] — series-key-hash partitioning across N lock-guarded
-//!   shards with batched ingest and merge-on-read queries.
+//! * [`shard`] — a city's one store: a [`Tsdb`] and its mutation epoch
+//!   behind one lock, with batched writes, write sessions and served
+//!   queries.
 //! * [`query`] — tag filters, group-by, downsampling (`1h-avg`),
 //!   cross-series aggregation, rate.
 //! * [`cache`] — seal-aware query result cache with deterministic

@@ -476,51 +476,34 @@ fn serve_downsample_series(
 }
 
 /// Raw per-series points collected for one result group, before any rate /
-/// downsample / cross-series aggregation. Each entry carries the canonical
-/// series key so merges across shards aggregate in a shard-count-independent
-/// order — the byte-identical-results guarantee of `ShardedTsdb`.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct GroupCollection {
+/// downsample / cross-series aggregation.
+#[derive(Debug, Default)]
+struct GroupCollection {
     /// `(canonical series key, points in [start, end))` — raw, or already
-    /// downsampled when [`GroupCollection::downsampled`] is set.
-    pub(crate) series: Vec<(String, Vec<(Timestamp, f64)>)>,
+    /// downsampled when the query downsamples without rate (see
+    /// [`collect_groups`]).
+    series: Vec<(String, Vec<(Timestamp, f64)>)>,
     /// Corruption skipped while reading this group.
-    pub(crate) quarantine: crate::store::QuarantineReport,
-    /// Scan accounting (index skips, decodes, rollup vs raw buckets).
-    pub(crate) counts: ScanCounts,
-    /// `series` holds collect-time downsampled buckets; finalize must not
-    /// downsample again.
-    pub(crate) downsampled: bool,
-}
-
-impl GroupCollection {
-    /// Fold another shard's collection for the same group into this one.
-    pub(crate) fn merge(&mut self, other: GroupCollection) {
-        self.series.extend(other.series);
-        self.quarantine.merge(other.quarantine);
-        self.counts.merge(other.counts);
-        self.downsampled |= other.downsampled;
-    }
+    quarantine: crate::store::QuarantineReport,
 }
 
 /// Phase 1 of query execution: match series against the filters, group by
-/// the wildcard tags, and read each series' points. No cross-series
-/// aggregation happens here, so collections from several shards can be
-/// merged before [`finalize_groups`] aggregates — averaging averages would
-/// be wrong.
+/// the wildcard tags, and read each series' points, adding the scan work to
+/// `counts`. No cross-series aggregation happens here; [`finalize_groups`]
+/// does it once per group.
 ///
-/// Non-rate downsamples are applied here, per series (each series lives
-/// wholly in one shard, so collect-time downsampling commutes with the
-/// shard merge); with `use_rollups` they are answered from seal-time
-/// rollups where possible. `FillPolicy::Previous` seeds its carry from the
-/// last point preceding the range on both paths. Rate queries keep their
-/// raw points (rate + downsample runs in finalize, unseeded: a pre-range
-/// *rate* would need two pre-range points and is out of scope).
-pub(crate) fn collect_groups(
+/// Non-rate downsamples are applied here, per series; with `use_rollups`
+/// they are answered from seal-time rollups where possible.
+/// `FillPolicy::Previous` seeds its carry from the last point preceding
+/// the range on both paths. Rate queries keep their raw points (rate +
+/// downsample runs in finalize, unseeded: a pre-range *rate* would need two
+/// pre-range points and is out of scope).
+fn collect_groups(
     db: &Tsdb,
     q: &Query,
     use_rollups: bool,
-) -> Result<BTreeMap<TagSet, GroupCollection>, TsdbError> {
+    counts: &mut ScanCounts,
+) -> BTreeMap<TagSet, GroupCollection> {
     let matching: Vec<SeriesId> = db
         .series_for_metric(&q.metric)
         .iter()
@@ -572,41 +555,37 @@ pub(crate) fn collect_groups(
                         db.rollup_interval(),
                         seed,
                         &mut entry.quarantine,
-                        &mut entry.counts,
+                        counts,
                     )
                 } else {
                     let (raw, skipped, c) = series.collect_counted(q.start, q.end);
                     entry.quarantine.merge(skipped);
-                    entry.counts.merge(c);
+                    counts.merge(c);
                     downsample_points(&raw, ds, q.start, q.end, seed)
                 };
-                entry.downsampled = true;
                 entry.series.push((key, pts));
             }
             _ => {
                 let (pts, skipped, c) = series.collect_counted(q.start, q.end);
                 entry.quarantine.merge(skipped);
-                entry.counts.merge(c);
+                counts.merge(c);
                 entry.series.push((key, pts));
             }
         }
     }
-    Ok(groups)
+    groups
 }
 
 /// Phase 2 of query execution: per-series rate + downsample (unless
 /// already downsampled at collect time), then cross-series aggregation per
 /// group. Series are processed in canonical key order, so the result is
-/// independent of insertion (and shard) order.
-pub(crate) fn finalize_groups(
-    groups: BTreeMap<TagSet, GroupCollection>,
-    q: &Query,
-) -> Vec<QueryResult> {
+/// independent of insertion order.
+fn finalize_groups(groups: BTreeMap<TagSet, GroupCollection>, q: &Query) -> Vec<QueryResult> {
+    let downsampled = q.downsample.is_some() && !q.rate;
     let mut results = Vec::with_capacity(groups.len());
     for (group, mut coll) in groups {
         coll.series.sort_by(|a, b| a.0.cmp(&b.0));
         let source_series = coll.series.len();
-        let downsampled = coll.downsampled;
         let mut per_series: Vec<Vec<(Timestamp, f64)>> = Vec::with_capacity(source_series);
         for (_, mut pts) in coll.series {
             if !downsampled {
@@ -681,19 +660,32 @@ fn merge_series(
     out
 }
 
+/// Run a query against one store, returning the results and the scan work
+/// it took: the full serving stack with `use_rollups`, the raw reference
+/// path without.
+pub(crate) fn execute_counted(
+    db: &Tsdb,
+    q: &Query,
+    use_rollups: bool,
+) -> (Vec<QueryResult>, ScanCounts) {
+    let mut counts = ScanCounts::default();
+    let groups = collect_groups(db, q, use_rollups, &mut counts);
+    (finalize_groups(groups, q), counts)
+}
+
 /// Execute a query through the full serving stack (block index + seal-time
 /// rollups). Storage corruption does not fail the query: corrupt chunks
 /// are quarantined and surfaced in the per-group quarantine counts. An
 /// unmatched metric or filter is an empty result set, not an error.
 pub fn execute(db: &Tsdb, q: &Query) -> Result<Vec<QueryResult>, TsdbError> {
-    Ok(finalize_groups(collect_groups(db, q, true)?, q))
+    Ok(execute_counted(db, q, true).0)
 }
 
 /// Execute a query strictly by decoding raw chunks — the reference path
 /// the serving stack must match byte for byte. Used by the equivalence
 /// suite and the before/after benchmarks.
 pub fn execute_raw(db: &Tsdb, q: &Query) -> Result<Vec<QueryResult>, TsdbError> {
-    Ok(finalize_groups(collect_groups(db, q, false)?, q))
+    Ok(execute_counted(db, q, false).0)
 }
 
 #[cfg(test)]

@@ -641,7 +641,7 @@ impl Tsdb {
 
     /// Intern a series by metric + tags, returning its id (existing or
     /// freshly created). Ids are dense and never reused, so callers — the
-    /// ingest runtime's lanes in particular — may cache them indefinitely.
+    /// ingest runtime in particular — may cache them indefinitely.
     pub fn intern(&mut self, metric: &str, tags: &TagSet) -> SeriesId {
         let key = series_key(metric, tags);
         match self.by_key.get(&key) {
@@ -679,7 +679,7 @@ impl Tsdb {
 
     /// Monotone total of compressed bytes this store has encoded (seal
     /// chunks plus retention re-encodes). Snapshot deltas of this feed the
-    /// ingest runtime's per-shard `encoded_bytes` counters.
+    /// ingest runtime's `encoded_bytes` counter.
     pub fn encoded_bytes_total(&self) -> u64 {
         self.series.iter().map(|s| s.encoded_bytes_total).sum()
     }
@@ -699,9 +699,9 @@ impl Tsdb {
     }
 
     /// Batched ingest: insert every point, interning series on first sight.
-    /// Returns the number of points written. The single-shard building
-    /// block of [`crate::shard::ShardedTsdb::put_batch`] — batching lets a
-    /// shard be locked once per batch instead of once per point.
+    /// Returns the number of points written. The building block of
+    /// [`crate::shard::ShardedTsdb::put_batch`] — batching lets the store
+    /// be locked once per batch instead of once per point.
     pub fn put_batch(&mut self, points: &[DataPoint]) -> u64 {
         for p in points {
             self.put(p);

@@ -11,9 +11,7 @@
 //! open-buffer overlaps, and index skips all occur within short workloads.
 
 use ctt_core::time::{Span, Timestamp};
-use ctt_tsdb::{
-    series_key_hash, Aggregator, DataPoint, Downsample, FillPolicy, Query, ServePolicy, ShardedTsdb,
-};
+use ctt_tsdb::{Aggregator, DataPoint, Downsample, FillPolicy, Query, ServePolicy, ShardedTsdb};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -79,12 +77,11 @@ fn build_point(m: u8, d: u8, t: i64, v: f64) -> DataPoint {
     .expect("valid point")
 }
 
-/// Append `pts` to one series through its shard's write session — the
-/// ingest runtime's write path.
+/// Append `pts` to one series through a write session — the ingest
+/// runtime's write path.
 fn append_run(db: &ShardedTsdb, m: u8, d: u8, pts: &[(Timestamp, f64)]) {
     let p = build_point(m, d, 0, 0.0);
-    let shard = db.shard_of_hash(series_key_hash(&p.metric, &p.tags));
-    let writer = db.writer(shard).expect("shard in range");
+    let writer = db.writer();
     let mut session = writer.session();
     let id = session.intern(&p.metric, &p.tags);
     session.append_run(id, pts);
@@ -147,9 +144,8 @@ proptest! {
     #[test]
     fn full_serving_stack_matches_raw_decode(
         ops in proptest::collection::vec(op_strategy(), 1..12),
-        shards in 1usize..5,
     ) {
-        let db = ShardedTsdb::with_layout(shards, 16, ROLLUP);
+        let db = ShardedTsdb::with_layout(16, ROLLUP);
         // Each series' latest timestamp written so far.
         let mut last: BTreeMap<(u8, u8), i64> = BTreeMap::new();
         for op in &ops {

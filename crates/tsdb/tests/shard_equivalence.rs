@@ -1,10 +1,13 @@
-//! Property: an N-shard [`ShardedTsdb`] is observationally identical to a
-//! 1-shard store for *any* interleaving of batched writes, retention
-//! sweeps, point reads, and queries. Sharding is a physical layout choice;
-//! it must never leak into results.
+//! Property: the served store ([`ShardedTsdb`]: one lock, epoch, cache,
+//! rollups) is observationally identical to a plain [`Tsdb`] read through
+//! the raw reference path [`execute_raw`], for *any* interleaving of
+//! batched writes, retention sweeps, seals and bit flips. The serving
+//! stack around the store must never leak into results.
 
 use ctt_core::time::{Span, Timestamp};
-use ctt_tsdb::{Aggregator, DataPoint, Downsample, FillPolicy, Query, ShardedTsdb, TagSet};
+use ctt_tsdb::{
+    execute_raw, Aggregator, DataPoint, Downsample, FillPolicy, Query, ShardedTsdb, TagSet, Tsdb,
+};
 use proptest::prelude::*;
 
 /// One step of an interleaved workload, applied to both stores.
@@ -16,6 +19,8 @@ enum Op {
     EvictBefore(i64),
     /// Force-seal open buffers.
     SealAll,
+    /// Flip one bit of the nth sealed chunk (corruption drill).
+    FlipBit(u64, u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -27,6 +32,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         .prop_map(Op::PutBatch),
         1 => (0i64..50_000).prop_map(Op::EvictBefore),
         1 => Just(Op::SealAll),
+        1 => (0u64..64, 1u64..512).prop_map(|(n, b)| Op::FlipBit(n, b)),
     ]
 }
 
@@ -62,16 +68,16 @@ fn queries() -> Vec<Query> {
 }
 
 proptest! {
-    /// Replay an arbitrary op sequence against a 1-shard and an N-shard
-    /// store; every observable (stats totals, metric list, per-series
-    /// reads, query results) must be byte-identical.
+    /// Replay an arbitrary op sequence against the served store and a plain
+    /// `Tsdb`; every observable (stats, metric list, per-series reads,
+    /// integrity scan, query results) must be byte-identical, and a
+    /// cache-hot repeat must not change an answer.
     #[test]
     fn sharded_store_is_observationally_equal_to_flat(
         ops in proptest::collection::vec(op_strategy(), 1..25),
-        shards in 2usize..9,
     ) {
-        let flat = ShardedTsdb::with_chunk_size(1, 16);
-        let sharded = ShardedTsdb::with_chunk_size(shards, 16);
+        let mut flat = Tsdb::with_chunk_size(16);
+        let served = ShardedTsdb::with_chunk_size(16);
         for op in &ops {
             match op {
                 Op::PutBatch(specs) => {
@@ -80,45 +86,48 @@ proptest! {
                         .map(|&(m, d, t, v)| build_point(m, d, t, v))
                         .collect();
                     let a = flat.put_batch(&batch);
-                    let b = sharded.put_batch(&batch);
+                    let b = served.put_batch(&batch);
                     prop_assert_eq!(a, b, "write counts diverged");
                 }
                 Op::EvictBefore(cutoff) => {
                     let a = flat.evict_before(Timestamp(*cutoff));
-                    let b = sharded.evict_before(Timestamp(*cutoff));
+                    let b = served.evict_before(Timestamp(*cutoff));
                     prop_assert_eq!(a, b, "evicted counts diverged");
                 }
                 Op::SealAll => {
                     flat.seal_all();
-                    sharded.seal_all();
+                    served.seal_all();
                 }
+                Op::FlipBit(nth, bit) => {
+                    let a = flat.flip_chunk_bit(*nth, *bit);
+                    let b = served.flip_chunk_bit(*nth, *bit);
+                    prop_assert_eq!(a, b, "flip outcomes diverged");
+                }
+            }
+            for q in queries() {
+                let want = execute_raw(&flat, &q);
+                prop_assert_eq!(&served.execute(&q), &want, "query diverged: {:?}", q);
+                prop_assert_eq!(&served.execute(&q), &want, "cache-hot repeat diverged: {:?}", q);
             }
         }
 
-        // Stats totals agree (chunk/byte counts may differ by layout, but
-        // logical contents may not).
-        prop_assert_eq!(flat.stats().points, sharded.stats().points);
-        prop_assert_eq!(flat.stats().series, sharded.stats().series);
-        prop_assert_eq!(flat.metrics(), sharded.metrics());
+        prop_assert_eq!(flat.stats(), served.stats());
+        prop_assert_eq!(flat.integrity_scan(), served.integrity_scan());
+        let metrics: Vec<String> = flat.metrics().into_iter().map(str::to_string).collect();
+        prop_assert_eq!(metrics, served.metrics());
 
         // Every individual series reads back identically.
         for m in 0..3u8 {
             for d in 0..5u8 {
                 let tags: TagSet =
                     [("device".to_string(), format!("node{d}"))].into();
-                let a = flat.read_series(
-                    &metric_name(m), &tags, Timestamp(0), Timestamp(i64::MAX));
-                let b = sharded.read_series(
+                let a = flat.series_id(&metric_name(m), &tags).and_then(|id| {
+                    flat.read_with_quarantine(id, Timestamp(0), Timestamp(i64::MAX)).ok()
+                });
+                let b = served.read_series(
                     &metric_name(m), &tags, Timestamp(0), Timestamp(i64::MAX));
                 prop_assert_eq!(a, b, "series m={} d={} diverged", m, d);
             }
-        }
-
-        // Every query shape returns identical results.
-        for q in queries() {
-            let a = flat.execute(&q);
-            let b = sharded.execute(&q);
-            prop_assert_eq!(a, b, "query diverged: {:?}", q);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Concurrent-writer stress: many threads hammer a shared [`ShardedTsdb`]
 //! through `put_batch` while readers run queries and integrity scans. The
-//! locks must neither lose writes nor deadlock, and the final contents must
-//! equal a serial reference ingest of the same points.
+//! store's one lock must neither lose writes nor deadlock, and the final
+//! contents must equal a serial reference ingest of the same points.
 
 use ctt_core::time::Timestamp;
 use ctt_tsdb::{DataPoint, Query, ShardedTsdb, TagSet};
@@ -27,7 +27,7 @@ fn concurrent_writers_do_not_lose_or_duplicate_points() {
     const POINTS: i64 = 500;
     const BATCH: usize = 50;
 
-    let db = Arc::new(ShardedTsdb::with_chunk_size(4, 32));
+    let db = Arc::new(ShardedTsdb::with_chunk_size(32));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
             let db = Arc::clone(&db);
@@ -51,7 +51,7 @@ fn concurrent_writers_do_not_lose_or_duplicate_points() {
             for _ in 0..50 {
                 // Scan before stats: points only grow in this test, so a
                 // scan snapshot never exceeds a later stats snapshot (the
-                // two calls are not atomic across shards).
+                // two calls take the lock separately).
                 let scan = db.integrity_scan();
                 let st = db.stats();
                 assert!(scan.readable_points + scan.quarantined_points <= st.points);
@@ -74,7 +74,7 @@ fn concurrent_writers_do_not_lose_or_duplicate_points() {
     assert_eq!(st.series, WRITERS, "one series per writer expected");
 
     // Contents match a serial reference ingest exactly.
-    let reference = ShardedTsdb::with_chunk_size(1, 32);
+    let reference = ShardedTsdb::with_chunk_size(32);
     for w in 0..WRITERS {
         reference.put_batch(&writer_points(w, POINTS));
     }
@@ -89,7 +89,7 @@ fn concurrent_writers_do_not_lose_or_duplicate_points() {
 #[test]
 fn concurrent_writers_with_interleaved_eviction() {
     const WRITERS: usize = 4;
-    let db = Arc::new(ShardedTsdb::with_chunk_size(4, 16));
+    let db = Arc::new(ShardedTsdb::with_chunk_size(16));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
             let db = Arc::clone(&db);

@@ -38,7 +38,7 @@ use ctt_lorawan::{
 };
 use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
 use ctt_sim::{EventQueue, QueueObs, Schedulable, SimClock};
-use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, ShardedTsdb, TagSet, DEFAULT_SHARDS};
+use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, ShardedTsdb, TagSet};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -191,10 +191,10 @@ pub struct Pipeline {
     broker: Broker,
     storage_sub: Subscriber,
     /// The time-series store (public: queried by analyses and dashboards).
-    /// Sharded by series-key hash; safe to query while other threads write.
+    /// One store behind one lock; safe to query from other threads.
     pub tsdb: ShardedTsdb,
-    /// The staged ingest runtime in front of the store: one lane per
-    /// shard, applied on this thread. All pipeline writes go through it,
+    /// The staged ingest runtime in front of the store: one lane, applied
+    /// on this thread. All pipeline writes go through it,
     /// and only inside `run_until`, which ends with a flush: no `&self`
     /// read ever finds a staged point.
     ingest: IngestRuntime,
@@ -235,7 +235,7 @@ pub struct Pipeline {
     /// One drain pass's points, reused across passes.
     points: Vec<(SeriesRef, Timestamp, f64)>,
     /// The metrics registry every layer publishes into (broker subscriber
-    /// counters, TSDB shard counters, chaos activations).
+    /// counters, TSDB store counters, chaos activations).
     registry: Registry,
     /// Chaos fault-activation counters (registered even when no plan is
     /// attached, so snapshots have a stable shape).
@@ -279,10 +279,10 @@ impl Pipeline {
         let chaos_obs = ChaosObs::register(&registry);
         let broker = Broker::with_registry(registry.clone());
         let storage_sub = broker.subscribe(UplinkEvent::all_filter(), QoS::AtLeastOnce, 65_536);
-        let mut tsdb = ShardedTsdb::new(DEFAULT_SHARDS);
+        let mut tsdb = ShardedTsdb::default();
         tsdb.attach_registry(&registry);
-        // The runtime captures per-shard writer handles (and the shard put
-        // counters), so it must be built after attach_registry.
+        // The runtime captures the store's writer handle (and its put
+        // counter), so it must be built after attach_registry.
         let ingest = IngestRuntime::new(&tsdb, &registry, IngestConfig::default());
         let mut dataport = Dataport::new(DataportConfig::default());
         for n in &deployment.nodes {
@@ -477,7 +477,7 @@ impl Pipeline {
     }
 
     /// The metrics registry every layer of this pipeline publishes into
-    /// (broker subscriber counters, TSDB shard counters, chaos activations).
+    /// (broker subscriber counters, TSDB store counters, chaos activations).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -747,7 +747,7 @@ impl Pipeline {
         if self.chaos.is_none() {
             return;
         }
-        // Bit flips target "the nth sealed chunk": drain the ingest lanes
+        // Bit flips target "the nth sealed chunk": drain the ingest lane
         // so the chunk population at this instant matches a serial replay.
         self.ingest.flush();
         let flips = self
