@@ -807,7 +807,7 @@ fn txt3() {
     let covered = |t: Timestamp, from: Timestamp, until: Timestamp| from <= t && t < until + grace;
     let mut raises = 0u64;
     let mut false_alarms = 0u64;
-    for a in &log {
+    for a in log {
         match a.kind {
             AlarmKind::SensorOffline => {
                 raises += 1;

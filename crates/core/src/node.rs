@@ -319,6 +319,7 @@ impl SensorNode {
     /// cover from the emission model's weather; the next uplink time is
     /// scheduled from the adaptive policy.
     pub fn step(&mut self, emission: &EmissionModel, now: Timestamp) -> Option<SensorReading> {
+        // lint:allow(panic): the event calendar pops a node no earlier than its next_due()
         assert!(now >= self.next_uplink, "stepped before due time");
         // Idle energy between steps (weather-dependent solar input).
         let wx = emission.weather().sample(now);

@@ -288,6 +288,7 @@ impl Timestamp {
 
     /// Align down to a multiple of `interval` seconds (UTC-aligned buckets).
     pub fn align_down(self, interval: Span) -> Timestamp {
+        // lint:allow(panic): bucket widths are positive; with_layout checks the rollup interval
         assert!(interval.0 > 0, "interval must be positive");
         Timestamp(self.0.div_euclid(interval.0) * interval.0)
     }

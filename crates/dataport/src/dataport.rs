@@ -11,7 +11,7 @@
 //! sensor-offline event whose twin was ≥90% dependent on a gateway that is
 //! currently down is suppressed and attributed to the gateway.
 
-use crate::actor::{Actor, ActorRef, ActorSystem, AnyMessage, Context, Fault, SupervisorStrategy};
+use crate::actor::{Actor, ActorRef, ActorSystem, Context, Fault, SupervisorStrategy};
 use crate::alarm::{Alarm, AlarmBus, AlarmKind};
 use crate::twin::{
     GatewayEvent, GatewayState, GatewayTwin, SensorTwin, SensorTwinConfig, TwinEvent, TwinState,
@@ -24,6 +24,19 @@ use std::collections::{BTreeMap, HashMap};
 
 // ---------------------------------------------------------------- messages
 
+/// Every message of the dataport's actors.
+#[derive(Debug, Clone)]
+enum Msg {
+    /// An uplink observation, for a sensor twin.
+    Uplink(UplinkMsg),
+    /// Traffic seen at this time, for a gateway twin.
+    Traffic(Timestamp),
+    /// Periodic clock tick, for every twin.
+    Tick(Timestamp),
+    /// An alarm-bus event, for the alarm actor.
+    Alarm(AlarmMsg),
+}
+
 /// An uplink observation for a sensor twin.
 #[derive(Debug, Clone, Copy)]
 pub struct UplinkMsg {
@@ -35,18 +48,6 @@ pub struct UplinkMsg {
     pub gateway: GatewayId,
     /// RSSI at the best gateway.
     pub rssi_dbm: f64,
-}
-
-/// Traffic notification for a gateway twin.
-#[derive(Debug, Clone, Copy)]
-struct GatewayTrafficMsg {
-    time: Timestamp,
-}
-
-/// Periodic clock tick.
-#[derive(Debug, Clone, Copy)]
-struct TickMsg {
-    now: Timestamp,
 }
 
 /// Messages to the alarm actor.
@@ -76,13 +77,79 @@ enum AlarmMsg {
 
 // ------------------------------------------------------------------ actors
 
+/// Every actor of the dataport: the twins, the alarm bus, and the branch
+/// supervisors that only group twins in the tree.
+enum Node {
+    Sensor(SensorActor),
+    Gateway(GatewayActor),
+    Alarms(AlarmActor),
+    Branch,
+}
+
+impl Actor for Node {
+    type Msg = Msg;
+
+    fn handle(&mut self, ctx: &mut Context<'_, Node>, msg: Msg) -> Result<(), Fault> {
+        match (self, msg) {
+            (Node::Sensor(s), Msg::Uplink(up)) => s.on_uplink(ctx, up)?,
+            (Node::Sensor(s), Msg::Tick(now)) => {
+                let events = s.twin.tick(now);
+                s.forward_events(ctx, events, now);
+            }
+            (Node::Gateway(g), Msg::Traffic(time)) => {
+                let events = g.twin.on_traffic(time);
+                g.forward_events(ctx, events, time);
+            }
+            (Node::Gateway(g), Msg::Tick(now)) => {
+                let events = g.twin.tick(now);
+                g.forward_events(ctx, events, now);
+            }
+            (Node::Alarms(a), Msg::Alarm(m)) => a.on_msg(m),
+            (node, msg) => return Err(Fault(format!("{} cannot handle {msg:?}", node.kind()))),
+        }
+        Ok(())
+    }
+
+    fn restarted(&mut self) {
+        if let Node::Sensor(s) = self {
+            // Keep identity/config; volatile connectivity state resets.
+            s.twin = SensorTwin::new(s.twin.device(), SensorTwinConfig::default());
+        }
+    }
+
+    fn kind(&self) -> &'static str {
+        match self {
+            Node::Sensor(_) => "sensor-twin",
+            Node::Gateway(_) => "gateway-twin",
+            Node::Alarms(_) => "alarm-bus",
+            Node::Branch => "supervisor",
+        }
+    }
+}
+
 struct SensorActor {
     twin: SensorTwin,
     alarms: ActorRef,
 }
 
 impl SensorActor {
-    fn forward_events(&self, ctx: &mut Context<'_>, events: Vec<TwinEvent>, time: Timestamp) {
+    fn on_uplink(&mut self, ctx: &mut Context<'_, Node>, up: UplinkMsg) -> Result<(), Fault> {
+        if !up.battery_pct.is_finite() {
+            // A corrupt observation is a fault: supervision restarts the
+            // twin rather than letting bad state accumulate.
+            return Err(Fault(format!(
+                "corrupt uplink for {}: non-finite battery",
+                self.twin.device()
+            )));
+        }
+        let events = self
+            .twin
+            .on_uplink(up.time, up.battery_pct, up.gateway, Dbm(up.rssi_dbm));
+        self.forward_events(ctx, events, up.time);
+        Ok(())
+    }
+
+    fn forward_events(&self, ctx: &mut Context<'_, Node>, events: Vec<TwinEvent>, time: Timestamp) {
         for event in events {
             let dependent_gateway = self
                 .twin
@@ -90,7 +157,7 @@ impl SensorActor {
                 .filter(|&gw| self.twin.is_dependent_on(gw, 0.9));
             ctx.send(
                 self.alarms,
-                Box::new(AlarmMsg::Sensor {
+                Msg::Alarm(AlarmMsg::Sensor {
                     event,
                     dependent_gateway,
                     time,
@@ -100,63 +167,21 @@ impl SensorActor {
     }
 }
 
-impl Actor for SensorActor {
-    fn handle(&mut self, ctx: &mut Context<'_>, msg: AnyMessage) -> Result<(), Fault> {
-        if let Some(up) = msg.downcast_ref::<UplinkMsg>() {
-            if !up.battery_pct.is_finite() {
-                // A corrupt observation is a fault: supervision restarts the
-                // twin rather than letting bad state accumulate.
-                return Err(Fault(format!(
-                    "corrupt uplink for {}: non-finite battery",
-                    self.twin.device()
-                )));
-            }
-            let events = self
-                .twin
-                .on_uplink(up.time, up.battery_pct, up.gateway, Dbm(up.rssi_dbm));
-            self.forward_events(ctx, events, up.time);
-            Ok(())
-        } else if let Some(tick) = msg.downcast_ref::<TickMsg>() {
-            let events = self.twin.tick(tick.now);
-            self.forward_events(ctx, events, tick.now);
-            Ok(())
-        } else {
-            Ok(())
-        }
-    }
-
-    fn restarted(&mut self) {
-        // Keep identity/config; volatile connectivity state resets.
-        self.twin = SensorTwin::new(self.twin.device(), SensorTwinConfig::default());
-    }
-
-    fn kind(&self) -> &'static str {
-        "sensor-twin"
-    }
-}
-
 struct GatewayActor {
     twin: GatewayTwin,
     alarms: ActorRef,
 }
 
-impl Actor for GatewayActor {
-    fn handle(&mut self, ctx: &mut Context<'_>, msg: AnyMessage) -> Result<(), Fault> {
-        let (events, time) = if let Some(t) = msg.downcast_ref::<GatewayTrafficMsg>() {
-            (self.twin.on_traffic(t.time), t.time)
-        } else if let Some(t) = msg.downcast_ref::<TickMsg>() {
-            (self.twin.tick(t.now), t.now)
-        } else {
-            return Ok(());
-        };
+impl GatewayActor {
+    fn forward_events(
+        &self,
+        ctx: &mut Context<'_, Node>,
+        events: Vec<GatewayEvent>,
+        time: Timestamp,
+    ) {
         for event in events {
-            ctx.send(self.alarms, Box::new(AlarmMsg::Gateway { event, time }));
+            ctx.send(self.alarms, Msg::Alarm(AlarmMsg::Gateway { event, time }));
         }
-        Ok(())
-    }
-
-    fn kind(&self) -> &'static str {
-        "gateway-twin"
     }
 }
 
@@ -256,14 +281,9 @@ impl AlarmActor {
             }
         }
     }
-}
 
-impl Actor for AlarmActor {
-    fn handle(&mut self, _ctx: &mut Context<'_>, msg: AnyMessage) -> Result<(), Fault> {
-        let Ok(msg) = msg.downcast::<AlarmMsg>() else {
-            return Ok(());
-        };
-        match *msg {
+    fn on_msg(&mut self, msg: AlarmMsg) {
+        match msg {
             AlarmMsg::Sensor {
                 event,
                 dependent_gateway,
@@ -282,23 +302,6 @@ impl Actor for AlarmActor {
                 self.bus.clear(kind, &source, time);
             }
         }
-        Ok(())
-    }
-
-    fn kind(&self) -> &'static str {
-        "alarm-bus"
-    }
-}
-
-/// Supervisor placeholder for the `sensors`/`gateways` branch roots.
-struct BranchSupervisor;
-
-impl Actor for BranchSupervisor {
-    fn handle(&mut self, _ctx: &mut Context<'_>, _msg: AnyMessage) -> Result<(), Fault> {
-        Ok(())
-    }
-    fn kind(&self) -> &'static str {
-        "supervisor"
     }
 }
 
@@ -388,13 +391,16 @@ struct ComponentHealth {
 /// The dataport service.
 #[derive(Debug)]
 pub struct Dataport {
-    system: ActorSystem,
+    system: ActorSystem<Node>,
     config: DataportConfig,
     sensors_branch: ActorRef,
     gateways_branch: ActorRef,
     alarms: ActorRef,
-    sensor_refs: HashMap<DevEui, ActorRef>,
-    gateway_refs: HashMap<GatewayId, ActorRef>,
+    // BTreeMaps: ticks and snapshots walk twins in id order, so same-tick
+    // alarms land in the log in a reproducible sequence (replays are
+    // compared byte-for-byte by the chaos determinism tests).
+    sensor_refs: BTreeMap<DevEui, ActorRef>,
+    gateway_refs: BTreeMap<GatewayId, ActorRef>,
     backend: ComponentHealth,
     mqtt: ComponentHealth,
     watchdog: Watchdog,
@@ -409,7 +415,7 @@ impl Dataport {
         let mut system = ActorSystem::new();
         let alarms = system.spawn(
             "dataport/alarms",
-            Box::new(AlarmActor {
+            Node::Alarms(AlarmActor {
                 bus: AlarmBus::new(),
                 gateway_down: HashMap::new(),
                 offline_dependents: BTreeMap::new(),
@@ -419,12 +425,12 @@ impl Dataport {
         );
         let sensors_branch = system.spawn(
             "dataport/sensors",
-            Box::new(BranchSupervisor),
+            Node::Branch,
             SupervisorStrategy::Restart,
         );
         let gateways_branch = system.spawn(
             "dataport/gateways",
-            Box::new(BranchSupervisor),
+            Node::Branch,
             SupervisorStrategy::Restart,
         );
         Dataport {
@@ -433,8 +439,8 @@ impl Dataport {
             sensors_branch,
             gateways_branch,
             alarms,
-            sensor_refs: HashMap::new(),
-            gateway_refs: HashMap::new(),
+            sensor_refs: BTreeMap::new(),
+            gateway_refs: BTreeMap::new(),
             backend: ComponentHealth { last_ok: None },
             mqtt: ComponentHealth { last_ok: None },
             watchdog: Watchdog::new(Span::minutes(5)),
@@ -443,24 +449,18 @@ impl Dataport {
         }
     }
 
-    /// The configured tick cadence (the interval this dataport asks the
-    /// event loop to schedule it at).
-    pub fn tick_cadence(&self) -> Span {
-        self.config.tick_cadence
-    }
-
     /// Register a sensor twin (idempotent; also done lazily on first uplink).
     pub fn register_sensor(&mut self, device: DevEui) -> ActorRef {
         if let Some(&r) = self.sensor_refs.get(&device) {
             return r;
         }
-        let actor = SensorActor {
+        let actor = Node::Sensor(SensorActor {
             twin: SensorTwin::new(device, self.config.twin),
             alarms: self.alarms,
-        };
+        });
         // Children of the sensors branch. (Spawned directly under the branch
         // path; the branch supervisor owns them.)
-        let r = self.spawn_under(self.sensors_branch, format!("{device}"), Box::new(actor));
+        let r = self.spawn_under(self.sensors_branch, format!("{device}"), actor);
         self.sensor_refs.insert(device, r);
         r
     }
@@ -470,16 +470,16 @@ impl Dataport {
         if let Some(&r) = self.gateway_refs.get(&gateway) {
             return r;
         }
-        let actor = GatewayActor {
+        let actor = Node::Gateway(GatewayActor {
             twin: GatewayTwin::new(gateway, self.config.gateway_outage_window),
             alarms: self.alarms,
-        };
-        let r = self.spawn_under(self.gateways_branch, format!("{gateway}"), Box::new(actor));
+        });
+        let r = self.spawn_under(self.gateways_branch, format!("{gateway}"), actor);
         self.gateway_refs.insert(gateway, r);
         r
     }
 
-    fn spawn_under(&mut self, parent: ActorRef, name: String, actor: Box<dyn Actor>) -> ActorRef {
+    fn spawn_under(&mut self, parent: ActorRef, name: String, actor: Node) -> ActorRef {
         self.system
             .spawn_child_of(parent, name, actor, SupervisorStrategy::Restart)
     }
@@ -498,14 +498,14 @@ impl Dataport {
         let gw = self.register_gateway(gateway);
         self.system.send(
             sensor,
-            Box::new(UplinkMsg {
+            Msg::Uplink(UplinkMsg {
                 time,
                 battery_pct,
                 gateway,
                 rssi_dbm: rssi_dbm.0,
             }),
         );
-        self.system.send(gw, Box::new(GatewayTrafficMsg { time }));
+        self.system.send(gw, Msg::Traffic(time));
         self.system.run_until_idle();
         // Data flowing end-to-end implies the backend and broker are up.
         self.backend.last_ok = Some(time);
@@ -526,22 +526,9 @@ impl Dataport {
 
     /// Periodic tick: run twin timeout checks and component monitoring.
     pub fn tick(&mut self, now: Timestamp) {
-        // Tick twins in id order, not map order: same-tick alarms must land
-        // in the log in a reproducible sequence (replays are compared
-        // byte-for-byte by the chaos determinism tests).
-        let mut sensors: Vec<(DevEui, ActorRef)> =
-            self.sensor_refs.iter().map(|(&d, &r)| (d, r)).collect();
-        sensors.sort_unstable_by_key(|&(d, _)| d);
-        let mut gateways: Vec<(GatewayId, ActorRef)> =
-            self.gateway_refs.iter().map(|(&g, &r)| (g, r)).collect();
-        gateways.sort_unstable_by_key(|&(g, _)| g);
-        let refs: Vec<ActorRef> = sensors
-            .into_iter()
-            .map(|(_, r)| r)
-            .chain(gateways.into_iter().map(|(_, r)| r))
-            .collect();
-        for r in refs {
-            self.system.send(r, Box::new(TickMsg { now }));
+        // Sensors in id order, then gateways in id order.
+        for &r in self.sensor_refs.values().chain(self.gateway_refs.values()) {
+            self.system.send(r, Msg::Tick(now));
         }
         // Component monitors.
         for (health, kind, source) in [
@@ -563,7 +550,7 @@ impl Dataport {
                         time: now,
                     }
                 };
-                self.system.send(self.alarms, Box::new(msg));
+                self.system.send(self.alarms, Msg::Alarm(msg));
             }
         }
         self.system.run_until_idle();
@@ -601,7 +588,7 @@ impl Dataport {
     pub fn raise_alarm(&mut self, kind: AlarmKind, source: &str, now: Timestamp, message: String) {
         self.system.send(
             self.alarms,
-            Box::new(AlarmMsg::Raise {
+            Msg::Alarm(AlarmMsg::Raise {
                 kind,
                 source: source.to_string(),
                 time: now,
@@ -611,29 +598,32 @@ impl Dataport {
         self.system.run_until_idle();
     }
 
+    fn alarm_bus(&self) -> Option<&AlarmBus> {
+        match self.system.get(self.alarms)? {
+            Node::Alarms(a) => Some(&a.bus),
+            _ => None,
+        }
+    }
+
     /// Active alarms (sorted by severity).
     pub fn active_alarms(&self) -> Vec<Alarm> {
-        self.system
-            .inspect::<AlarmActor, _>(self.alarms, |a| {
-                a.bus.active().into_iter().cloned().collect()
-            })
+        self.alarm_bus()
+            .map(|bus| bus.active().into_iter().cloned().collect())
             .unwrap_or_default()
     }
 
     /// Full alarm transition log.
-    pub fn alarm_log(&self) -> Vec<Alarm> {
-        self.system
-            .inspect::<AlarmActor, _>(self.alarms, |a| a.bus.log().to_vec())
-            .unwrap_or_default()
+    pub fn alarm_log(&self) -> &[Alarm] {
+        self.alarm_bus().map_or(&[], AlarmBus::log)
     }
 
     /// Point-in-time network snapshot.
     pub fn snapshot(&self, now: Timestamp) -> NetworkSnapshot {
-        let mut sensors: Vec<SensorStatus> = self
+        let sensors = self
             .sensor_refs
             .iter()
-            .filter_map(|(&device, &r)| {
-                self.system.inspect::<SensorActor, _>(r, |a| SensorStatus {
+            .filter_map(|(&device, &r)| match self.system.get(r)? {
+                Node::Sensor(a) => Some(SensorStatus {
                     device,
                     state: a.twin.state(),
                     last_uplink: a.twin.last_uplink(),
@@ -641,33 +631,28 @@ impl Dataport {
                     last_gateway: a.twin.last_gateway(),
                     last_rssi_dbm: a.twin.last_rssi_dbm(),
                     uplinks: a.twin.uplinks(),
-                })
+                }),
+                _ => None,
             })
             .collect();
-        sensors.sort_by_key(|s| s.device);
-        let mut gateways: Vec<GatewayStatus> = self
+        let gateways = self
             .gateway_refs
             .iter()
-            .filter_map(|(&gateway, &r)| {
-                self.system
-                    .inspect::<GatewayActor, _>(r, |a| GatewayStatus {
-                        gateway,
-                        state: a.twin.state(),
-                        frames: a.twin.frames(),
-                        last_traffic: a.twin.last_traffic(),
-                    })
+            .filter_map(|(&gateway, &r)| match self.system.get(r)? {
+                Node::Gateway(a) => Some(GatewayStatus {
+                    gateway,
+                    state: a.twin.state(),
+                    frames: a.twin.frames(),
+                    last_traffic: a.twin.last_traffic(),
+                }),
+                _ => None,
             })
             .collect();
-        gateways.sort_by_key(|g| g.gateway);
-        let suppressed = self
-            .system
-            .inspect::<AlarmActor, _>(self.alarms, |a| a.bus.suppressed())
-            .unwrap_or(0);
         NetworkSnapshot {
             sensors,
             gateways,
             active_alarms: self.active_alarms(),
-            suppressed_alarms: suppressed,
+            suppressed_alarms: self.alarm_bus().map_or(0, AlarmBus::suppressed),
             time: now,
         }
     }
@@ -684,6 +669,7 @@ impl ctt_sim::Schedulable for Dataport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::LifecycleEvent;
 
     const GW1: GatewayId = GatewayId(0xB827_EB00_0000_0001);
     const GW2: GatewayId = GatewayId(0xB827_EB00_0000_0002);
@@ -884,6 +870,26 @@ mod tests {
         dp.on_uplink(DevEui::ctt(1), Timestamp(600), 88.0, GW1, Dbm(-100.0));
         let snap = dp.snapshot(Timestamp(600));
         assert_eq!(snap.sensors[0].state, TwinState::Online);
+    }
+
+    #[test]
+    fn mismatched_message_faults_and_restarts_the_twin() {
+        let mut dp = dataport();
+        dp.on_uplink(DevEui::ctt(1), Timestamp(0), 90.0, GW1, Dbm(-100.0));
+        let sensor = dp.register_sensor(DevEui::ctt(1));
+        // Gateway traffic is no message for a sensor twin.
+        dp.system.send(sensor, Msg::Traffic(Timestamp(60)));
+        dp.system.run_until_idle();
+        let path = dp.sensor_path(DevEui::ctt(1)).unwrap();
+        assert!(
+            dp.system.events().iter().any(
+                |e| matches!(e, LifecycleEvent::Restarted(p, f) if *p == path && f.contains("Traffic"))
+            ),
+            "{:?}",
+            dp.system.events()
+        );
+        let snap = dp.snapshot(Timestamp(60));
+        assert_eq!(snap.sensors[0].state, TwinState::NeverSeen);
     }
 
     #[test]

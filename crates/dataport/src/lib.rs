@@ -8,7 +8,9 @@
 //! sensors invisible).
 //!
 //! * [`actor`] — deterministic supervised actor runtime (mailboxes,
-//!   supervision strategies, hierarchy, lifecycle events).
+//!   supervision strategies, hierarchy, lifecycle events). It is typed: a
+//!   system hosts one actor type with one message type, and a message an
+//!   actor has no arm for is a fault that its supervisor handles.
 //! * [`twin`] — sensor/gateway digital-twin state machines, including the
 //!   battery-adaptive expected-interval failure detector.
 //! * [`alarm`] — severity-ranked alarm bus with raise/clear dedup.

@@ -124,6 +124,7 @@ impl ProtocolTrace {
     /// Record a stage outcome. Stages must be recorded in path order.
     pub fn record(&mut self, stage: Stage, time: Timestamp, ok: bool, detail: impl Into<String>) {
         if let Some(last) = self.records.last() {
+            // lint:allow(panic): callers record stages in path order (out_of_order_stage_panics)
             assert!(
                 stage > last.stage,
                 "stages must be recorded in order: {stage} after {}",

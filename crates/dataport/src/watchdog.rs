@@ -35,6 +35,7 @@ pub struct Watchdog {
 impl Watchdog {
     /// Watchdog tolerating `grace` of heartbeat silence.
     pub fn new(grace: Span) -> Self {
+        // lint:allow(panic): the grace is a positive constant; zero would make every check Down
         assert!(grace.as_seconds() > 0);
         Watchdog {
             grace,

@@ -336,8 +336,12 @@ pub(crate) fn is_non_index_keyword(word: &str) -> bool {
 }
 
 /// Macros that panic when reached (`name!`). R1 and R7 both ask.
+/// `debug_assert*` is not one: release builds compile it out.
 pub(crate) fn is_panic_macro(word: &str) -> bool {
-    matches!(word, "panic" | "unreachable" | "todo" | "unimplemented")
+    matches!(
+        word,
+        "panic" | "unreachable" | "todo" | "unimplemented" | "assert" | "assert_eq" | "assert_ne"
+    )
 }
 
 /// Whether token index `idx` falls inside any of `regions`.

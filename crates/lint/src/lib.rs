@@ -756,25 +756,30 @@ mod tests {
 
     #[test]
     fn r1_and_r7_flag_unreachable() {
-        let src = "pub fn f(x: u8) -> u8 {\n    match x {\n        0 => 1,\n        \
-                   _ => unreachable!(\"never\"),\n    }\n}\n";
-        let f = lint_file("crates/x/src/a.rs", src, &hot_config());
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!((f[0].rule, f[0].line), (Rule::PanicFreedom, 4));
-        assert!(f[0].message.contains("unreachable!"));
+        let unreachable = "pub fn f(x: u8) -> u8 {\n    match x {\n        0 => 1,\n        \
+                           _ => unreachable!(\"never\"),\n    }\n}\n";
+        // `debug_assert!` compiles out of release builds; `assert!` does not.
+        let assert = "pub fn f(x: u8) -> u8 {\n    debug_assert!(x < 9);\n    \
+                      assert!(x > 0, \"zero\");\n    x\n}\n";
+        for (src, line, what) in [(unreachable, 4, "unreachable!"), (assert, 3, "assert!")] {
+            let f = lint_file("crates/x/src/a.rs", src, &hot_config());
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert_eq!((f[0].rule, f[0].line), (Rule::PanicFreedom, line));
+            assert!(f[0].message.contains(what));
 
-        let config = LintConfig {
-            hot_paths: vec![],
-            replay_paths: vec![],
-            entry_points: vec![("a".into(), "f".into())],
-        };
-        let files = [SourceFile {
-            relpath: "crates/x/src/a.rs".into(),
-            src: src.into(),
-        }];
-        let f = lint_workspace(&files, &config);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!((f[0].rule, f[0].line), (Rule::PanicReachability, 4));
+            let config = LintConfig {
+                hot_paths: vec![],
+                replay_paths: vec![],
+                entry_points: vec![("a".into(), "f".into())],
+            };
+            let files = [SourceFile {
+                relpath: "crates/x/src/a.rs".into(),
+                src: src.into(),
+            }];
+            let f = lint_workspace(&files, &config);
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert_eq!((f[0].rule, f[0].line), (Rule::PanicReachability, line));
+        }
     }
 
     #[test]

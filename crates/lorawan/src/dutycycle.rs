@@ -27,6 +27,7 @@ pub struct DutyCycleTracker {
 impl DutyCycleTracker {
     /// Create a tracker with a duty-cycle `limit` (e.g. 0.01).
     pub fn new(limit: f64) -> Self {
+        // lint:allow(panic): the limit is the region's duty-cycle constant, in (0, 1]
         assert!(limit > 0.0 && limit <= 1.0, "invalid duty cycle {limit}");
         DutyCycleTracker {
             limit,
@@ -55,6 +56,7 @@ impl DutyCycleTracker {
     /// time-on-air. Returns `false` (and refuses it) if the duty cycle
     /// forbids transmitting now.
     pub fn try_transmit(&mut self, now: Timestamp, airtime_s: f64) -> bool {
+        // lint:allow(panic): airtime comes from time_on_air_s, which is never negative
         assert!(airtime_s >= 0.0);
         if !self.may_transmit(now) {
             self.refused += 1;

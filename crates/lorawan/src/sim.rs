@@ -274,6 +274,7 @@ impl RadioSimulator {
     /// or `None` if the duty cycle refused it.
     pub fn submit(&mut self, time: Timestamp, req: TxRequest) -> Option<f64> {
         let start_s = time.as_seconds() as f64;
+        // lint:allow(panic): the event calendar dispatches transmissions in time order
         assert!(
             start_s >= self.last_submit_s,
             "submissions must be time-ordered: {start_s} < {}",

@@ -70,6 +70,7 @@ impl GorillaEncoder {
             self.w.write_bits(ts as u64, 64);
             self.w.write_bits(vbits, 64);
         } else {
+            // lint:allow(panic): a series seals its sorted buffer, so appends are in time order
             assert!(ts >= self.prev_ts, "out-of-order append to chunk");
             let delta = ts - self.prev_ts;
             if self.count == 1 {

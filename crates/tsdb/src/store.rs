@@ -620,7 +620,9 @@ impl Tsdb {
     /// shapes chunk spans; queries downsampling at exactly this interval
     /// are served from seal-time rollups without decoding chunks.
     pub fn with_layout(chunk_size: usize, rollup_interval: Span) -> Self {
+        // lint:allow(panic): a layout is fixed at construction; tiny_chunk_size_rejected pins it
         assert!(chunk_size >= 2, "chunk size too small");
+        // lint:allow(panic): a layout is fixed at construction; a zero-width bucket has no meaning
         assert!(
             rollup_interval.as_seconds() > 0,
             "rollup interval must be positive"

@@ -10,13 +10,7 @@
 //!
 //! ```sh
 //! cargo run --release --example network_monitoring
-//! cargo run --release --example network_monitoring -- --profile  # + metrics export
 //! ```
-//!
-//! With `--profile`, the chaos run's metrics snapshot and scheduling profile
-//! are written to `results/profile_trondheim_chaos.csv` / `.json` /
-//! `_sched.txt` — suffixed `_chaos` so they never clobber the healthy-run
-//! `profile_trondheim.*` exports from the figures binary.
 
 use ctt::chaos::{FaultKind, FaultPlan};
 use ctt::dataport::{AlarmKind, GatewayState, TwinState};
@@ -44,7 +38,6 @@ fn print_alarms(pipeline: &Pipeline, when: &str) {
 }
 
 fn main() {
-    let profile = std::env::args().any(|a| a == "--profile");
     let deployment = Deployment::trondheim();
     let start = deployment.started;
     let dead_node = deployment.nodes[3].eui;
@@ -64,9 +57,6 @@ fn main() {
             start + Span::hours(3) + Span::minutes(30),
         );
     let mut pipeline = Pipeline::with_chaos(deployment, 42, plan);
-    if profile {
-        pipeline.enable_dispatch_trace(128);
-    }
 
     // Phase 1: healthy operation.
     pipeline.run_until(start + Span::hours(2));
@@ -195,28 +185,5 @@ fn main() {
             "  {}",
             pipeline.dataport.sensor_path(n.eui).expect("registered")
         );
-    }
-
-    if profile {
-        export_profile(&pipeline);
-    }
-}
-
-/// Write the chaos run's observability exports under `results/`, with a
-/// `_chaos` suffix so the figures binary's healthy-run profiles stay intact.
-fn export_profile(pipeline: &Pipeline) {
-    let slug = format!("{}_chaos", pipeline.deployment.city.to_lowercase());
-    let snap = pipeline.metrics_snapshot();
-    let artifacts = [
-        (format!("results/profile_{slug}.csv"), snap.to_csv()),
-        (format!("results/profile_{slug}.json"), snap.to_json()),
-        (
-            format!("results/profile_{slug}_sched.txt"),
-            pipeline.scheduling_profile(),
-        ),
-    ];
-    for (path, content) in artifacts {
-        std::fs::write(&path, content).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("  wrote {path}");
     }
 }

@@ -154,7 +154,7 @@ impl Fleet {
                 .iter()
                 .filter(|s| s.state == TwinState::Online)
                 .count() as i64;
-            alarms += p.dataport.active_alarms().len() as i64;
+            alarms += snap.active_alarms.len() as i64;
         }
         self.registry.counter("fleet.rollups").inc();
         self.registry.gauge("fleet.readings").set(readings as i64);
