@@ -25,6 +25,9 @@ cargo test --offline -q -p ctt-chaos
 echo "==> cargo test"
 cargo test --offline -q --workspace
 
+echo "==> cargo test --release (optimised float codegen: NaN payloads and ±0.0 ties)"
+cargo test --offline -q --release --workspace
+
 echo "==> figures (results/ is the standing golden: every SVG, CSV and profile export byte for byte)"
 cargo run --offline -q --release -p ctt-bench --bin figures > /dev/null
 git diff --exit-code --stat -- results/

@@ -72,8 +72,11 @@ impl BitWriter {
         }
     }
 
-    /// Finish, returning the underlying bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// Finish, returning the underlying bytes at their exact length: the
+    /// slack that growth by doubling left is released once, here, so a
+    /// sealed chunk holds what it counts.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.bytes.shrink_to_fit();
         self.bytes
     }
 

@@ -585,6 +585,21 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_chunk_holds_exactly_its_bytes() {
+        let mut enc = GorillaEncoder::new();
+        for i in 0..300i64 {
+            enc.append(Timestamp(i * 300), (i as f64).sin());
+        }
+        let ck = enc.checkpoint();
+        enc.append(Timestamp(300 * 300), 1.0);
+        let mut rewound = enc.clone();
+        rewound.restore(&ck);
+        for chunk in [enc.finish(), rewound.finish()] {
+            assert_eq!(chunk.data.capacity(), chunk.size_bytes());
+        }
+    }
+
+    #[test]
     fn serialization_roundtrip() {
         let mut enc = GorillaEncoder::new();
         for i in 0..100i64 {

@@ -39,7 +39,6 @@ pub use error::TsdbError;
 pub use gorilla::{CompressedChunk, GorillaEncoder};
 pub use model::{DataPoint, ModelError, TagFilter, TagSet};
 pub use query::{execute, execute_raw, Aggregator, Downsample, FillPolicy, Query, QueryResult};
-pub use rollup::RollupBucket;
 pub use shard::{
     series_key_hash, ServePolicy, ShardWriteSession, ShardWriter, ShardedTsdb, DEFAULT_SHARDS,
 };

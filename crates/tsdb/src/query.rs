@@ -8,8 +8,8 @@
 
 use crate::error::TsdbError;
 use crate::model::{TagFilter, TagSet};
-use crate::rollup::{find_bucket, rollup_servable, RollupBucket};
-use crate::store::{dedup_last_write_wins, ScanCounts, Series, SeriesId, Tsdb};
+use crate::rollup::{find_bucket, offset_of, rollup_servable, RollupBucket};
+use crate::store::{dedup_last_write_wins, ScanCounts, SealedChunk, Series, SeriesId, Tsdb};
 use ctt_core::measurement::Series as OutSeries;
 use ctt_core::time::{Span, Timestamp};
 use std::collections::BTreeMap;
@@ -73,8 +73,8 @@ impl Aggregator {
         match self {
             Aggregator::Avg => values.iter().sum::<f64>() / values.len() as f64,
             Aggregator::Sum => values.iter().sum(),
-            Aggregator::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-            Aggregator::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            Aggregator::Min => values.iter().copied().fold(f64::INFINITY, min_step),
+            Aggregator::Max => values.iter().copied().fold(f64::NEG_INFINITY, max_step),
             Aggregator::Count => values.len() as f64,
             Aggregator::First => values.first().copied().unwrap_or(f64::NAN),
             Aggregator::Last => values.last().copied().unwrap_or(f64::NAN),
@@ -89,6 +89,29 @@ impl Aggregator {
                     .sqrt()
             }
         }
+    }
+}
+
+/// One step of the `Min` fold: `v` replaces `acc` only when strictly
+/// lower. From a `+∞` seed this is the `f64::min` fold — a NaN never wins
+/// — with its open case closed: of two equal values (`0.0` and `-0.0`) the
+/// one met first stays. `f64::min` may return either, and a release build
+/// answered differently in the raw fold and in the rollup's.
+pub(crate) fn min_step(acc: f64, v: f64) -> f64 {
+    if v < acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// One step of the `Max` fold, as [`min_step`]: `v` replaces `acc` only
+/// when strictly higher.
+pub(crate) fn max_step(acc: f64, v: f64) -> f64 {
+    if v > acc {
+        v
+    } else {
+        acc
     }
 }
 
@@ -367,9 +390,18 @@ fn serve_downsample_series(
     let (hits, skipped) = s.chunks_overlapping(start, end);
     counts.chunks_skipped += skipped;
     let open_span = s.open_span();
-    // The open buffer's fold, built the first time a bucket needs it:
-    // `Some(None)` when the buffer is out of order and cannot be folded.
-    let mut head: Option<Option<Vec<RollupBucket>>> = None;
+    // Bucket `k` of the loop starts `k` intervals after `grid`. A rollup
+    // vector's offsets count from its own base, so each vector is placed on
+    // this grid once (`offset_of`, one division) and bucket `k` is then its
+    // offset `placed + k`: no division per bucket.
+    let grid = start.align_down(ds.interval);
+    let place = |base: Timestamp| offset_of(base, rollup_interval, grid);
+    // The open buffer's fold and its placement, built the first time a
+    // bucket needs it: `Some(None)` when the buffer is out of order and
+    // cannot be folded.
+    let mut head: Option<Option<(Option<i64>, Vec<RollupBucket>)>> = None;
+    // The last sealed chunk that answered, and its placement.
+    let mut placed_chunk: Option<(usize, Option<i64>)> = None;
     // Per-call decode memo: a chunk is decoded (and, on failure,
     // quarantine-counted) at most once, matching the raw path's accounting.
     let mut memo: BTreeMap<usize, Option<Vec<(Timestamp, f64)>>> = BTreeMap::new();
@@ -378,7 +410,8 @@ fn serve_downsample_series(
     let mut vals: Vec<f64> = Vec::new();
     let mut out = Vec::new();
     let mut prev_value = seed;
-    let mut bucket_start = start.align_down(ds.interval);
+    let mut bucket_start = grid;
+    let mut k = 0i64;
     while bucket_start < end {
         let bucket_end = bucket_start + ds.interval;
         let lo = bucket_start.max(start);
@@ -399,20 +432,35 @@ fn serve_downsample_series(
                 // No chunk and no open point can fall in the bucket.
                 ([], false) => resolved = true,
                 ([only], false) => {
-                    if let Some(rollups) = s.sealed.get(*only).and_then(|c| c.rollups.as_ref()) {
+                    if let Some(SealedChunk {
+                        start: first,
+                        rollups: Some(rollups),
+                        ..
+                    }) = s.sealed.get(*only)
+                    {
+                        let placed = match placed_chunk {
+                            Some((i, placed)) if i == *only => placed,
+                            _ => place(first.align_down(rollup_interval)),
+                        };
+                        placed_chunk = Some((*only, placed));
                         resolved = true;
                         counts.rollup_buckets += 1;
-                        value = find_bucket(rollups, bucket_start)
+                        value = placed
+                            .and_then(|p| find_bucket(rollups, p.saturating_add(k)))
                             .and_then(|b| b.value_for(ds.aggregator));
                     }
                 }
                 // Only the open buffer can hold the bucket's points.
                 ([], true) => {
-                    let folded = head.get_or_insert_with(|| s.open_rollups(rollup_interval));
-                    if let Some(folded) = folded.as_deref() {
+                    let folded = head.get_or_insert_with(|| {
+                        s.open_rollups(rollup_interval)
+                            .map(|(base, folded)| (place(base), folded))
+                    });
+                    if let Some((placed, folded)) = folded {
                         resolved = true;
                         counts.rollup_buckets += 1;
-                        value = find_bucket(folded, bucket_start)
+                        value = placed
+                            .and_then(|p| find_bucket(folded, p.saturating_add(k)))
                             .and_then(|b| b.value_for(ds.aggregator));
                     }
                 }
@@ -471,6 +519,7 @@ fn serve_downsample_series(
             },
         }
         bucket_start = bucket_end;
+        k += 1;
     }
     out
 }
@@ -626,7 +675,7 @@ fn merge_series(
     if let [only] = per_series.as_mut_slice() {
         // Skip the fold where a one-value fold is the value bit for bit:
         // `First`/`Last` always, `Avg`/`Sum`/`Min`/`Max` unless a value is
-        // NaN (`f64::min(+∞, NaN)` is +∞). `Count`, `Dev`, `Median` and
+        // NaN (`min_step(+∞, NaN)` is +∞). `Count`, `Dev`, `Median` and
         // `P95` always fold, so one matching series answers as many would.
         let identity = match agg {
             Aggregator::First | Aggregator::Last => true,
@@ -689,12 +738,12 @@ pub fn execute_raw(db: &Tsdb, q: &Query) -> Result<Vec<QueryResult>, TsdbError> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::DataPoint;
     use proptest::prelude::*;
 
-    const ALL_AGGREGATORS: [Aggregator; 10] = [
+    pub(crate) const ALL_AGGREGATORS: [Aggregator; 10] = [
         Aggregator::Avg,
         Aggregator::Sum,
         Aggregator::Min,
@@ -707,8 +756,17 @@ mod tests {
         Aggregator::Dev,
     ];
 
-    fn bits(points: &[(Timestamp, f64)]) -> Vec<(i64, u64)> {
-        points.iter().map(|&(t, v)| (t.0, v.to_bits())).collect()
+    /// Points as `(seconds, value bits)`, every NaN mapped to one
+    /// pattern: Rust defines neither NaN payloads nor whether an operation
+    /// quiets a signalling NaN (RFC 3514), and release builds fold some
+    /// operations away where debug builds quiet. ±0.0 and every other bit
+    /// stay exact.
+    pub(crate) fn bits(points: &[(Timestamp, f64)]) -> Vec<(i64, u64)> {
+        let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v };
+        points
+            .iter()
+            .map(|&(t, v)| (t.0, canonical(v).to_bits()))
+            .collect()
     }
 
     /// The reference cross-series merge — a per-timestamp map of value
@@ -730,7 +788,7 @@ mod tests {
     }
 
     /// Values whose folds are sign-, order- or NaN-sensitive.
-    fn palette(k: u8) -> f64 {
+    pub(crate) fn palette(k: u8) -> f64 {
         match k {
             0 => 0.0,
             1 => -0.0,
@@ -767,6 +825,20 @@ mod tests {
                 prop_assert_eq!(bits(&got), bits(&want), "{}", agg);
             }
         }
+    }
+
+    #[test]
+    fn min_and_max_keep_the_first_of_equal_zeros_and_pass_over_nans() {
+        for (a, b) in [(0.0f64, -0.0f64), (-0.0, 0.0)] {
+            for agg in [Aggregator::Min, Aggregator::Max] {
+                assert_eq!(agg.apply(&[a, b]).to_bits(), a.to_bits(), "{agg}");
+                assert_eq!(agg.apply(&[f64::NAN, b, a]).to_bits(), b.to_bits(), "{agg}");
+            }
+        }
+        assert_eq!(Aggregator::Min.apply(&[f64::NAN]), f64::INFINITY);
+        assert_eq!(Aggregator::Max.apply(&[f64::NAN]), f64::NEG_INFINITY);
+        assert_eq!(Aggregator::Min.apply(&[3.0, f64::NAN, -2.0]), -2.0);
+        assert_eq!(Aggregator::Max.apply(&[3.0, f64::NAN, -2.0]), 3.0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub const DEFAULT_ROLLUP_INTERVAL: Span = Span::hours(1);
 /// every pair of timestamps in a chunk is closer than this. Enforced in
 /// [`Series::push_point`]; real traffic is cut by the size threshold long
 /// before.
-const MAX_OPEN_SPAN_SECS: i64 = 1 << 26;
+pub(crate) const MAX_OPEN_SPAN_SECS: i64 = 1 << 26;
 
 /// The first gap between neighbouring timestamps that a Gorilla chunk
 /// cannot hold: negative (out of order), or [`MAX_OPEN_SPAN_SECS`] or more
@@ -74,9 +74,10 @@ pub(crate) struct SealedChunk {
     pub(crate) chunk: CompressedChunk,
     pub(crate) start: Timestamp,
     pub(crate) end: Timestamp,
-    /// Seal-time pre-downsampled summaries (sorted by bucket start).
-    /// `None` after the chunk has been corrupted — serving then falls back
-    /// to raw decode, which quarantines exactly like a plain read.
+    /// Seal-time pre-downsampled summaries, sorted by offset from
+    /// `start.align_down(interval)`. `None` after the chunk has been
+    /// corrupted (or when an offset would not fit) — serving then falls
+    /// back to raw decode, which quarantines exactly like a plain read.
     pub(crate) rollups: Option<Vec<RollupBucket>>,
 }
 
@@ -338,7 +339,7 @@ impl Series {
             chunk,
             start,
             end,
-            rollups: Some(rollups),
+            rollups,
         });
         self.open.drain(..cut);
         self.rescan_open_span();
@@ -394,19 +395,24 @@ impl Series {
     }
 
     /// The open buffer folded into rollup buckets with the same
-    /// [`build_rollups`] a seal uses, or `None` unless the buffer is
-    /// strictly time-ordered — the condition under which [`OpenEnc`] keeps
-    /// streaming. Only then is the fold in arrival order the fold of the
-    /// sorted, deduplicated points a raw read sees. Built per query, not
-    /// kept: it then needs no upkeep under dedup, retention, bit flips or
-    /// seals, and it costs one fold per buffered point.
-    pub(crate) fn open_rollups(&self, interval: Span) -> Option<Vec<RollupBucket>> {
+    /// [`build_rollups`] a seal uses, with the base its offsets count from
+    /// (the first point's `align_down(interval)`), or `None` unless the
+    /// buffer is strictly time-ordered — the condition under which
+    /// [`OpenEnc`] keeps streaming. Only then is the fold in arrival order
+    /// the fold of the sorted, deduplicated points a raw read sees. Built
+    /// per query, not kept: it then needs no upkeep under dedup, retention,
+    /// bit flips or seals, and it costs one fold per buffered point.
+    pub(crate) fn open_rollups(&self, interval: Span) -> Option<(Timestamp, Vec<RollupBucket>)> {
         let ordered = self
             .open
             .iter()
             .zip(self.open.iter().skip(1))
             .all(|(a, b)| a.0 < b.0);
-        ordered.then(|| build_rollups(&self.open, interval))
+        let &(first, _) = self.open.first().filter(|_| ordered)?;
+        Some((
+            first.align_down(interval),
+            build_rollups(&self.open, interval)?,
+        ))
     }
 
     /// Minimum and maximum timestamp currently in the open buffer, or
@@ -514,6 +520,8 @@ impl Series {
             + self.open.len() * std::mem::size_of::<(Timestamp, f64)>()
     }
 
+    /// Heap bytes of this series' rollup vectors: len × `size_of`, which
+    /// is also their capacity, since they are built at their exact length.
     fn rollup_bytes(&self) -> usize {
         self.sealed
             .iter()
@@ -584,7 +592,9 @@ pub struct StoreStats {
     /// Approximate stored bytes (compressed chunks + open buffers),
     /// excluding rollups so the raw compression ratio stays visible.
     pub bytes: usize,
-    /// Bytes of seal-time rollup summaries (the cost of fast serving).
+    /// Heap bytes of seal-time rollup summaries (the cost of fast
+    /// serving): buckets × `size_of::<RollupBucket>()` (40 B), which is
+    /// exactly what the vectors hold, since each is built at its length.
     pub rollup_bytes: usize,
 }
 
@@ -907,14 +917,15 @@ impl Tsdb {
                         }
                         let chunk = enc.finish();
                         reencoded_bytes += chunk.size_bytes() as u64;
-                        // Rollups rebuilt over the surviving points only:
+                        // Rollups rebuilt over the surviving points only,
+                        // their offsets counted from the new first point:
                         // the truncated leading bucket summarizes exactly
                         // what a raw decode of the new chunk would see.
                         kept_sealed.push(SealedChunk {
                             chunk,
                             start,
                             end,
-                            rollups: Some(build_rollups(&pts, rollup_interval)),
+                            rollups: build_rollups(&pts, rollup_interval),
                         });
                     }
                 }
