@@ -1,19 +1,20 @@
 //! # ctt-ingest — handle-fed, run-framed ingest in front of the store
 //!
-//! [`ShardedTsdb::put_batch`] builds a series-key string and probes the
-//! store's intern map for every point. This crate is the same write with
-//! the per-point work taken out — and nothing else: it starts no thread
-//! and queues nothing.
+//! [`ShardedTsdb::put_batch`] hashes and probes the store's metric-name
+//! and tag-set tables, then its id-pair map, for every point. This crate
+//! is the same write with the per-point work taken out — and nothing else:
+//! it starts no thread and queues nothing.
 //!
 //! * **Register once, ship handles.** A device's series set is fixed at
 //!   enrolment, so a caller resolves each series exactly once:
-//!   [`IngestRuntime::register`] validates the names, hashes the key into
-//!   an open-addressed table and returns a `Copy` [`SeriesRef`]. From then
-//!   on [`IngestRuntime::submit_resolved`] takes `(SeriesRef, ts, value)`
-//!   — no strings, no hash, no probe per point. The string-keyed
-//!   [`IngestRuntime::submit`] is the external/text boundary and the test
-//!   oracle: it resolves each point through the same table and stages it
-//!   through the same code.
+//!   [`IngestRuntime::register`] validates the names, interns the metric
+//!   name and the tag set (each held once, in an [`Interner`], however many
+//!   series share it) and returns a `Copy` [`SeriesRef`] for the pair.
+//!   From then on [`IngestRuntime::submit_resolved`] takes
+//!   `(SeriesRef, ts, value)` — no strings, no hash, no probe per point.
+//!   The string-keyed [`IngestRuntime::submit`] is the external/text
+//!   boundary and the test oracle: it resolves each point through the same
+//!   tables and stages it through the same code.
 //! * **Run framing.** Points are staged in one lane as bare
 //!   `(timestamp, value)` pairs under run headers `(ref, len)`; a header is
 //!   emitted only when the series changes mid-stream.
@@ -24,7 +25,8 @@
 //!   [`ctt_tsdb::Tsdb::append_run`] and its streaming Gorilla encoder. A
 //!   series is interned into the store at its first staged point — once
 //!   per series lifetime, in first-occurrence order, so series ids match
-//!   `put_batch`.
+//!   `put_batch`. A flush also releases the lane's staging buffers: between
+//!   segments an idle city holds none.
 //!
 //! ## Equivalence contract
 //!
@@ -44,7 +46,8 @@
 use ctt_core::time::Timestamp;
 use ctt_obs::{Counter, Registry};
 use ctt_tsdb::model::is_valid_name;
-use ctt_tsdb::{series_key_hash, DataPoint, SeriesId, ShardWriter, ShardedTsdb, TagSet};
+use ctt_tsdb::{DataPoint, Interner, SeriesId, ShardWriter, ShardedTsdb, TagSet};
+use std::collections::HashMap;
 
 /// Default staging threshold: the staged points are applied as one batch
 /// once they reach this many, amortizing the per-batch costs (store lock,
@@ -108,7 +111,7 @@ impl Lane {
     /// reuse. Series not yet in the store are interned from their resolver
     /// slot in first-occurrence order — exactly serial interning order, so
     /// new-series ids match `put_batch`.
-    fn ship(&mut self, slots: &mut [SeriesSlot]) {
+    fn ship(&mut self, resolver: &mut Resolver) {
         if self.staged.pts.is_empty() {
             return;
         }
@@ -122,14 +125,12 @@ impl Lane {
             let end = off + len as usize;
             let run = batch.pts.get(off..end);
             off = end;
-            let (Some(run), Some(slot)) = (run, slots.get_mut(r as usize)) else {
+            let Some(run) = run else {
                 continue;
             };
-            let id = match slot.id {
-                Some(id) => id,
-                None => *slot.id.insert(session.intern(&slot.metric, &slot.tags)),
-            };
-            session.append_run(id, run);
+            if let Some(id) = resolver.store_id(r, |metric, tags| session.intern(metric, tags)) {
+                session.append_run(id, run);
+            }
         }
         let encoded = session.encoded_bytes_total() - encoded_before;
         drop(session);
@@ -142,86 +143,28 @@ impl Lane {
     }
 }
 
-/// One resolved series: its identity — the runtime's only copy, read by
-/// probe verification and by the first-sight intern — and its store series
-/// id once a batch has interned it. A [`SeriesRef`] is the slot's index.
+/// One resolved series: its identity as ids into the [`Resolver`]'s name
+/// tables, read by probe verification and by the first-sight intern, and
+/// its store series id once a batch has interned it. A [`SeriesRef`] is the
+/// slot's index.
 #[derive(Debug)]
 struct SeriesSlot {
-    metric: String,
-    tags: TagSet,
+    metric: u32,
+    tags: u32,
     id: Option<SeriesId>,
-}
-
-/// Open-addressed series-key-hash table with full-key verification on
-/// hits. Deterministic (FNV keys, linear probing, no `RandomState`) and
-/// panic-free. Values are `slot_index + 1`; zero marks a vacant bucket.
-#[derive(Debug, Default)]
-struct KeyTable {
-    entries: Vec<(u64, u32)>,
-    len: usize,
-}
-
-impl KeyTable {
-    #[inline]
-    fn probe(&self, slots: &[SeriesSlot], hash: u64, metric: &str, tags: &TagSet) -> Option<u32> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let mask = self.entries.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let &(h, s) = self.entries.get(i)?;
-            if s == 0 {
-                return None;
-            }
-            if h == hash {
-                if let Some(slot) = slots.get((s - 1) as usize) {
-                    if slot.metric == metric && slot.tags == *tags {
-                        return Some(s - 1);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, hash: u64, slot_plus1: u32) {
-        if self.entries.len() < (self.len + 1) * 2 {
-            self.grow();
-        }
-        let mask = self.entries.len().saturating_sub(1);
-        let mut i = (hash as usize) & mask;
-        loop {
-            match self.entries.get_mut(i) {
-                Some(e) if e.1 == 0 => {
-                    *e = (hash, slot_plus1);
-                    self.len += 1;
-                    return;
-                }
-                Some(_) => i = (i + 1) & mask,
-                None => return,
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_cap = (self.entries.len() * 2).max(64);
-        let old = std::mem::replace(&mut self.entries, vec![(0, 0); new_cap]);
-        self.len = 0;
-        for (h, s) in old {
-            if s != 0 {
-                self.insert(h, s);
-            }
-        }
-    }
 }
 
 /// Series resolution: `(metric, tags)` → handle, assigned in
 /// first-occurrence order. Shared by [`IngestRuntime::register`] and the
 /// string-keyed [`IngestRuntime::submit`], so both name a series the same.
+/// Each distinct metric name and tag set is held once, however many series
+/// share it.
 #[derive(Debug, Default)]
 struct Resolver {
-    table: KeyTable,
+    metrics: Interner<String>,
+    tag_sets: Interner<TagSet>,
+    /// `(metric id, tag-set id)` → slot index.
+    by_pair: HashMap<(u32, u32), u32>,
     slots: Vec<SeriesSlot>,
     /// Memo of the slot the previous lookup resolved to. String-keyed
     /// input that arrives series by series (a bulk import, the
@@ -233,33 +176,53 @@ struct Resolver {
 }
 
 impl Resolver {
-    /// Resolve a series to its handle, registering a new series (key table
-    /// and slot) on first sight.
+    /// Resolve a series to its handle, registering a new series (names and
+    /// slot) on first sight.
     #[inline]
     fn resolve(&mut self, metric: &str, tags: &TagSet) -> SeriesRef {
         if let Some(idx) = self.last_slot {
-            if let Some(slot) = self.slots.get(idx as usize) {
-                if slot.metric == metric && slot.tags == *tags {
-                    return SeriesRef(idx);
-                }
+            let memo = self.slots.get(idx as usize);
+            if memo.is_some_and(|slot| self.names_of(slot) == Some((metric, tags))) {
+                return SeriesRef(idx);
             }
         }
-        let hash = series_key_hash(metric, tags);
-        let idx = match self.table.probe(&self.slots, hash, metric, tags) {
-            Some(idx) => idx,
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(SeriesSlot {
-                    metric: metric.to_string(),
-                    tags: tags.clone(),
-                    id: None,
-                });
-                self.table.insert(hash, idx + 1);
-                idx
-            }
-        };
+        let m = self.metrics.intern(metric);
+        let t = self.tag_sets.intern(tags);
+        let next = self.slots.len() as u32;
+        let idx = *self.by_pair.entry((m, t)).or_insert(next);
+        if idx == next {
+            self.slots.push(SeriesSlot {
+                metric: m,
+                tags: t,
+                id: None,
+            });
+        }
         self.last_slot = Some(idx);
         SeriesRef(idx)
+    }
+
+    /// The metric name and tag set a slot names.
+    fn names_of(&self, slot: &SeriesSlot) -> Option<(&str, &TagSet)> {
+        let metric = self.metrics.get(slot.metric)?;
+        Some((metric.as_str(), self.tag_sets.get(slot.tags)?))
+    }
+
+    /// The store series id of slot `r`, interning it through `intern` with
+    /// the slot's borrowed names on first use. `None` for an unknown slot.
+    fn store_id(
+        &mut self,
+        r: u32,
+        intern: impl FnOnce(&str, &TagSet) -> SeriesId,
+    ) -> Option<SeriesId> {
+        let slot = self.slots.get_mut(r as usize)?;
+        match slot.id {
+            Some(id) => Some(id),
+            None => {
+                let metric = self.metrics.get(slot.metric)?;
+                let tags = self.tag_sets.get(slot.tags)?;
+                Some(*slot.id.insert(intern(metric, tags)))
+            }
+        }
     }
 }
 
@@ -338,7 +301,7 @@ impl IngestRuntime {
     /// Apply the lane if its staged points reached `ship_points`.
     fn ship_full(&mut self) {
         if self.lane.staged.pts.len() >= self.ship_points {
-            self.lane.ship(&mut self.resolver.slots);
+            self.lane.ship(&mut self.resolver);
         }
     }
 
@@ -378,11 +341,13 @@ impl IngestRuntime {
         accepted
     }
 
-    /// Apply everything still staged. After this, the store is
-    /// byte-identical to the same points having gone through
-    /// [`ShardedTsdb::put_batch`] in submit order.
+    /// Apply everything still staged and release the staging buffers (the
+    /// next segment regrows them). After this, the store is byte-identical
+    /// to the same points having gone through [`ShardedTsdb::put_batch`] in
+    /// submit order.
     pub fn flush(&mut self) {
-        self.lane.ship(&mut self.resolver.slots);
+        self.lane.ship(&mut self.resolver);
+        self.lane.staged = LaneBatch::default();
     }
 }
 
@@ -442,6 +407,60 @@ mod tests {
             registry_a.snapshot(at).value(name),
             registry_b.snapshot(at).value(name)
         );
+    }
+
+    #[test]
+    fn flush_releases_staging_and_matches_put_batch_at_every_flush() {
+        let registry_a = Registry::new();
+        let mut a = ShardedTsdb::with_chunk_size(16);
+        a.attach_registry(&registry_a);
+        let registry_b = Registry::new();
+        let mut b = ShardedTsdb::with_chunk_size(16);
+        b.attach_registry(&registry_b);
+        let mut rt = IngestRuntime::new(&b, &registry_b, IngestConfig { ship_points: 64 });
+        let q = Query::range("m", Timestamp(0), Timestamp(60 * 300)).group_by("device");
+        let name = "tsdb.shard0.puts";
+        let mut flushes = 0;
+        for chunk in points(8, 60).chunks(37) {
+            a.put_batch(chunk);
+            rt.submit(chunk);
+            rt.flush();
+            flushes += 1;
+            let staged = &rt.lane.staged;
+            assert_eq!((staged.runs.capacity(), staged.pts.capacity()), (0, 0));
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.execute(&q).expect("a"), b.execute(&q).expect("b"));
+            assert_eq!(
+                registry_a.snapshot(Timestamp(0)).value(name),
+                registry_b.snapshot(Timestamp(0)).value(name)
+            );
+        }
+        assert!(flushes >= 10, "{flushes} flushes");
+    }
+
+    #[test]
+    fn resolver_holds_each_metric_name_and_tag_set_once() {
+        // A Trondheim-shaped city: 12 devices × 9 metrics.
+        let db = ShardedTsdb::with_chunk_size(16);
+        let mut rt = IngestRuntime::new(&db, &Registry::new(), IngestConfig::default());
+        for d in 0..12 {
+            let tags: TagSet = [
+                ("city".to_string(), "trondheim".to_string()),
+                ("device".to_string(), format!("n{d}")),
+            ]
+            .into();
+            for m in 0..9 {
+                let h = rt
+                    .register(&format!("ctt.m{m}"), &tags)
+                    .expect("valid names");
+                rt.submit_resolved(&[(h, Timestamp(0), 1.0)]);
+            }
+        }
+        rt.flush();
+        assert_eq!(db.stats().series, 12 * 9);
+        assert_eq!(rt.resolver.slots.len(), 12 * 9);
+        assert_eq!(rt.resolver.tag_sets.len(), 12);
+        assert_eq!(rt.resolver.metrics.len(), 9);
     }
 
     #[test]

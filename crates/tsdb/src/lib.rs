@@ -6,6 +6,8 @@
 //! * [`model`] — metric + tag data model with OpenTSDB naming rules.
 //! * [`bits`] / [`gorilla`] — bit-packed Gorilla chunk compression
 //!   (delta-of-delta timestamps, XOR floats).
+//! * [`intern`] — identity tables holding each metric name and tag set
+//!   once, named by dense ids.
 //! * [`store`] — interned series, chunked storage, a per-series
 //!   time-range block index, retention, stats.
 //! * [`rollup`] — seal-time materialized rollups (pre-downsampled
@@ -27,6 +29,7 @@ pub mod bits;
 pub mod cache;
 pub mod error;
 pub mod gorilla;
+pub mod intern;
 pub mod model;
 pub mod query;
 pub mod rollup;
@@ -37,11 +40,10 @@ pub mod text;
 pub use cache::{CacheStats, QueryCache};
 pub use error::TsdbError;
 pub use gorilla::{CompressedChunk, GorillaEncoder};
+pub use intern::Interner;
 pub use model::{DataPoint, ModelError, TagFilter, TagSet};
 pub use query::{execute, execute_raw, Aggregator, Downsample, FillPolicy, Query, QueryResult};
-pub use shard::{
-    series_key_hash, ServePolicy, ShardWriteSession, ShardWriter, ShardedTsdb, DEFAULT_SHARDS,
-};
+pub use shard::{ServePolicy, ShardWriteSession, ShardWriter, ShardedTsdb, DEFAULT_SHARDS};
 pub use store::{
     BitFlipOutcome, IntegrityReport, QuarantineReport, ScanCounts, SeriesId, StoreStats, Tsdb,
 };

@@ -32,36 +32,6 @@ use std::sync::Arc;
 /// store.
 pub const DEFAULT_SHARDS: usize = 1;
 
-/// Fold more bytes into a running FNV-1a 64-bit state.
-#[inline]
-fn fnv1a_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a 64-bit hash of the canonical series key (`metric{k1=v1,...}`),
-/// folded incrementally over the key's exact byte sequence — no key string
-/// is allocated. Equal to hashing [`crate::model::series_key`]'s output
-/// (pinned by a unit test). Deterministic, unlike `std`'s `RandomState`:
-/// the ingest runtime's key table hashes with it.
-#[inline]
-pub fn series_key_hash(metric: &str, tags: &TagSet) -> u64 {
-    let mut h = fnv1a_step(0xcbf2_9ce4_8422_2325, metric.as_bytes());
-    h = fnv1a_step(h, b"{");
-    for (i, (k, v)) in tags.iter().enumerate() {
-        if i > 0 {
-            h = fnv1a_step(h, b",");
-        }
-        h = fnv1a_step(h, k.as_bytes());
-        h = fnv1a_step(h, b"=");
-        h = fnv1a_step(h, v.as_bytes());
-    }
-    fnv1a_step(h, b"}")
-}
-
 /// Which serving layers a query may use. The default ([`ServePolicy::full`])
 /// is the fast path; [`ServePolicy::raw`] forces the reference raw-decode
 /// path the equivalence suite compares against.
@@ -421,7 +391,6 @@ impl Drop for ShardWriteSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::series_key;
     use crate::query::Aggregator;
     use ctt_core::time::Span;
 
@@ -682,35 +651,6 @@ mod tests {
         }
         let snap = registry.snapshot(Timestamp(0));
         assert_eq!(snap.value("tsdb.shard0.quarantined_points"), Some(flipped));
-    }
-
-    #[test]
-    fn incremental_key_hash_matches_built_key_hash() {
-        let cases: Vec<(String, TagSet)> = vec![
-            ("m".to_string(), TagSet::new()),
-            (
-                "ctt.air.co2".to_string(),
-                [
-                    ("city".to_string(), "trondheim".to_string()),
-                    ("device".to_string(), "70b3000000000001".to_string()),
-                ]
-                .into(),
-            ),
-            (
-                "x".to_string(),
-                [
-                    ("a".to_string(), "1".to_string()),
-                    ("b".to_string(), "2".to_string()),
-                    ("c".to_string(), "3".to_string()),
-                ]
-                .into(),
-            ),
-        ];
-        for (metric, tags) in cases {
-            let key = series_key(&metric, &tags);
-            let built = fnv1a_step(0xcbf2_9ce4_8422_2325, key.as_bytes());
-            assert_eq!(series_key_hash(&metric, &tags), built, "{key}");
-        }
     }
 
     #[test]

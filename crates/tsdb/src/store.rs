@@ -4,10 +4,14 @@
 //! arrival (radio and broker hops reorder); when the buffer reaches the
 //! chunk size it is sorted and sealed into an immutable compressed chunk.
 //! Reads merge sealed chunks and the open buffer.
+//!
+//! A series' identity is a pair of small ids: each distinct metric name and
+//! each distinct tag set is held once, in the store's two [`Interner`]s.
 
 use crate::error::TsdbError;
 use crate::gorilla::{CompressedChunk, EncCheckpoint, GorillaEncoder};
-use crate::model::{series_key, DataPoint, TagSet};
+use crate::intern::Interner;
+use crate::model::{DataPoint, TagSet};
 use crate::rollup::{build_rollups, RollupBucket};
 use ctt_core::time::{Span, Timestamp};
 use std::collections::HashMap;
@@ -185,8 +189,10 @@ impl OpenEnc {
 /// One stored series.
 #[derive(Debug, Clone)]
 pub(crate) struct Series {
-    pub(crate) metric: String,
-    pub(crate) tags: TagSet,
+    /// Id of the metric name in [`Tsdb`]'s name table.
+    metric: u32,
+    /// Id of the tag set in [`Tsdb`]'s tag-set table.
+    tags: u32,
     pub(crate) sealed: Vec<SealedChunk>,
     pub(crate) open: Vec<(Timestamp, f64)>,
     /// Minimum and maximum timestamp in `open` (which is unsorted between
@@ -206,7 +212,7 @@ pub(crate) struct Series {
 }
 
 impl Series {
-    fn new(metric: String, tags: TagSet) -> Self {
+    fn new(metric: u32, tags: u32) -> Self {
         Series {
             metric,
             tags,
@@ -283,8 +289,14 @@ impl Series {
 
     /// Append a sealed chunk and insert its position into the block index
     /// (after any chunk with the same start, keeping seal order stable).
+    /// The first seal reserves exactly one slot in each (most series hold
+    /// one chunk); later seals grow by doubling.
     fn push_sealed(&mut self, sc: SealedChunk) {
         self.encoded_bytes_total += sc.chunk.size_bytes() as u64;
+        if self.sealed.capacity() == 0 {
+            self.sealed.reserve_exact(1);
+            self.index.reserve_exact(1);
+        }
         let pos = self.index.partition_point(|&i| {
             self.sealed
                 .get(i as usize)
@@ -602,8 +614,14 @@ pub struct StoreStats {
 #[derive(Debug)]
 pub struct Tsdb {
     pub(crate) series: Vec<Series>,
-    by_key: HashMap<String, SeriesId>,
-    by_metric: HashMap<String, Vec<SeriesId>>,
+    /// Each distinct metric name, held once; a [`Series`] holds its id.
+    metric_names: Interner<String>,
+    /// Each distinct tag set, held once; a [`Series`] holds its id.
+    tag_sets: Interner<TagSet>,
+    /// `(metric id, tag-set id)` → series.
+    by_key: HashMap<(u32, u32), SeriesId>,
+    /// Series of each metric, indexed by metric id, in id order.
+    by_metric: Vec<Vec<SeriesId>>,
     chunk_size: usize,
     rollup_interval: Span,
 }
@@ -639,8 +657,10 @@ impl Tsdb {
         );
         Tsdb {
             series: Vec::new(),
+            metric_names: Interner::default(),
+            tag_sets: Interner::default(),
             by_key: HashMap::new(),
-            by_metric: HashMap::new(),
+            by_metric: Vec::new(),
             chunk_size,
             rollup_interval,
         }
@@ -655,21 +675,20 @@ impl Tsdb {
     /// freshly created). Ids are dense and never reused, so callers — the
     /// ingest runtime in particular — may cache them indefinitely.
     pub fn intern(&mut self, metric: &str, tags: &TagSet) -> SeriesId {
-        let key = series_key(metric, tags);
-        match self.by_key.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = SeriesId(self.series.len() as u32);
-                self.series
-                    .push(Series::new(metric.to_string(), tags.clone()));
-                self.by_key.insert(key, id);
-                self.by_metric
-                    .entry(metric.to_string())
-                    .or_default()
-                    .push(id);
-                id
+        let m = self.metric_names.intern(metric);
+        let t = self.tag_sets.intern(tags);
+        let next = SeriesId(self.series.len() as u32);
+        let id = *self.by_key.entry((m, t)).or_insert(next);
+        if id == next {
+            self.series.push(Series::new(m, t));
+            // Metric ids are dense and each new one arrives with its
+            // first series, so it is either listed or the next to be.
+            match self.by_metric.get_mut(m as usize) {
+                Some(ids) => ids.push(id),
+                None => self.by_metric.push(vec![id]),
             }
         }
+        id
     }
 
     /// Append a run of points to an already-interned series, checking the
@@ -723,27 +742,34 @@ impl Tsdb {
 
     /// All series ids for a metric.
     pub fn series_for_metric(&self, metric: &str) -> &[SeriesId] {
-        self.by_metric.get(metric).map(Vec::as_slice).unwrap_or(&[])
+        self.metric_names
+            .find(metric)
+            .and_then(|m| self.by_metric.get(m as usize))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// A series id by exact metric + tags.
     pub fn series_id(&self, metric: &str, tags: &TagSet) -> Option<SeriesId> {
-        self.by_key.get(&series_key(metric, tags)).copied()
+        let m = self.metric_names.find(metric)?;
+        let t = self.tag_sets.find(tags)?;
+        self.by_key.get(&(m, t)).copied()
     }
 
     /// The tag set of a series, if the id is known.
     pub fn tags(&self, id: SeriesId) -> Option<&TagSet> {
-        self.series.get(id.0 as usize).map(|s| &s.tags)
+        let s = self.series.get(id.0 as usize)?;
+        self.tag_sets.get(s.tags)
     }
 
     /// The metric name of a series, if the id is known.
     pub fn metric(&self, id: SeriesId) -> Option<&str> {
-        self.series.get(id.0 as usize).map(|s| s.metric.as_str())
+        let s = self.series.get(id.0 as usize)?;
+        self.metric_names.get(s.metric).map(String::as_str)
     }
 
     /// All distinct metric names (sorted).
     pub fn metrics(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.by_metric.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self.metric_names.iter().map(String::as_str).collect();
         v.sort_unstable();
         v
     }
@@ -1206,6 +1232,41 @@ mod tests {
         assert_eq!(scan.readable_points, 7);
         assert_eq!(scan.quarantined_chunks, 0);
         assert_eq!(db.flip_chunk_bit(0, 0), BitFlipOutcome::NoChunks);
+    }
+
+    #[test]
+    fn each_metric_name_and_tag_set_is_held_once() {
+        // A Trondheim-shaped city: 12 devices × 9 metrics.
+        let mut db = Tsdb::new();
+        for d in 0..12 {
+            for m in 0..9 {
+                let tags = [
+                    ("city".to_string(), "trondheim".to_string()),
+                    ("device".to_string(), format!("n{d}")),
+                ];
+                let p = DataPoint::new(format!("ctt.m{m}"), tags, Timestamp(0), 1.0).unwrap();
+                db.put(&p);
+            }
+        }
+        assert_eq!(db.stats().series, 12 * 9);
+        assert_eq!(db.tag_sets.len(), 12);
+        assert_eq!(db.metric_names.len(), 9);
+        assert_eq!(db.by_metric.len(), 9);
+    }
+
+    #[test]
+    fn first_seal_reserves_exactly_one_slot() {
+        let mut db = Tsdb::with_chunk_size(10);
+        for i in 0..10 {
+            db.put(&dp("m", "n1", i * 100, i as f64));
+        }
+        let s = &db.series[0];
+        assert_eq!((s.sealed.len(), s.sealed.capacity()), (1, 1));
+        assert_eq!((s.index.len(), s.index.capacity()), (1, 1));
+        for i in 10..30 {
+            db.put(&dp("m", "n1", i * 100, i as f64));
+        }
+        assert_eq!(db.series[0].sealed.len(), 3, "later seals still grow");
     }
 
     #[test]
