@@ -35,9 +35,7 @@ git diff --exit-code --stat -- results/
 echo "==> obs smoke (two-city metrics snapshot + scheduling profile replay-identical)"
 cargo test --offline -q -p ctt --test obs_profile
 
-echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_multiuser / BENCH_scheduler / BENCH_obs / BENCH_overload)"
-# The scheduler bench is the event queue against the old min-scan loop at
-# 12, 200 and 2000 nodes.
+echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_multiuser / BENCH_obs / BENCH_overload)"
 # cargo bench runs the bench binary with CWD = the package dir, so the
 # report paths must be absolute to land in the repo root.
 REPO_ROOT="$PWD"
@@ -47,17 +45,13 @@ CRITERION_SAMPLES=5 CRITERION_JSON="$REPO_ROOT/BENCH_query.json" \
     cargo bench --offline -q -p ctt-bench --bench query
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_query_multiuser.json" \
     cargo bench --offline -q -p ctt-bench --bench query_multiuser
-CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_scheduler.json" \
-    cargo bench --offline -q -p ctt-bench --bench scheduler
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_obs.json" \
     cargo bench --offline -q -p ctt-bench --bench obs_overhead
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_overload.json" \
     cargo bench --offline -q -p ctt-bench --bench overload
 
-echo "==> bench_check (reports well-formed; handles vs put_batch + rollup vs raw + multiuser + scheduler incl. 12-node and 2000-node gates + obs-overhead + overload)"
-cargo run --offline -q --release -p ctt-bench --bin bench_check \
-    BENCH_ingest.json BENCH_query.json BENCH_query_multiuser.json \
-    BENCH_scheduler.json BENCH_obs.json BENCH_overload.json
+echo "==> bench_check (the gate table; prints every gate with its measured value)"
+cargo run --offline -q --release -p ctt-bench --bin bench_check "$REPO_ROOT"
 
 echo "==> end-to-end benchmark gate (benchmark/run.sh: harness compiles against the root crate; solo == fleet and served == raw checks on a smoke pass)"
 ./benchmark/run.sh

@@ -13,10 +13,10 @@
 //!
 //! Every row builds a fresh store per iteration in untimed setup, and a
 //! flush closes every runtime row's timed region so it covers every point
-//! applied; the loaded store drops in the timed region on every row. CI
-//! exports the results as `BENCH_ingest.json` (via `CRITERION_JSON`), and
-//! `bench_check` gates `ingest_uplinks/handles` at ≥ 2×
-//! `ingest_uplinks/put_batch`.
+//! applied; the loaded store drops in the timed region on every row.
+//! `put_batch` and `handles` run as one interleaved pair. CI exports the
+//! results as `BENCH_ingest.json` (via `CRITERION_JSON`); `bench_check`'s
+//! gate table holds the pair's bound.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ctt_core::time::Timestamp;
@@ -51,53 +51,54 @@ fn uplink_shaped(c: &mut Criterion) {
     // cost of resolving strings.
     let points = ctt_bench::uplink_points(UPLINK_DEVICES, UPLINK_ROUNDS);
     let per_call = ctt_bench::POINTS_PER_UPLINK;
+    let check = |row: &str, db: &ShardedTsdb| {
+        let stored = db.stats().points;
+        assert_eq!(stored, points.len() as u64, "{row}: points lost");
+        black_box(stored)
+    };
     let mut g = c.benchmark_group("ingest_uplinks");
     g.sample_size(10);
     g.throughput(Throughput::Elements(points.len() as u64));
-    g.bench_function("put_batch", |b| {
-        b.iter_with_setup(ShardedTsdb::default, |db| {
+    g.bench_function("strings", |b| {
+        b.iter_with_setup(fresh_runtime, |(db, mut rt)| {
             for uplink in points.chunks(per_call) {
-                db.put_batch(uplink);
+                rt.submit(uplink);
             }
-            black_box(db.stats().points)
+            rt.flush();
+            check("strings", &db)
         });
     });
-    for (row, by_handle) in [("strings", false), ("handles", true)] {
-        g.bench_function(row, |b| {
+    g.bench_pair(
+        "put_batch",
+        |b| {
+            b.iter_with_setup(ShardedTsdb::default, |db| {
+                for uplink in points.chunks(per_call) {
+                    db.put_batch(uplink);
+                }
+                check("put_batch", &db)
+            });
+        },
+        "handles",
+        |b| {
             b.iter_with_setup(
                 || {
                     let (db, mut rt) = fresh_runtime();
-                    let resolved: Vec<(SeriesRef, Timestamp, f64)> = if by_handle {
-                        points
-                            .iter()
-                            .filter_map(|p| {
-                                let h = rt.register(&p.metric, &p.tags)?;
-                                Some((h, p.time, p.value))
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
+                    let resolved: Vec<(SeriesRef, Timestamp, f64)> = points
+                        .iter()
+                        .filter_map(|p| Some((rt.register(&p.metric, &p.tags)?, p.time, p.value)))
+                        .collect();
                     (db, rt, resolved)
                 },
                 |(db, mut rt, resolved)| {
-                    if by_handle {
-                        for uplink in resolved.chunks(per_call) {
-                            rt.submit_resolved(uplink);
-                        }
-                    } else {
-                        for uplink in points.chunks(per_call) {
-                            rt.submit(uplink);
-                        }
+                    for uplink in resolved.chunks(per_call) {
+                        rt.submit_resolved(uplink);
                     }
                     rt.flush();
-                    let stored = db.stats().points;
-                    assert_eq!(stored, points.len() as u64, "{row}: points lost");
-                    black_box(stored)
+                    check("handles", &db)
                 },
             );
-        });
-    }
+        },
+    );
     g.finish();
 }
 

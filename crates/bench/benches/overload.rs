@@ -1,26 +1,22 @@
 //! Overload benchmark: the ×100 traffic-spike survival cost.
 //!
-//! Three variants of the same half-hour Vejle run:
+//! One interleaved pair over the same half-hour Vejle run:
 //!
-//! * `healthy` — no chaos: the baseline cost of the simulated interval;
 //! * `spike_bounded` — a 15-minute ×100 spike against the backpressure
 //!   stack (admission control, in-flight caps, scheduled bounded drains);
-//! * `spike_unbounded` — the same spike with the drain batch effectively
-//!   removed, i.e. the legacy drain-until-empty consumer shape.
+//! * `healthy` — no chaos: the baseline cost of the simulated interval.
 //!
-//! `bench_check` gates `spike_bounded` against `healthy`: with admission
-//! shedding most of the synthetic flood at the bridge and drains bounded
-//! per dispatch, surviving ×100 traffic must cost a bounded multiple of
-//! the healthy run — not the ~100× a pipeline that stores everything
-//! would pay.
+//! With admission shedding most of the synthetic flood at the bridge and
+//! drains bounded per dispatch, surviving ×100 traffic must cost a bounded
+//! multiple of the healthy run; `bench_check`'s gate table holds the bound.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ctt_chaos::{AdmissionConfig, FaultKind, FaultPlan};
 use ctt_core::deployment::Deployment;
 use ctt_core::time::Span;
 
-/// The spike plan the soak test also uses, with a configurable drain batch.
-fn spike_plan(d: &Deployment, drain_batch: usize) -> FaultPlan {
+/// The spike plan the soak test also uses.
+fn spike_plan(d: &Deployment) -> FaultPlan {
     let t0 = d.started;
     FaultPlan::new()
         .with(
@@ -29,7 +25,7 @@ fn spike_plan(d: &Deployment, drain_batch: usize) -> FaultPlan {
             t0 + Span::minutes(25),
         )
         .with_storage_queue(32)
-        .with_drain_batch(drain_batch)
+        .with_drain_batch(8)
         .with_storage_inflight_cap(64)
         .with_admission(AdmissionConfig {
             burst: 50,
@@ -53,19 +49,17 @@ fn run_half_hour(plan: Option<FaultPlan>) -> u64 {
 fn bench_overload(c: &mut Criterion) {
     let mut g = c.benchmark_group("overload");
     g.sample_size(10);
-    g.bench_function("healthy", |b| b.iter(|| black_box(run_half_hour(None))));
-    g.bench_function("spike_bounded", |b| {
-        b.iter(|| {
-            let d = Deployment::vejle();
-            black_box(run_half_hour(Some(spike_plan(&d, 8))))
-        })
-    });
-    g.bench_function("spike_unbounded", |b| {
-        b.iter(|| {
-            let d = Deployment::vejle();
-            black_box(run_half_hour(Some(spike_plan(&d, usize::MAX))))
-        })
-    });
+    g.bench_pair(
+        "spike_bounded",
+        |b| {
+            b.iter(|| {
+                let d = Deployment::vejle();
+                black_box(run_half_hour(Some(spike_plan(&d))))
+            })
+        },
+        "healthy",
+        |b| b.iter(|| black_box(run_half_hour(None))),
+    );
     g.finish();
 }
 

@@ -35,6 +35,7 @@ pub mod measurement;
 pub mod node;
 pub mod payload;
 pub mod quantity;
+mod rng;
 pub mod scenario;
 pub mod solar;
 pub mod time;

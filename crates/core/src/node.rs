@@ -17,9 +17,8 @@ use crate::emission::{EmissionModel, Pollution, Site};
 use crate::ids::DevEui;
 use crate::measurement::SensorReading;
 use crate::quantity::{Pollutant, Quantity};
+use crate::rng::SplitMix64;
 use crate::time::{Span, Timestamp};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Gaussian error model for one sensor channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,9 +68,11 @@ pub struct SensorSpec {
 
 impl SensorSpec {
     /// Typical low-cost unit of the CTT class, with per-unit variation drawn
-    /// from `rng` (each physical unit has its own bias/gain).
-    pub fn low_cost(rng: &mut StdRng) -> Self {
-        let vary = |rng: &mut StdRng, sd: f64| rng.gen_range(-sd..sd);
+    /// from a stream seeded with `seed` (each physical unit has its own
+    /// bias/gain).
+    pub fn low_cost(seed: u64) -> Self {
+        let rng = &mut SplitMix64::seed_from_u64(seed);
+        let vary = |rng: &mut SplitMix64, sd: f64| rng.range_f64(-sd..sd);
         SensorSpec {
             co2: ChannelError {
                 bias: 10.0 + vary(rng, 15.0),
@@ -179,7 +180,7 @@ pub struct SensorNode {
     spec: SensorSpec,
     battery: Battery,
     policy: AdaptivePolicy,
-    rng: StdRng,
+    rng: SplitMix64,
     installed_at: Timestamp,
     last_step: Timestamp,
     next_uplink: Timestamp,
@@ -199,11 +200,11 @@ impl SensorNode {
         installed_at: Timestamp,
         seed: u64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ eui.0);
+        let mut rng = SplitMix64::seed_from_u64(seed ^ eui.0);
         // Real deployments power nodes on at different moments; a random
         // phase offset within the first interval prevents the pathological
         // lockstep where every node transmits simultaneously forever.
-        let phase = Span::seconds(rng.gen_range(0..policy.normal.as_seconds().max(1)));
+        let phase = Span::seconds(rng.range_i64(0..policy.normal.as_seconds().max(1)));
         SensorNode {
             eui,
             site,
@@ -221,11 +222,10 @@ impl SensorNode {
 
     /// A node with default battery/policy and per-unit low-cost spec.
     pub fn standard(eui: DevEui, site: Site, installed_at: Timestamp, seed: u64) -> Self {
-        let mut spec_rng = StdRng::seed_from_u64(seed ^ eui.0 ^ 0xCAFE);
         SensorNode::new(
             eui,
             site,
-            SensorSpec::low_cost(&mut spec_rng),
+            SensorSpec::low_cost(seed ^ eui.0 ^ 0xCAFE),
             Battery::new(BatteryConfig::default(), 95.0),
             AdaptivePolicy::default(),
             installed_at,
@@ -281,8 +281,8 @@ impl SensorNode {
 
     /// Gaussian sample via Box–Muller.
     fn gauss(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
+        let u1: f64 = self.rng.range_f64(f64::EPSILON..1.0);
+        let u2: f64 = self.rng.range_f64(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
@@ -447,10 +447,8 @@ mod tests {
 
     #[test]
     fn different_units_have_different_biases() {
-        let mut r1 = StdRng::seed_from_u64(1);
-        let mut r2 = StdRng::seed_from_u64(2);
-        let s1 = SensorSpec::low_cost(&mut r1);
-        let s2 = SensorSpec::low_cost(&mut r2);
+        let s1 = SensorSpec::low_cost(1);
+        let s2 = SensorSpec::low_cost(2);
         assert_ne!(s1.co2.bias, s2.co2.bias);
     }
 
