@@ -11,7 +11,7 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> ctt-lint (R1-R5 + R7, baseline diff, 5s budget)"
+echo "==> ctt-lint (R1-R5, R7 + R8, baseline diff, 5s budget)"
 # Build first so --budget-ms measures the lint run, not compilation.
 cargo build --offline -q -p ctt-lint
 ./target/debug/ctt-lint . \
@@ -28,8 +28,12 @@ cargo test --offline -q --workspace
 echo "==> cargo test --release (optimised float codegen: NaN payloads and ±0.0 ties)"
 cargo test --offline -q --release --workspace
 
-echo "==> figures (results/ is the standing golden: every SVG, CSV and profile export byte for byte)"
+echo "==> figures + examples (results/ is the standing golden: every SVG, CSV and profile export byte for byte)"
 cargo run --offline -q --release -p ctt-bench --bin figures > /dev/null
+# Two examples write results/example_*.svg, which figures does not.
+for example in citizen_dashboard city_pilot network_monitoring quickstart urban_planning; do
+    cargo run --offline -q --release --example "$example" > /dev/null
+done
 git diff --exit-code --stat -- results/
 
 echo "==> obs smoke (two-city metrics snapshot + scheduling profile replay-identical)"
@@ -39,15 +43,17 @@ echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_mult
 # cargo bench runs the bench binary with CWD = the package dir, so the
 # report paths must be absolute to land in the repo root.
 REPO_ROOT="$PWD"
-CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_ingest.json" \
+# 20 interleaved pairs for each ratio gate: one interference burst moved a
+# 10-pair median past its floor (EXPERIMENTS.md "Gate table").
+CRITERION_SAMPLES=20 CRITERION_JSON="$REPO_ROOT/BENCH_ingest.json" \
     cargo bench --offline -q -p ctt-bench --bench ingest
-CRITERION_SAMPLES=5 CRITERION_JSON="$REPO_ROOT/BENCH_query.json" \
+CRITERION_SAMPLES=20 CRITERION_JSON="$REPO_ROOT/BENCH_query.json" \
     cargo bench --offline -q -p ctt-bench --bench query
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_query_multiuser.json" \
     cargo bench --offline -q -p ctt-bench --bench query_multiuser
-CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_obs.json" \
+CRITERION_SAMPLES=20 CRITERION_JSON="$REPO_ROOT/BENCH_obs.json" \
     cargo bench --offline -q -p ctt-bench --bench obs_overhead
-CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_overload.json" \
+CRITERION_SAMPLES=20 CRITERION_JSON="$REPO_ROOT/BENCH_overload.json" \
     cargo bench --offline -q -p ctt-bench --bench overload
 
 echo "==> bench_check (the gate table; prints every gate with its measured value)"

@@ -230,7 +230,7 @@ mod tests {
         let cal = fit_calibration(&sensor, &reference).unwrap();
         // forward(correct(x)) ≈ x
         let x = 450.0;
-        let forward = cal.fit.predict(cal.correct(x));
+        let forward = cal.fit.intercept + cal.fit.slope * cal.correct(x);
         assert!((forward - x).abs() < 1e-9);
     }
 

@@ -43,8 +43,8 @@ pub use calibrate::{
 pub use correlate::{best_lag, cross_correlation, pearson, spearman, CorrelationVerdict};
 pub use dynamics::{diurnal_profile, study, DynamicsStudy};
 pub use impute::{completeness, find_gaps, impute, Gap, ImputeMethod};
-pub use outlier::{hampel_outliers, mad_outliers, validate, zscore_outliers};
-pub use patterns::{anomalous_days, daily_means, monthly_means, week_split, DayScore};
+pub use outlier::{hampel_outliers, mad_outliers};
+pub use patterns::{anomalous_days, daily_means, monthly_means, DayScore};
 pub use regression::{linear_fit, LinearFit};
 pub use spatial::{idw_surface, GaussianPlume, SpatialSample, Stability, Surface};
-pub use stats::{mean, median, quantile, rolling_mean, std_dev, summary, Summary};
+pub use stats::{mean, median, quantile, std_dev, summary, Summary};

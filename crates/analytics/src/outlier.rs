@@ -1,29 +1,12 @@
-//! Outlier detection and data validation.
+//! Outlier detection.
 //!
 //! §2.4: co-location "allows the identification of outliers and
-//! malfunctioning sensors", and §2.1 names "early data validation close to
-//! the sensors". Three detectors with different robustness/locality
-//! trade-offs, plus the plausibility validation stage of the ingest path.
+//! malfunctioning sensors". Two detectors with different locality, plus
+//! drift detection against a reference.
 
-use crate::stats::{mad, mean, median, std_dev};
-use ctt_core::measurement::{Measurement, QualityFlag, Series};
+use crate::stats::{mad, median};
+use ctt_core::measurement::Series;
 use ctt_core::time::Timestamp;
-
-/// Classic z-score detector: |x − mean| > k·sd. Fast, but masks under
-/// heavy contamination (the outliers inflate the SD).
-pub fn zscore_outliers(xs: &[f64], k: f64) -> Vec<usize> {
-    let (Some(m), Some(sd)) = (mean(xs), std_dev(xs)) else {
-        return Vec::new();
-    };
-    if sd == 0.0 {
-        return Vec::new();
-    }
-    xs.iter()
-        .enumerate()
-        .filter(|(_, &x)| ((x - m) / sd).abs() > k)
-        .map(|(i, _)| i)
-        .collect()
-}
 
 /// Robust MAD detector: |x − median| > k·MAD. Standard choice k = 3.5.
 pub fn mad_outliers(xs: &[f64], k: f64) -> Vec<usize> {
@@ -61,48 +44,6 @@ pub fn hampel_outliers(series: &Series, half_window: usize, k: f64) -> Vec<usize
     out
 }
 
-/// Result of validating one measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Validation {
-    /// Physically plausible.
-    Ok,
-    /// Out of the quantity's physical range.
-    Implausible,
-}
-
-/// The ingest-side validation stage: tag each measurement `Validated` or
-/// `Suspect` by plausibility. Returns the flagged copies and the number of
-/// suspects.
-pub fn validate(measurements: &[Measurement]) -> (Vec<Measurement>, usize) {
-    let mut suspects = 0;
-    let flagged = measurements
-        .iter()
-        .map(|m| {
-            if m.is_plausible() {
-                m.with_flag(QualityFlag::Validated)
-            } else {
-                suspects += 1;
-                m.with_flag(QualityFlag::Suspect)
-            }
-        })
-        .collect();
-    (flagged, suspects)
-}
-
-/// Remove flagged indices from a series (used after Hampel screening).
-pub fn drop_indices(series: &Series, indices: &[usize]) -> Series {
-    let drop: std::collections::BTreeSet<usize> = indices.iter().copied().collect();
-    Series {
-        points: series
-            .points
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !drop.contains(i))
-            .map(|(_, &p)| p)
-            .collect(),
-    }
-}
-
 /// Detect a malfunctioning (decaying) sensor by comparing its recent mean
 /// offset against a reference series: returns the drift in units/day if the
 /// offset trend is significant.
@@ -129,30 +70,16 @@ pub fn drift_per_day(sensor: &Series, reference: &Series) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctt_core::ids::DevEui;
-    use ctt_core::quantity::{Pollutant, Quantity};
 
     #[test]
-    fn zscore_flags_spike() {
-        let mut xs = vec![10.0; 50];
-        xs[25] = 100.0;
-        let out = zscore_outliers(&xs, 3.0);
-        assert_eq!(out, vec![25]);
-        assert!(zscore_outliers(&[], 3.0).is_empty());
-        assert!(zscore_outliers(&[5.0, 5.0, 5.0], 3.0).is_empty());
-    }
-
-    #[test]
-    fn mad_beats_zscore_under_contamination() {
-        // 20% contamination: z-score (k=3) misses, MAD catches.
+    fn mad_finds_every_spike_under_contamination() {
+        // 20% contamination would inflate a standard deviation; MAD holds.
         let mut xs: Vec<f64> = (0..40).map(|i| 10.0 + (i % 5) as f64 * 0.1).collect();
         for i in 0..8 {
             xs[i * 5] = 500.0;
         }
-        let z = zscore_outliers(&xs, 3.0);
         let m = mad_outliers(&xs, 3.5);
         assert_eq!(m.len(), 8, "MAD finds all spikes");
-        assert!(z.len() < 8, "z-score masks under contamination: {z:?}");
     }
 
     #[test]
@@ -182,37 +109,6 @@ mod tests {
             .collect();
         let s = Series { points: pts };
         assert!(hampel_outliers(&s, 5, 3.5).is_empty());
-    }
-
-    #[test]
-    fn validate_flags_suspects() {
-        let dev = DevEui::ctt(1);
-        let co2 = Quantity::Pollutant(Pollutant::Co2);
-        let ms = vec![
-            Measurement::raw(dev, co2, 420.0, Timestamp(0)),
-            Measurement::raw(dev, co2, -5.0, Timestamp(300)),
-            Measurement::raw(dev, Quantity::Humidity, 130.0, Timestamp(300)),
-        ];
-        let (flagged, suspects) = validate(&ms);
-        assert_eq!(suspects, 2);
-        assert_eq!(flagged[0].flag, QualityFlag::Validated);
-        assert_eq!(flagged[1].flag, QualityFlag::Suspect);
-        assert_eq!(flagged[2].flag, QualityFlag::Suspect);
-    }
-
-    #[test]
-    fn drop_indices_removes() {
-        let s = Series {
-            points: vec![
-                (Timestamp(0), 1.0),
-                (Timestamp(1), 99.0),
-                (Timestamp(2), 2.0),
-            ],
-        };
-        let cleaned = drop_indices(&s, &[1]);
-        assert_eq!(cleaned.len(), 2);
-        assert!(cleaned.values().all(|v| v < 10.0));
-        assert_eq!(drop_indices(&s, &[]).len(), 3);
     }
 
     #[test]

@@ -8,40 +8,6 @@ use crate::stats::{mean, std_dev};
 use ctt_core::measurement::Series;
 use ctt_core::time::Timestamp;
 
-/// Weekday-vs-weekend diurnal comparison.
-#[derive(Debug, Clone)]
-pub struct WeekSplit {
-    /// Mean by hour of day on weekdays.
-    pub weekday: [Option<f64>; 24],
-    /// Mean by hour of day on weekends.
-    pub weekend: [Option<f64>; 24],
-}
-
-/// Split a series into weekday/weekend diurnal profiles.
-pub fn week_split(series: &Series) -> WeekSplit {
-    let mut wd: Vec<Vec<f64>> = vec![Vec::new(); 24];
-    let mut we: Vec<Vec<f64>> = vec![Vec::new(); 24];
-    for &(t, v) in &series.points {
-        let h = (t.seconds_of_day() / 3600) as usize;
-        if t.weekday().is_weekend() {
-            we[h].push(v);
-        } else {
-            wd[h].push(v);
-        }
-    }
-    let collect = |b: Vec<Vec<f64>>| {
-        let mut out = [None; 24];
-        for (h, vals) in b.iter().enumerate() {
-            out[h] = mean(vals);
-        }
-        out
-    };
-    WeekSplit {
-        weekday: collect(wd),
-        weekend: collect(we),
-    }
-}
-
 /// Mean by calendar month (1..=12); `None` for unobserved months.
 pub fn monthly_means(series: &Series) -> [Option<f64>; 12] {
     let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); 12];
@@ -111,23 +77,6 @@ pub fn anomalous_days(series: &Series, threshold: f64) -> Vec<DayScore> {
         .collect()
 }
 
-/// Strength of the diurnal cycle: (max − min) of the hourly profile divided
-/// by the overall mean. Zero for flat series.
-pub fn diurnal_amplitude(series: &Series) -> Option<f64> {
-    let profile = crate::dynamics::diurnal_profile(series);
-    let vals: Vec<f64> = profile.iter().flatten().copied().collect();
-    if vals.is_empty() {
-        return None;
-    }
-    let overall = mean(&vals)?;
-    if overall == 0.0 {
-        return None;
-    }
-    let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
-    Some((max - min) / overall.abs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,15 +93,6 @@ mod tests {
             }
         }
         s
-    }
-
-    #[test]
-    fn week_split_separates_profiles() {
-        // Weekdays: value 10 at all hours; weekends: 3.
-        let s = hourly(14, |d, _| if (d % 7) >= 5 { 3.0 } else { 10.0 });
-        let split = week_split(&s);
-        assert_eq!(split.weekday[8], Some(10.0));
-        assert_eq!(split.weekend[8], Some(3.0));
     }
 
     #[test]
@@ -205,18 +145,5 @@ mod tests {
         assert!(anomalous_days(&s, 3.0).is_empty());
         // Degenerate inputs.
         assert!(anomalous_days(&Series::new(), 3.0).is_empty());
-    }
-
-    #[test]
-    fn diurnal_amplitude_measures_cycle_strength() {
-        let cyclic = hourly(7, |_, h| {
-            10.0 + 5.0 * ((h as f64) / 24.0 * std::f64::consts::TAU).sin()
-        });
-        let flat = hourly(7, |_, _| 10.0);
-        let a_cyclic = diurnal_amplitude(&cyclic).unwrap();
-        let a_flat = diurnal_amplitude(&flat).unwrap();
-        assert!(a_cyclic > 0.5, "amplitude {a_cyclic}");
-        assert_eq!(a_flat, 0.0);
-        assert!(diurnal_amplitude(&Series::new()).is_none());
     }
 }

@@ -18,11 +18,6 @@ pub struct LinearFit {
 }
 
 impl LinearFit {
-    /// Predict y at x.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
     /// Invert the model: the x that predicts y (for calibration transfer).
     /// `None` when the slope is ~zero.
     pub fn invert(&self, y: f64) -> Option<f64> {
@@ -130,7 +125,6 @@ mod tests {
         assert!((fit.r2 - 1.0).abs() < 1e-12);
         assert!(fit.residual_sd < 1e-9);
         assert_eq!(fit.n, 50);
-        assert!((fit.predict(100.0) - 253.0).abs() < 1e-9);
         assert!((fit.invert(253.0).unwrap() - 100.0).abs() < 1e-9);
     }
 

@@ -58,15 +58,6 @@ impl Surface {
         }
         any.then_some((min, max))
     }
-
-    /// Geographic centre of a cell.
-    pub fn cell_center(&self, col: usize, row: usize) -> LatLon {
-        let proj = LocalProjection::new(self.origin);
-        proj.to_latlon(ctt_core::geo::EnuPoint {
-            east_m: (col as f64 + 0.5) * self.cell_m,
-            north_m: (row as f64 + 0.5) * self.cell_m,
-        })
-    }
 }
 
 /// Inverse-distance-weighted (power 2) interpolation of `samples` onto a
@@ -304,14 +295,6 @@ mod tests {
         let s = idw_surface(&[], ORIGIN, 100.0, 3, 3, 1_000.0);
         assert!(s.values.iter().all(Option::is_none));
         assert!(s.range().is_none());
-    }
-
-    #[test]
-    fn cell_center_geometry() {
-        let s = idw_surface(&samples(), ORIGIN, 100.0, 10, 10, 5_000.0);
-        let c = s.cell_center(0, 0);
-        let d = ORIGIN.distance_m(c);
-        assert!((d - (50.0f64.powi(2) * 2.0).sqrt()).abs() < 2.0, "{d}");
     }
 
     #[test]

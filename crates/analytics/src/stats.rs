@@ -1,7 +1,7 @@
-//! Descriptive statistics and rolling windows.
+//! Descriptive statistics.
 
 use ctt_core::measurement::Series;
-use ctt_core::time::{Span, Timestamp};
+use ctt_core::time::Span;
 
 /// Summary statistics of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,25 +81,6 @@ pub fn summary(xs: &[f64]) -> Option<Summary> {
     })
 }
 
-/// Rolling mean over a centred window of `window` points (odd; clamped at
-/// the edges). Returns a series aligned with the input.
-pub fn rolling_mean(series: &Series, window: usize) -> Series {
-    assert!(window >= 1);
-    let half = window / 2;
-    let pts = &series.points;
-    let out = pts
-        .iter()
-        .enumerate()
-        .map(|(i, &(t, _))| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(pts.len());
-            let vals: Vec<f64> = pts[lo..hi].iter().map(|&(_, v)| v).collect();
-            (t, mean(&vals).expect("non-empty window"))
-        })
-        .collect();
-    Series { points: out }
-}
-
 /// First difference of a series: `(t_i, v_i − v_{i−1})` for i ≥ 1.
 pub fn diff(series: &Series) -> Series {
     Series {
@@ -109,17 +90,6 @@ pub fn diff(series: &Series) -> Series {
             .map(|w| (w[1].0, w[1].1 - w[0].1))
             .collect(),
     }
-}
-
-/// Mean of the values within `[from, to)`.
-pub fn window_mean(series: &Series, from: Timestamp, to: Timestamp) -> Option<f64> {
-    let vals: Vec<f64> = series
-        .points
-        .iter()
-        .filter(|&&(t, _)| t >= from && t < to)
-        .map(|&(_, v)| v)
-        .collect();
-    mean(&vals)
 }
 
 /// Simple least-squares slope of value against time (units: value/second).
@@ -156,6 +126,7 @@ pub fn mean_cadence(series: &Series) -> Option<Span> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctt_core::time::Timestamp;
 
     #[test]
     fn basic_moments() {
@@ -205,19 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn rolling_mean_smooths() {
-        let s = series(&[(0, 0.0), (1, 10.0), (2, 0.0), (3, 10.0), (4, 0.0)]);
-        let r = rolling_mean(&s, 3);
-        assert_eq!(r.len(), 5);
-        // Middle points average neighbours.
-        assert!((r.points[2].1 - 20.0 / 3.0).abs() < 1e-12);
-        // Edges use clamped windows.
-        assert_eq!(r.points[0].1, 5.0);
-        // Window 1 is identity.
-        assert_eq!(rolling_mean(&s, 1).points, s.points);
-    }
-
-    #[test]
     fn diff_and_slope() {
         let s = series(&[(0, 1.0), (10, 3.0), (20, 5.0)]);
         let d = diff(&s);
@@ -225,13 +183,6 @@ mod tests {
         let slope = slope_per_second(&s).unwrap();
         assert!((slope - 0.2).abs() < 1e-12);
         assert!(slope_per_second(&series(&[(0, 1.0)])).is_none());
-    }
-
-    #[test]
-    fn window_mean_filters_range() {
-        let s = series(&[(0, 1.0), (100, 2.0), (200, 3.0)]);
-        assert_eq!(window_mean(&s, Timestamp(50), Timestamp(250)), Some(2.5));
-        assert_eq!(window_mean(&s, Timestamp(500), Timestamp(600)), None);
     }
 
     #[test]

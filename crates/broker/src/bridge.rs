@@ -710,11 +710,6 @@ impl AdmissionControl {
         }
     }
 
-    /// Publishes currently held back across all gateways.
-    pub fn deferred_now(&self) -> usize {
-        self.deferred.values().sum()
-    }
-
     /// Uplinks shed at admission so far.
     pub fn shed_total(&self) -> u64 {
         self.shed_total
@@ -877,19 +872,19 @@ mod tests {
         assert_eq!(ac.admit(gw, t0), Admission::Deferred);
         assert_eq!(ac.admit(gw, t0), Admission::Deferred);
         assert_eq!(ac.admit(gw, t0), Admission::Shed);
-        assert_eq!(ac.deferred_now(), 2);
+        assert_eq!(ac.deferred.values().sum::<usize>(), 2);
         assert_eq!(ac.shed_total(), 1);
         // One logical second refills one token: a retry releases one held
         // uplink, the other stays deferred.
         let t1 = t0 + Span::seconds(1);
         assert!(ac.retry(gw, t1));
         assert!(!ac.retry(gw, t1));
-        assert_eq!(ac.deferred_now(), 1);
+        assert_eq!(ac.deferred.values().sum::<usize>(), 1);
         // Retrying with nothing held is a no-op even with tokens banked.
         let t2 = t0 + Span::seconds(10);
         assert!(ac.retry(gw, t2));
         assert!(!ac.retry(gw, t2), "nothing left to release");
-        assert_eq!(ac.deferred_now(), 0);
+        assert_eq!(ac.deferred.values().sum::<usize>(), 0);
     }
 
     #[test]

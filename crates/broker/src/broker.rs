@@ -54,21 +54,6 @@ pub struct BrokerStats {
     pub subscriptions: usize,
 }
 
-/// Per-subscriber delivery counters (aggregated in [`BrokerStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubscriberStats {
-    /// Deliveries enqueued to this subscriber.
-    pub delivered: u64,
-    /// QoS0 deliveries dropped on a full queue.
-    pub dropped_qos0: u64,
-    /// QoS1 deliveries deferred to the in-flight store on a full queue.
-    pub deferred_qos1: u64,
-    /// Redeliveries enqueued (both explicit and deferred-retry).
-    pub redelivered: u64,
-    /// QoS1 deliveries shed at the in-flight cap.
-    pub shed: u64,
-}
-
 /// What happened to one publish, per delivery attempt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublishOutcome {
@@ -157,8 +142,7 @@ impl TrieNode {
 }
 
 /// Per-subscriber counters, backed by registry cells so they show up in
-/// metric exports under `broker.sub<id>.*`. The legacy
-/// [`Broker::subscriber_stats`] getter reads these same cells.
+/// metric exports under `broker.sub<id>.*`.
 #[derive(Debug, Clone)]
 struct SessionCounters {
     delivered: Counter,
@@ -609,23 +593,6 @@ impl Broker {
             .sum()
     }
 
-    /// Per-subscriber delivery counters, if the subscription exists. A
-    /// thin view over the registry-backed cells (the same values a metrics
-    /// snapshot exports as `broker.sub<id>.*`).
-    pub fn subscriber_stats(&self, sub: SubscriptionId) -> Option<SubscriberStats> {
-        self.inner
-            .lock()
-            .sessions
-            .get(&sub)
-            .map(|s| SubscriberStats {
-                delivered: s.counters.delivered.get(),
-                dropped_qos0: s.counters.dropped_qos0.get(),
-                deferred_qos1: s.counters.deferred_qos1.get(),
-                redelivered: s.counters.redelivered.get(),
-                shed: s.counters.shed.get(),
-            })
-    }
-
     /// Number of unacknowledged in-flight messages for a subscription.
     pub fn inflight_count(&self, sub: SubscriptionId) -> usize {
         self.inner
@@ -651,6 +618,33 @@ impl Broker {
 mod tests {
     use super::*;
     use ctt_core::time::Timestamp;
+
+    /// One subscription's registry-backed counters (exported as
+    /// `broker.sub<id>.*`), read straight from its session.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct SubscriberStats {
+        delivered: u64,
+        dropped_qos0: u64,
+        deferred_qos1: u64,
+        redelivered: u64,
+        shed: u64,
+    }
+
+    impl Broker {
+        fn subscriber_stats(&self, sub: SubscriptionId) -> Option<SubscriberStats> {
+            self.inner
+                .lock()
+                .sessions
+                .get(&sub)
+                .map(|s| SubscriberStats {
+                    delivered: s.counters.delivered.get(),
+                    dropped_qos0: s.counters.dropped_qos0.get(),
+                    deferred_qos1: s.counters.deferred_qos1.get(),
+                    redelivered: s.counters.redelivered.get(),
+                    shed: s.counters.shed.get(),
+                })
+        }
+    }
 
     fn topic(s: &str) -> Topic {
         Topic::new(s).unwrap()

@@ -16,8 +16,6 @@ pub mod message;
 pub mod topic;
 
 pub use bridge::{city_slug, Admission, AdmissionControl, PublishReport, RetryPolicy, UplinkEvent};
-pub use broker::{
-    Broker, BrokerStats, Delivery, PublishOutcome, Subscriber, SubscriberStats, SubscriptionId,
-};
+pub use broker::{Broker, BrokerStats, Delivery, PublishOutcome, Subscriber, SubscriptionId};
 pub use message::{Message, QoS};
 pub use topic::{Topic, TopicError, TopicFilter};

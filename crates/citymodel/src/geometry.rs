@@ -96,19 +96,6 @@ impl Polygon {
         }
         inside
     }
-
-    /// Bounding box `(min, max)`.
-    pub fn bbox(&self) -> (P2, P2) {
-        let mut min = P2::new(f64::INFINITY, f64::INFINITY);
-        let mut max = P2::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for v in &self.vertices {
-            min.x = min.x.min(v.x);
-            min.y = min.y.min(v.y);
-            max.x = max.x.max(v.x);
-            max.y = max.y.max(v.y);
-        }
-        (min, max)
-    }
 }
 
 #[cfg(test)]
@@ -169,18 +156,6 @@ mod tests {
         assert!(l.contains(P2::new(0.5, 1.5)));
         assert!(l.contains(P2::new(1.5, 0.5)));
         assert!(!l.contains(P2::new(1.5, 1.5)), "the notch is outside");
-    }
-
-    #[test]
-    fn bbox() {
-        let t = Polygon::new(vec![
-            P2::new(-1.0, 2.0),
-            P2::new(3.0, -4.0),
-            P2::new(0.0, 0.0),
-        ]);
-        let (min, max) = t.bbox();
-        assert_eq!((min.x, min.y), (-1.0, -4.0));
-        assert_eq!((max.x, max.y), (3.0, 2.0));
     }
 
     #[test]

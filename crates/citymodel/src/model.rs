@@ -100,47 +100,12 @@ impl CityModel {
         P2::new(enu.east_m, enu.north_m)
     }
 
-    /// The building containing `p`, if any.
-    pub fn building_at(&self, p: P2) -> Option<&Building> {
-        self.buildings.iter().find(|b| b.footprint.contains(p))
-    }
-
-    /// The building whose centroid is nearest to `p`.
-    pub fn nearest_building(&self, p: P2) -> Option<(&Building, f64)> {
-        self.buildings
-            .iter()
-            .map(|b| (b, b.centroid().distance(p)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
     /// Buildings with centroids within `radius_m` of `p`.
     pub fn buildings_near(&self, p: P2, radius_m: f64) -> Vec<&Building> {
         self.buildings
             .iter()
             .filter(|b| b.centroid().distance(p) <= radius_m)
             .collect()
-    }
-
-    /// Total built volume, m³.
-    pub fn total_volume_m3(&self) -> f64 {
-        self.buildings.iter().map(Building::volume_m3).sum()
-    }
-
-    /// Model bounding box over all footprints.
-    pub fn bbox(&self) -> Option<(P2, P2)> {
-        let mut min = P2::new(f64::INFINITY, f64::INFINITY);
-        let mut max = P2::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-        if self.buildings.is_empty() {
-            return None;
-        }
-        for b in &self.buildings {
-            let (bmin, bmax) = b.footprint.bbox();
-            min.x = min.x.min(bmin.x);
-            min.y = min.y.min(bmin.y);
-            max.x = max.x.max(bmax.x);
-            max.y = max.y.max(bmax.y);
-        }
-        Some((min, max))
     }
 
     /// Building-density statistics used in site-selection discussions
@@ -184,26 +149,6 @@ mod tests {
         let m = sample_model();
         assert_eq!(m.buildings[0].volume_m3(), 1000.0);
         assert_eq!(m.buildings[1].volume_m3(), 3000.0);
-        assert_eq!(m.total_volume_m3(), 4000.0);
-    }
-
-    #[test]
-    fn building_at_point() {
-        let m = sample_model();
-        assert_eq!(m.building_at(P2::new(5.0, 5.0)).unwrap().id, "a");
-        assert_eq!(m.building_at(P2::new(110.0, 10.0)).unwrap().id, "b");
-        assert!(m.building_at(P2::new(50.0, 50.0)).is_none());
-    }
-
-    #[test]
-    fn nearest_building() {
-        let m = sample_model();
-        let (b, d) = m.nearest_building(P2::new(20.0, 5.0)).unwrap();
-        assert_eq!(b.id, "a");
-        assert!((d - 15.0).abs() < 1e-9);
-        assert!(CityModel::new("x", LatLon::new(0.0, 0.0))
-            .nearest_building(P2::new(0.0, 0.0))
-            .is_none());
     }
 
     #[test]
@@ -221,15 +166,6 @@ mod tests {
         assert!(p.x.abs() < 1e-6 && p.y.abs() < 1e-6);
         let north = m.to_local(m.origin.offset(0.0, 100.0));
         assert!((north.y - 100.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn bbox_spans_all() {
-        let m = sample_model();
-        let (min, max) = m.bbox().unwrap();
-        assert_eq!((min.x, min.y), (0.0, 0.0));
-        assert_eq!((max.x, max.y), (130.0, 20.0));
-        assert!(CityModel::new("x", LatLon::new(0.0, 0.0)).bbox().is_none());
     }
 
     #[test]

@@ -101,14 +101,6 @@ impl Overlay {
             .map(|&b| (b, self.buildings.iter().filter(|a| a.band == b).count()))
             .collect()
     }
-
-    /// Buildings attributed to a given sensor.
-    pub fn buildings_of(&self, device: DevEui) -> Vec<&AttributedBuilding> {
-        self.buildings
-            .iter()
-            .filter(|a| a.sensor == device)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -153,8 +145,8 @@ mod tests {
                 assert_eq!(a.sensor, expect, "building at {c:?}");
             }
         }
-        let left = ov.buildings_of(DevEui::ctt(1)).len();
-        let right = ov.buildings_of(DevEui::ctt(2)).len();
+        let of = |d: DevEui| ov.buildings.iter().filter(|a| a.sensor == d).count();
+        let (left, right) = (of(DevEui::ctt(1)), of(DevEui::ctt(2)));
         assert_eq!(left + right, ov.buildings.len());
         assert!(left > 0 && right > 0);
     }

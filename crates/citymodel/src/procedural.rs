@@ -194,10 +194,9 @@ mod tests {
         let m = vejle();
         let half_w = 8.0 * BLOCK_M / 2.0;
         let half_h = 6.0 * BLOCK_M / 2.0;
-        for b in &m.buildings {
-            let (min, max) = b.footprint.bbox();
-            assert!(min.x >= -half_w && max.x <= half_w);
-            assert!(min.y >= -half_h && max.y <= half_h);
+        for v in m.buildings.iter().flat_map(|b| &b.footprint.vertices) {
+            assert!(v.x >= -half_w && v.x <= half_w);
+            assert!(v.y >= -half_h && v.y <= half_h);
         }
     }
 }

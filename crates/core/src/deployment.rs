@@ -7,11 +7,10 @@
 //! the §1 cost argument (250 low-cost units for the price of one official
 //! station).
 
-use crate::battery::{AdaptivePolicy, Battery, BatteryConfig};
 use crate::emission::{EmissionModel, Site};
-use crate::geo::{BoundingBox, LatLon};
+use crate::geo::LatLon;
 use crate::ids::{DevEui, GatewayId};
-use crate::node::{SensorNode, SensorSpec};
+use crate::node::SensorNode;
 use crate::time::Timestamp;
 use crate::traffic::{RoadClass, TrafficModel};
 use crate::units::Degrees;
@@ -198,33 +197,6 @@ impl Deployment {
             .collect()
     }
 
-    /// Instantiate a reference-grade node co-located with the official
-    /// station, if the city has one (used for the calibration experiments).
-    pub fn spawn_reference(&self, seed: u64) -> Option<SensorNode> {
-        let station = self.reference_station.as_ref()?;
-        // The reference instrument: same site as the co-located node.
-        let site = Site::kerbside(station.position);
-        Some(SensorNode::new(
-            DevEui::REFERENCE_STATION,
-            site,
-            SensorSpec::reference_grade(),
-            Battery::new(BatteryConfig::default(), 100.0),
-            AdaptivePolicy::fixed(crate::time::Span::hours(1)),
-            self.started,
-            seed,
-        ))
-    }
-
-    /// Geographic bounding box of all deployed hardware.
-    pub fn bounding_box(&self) -> BoundingBox {
-        let pts = self
-            .nodes
-            .iter()
-            .map(|n| n.site.position)
-            .chain(self.gateways.iter().map(|g| g.position));
-        BoundingBox::of(pts).expect("deployment has hardware")
-    }
-
     /// Find a node spec by EUI.
     pub fn node(&self, eui: DevEui) -> Option<&NodeSpecEntry> {
         self.nodes.iter().find(|n| n.eui == eui)
@@ -255,11 +227,6 @@ impl CostModel {
     /// How many low-cost units one station buys.
     pub fn units_per_station(&self) -> f64 {
         self.station_cost_usd / self.unit_cost_usd
-    }
-
-    /// Cost of a fleet of `n` units.
-    pub fn fleet_cost_usd(&self, n: usize) -> f64 {
-        self.unit_cost_usd * n as f64
     }
 
     /// Sensor-density multiplier achieved for the price of `stations`
@@ -319,8 +286,6 @@ mod tests {
             let dist = d.center.distance_m(n.site.position);
             assert!(dist < 10_000.0, "{} is {dist} m out", n.name);
         }
-        let bb = d.bounding_box();
-        assert!(bb.contains(d.center) || bb.expanded(0.02).contains(d.center));
     }
 
     #[test]
@@ -352,18 +317,9 @@ mod tests {
     }
 
     #[test]
-    fn spawn_reference_is_reference_grade() {
-        let d = Deployment::trondheim();
-        let r = d.spawn_reference(1).unwrap();
-        assert_eq!(r.spec().glitch_prob, 0.0);
-        assert!(Deployment::vejle().spawn_reference(1).is_none());
-    }
-
-    #[test]
     fn cost_model_reproduces_the_250x_claim() {
         let c = CostModel::default();
         assert_eq!(c.units_per_station(), 250.0);
-        assert_eq!(c.fleet_cost_usd(250), 500_000.0);
         // A city with one station gets 251 measurement points for the price
         // of a second station: 251× densification.
         assert_eq!(c.density_multiplier(1, 1), 251.0);

@@ -65,12 +65,6 @@ impl Measurement {
         }
     }
 
-    /// Copy with a new flag.
-    pub fn with_flag(mut self, flag: QualityFlag) -> Self {
-        self.flag = flag;
-        self
-    }
-
     /// True if the value passes the quantity's plausibility check.
     pub fn is_plausible(&self) -> bool {
         self.quantity.is_plausible(self.value)
@@ -115,28 +109,6 @@ impl SensorReading {
             Quantity::Humidity => self.humidity_pct,
             Quantity::Battery => self.battery_pct,
         }
-    }
-
-    /// Set the value of a given quantity.
-    pub fn set_value(&mut self, q: Quantity, v: f64) {
-        match q {
-            Quantity::Pollutant(Pollutant::Co2) => self.co2_ppm = v,
-            Quantity::Pollutant(Pollutant::No2) => self.no2_ppb = v,
-            Quantity::Pollutant(Pollutant::Pm25) => self.pm25_ug_m3 = v,
-            Quantity::Pollutant(Pollutant::Pm10) => self.pm10_ug_m3 = v,
-            Quantity::Temperature => self.temperature_c = v,
-            Quantity::Pressure => self.pressure_hpa = v,
-            Quantity::Humidity => self.humidity_pct = v,
-            Quantity::Battery => self.battery_pct = v,
-        }
-    }
-
-    /// Flatten to one [`Measurement`] per quantity.
-    pub fn measurements(&self) -> Vec<Measurement> {
-        Quantity::ALL
-            .iter()
-            .map(|&q| Measurement::raw(self.device, q, self.value(q), self.time))
-            .collect()
     }
 
     /// True if every quantity is plausible.
@@ -233,26 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn value_set_value_roundtrip_all_quantities() {
-        let mut r = reading();
-        for (i, &q) in Quantity::ALL.iter().enumerate() {
-            let v = 1.5 * (i as f64 + 1.0);
-            r.set_value(q, v);
-            assert_eq!(r.value(q), v);
-        }
-    }
-
-    #[test]
-    fn measurements_flatten_in_payload_order() {
-        let r = reading();
-        let ms = r.measurements();
-        assert_eq!(ms.len(), 8);
-        assert_eq!(ms[0].quantity, Quantity::ALL[0]);
-        assert!(ms.iter().all(|m| m.device == r.device && m.time == r.time));
-        assert!(ms.iter().all(|m| m.flag == QualityFlag::Raw));
-    }
-
-    #[test]
     fn background_reading_is_plausible() {
         assert!(reading().is_plausible());
         let mut bad = reading();
@@ -264,9 +216,6 @@ mod tests {
     fn measurement_flag_transitions() {
         let m = Measurement::raw(DevEui::ctt(1), Quantity::Temperature, 12.0, Timestamp(0));
         assert_eq!(m.flag, QualityFlag::Raw);
-        let c = m.with_flag(QualityFlag::Calibrated);
-        assert_eq!(c.flag, QualityFlag::Calibrated);
-        assert_eq!(c.value, m.value);
         assert_eq!(QualityFlag::Imputed.code(), "imp");
     }
 

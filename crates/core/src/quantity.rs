@@ -29,15 +29,6 @@ impl Pollutant {
         Pollutant::Pm10,
     ];
 
-    /// Molar mass in g/mol; `None` for particulates (not a single species).
-    pub fn molar_mass_g(self) -> Option<f64> {
-        match self {
-            Pollutant::Co2 => Some(44.0095),
-            Pollutant::No2 => Some(46.0055),
-            Pollutant::Pm25 | Pollutant::Pm10 => None,
-        }
-    }
-
     /// The unit the CTT sensors natively report.
     pub fn native_unit(self) -> Unit {
         match self {
@@ -201,13 +192,6 @@ mod tests {
         assert!(Quantity::Humidity.is_plausible(0.0));
         assert!(Quantity::Humidity.is_plausible(100.0));
         assert!(!Quantity::Humidity.is_plausible(100.1));
-    }
-
-    #[test]
-    fn molar_masses() {
-        assert!((Pollutant::Co2.molar_mass_g().unwrap() - 44.01).abs() < 0.01);
-        assert!((Pollutant::No2.molar_mass_g().unwrap() - 46.01).abs() < 0.01);
-        assert!(Pollutant::Pm25.molar_mass_g().is_none());
     }
 
     #[test]

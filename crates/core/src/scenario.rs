@@ -102,11 +102,6 @@ impl Injection {
             pm10_ug_m3: p.pm10_ug_m3 * w,
         }
     }
-
-    /// True if active at `ts`.
-    pub fn is_active(&self, ts: Timestamp) -> bool {
-        ts >= self.from && ts < self.until
-    }
 }
 
 /// A composition of injections forming one planning scenario.
@@ -130,11 +125,6 @@ impl ScenarioSet {
     /// All injections.
     pub fn injections(&self) -> &[Injection] {
         &self.injections
-    }
-
-    /// Number of injections active at `ts`.
-    pub fn active_count(&self, ts: Timestamp) -> usize {
-        self.injections.iter().filter(|i| i.is_active(ts)).count()
     }
 
     /// Total synthetic contribution at `pos`, `ts`.
@@ -209,8 +199,6 @@ mod tests {
             Pollution::default()
         );
         assert_eq!(inj.contribution(CENTER, until), Pollution::default());
-        assert!(inj.is_active(from));
-        assert!(!inj.is_active(until));
     }
 
     #[test]
@@ -254,7 +242,6 @@ mod tests {
         });
         assert_eq!(set.injections().len(), 2);
         let t = from + Span::hours(2);
-        assert_eq!(set.active_count(t), 2);
         let both = set.contribution(CENTER, t);
         let single = construction().contribution(CENTER, t);
         assert!(both.co2_ppm > single.co2_ppm);

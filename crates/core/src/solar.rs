@@ -12,7 +12,7 @@
 //! in late June).
 
 use crate::geo::LatLon;
-use crate::time::{Timestamp, DAY};
+use crate::time::Timestamp;
 
 /// Solar declination in radians for a given day of year (Cooper, 1969).
 pub fn declination_rad(day_of_year: u16) -> f64 {
@@ -53,23 +53,6 @@ pub fn clear_sky_irradiance_w_m2(pos: LatLon, ts: Timestamp) -> f64 {
     let direct = 1361.0 * 0.7_f64.powf(air_mass.powf(0.678));
     // Horizontal component.
     direct * el.to_radians().sin()
-}
-
-/// Approximate daylight duration at `pos` on the day containing `ts`,
-/// in fractional hours, by sampling the elevation every 5 minutes.
-pub fn daylight_hours(pos: LatLon, ts: Timestamp) -> f64 {
-    let midnight = ts.midnight();
-    let step = 300; // 5 minutes
-    let mut lit = 0usize;
-    let mut t = midnight.0;
-    let end = midnight.0 + DAY;
-    while t < end {
-        if is_sunlit(pos, Timestamp(t)) {
-            lit += 1;
-        }
-        t += step;
-    }
-    lit as f64 * step as f64 / 3600.0
 }
 
 /// True if the sun was above the horizon at any point in `[from, to]`
@@ -131,28 +114,6 @@ mod tests {
         let midnight = Timestamp::from_civil(2017, 6, 21, 0, 0, 0);
         assert!((elevation_deg(EQUATOR, noon) - 66.55).abs() < 1.0);
         assert!(elevation_deg(EQUATOR, midnight) < 0.0);
-    }
-
-    #[test]
-    fn trondheim_seasonal_daylight_swing() {
-        let june = Timestamp::from_civil(2017, 6, 21, 12, 0, 0);
-        let december = Timestamp::from_civil(2017, 12, 21, 12, 0, 0);
-        let summer_hours = daylight_hours(TRONDHEIM, june);
-        let winter_hours = daylight_hours(TRONDHEIM, december);
-        assert!(
-            summer_hours > 19.0,
-            "Trondheim June daylight {summer_hours}h"
-        );
-        assert!(
-            winter_hours < 6.0,
-            "Trondheim December daylight {winter_hours}h"
-        );
-    }
-
-    #[test]
-    fn vejle_is_less_extreme_than_trondheim() {
-        let december = Timestamp::from_civil(2017, 12, 21, 12, 0, 0);
-        assert!(daylight_hours(VEJLE, december) > daylight_hours(TRONDHEIM, december));
     }
 
     #[test]

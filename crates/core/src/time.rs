@@ -44,10 +44,6 @@ impl Span {
     pub const fn as_seconds(self) -> i64 {
         self.0
     }
-    /// Fractional hours in this span.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / HOUR as f64
-    }
     /// Absolute value of the span.
     pub fn abs(self) -> Self {
         Span(self.0.abs())
@@ -105,19 +101,6 @@ impl Weekday {
     /// True for Saturday and Sunday.
     pub fn is_weekend(self) -> bool {
         matches!(self, Weekday::Saturday | Weekday::Sunday)
-    }
-
-    /// Short English name (`"Mon"`, ...).
-    pub fn short_name(self) -> &'static str {
-        match self {
-            Weekday::Monday => "Mon",
-            Weekday::Tuesday => "Tue",
-            Weekday::Wednesday => "Wed",
-            Weekday::Thursday => "Thu",
-            Weekday::Friday => "Fri",
-            Weekday::Saturday => "Sat",
-            Weekday::Sunday => "Sun",
-        }
     }
 }
 
@@ -307,63 +290,7 @@ impl Timestamp {
     pub fn midnight(self) -> Timestamp {
         self.align_down(Span(DAY))
     }
-
-    /// Parse `"YYYY-MM-DDTHH:MM:SSZ"` (also accepts a space separator and a
-    /// missing trailing `Z`, and bare dates `"YYYY-MM-DD"`).
-    pub fn parse_iso(s: &str) -> Result<Self, ParseTimeError> {
-        let err = || ParseTimeError {
-            input: s.to_string(),
-        };
-        let s = s.trim().trim_end_matches('Z');
-        let (date, time) = match s.split_once(['T', ' ']) {
-            Some((d, t)) => (d, Some(t)),
-            None => (s, None),
-        };
-        let mut dp = date.split('-');
-        let year: i32 = dp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let month: u8 = dp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let day: u8 = dp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        if dp.next().is_some() || !(1..=12).contains(&month) {
-            return Err(err());
-        }
-        if day < 1 || day > days_in_month(year, month) {
-            return Err(err());
-        }
-        let (hour, minute, second) = match time {
-            None => (0, 0, 0),
-            Some(t) => {
-                let mut tp = t.split(':');
-                let h: u8 = tp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-                let m: u8 = tp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-                let sec: u8 = match tp.next() {
-                    Some(x) => x.parse().map_err(|_| err())?,
-                    None => 0,
-                };
-                if tp.next().is_some() || h >= 24 || m >= 60 || sec >= 60 {
-                    return Err(err());
-                }
-                (h, m, sec)
-            }
-        };
-        Ok(Timestamp::from_civil(
-            year, month, day, hour, minute, second,
-        ))
-    }
 }
-
-/// Error from [`Timestamp::parse_iso`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTimeError {
-    input: String,
-}
-
-impl fmt::Display for ParseTimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid ISO-8601 timestamp: {:?}", self.input)
-    }
-}
-
-impl std::error::Error for ParseTimeError {}
 
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -547,34 +474,6 @@ mod tests {
         let t = Timestamp(-1);
         assert_eq!(t.align_down(Span::minutes(1)).0, -60);
         assert_eq!(t.align_up(Span::minutes(1)).0, 0);
-    }
-
-    #[test]
-    fn parse_iso_variants() {
-        let full = Timestamp::parse_iso("2017-01-15T06:30:00Z").unwrap();
-        assert_eq!(full, Timestamp::from_civil(2017, 1, 15, 6, 30, 0));
-        let no_z = Timestamp::parse_iso("2017-01-15T06:30:00").unwrap();
-        assert_eq!(no_z, full);
-        let space = Timestamp::parse_iso("2017-01-15 06:30:00").unwrap();
-        assert_eq!(space, full);
-        let no_sec = Timestamp::parse_iso("2017-01-15T06:30").unwrap();
-        assert_eq!(no_sec, full);
-        let date_only = Timestamp::parse_iso("2017-01-15").unwrap();
-        assert_eq!(date_only, Timestamp::from_civil(2017, 1, 15, 0, 0, 0));
-    }
-
-    #[test]
-    fn parse_iso_rejects_garbage() {
-        for bad in [
-            "",
-            "2017",
-            "2017-13-01",
-            "2017-02-30",
-            "2017-01-15T25:00:00",
-            "x-y-z",
-        ] {
-            assert!(Timestamp::parse_iso(bad).is_err(), "{bad} should not parse");
-        }
     }
 
     #[test]

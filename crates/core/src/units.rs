@@ -1,14 +1,7 @@
-//! Measurement units and conversions.
-//!
-//! Gas concentrations arrive from sensors as volume mixing ratios (ppm/ppb)
-//! but reference stations and EU limit values are stated in µg/m³; the ideal
-//! gas law conversion depends on ambient temperature and pressure, which the
-//! CTT nodes co-measure for exactly this reason.
+//! Measurement units: the units a value can carry, and newtypes that put
+//! the unit in a public signature's type.
 
 use std::fmt;
-
-/// Universal gas constant, J/(mol·K).
-pub const R_GAS: f64 = 8.314_462_618;
 
 /// Units a CTT measurement value can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,99 +112,9 @@ impl From<Ppb> for Ppm {
     }
 }
 
-/// Ambient conditions needed for gas unit conversions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ambient {
-    /// Air temperature in °C.
-    pub temperature_c: f64,
-    /// Air pressure in hPa.
-    pub pressure_hpa: f64,
-}
-
-impl Ambient {
-    /// EU reference conditions for air quality limit values (20 °C, 1013 hPa).
-    pub const EU_REFERENCE: Ambient = Ambient {
-        temperature_c: 20.0,
-        pressure_hpa: 1013.25,
-    };
-
-    /// Molar volume of an ideal gas at these conditions, in litres/mol.
-    pub fn molar_volume_l(self) -> f64 {
-        let t_kelvin = self.temperature_c + 273.15;
-        let p_pa = self.pressure_hpa * 100.0;
-        R_GAS * t_kelvin / p_pa * 1000.0
-    }
-}
-
-/// Convert a gas concentration from ppb to µg/m³.
-///
-/// `molar_mass_g` is the gas molar mass in g/mol (NO2 = 46.0055).
-pub fn ppb_to_ug_m3(ppb: Ppb, molar_mass_g: f64, ambient: Ambient) -> UgPerM3 {
-    UgPerM3(ppb.0 * molar_mass_g / ambient.molar_volume_l())
-}
-
-/// Convert a gas concentration from µg/m³ to ppb.
-pub fn ug_m3_to_ppb(ug_m3: UgPerM3, molar_mass_g: f64, ambient: Ambient) -> Ppb {
-    Ppb(ug_m3.0 * ambient.molar_volume_l() / molar_mass_g)
-}
-
-/// Convert ppm to ppb.
-pub fn ppm_to_ppb(ppm: Ppm) -> Ppb {
-    ppm.into()
-}
-
-/// Convert ppb to ppm.
-pub fn ppb_to_ppm(ppb: Ppb) -> Ppm {
-    ppb.into()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn molar_volume_at_reference_conditions() {
-        // 24.06 L/mol at 20 °C, 1013.25 hPa (textbook value ~24.055).
-        let v = Ambient::EU_REFERENCE.molar_volume_l();
-        assert!((v - 24.055).abs() < 0.02, "molar volume {v}");
-        // 22.41 L/mol at 0 °C, 1013.25 hPa.
-        let stp = Ambient {
-            temperature_c: 0.0,
-            pressure_hpa: 1013.25,
-        };
-        assert!((stp.molar_volume_l() - 22.414).abs() < 0.02);
-    }
-
-    #[test]
-    fn no2_conversion_matches_reference_factor() {
-        // At 20 °C / 1013 hPa: 1 ppb NO2 ≈ 1.9125 µg/m³ (standard factor 1.91).
-        let f = ppb_to_ug_m3(Ppb(1.0), 46.0055, Ambient::EU_REFERENCE).0;
-        assert!((f - 1.9125).abs() < 0.01, "factor {f}");
-    }
-
-    #[test]
-    fn conversions_roundtrip() {
-        let amb = Ambient {
-            temperature_c: 5.0,
-            pressure_hpa: 990.0,
-        };
-        let ug = ppb_to_ug_m3(Ppb(37.5), 46.0055, amb);
-        let back = ug_m3_to_ppb(ug, 46.0055, amb);
-        assert!((back.0 - 37.5).abs() < 1e-9);
-        assert_eq!(ppb_to_ppm(ppm_to_ppb(Ppm(0.42))), Ppm(0.42));
-    }
-
-    #[test]
-    fn colder_air_is_denser() {
-        let cold = Ambient {
-            temperature_c: -10.0,
-            pressure_hpa: 1013.25,
-        };
-        // The same mixing ratio corresponds to more mass in colder air.
-        let cold_mass = ppb_to_ug_m3(Ppb(10.0), 46.0055, cold);
-        let warm_mass = ppb_to_ug_m3(Ppb(10.0), 46.0055, Ambient::EU_REFERENCE);
-        assert!(cold_mass > warm_mass);
-    }
 
     #[test]
     fn newtype_display_carries_the_symbol() {

@@ -284,7 +284,8 @@ impl<A: Actor> ActorSystem<A> {
     }
 
     /// Is the actor alive?
-    pub fn is_alive(&self, r: ActorRef) -> bool {
+    #[cfg(test)]
+    fn is_alive(&self, r: ActorRef) -> bool {
         self.core.cell(r).is_some()
     }
 

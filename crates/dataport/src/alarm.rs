@@ -178,11 +178,6 @@ impl AlarmBus {
         v
     }
 
-    /// Is a specific alarm active?
-    pub fn is_active(&self, kind: AlarmKind, source: &str) -> bool {
-        self.active.contains_key(&(source.to_string(), kind))
-    }
-
     /// The full transition log.
     pub fn log(&self) -> &[Alarm] {
         &self.log
@@ -245,9 +240,9 @@ mod tests {
             Timestamp(0),
             String::new(),
         );
-        assert!(bus.is_active(AlarmKind::GatewayOutage, "gw/1"));
+        assert_eq!(bus.active().len(), 1);
         assert!(bus.clear(AlarmKind::GatewayOutage, "gw/1", Timestamp(100)));
-        assert!(!bus.is_active(AlarmKind::GatewayOutage, "gw/1"));
+        assert!(bus.active().is_empty());
         assert_eq!(bus.log().len(), 2);
         assert_eq!(bus.log()[1].kind, AlarmKind::Recovered);
         // Clearing again is a no-op.

@@ -514,16 +514,6 @@ impl Dataport {
         self.uplinks_processed += 1;
     }
 
-    /// Explicit component health reports (e.g. from connection probes).
-    pub fn backend_ok(&mut self, now: Timestamp) {
-        self.backend.last_ok = Some(now);
-    }
-
-    /// MQTT connection verified alive.
-    pub fn mqtt_ok(&mut self, now: Timestamp) {
-        self.mqtt.last_ok = Some(now);
-    }
-
     /// Periodic tick: run twin timeout checks and component monitoring.
     pub fn tick(&mut self, now: Timestamp) {
         // Sensors in id order, then gateways in id order.
@@ -568,6 +558,7 @@ impl Dataport {
     }
 
     /// The external watchdog's view of this dataport.
+    // lint:allow(dead): §2.3 external watchdog, the oracle of watchdog_detects_dead_dataport
     pub fn watchdog_check(&mut self, now: Timestamp) -> WatchdogVerdict {
         self.watchdog.check(now)
     }
@@ -834,9 +825,8 @@ mod tests {
         let alarms = dp.active_alarms();
         assert!(alarms.iter().any(|a| a.kind == AlarmKind::BackendDown));
         assert!(alarms.iter().any(|a| a.kind == AlarmKind::MqttDown));
-        // Probes report recovery.
-        dp.backend_ok(Timestamp(16 * 60));
-        dp.mqtt_ok(Timestamp(16 * 60));
+        // Traffic flowing again shows both components recovered.
+        dp.on_uplink(DevEui::ctt(1), Timestamp(16 * 60), 90.0, GW1, Dbm(-100.0));
         dp.tick(Timestamp(17 * 60));
         let alarms = dp.active_alarms();
         assert!(!alarms.iter().any(|a| a.kind == AlarmKind::BackendDown));

@@ -144,18 +144,6 @@ impl ProtocolTrace {
         &self.records
     }
 
-    /// Did the frame reach the databases (stage 6) successfully?
-    pub fn reached_storage(&self) -> bool {
-        self.records
-            .iter()
-            .any(|r| r.stage == Stage::DatabaseWrite && r.ok)
-    }
-
-    /// First failed stage, if any.
-    pub fn first_failure(&self) -> Option<&StageRecord> {
-        self.records.iter().find(|r| !r.ok)
-    }
-
     /// End-to-end latency from the first to the last successful record.
     pub fn latency(&self) -> Option<ctt_core::time::Span> {
         let first = self.records.first()?;
@@ -234,8 +222,6 @@ mod tests {
     #[test]
     fn happy_path_reaches_storage() {
         let t = happy_trace();
-        assert!(t.reached_storage());
-        assert!(t.first_failure().is_none());
         assert_eq!(t.latency(), Some(Span::seconds(4)));
         let render = t.render();
         assert!(render.contains("(1) Sensor"));
@@ -248,8 +234,6 @@ mod tests {
         let mut t = ProtocolTrace::new();
         t.record(Stage::SensorUplink, Timestamp(0), true, "");
         t.record(Stage::GatewayForward, Timestamp(1), false, "no coverage");
-        assert!(!t.reached_storage());
-        assert_eq!(t.first_failure().unwrap().stage, Stage::GatewayForward);
         let render = t.render();
         assert!(render.contains("✗"));
         assert!(render.contains("interrupted"));
@@ -266,7 +250,6 @@ mod tests {
     #[test]
     fn empty_trace() {
         let t = ProtocolTrace::new();
-        assert!(!t.reached_storage());
         assert!(t.latency().is_none());
         assert_eq!(t.render(), "");
     }

@@ -77,28 +77,6 @@ pub fn resample(
     Series { points: out }
 }
 
-/// Inner-join two series on exactly-equal timestamps, returning aligned
-/// value pairs. Run both through [`resample`] first when their native grids
-/// differ.
-pub fn align_pairs(a: &Series, b: &Series) -> Vec<(Timestamp, f64, f64)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.points.len() && j < b.points.len() {
-        let (ta, va) = a.points[i];
-        let (tb, vb) = b.points[j];
-        match ta.cmp(&tb) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push((ta, va, vb));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Spatial join: index of the nearest candidate to `target`, with the
 /// distance in metres. `None` when `candidates` is empty or the nearest is
 /// farther than `max_distance_m`.
@@ -150,28 +128,6 @@ impl Uncertain {
             value: self.value * k,
             sigma: self.sigma * k.abs(),
         }
-    }
-
-    /// Inverse-variance weighted mean of several estimates — how the
-    /// pipeline merges a sensor value with a reference value.
-    pub fn combine(estimates: &[Uncertain]) -> Option<Uncertain> {
-        if estimates.is_empty() {
-            return None;
-        }
-        if let Some(exact) = estimates.iter().find(|e| e.sigma == 0.0) {
-            return Some(*exact);
-        }
-        let mut wsum = 0.0;
-        let mut vsum = 0.0;
-        for e in estimates {
-            let w = 1.0 / e.sigma.powi(2);
-            wsum += w;
-            vsum += w * e.value;
-        }
-        Some(Uncertain {
-            value: vsum / wsum,
-            sigma: (1.0 / wsum).sqrt(),
-        })
     }
 }
 
@@ -282,18 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn align_pairs_inner_join() {
-        let a = series(&[(0, 1.0), (300, 2.0), (600, 3.0)]);
-        let b = series(&[(300, 20.0), (600, 30.0), (900, 40.0)]);
-        let pairs = align_pairs(&a, &b);
-        assert_eq!(
-            pairs,
-            vec![(Timestamp(300), 2.0, 20.0), (Timestamp(600), 3.0, 30.0)]
-        );
-        assert!(align_pairs(&a, &series(&[])).is_empty());
-    }
-
-    #[test]
     fn nearest_join() {
         let origin = LatLon::new(63.43, 10.39);
         let candidates = [
@@ -328,25 +272,5 @@ mod tests {
         let scaled = a.scale(-2.0);
         assert_eq!(scaled.value, -20.0);
         assert_eq!(scaled.sigma, 6.0);
-    }
-
-    #[test]
-    fn inverse_variance_combination() {
-        let precise = Uncertain {
-            value: 10.0,
-            sigma: 1.0,
-        };
-        let rough = Uncertain {
-            value: 20.0,
-            sigma: 10.0,
-        };
-        let c = Uncertain::combine(&[precise, rough]).unwrap();
-        // Dominated by the precise estimate.
-        assert!((c.value - 10.0).abs() < 0.2, "combined {c:?}");
-        assert!(c.sigma < 1.0);
-        // Exact value short-circuits.
-        let e = Uncertain::combine(&[Uncertain::exact(5.0), rough]).unwrap();
-        assert_eq!(e, Uncertain::exact(5.0));
-        assert!(Uncertain::combine(&[]).is_none());
     }
 }

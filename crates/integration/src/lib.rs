@@ -26,7 +26,7 @@ pub mod oco2;
 pub mod source;
 pub mod traffic_feed;
 
-pub use harmonize::{align_pairs, nearest, resample, ResampleMethod, Uncertain};
+pub use harmonize::{nearest, resample, ResampleMethod, Uncertain};
 pub use municipal::{CountingCampaign, DownscaledEmission, NationalInventory, Sector};
 pub use nilu::NiluStation;
 pub use oco2::{Oco2, Sounding};

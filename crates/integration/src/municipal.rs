@@ -38,28 +38,6 @@ impl CountingCampaign {
     }
 }
 
-/// Validation of the commercial feed against campaign counts: mean relative
-/// deviation of model-estimated daily flow vs counted, over campaign days.
-pub fn validate_feed_against_counts(
-    counts: &[(Timestamp, f64)],
-    estimated: &[(Timestamp, f64)],
-) -> Option<f64> {
-    let mut devs = Vec::new();
-    for &(day, counted) in counts {
-        if counted <= 0.0 {
-            continue;
-        }
-        if let Some(&(_, est)) = estimated.iter().find(|(d, _)| *d == day) {
-            devs.push((est - counted).abs() / counted);
-        }
-    }
-    if devs.is_empty() {
-        None
-    } else {
-        Some(devs.iter().sum::<f64>() / devs.len() as f64)
-    }
-}
-
 /// GHG emission sectors of a national inventory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sector {
@@ -108,17 +86,6 @@ pub struct DownscaledEmission {
     pub ktco2e: f64,
     /// Relative uncertainty (1σ / central), e.g. 0.35.
     pub rel_uncertainty: f64,
-}
-
-impl DownscaledEmission {
-    /// 95% confidence interval (±2σ), clamped at zero.
-    pub fn ci95(&self) -> (f64, f64) {
-        let sigma = self.ktco2e * self.rel_uncertainty;
-        (
-            (self.ktco2e - 2.0 * sigma).max(0.0),
-            self.ktco2e + 2.0 * sigma,
-        )
-    }
 }
 
 /// The national statistics office inventory, downscaled by population.
@@ -171,11 +138,6 @@ impl NationalInventory {
             })
             .collect()
     }
-
-    /// City total for a year (central estimate).
-    pub fn city_total_ktco2e(&self, year: i32) -> f64 {
-        self.downscale(year).iter().map(|d| d.ktco2e).sum()
-    }
 }
 
 #[cfg(test)]
@@ -217,39 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn feed_validation_close_when_same_model() {
-        let m = model();
-        let c = CountingCampaign {
-            start: Timestamp::from_civil(2017, 5, 1, 0, 0, 0),
-            days: 5,
-        };
-        let counts = c.daily_counts(&m);
-        // "Estimate" from the same model (perfect feed): deviation ≈ 0.
-        let estimates: Vec<(Timestamp, f64)> = counts
-            .iter()
-            .map(|&(d, _)| (d, m.daily_count(d + Span::hours(12))))
-            .collect();
-        let dev = validate_feed_against_counts(&counts, &estimates).unwrap();
-        assert!(dev < 0.01, "deviation {dev}");
-        // A biased estimate shows up.
-        let biased: Vec<(Timestamp, f64)> = estimates.iter().map(|&(d, v)| (d, v * 1.3)).collect();
-        let dev = validate_feed_against_counts(&counts, &biased).unwrap();
-        assert!((dev - 0.3).abs() < 0.02, "deviation {dev}");
-    }
-
-    #[test]
-    fn validation_handles_no_overlap() {
-        let counts = vec![(Timestamp(0), 100.0)];
-        let est = vec![(Timestamp(86_400), 100.0)];
-        assert!(validate_feed_against_counts(&counts, &est).is_none());
-    }
-
-    #[test]
     fn downscaling_by_population_share() {
         let inv = NationalInventory::new(0.035); // Trondheim ≈ 3.5% of Norway
         let d = inv.downscale(2017);
         assert_eq!(d.len(), 5);
-        let total = inv.city_total_ktco2e(2017);
+        let total: f64 = d.iter().map(|e| e.ktco2e).sum();
         // 3.5% of ~50,000 kt ≈ 1,700 kt, minus the small trend.
         assert!((1_500.0..2_000.0).contains(&total), "total {total}");
         // Industry is the most uncertain.
@@ -260,26 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn confidence_intervals() {
-        let e = DownscaledEmission {
-            sector: Sector::Transport,
-            year: 2017,
-            ktco2e: 100.0,
-            rel_uncertainty: 0.25,
-        };
-        let (lo, hi) = e.ci95();
-        assert_eq!((lo, hi), (50.0, 150.0));
-        // Clamped at zero for huge uncertainty.
-        let e = DownscaledEmission {
-            rel_uncertainty: 0.8,
-            ..e
-        };
-        assert_eq!(e.ci95().0, 0.0);
-    }
-
-    #[test]
     fn trend_declines() {
         let inv = NationalInventory::new(0.035);
-        assert!(inv.city_total_ktco2e(2020) < inv.city_total_ktco2e(2016));
+        let total = |year| inv.downscale(year).iter().map(|e| e.ktco2e).sum::<f64>();
+        assert!(total(2020) < total(2016));
     }
 }

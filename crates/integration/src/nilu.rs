@@ -9,7 +9,6 @@ use ctt_core::emission::{EmissionModel, Site};
 use ctt_core::measurement::Series;
 use ctt_core::quantity::Pollutant;
 use ctt_core::time::{Span, TimeRange, Timestamp};
-use ctt_core::units::{ppb_to_ug_m3, ppm_to_ppb, Ambient, Ppb, Ppm};
 
 /// A reference station bound to a site.
 #[derive(Debug, Clone)]
@@ -88,17 +87,6 @@ impl NiluStation {
             .map(|h| (h, self.hourly_mean(emission, pollutant, h)))
             .collect()
     }
-
-    /// NO2 in µg/m³ at EU reference conditions (how NILU publishes it).
-    pub fn no2_ug_m3(&self, emission: &EmissionModel, hour: Timestamp) -> f64 {
-        let ppb = self.hourly_mean(emission, Pollutant::No2, hour);
-        ppb_to_ug_m3(Ppb(ppb), 46.0055, Ambient::EU_REFERENCE).0
-    }
-
-    /// CO2 in ppb (for unit-conversion cross-checks).
-    pub fn co2_ppb(&self, emission: &EmissionModel, hour: Timestamp) -> f64 {
-        ppm_to_ppb(Ppm(self.hourly_mean(emission, Pollutant::Co2, hour))).0
-    }
 }
 
 #[cfg(test)]
@@ -174,18 +162,5 @@ mod tests {
             s.hourly_mean(&em, Pollutant::Pm10, h),
             s.hourly_mean(&em, Pollutant::Pm10, aligned)
         );
-    }
-
-    #[test]
-    fn unit_conversions_published() {
-        let em = emission();
-        let s = station();
-        let h = Timestamp::from_civil(2017, 1, 10, 8, 0, 0);
-        let ppb = s.hourly_mean(&em, Pollutant::No2, h);
-        let ug = s.no2_ug_m3(&em, h);
-        assert!((ug / ppb - 1.9125).abs() < 0.02, "factor {}", ug / ppb);
-        let co2_ppb = s.co2_ppb(&em, h);
-        let co2_ppm = s.hourly_mean(&em, Pollutant::Co2, h);
-        assert!((co2_ppb / co2_ppm - 1000.0).abs() < 1e-6);
     }
 }

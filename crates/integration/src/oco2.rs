@@ -12,7 +12,6 @@
 use ctt_core::emission::{co2_background_ppm, EmissionModel, Site};
 use ctt_core::geo::LatLon;
 use ctt_core::time::{Span, Timestamp, DAY};
-use ctt_core::units::Ppm;
 
 /// One XCO2 sounding.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,14 +70,6 @@ impl Default for Oco2 {
 }
 
 impl Oco2 {
-    /// Instrument with a custom seed (cloud pattern).
-    pub fn with_seed(seed: u64) -> Self {
-        Oco2 {
-            seed,
-            ..Oco2::default()
-        }
-    }
-
     /// Overpass times of the repeat cycle over `city` within `[from, to)`.
     /// One overpass every `repeat_days` at ~13:30 local solar time.
     pub fn overpasses(&self, city: LatLon, from: Timestamp, to: Timestamp) -> Vec<Timestamp> {
@@ -150,26 +141,6 @@ impl Oco2 {
             .flat_map(|t| self.overpass_soundings(emission, city, t))
             .collect()
     }
-}
-
-/// Compare satellite XCO2 enhancements with ground-sensor enhancements:
-/// the "satellite measurement grounding" of §2.1. Returns
-/// `(mean_xco2_enhancement, mean_ground_enhancement, dilution_ratio)`.
-pub fn grounding_comparison(
-    soundings: &[Sounding],
-    ground_surface_co2_ppm: Ppm,
-) -> Option<(f64, f64, f64)> {
-    if soundings.is_empty() {
-        return None;
-    }
-    let bg = co2_background_ppm(soundings[0].time);
-    let mean_xco2 = soundings.iter().map(|s| s.xco2_ppm).sum::<f64>() / soundings.len() as f64;
-    let sat_enh = mean_xco2 - bg;
-    let ground_enh = ground_surface_co2_ppm.0 - bg;
-    if ground_enh.abs() < f64::EPSILON {
-        return None;
-    }
-    Some((sat_enh, ground_enh, sat_enh / ground_enh))
 }
 
 #[cfg(test)]
@@ -264,29 +235,5 @@ mod tests {
         let times: std::collections::BTreeSet<i64> =
             all.iter().map(|s| s.time.as_seconds()).collect();
         assert!(times.len() >= 2, "expected ≥2 distinct overpasses");
-    }
-
-    #[test]
-    fn grounding_shows_column_dilution() {
-        let sat = Oco2 {
-            cloud_loss: 0.0,
-            ..Oco2::default()
-        };
-        let em = emission();
-        let t = Timestamp::from_civil(2017, 1, 10, 12, 30, 0); // winter dome
-        let s = sat.overpass_soundings(&em, TRONDHEIM, t);
-        let ground = em.sample(&Site::urban_background(TRONDHEIM), t).co2_ppm;
-        let (sat_enh, ground_enh, ratio) = grounding_comparison(&s, Ppm(ground)).unwrap();
-        assert!(ground_enh > 0.0, "urban dome should enhance ground CO2");
-        // Column dilution: satellite sees roughly an order of magnitude less.
-        assert!(
-            ratio < 0.5,
-            "dilution ratio {ratio} (sat {sat_enh}, ground {ground_enh})"
-        );
-    }
-
-    #[test]
-    fn grounding_edge_cases() {
-        assert!(grounding_comparison(&[], Ppm(450.0)).is_none());
     }
 }

@@ -1,5 +1,5 @@
 //! Per-function fact extraction: the lightweight item/function parser behind
-//! the semantic rules (R5, R7).
+//! the semantic rules (R5, R7, R8).
 //!
 //! One pass over the token stream of each file recognizes `impl` blocks,
 //! `struct` bodies, and `fn` items, then walks every non-test function body
@@ -15,6 +15,10 @@
 //!   fold or the collected result is sorted afterwards), plus wall-clock
 //!   (`SystemTime`, `Instant::now`), thread-identity (`thread::current`), and
 //!   `RandomState` usage.
+//!
+//! Every identifier a body mentions (outside `use` items) is kept too, and
+//! so is every identifier of the file's item-level code outside function
+//! bodies: R8 reaches functions by name through them.
 //!
 //! `HashMap`/`HashSet`-typed names are discovered from struct field
 //! declarations, `let` bindings, and parameters in the same file — a
@@ -91,6 +95,13 @@ pub(crate) struct FnFacts {
     pub(crate) impl_type: Option<String>,
     pub(crate) line: usize,
     pub(crate) has_self: bool,
+    /// Declared bare `pub` (not `pub(crate)` and the like).
+    pub(crate) is_pub: bool,
+    /// Inside an `impl Trait for Type` block or a `trait` body: reached by
+    /// trait dispatch, which a name-level analysis cannot follow.
+    pub(crate) in_trait: bool,
+    /// Identifiers the body mentions outside `use` items, sorted, unique.
+    pub(crate) mentions: Vec<String>,
     pub(crate) calls: Vec<CallSite>,
     pub(crate) panics: Vec<PanicSite>,
     pub(crate) det_sites: Vec<DetSite>,
@@ -107,6 +118,9 @@ pub(crate) struct FileFacts {
     /// (`store::put`) resolve against it.
     pub(crate) file_stem: String,
     pub(crate) functions: Vec<FnFacts>,
+    /// Identifiers of the item-level code outside every function, test
+    /// region and `use` item (consts, statics, macro bodies, …).
+    pub(crate) item_mentions: Vec<String>,
 }
 
 /// Derive the crate name a workspace-relative path belongs to.
@@ -156,13 +170,20 @@ pub(crate) fn extract(relpath: &str, toks: &[Tok]) -> FileFacts {
         crate_name: crate_of(relpath),
         file_stem: file_stem_of(relpath),
         functions: Vec::new(),
+        item_mentions: Vec::new(),
     };
+    // Tokens outside item-level code: test regions and function items.
+    let mut masked = vec![false; toks.len()];
+    for &(s, e) in &skip {
+        masked[s..=e].fill(true);
+    }
 
     // Struct fields with HashMap/HashSet types, collected file-wide.
     let hashy_fields = collect_hashy_fields(toks);
 
-    // impl contexts: (body start, body end, type name).
+    // impl contexts: (body start, body end, type name, trait impl).
     let impls = collect_impl_ranges(toks);
+    let traits = collect_trait_ranges(toks);
 
     let mut i = 0usize;
     while i < toks.len() {
@@ -208,20 +229,24 @@ pub(crate) fn extract(relpath: &str, toks: &[Tok]) -> FileFacts {
             }
         }
         let Some(open) = body_open else {
+            masked[i..=k.min(toks.len() - 1)].fill(true);
             i = k + 1;
             continue;
         };
         let close = matching_brace(toks, open);
-        let impl_type = impls
-            .iter()
-            .find(|&&(s, e, _)| i >= s && i <= e)
-            .map(|(_, _, ty)| ty.clone());
+        masked[i..=close].fill(true);
+        let enclosing = impls.iter().find(|&&(s, e, _, _)| i >= s && i <= e);
+        let in_trait = enclosing.is_some_and(|&(_, _, _, for_trait)| for_trait)
+            || traits.iter().any(|&(s, e)| i >= s && i <= e);
 
         let mut f = FnFacts {
             name,
-            impl_type,
+            impl_type: enclosing.map(|(_, _, ty, _)| ty.clone()),
             line: fn_line,
             has_self,
+            is_pub: is_bare_pub(toks, i),
+            in_trait,
+            mentions: mentions(&toks[open..=close], None),
             calls: Vec::new(),
             panics: Vec::new(),
             det_sites: Vec::new(),
@@ -230,7 +255,45 @@ pub(crate) fn extract(relpath: &str, toks: &[Tok]) -> FileFacts {
         facts.functions.push(f);
         i = close + 1;
     }
+    facts.item_mentions = mentions(toks, Some(&masked));
     facts
+}
+
+/// Whether the `fn` at `fn_idx` is declared bare `pub`, past any
+/// `const`/`async`/`unsafe`/`extern "abi"` qualifiers.
+fn is_bare_pub(toks: &[Tok], fn_idx: usize) -> bool {
+    let mut k = fn_idx;
+    while k > 0 {
+        k -= 1;
+        match (&toks[k].kind, toks[k].text.as_str()) {
+            (TokKind::Ident, "const" | "async" | "unsafe" | "extern") | (TokKind::Literal, _) => {}
+            (TokKind::Ident, "pub") => return true,
+            _ => return false,
+        }
+    }
+    false
+}
+
+/// The identifiers of `toks` outside `use` items and `masked` tokens,
+/// sorted and unique. The name a `fn` declares is not a mention of it.
+pub(crate) fn mentions(toks: &[Tok], masked: Option<&[bool]>) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut in_use = false;
+    for (k, t) in toks.iter().enumerate() {
+        if masked.is_some_and(|m| m[k]) {
+            continue;
+        }
+        let declared = k > 0 && toks[k - 1].text == "fn";
+        match t.kind {
+            TokKind::Punct(';') => in_use = false,
+            TokKind::Ident if t.text == "use" => in_use = true,
+            TokKind::Ident if !in_use && !declared => out.push(t.text.clone()),
+            _ => {}
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Skip a `<…>` generics list, minding `->` arrows inside bounds.
@@ -253,9 +316,9 @@ fn skip_generics(toks: &[Tok], open: usize) -> usize {
     j
 }
 
-/// `(body start, body end, type)` for every `impl` block. The type is the
-/// last path segment before the body (after `for` when present).
-fn collect_impl_ranges(toks: &[Tok]) -> Vec<(usize, usize, String)> {
+/// `(body start, body end, type, trait impl)` for every `impl` block. The
+/// type is the last path segment before the body (after `for` when present).
+fn collect_impl_ranges(toks: &[Tok]) -> Vec<(usize, usize, String, bool)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -271,6 +334,7 @@ fn collect_impl_ranges(toks: &[Tok]) -> Vec<(usize, usize, String)> {
         // angle-depth 0 (and restarting after `for`, so `impl Trait for Type`
         // yields `Type`).
         let mut ty: Option<String> = None;
+        let mut for_trait = false;
         let mut angle = 0i32;
         while j < toks.len() {
             match &toks[j].kind {
@@ -283,6 +347,7 @@ fn collect_impl_ranges(toks: &[Tok]) -> Vec<(usize, usize, String)> {
                 TokKind::Ident if angle <= 0 => {
                     if toks[j].text == "for" {
                         ty = None;
+                        for_trait = true;
                     } else if toks[j].text != "where" && toks[j].text != "dyn" {
                         ty = Some(toks[j].text.clone());
                     }
@@ -294,12 +359,31 @@ fn collect_impl_ranges(toks: &[Tok]) -> Vec<(usize, usize, String)> {
         if toks.get(j).is_some_and(|t| t.kind == TokKind::Punct('{')) {
             let close = matching_brace(toks, j);
             if let Some(ty) = ty {
-                out.push((j, close, ty));
+                out.push((j, close, ty, for_trait));
             }
             // Nested impls don't occur; continue after the header so the
             // functions inside are still visited by the main loop.
         }
         i = j + 1;
+    }
+    out
+}
+
+/// `(body start, body end)` of every `trait` definition.
+fn collect_trait_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if !(t.kind == TokKind::Ident && t.text == "trait") {
+            continue;
+        }
+        let body = toks[i..]
+            .iter()
+            .position(|t| matches!(t.kind, TokKind::Punct('{') | TokKind::Punct(';')))
+            .map(|p| i + p)
+            .filter(|&p| toks[p].kind == TokKind::Punct('{'));
+        if let Some(open) = body {
+            out.push((open, matching_brace(toks, open)));
+        }
     }
     out
 }

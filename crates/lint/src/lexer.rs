@@ -1,5 +1,5 @@
 //! Handwritten Rust token lexer shared by the line rules (R1–R4) and the
-//! semantic fact extractor (R5, R7).
+//! semantic fact extractor (R5, R7, R8).
 //!
 //! Comments, string/char literal contents, and lifetimes are discarded; what
 //! remains is a flat stream of identifier / punctuation / literal tokens with

@@ -1,8 +1,8 @@
 //! `ctt-lint`: workspace-local static analysis for the CTT pipeline.
 //!
-//! Six rules, tuned to this codebase's invariants rather than general Rust
-//! style (that is clippy's job). R1–R4 are line-level pattern rules; R5 and
-//! R7 are semantic rules over a workspace cross-crate call graph built by a
+//! Seven rules, tuned to this codebase's invariants rather than general Rust
+//! style (that is clippy's job). R1–R4 are line-level pattern rules; R5, R7
+//! and R8 are semantic rules over the whole workspace, built by a
 //! lightweight item/function parser (see [`facts`] and [`graph`]) on top of
 //! the same handwritten lexer — still no `syn`, still std-only. R6 (lock
 //! order) is retired and its id is not reused.
@@ -27,10 +27,19 @@
 //! * **R7 transitive panic reachability** — the entry points of
 //!   [`LintConfig::default`] must not reach a panicking construct through
 //!   *any* callee chain; the offending call path is reported.
+//! * **R8 no unreached public function** — every bare-`pub` free or
+//!   inherent `fn` must be reached, by name, from a root: a file under
+//!   `tests/`, `examples/`, `benches/` or `benchmark/src/`, a binary
+//!   (`src/bin/`, `src/main.rs`), a trait method body, or item-level code.
+//!   A `use` re-export and `#[cfg(test)]` code do not count as uses.
+//!
+//! A hot-path or replay prefix that matches no scanned file, and an entry
+//! point that resolves to no function, are findings too (R1, R5, R7): a
+//! renamed file or function must not switch a rule off without a word.
 //!
 //! Escape hatch: a `lint:allow` line comment — key in parens, then a
 //! justification — on the same or the preceding line suppresses one rule
-//! (`panic`, `units`, `shared`, `hygiene`, `det`, `reach`). The
+//! (`panic`, `units`, `shared`, `hygiene`, `det`, `reach`, `dead`). The
 //! justification text is mandatory — an allow without one is itself a
 //! violation. A `lint:allow(panic)` at a panic site also covers R7 paths
 //! that end there (the rationale explains the panic, not the route).
@@ -74,6 +83,8 @@ pub enum Rule {
     Determinism,
     /// R7: hot entry points must not transitively reach a panic.
     PanicReachability,
+    /// R8: every bare-`pub` function is reached from a root.
+    Unreached,
 }
 
 impl Rule {
@@ -86,6 +97,7 @@ impl Rule {
             Rule::CrateHygiene => "R4",
             Rule::Determinism => "R5",
             Rule::PanicReachability => "R7",
+            Rule::Unreached => "R8",
         }
     }
 }
@@ -262,6 +274,7 @@ fn allow_key_rule(key: &str) -> Option<Rule> {
         "hygiene" => Some(Rule::CrateHygiene),
         "det" => Some(Rule::Determinism),
         "reach" => Some(Rule::PanicReachability),
+        "dead" => Some(Rule::Unreached),
         _ => None,
     }
 }
@@ -642,8 +655,8 @@ fn apply_allows(findings: &mut Vec<Finding>, allows: &HashMap<String, HashMap<us
 
 /// Lint one file with the line-level rules (R1–R4). `relpath` must be
 /// workspace-relative with `/` separators — it selects which rules apply
-/// (hot-path, lib.rs, test scaffolding). The semantic rules (R5, R7) need the
-/// whole workspace: use [`lint_workspace`].
+/// (hot-path, lib.rs, test scaffolding). The semantic rules (R5, R7, R8)
+/// need the whole workspace: use [`lint_workspace`].
 pub fn lint_file(relpath: &str, src: &str, config: &LintConfig) -> Vec<Finding> {
     let (file_allows, mut findings) = parse_allows(relpath, src);
     findings.extend(line_findings(relpath, src, config));
@@ -655,27 +668,34 @@ pub fn lint_file(relpath: &str, src: &str, config: &LintConfig) -> Vec<Finding> 
 }
 
 /// Lint a whole workspace: line rules per file plus the semantic rules
-/// (R5 determinism, R7 transitive panic reachability) over the cross-crate
-/// call graph. Findings are sorted `(path, line, rule)`.
+/// (R5 determinism, R7 transitive panic reachability over the cross-crate
+/// call graph, R8 unreached public functions) and the check that every
+/// configured prefix and entry point names something. Findings are sorted
+/// `(path, line, rule)`.
 pub fn lint_workspace(files: &[SourceFile], config: &LintConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut allows: HashMap<String, HashMap<usize, Vec<Rule>>> = HashMap::new();
     let mut all_facts = Vec::new();
+    let mut root_mentions = Vec::new();
 
     for file in files {
         let (file_allows, allow_findings) = parse_allows(&file.relpath, &file.src);
         allows.insert(file.relpath.clone(), file_allows);
         findings.extend(allow_findings);
         findings.extend(line_findings(&file.relpath, &file.src, config));
-        if !is_test_path(&file.relpath) {
-            let toks = scan(&file.src);
+        let toks = scan(&file.src);
+        if is_test_path(&file.relpath) {
+            root_mentions.extend(facts::mentions(&toks, None));
+        } else {
             all_facts.push(facts::extract(&file.relpath, &toks));
         }
     }
 
+    findings.extend(rules::check_prefixes(files, config));
     findings.extend(rules::check_determinism(&all_facts, config));
     let call_graph = graph::CallGraph::build(&all_facts);
     findings.extend(rules::check_panic_reachability(&call_graph, config));
+    findings.extend(rules::check_unreached(&all_facts, &root_mentions));
 
     apply_allows(&mut findings, &allows);
     findings.sort_by(|a, b| {
@@ -772,10 +792,16 @@ mod tests {
                 replay_paths: vec![],
                 entry_points: vec![("a".into(), "f".into())],
             };
-            let files = [SourceFile {
-                relpath: "crates/x/src/a.rs".into(),
-                src: src.into(),
-            }];
+            let files = [
+                SourceFile {
+                    relpath: "crates/x/src/a.rs".into(),
+                    src: src.into(),
+                },
+                SourceFile {
+                    relpath: "crates/x/tests/t.rs".into(),
+                    src: "fn t() { f(1); }".into(),
+                },
+            ];
             let f = lint_workspace(&files, &config);
             assert_eq!(f.len(), 1, "{f:?}");
             assert_eq!((f[0].rule, f[0].line), (Rule::PanicReachability, line));

@@ -1,5 +1,5 @@
 //! `ctt-lint` binary: walk the workspace, lint every Rust source file with
-//! the line rules (R1–R4) and the workspace semantic rules (R5, R7), and
+//! the line rules (R1–R4) and the workspace semantic rules (R5, R7, R8), and
 //! exit non-zero on violations. The rules, hot paths and entry points are
 //! those of `LintConfig::default()`.
 //!

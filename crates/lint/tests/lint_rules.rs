@@ -1,4 +1,4 @@
-//! Fixture-driven tests for the six ctt-lint rules: each violating fixture
+//! Fixture-driven tests for the seven ctt-lint rules: each violating fixture
 //! must produce exactly the expected rule IDs at the expected lines (and for
 //! R7 the expected call paths), the clean fixture must produce nothing,
 //! and `ctt-lint` itself must pass every rule it enforces.
@@ -23,6 +23,14 @@ fn one_file_workspace(relpath: &str, src: &str) -> Vec<SourceFile> {
         relpath: relpath.to_string(),
         src: src.to_string(),
     }]
+}
+
+/// A root file for R8 whose one function evaluates `body`.
+fn root(relpath: &str, body: &str) -> SourceFile {
+    SourceFile {
+        relpath: relpath.to_string(),
+        src: format!("fn main() {{\n    let _ = {body};\n}}\n"),
+    }
 }
 
 #[test]
@@ -206,7 +214,12 @@ fn r5_silent_outside_replay_paths() {
         replay_paths: vec!["crates/sim/src/".to_string()],
         entry_points: vec![],
     };
-    let files = one_file_workspace("crates/tools/src/r5_det.rs", src);
+    let mut files = one_file_workspace("crates/tools/src/r5_det.rs", src);
+    // A clean file under the replay prefix, so the prefix matches a file.
+    files.push(SourceFile {
+        relpath: "crates/sim/src/clock.rs".to_string(),
+        src: String::new(),
+    });
     assert!(lint_workspace(&files, &config).is_empty());
 }
 
@@ -218,7 +231,8 @@ fn r7_reachability_fixture_pins_paths_to_each_panic() {
         replay_paths: vec![],
         entry_points: vec![("Engine".to_string(), "run".to_string())],
     };
-    let files = one_file_workspace("crates/fixture/src/r7_reach.rs", src);
+    let mut files = one_file_workspace("crates/fixture/src/r7_reach.rs", src);
+    files.push(root("crates/fixture/tests/drive.rs", "Engine.run(&[])"));
     let findings = lint_workspace(&files, &config);
     assert_eq!(
         ids_and_lines(&findings),
@@ -252,6 +266,68 @@ fn r7_reachability_fixture_pins_paths_to_each_panic() {
 }
 
 #[test]
+fn r7_reports_an_entry_point_that_resolves_to_nothing() {
+    let src = include_str!("fixtures/r7_reach.rs");
+    let config = LintConfig {
+        hot_paths: vec![],
+        replay_paths: vec![],
+        entry_points: vec![
+            ("Engine".to_string(), "run".to_string()),
+            ("Engine".to_string(), "renamed".to_string()),
+            ("r7_reach".to_string(), "gone".to_string()),
+        ],
+    };
+    let mut files = one_file_workspace("crates/fixture/src/r7_reach.rs", src);
+    files.push(root("crates/fixture/tests/drive.rs", "Engine.run(&[])"));
+    let findings = lint_workspace(&files, &config);
+    let config_findings: Vec<String> = findings
+        .iter()
+        .filter(|f| f.path == "LintConfig")
+        .map(|f| f.to_string())
+        .collect();
+    assert_eq!(
+        config_findings,
+        [
+            "R7 LintConfig:0 entry point `Engine::renamed` resolves to no function — R7 would \
+             skip it without a word; fix the configuration",
+            "R7 LintConfig:0 entry point `r7_reach::gone` resolves to no function — R7 would \
+             skip it without a word; fix the configuration",
+        ]
+    );
+    // The resolved entry still reports its three paths.
+    assert_eq!(
+        ids_and_lines(&findings),
+        vec![("R7", 0), ("R7", 0), ("R7", 16), ("R7", 22), ("R7", 24)]
+    );
+}
+
+#[test]
+fn r1_and_r5_report_a_prefix_that_matches_no_file() {
+    let config = LintConfig {
+        hot_paths: vec![
+            "crates/fixture/src/".to_string(),
+            "crates/gone/".to_string(),
+        ],
+        replay_paths: vec!["src/pipline.rs".to_string()],
+        entry_points: vec![],
+    };
+    let files = one_file_workspace("crates/fixture/src/empty.rs", "");
+    let rendered: Vec<String> = lint_workspace(&files, &config)
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
+    assert_eq!(
+        rendered,
+        [
+            "R1 LintConfig:0 hot_paths prefix `crates/gone/` matches no scanned file — R1 would \
+             skip it without a word; fix the configuration",
+            "R5 LintConfig:0 replay_paths prefix `src/pipline.rs` matches no scanned file — R5 \
+             would skip it without a word; fix the configuration",
+        ]
+    );
+}
+
+#[test]
 fn r7_allow_panic_or_reach_suppresses_the_path() {
     let src = "struct E;\n\
                impl E {\n\
@@ -269,31 +345,112 @@ fn r7_allow_panic_or_reach_suppresses_the_path() {
         replay_paths: vec![],
         entry_points: vec![("E".to_string(), "go".to_string())],
     };
-    let files = one_file_workspace("crates/fixture/src/allow.rs", src);
+    let mut files = one_file_workspace("crates/fixture/src/allow.rs", src);
+    files.push(root("crates/fixture/tests/drive.rs", "E.go()"));
     let findings = lint_workspace(&files, &config);
     assert!(findings.is_empty(), "findings: {findings:?}");
 }
 
-/// The linter holds itself to its own standard: every rule, default config.
+/// The linter holds itself to its own standard: every rule, with its binary
+/// and its tests as R8's roots. The crate is in none of the default hot,
+/// replay or entry-point scopes, so the config names none of them: the
+/// default's would each be a finding against a workspace of one crate.
 #[test]
 fn lint_crate_passes_its_own_rules() {
-    let src_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
     let mut files = Vec::new();
-    for entry in std::fs::read_dir(src_dir).expect("read src dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "rs") {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            files.push(SourceFile {
-                relpath: format!("crates/lint/src/{name}"),
-                src: std::fs::read_to_string(&path).expect("read source"),
-            });
+    for dir in ["src", "tests"] {
+        let full = format!("{}/{dir}", env!("CARGO_MANIFEST_DIR"));
+        for entry in std::fs::read_dir(full).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                files.push(SourceFile {
+                    relpath: format!("crates/lint/{dir}/{name}"),
+                    src: std::fs::read_to_string(&path).expect("read source"),
+                });
+            }
         }
     }
     files.sort_by(|a, b| a.relpath.cmp(&b.relpath));
-    assert!(files.len() >= 6, "expected the full module set: {files:?}");
-    let findings = lint_workspace(&files, &LintConfig::default());
+    assert!(files.len() >= 7, "expected the full module set: {files:?}");
+    let config = LintConfig {
+        hot_paths: vec![],
+        replay_paths: vec![],
+        entry_points: vec![],
+    };
+    let findings = lint_workspace(&files, &config);
     assert!(
         findings.is_empty(),
         "ctt-lint violates its own rules: {findings:?}"
     );
+}
+
+/// The R8 fixture plus one root of each kind: an example, a bench, a crate
+/// integration test and the benchmark harness.
+fn r8_workspace() -> Vec<SourceFile> {
+    let mut files = one_file_workspace(
+        "crates/fixture/src/dead.rs",
+        include_str!("fixtures/r8_dead.rs"),
+    );
+    files.push(root(
+        "examples/demo.rs",
+        "(from_example(), Registry.len(), [1u8].map(as_fn_pointer))",
+    ));
+    files.push(root("crates/fixture/benches/b.rs", "from_bench()"));
+    files.push(root("crates/fixture/tests/t.rs", "from_crate_test()"));
+    files.push(root("benchmark/src/main.rs", "from_benchmark()"));
+    files
+}
+
+#[test]
+fn r8_flags_each_unreached_pub_fn() {
+    let config = LintConfig {
+        hot_paths: vec![],
+        replay_paths: vec![],
+        entry_points: vec![],
+    };
+    let findings = lint_workspace(&r8_workspace(), &config);
+    assert_eq!(
+        ids_and_lines(&findings),
+        vec![("R8", 3), ("R8", 7), ("R8", 12), ("R8", 18), ("R8", 19)],
+        "findings: {findings:?}"
+    );
+    // Called only from its own `#[cfg(test)]` module, and only from that.
+    assert!(findings[0].message.contains("`dead::only_its_own_tests`"));
+    assert!(findings[1].message.contains("`dead::only_from_dead`"));
+    // A `pub use` re-export is not a use.
+    assert!(findings[2].message.contains("`dead::only_reexported`"));
+    // An allow without a justification is a finding and suppresses nothing.
+    assert!(findings[3]
+        .message
+        .contains("lint:allow(dead) requires a written justification"));
+    assert!(findings[4].message.contains("`dead::allow_without_reason`"));
+}
+
+#[test]
+fn r8_spares_what_a_root_reaches() {
+    let config = LintConfig {
+        hot_paths: vec![],
+        replay_paths: vec![],
+        entry_points: vec![],
+    };
+    // Without the roots, everything public but the allowed function and the
+    // one the trait impl calls is flagged.
+    let lib_only = &r8_workspace()[..1];
+    let flagged: Vec<usize> = lint_workspace(lib_only, &config)
+        .iter()
+        .filter(|f| f.message.starts_with("pub fn"))
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(flagged, [3, 7, 12, 19, 28, 32, 36, 40, 44, 48, 67]);
+    // Each root spares its own: the example's call, its chain, its
+    // function pointer and its `len` (a name std shares), the bench, the
+    // crate test and the benchmark harness.
+    let reached: Vec<usize> = lint_workspace(&r8_workspace(), &config)
+        .iter()
+        .map(|f| f.line)
+        .collect();
+    for line in [28, 32, 36, 40, 44, 48, 52, 67] {
+        assert!(!reached.contains(&line), "line {line} flagged: {reached:?}");
+    }
 }

@@ -50,11 +50,6 @@ impl AdrEngine {
         self.snr_history.push_back(snr_db);
     }
 
-    /// Number of recorded uplinks (saturates at the window size).
-    pub fn history_len(&self) -> usize {
-        self.snr_history.len()
-    }
-
     /// Compute a command given the device's current settings, or `None` if
     /// history is insufficient or no change is needed.
     pub fn recommend(&self, current_dr: DataRate, current_power_dbm: Dbm) -> Option<AdrCommand> {
@@ -219,7 +214,7 @@ mod tests {
         for _ in 0..ADR_HISTORY_LEN {
             e.record_snr(-25.0);
         }
-        assert_eq!(e.history_len(), ADR_HISTORY_LEN);
+        assert_eq!(e.snr_history.len(), ADR_HISTORY_LEN);
         let cmd = e.recommend(DataRate(3), Dbm(8.0)).unwrap();
         // All history is now weak: power must go up, DR untouched.
         assert_eq!(cmd.data_rate, DataRate(3));

@@ -43,15 +43,6 @@ impl DutyCycleTracker {
         now.as_seconds() as f64 >= self.next_allowed_s
     }
 
-    /// Earliest instant a transmission may start.
-    pub fn next_allowed(&self) -> Timestamp {
-        if self.next_allowed_s == f64::NEG_INFINITY {
-            Timestamp(i64::MIN / 4)
-        } else {
-            Timestamp(self.next_allowed_s.ceil() as i64)
-        }
-    }
-
     /// Record a transmission starting at `now` with `airtime_s` seconds of
     /// time-on-air. Returns `false` (and refuses it) if the duty cycle
     /// forbids transmitting now.
@@ -145,11 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn next_allowed_reported() {
+    fn off_period_gates_the_next_transmission() {
         let mut t = DutyCycleTracker::new(0.1);
         t.try_transmit(Timestamp(1000), 2.0);
         // off = 2*(10-1)=18; next = 1000+2+18 = 1020.
-        assert_eq!(t.next_allowed(), Timestamp(1020));
+        assert!(!t.may_transmit(Timestamp(1019)));
+        assert!(t.may_transmit(Timestamp(1020)));
         assert_eq!(t.off_period(2.0), Span::seconds(18));
     }
 

@@ -42,8 +42,9 @@ impl PathLossModel {
         }
     }
 
-    /// Idealised free-space model (for tests and upper-bound studies).
-    pub fn free_space(seed: u64) -> Self {
+    /// Idealised free-space model, the tests' fixture.
+    #[cfg(test)]
+    pub(crate) fn free_space(seed: u64) -> Self {
         PathLossModel {
             pl0_db: 63.3,
             d0_m: 40.0,

@@ -80,11 +80,6 @@ impl SpreadingFactor {
     pub fn slower(self) -> SpreadingFactor {
         SpreadingFactor::from_value((self.value() + 1).min(12)).unwrap()
     }
-
-    /// One step faster (SF12→SF11 ... SF7→SF7).
-    pub fn faster(self) -> SpreadingFactor {
-        SpreadingFactor::from_value((self.value() - 1).max(7)).unwrap()
-    }
 }
 
 impl fmt::Display for SpreadingFactor {
@@ -204,11 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn slower_faster_navigation() {
+    fn slower_navigation() {
         assert_eq!(SpreadingFactor::Sf7.slower(), SpreadingFactor::Sf8);
         assert_eq!(SpreadingFactor::Sf12.slower(), SpreadingFactor::Sf12);
-        assert_eq!(SpreadingFactor::Sf12.faster(), SpreadingFactor::Sf11);
-        assert_eq!(SpreadingFactor::Sf7.faster(), SpreadingFactor::Sf7);
     }
 
     #[test]

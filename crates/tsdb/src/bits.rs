@@ -15,7 +15,8 @@ impl BitWriter {
     }
 
     /// Total bits written.
-    pub fn len_bits(&self) -> usize {
+    #[cfg(test)]
+    fn len_bits(&self) -> usize {
         if self.used == 0 {
             self.bytes.len() * 8
         } else {

@@ -298,23 +298,6 @@ impl CompressedChunk {
         out.extend_from_slice(&self.data);
         out
     }
-
-    /// Deserialize from [`Self::to_bytes`] output; returns the chunk and the
-    /// bytes consumed.
-    pub fn from_bytes(bytes: &[u8]) -> Option<(CompressedChunk, usize)> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let count = u32::from_be_bytes(bytes.get(0..4)?.try_into().ok()?);
-        let len = u32::from_be_bytes(bytes.get(4..8)?.try_into().ok()?) as usize;
-        Some((
-            CompressedChunk {
-                count,
-                data: bytes.get(8..8 + len)?.to_vec(),
-            },
-            8 + len,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -516,14 +499,12 @@ mod tests {
             enc.append(Timestamp(i * 300), 400.0 + i as f64);
         }
         let chunk = enc.finish();
-        let full = chunk.to_bytes();
-        // Drop trailing payload bytes but keep the 8-byte header intact and
-        // patch the length field so from_bytes accepts the short payload.
-        for cut in 1..(full.len() - 8).min(24) {
-            let mut bytes = full[..full.len() - cut].to_vec();
-            let new_len = (bytes.len() - 8) as u32;
-            bytes[4..8].copy_from_slice(&new_len.to_be_bytes());
-            let (short, _) = CompressedChunk::from_bytes(&bytes).expect("header ok");
+        // Drop trailing payload bytes but keep the point count.
+        for cut in 1..chunk.data.len().min(24) {
+            let short = CompressedChunk {
+                count: chunk.count,
+                data: chunk.data[..chunk.data.len() - cut].to_vec(),
+            };
             match short.decode() {
                 Err(TsdbError::TruncatedChunk { decoded, expected }) => {
                     assert_eq!(expected, 50);
@@ -597,21 +578,5 @@ mod tests {
         for chunk in [enc.finish(), rewound.finish()] {
             assert_eq!(chunk.data.capacity(), chunk.size_bytes());
         }
-    }
-
-    #[test]
-    fn serialization_roundtrip() {
-        let mut enc = GorillaEncoder::new();
-        for i in 0..100i64 {
-            enc.append(Timestamp(i * 300), i as f64);
-        }
-        let chunk = enc.finish();
-        let bytes = chunk.to_bytes();
-        let (restored, consumed) = CompressedChunk::from_bytes(&bytes).unwrap();
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(restored, chunk);
-        // Truncated input fails cleanly.
-        assert!(CompressedChunk::from_bytes(&bytes[..4]).is_none());
-        assert!(CompressedChunk::from_bytes(&bytes[..bytes.len() - 1]).is_none());
     }
 }

@@ -19,7 +19,6 @@
 //!   cross-series aggregation, rate.
 //! * [`cache`] — seal-aware query result cache with deterministic
 //!   epoch-based invalidation (no wall clock).
-//! * [`text`] — telnet-style `put` import/export and table rendering.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +34,6 @@ pub mod query;
 pub mod rollup;
 pub mod shard;
 pub mod store;
-pub mod text;
 
 pub use cache::{CacheStats, QueryCache};
 pub use error::TsdbError;

@@ -2,8 +2,8 @@
 //!
 //! A series is identified by a metric name plus a set of tag key/value
 //! pairs, e.g. `ctt.air.co2 {city=trondheim, device=70b3...}`. Names are
-//! restricted to the OpenTSDB character set so text import/export is
-//! unambiguous.
+//! restricted to the OpenTSDB character set, so a series key renders
+//! unambiguously.
 
 use ctt_core::time::Timestamp;
 use std::collections::BTreeMap;

@@ -1008,6 +1008,47 @@ mod tests {
         assert_eq!(pts[7], (Timestamp(7 * 300), 7.0));
     }
 
+    /// Put one series' points, seal, and read every point back. The three
+    /// tests below put neighbours ≥ 2²⁶ s apart, which one Gorilla chunk
+    /// cannot hold (27-bit first delta, `i32` delta-of-delta escape): the
+    /// store must cut the buffer between them.
+    fn put_seal_read(times: &[i64]) -> Vec<(Timestamp, f64)> {
+        let mut db = Tsdb::new();
+        for (i, &t) in (1..).zip(times) {
+            db.put(&dp("m", "n1", t, f64::from(i)));
+        }
+        db.seal_all();
+        db.read(SeriesId(0), Timestamp(i64::MIN), Timestamp(i64::MAX))
+            .unwrap()
+    }
+
+    fn numbered(times: &[i64]) -> Vec<(Timestamp, f64)> {
+        (1..)
+            .zip(times)
+            .map(|(i, &t)| (Timestamp(t), f64::from(i)))
+            .collect()
+    }
+
+    #[test]
+    fn a_three_year_gap_after_the_first_point_round_trips() {
+        let times = [0, 100_000_000, 100_000_300];
+        assert_eq!(put_seal_read(&times), numbered(&times));
+    }
+
+    #[test]
+    fn a_gap_wider_than_i32_after_a_steady_cadence_round_trips() {
+        let times = [0, 300, 5_000_000_000];
+        assert_eq!(put_seal_read(&times), numbered(&times));
+    }
+
+    #[test]
+    fn the_first_delta_boundary_is_exact() {
+        for gap in [(1 << 26) - 1, 1 << 26] {
+            let times = [0, gap];
+            assert_eq!(put_seal_read(&times), numbered(&times), "gap {gap}");
+        }
+    }
+
     #[test]
     fn series_interning() {
         let mut db = Tsdb::new();

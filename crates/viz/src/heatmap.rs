@@ -138,25 +138,6 @@ impl Heatmap {
     }
 }
 
-/// Build an hour-of-day (columns 0..24) × day (rows) heatmap from daily
-/// hourly profiles — the pattern-analysis view of §2.4.
-pub fn hour_by_day(
-    title: impl Into<String>,
-    value_label: impl Into<String>,
-    days: &[[Option<f64>; 24]],
-) -> Heatmap {
-    let rows = days.len().max(1);
-    let mut values = Vec::with_capacity(rows * 24);
-    if days.is_empty() {
-        values.resize(24, None);
-    } else {
-        for day in days {
-            values.extend_from_slice(day);
-        }
-    }
-    Heatmap::new(title, value_label, 24, rows, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,17 +170,6 @@ mod tests {
         assert_eq!(hm.range(), None);
         let svg = hm.render();
         assert!(svg.contains("<svg"));
-    }
-
-    #[test]
-    fn hour_by_day_shape() {
-        let day: [Option<f64>; 24] = std::array::from_fn(|h| Some(h as f64));
-        let hm = hour_by_day("week", "ppm", &[day; 7]);
-        assert_eq!(hm.cols, 24);
-        assert_eq!(hm.rows, 7);
-        assert_eq!(hm.values.len(), 168);
-        let empty = hour_by_day("none", "ppm", &[]);
-        assert_eq!(empty.rows, 1);
     }
 
     #[test]

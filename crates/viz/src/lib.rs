@@ -26,7 +26,7 @@ pub mod svg;
 
 pub use chart::{LineChart, ScatterChart};
 pub use dashboard::{AlarmList, Dashboard, StatTile};
-pub use heatmap::{hour_by_day, Heatmap};
+pub use heatmap::Heatmap;
 pub use map::{Link, MapView, Marker, MarkerKind};
 pub use scale::{LinearScale, TimeScale};
 pub use svg::{Anchor, Canvas};

@@ -217,13 +217,9 @@ impl Canvas {
         self.body.push_str(" stroke-dasharray=\"4 3\"/>\n");
     }
 
-    /// Polyline (unfilled path through points).
-    pub fn polyline(&mut self, points: &[(f64, f64)], stroke: &str, width: f64) {
-        self.polyline_from(points.iter().copied(), stroke, width);
-    }
-
-    /// [`Canvas::polyline`] over points mapped on the fly, so a chart streams
-    /// its series into the canvas without collecting them first.
+    /// Polyline (unfilled path through points) over points mapped on the
+    /// fly, so a chart streams its series into the canvas without collecting
+    /// them first.
     pub(crate) fn polyline_from(
         &mut self,
         points: impl ExactSizeIterator<Item = (f64, f64)>,
@@ -325,9 +321,9 @@ mod tests {
     #[test]
     fn polyline_needs_two_points() {
         let mut c = Canvas::new(10.0, 10.0);
-        c.polyline(&[(0.0, 0.0)], "#000", 1.0);
+        c.polyline_from([(0.0, 0.0)].into_iter(), "#000", 1.0);
         assert!(!c.clone().finish().contains("polyline"));
-        c.polyline(&[(0.0, 0.0), (5.0, 5.0)], "#000", 1.0);
+        c.polyline_from([(0.0, 0.0), (5.0, 5.0)].into_iter(), "#000", 1.0);
         assert!(c.finish().contains("polyline"));
     }
 
