@@ -19,6 +19,15 @@ cargo build --offline -q -p ctt-lint
     --baseline lint-baseline.txt \
     --budget-ms 5000
 
+echo "==> one SplitMix64 (its multiplier only in crates/core/src/rng.rs; frozen benchmark/ and vendor/ excluded)"
+copies=$(grep -rEin --include='*.rs' --exclude-dir=.git --exclude-dir=target --exclude-dir=vendor \
+    'bf58_?476d_?1ce4_?e5b9' . | grep -v -e '^\./crates/core/src/rng\.rs:' -e '^\./benchmark/' || true)
+if [ -n "$copies" ]; then
+    echo "$copies"
+    echo "a copy of the SplitMix64 mixer: draw through ctt_core::rng with a salt instead" >&2
+    exit 1
+fi
+
 echo "==> chaos soak (fault injection + loss-ledger conservation)"
 cargo test --offline -q -p ctt-chaos
 

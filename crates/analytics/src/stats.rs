@@ -1,6 +1,7 @@
 //! Descriptive statistics.
 
 use ctt_core::measurement::Series;
+pub use ctt_core::stats::quantile;
 use ctt_core::time::Span;
 
 /// Summary statistics of a sample.
@@ -41,20 +42,6 @@ pub fn variance(xs: &[f64]) -> Option<f64> {
 /// Sample standard deviation.
 pub fn std_dev(xs: &[f64]) -> Option<f64> {
     variance(xs).map(f64::sqrt)
-}
-
-/// Quantile by linear interpolation on the sorted sample, `q` in [0, 1].
-pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let pos = q * (v.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(v[lo] + (v[hi] - v[lo]) * frac)
 }
 
 /// Median.

@@ -15,6 +15,7 @@
 //! `CRITERION_JSON`; `CRITERION_SAMPLES` scales the number of queries.
 
 use criterion::{black_box, criterion_group, criterion_main, report_metric, Criterion};
+use ctt_core::rng::SplitMix64;
 use ctt_core::time::{Span, Timestamp};
 use ctt_tsdb::{Aggregator, DataPoint, Downsample, FillPolicy, Query, ServePolicy, ShardedTsdb};
 use std::time::Instant;
@@ -91,21 +92,11 @@ fn query_shapes() -> Vec<Query> {
     ]
 }
 
-/// SplitMix64: deterministic user behaviour, replay-identical across the
-/// served and raw passes.
-fn next_u64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Draw a shape index with zipfian weights 1/(rank+1).
-fn zipf_pick(state: &mut u64, n: usize) -> usize {
+fn zipf_pick(rng: &mut SplitMix64, n: usize) -> usize {
     let weights: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
     let total: f64 = weights.iter().sum();
-    let mut r = (next_u64(state) >> 11) as f64 / (1u64 << 53) as f64 * total;
+    let mut r = rng.unit() * total;
     for (i, w) in weights.iter().enumerate() {
         if r < *w {
             return i;
@@ -141,7 +132,7 @@ fn ingest_batch(db: &ShardedTsdb, tick: &mut i64) {
 fn run_workload(policy: ServePolicy, queries: usize) -> Vec<f64> {
     let db = ctt_bench::loaded_store(DEVICES, POINTS);
     let shapes = query_shapes();
-    let mut rng = 0x5EED_u64;
+    let mut rng = SplitMix64::seed_from_u64(0x5EED);
     let mut tick = 0i64;
     let mut latencies = Vec::with_capacity(queries);
     for i in 0..queries {

@@ -8,6 +8,7 @@
 //! SplitMix64 stream, so a given seed + plan replays exactly.
 
 use ctt_core::ids::{DevEui, GatewayId};
+use ctt_core::rng::SplitMix64;
 use ctt_core::time::{Span, Timestamp};
 use ctt_lorawan::sim::{LossReason, OutageWindow};
 
@@ -275,7 +276,7 @@ pub struct InjectionStats {
 #[derive(Debug, Clone)]
 pub struct ChaosEngine {
     plan: FaultPlan,
-    rng_state: u64,
+    rng: SplitMix64,
     /// Parallel to `plan.faults`: whether an instantaneous fault fired.
     fired: Vec<bool>,
     injected: InjectionStats,
@@ -288,7 +289,7 @@ impl ChaosEngine {
         ChaosEngine {
             plan,
             // Offset so seed 0 still produces a lively stream.
-            rng_state: seed ^ 0x9E37_79B9_7F4A_7C15,
+            rng: SplitMix64::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             fired,
             injected: InjectionStats::default(),
         }
@@ -302,15 +303,6 @@ impl ChaosEngine {
     /// What has been injected so far.
     pub fn injected(&self) -> InjectionStats {
         self.injected
-    }
-
-    /// SplitMix64 step.
-    fn next_u64(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     /// All gateway outage windows in the plan, for
@@ -415,11 +407,11 @@ impl ChaosEngine {
         }
         if corrupt {
             self.injected.corrupted_frames += 1;
-            let bit = self.next_u64();
+            let bit = self.rng.next_u64();
             Some(FrameFault::CorruptBit { bit })
         } else if truncate {
             self.injected.truncated_frames += 1;
-            let keep = self.next_u64();
+            let keep = self.rng.next_u64();
             Some(FrameFault::Truncate { keep })
         } else {
             None

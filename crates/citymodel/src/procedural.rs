@@ -9,17 +9,7 @@
 use crate::geometry::{Polygon, P2};
 use crate::model::{Building, BuildingClass, CityModel};
 use ctt_core::geo::LatLon;
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn unit(key: u64) -> f64 {
-    (mix(key) >> 11) as f64 / (1u64 << 53) as f64
-}
+use ctt_core::rng::{mix64, unit};
 
 /// Block size (street grid pitch) in metres.
 const BLOCK_M: f64 = 90.0;
@@ -31,7 +21,7 @@ const STREET_M: f64 = 14.0;
 pub fn generate_district(name: &str, origin: LatLon, cols: u32, rows: u32) -> CityModel {
     let seed = name
         .bytes()
-        .fold(0xD157u64, |acc, b| mix(acc ^ u64::from(b)));
+        .fold(0xD157u64, |acc, b| mix64(acc ^ u64::from(b)));
     let mut model = CityModel::new(name, origin);
     let total_w = f64::from(cols) * BLOCK_M;
     let total_h = f64::from(rows) * BLOCK_M;
@@ -39,7 +29,7 @@ pub fn generate_district(name: &str, origin: LatLon, cols: u32, rows: u32) -> Ci
     let mut next_id = 1u32;
     for cx in 0..cols {
         for cy in 0..rows {
-            let block_key = seed ^ mix(u64::from(cx) << 32 | u64::from(cy));
+            let block_key = seed ^ mix64(u64::from(cx) << 32 | u64::from(cy));
             let block_min = P2::new(
                 f64::from(cx) * BLOCK_M - total_w / 2.0 + STREET_M / 2.0,
                 f64::from(cy) * BLOCK_M - total_h / 2.0 + STREET_M / 2.0,
@@ -82,7 +72,7 @@ pub fn generate_district(name: &str, origin: LatLon, cols: u32, rows: u32) -> Ci
             let n = 1 + (unit(block_key ^ 0x3B) * 3.4) as u32;
             let strip_w = (block_max.x - block_min.x) / f64::from(n);
             for k in 0..n {
-                let b_key = block_key ^ mix(u64::from(k) ^ 0xB17D);
+                let b_key = block_key ^ mix64(u64::from(k) ^ 0xB17D);
                 let inset = 2.0 + unit(b_key ^ 0x11) * 6.0;
                 let min = P2::new(
                     block_min.x + f64::from(k) * strip_w + inset / 2.0,

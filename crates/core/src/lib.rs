@@ -7,7 +7,8 @@
 //!   (WGS-84 positions, local projections), [`solar`] (sun elevation and
 //!   irradiance for the charging model).
 //! * **Quantities**: [`quantity`] (CO2/NO2/PMx/T/P/RH/battery), [`units`]
-//!   (ppm ↔ µg/m³ conversions), [`aqi`] (European CAQI).
+//!   (ppm ↔ µg/m³ conversions), [`aqi`] (European CAQI), [`stats`] (the one
+//!   sample quantile the TSDB and the analytics layer share).
 //! * **Records**: [`measurement`] (readings, flattened measurements, series)
 //!   and [`payload`] (the 18-byte binary LoRa uplink codec).
 //! * **Physical models**: [`weather`], [`traffic`], and [`emission`] — the
@@ -17,9 +18,10 @@
 //! * **Pilots**: [`deployment`] — the Trondheim (12-node) and Vejle (2-node)
 //!   configurations and the paper's cost model.
 //!
-//! Everything is deterministic given explicit seeds; nothing here performs
-//! I/O. Reproduces the domain layer of *"Analysis and Visualization of
-//! Urban Emission Measurements in Smart Cities"* (Ahlers et al., EDBT 2018).
+//! Everything is deterministic given explicit seeds, and every seeded draw
+//! goes through [`rng`]; nothing here performs I/O. Reproduces the domain
+//! layer of *"Analysis and Visualization of Urban Emission Measurements in
+//! Smart Cities"* (Ahlers et al., EDBT 2018).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,9 +37,10 @@ pub mod measurement;
 pub mod node;
 pub mod payload;
 pub mod quantity;
-mod rng;
+pub mod rng;
 pub mod scenario;
 pub mod solar;
+pub mod stats;
 pub mod time;
 pub mod traffic;
 pub mod units;

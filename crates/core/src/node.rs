@@ -279,13 +279,6 @@ impl SensorNode {
         self.next_uplink
     }
 
-    /// Gaussian sample via Box–Muller.
-    fn gauss(&mut self) -> f64 {
-        let u1: f64 = self.rng.range_f64(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.range_f64(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
     /// Apply the channel error model to a true value.
     fn observe(&mut self, q: Quantity, truth: f64, age_days: f64) -> f64 {
         let Some(ch) = self.spec.channel(q).copied() else {
@@ -299,7 +292,7 @@ impl SensorNode {
         let mut v = truth * ch.gain
             + ch.bias
             + ch.drift_per_day * drift_mult * age_days
-            + ch.noise_sd * self.gauss();
+            + ch.noise_sd * self.rng.gauss();
         if self.rng.gen_bool(self.spec.glitch_prob) {
             // A glitch: a large spike or dropout, as real low-cost optical
             // and electrochemical sensors produce.

@@ -9,6 +9,7 @@
 //!
 //! Like the weather model, the generator is stateless and random-access.
 
+use crate::rng::{channel_hash, value_noise};
 use crate::time::{Timestamp, Weekday, DAY};
 use crate::units::Degrees;
 
@@ -41,27 +42,6 @@ pub struct TrafficModel {
     class: RoadClass,
     /// Eastern-longitude-based local time offset in hours (coarse).
     utc_offset_h: f64,
-}
-
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn hash_unit(seed: u64, channel: u64, bucket: i64) -> f64 {
-    let h = mix64(seed ^ mix64(channel) ^ mix64(bucket as u64));
-    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-}
-
-fn value_noise(seed: u64, channel: u64, t: i64, period_s: i64) -> f64 {
-    let bucket = t.div_euclid(period_s);
-    let frac = t.rem_euclid(period_s) as f64 / period_s as f64;
-    let a = hash_unit(seed, channel, bucket);
-    let b = hash_unit(seed, channel, bucket + 1);
-    let s = frac * frac * (3.0 - 2.0 * frac);
-    a + (b - a) * s
 }
 
 /// Gaussian bump centred at `mu` hours with width `sigma` hours, handling
@@ -121,9 +101,9 @@ impl TrafficModel {
         // One ~45-minute window is considered per 6-hour block; ~4% of
         // blocks contain an incident.
         let block = ts.0.div_euclid(6 * 3600);
-        let r = hash_unit(self.seed, 23, block);
+        let r = channel_hash(self.seed, 23, block);
         if r > 0.92 {
-            let start_frac = (hash_unit(self.seed, 29, block) + 1.0) / 2.0; // 0..1
+            let start_frac = (channel_hash(self.seed, 29, block) + 1.0) / 2.0; // 0..1
             let start = block * 6 * 3600 + (start_frac * 5.0 * 3600.0) as i64;
             let end = start + 45 * 60;
             if ts.0 >= start && ts.0 < end {

@@ -13,6 +13,7 @@
 //! deterministic diurnal and seasonal cycles.
 
 use crate::geo::LatLon;
+use crate::rng::value_noise;
 use crate::solar;
 use crate::time::{Timestamp, DAY};
 
@@ -86,31 +87,6 @@ impl WeatherSample {
         // Fully overcast skies still pass ~15% diffuse light.
         1.0 - 0.85 * self.cloud_cover
     }
-}
-
-/// 64-bit mix (splitmix64 finalizer) for hash noise.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Hash a (seed, channel, bucket) triple to a uniform value in [-1, 1].
-fn hash_unit(seed: u64, channel: u64, bucket: i64) -> f64 {
-    let h = mix64(seed ^ mix64(channel) ^ mix64(bucket as u64));
-    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-}
-
-/// Smooth value noise in [-1, 1] at time `t` with period `period_s`.
-fn value_noise(seed: u64, channel: u64, t: i64, period_s: i64) -> f64 {
-    let bucket = t.div_euclid(period_s);
-    let frac = t.rem_euclid(period_s) as f64 / period_s as f64;
-    let a = hash_unit(seed, channel, bucket);
-    let b = hash_unit(seed, channel, bucket + 1);
-    // Smoothstep interpolation.
-    let s = frac * frac * (3.0 - 2.0 * frac);
-    a + (b - a) * s
 }
 
 /// Multi-octave noise in roughly [-1, 1].

@@ -11,8 +11,8 @@
 //! * message dispatch is FIFO and deterministic (a property the tests and
 //!   the reproducibility goal rely on);
 //! * actors are arranged in a supervision tree: a failing actor is
-//!   restarted, stopped, or its failure escalated according to its
-//!   supervisor strategy, and stopping an actor stops its whole subtree.
+//!   restarted, and one that exceeds [`MAX_RESTARTS`] is stopped together
+//!   with its whole subtree.
 //!
 //! The runtime is typed, as in Akka Typed: an [`ActorSystem<A>`] hosts one
 //! actor type `A` with one message type `A::Msg`. An application with
@@ -35,20 +35,7 @@ impl fmt::Display for Fault {
 
 impl std::error::Error for Fault {}
 
-/// What a supervisor does when a child faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SupervisorStrategy {
-    /// Reset the actor via [`Actor::restarted`] and keep going (bounded by
-    /// `max_restarts`).
-    #[default]
-    Restart,
-    /// Remove the actor and its subtree.
-    Stop,
-    /// Propagate the fault to the parent.
-    Escalate,
-}
-
-/// Maximum restarts before a `Restart` strategy degrades to `Stop`.
+/// Restarts an actor may take; its next fault stops it and its subtree.
 pub const MAX_RESTARTS: u32 = 5;
 
 /// Handle to an actor: its slot in the system. Slots are never reused.
@@ -76,7 +63,6 @@ struct Cell<A> {
     actor: A,
     parent: Option<ActorRef>,
     children: Vec<ActorRef>,
-    strategy: SupervisorStrategy,
     name: String,
     restarts: u32,
 }
@@ -121,8 +107,6 @@ pub enum LifecycleEvent {
     Restarted(String, String),
     /// Actor stopped (path, reason).
     Stopped(String, String),
-    /// Fault escalated from child to parent (child path).
-    Escalated(String),
     /// Message to a dead or unknown actor dropped.
     DeadLetter(String),
 }
@@ -147,19 +131,12 @@ impl<A: Actor> SystemCore<A> {
         format!("/{}", parts.join("/"))
     }
 
-    fn spawn(
-        &mut self,
-        parent: Option<ActorRef>,
-        name: String,
-        actor: A,
-        strategy: SupervisorStrategy,
-    ) -> ActorRef {
+    fn spawn(&mut self, parent: Option<ActorRef>, name: String, actor: A) -> ActorRef {
         let r = ActorRef(self.cells.len());
         self.cells.push(Some(Cell {
             actor,
             parent,
             children: Vec::new(),
-            strategy,
             name,
             restarts: 0,
         }));
@@ -196,29 +173,13 @@ impl<A: Actor> SystemCore<A> {
         let Some(cell) = self.cell_mut(r) else {
             return;
         };
-        match cell.strategy {
-            SupervisorStrategy::Restart => {
-                cell.restarts += 1;
-                if cell.restarts > MAX_RESTARTS {
-                    self.stop_subtree(r, "restart limit exceeded");
-                } else {
-                    cell.actor.restarted();
-                    let path = self.path(r);
-                    self.events.push(LifecycleEvent::Restarted(path, fault.0));
-                }
-            }
-            SupervisorStrategy::Stop => {
-                self.stop_subtree(r, &format!("fault: {}", fault.0));
-            }
-            SupervisorStrategy::Escalate => {
-                let parent = cell.parent;
-                let path = self.path(r);
-                self.events.push(LifecycleEvent::Escalated(path));
-                self.stop_subtree(r, "escalated");
-                if let Some(p) = parent {
-                    self.handle_fault(p, fault);
-                }
-            }
+        cell.restarts += 1;
+        if cell.restarts > MAX_RESTARTS {
+            self.stop_subtree(r, "restart limit exceeded");
+        } else {
+            cell.actor.restarted();
+            let path = self.path(r);
+            self.events.push(LifecycleEvent::Restarted(path, fault.0));
         }
     }
 }
@@ -256,13 +217,8 @@ impl<A: Actor> ActorSystem<A> {
     }
 
     /// Spawn a top-level actor.
-    pub fn spawn(
-        &mut self,
-        name: impl Into<String>,
-        actor: A,
-        strategy: SupervisorStrategy,
-    ) -> ActorRef {
-        self.core.spawn(None, name.into(), actor, strategy)
+    pub fn spawn(&mut self, name: impl Into<String>, actor: A) -> ActorRef {
+        self.core.spawn(None, name.into(), actor)
     }
 
     /// Spawn an actor as a child of `parent` (supervision tree membership
@@ -273,9 +229,8 @@ impl<A: Actor> ActorSystem<A> {
         parent: ActorRef,
         name: impl Into<String>,
         actor: A,
-        strategy: SupervisorStrategy,
     ) -> ActorRef {
-        self.core.spawn(Some(parent), name.into(), actor, strategy)
+        self.core.spawn(Some(parent), name.into(), actor)
     }
 
     /// Enqueue a message to an actor.
@@ -381,19 +336,23 @@ mod tests {
         }
     }
 
-    fn child(
-        sys: &mut ActorSystem<Counter>,
-        parent: ActorRef,
-        strategy: SupervisorStrategy,
-    ) -> ActorRef {
+    fn child(sys: &mut ActorSystem<Counter>, parent: ActorRef) -> ActorRef {
         let name = format!("child{}", sys.children(parent).len());
-        sys.spawn_child_of(parent, name, Counter::default(), strategy)
+        sys.spawn_child_of(parent, name, Counter::default())
+    }
+
+    /// Fault `a` once more than it may restart, so it stops.
+    fn exhaust_restarts(sys: &mut ActorSystem<Counter>, a: ActorRef) {
+        for _ in 0..=MAX_RESTARTS {
+            sys.send(a, CounterMsg::Boom);
+        }
+        sys.run_until_idle();
     }
 
     #[test]
     fn messages_are_processed_fifo() {
         let mut sys = ActorSystem::new();
-        let a = sys.spawn("a", Counter::default(), SupervisorStrategy::Restart);
+        let a = sys.spawn("a", Counter::default());
         for _ in 0..5 {
             sys.send(a, CounterMsg::Ping);
         }
@@ -404,7 +363,7 @@ mod tests {
     #[test]
     fn restart_resets_state() {
         let mut sys = ActorSystem::new();
-        let a = sys.spawn("a", Counter::default(), SupervisorStrategy::Restart);
+        let a = sys.spawn("a", Counter::default());
         sys.send(a, CounterMsg::Ping);
         sys.send(a, CounterMsg::Boom);
         sys.send(a, CounterMsg::Ping);
@@ -420,11 +379,8 @@ mod tests {
     #[test]
     fn restart_limit_stops_actor() {
         let mut sys = ActorSystem::new();
-        let a = sys.spawn("a", Counter::default(), SupervisorStrategy::Restart);
-        for _ in 0..(MAX_RESTARTS + 1) {
-            sys.send(a, CounterMsg::Boom);
-        }
-        sys.run_until_idle();
+        let a = sys.spawn("a", Counter::default());
+        exhaust_restarts(&mut sys, a);
         assert!(!sys.is_alive(a));
         assert!(sys
             .events()
@@ -435,14 +391,13 @@ mod tests {
     #[test]
     fn stop_strategy_removes_subtree() {
         let mut sys = ActorSystem::new();
-        let a = sys.spawn("root", Counter::default(), SupervisorStrategy::Stop);
-        child(&mut sys, a, SupervisorStrategy::Restart);
-        child(&mut sys, a, SupervisorStrategy::Restart);
+        let a = sys.spawn("root", Counter::default());
+        child(&mut sys, a);
+        child(&mut sys, a);
         assert_eq!(sys.actor_count(), 3);
         let children = sys.children(a).to_vec();
         assert_eq!(children.len(), 2);
-        sys.send(a, CounterMsg::Boom);
-        sys.run_until_idle();
+        exhaust_restarts(&mut sys, a);
         assert!(!sys.is_alive(a));
         for c in children {
             assert!(!sys.is_alive(c), "child should die with parent");
@@ -451,36 +406,11 @@ mod tests {
     }
 
     #[test]
-    fn escalate_propagates_to_parent() {
-        let mut sys = ActorSystem::new();
-        let root = sys.spawn("root", Counter::default(), SupervisorStrategy::Stop);
-        let sibling = child(&mut sys, root, SupervisorStrategy::Restart);
-        let esc = sys.spawn_child_of(
-            root,
-            "esc",
-            Counter::default(),
-            SupervisorStrategy::Escalate,
-        );
-        sys.send(esc, CounterMsg::Boom);
-        sys.run_until_idle();
-        // Escalation: esc stops, fault propagates to root whose strategy is
-        // Stop → whole tree gone.
-        assert!(!sys.is_alive(esc));
-        assert!(!sys.is_alive(sibling));
-        assert!(!sys.is_alive(root));
-        assert_eq!(sys.actor_count(), 0);
-        assert!(sys
-            .events()
-            .iter()
-            .any(|e| matches!(e, LifecycleEvent::Escalated(p) if p == "/root/esc")));
-    }
-
-    #[test]
     fn paths_reflect_hierarchy() {
         let mut sys = ActorSystem::new();
-        let root = sys.spawn("dataport", Counter::default(), SupervisorStrategy::Restart);
-        let c = child(&mut sys, root, SupervisorStrategy::Restart);
-        let gc = child(&mut sys, c, SupervisorStrategy::Restart);
+        let root = sys.spawn("dataport", Counter::default());
+        let c = child(&mut sys, root);
+        let gc = child(&mut sys, c);
         assert_eq!(sys.path(root), "/dataport");
         assert_eq!(sys.path(c), "/dataport/child0");
         assert_eq!(sys.path(gc), "/dataport/child0/child0");
@@ -489,9 +419,8 @@ mod tests {
     #[test]
     fn dead_letters_recorded() {
         let mut sys = ActorSystem::new();
-        let a = sys.spawn("a", Counter::default(), SupervisorStrategy::Stop);
-        sys.send(a, CounterMsg::Boom);
-        sys.run_until_idle();
+        let a = sys.spawn("a", Counter::default());
+        exhaust_restarts(&mut sys, a);
         sys.send(a, CounterMsg::Ping);
         sys.run_until_idle();
         assert!(sys
@@ -503,11 +432,10 @@ mod tests {
     #[test]
     fn spawning_under_a_stopped_parent_does_not_panic() {
         let mut sys = ActorSystem::new();
-        let a = sys.spawn("a", Counter::default(), SupervisorStrategy::Stop);
-        sys.send(a, CounterMsg::Boom);
-        sys.run_until_idle();
+        let a = sys.spawn("a", Counter::default());
+        exhaust_restarts(&mut sys, a);
         assert!(!sys.is_alive(a));
-        let orphan = sys.spawn_child_of(a, "orphan", Counter::default(), SupervisorStrategy::Stop);
+        let orphan = sys.spawn_child_of(a, "orphan", Counter::default());
         assert!(sys.is_alive(orphan));
         assert_eq!(sys.path(orphan), "/orphan");
         assert!(sys.children(a).is_empty());

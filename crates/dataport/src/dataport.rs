@@ -11,7 +11,7 @@
 //! sensor-offline event whose twin was ≥90% dependent on a gateway that is
 //! currently down is suppressed and attributed to the gateway.
 
-use crate::actor::{Actor, ActorRef, ActorSystem, Context, Fault, SupervisorStrategy};
+use crate::actor::{Actor, ActorRef, ActorSystem, Context, Fault};
 use crate::alarm::{Alarm, AlarmBus, AlarmKind};
 use crate::twin::{
     GatewayEvent, GatewayState, GatewayTwin, SensorTwin, SensorTwinConfig, TwinEvent, TwinState,
@@ -113,7 +113,7 @@ impl Actor for Node {
     fn restarted(&mut self) {
         if let Node::Sensor(s) = self {
             // Keep identity/config; volatile connectivity state resets.
-            s.twin = SensorTwin::new(s.twin.device(), SensorTwinConfig::default());
+            s.twin.reset();
         }
     }
 
@@ -421,18 +421,9 @@ impl Dataport {
                 offline_dependents: BTreeMap::new(),
                 correlate: config.correlate,
             }),
-            SupervisorStrategy::Restart,
         );
-        let sensors_branch = system.spawn(
-            "dataport/sensors",
-            Node::Branch,
-            SupervisorStrategy::Restart,
-        );
-        let gateways_branch = system.spawn(
-            "dataport/gateways",
-            Node::Branch,
-            SupervisorStrategy::Restart,
-        );
+        let sensors_branch = system.spawn("dataport/sensors", Node::Branch);
+        let gateways_branch = system.spawn("dataport/gateways", Node::Branch);
         Dataport {
             system,
             config,
@@ -480,8 +471,7 @@ impl Dataport {
     }
 
     fn spawn_under(&mut self, parent: ActorRef, name: String, actor: Node) -> ActorRef {
-        self.system
-            .spawn_child_of(parent, name, actor, SupervisorStrategy::Restart)
+        self.system.spawn_child_of(parent, name, actor)
     }
 
     /// Process one uplink observation end-to-end: updates the sensor twin,
@@ -860,6 +850,24 @@ mod tests {
         dp.on_uplink(DevEui::ctt(1), Timestamp(600), 88.0, GW1, Dbm(-100.0));
         let snap = dp.snapshot(Timestamp(600));
         assert_eq!(snap.sensors[0].state, TwinState::Online);
+    }
+
+    #[test]
+    fn a_restarted_twin_keeps_its_config() {
+        let mut dp = Dataport::new(DataportConfig {
+            twin: SensorTwinConfig {
+                low_battery_pct: 50.0,
+                ..SensorTwinConfig::default()
+            },
+            ..DataportConfig::default()
+        });
+        dp.on_uplink(DevEui::ctt(1), Timestamp(0), f64::NAN, GW1, Dbm(-100.0));
+        dp.on_uplink(DevEui::ctt(1), Timestamp(300), 40.0, GW1, Dbm(-100.0));
+        let alarms = dp.active_alarms();
+        assert!(
+            alarms.iter().any(|a| a.kind == AlarmKind::LowBattery),
+            "40 % is below the configured 50 %: {alarms:?}"
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod protocol;
 pub mod twin;
 pub mod watchdog;
 
-pub use actor::{Actor, ActorRef, ActorSystem, Fault, LifecycleEvent, SupervisorStrategy};
+pub use actor::{Actor, ActorRef, ActorSystem, Fault, LifecycleEvent};
 pub use alarm::{Alarm, AlarmBus, AlarmKind, Severity};
 pub use dataport::{Dataport, DataportConfig, GatewayStatus, NetworkSnapshot, SensorStatus};
 pub use protocol::{ProtocolTrace, Stage, StageRecord};

@@ -108,6 +108,12 @@ impl SensorTwin {
         }
     }
 
+    /// Forget everything observed, keeping identity and configuration:
+    /// the twin as [`SensorTwin::new`] built it.
+    pub(crate) fn reset(&mut self) {
+        *self = SensorTwin::new(self.device, self.config);
+    }
+
     /// Device identity.
     pub fn device(&self) -> DevEui {
         self.device

@@ -8,6 +8,7 @@
 use ctt_core::emission::{EmissionModel, Site};
 use ctt_core::measurement::Series;
 use ctt_core::quantity::Pollutant;
+use ctt_core::rng::{mix64, unit};
 use ctt_core::time::{Span, TimeRange, Timestamp};
 
 /// A reference station bound to a site.
@@ -19,13 +20,6 @@ pub struct NiluStation {
     /// Instrument noise, relative (reference-grade: 0.5%).
     noise_rel: f64,
     seed: u64,
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl NiluStation {
@@ -67,12 +61,11 @@ impl NiluStation {
         }
         let mean = sum / f64::from(n);
         // Tiny instrument noise, deterministic per (seed, hour, pollutant).
-        let key = mix(self.seed
+        let key = self.seed
             ^ hour.as_seconds() as u64
             ^ (pollutant.code().len() as u64) << 32
-            ^ mix(pollutant.code().as_bytes()[0] as u64));
-        let unit = (key >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
-        mean * (1.0 + self.noise_rel * unit)
+            ^ mix64(pollutant.code().as_bytes()[0] as u64);
+        mean * (1.0 + self.noise_rel * (unit(key) * 2.0 - 1.0))
     }
 
     /// Hourly series over `[from, to)`.

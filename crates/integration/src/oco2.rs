@@ -11,6 +11,7 @@
 
 use ctt_core::emission::{co2_background_ppm, EmissionModel, Site};
 use ctt_core::geo::LatLon;
+use ctt_core::rng::{gauss, mix64, unit};
 use ctt_core::time::{Span, Timestamp, DAY};
 
 /// One XCO2 sounding.
@@ -38,23 +39,6 @@ pub struct Oco2 {
     /// Fraction of soundings lost to clouds (Nordic coasts: high).
     pub cloud_loss: f64,
     seed: u64,
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn unit(key: u64) -> f64 {
-    (mix(key) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn gauss(key: u64) -> f64 {
-    let u1 = unit(key).max(f64::EPSILON);
-    let u2 = unit(key ^ 0x5555_AAAA);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 impl Default for Oco2 {
@@ -107,7 +91,7 @@ impl Oco2 {
             let offset = -self.swath_half_m + (i as f64 + 0.5) * self.footprint_m;
             // Ground track runs roughly north-south (descending node).
             let pos = city.offset(if offset >= 0.0 { 0.0 } else { 180.0 }, offset.abs());
-            let key = self.seed ^ mix(time.as_seconds() as u64) ^ mix(i as u64);
+            let key = self.seed ^ mix64(time.as_seconds() as u64) ^ mix64(i as u64);
             if unit(key ^ 0xC10) < self.cloud_loss {
                 continue; // cloud-screened
             }
@@ -117,7 +101,7 @@ impl Oco2 {
             let surface = emission.sample(&site, time).co2_ppm;
             let enhancement = (surface - background) / 10.0;
             let sigma = 0.5 + 0.3 * unit(key ^ 0x51);
-            let xco2 = background + enhancement + sigma * gauss(key ^ 0x60);
+            let xco2 = background + enhancement + sigma * gauss(key ^ 0x60, 0x5555_AAAA);
             out.push(Sounding {
                 position: pos,
                 time,

@@ -5,6 +5,7 @@
 //! the Fig. 6 traffic dashboard consume this feed.
 
 use ctt_core::measurement::Series;
+use ctt_core::rng::unit;
 use ctt_core::time::{Span, TimeRange, Timestamp};
 use ctt_core::traffic::TrafficModel;
 
@@ -30,13 +31,6 @@ pub struct TrafficFeed {
     seed: u64,
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl TrafficFeed {
     /// Standard 5-minute feed over a traffic model.
     pub fn new(model: TrafficModel, seed: u64) -> Self {
@@ -57,7 +51,7 @@ impl TrafficFeed {
     /// ~30-minute windows like real service incidents.
     pub fn poll(&self, t: Timestamp) -> Option<JamObservation> {
         let window = t.as_seconds().div_euclid(1800);
-        let r = (mix(self.seed ^ window as u64) >> 11) as f64 / (1u64 << 53) as f64;
+        let r = unit(self.seed ^ window as u64);
         if r < self.outage_rate * 4.0 {
             // This half-hour window is an outage (rate×4 windows ≈ rate of
             // samples since a window holds several polls).

@@ -9,6 +9,7 @@
 //! effective loss.
 
 use ctt_core::geo::LatLon;
+use ctt_core::rng::{gauss, mix64};
 use ctt_core::units::Dbm;
 
 /// Propagation environment parameters.
@@ -64,14 +65,14 @@ impl PathLossModel {
     /// Static shadowing for a node–gateway link, dB. Deterministic in the
     /// endpoints: the same link always sees the same buildings.
     pub fn link_shadowing_db(&self, a: LatLon, b: LatLon) -> f64 {
-        let key = mix(self.seed ^ pos_key(a) ^ pos_key(b).rotate_left(21));
-        gauss_from(key) * self.shadowing_sd_db
+        let key = mix64(self.seed ^ pos_key(a) ^ pos_key(b).rotate_left(21));
+        gauss(key, GAUSS_SALT) * self.shadowing_sd_db
     }
 
     /// Per-transmission fading, dB, varying with a transmission nonce.
     pub fn fading_db(&self, a: LatLon, b: LatLon, nonce: u64) -> f64 {
-        let key = mix(self.seed ^ pos_key(a) ^ pos_key(b).rotate_left(21) ^ mix(nonce));
-        gauss_from(key) * self.fading_sd_db
+        let key = mix64(self.seed ^ pos_key(a) ^ pos_key(b).rotate_left(21) ^ mix64(nonce));
+        gauss(key, GAUSS_SALT) * self.fading_sd_db
     }
 
     /// Total loss for one transmission on the link, dB. Antenna height
@@ -92,25 +93,14 @@ impl PathLossModel {
     }
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// Salt of the second uniform in a shadowing or fading deviate.
+const GAUSS_SALT: u64 = 0xABCD_EF12;
 
 fn pos_key(p: LatLon) -> u64 {
     // Quantize to ~1 m so that a position is a stable key.
     let lat = (p.lat_deg * 1e5).round() as i64 as u64;
     let lon = (p.lon_deg * 1e5).round() as i64 as u64;
-    mix(lat).wrapping_mul(31).wrapping_add(mix(lon))
-}
-
-/// Standard normal deviate from a hash key (Box–Muller on two sub-hashes).
-fn gauss_from(key: u64) -> f64 {
-    let u1 = ((mix(key) >> 11) as f64 / (1u64 << 53) as f64).max(f64::EPSILON);
-    let u2 = (mix(key ^ 0xABCD_EF12) >> 11) as f64 / (1u64 << 53) as f64;
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    mix64(lat).wrapping_mul(31).wrapping_add(mix64(lon))
 }
 
 /// Received signal strength for a transmission.

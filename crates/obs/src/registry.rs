@@ -8,6 +8,7 @@
 //! nondeterminism the moment someone averages, so ratios are left to the
 //! consumers of the export.
 
+use crate::trace::PercentileEstimate;
 use ctt_core::time::Timestamp;
 // lint:allow(shared): a Registry is a Clone handle every layer shares
 use parking_lot::Mutex;
@@ -331,7 +332,7 @@ impl Snapshot {
         for prefix in prefixes {
             let render = |snap: &Snapshot, permille: u64| {
                 snap.percentile_from_buckets(prefix, permille)
-                    .unwrap_or_else(|| "none".to_string())
+                    .map_or_else(|| "none".to_string(), |p| p.to_string())
             };
             let _ = writeln!(
                 body,
@@ -360,15 +361,10 @@ impl Snapshot {
     }
 
     /// Nearest-rank percentile of an expanded histogram (`prefix.le_*`
-    /// cumulative counters), as the bucket bound it lands in, `"overflow"`
-    /// above the last bound, or `None` when the histogram is empty or
+    /// cumulative counters), or `None` when the histogram is empty or
     /// absent.
-    fn percentile_from_buckets(&self, prefix: &str, permille: u64) -> Option<String> {
+    fn percentile_from_buckets(&self, prefix: &str, permille: u64) -> Option<PercentileEstimate> {
         let count = u64::try_from(self.value(&format!("{prefix}.count"))?).ok()?;
-        if count == 0 {
-            return None;
-        }
-        let rank = (count * permille).div_ceil(1000);
         let le = format!("{prefix}.le_");
         let mut buckets: Vec<(i64, u64)> = Vec::new();
         for (name, value) in self.entries.range(le.clone()..) {
@@ -384,12 +380,7 @@ impl Snapshot {
         }
         // Lexicographic map order is not numeric bound order (le_10 < le_5).
         buckets.sort_unstable();
-        for (bound, cumulative) in buckets {
-            if cumulative >= rank {
-                return Some(bound.to_string());
-            }
-        }
-        Some("overflow".to_string())
+        PercentileEstimate::nearest_rank(count, permille, buckets)
     }
 
     /// Canonical JSON rendering: one metric object per line, sorted.

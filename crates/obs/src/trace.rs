@@ -82,29 +82,48 @@ impl FixedHistogram {
     /// the last bound, and `None` when the histogram is empty or the
     /// permille is out of range.
     pub fn percentile(&self, permille: u32) -> Option<PercentileEstimate> {
-        if self.count == 0 || permille == 0 || permille > 1000 {
-            return None;
-        }
-        // Nearest-rank: the smallest rank r with r ≥ permille/1000 of count.
-        let rank = (self.count * u64::from(permille)).div_ceil(1000);
-        let mut cumulative = 0u64;
-        for (bound, n) in self.buckets() {
-            cumulative += n;
-            if cumulative >= rank {
-                return Some(PercentileEstimate::Le(bound));
-            }
-        }
-        Some(PercentileEstimate::Overflow)
+        let cumulative = self.buckets().scan(0u64, |seen, (bound, n)| {
+            *seen += n;
+            Some((bound, *seen))
+        });
+        PercentileEstimate::nearest_rank(self.count, u64::from(permille), cumulative)
     }
 }
 
-/// Where a percentile rank lands in a [`FixedHistogram`].
+/// Where a nearest-rank percentile lands in a [`FixedHistogram`] or in a
+/// histogram expanded into a snapshot's `le_*` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PercentileEstimate {
     /// At or below this bucket bound.
     Le(i64),
     /// Above the last bound (in the overflow region).
     Overflow,
+}
+
+impl PercentileEstimate {
+    /// The nearest-rank walk: the first bucket whose cumulative count
+    /// reaches the smallest rank r with r ≥ permille/1000 of `count`.
+    /// `cumulative` yields `(inclusive upper bound, cumulative count)` in
+    /// ascending bound order. `None` when `count` is 0 or `permille` is
+    /// outside `1..=1000`.
+    pub(crate) fn nearest_rank(
+        count: u64,
+        permille: u64,
+        cumulative: impl IntoIterator<Item = (i64, u64)>,
+    ) -> Option<PercentileEstimate> {
+        if count == 0 || permille == 0 || permille > 1000 {
+            return None;
+        }
+        let rank = (count * permille).div_ceil(1000);
+        Some(
+            cumulative
+                .into_iter()
+                .find(|&(_, seen)| seen >= rank)
+                .map_or(PercentileEstimate::Overflow, |(bound, _)| {
+                    PercentileEstimate::Le(bound)
+                }),
+        )
+    }
 }
 
 impl std::fmt::Display for PercentileEstimate {

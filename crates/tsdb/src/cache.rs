@@ -15,7 +15,7 @@
 //! Lock discipline: the cache's one mutex is a leaf — nothing else is
 //! locked while it is held.
 
-use crate::model::TagFilter;
+use crate::model::{is_name_char, TagFilter};
 use crate::query::{Query, QueryResult};
 use ctt_obs::{Counter, Registry};
 // lint:allow(shared): the cache lives inside the Sync ShardedTsdb
@@ -29,13 +29,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Canonical, injective string form of a query, used as the cache key:
 /// equal signatures mean equal queries. Every character of the metric, a
-/// tag key or a tag value that is not a name character (alphanumeric,
-/// `-`, `_`, `.`, `/`) is escaped with a `\`, so the unescaped punctuation
-/// that separates the fields and tags each filter's kind (`=` exact, `*`
-/// wildcard, `[…;]` one-of) can never come from a name: a literal `*` is
-/// not the group-by wildcard and a literal `a|b` is not a one-of. Filters
-/// are a `BTreeMap`, so equal queries render alike regardless of
-/// construction order.
+/// tag key or a tag value that is not a name character (`is_name_char`)
+/// is escaped with a `\`, so the unescaped punctuation that separates the
+/// fields and tags each filter's kind (`=` exact, `*` wildcard, `[…;]`
+/// one-of) can never come from a name: a literal `*` is not the group-by
+/// wildcard and a literal `a|b` is not a one-of. Filters are a `BTreeMap`,
+/// so equal queries render alike regardless of construction order.
 pub fn query_signature(q: &Query) -> String {
     let mut s = String::with_capacity(64);
     push_name(&mut s, &q.metric);
@@ -75,17 +74,15 @@ pub fn query_signature(q: &Query) -> String {
     s
 }
 
-/// Append `v` with every character outside the name set escaped by a `\`.
-/// Valid names (the OpenTSDB set [`crate::model::is_valid_name`] admits)
-/// are copied as they are.
+/// Append `v` with every character that is not an [`is_name_char`]
+/// escaped by a `\`; a valid name is copied as it is.
 fn push_name(s: &mut String, v: &str) {
-    let plain = |c: char| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '/');
-    if v.chars().all(plain) {
+    if v.chars().all(is_name_char) {
         s.push_str(v);
         return;
     }
     for c in v.chars() {
-        if !plain(c) {
+        if !is_name_char(c) {
             s.push('\\');
         }
         s.push(c);
@@ -101,8 +98,8 @@ struct ResultEntry {
 
 /// A cached value and the logical tick of its last use.
 #[derive(Debug)]
-struct Slot<V> {
-    value: V,
+struct Slot {
+    value: ResultEntry,
     tick: u64,
 }
 
@@ -113,9 +110,9 @@ struct Slot<V> {
 /// level per insert once it is full, so a full level keeps a recency index
 /// instead. A level that never fills never builds one: below capacity an
 /// insert is one map insert, and a hit is one tick store at every fill.
-#[derive(Debug)]
-struct Level<K, V> {
-    entries: BTreeMap<K, Slot<V>>,
+#[derive(Debug, Default)]
+struct Level {
+    entries: BTreeMap<String, Slot>,
     /// `tick → key`, built the first time the level overflows and kept
     /// until [`Level::clear`] (nothing else removes entries, so a level
     /// that has filled stays full). Exactly one record per entry: a new key
@@ -123,23 +120,14 @@ struct Level<K, V> {
     /// entry's tick forward. A record older than its entry's tick is stale;
     /// eviction re-files it at the entry's tick before trusting the next
     /// minimum, so the victim is exactly the smallest-tick entry.
-    recency: Option<BTreeMap<u64, K>>,
+    recency: Option<BTreeMap<u64, String>>,
 }
 
-impl<K, V> Default for Level<K, V> {
-    fn default() -> Self {
-        Level {
-            entries: BTreeMap::new(),
-            recency: None,
-        }
-    }
-}
-
-impl<K: Ord + Clone, V> Level<K, V> {
+impl Level {
     /// Insert (or replace) `key` at `tick`, then evict least-recently-used
     /// entries until the level fits `capacity`. Returns how many were
     /// evicted.
-    fn insert(&mut self, key: K, value: V, tick: u64, capacity: usize) -> u64 {
+    fn insert(&mut self, key: String, value: ResultEntry, tick: u64, capacity: usize) -> u64 {
         let slot = Slot { value, tick };
         match &mut self.recency {
             Some(recency) => {
@@ -208,7 +196,7 @@ pub struct CacheStats {
 /// Everything the cache holds, behind its one lock.
 #[derive(Debug, Default)]
 struct CacheState {
-    results: Level<String, ResultEntry>,
+    results: Level,
     /// Logical recency clock (no wall time): bumped per cache operation.
     tick: u64,
     obs: CacheObs,
@@ -442,16 +430,12 @@ mod tests {
 
     /// The reference victim search: scan the whole level for the smallest
     /// tick after every insert. The recency index must agree with it.
-    fn evict_lru<K: Ord + Clone, V>(
-        map: &mut BTreeMap<K, V>,
-        capacity: usize,
-        tick_of: impl Fn(&V) -> u64,
-    ) -> u64 {
+    fn evict_lru(map: &mut BTreeMap<String, (u64, u64)>, capacity: usize) -> u64 {
         let mut evicted = 0u64;
         while map.len() > capacity {
             let oldest = map
                 .iter()
-                .min_by_key(|(_, v)| tick_of(v))
+                .min_by_key(|(_, &(_, tick))| tick)
                 .map(|(k, _)| k.clone());
             match oldest {
                 Some(k) => {
@@ -492,20 +476,18 @@ mod tests {
         fn insert(&mut self, key: String, at: u64, capacity: usize) {
             self.tick += 1;
             self.results.insert(key, (at, self.tick));
-            self.stats.evictions += evict_lru(&mut self.results, capacity, |e| e.1);
+            self.stats.evictions += evict_lru(&mut self.results, capacity);
         }
     }
 
     /// The recency index, when present, holds exactly one record per entry,
     /// filed no later than the entry's tick.
-    fn recency_is_one_record_per_entry<K: Ord + Clone + std::fmt::Debug, V>(
-        level: &Level<K, V>,
-    ) -> Result<(), TestCaseError> {
+    fn recency_is_one_record_per_entry(level: &Level) -> Result<(), TestCaseError> {
         let Some(recency) = &level.recency else {
             return Ok(());
         };
         prop_assert_eq!(recency.len(), level.entries.len());
-        let mut keys: Vec<&K> = Vec::new();
+        let mut keys: Vec<&String> = Vec::new();
         for (&filed, key) in recency {
             let slot = level.entries.get(key);
             prop_assert!(slot.is_some_and(|s| s.tick >= filed), "record {:?}", key);

@@ -9,12 +9,19 @@ use ctt_core::time::Timestamp;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Validates an OpenTSDB-style name (metric, tag key, tag value):
-/// alphanumerics plus `-`, `_`, `.`, `/`.
+/// Validates an OpenTSDB-style name (metric, tag key, tag value): a
+/// non-empty run of name characters (ASCII alphanumerics plus `-`, `_`,
+/// `.`, `/`).
 pub fn is_valid_name(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '/'))
+    !s.is_empty() && s.chars().all(is_name_char)
+}
+
+/// The OpenTSDB name set: ASCII alphanumerics plus `-`, `_`, `.`, `/`. The
+/// query cache escapes every other character, so its signatures stay
+/// injective only while the two agree.
+#[inline]
+pub(crate) fn is_name_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '/')
 }
 
 /// A sorted tag set. `BTreeMap` so the canonical form is deterministic.

@@ -11,6 +11,7 @@ use crate::model::{TagFilter, TagSet};
 use crate::rollup::{find_bucket, offset_of, rollup_servable, RollupBucket};
 use crate::store::{dedup_last_write_wins, ScanCounts, SealedChunk, Series, SeriesId, Tsdb};
 use ctt_core::measurement::Series as OutSeries;
+use ctt_core::stats::quantile;
 use ctt_core::time::{Span, Timestamp};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -133,25 +134,13 @@ impl fmt::Display for Aggregator {
     }
 }
 
-/// Percentile of an unsorted slice by linear interpolation on the sorted
-/// sample (NaN when empty). This is the *same* definition as
-/// `ctt-analytics::stats::quantile`, so a P95 computed in a query agrees
-/// bit-for-bit with the same P95 computed in figures — the cross-crate
-/// agreement test in `tests/percentile_agreement.rs` pins that.
+/// [`ctt_core::stats::quantile`], the one sample-quantile definition, with
+/// an empty slice as NaN (a query row must hold some `f64`). The analytics
+/// layer re-exports the same function, so a P95 computed in a query equals
+/// the P95 computed in figures bit for bit; `tests/percentile_agreement.rs`
+/// pins that.
 fn percentile(values: &[f64], p: f64) -> f64 {
-    let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    if v.is_empty() {
-        return f64::NAN;
-    }
-    let pos = p * (v.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    match (v.get(lo), v.get(hi)) {
-        (Some(&a), Some(&b)) => a + (b - a) * frac,
-        _ => f64::NAN,
-    }
+    quantile(values, p).unwrap_or(f64::NAN)
 }
 
 /// Missing-bucket fill policy for downsampling.
