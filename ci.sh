@@ -28,6 +28,15 @@ if [ -n "$copies" ]; then
     exit 1
 fi
 
+echo "==> ctt-ingest off the data path (ctt_ingest only in crates/ingest/ and the frozen benchmark/)"
+uses=$(grep -rn --include='*.rs' --exclude-dir=.git --exclude-dir=target --exclude-dir=vendor \
+    'ctt_ingest' . | grep -v -e '^\./crates/ingest/' -e '^\./benchmark/' || true)
+if [ -n "$uses" ]; then
+    echo "$uses"
+    echo "ctt_ingest outside its facade: write through ShardedTsdb::{register, append} instead" >&2
+    exit 1
+fi
+
 echo "==> chaos soak (fault injection + loss-ledger conservation)"
 cargo test --offline -q -p ctt-chaos
 

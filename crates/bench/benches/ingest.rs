@@ -4,25 +4,21 @@
 //! * `ingest_uplinks/*` — the traffic the pipeline's storage consumer
 //!   produces: nine different series per uplink, interleaved, one uplink
 //!   per call. `put_batch` is string-keyed `ShardedTsdb::put_batch` (a key
-//!   string built and an intern map probed per point), `strings` is the
-//!   ingest runtime keyed by the same strings, and `handles` is the runtime
-//!   fed pre-registered `SeriesRef`s, the way the pipeline feeds it.
-//! * `ingest_runs/*` — a bulk import: one device's history after another,
-//!   200 points per call, through `put_batch` and through the runtime's
-//!   string-keyed `submit` (one equality check per point on this shape).
+//!   string built and an intern map probed per point), and `handles` is
+//!   `ShardedTsdb::append` fed the store's own `SeriesId`s, registered in
+//!   untimed setup, the way the pipeline feeds it.
+//! * `ingest_runs/put_batch` — a bulk import: one device's history after
+//!   another, 200 points per call.
 //!
-//! Every row builds a fresh store per iteration in untimed setup, and a
-//! flush closes every runtime row's timed region so it covers every point
-//! applied; the loaded store drops in the timed region on every row.
-//! `put_batch` and `handles` run as one interleaved pair. CI exports the
-//! results as `BENCH_ingest.json` (via `CRITERION_JSON`); `bench_check`'s
-//! gate table holds the pair's bound.
+//! Every row builds a fresh store per iteration in untimed setup; the
+//! loaded store drops in the timed region on every row. `put_batch` and
+//! `handles` run as one interleaved pair. CI exports the results as
+//! `BENCH_ingest.json` (via `CRITERION_JSON`); `bench_check`'s gate table
+//! holds the pair's bound.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ctt_core::time::Timestamp;
-use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
-use ctt_obs::Registry;
-use ctt_tsdb::ShardedTsdb;
+use ctt_tsdb::{SeriesId, ShardedTsdb};
 
 /// Pipeline-shaped input: Trondheim's twelve nodes, 300 reporting rounds
 /// (≈ one simulated day), nine points per uplink.
@@ -35,20 +31,11 @@ const POINTS_PER_DEVICE: usize = 3_200;
 /// Points per call on the run-shaped rows.
 const BATCH: usize = 200;
 
-/// A fresh store with an ingest runtime in front of it.
-fn fresh_runtime() -> (ShardedTsdb, IngestRuntime) {
-    let registry = Registry::new();
-    let mut db = ShardedTsdb::default();
-    db.attach_registry(&registry);
-    let rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
-    (db, rt)
-}
-
 fn uplink_shaped(c: &mut Criterion) {
-    // Consecutive points never share a series. By handle, the series are
+    // Consecutive points never share a series. By id, the series are
     // registered in untimed setup — the pipeline pays that once per device
-    // lifetime — so `strings` and `handles` differ by exactly the per-point
-    // cost of resolving strings.
+    // lifetime — so the pair differs by exactly the per-point cost of
+    // resolving strings.
     let points = ctt_bench::uplink_points(UPLINK_DEVICES, UPLINK_ROUNDS);
     let per_call = ctt_bench::POINTS_PER_UPLINK;
     let check = |row: &str, db: &ShardedTsdb| {
@@ -59,15 +46,6 @@ fn uplink_shaped(c: &mut Criterion) {
     let mut g = c.benchmark_group("ingest_uplinks");
     g.sample_size(10);
     g.throughput(Throughput::Elements(points.len() as u64));
-    g.bench_function("strings", |b| {
-        b.iter_with_setup(fresh_runtime, |(db, mut rt)| {
-            for uplink in points.chunks(per_call) {
-                rt.submit(uplink);
-            }
-            rt.flush();
-            check("strings", &db)
-        });
-    });
     g.bench_pair(
         "put_batch",
         |b| {
@@ -82,18 +60,17 @@ fn uplink_shaped(c: &mut Criterion) {
         |b| {
             b.iter_with_setup(
                 || {
-                    let (db, mut rt) = fresh_runtime();
-                    let resolved: Vec<(SeriesRef, Timestamp, f64)> = points
+                    let db = ShardedTsdb::default();
+                    let by_id: Vec<(SeriesId, Timestamp, f64)> = points
                         .iter()
-                        .filter_map(|p| Some((rt.register(&p.metric, &p.tags)?, p.time, p.value)))
+                        .filter_map(|p| Some((db.register(&p.metric, &p.tags)?, p.time, p.value)))
                         .collect();
-                    (db, rt, resolved)
+                    (db, by_id)
                 },
-                |(db, mut rt, resolved)| {
-                    for uplink in resolved.chunks(per_call) {
-                        rt.submit_resolved(uplink);
+                |(db, by_id)| {
+                    for uplink in by_id.chunks(per_call) {
+                        db.append(uplink);
                     }
-                    rt.flush();
                     check("handles", &db)
                 },
             );
@@ -112,15 +89,6 @@ fn run_shaped(c: &mut Criterion) {
             for chunk in points.chunks(BATCH) {
                 db.put_batch(chunk);
             }
-            black_box(db.stats().points)
-        });
-    });
-    g.bench_function("runtime", |b| {
-        b.iter_with_setup(fresh_runtime, |(db, mut rt)| {
-            for chunk in points.chunks(BATCH) {
-                rt.submit(chunk);
-            }
-            rt.flush();
             black_box(db.stats().points)
         });
     });

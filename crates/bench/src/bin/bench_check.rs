@@ -62,7 +62,7 @@ use Statistic::{PairedMedian, Reported};
 const GATES: &[Gate] = &[
     Gate { report: "BENCH_ingest.json", a: "ingest_uplinks/put_batch", b: Some("ingest_uplinks/handles"),
         statistic: PairedMedian, bound: AtLeast(2.0), noise: PAIRED,
-        rationale: "handles + run framing keep 2x string-keyed put_batch on uplink-shaped input" },
+        rationale: "appending by the store's own SeriesId keeps 2x string-keyed put_batch on uplink-shaped input" },
     Gate { report: "BENCH_query.json", a: "query_downsample_aggregate/raw",
         b: Some("query_downsample_aggregate/rollup"), statistic: PairedMedian, bound: AtLeast(2.5), noise: PAIRED,
         rationale: "cache off on both; 3x until byte-gulp BitReader reads cut raw decode ~25 %" },
@@ -219,10 +219,11 @@ mod tests {
         BTreeMap::from([
             (
                 "BENCH_ingest.json",
-                report(&[
-                    plain("ingest_uplinks/strings", "5600000.0"),
-                    pair("ingest_uplinks/put_batch", "ingest_uplinks/handles", "2.54"),
-                ]),
+                report(&[pair(
+                    "ingest_uplinks/put_batch",
+                    "ingest_uplinks/handles",
+                    "2.54",
+                )]),
             ),
             (
                 "BENCH_query.json",

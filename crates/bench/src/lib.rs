@@ -68,8 +68,8 @@ pub const POINTS_PER_UPLINK: usize = Quantity::ALL.len() + 1;
 /// [`POINTS_PER_UPLINK`] points — one per metric, same timestamp — in the
 /// storage consumer's order. Consecutive points therefore always belong to
 /// *different* series (the opposite of [`device_points`], where one
-/// device's whole history is contiguous), which is what the ingest
-/// producer actually sees between the broker and the store.
+/// device's whole history is contiguous), which is what the store
+/// actually receives from the storage consumer.
 pub fn uplink_points(devices: u32, uplinks: usize) -> Vec<DataPoint> {
     let start = Timestamp::from_civil(2017, 1, 1, 0, 0, 0);
     let metrics: Vec<String> = Quantity::ALL

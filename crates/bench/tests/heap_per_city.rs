@@ -72,11 +72,10 @@ static ALLOCATOR: Counting = Counting;
 
 const CITIES: u64 = 100;
 
-/// KiB per city, seeds 42 + city index: measured 201.0 (debug and release
-/// alike; 406.1 before metric names and tag sets were held once per table),
-/// plus 10 % headroom. The figure is exact, so the margin absorbs change,
-/// not noise.
-const BOUND_KIB: f64 = 221.0;
+/// KiB per city, seeds 42 + city index: measured 186.6 (debug and release
+/// alike), plus 10 % headroom. The figure is exact, so the margin absorbs
+/// change, not noise.
+const BOUND_KIB: f64 = 205.0;
 
 #[test]
 fn a_trondheim_city_holds_its_measured_heap_after_two_hours() {

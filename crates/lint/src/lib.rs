@@ -179,7 +179,6 @@ impl Default for LintConfig {
                 "crates/sim/src/".into(),
                 "crates/obs/src/".into(),
                 "crates/dataport/src/".into(),
-                "crates/ingest/src/".into(),
                 "src/pipeline.rs".into(),
                 "src/fleet.rs".into(),
             ],
@@ -187,7 +186,6 @@ impl Default for LintConfig {
                 "crates/broker/src/".into(),
                 "crates/chaos/src/".into(),
                 "crates/dataport/src/".into(),
-                "crates/ingest/src/".into(),
                 "crates/lorawan/src/".into(),
                 "crates/obs/src/".into(),
                 "crates/sim/src/".into(),
@@ -223,16 +221,12 @@ impl Default for LintConfig {
                 // The fleet hot loop: every city's own `run_until`, so the
                 // call graph reaches `Pipeline::dispatch_event` from here.
                 ("Fleet".into(), "run_until".into()),
-                // Ingest runtime: register + submit_resolved are the
-                // pipeline's put path (handles), submit is the string-keyed
-                // boundary over the same staging code; flush applies what
-                // is staged before every observation point. All three
-                // apply batches inline, so from here the call graph reaches
-                // `Tsdb::intern`/`append_run` and the Gorilla encoder.
-                ("IngestRuntime".into(), "register".into()),
-                ("IngestRuntime".into(), "submit_resolved".into()),
-                ("IngestRuntime".into(), "submit".into()),
-                ("IngestRuntime".into(), "flush".into()),
+                // The pipeline's write path: a series is registered once,
+                // at its device's first uplink, then every drain pass
+                // appends by id, so from here the call graph reaches
+                // `Tsdb::intern`/`Tsdb::append` and the Gorilla encoder.
+                ("ShardedTsdb".into(), "register".into()),
+                ("ShardedTsdb".into(), "append".into()),
             ],
         }
     }

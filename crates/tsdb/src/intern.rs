@@ -39,7 +39,7 @@ fn fnv<Q: Hash + ?Sized>(key: &Q) -> u64 {
 /// Each distinct value held once, named by a dense `u32` id in first-sight
 /// order. Ids are never reused, so callers may keep them.
 #[derive(Debug, Clone)]
-pub struct Interner<T> {
+pub(crate) struct Interner<T> {
     values: Vec<T>,
     /// `(hash, id + 1)`; zero marks a vacant bucket. The length is zero or
     /// a power of two at least twice `values.len()`, so a probe ends.
@@ -57,27 +57,17 @@ impl<T> Default for Interner<T> {
 
 impl<T> Interner<T> {
     /// The value named by `id`, if it was issued.
-    pub fn get(&self, id: u32) -> Option<&T> {
+    pub(crate) fn get(&self, id: u32) -> Option<&T> {
         self.values.get(id as usize)
     }
 
-    /// Number of distinct values held.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// The values in id order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, T> {
         self.values.iter()
     }
 
     /// The id of `key`, if it is held.
-    pub fn find<Q>(&self, key: &Q) -> Option<u32>
+    pub(crate) fn find<Q>(&self, key: &Q) -> Option<u32>
     where
         T: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -86,7 +76,7 @@ impl<T> Interner<T> {
     }
 
     /// The id of `key`, storing one owned copy on first sight.
-    pub fn intern<Q>(&mut self, key: &Q) -> u32
+    pub(crate) fn intern<Q>(&mut self, key: &Q) -> u32
     where
         T: Borrow<Q>,
         Q: Hash + Eq + ToOwned<Owned = T> + ?Sized,

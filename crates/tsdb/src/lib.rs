@@ -6,15 +6,15 @@
 //! * [`model`] — metric + tag data model with OpenTSDB naming rules.
 //! * [`bits`] / [`gorilla`] — bit-packed Gorilla chunk compression
 //!   (delta-of-delta timestamps, XOR floats).
-//! * [`intern`] — identity tables holding each metric name and tag set
-//!   once, named by dense ids.
+//! * `intern` — the identity tables behind [`Tsdb`]: each metric name and
+//!   tag set held once, named by a dense id.
 //! * [`store`] — interned series, chunked storage, a per-series
 //!   time-range block index, retention, stats.
 //! * [`rollup`] — seal-time materialized rollups (pre-downsampled
 //!   per-bucket summaries) serving dashboard queries without decode.
 //! * [`shard`] — a city's one store: a [`Tsdb`] and its mutation epoch
-//!   behind one lock, with batched writes, write sessions and served
-//!   queries.
+//!   behind one lock, written by [`SeriesId`] or by [`DataPoint`], with
+//!   served queries.
 //! * [`query`] — tag filters, group-by, downsampling (`1h-avg`),
 //!   cross-series aggregation, rate.
 //! * [`cache`] — seal-aware query result cache with deterministic
@@ -28,7 +28,7 @@ pub mod bits;
 pub mod cache;
 pub mod error;
 pub mod gorilla;
-pub mod intern;
+mod intern;
 pub mod model;
 pub mod query;
 pub mod rollup;
@@ -38,10 +38,9 @@ pub mod store;
 pub use cache::{CacheStats, QueryCache};
 pub use error::TsdbError;
 pub use gorilla::{CompressedChunk, GorillaEncoder};
-pub use intern::Interner;
 pub use model::{DataPoint, ModelError, TagFilter, TagSet};
 pub use query::{execute, execute_raw, Aggregator, Downsample, FillPolicy, Query, QueryResult};
-pub use shard::{ServePolicy, ShardWriteSession, ShardWriter, ShardedTsdb, DEFAULT_SHARDS};
+pub use shard::{ServePolicy, ShardedTsdb, DEFAULT_SHARDS};
 pub use store::{
     BitFlipOutcome, IntegrityReport, QuarantineReport, ScanCounts, SeriesId, StoreStats, Tsdb,
 };

@@ -24,6 +24,26 @@ pub(crate) fn is_name_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '/')
 }
 
+/// The naming rule of a series, shared by [`DataPoint::new`] and
+/// [`crate::Tsdb::register`]: the metric, then every tag key and value in
+/// the order given, must be a valid name. The first that is not is the
+/// error.
+pub(crate) fn check_series_names<'a>(
+    metric: &str,
+    tags: impl IntoIterator<Item = (&'a String, &'a String)>,
+) -> Result<(), ModelError> {
+    if !is_valid_name(metric) {
+        return Err(ModelError::BadMetric(metric.to_string()));
+    }
+    match tags
+        .into_iter()
+        .find(|(k, v)| !is_valid_name(k) || !is_valid_name(v))
+    {
+        Some((k, v)) => Err(ModelError::BadTag(k.clone(), v.clone())),
+        None => Ok(()),
+    }
+}
+
 /// A sorted tag set. `BTreeMap` so the canonical form is deterministic.
 pub type TagSet = BTreeMap<String, String>;
 
@@ -72,22 +92,14 @@ impl DataPoint {
         value: f64,
     ) -> Result<DataPoint, ModelError> {
         let metric = metric.into();
-        if !is_valid_name(&metric) {
-            return Err(ModelError::BadMetric(metric));
-        }
-        let mut tagset = TagSet::new();
-        for (k, v) in tags {
-            if !is_valid_name(&k) || !is_valid_name(&v) {
-                return Err(ModelError::BadTag(k, v));
-            }
-            tagset.insert(k, v);
-        }
+        let tags: Vec<(String, String)> = tags.into_iter().collect();
+        check_series_names(&metric, tags.iter().map(|(k, v)| (k, v)))?;
         if !value.is_finite() {
             return Err(ModelError::BadValue);
         }
         Ok(DataPoint {
             metric,
-            tags: tagset,
+            tags: tags.into_iter().collect(),
             time,
             value,
         })

@@ -321,7 +321,9 @@ mod tests {
         let id = db.intern("m", &TagSet::new());
         let run: Vec<(Timestamp, f64)> =
             (0..1_000).map(|i| (Timestamp(i * 97), i as f64)).collect();
-        db.append_run(id, &run);
+        for &(t, v) in &run {
+            db.append(id, t, v);
+        }
         db.seal_all();
         let sealed = &db.series[0].sealed;
         assert!(sealed.len() > 1);
@@ -331,7 +333,7 @@ mod tests {
         }
     }
 
-    /// One series written through `append_run` (which takes NaNs), every
+    /// One series written through `append` (which takes NaNs), every
     /// aggregator asked over `[lo, hi)` served and raw.
     fn assert_served_matches_raw(
         db: &Tsdb,
@@ -396,7 +398,9 @@ mod tests {
                 times.iter().map(|&t| (Timestamp(t), value.next().unwrap_or(0.0))).collect();
             let mut db = Tsdb::with_layout(4096, Span::seconds(width));
             let id = db.intern("m", &TagSet::new());
-            db.append_run(id, &chunk);
+            for &(t, v) in &chunk {
+                db.append(id, t, v);
+            }
             db.seal_all();
             prop_assert_eq!(db.series[0].sealed.len(), 1);
             let cutoff = times.get(cut).copied().unwrap_or(origin);
@@ -410,7 +414,9 @@ mod tests {
                     (Timestamp(t), value.next().unwrap_or(0.0))
                 })
                 .collect();
-            db.append_run(id, &open);
+            for &(t, v) in &open {
+                db.append(id, t, v);
+            }
             for sealed in &db.series[0].sealed {
                 let r = sealed.rollups.as_ref();
                 prop_assert!(r.is_some_and(|r| r.capacity() == r.len()));

@@ -2,13 +2,14 @@
 //! `RwLock`, with the query cache that validates against that epoch.
 //!
 //! The paper gives each city one OpenTSDB behind its dashboards (§2.4), and
-//! so does this crate. Every mutation (`put`, `put_batch`, a write session,
-//! `seal_all`, `evict_before`, a successful `flip_chunk_bit`) bumps the
-//! epoch under the same write guard that changes the data, so a reader
-//! holding the read guard sees exactly the data its epoch names. A query
-//! with the cache on reads the epoch, looks its answer up at that epoch, and
-//! on a miss runs [`crate::query`] under the same read guard and stores the
-//! answer. Invalidation is deterministic (no wall clock, lint R5).
+//! so does this crate. Every mutation (`put`, `put_batch`, `register`, an
+//! `append` that wrote, `seal_all`, `evict_before`, a successful
+//! `flip_chunk_bit`) bumps the epoch under the same write guard that
+//! changes the data, so a reader holding the read guard sees exactly the
+//! data its epoch names. A query with the cache on reads the epoch, looks
+//! its answer up at that epoch, and on a miss runs [`crate::query`] under
+//! the same read guard and stores the answer. Invalidation is deterministic
+//! (no wall clock, lint R5).
 //!
 //! The type keeps its name, and [`ShardedTsdb::new`] its shard-count
 //! argument, only because the frozen `benchmark/` harness names them; the
@@ -26,7 +27,6 @@ use ctt_core::time::{Span, Timestamp};
 use ctt_obs::{Counter, Registry};
 // lint:allow(shared): ShardedTsdb is Sync (shard_stress queries while other threads write)
 use parking_lot::RwLock;
-use std::sync::Arc;
 
 /// No effect — kept only because `benchmark/` names it. A city has one
 /// store.
@@ -106,7 +106,7 @@ struct Store {
 /// serving stack (epoch-validated query cache, rollups, block index) on top.
 #[derive(Debug)]
 pub struct ShardedTsdb {
-    store: Arc<RwLock<Store>>,
+    store: RwLock<Store>,
     obs: StoreObs,
     cache: QueryCache,
 }
@@ -133,10 +133,10 @@ impl ShardedTsdb {
     /// [`Tsdb::with_layout`]).
     pub fn with_layout(chunk_size: usize, rollup_interval: Span) -> Self {
         ShardedTsdb {
-            store: Arc::new(RwLock::new(Store {
+            store: RwLock::new(Store {
                 db: Tsdb::with_layout(chunk_size, rollup_interval),
                 epoch: 0,
-            })),
+            }),
             obs: StoreObs::default(),
             cache: QueryCache::default(),
         }
@@ -158,21 +158,6 @@ impl ShardedTsdb {
             raw_buckets: counter("raw_buckets"),
         };
         self.cache.attach_registry(registry);
-    }
-
-    /// A standalone write handle for the ingest runtime: it holds its own
-    /// `Arc` to the store (plus a clone of the `puts` counter), so its
-    /// owner does not borrow the `ShardedTsdb`. Writes through the handle
-    /// bump the same epoch the query cache validates against, so serving
-    /// stays correct regardless of which path wrote.
-    ///
-    /// Call after [`ShardedTsdb::attach_registry`]: the handle captures the
-    /// current `puts` counter, and attaching replaces counters.
-    pub fn writer(&self) -> ShardWriter {
-        ShardWriter {
-            store: Arc::clone(&self.store),
-            puts: self.obs.puts.clone(),
-        }
     }
 
     /// Cache hit/miss/eviction counters.
@@ -207,6 +192,35 @@ impl ShardedTsdb {
         }
         let written = self.mutate(|db| db.put_batch(points));
         self.obs.puts.add(written);
+        written
+    }
+
+    /// Register a series and get its id (see [`Tsdb::register`]): `None`
+    /// on a name [`DataPoint::new`] would refuse. The id names the series
+    /// for the store's lifetime, so a caller resolves each series once and
+    /// then writes by id through [`ShardedTsdb::append`].
+    pub fn register(&self, metric: &str, tags: &TagSet) -> Option<SeriesId> {
+        self.mutate(|db| db.register(metric, tags))
+    }
+
+    /// Append points by series id under one write lock: the id-keyed
+    /// [`ShardedTsdb::put_batch`]. A non-finite value is skipped, as
+    /// [`DataPoint::new`] would have refused it, and so is an id this
+    /// store never issued; neither is counted. The epoch and the `puts`
+    /// counter move only if something was written. Returns points written.
+    pub fn append(&self, points: &[(SeriesId, Timestamp, f64)]) -> u64 {
+        let mut store = self.store.write();
+        let mut written = 0u64;
+        for &(id, t, v) in points {
+            if v.is_finite() && store.db.append(id, t, v) {
+                written += 1;
+            }
+        }
+        if written > 0 {
+            store.epoch += 1;
+            drop(store);
+            self.obs.puts.add(written);
+        }
         written
     }
 
@@ -313,78 +327,6 @@ impl ShardedTsdb {
             self.obs.quarantined_points.add(u64::from(points));
         }
         outcome
-    }
-}
-
-/// A write handle to a [`ShardedTsdb`] (see [`ShardedTsdb::writer`]). The
-/// ingest runtime keeps exactly one.
-#[derive(Debug, Clone)]
-pub struct ShardWriter {
-    store: Arc<RwLock<Store>>,
-    puts: Counter,
-}
-
-impl ShardWriter {
-    /// Open a write session: the store lock is taken once and held until
-    /// the session drops, which is when the epoch bump and put-counter
-    /// update publish everything the session wrote. Readers (queries, the
-    /// cache) either see the store wholly before or wholly after the
-    /// session — never a half-applied batch.
-    pub fn session(&self) -> ShardWriteSession<'_> {
-        ShardWriteSession {
-            store: self.store.write(),
-            puts: &self.puts,
-            written: 0,
-        }
-    }
-}
-
-/// One atomic batch of writes, created by [`ShardWriter::session`].
-/// Dropping the session publishes: the epoch is bumped (once, iff anything
-/// was written) and the `puts` counter advances by the points written — the
-/// same observable effects per batch as [`ShardedTsdb::put_batch`].
-pub struct ShardWriteSession<'a> {
-    // lint:allow(shared): a session holds the store's write lock until it drops
-    store: parking_lot::RwLockWriteGuard<'a, Store>,
-    puts: &'a Counter,
-    written: u64,
-}
-
-impl std::fmt::Debug for ShardWriteSession<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardWriteSession")
-            .field("written", &self.written)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ShardWriteSession<'_> {
-    /// Intern a series (see [`Tsdb::intern`]). The id is stable for the
-    /// store's lifetime, so callers may cache it.
-    pub fn intern(&mut self, metric: &str, tags: &TagSet) -> SeriesId {
-        self.store.db.intern(metric, tags)
-    }
-
-    /// Append a time-ordered-as-received run of points to an interned
-    /// series, sealing at thresholds exactly as per-point `put` would.
-    pub fn append_run(&mut self, id: SeriesId, pts: &[(Timestamp, f64)]) {
-        self.store.db.append_run(id, pts);
-        self.written += pts.len() as u64;
-    }
-
-    /// Monotone compressed-bytes total of the store (for encoded-bytes
-    /// deltas without re-taking the lock).
-    pub fn encoded_bytes_total(&self) -> u64 {
-        self.store.db.encoded_bytes_total()
-    }
-}
-
-impl Drop for ShardWriteSession<'_> {
-    fn drop(&mut self) {
-        if self.written > 0 {
-            self.store.epoch += 1;
-            self.puts.add(self.written);
-        }
     }
 }
 
@@ -654,9 +596,10 @@ mod tests {
     }
 
     #[test]
-    fn writer_session_equals_put_batch() {
-        // Writing through one session must leave the store, the cache's
-        // view of it, and the puts counter exactly as put_batch would.
+    fn append_equals_put_batch() {
+        // Registering each series at first sight and appending by id must
+        // leave the store, the cache's view of it, and the puts counter
+        // exactly as put_batch would.
         let mk = || {
             let registry = Registry::new();
             let mut db = ShardedTsdb::with_chunk_size(8);
@@ -671,16 +614,12 @@ mod tests {
         let (reg_a, a) = mk();
         assert_eq!(a.put_batch(&points), points.len() as u64);
         let (reg_b, b) = mk();
-        {
-            let writer = b.writer();
-            let mut session = writer.session();
-            for p in &points {
-                let id = session.intern(&p.metric, &p.tags);
-                session.append_run(id, &[(p.time, p.value)]);
-            }
-        }
+        let by_id: Vec<(SeriesId, Timestamp, f64)> = points
+            .iter()
+            .map(|p| (b.register(&p.metric, &p.tags).unwrap(), p.time, p.value))
+            .collect();
+        assert_eq!(b.append(&by_id), points.len() as u64);
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.store.read().epoch, b.store.read().epoch);
         let q = Query::range("m", Timestamp(0), Timestamp(30 * 300)).group_by("device");
         assert_eq!(a.execute(&q).unwrap(), b.execute(&q).unwrap());
         let at = Timestamp(0);
@@ -688,12 +627,91 @@ mod tests {
     }
 
     #[test]
-    fn empty_session_does_not_bump_epoch() {
+    fn an_append_that_writes_nothing_keeps_the_epoch() {
         let db = ShardedTsdb::default();
+        let id = db.register("m", &device_tags("n0")).unwrap();
         let before = db.store.read().epoch;
-        let writer = db.writer();
-        drop(writer.session());
+        assert_eq!(db.append(&[]), 0);
+        assert_eq!(db.append(&[(id, Timestamp(0), f64::NAN)]), 0);
         assert_eq!(db.store.read().epoch, before);
+        assert_eq!(db.append(&[(id, Timestamp(0), 1.0)]), 1);
+        assert_eq!(db.store.read().epoch, before + 1);
+    }
+
+    fn device_tags(device: &str) -> TagSet {
+        [("device".to_string(), device.to_string())].into()
+    }
+
+    #[test]
+    fn register_validates_names_like_datapoint_new() {
+        let db = ShardedTsdb::with_chunk_size(16);
+        assert!(db.register("bad metric", &device_tags("n0")).is_none());
+        assert!(db.register("", &device_tags("n0")).is_none());
+        assert!(db.register("m", &device_tags("bad value")).is_none());
+        let bad_key: TagSet = [("bad key".to_string(), "n0".to_string())].into();
+        assert!(db.register("m", &bad_key).is_none());
+        // Rejected names left nothing behind.
+        assert_eq!(db.stats().series, 0);
+        let id = db.register("m", &device_tags("n0")).expect("valid names");
+        assert_eq!(db.register("m", &device_tags("n0")), Some(id), "idempotent");
+        assert_ne!(db.register("m", &device_tags("n1")), Some(id));
+        // A registered series exists from registration on, with no point.
+        assert_eq!((db.stats().series, db.stats().points), (2, 0));
+    }
+
+    #[test]
+    fn append_skips_non_finite_values_uncounted() {
+        let registry = Registry::new();
+        let mut db = ShardedTsdb::with_chunk_size(16);
+        db.attach_registry(&registry);
+        let id = db.register("m", &device_tags("n0")).expect("valid names");
+        let written = db.append(&[
+            (id, Timestamp(0), 1.0),
+            (id, Timestamp(300), f64::NAN),
+            (id, Timestamp(600), f64::INFINITY),
+            (id, Timestamp(900), f64::NEG_INFINITY),
+            (id, Timestamp(1200), 2.0),
+        ]);
+        assert_eq!(written, 2);
+        assert_eq!(db.stats().points, 2);
+        let snap = registry.snapshot(Timestamp(0));
+        assert_eq!(snap.value("tsdb.shard0.puts"), Some(2));
+        let (stored, _) = db
+            .read_series("m", &device_tags("n0"), Timestamp(0), Timestamp(i64::MAX))
+            .expect("series exists");
+        assert_eq!(stored, vec![(Timestamp(0), 1.0), (Timestamp(1200), 2.0)]);
+    }
+
+    #[test]
+    fn points_years_apart_append_and_read_back() {
+        // The Gorilla first delta does not hold 10⁸ s, so the store must
+        // not put both in one chunk; an encoder panic would surface here.
+        let db = ShardedTsdb::with_chunk_size(16);
+        let id = db.register("m", &device_tags("n0")).expect("valid names");
+        let points = [(Timestamp(0), 1.0), (Timestamp(100_000_000), 2.0)];
+        assert_eq!(db.append(&points.map(|(t, v)| (id, t, v))), 2);
+        db.seal_all();
+        let (stored, _) = db
+            .read_series("m", &device_tags("n0"), Timestamp(0), Timestamp(i64::MAX))
+            .expect("series exists");
+        assert_eq!(stored, points);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_dropped_uncounted() {
+        let registry = Registry::new();
+        let mut db = ShardedTsdb::with_chunk_size(16);
+        db.attach_registry(&registry);
+        let own = db.register("m", &device_tags("n0")).expect("valid names");
+        let mut batch: Vec<(SeriesId, Timestamp, f64)> = (1..64)
+            .chain([u32::MAX])
+            .map(|i| (SeriesId(i), Timestamp(0), 1.0))
+            .collect();
+        batch.push((own, Timestamp(0), 1.0));
+        assert_eq!(db.append(&batch), 1);
+        assert_eq!((db.stats().series, db.stats().points), (1, 1));
+        let snap = registry.snapshot(Timestamp(0));
+        assert_eq!(snap.value("tsdb.shard0.puts"), Some(1));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::error::TsdbError;
 use crate::gorilla::{CompressedChunk, EncCheckpoint, GorillaEncoder};
 use crate::intern::Interner;
-use crate::model::{DataPoint, TagSet};
+use crate::model::{check_series_names, DataPoint, TagSet};
 use crate::rollup::{build_rollups, RollupBucket};
 use ctt_core::time::{Span, Timestamp};
 use std::collections::HashMap;
@@ -205,10 +205,6 @@ pub(crate) struct Series {
     /// Streaming encoder shadowing `open`; `None` after an out-of-order
     /// arrival until the next seal rebuilds it from the sorted tail.
     stream: Option<OpenEnc>,
-    /// Monotone total of compressed bytes this series has ever encoded
-    /// (seal-time chunks plus retention re-encodes). Feeds the ingest
-    /// runtime's `encoded_bytes` counters; never decremented.
-    encoded_bytes_total: u64,
 }
 
 impl Series {
@@ -222,16 +218,14 @@ impl Series {
             index: Vec::new(),
             points: 0,
             stream: Some(OpenEnc::new()),
-            encoded_bytes_total: 0,
         }
     }
 
     /// Append one arrival to the open buffer, keeping the streaming
-    /// encoder in lockstep. The single write entry point shared by
-    /// [`Tsdb::put`] and [`Tsdb::append_run`], and so the one place that
-    /// keeps the buffer's span under [`MAX_OPEN_SPAN_SECS`]: an arrival
-    /// that would stretch it that far, in either direction, seals the
-    /// buffer first and starts the next one.
+    /// encoder in lockstep. Reached only through [`Tsdb::append`], and so
+    /// the one place that keeps the buffer's span under
+    /// [`MAX_OPEN_SPAN_SECS`]: an arrival that would stretch it that far,
+    /// in either direction, seals the buffer first and starts the next one.
     fn push_point(&mut self, t: Timestamp, v: f64, interval: Span) {
         let (lo, hi) = self
             .open_span
@@ -292,7 +286,6 @@ impl Series {
     /// The first seal reserves exactly one slot in each (most series hold
     /// one chunk); later seals grow by doubling.
     fn push_sealed(&mut self, sc: SealedChunk) {
-        self.encoded_bytes_total += sc.chunk.size_bytes() as u64;
         if self.sealed.capacity() == 0 {
             self.sealed.reserve_exact(1);
             self.index.reserve_exact(1);
@@ -672,8 +665,8 @@ impl Tsdb {
     }
 
     /// Intern a series by metric + tags, returning its id (existing or
-    /// freshly created). Ids are dense and never reused, so callers — the
-    /// ingest runtime in particular — may cache them indefinitely.
+    /// freshly created). Ids are dense and never reused, so callers may
+    /// cache them indefinitely.
     pub fn intern(&mut self, metric: &str, tags: &TagSet) -> SeriesId {
         let m = self.metric_names.intern(metric);
         let t = self.tag_sets.intern(tags);
@@ -691,41 +684,34 @@ impl Tsdb {
         id
     }
 
-    /// Append a run of points to an already-interned series, checking the
-    /// seal threshold after every point — byte-identical to calling
-    /// [`Tsdb::put`] once per point, minus the per-point key build and map
-    /// probe. Unknown ids are ignored (ids only come from this store).
-    pub fn append_run(&mut self, id: SeriesId, pts: &[(Timestamp, f64)]) {
-        let interval = self.rollup_interval;
-        let chunk_size = self.chunk_size;
-        if let Some(series) = self.series.get_mut(id.0 as usize) {
-            for &(t, v) in pts {
-                series.push_point(t, v, interval);
-                if series.open.len() >= chunk_size {
-                    series.seal_at_threshold(interval, chunk_size);
-                }
-            }
-        }
+    /// Register a series and get its id: validates the names as
+    /// [`DataPoint::new`] does (`None` on an invalid one), then interns.
+    /// Registering again returns the same id. A registered series holds no
+    /// point until the first [`Tsdb::append`] to it.
+    pub fn register(&mut self, metric: &str, tags: &TagSet) -> Option<SeriesId> {
+        check_series_names(metric, tags).ok()?;
+        Some(self.intern(metric, tags))
     }
 
-    /// Monotone total of compressed bytes this store has encoded (seal
-    /// chunks plus retention re-encodes). Snapshot deltas of this feed the
-    /// ingest runtime's `encoded_bytes` counter.
-    pub fn encoded_bytes_total(&self) -> u64 {
-        self.series.iter().map(|s| s.encoded_bytes_total).sum()
+    /// Append one point to an interned series, sealing its open buffer at
+    /// the chunk-size threshold: the one per-point write. Any f64 is
+    /// stored; [`DataPoint`] is what keeps values finite. Returns false,
+    /// writing nothing, for an id this store never issued.
+    pub fn append(&mut self, id: SeriesId, t: Timestamp, v: f64) -> bool {
+        let Some(series) = self.series.get_mut(id.0 as usize) else {
+            return false;
+        };
+        series.push_point(t, v, self.rollup_interval);
+        if series.open.len() >= self.chunk_size {
+            series.seal_at_threshold(self.rollup_interval, self.chunk_size);
+        }
+        true
     }
 
     /// Insert a data point, interning its series on first sight.
     pub fn put(&mut self, point: &DataPoint) -> SeriesId {
         let id = self.intern(&point.metric, &point.tags);
-        // by_key and series grow together, so an interned id is always in
-        // range; the fallback keeps this path panic-free regardless.
-        if let Some(series) = self.series.get_mut(id.0 as usize) {
-            series.push_point(point.time, point.value, self.rollup_interval);
-            if series.open.len() >= self.chunk_size {
-                series.seal_at_threshold(self.rollup_interval, self.chunk_size);
-            }
-        }
+        self.append(id, point.time, point.value);
         id
     }
 
@@ -911,7 +897,6 @@ impl Tsdb {
         let rollup_interval = self.rollup_interval;
         for s in &mut self.series {
             let mut kept_sealed = Vec::with_capacity(s.sealed.len());
-            let mut reencoded_bytes = 0u64;
             for sc in s.sealed.drain(..) {
                 if sc.end < cutoff {
                     dropped += u64::from(sc.chunk.count());
@@ -942,7 +927,6 @@ impl Tsdb {
                             enc.append(t, v);
                         }
                         let chunk = enc.finish();
-                        reencoded_bytes += chunk.size_bytes() as u64;
                         // Rollups rebuilt over the surviving points only,
                         // their offsets counted from the new first point:
                         // the truncated leading bucket summarizes exactly
@@ -957,7 +941,6 @@ impl Tsdb {
                 }
             }
             s.sealed = kept_sealed;
-            s.encoded_bytes_total += reencoded_bytes;
             s.rebuild_index();
             let before = s.open.len();
             s.open.retain(|&(t, _)| t >= cutoff);
@@ -1290,8 +1273,8 @@ mod tests {
             }
         }
         assert_eq!(db.stats().series, 12 * 9);
-        assert_eq!(db.tag_sets.len(), 12);
-        assert_eq!(db.metric_names.len(), 9);
+        assert_eq!(db.tag_sets.iter().len(), 12);
+        assert_eq!(db.metric_names.iter().len(), 9);
         assert_eq!(db.by_metric.len(), 9);
     }
 

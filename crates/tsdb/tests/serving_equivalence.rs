@@ -1,17 +1,25 @@
 //! Property: the full serving stack (seal-time rollups, the open buffer's
 //! per-query fold, block index, seal-aware cache) is byte-identical to the
 //! raw reference path (uncached, full Gorilla re-decode) for *any*
-//! interleaving of batched writes, in-order appended runs, late
-//! out-of-order points, seals, retention sweeps, and bit-flip corruption.
-//! [`ServePolicy`] chooses how much work a query skips — never what it
-//! answers.
+//! interleaving of batched writes, writes by series id, in-order appended
+//! runs, late out-of-order points, seals, retention sweeps, and bit-flip
+//! corruption. [`ServePolicy`] chooses how much work a query skips — never
+//! what it answers.
+//!
+//! A second store takes every write through `put_batch`. The two write
+//! paths must agree: stats, flip and eviction outcomes, every series'
+//! points, every query shape and the `tsdb.shard0.puts` counter.
 //!
 //! The store uses a small rollup interval (10 min) and chunk size so that
 //! sealed chunks, rollup-served buckets, partially-covered edge buckets,
 //! open-buffer overlaps, and index skips all occur within short workloads.
 
 use ctt_core::time::{Span, Timestamp};
-use ctt_tsdb::{Aggregator, DataPoint, Downsample, FillPolicy, Query, ServePolicy, ShardedTsdb};
+use ctt_obs::Registry;
+use ctt_tsdb::{
+    Aggregator, DataPoint, Downsample, FillPolicy, Query, SeriesId, ServePolicy, ShardedTsdb,
+    TagSet,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -25,14 +33,17 @@ const ROLLUP: Span = Span::minutes(10);
 enum Op {
     /// Write a batch of points (metric idx, device idx, time, value).
     PutBatch(Vec<(u8, u8, i64, f64)>),
+    /// Write the same kind of batch by series id: each series is
+    /// registered at first use, and the batch goes through one
+    /// `ShardedTsdb::append`.
+    Append(Vec<(u8, u8, i64, f64)>),
     /// Force-seal open buffers (materializes rollups + block index).
     SealAll,
     /// Drop everything strictly before the cutoff.
     EvictBefore(i64),
     /// Corrupt one bit of one sealed chunk (drops its rollups).
     FlipBit(u64, u64),
-    /// Append a strictly increasing run to one series through a write
-    /// session, starting `gap` after the series' last point and `step`
+    /// Append a strictly increasing run to one series by its id, starting `gap` after the series' last point and `step`
     /// apart (metric idx, device idx, gap, step, values): the open buffer
     /// stays time-ordered, so its buckets are served from its fold.
     AppendRun(u8, u8, i64, i64, Vec<f64>),
@@ -42,13 +53,14 @@ enum Op {
     LatePoint(u8, u8, i64, f64),
 }
 
+fn specs_strategy() -> impl Strategy<Value = Vec<(u8, u8, i64, f64)>> {
+    proptest::collection::vec((0u8..2, 0u8..4, 0i64..HORIZON, -1e6f64..1e6), 1..48)
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => proptest::collection::vec(
-            (0u8..2, 0u8..4, 0i64..HORIZON, -1e6f64..1e6),
-            1..48
-        )
-        .prop_map(Op::PutBatch),
+        5 => specs_strategy().prop_map(Op::PutBatch),
+        3 => specs_strategy().prop_map(Op::Append),
         2 => Just(Op::SealAll),
         1 => (0i64..HORIZON).prop_map(Op::EvictBefore),
         2 => (0u64..64, 1u64..512).prop_map(|(n, b)| Op::FlipBit(n, b)),
@@ -67,24 +79,31 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn build_point(m: u8, d: u8, t: i64, v: f64) -> DataPoint {
-    DataPoint::new(
-        format!("metric.{m}"),
-        vec![("device".to_string(), format!("node{d}"))],
-        Timestamp(t),
-        v,
-    )
-    .expect("valid point")
+fn metric_name(m: u8) -> String {
+    format!("metric.{m}")
 }
 
-/// Append `pts` to one series through a write session — the ingest
-/// runtime's write path.
-fn append_run(db: &ShardedTsdb, m: u8, d: u8, pts: &[(Timestamp, f64)]) {
-    let p = build_point(m, d, 0, 0.0);
-    let writer = db.writer();
-    let mut session = writer.session();
-    let id = session.intern(&p.metric, &p.tags);
-    session.append_run(id, pts);
+fn device_tags(d: u8) -> TagSet {
+    [("device".to_string(), format!("node{d}"))].into()
+}
+
+fn build_point(m: u8, d: u8, t: i64, v: f64) -> DataPoint {
+    DataPoint::new(metric_name(m), device_tags(d), Timestamp(t), v).expect("valid point")
+}
+
+fn build_batch(specs: &[(u8, u8, i64, f64)]) -> Vec<DataPoint> {
+    specs
+        .iter()
+        .map(|&(m, d, t, v)| build_point(m, d, t, v))
+        .collect()
+}
+
+/// A store with its own registry, so its `puts` counter can be read.
+fn store() -> (ShardedTsdb, Registry) {
+    let registry = Registry::new();
+    let mut db = ShardedTsdb::with_layout(16, ROLLUP);
+    db.attach_registry(&registry);
+    (db, registry)
 }
 
 /// Dashboard query shapes: rollup-servable downsamples (interval matches
@@ -137,66 +156,120 @@ fn queries() -> Vec<Query> {
     ]
 }
 
+/// Apply points by series id to `db` — each series registered at first
+/// use — and through `put_batch` to `mirror`; both must accept the same.
+fn append_both(
+    db: &ShardedTsdb,
+    ids: &mut BTreeMap<(u8, u8), SeriesId>,
+    mirror: &ShardedTsdb,
+    specs: &[(u8, u8, i64, f64)],
+) -> Result<(), TestCaseError> {
+    let by_id: Vec<(SeriesId, Timestamp, f64)> = specs
+        .iter()
+        .map(|&(m, d, t, v)| {
+            let id = *ids.entry((m, d)).or_insert_with(|| {
+                db.register(&metric_name(m), &device_tags(d))
+                    .expect("valid names")
+            });
+            (id, Timestamp(t), v)
+        })
+        .collect();
+    let written = db.append(&by_id);
+    prop_assert_eq!(written, mirror.put_batch(&build_batch(specs)));
+    Ok(())
+}
+
+/// Advance each written series' latest timestamp.
+fn note_latest(last: &mut BTreeMap<(u8, u8), i64>, specs: &[(u8, u8, i64, f64)]) {
+    for &(m, d, t, _) in specs {
+        let l = last.entry((m, d)).or_insert(t);
+        *l = (*l).max(t);
+    }
+}
+
 proptest! {
     /// Replay an arbitrary op sequence; after every op, every query shape
-    /// must answer byte-identically under the full and raw policies, and a
-    /// cache-hot repeat must not change the answer.
+    /// must answer byte-identically under the full and raw policies, a
+    /// cache-hot repeat must not change the answer, and the `put_batch`
+    /// mirror must hold exactly the same data.
     #[test]
     fn full_serving_stack_matches_raw_decode(
         ops in proptest::collection::vec(op_strategy(), 1..12),
     ) {
-        let db = ShardedTsdb::with_layout(16, ROLLUP);
+        let (db, registry) = store();
+        let (mirror, mirror_registry) = store();
+        let mut ids: BTreeMap<(u8, u8), SeriesId> = BTreeMap::new();
         // Each series' latest timestamp written so far.
         let mut last: BTreeMap<(u8, u8), i64> = BTreeMap::new();
         for op in &ops {
             match op {
                 Op::PutBatch(specs) => {
-                    let batch: Vec<DataPoint> = specs
-                        .iter()
-                        .map(|&(m, d, t, v)| build_point(m, d, t, v))
-                        .collect();
-                    db.put_batch(&batch);
-                    for &(m, d, t, _) in specs {
-                        let l = last.entry((m, d)).or_insert(t);
-                        *l = (*l).max(t);
-                    }
+                    let batch = build_batch(specs);
+                    prop_assert_eq!(db.put_batch(&batch), mirror.put_batch(&batch));
+                    note_latest(&mut last, specs);
+                }
+                Op::Append(specs) => {
+                    append_both(&db, &mut ids, &mirror, specs)?;
+                    note_latest(&mut last, specs);
                 }
                 Op::AppendRun(m, d, gap, step, values) => {
                     let first = last.get(&(*m, *d)).map_or(0, |&l| l + gap);
-                    let pts: Vec<(Timestamp, f64)> = values
+                    let specs: Vec<(u8, u8, i64, f64)> = values
                         .iter()
                         .enumerate()
-                        .map(|(i, &v)| (Timestamp(first + i as i64 * step), v))
+                        .map(|(i, &v)| (*m, *d, first + i as i64 * step, v))
                         .collect();
-                    append_run(&db, *m, *d, &pts);
-                    if let Some(&(t, _)) = pts.last() {
-                        last.insert((*m, *d), t.0);
+                    append_both(&db, &mut ids, &mirror, &specs)?;
+                    if let Some(&(_, _, t, _)) = specs.last() {
+                        last.insert((*m, *d), t);
                     }
                 }
                 Op::LatePoint(m, d, back, v) => {
                     let t = last.get(&(*m, *d)).map_or(0, |&l| (l - back).max(0));
-                    db.put_batch(&[build_point(*m, *d, t, *v)]);
+                    let batch = [build_point(*m, *d, t, *v)];
+                    db.put_batch(&batch);
+                    mirror.put_batch(&batch);
                     last.entry((*m, *d)).or_insert(t);
                 }
-                Op::SealAll => db.seal_all(),
+                Op::SealAll => {
+                    db.seal_all();
+                    mirror.seal_all();
+                }
                 // Retention may legitimately report a corrupt straddling
                 // chunk after FlipBit; equivalence must hold either way.
                 Op::EvictBefore(cutoff) => {
-                    let _ = db.evict_before(Timestamp(*cutoff));
+                    let a = db.evict_before(Timestamp(*cutoff));
+                    let b = mirror.evict_before(Timestamp(*cutoff));
+                    prop_assert_eq!(a, b, "evictions diverged");
                 }
                 Op::FlipBit(nth, bit) => {
-                    db.flip_chunk_bit(*nth, *bit);
+                    let a = db.flip_chunk_bit(*nth, *bit);
+                    prop_assert_eq!(a, mirror.flip_chunk_bit(*nth, *bit), "flips diverged");
                 }
             }
+            prop_assert_eq!(db.stats(), mirror.stats(), "stats diverged after {:?}", op);
             for q in queries() {
                 let raw = db.execute_with(&q, ServePolicy::raw());
                 let full = db.execute_with(&q, ServePolicy::full());
                 prop_assert_eq!(&full, &raw, "policy diverged on {:?} after {:?}", q, op);
                 let cached = db.execute_with(&q, ServePolicy::full());
                 prop_assert_eq!(&cached, &raw, "cache-hot repeat diverged on {:?}", q);
+                let mirrored = mirror.execute_with(&q, ServePolicy::raw());
+                prop_assert_eq!(&mirrored, &raw, "write paths diverged on {:?}", q);
             }
         }
         // The workload above must actually exercise the cache.
         prop_assert!(db.cache_stats().misses > 0);
+        prop_assert_eq!(db.metrics(), mirror.metrics());
+        for m in 0..2u8 {
+            for d in 0..4u8 {
+                let read = |s: &ShardedTsdb| {
+                    s.read_series(&metric_name(m), &device_tags(d), Timestamp(0), Timestamp(i64::MAX))
+                };
+                prop_assert_eq!(read(&db), read(&mirror), "series m={} d={} diverged", m, d);
+            }
+        }
+        let puts = |r: &Registry| r.snapshot(Timestamp(0)).value("tsdb.shard0.puts");
+        prop_assert_eq!(puts(&registry), puts(&mirror_registry));
     }
 }

@@ -31,14 +31,13 @@ use ctt_core::scenario::ScenarioSet;
 use ctt_core::time::{Span, Timestamp};
 use ctt_core::units::Dbm;
 use ctt_dataport::{AlarmKind, Dataport, DataportConfig};
-use ctt_ingest::{IngestConfig, IngestRuntime, SeriesRef};
 use ctt_lorawan::{
     collision_horizon, DataRate, GatewayConfig, LinkBackoff, NetworkServer, RadioSimulator,
     SimConfig, TxRequest, UplinkFrame, UplinkRecord,
 };
 use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
 use ctt_sim::{EventQueue, QueueObs, Schedulable, SimClock};
-use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, ShardedTsdb, TagSet};
+use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, SeriesId, ShardedTsdb, TagSet};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -193,11 +192,6 @@ pub struct Pipeline {
     /// The time-series store (public: queried by analyses and dashboards).
     /// One store behind one lock; safe to query from other threads.
     pub tsdb: ShardedTsdb,
-    /// The staged ingest runtime in front of the store: one lane, applied
-    /// on this thread. All pipeline writes go through it,
-    /// and only inside `run_until`, which ends with a flush: no `&self`
-    /// read ever finds a staged point.
-    ingest: IngestRuntime,
     /// The monitoring dataport.
     pub dataport: Dataport,
     radio_state: HashMap<DevEui, RadioState>,
@@ -225,15 +219,15 @@ pub struct Pipeline {
     chaos_dead: HashMap<DevEui, bool>,
     /// Deployment order of each device, for health toggling by EUI.
     node_index: HashMap<DevEui, usize>,
-    /// The storage consumer's series handles per device, registered with
-    /// the ingest runtime at the device's first decoded uplink — deployment
-    /// node, synthetic spike device or chaos-mangled EUI alike, so handles
-    /// are issued in the order the store first sees the series. `None`
+    /// The storage consumer's series ids per device, registered with the
+    /// store at the device's first decoded uplink — deployment node,
+    /// synthetic spike device or chaos-mangled EUI alike — whose points the
+    /// same drain pass appends, so ids follow first-point order. `None`
     /// marks a device whose series names failed validation: its points are
     /// dropped uncounted.
-    series: HashMap<DevEui, Option<[SeriesRef; SERIES_PER_DEVICE]>>,
+    series: HashMap<DevEui, Option<[SeriesId; SERIES_PER_DEVICE]>>,
     /// One drain pass's points, reused across passes.
-    points: Vec<(SeriesRef, Timestamp, f64)>,
+    points: Vec<(SeriesId, Timestamp, f64)>,
     /// The metrics registry every layer publishes into (broker subscriber
     /// counters, TSDB store counters, chaos activations).
     registry: Registry,
@@ -281,9 +275,6 @@ impl Pipeline {
         let storage_sub = broker.subscribe(UplinkEvent::all_filter(), QoS::AtLeastOnce, 65_536);
         let mut tsdb = ShardedTsdb::default();
         tsdb.attach_registry(&registry);
-        // The runtime captures the store's writer handle (and its put
-        // counter), so it must be built after attach_registry.
-        let ingest = IngestRuntime::new(&tsdb, &registry, IngestConfig::default());
         let mut dataport = Dataport::new(DataportConfig::default());
         for n in &deployment.nodes {
             dataport.register_sensor(n.eui);
@@ -324,7 +315,6 @@ impl Pipeline {
             broker,
             storage_sub,
             tsdb,
-            ingest,
             dataport,
             radio_state: HashMap::new(),
             scenario: ScenarioSet::new(),
@@ -649,10 +639,6 @@ impl Pipeline {
             self.radio.resolve_until(next_tx);
         }
         self.process_radio_outcomes();
-        // Ingest flush: the segment's writes are fully applied
-        // before anything outside the segment (queries, fleet rollups,
-        // replay comparisons) can observe the store.
-        self.ingest.flush();
         self.clock.advance(end);
     }
 
@@ -747,9 +733,6 @@ impl Pipeline {
         if self.chaos.is_none() {
             return;
         }
-        // Bit flips target "the nth sealed chunk": drain the ingest lane
-        // so the chunk population at this instant matches a serial replay.
-        self.ingest.flush();
         let flips = self
             .chaos
             .as_mut()
@@ -1041,7 +1024,7 @@ impl Pipeline {
 
     /// One bounded drain pass: up to `limit` deliveries through the
     /// exactly-once ack gate, each decoded and applied in delivery order,
-    /// then one `submit_resolved` for the pass.
+    /// then one `ShardedTsdb::append` for the pass.
     fn drain_storage(&mut self, limit: usize) {
         let mut event = std::mem::take(&mut self.inbound);
         let mut taken = 0;
@@ -1060,7 +1043,7 @@ impl Pipeline {
             self.decode_delivery(&mut event, &delivery.message.payload);
         }
         self.inbound = event;
-        self.stats.points_stored += self.ingest.submit_resolved(&self.points);
+        self.stats.points_stored += self.tsdb.append(&self.points);
         self.points.clear();
         // Queue headroom opened: pull back QoS1 deliveries deferred while
         // it was full. One round per pass — a scheduled drain picks up
@@ -1117,17 +1100,17 @@ impl Pipeline {
     }
 
     /// Turn one decoded uplink into its TSDB points, appended to the batch
-    /// the storage stage submits with one `submit_resolved` call.
+    /// the storage stage writes with one `ShardedTsdb::append` call.
     fn collect_points(&mut self, event: &UplinkEvent, reading: &SensorReading, skew: Span) {
-        let handles = match self.series.get(&event.device) {
-            Some(&handles) => handles,
+        let ids = match self.series.get(&event.device) {
+            Some(&ids) => ids,
             None => {
-                let handles = self.register_device(event.device);
-                self.series.insert(event.device, handles);
-                handles
+                let ids = self.register_device(event.device);
+                self.series.insert(event.device, ids);
+                ids
             }
         };
-        let Some(handles) = handles else {
+        let Some(ids) = ids else {
             return;
         };
         // Clock skew perturbs only the stored timestamps — the twins (and
@@ -1138,24 +1121,24 @@ impl Pipeline {
             .map(|&q| reading.value(q))
             .chain(std::iter::once(event.rssi_dbm));
         self.points
-            .extend(handles.iter().zip(values).map(|(&h, v)| (h, at, v)));
+            .extend(ids.iter().zip(values).map(|(&id, v)| (id, at, v)));
     }
 
-    /// Register one device's series with the ingest runtime, in the order
-    /// its points are stored. `None` if the runtime refuses a name.
-    fn register_device(&mut self, device: DevEui) -> Option<[SeriesRef; SERIES_PER_DEVICE]> {
+    /// Register one device's series with the store, in the order its
+    /// points are stored. `None` if the store refuses a name.
+    fn register_device(&self, device: DevEui) -> Option<[SeriesId; SERIES_PER_DEVICE]> {
         let tags: TagSet = [
             ("city".to_string(), self.city_slug.clone()),
             ("device".to_string(), format!("{:016x}", device.0)),
         ]
         .into();
-        let handles: Vec<SeriesRef> = Quantity::ALL
+        let ids: Vec<SeriesId> = Quantity::ALL
             .iter()
             .map(|q| q.metric_name())
             .chain(std::iter::once(RSSI_METRIC.to_string()))
-            .map(|metric| self.ingest.register(&metric, &tags))
+            .map(|metric| self.tsdb.register(&metric, &tags))
             .collect::<Option<_>>()?;
-        handles.try_into().ok()
+        ids.try_into().ok()
     }
 
     /// Query one device's series for a quantity over `[from, to)` at the
