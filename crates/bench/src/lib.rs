@@ -51,15 +51,6 @@ pub fn loaded_tsdb(devices: u32, points: usize) -> Tsdb {
     db
 }
 
-/// Run-shaped ingest workload for the ingest benches: `points` synthetic
-/// points for each of `devices` devices, one device's history after
-/// another.
-pub fn device_points(devices: u32, points: usize) -> Vec<DataPoint> {
-    (0..devices)
-        .flat_map(|d| synthetic_points(d, 0, points))
-        .collect()
-}
-
 /// Points one uplink stores: the eight payload quantities plus RSSI.
 pub const POINTS_PER_UPLINK: usize = Quantity::ALL.len() + 1;
 
@@ -67,9 +58,9 @@ pub const POINTS_PER_UPLINK: usize = Quantity::ALL.len() + 1;
 /// each of `devices` devices delivers one uplink, and every uplink is
 /// [`POINTS_PER_UPLINK`] points — one per metric, same timestamp — in the
 /// storage consumer's order. Consecutive points therefore always belong to
-/// *different* series (the opposite of [`device_points`], where one
-/// device's whole history is contiguous), which is what the store
-/// actually receives from the storage consumer.
+/// *different* series (the opposite of a bulk import, where one device's
+/// whole history is contiguous), which is what the store actually receives
+/// from the storage consumer.
 pub fn uplink_points(devices: u32, uplinks: usize) -> Vec<DataPoint> {
     let start = Timestamp::from_civil(2017, 1, 1, 0, 0, 0);
     let metrics: Vec<String> = Quantity::ALL

@@ -1,4 +1,4 @@
-//! Bit-level reader/writer used by the Gorilla codec.
+//! Bit-level reader/writer used by the Gorilla codec and the rollup blocks.
 
 /// Append-only bit writer over a byte vector (MSB-first within bytes).
 #[derive(Debug, Default, Clone)]
@@ -12,6 +12,19 @@ impl BitWriter {
     /// New empty writer.
     pub fn new() -> Self {
         BitWriter::default()
+    }
+
+    /// New empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bytes),
+            used: 0,
+        }
+    }
+
+    /// The bytes written so far (the final one possibly partial).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// Total bits written.
@@ -39,38 +52,41 @@ impl BitWriter {
         self.used += 1;
     }
 
-    /// Write the lowest `n` bits of `value`, most significant first.
-    /// Fills the final byte's free bits in one OR per byte rather than one
-    /// call per bit — this sits under every Gorilla value encode, where a
-    /// noisy double emits 50+ significand bits per point.
+    /// Write the lowest `n` bits of `value`, most significant first: the
+    /// final byte's free bits first, then the rest as whole big-endian
+    /// bytes in one copy. This sits under every Gorilla value encode, where
+    /// a noisy double emits 50+ significand bits per point.
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u8) {
         debug_assert!(n <= 64);
-        let mut left = usize::from(n);
+        let mut left = u32::from(n);
         // Bits above `n` are ignored, matching the bit-at-a-time contract.
-        let mut value = if left == 64 {
-            value
-        } else {
-            value & (1u64 << left).wrapping_sub(1)
-        };
-        while left > 0 {
-            if self.used == 0 || self.used == 8 {
-                self.bytes.push(0);
-                self.used = 0;
-            }
-            let free = 8 - usize::from(self.used);
+        let value = value & u64::MAX.checked_shr(64 - left).unwrap_or(0);
+        if left == 0 {
+            return;
+        }
+        if self.used != 0 && self.used != 8 {
+            let free = 8 - u32::from(self.used);
             let take = free.min(left);
-            let rest = left - take;
-            let chunk = (value >> rest) as u8 & ((1u16 << take) - 1) as u8;
+            left -= take;
+            let chunk = (value >> left) as u8 & ((1u16 << take) - 1) as u8;
             if let Some(last) = self.bytes.last_mut() {
                 *last |= chunk << (free - take);
             }
             self.used += take as u8;
-            left = rest;
-            if rest < 64 {
-                value &= (1u64 << rest).wrapping_sub(1);
+            if left == 0 {
+                return;
             }
         }
+        // Byte-aligned: the remaining `left` bits, top-aligned in a word,
+        // are its first `left.div_ceil(8)` big-endian bytes (zero-padded).
+        let word = (value << (64 - left)).to_be_bytes();
+        self.bytes
+            .extend_from_slice(word.get(..left.div_ceil(8) as usize).unwrap_or(&[]));
+        self.used = match left % 8 {
+            0 => 8,
+            rest => rest as u8,
+        };
     }
 
     /// Finish, returning the underlying bytes at their exact length: the
@@ -140,6 +156,11 @@ impl<'a> BitReader<'a> {
         self.bytes.len() * 8 - self.pos_bits
     }
 
+    /// Bytes consumed so far, a partly read byte counted whole.
+    pub fn position_bytes(&self) -> usize {
+        self.pos_bits.div_ceil(8)
+    }
+
     /// Read one bit; `None` at end of stream.
     pub fn read_bit(&mut self) -> Option<bool> {
         let byte = self.bytes.get(self.pos_bits / 8)?;
@@ -156,6 +177,15 @@ impl<'a> BitReader<'a> {
         let mut left = usize::from(n);
         if self.remaining_bits() < left {
             return None;
+        }
+        // Fast path: the bits lie inside one big-endian 8-byte window.
+        let (at, skip) = (self.pos_bits / 8, self.pos_bits % 8);
+        if left > 0 && left + skip <= 64 {
+            if let Some(window) = self.bytes.get(at..at + 8) {
+                let word = u64::from_be_bytes(<[u8; 8]>::try_from(window).ok()?);
+                self.pos_bits += left;
+                return Some((word << skip) >> (64 - left));
+            }
         }
         let mut v = 0u64;
         while left > 0 {
@@ -205,6 +235,53 @@ mod tests {
         assert_eq!(r.read_bits(32), Some(0xDEAD_BEEF));
         assert_eq!(r.read_bits(1), Some(1));
         assert_eq!(r.read_bits(64), Some(u64::MAX));
+    }
+
+    #[test]
+    fn write_bits_matches_bit_by_bit_writes() {
+        // Every width at every alignment, with bits above `n` set.
+        let mut fast = BitWriter::new();
+        let mut slow = BitWriter::new();
+        for i in 0..400u64 {
+            let n = (i * 7 % 65) as u8;
+            let value = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | (u64::MAX << n.min(63));
+            fast.write_bits(value, n);
+            for bit in (0..n).rev() {
+                slow.write_bit((value >> bit) & 1 == 1);
+            }
+            assert_eq!(fast.len_bits(), slow.len_bits(), "{i}");
+            assert_eq!(fast.bytes, slow.bytes, "{i}");
+        }
+    }
+
+    #[test]
+    fn window_reads_match_bit_by_bit_reads() {
+        // `read_bits` takes its bits from one 8-byte window wherever one
+        // fits, and byte by byte near the end of the stream.
+        let mut w = BitWriter::new();
+        for i in 0..40u64 {
+            w.write_bits(
+                i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+                (i % 64 + 1) as u8,
+            );
+        }
+        let bytes = w.into_bytes();
+        for start in 0..bytes.len() * 8 {
+            for n in 0..=64u8 {
+                let mut fast = BitReader::new(&bytes);
+                let mut slow = BitReader::new(&bytes);
+                for _ in 0..start {
+                    fast.read_bit();
+                    slow.read_bit();
+                }
+                let expected =
+                    (0..n).try_fold(0u64, |v, _| Some((v << 1) | u64::from(slow.read_bit()?)));
+                assert_eq!(fast.read_bits(n), expected, "{n} bits at {start}");
+                if expected.is_some() {
+                    assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+                }
+            }
+        }
     }
 
     #[test]

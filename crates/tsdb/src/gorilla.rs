@@ -26,9 +26,7 @@ pub struct GorillaEncoder {
     count: u32,
     prev_ts: i64,
     prev_delta: i64,
-    prev_value_bits: u64,
-    prev_leading: u8,
-    prev_trailing: u8,
+    values: XorEncoder,
 }
 
 impl Default for GorillaEncoder {
@@ -45,9 +43,7 @@ impl GorillaEncoder {
             count: 0,
             prev_ts: 0,
             prev_delta: 0,
-            prev_value_bits: 0,
-            prev_leading: u8::MAX, // "no window yet"
-            prev_trailing: 0,
+            values: XorEncoder::default(),
         }
     }
 
@@ -68,7 +64,7 @@ impl GorillaEncoder {
         let vbits = value.to_bits();
         if self.count == 0 {
             self.w.write_bits(ts as u64, 64);
-            self.w.write_bits(vbits, 64);
+            self.values = XorEncoder::start(&mut self.w, vbits);
         } else {
             // lint:allow(panic): a series seals its sorted buffer, so appends are in time order
             assert!(ts >= self.prev_ts, "out-of-order append to chunk");
@@ -100,44 +96,9 @@ impl GorillaEncoder {
                 }
             }
             self.prev_delta = delta;
-            // Value XOR encoding.
-            let xor = vbits ^ self.prev_value_bits;
-            if xor == 0 {
-                self.w.write_bit(false);
-            } else {
-                let leading = (xor.leading_zeros() as u8).min(31);
-                let trailing = xor.trailing_zeros() as u8;
-                if self.prev_leading != u8::MAX
-                    && leading >= self.prev_leading
-                    && trailing >= self.prev_trailing
-                {
-                    // Fits the previous window: control bits `10`, then the
-                    // significand — fused into one write when they fit a
-                    // u64 together (xor >> prev_trailing has at most `sig`
-                    // significant bits here, so the OR never collides).
-                    let sig = 64 - self.prev_leading - self.prev_trailing;
-                    if sig <= 62 {
-                        self.w
-                            .write_bits((0b10 << sig) | (xor >> self.prev_trailing), sig + 2);
-                    } else {
-                        self.w.write_bits(0b10, 2);
-                        self.w.write_bits(xor >> self.prev_trailing, sig);
-                    }
-                } else {
-                    // New window: control bits `11`, the 5-bit leading
-                    // count, and the 6-bit `sig-1` (sig is 1..=64) — one
-                    // 13-bit header — then the significand.
-                    let sig = 64 - leading - trailing;
-                    let header = (0b11 << 11) | (u64::from(leading) << 6) | u64::from(sig - 1);
-                    self.w.write_bits(header, 13);
-                    self.w.write_bits(xor >> trailing, sig);
-                    self.prev_leading = leading;
-                    self.prev_trailing = trailing;
-                }
-            }
+            self.values.push(&mut self.w, vbits);
         }
         self.prev_ts = ts;
-        self.prev_value_bits = vbits;
         self.count += 1;
     }
 
@@ -160,9 +121,7 @@ impl GorillaEncoder {
             count: self.count,
             prev_ts: self.prev_ts,
             prev_delta: self.prev_delta,
-            prev_value_bits: self.prev_value_bits,
-            prev_leading: self.prev_leading,
-            prev_trailing: self.prev_trailing,
+            values: self.values,
         }
     }
 
@@ -173,9 +132,7 @@ impl GorillaEncoder {
         self.count = ck.count;
         self.prev_ts = ck.prev_ts;
         self.prev_delta = ck.prev_delta;
-        self.prev_value_bits = ck.prev_value_bits;
-        self.prev_leading = ck.prev_leading;
-        self.prev_trailing = ck.prev_trailing;
+        self.values = ck.values;
     }
 }
 
@@ -187,9 +144,132 @@ pub struct EncCheckpoint {
     count: u32,
     prev_ts: i64,
     prev_delta: i64,
-    prev_value_bits: u64,
+    values: XorEncoder,
+}
+
+/// Gorilla's XOR float coder, the value half of a chunk's stream, shared
+/// with the rollup block's float columns. The first value is written raw
+/// (64 bits); each later one as its XOR with the value before: `0` (same)
+/// | `10` + the significand in the previous leading/trailing window | `11`
+/// + 5-bit leading + 6-bit `sig - 1` + the significand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct XorEncoder {
+    prev_bits: u64,
     prev_leading: u8,
     prev_trailing: u8,
+}
+
+impl Default for XorEncoder {
+    fn default() -> Self {
+        XorEncoder {
+            prev_bits: 0,
+            prev_leading: u8::MAX, // "no window yet"
+            prev_trailing: 0,
+        }
+    }
+}
+
+impl XorEncoder {
+    /// Start a stream: write its first value raw.
+    #[inline]
+    pub(crate) fn start(w: &mut BitWriter, vbits: u64) -> Self {
+        w.write_bits(vbits, 64);
+        XorEncoder {
+            prev_bits: vbits,
+            ..XorEncoder::default()
+        }
+    }
+
+    /// Write one value after the first.
+    #[inline]
+    pub(crate) fn push(&mut self, w: &mut BitWriter, vbits: u64) {
+        let xor = vbits ^ self.prev_bits;
+        self.prev_bits = vbits;
+        if xor == 0 {
+            w.write_bit(false);
+            return;
+        }
+        let leading = (xor.leading_zeros() as u8).min(31);
+        let trailing = xor.trailing_zeros() as u8;
+        if self.prev_leading != u8::MAX
+            && leading >= self.prev_leading
+            && trailing >= self.prev_trailing
+        {
+            // Fits the previous window: control bits `10`, then the
+            // significand — fused into one write when they fit a u64
+            // together (xor >> prev_trailing has at most `sig` significant
+            // bits here, so the OR never collides).
+            let sig = 64 - self.prev_leading - self.prev_trailing;
+            if sig <= 62 {
+                w.write_bits((0b10 << sig) | (xor >> self.prev_trailing), sig + 2);
+            } else {
+                w.write_bits(0b10, 2);
+                w.write_bits(xor >> self.prev_trailing, sig);
+            }
+        } else {
+            // New window: control bits `11`, the 5-bit leading count, and
+            // the 6-bit `sig-1` (sig is 1..=64) — one 13-bit header — then
+            // the significand, fused into one write when they fit a u64.
+            let sig = 64 - leading - trailing;
+            let header = (0b11 << 11) | (u64::from(leading) << 6) | u64::from(sig - 1);
+            if sig <= 51 {
+                w.write_bits((header << sig) | (xor >> trailing), sig + 13);
+            } else {
+                w.write_bits(header, 13);
+                w.write_bits(xor >> trailing, sig);
+            }
+            self.prev_leading = leading;
+            self.prev_trailing = trailing;
+        }
+    }
+}
+
+/// Reads what [`XorEncoder`] wrote.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct XorDecoder {
+    bits: u64,
+    leading: u8,
+    trailing: u8,
+}
+
+impl XorDecoder {
+    /// Read a stream's raw first value; `None` when the stream is too short.
+    #[inline]
+    pub(crate) fn start(r: &mut BitReader) -> Option<(Self, u64)> {
+        let bits = r.read_bits(64)?;
+        Some((
+            XorDecoder {
+                bits,
+                ..XorDecoder::default()
+            },
+            bits,
+        ))
+    }
+
+    /// Read the next value's bits. `Err(None)` when the stream ends first,
+    /// `Err(Some(_))` on a window header no encoder writes.
+    #[inline]
+    pub(crate) fn next(&mut self, r: &mut BitReader) -> Result<u64, Option<TsdbError>> {
+        if r.read_bit().ok_or(None)? {
+            if r.read_bit().ok_or(None)? {
+                let leading = r.read_bits(5).ok_or(None)? as u8;
+                let sig = r.read_bits(6).ok_or(None)? as u8 + 1;
+                // A corrupt header can claim leading + sig > 64, which
+                // would underflow `trailing` below. Reject it.
+                if leading + sig > 64 {
+                    return Err(Some(TsdbError::InvalidValueWindow {
+                        leading,
+                        significant: sig,
+                    }));
+                }
+                self.leading = leading;
+                self.trailing = 64 - leading - sig;
+            }
+            let sig = 64 - self.leading - self.trailing;
+            self.bits ^= r.read_bits(sig).ok_or(None)? << self.trailing;
+        }
+        Ok(self.bits)
+    }
 }
 
 /// A sealed compressed chunk.
@@ -239,11 +319,9 @@ impl CompressedChunk {
         };
         let mut r = BitReader::new(&self.data);
         let mut ts = r.read_bits(64).ok_or_else(|| truncated(0))? as i64;
-        let mut vbits = r.read_bits(64).ok_or_else(|| truncated(0))?;
+        let (mut values, vbits) = XorDecoder::start(&mut r).ok_or_else(|| truncated(0))?;
         out.push((Timestamp(ts), f64::from_bits(vbits)));
         let mut delta: i64 = 0;
-        let mut leading: u8 = 0;
-        let mut trailing: u8 = 0;
         for i in 1..self.count {
             let short = truncated(i as usize);
             if i == 1 {
@@ -263,28 +341,7 @@ impl CompressedChunk {
                 delta = delta.wrapping_add(dod);
             }
             ts = ts.wrapping_add(delta);
-            // Value.
-            if r.read_bit().ok_or(short.clone())? {
-                if r.read_bit().ok_or(short.clone())? {
-                    leading = r.read_bits(5).ok_or(short.clone())? as u8;
-                    let sig = r.read_bits(6).ok_or(short.clone())? as u8 + 1;
-                    // A corrupt header can claim leading + sig > 64, which
-                    // would underflow `trailing` below. Reject it.
-                    if leading + sig > 64 {
-                        return Err(TsdbError::InvalidValueWindow {
-                            leading,
-                            significant: sig,
-                        });
-                    }
-                    trailing = 64 - leading - sig;
-                    let bits = r.read_bits(sig).ok_or(short.clone())?;
-                    vbits ^= bits << trailing;
-                } else {
-                    let sig = 64 - leading - trailing;
-                    let bits = r.read_bits(sig).ok_or(short.clone())?;
-                    vbits ^= bits << trailing;
-                }
-            }
+            let vbits = values.next(&mut r).map_err(|e| e.unwrap_or(short))?;
             out.push((Timestamp(ts), f64::from_bits(vbits)));
         }
         Ok(out)

@@ -11,7 +11,8 @@
 //! * [`store`] — interned series, chunked storage, a per-series
 //!   time-range block index, retention, stats.
 //! * [`rollup`] — seal-time materialized rollups (pre-downsampled
-//!   per-bucket summaries) serving dashboard queries without decode.
+//!   per-bucket summaries, one encoded block per sealed chunk) serving
+//!   dashboard queries without a chunk decode.
 //! * [`shard`] — a city's one store: a [`Tsdb`] and its mutation epoch
 //!   behind one lock, written by [`SeriesId`] or by [`DataPoint`], with
 //!   served queries.

@@ -8,7 +8,7 @@
 
 use crate::error::TsdbError;
 use crate::model::{TagFilter, TagSet};
-use crate::rollup::{find_bucket, offset_of, rollup_servable, RollupBucket};
+use crate::rollup::{find_bucket, offset_of, rollup_servable, BlockColumns, RollupBucket};
 use crate::store::{dedup_last_write_wins, ScanCounts, SealedChunk, Series, SeriesId, Tsdb};
 use ctt_core::measurement::Series as OutSeries;
 use ctt_core::stats::quantile;
@@ -348,15 +348,17 @@ fn to_rate(points: &[(Timestamp, f64)]) -> Vec<(Timestamp, f64)> {
 
 /// Serve one series' downsample over `[start, end)` bucket by bucket,
 /// answering from a fold wherever a bucket is provably owned by one: the
-/// seal-time rollups of the single sealed chunk that covers it, or — for a
-/// bucket only the open buffer covers — that buffer folded once per call
-/// with the same [`build_rollups`] a seal uses (when the buffer is strictly
-/// time-ordered; see [`Series::open_rollups`]). Everywhere else it decodes
-/// raw points, memoized per chunk. The output is bit-identical to
-/// `downsample_points(collect(start, end), ...)`: fold values replay the
-/// raw aggregator folds exactly (see [`crate::rollup`]), and every bucket
-/// no fold can prove goes through the same decode → sort → dedup →
-/// aggregate sequence the raw path uses.
+/// seal-time rollup block of the single sealed chunk that covers it
+/// (decoded once per chunk into `columns`, which the caller reuses across
+/// series), or — for a bucket only the open buffer covers — that buffer
+/// folded once per call by the fold a seal encodes (when the buffer is
+/// strictly time-ordered; see [`Series::open_rollups`]). Everywhere else
+/// it decodes raw points, memoized per chunk. The output is bit-identical
+/// to `downsample_points(collect(start, end), ...)`: fold values replay
+/// the raw aggregator folds exactly (see [`crate::rollup`]), and every
+/// bucket no fold can prove — or whose block does not decode — goes
+/// through the same decode → sort → dedup → aggregate sequence the raw
+/// path uses.
 #[allow(clippy::too_many_arguments)]
 fn serve_downsample_series(
     s: &Series,
@@ -365,6 +367,7 @@ fn serve_downsample_series(
     ds: Downsample,
     rollup_interval: Span,
     seed: Option<f64>,
+    columns: &mut BlockColumns,
     quarantine: &mut crate::store::QuarantineReport,
     counts: &mut ScanCounts,
 ) -> Vec<(Timestamp, f64)> {
@@ -380,7 +383,7 @@ fn serve_downsample_series(
     counts.chunks_skipped += skipped;
     let open_span = s.open_span();
     // Bucket `k` of the loop starts `k` intervals after `grid`. A rollup
-    // vector's offsets count from its own base, so each vector is placed on
+    // block's offsets count from its own base, so each block is placed on
     // this grid once (`offset_of`, one division) and bucket `k` is then its
     // offset `placed + k`: no division per bucket.
     let grid = start.align_down(ds.interval);
@@ -389,8 +392,10 @@ fn serve_downsample_series(
     // bucket needs it: `Some(None)` when the buffer is out of order and
     // cannot be folded.
     let mut head: Option<Option<(Option<i64>, Vec<RollupBucket>)>> = None;
-    // The last sealed chunk that answered, and its placement.
-    let mut placed_chunk: Option<(usize, Option<i64>)> = None;
+    // The sealed chunk whose block `columns` holds, and its placement:
+    // `None` when the block did not decode. A chunk's buckets are
+    // contiguous in the walk, so each block is decoded at most once.
+    let mut loaded: Option<(usize, Option<Option<i64>>)> = None;
     // Per-call decode memo: a chunk is decoded (and, on failure,
     // quarantine-counted) at most once, matching the raw path's accounting.
     let mut memo: BTreeMap<usize, Option<Vec<(Timestamp, f64)>>> = BTreeMap::new();
@@ -423,20 +428,26 @@ fn serve_downsample_series(
                 ([only], false) => {
                     if let Some(SealedChunk {
                         start: first,
-                        rollups: Some(rollups),
+                        rollups: Some(block),
                         ..
                     }) = s.sealed.get(*only)
                     {
-                        let placed = match placed_chunk {
+                        let placed = match loaded {
                             Some((i, placed)) if i == *only => placed,
-                            _ => place(first.align_down(rollup_interval)),
+                            _ => {
+                                let placed = columns
+                                    .load(block, ds.aggregator)
+                                    .then(|| place(first.align_down(rollup_interval)));
+                                loaded = Some((*only, placed));
+                                placed
+                            }
                         };
-                        placed_chunk = Some((*only, placed));
-                        resolved = true;
-                        counts.rollup_buckets += 1;
-                        value = placed
-                            .and_then(|p| find_bucket(rollups, p.saturating_add(k)))
-                            .and_then(|b| b.value_for(ds.aggregator));
+                        if let Some(placed) = placed {
+                            resolved = true;
+                            counts.rollup_buckets += 1;
+                            value = placed
+                                .and_then(|p| columns.value_at(p.saturating_add(k), ds.aggregator));
+                        }
                     }
                 }
                 // Only the open buffer can hold the bucket's points.
@@ -562,6 +573,7 @@ fn collect_groups(
         .map(|(k, _)| k)
         .collect();
     let mut groups: BTreeMap<TagSet, GroupCollection> = BTreeMap::new();
+    let mut columns = BlockColumns::default();
     for id in matching {
         let mut group = TagSet::new();
         for &k in &group_keys {
@@ -592,6 +604,7 @@ fn collect_groups(
                         ds,
                         db.rollup_interval(),
                         seed,
+                        &mut columns,
                         &mut entry.quarantine,
                         counts,
                     )

@@ -15,21 +15,48 @@
 //! (`Median`, `P95`, `Dev`) and `First`, which no dashboard asks for, are
 //! never rollup-served.
 //!
-//! A bucket is 40 bytes: its start as a `u32` count of intervals from the
-//! chunk's *base* (the first point's bucket start, `align_down(interval)`),
-//! its point count, and the four folds. A chunk spans less than 2²⁶
-//! seconds and the interval is at least one second, so the offset fits;
-//! where it would not, [`build_rollups`] builds nothing and the chunk is
-//! served raw.
+//! A bucket ([`RollupBucket`]) is its start as a `u32` count of intervals
+//! from the chunk's *base* (the first point's bucket start,
+//! `align_down(interval)`), its point count, and the four folds. A chunk
+//! spans less than 2²⁶ seconds and the interval is at least one second, so
+//! the offset fits; where it would not, [`build_rollups`] builds nothing
+//! and the chunk is served raw.
+//!
+//! **Block layout.** A sealed chunk keeps its buckets as one
+//! [`RollupBlock`], encoded in the single walk that folds them:
+//!
+//! * header — five LEB128 varints: the bucket count `n`, then the byte
+//!   lengths of the `sum`, `min`, `max` and `last` columns;
+//! * integer section, bit-packed and padded with zeros to a byte — the
+//!   offsets as runs of equal deltas (the first from 0), then the counts as
+//!   runs of equal values, each run an Elias-gamma `value + 1` and an
+//!   Elias-gamma length; the runs of a column add up to `n`;
+//! * four float columns, `sum`, `min`, `max`, `last`, each a zero-padded
+//!   bitstream of `gorilla::XorEncoder`, the coder Gorilla chunks store
+//!   their values with.
+//!
+//! The integer section takes the bytes the header leaves, so a block's
+//! length is fixed by its header: a truncated block never parses.
+//!
+//! A query decodes a block at most once per chunk, into `BlockColumns`:
+//! the offsets plus the columns its aggregator reads (`Avg`: counts and
+//! `sum`; `Max`: `max`). A block whose header, runs or columns do not add
+//! up — a short or garbled block — decodes to nothing, and its buckets are
+//! served raw. A block carries no checksum: a flipped significand bit
+//! decodes to a wrong value unseen, which is why a flipped chunk drops its
+//! block rather than keep it. The open buffer's per-query fold stays plain
+//! [`RollupBucket`]s.
 
+use crate::bits::{BitReader, BitWriter};
+use crate::gorilla::{XorDecoder, XorEncoder};
 use crate::query::{max_step, min_step, Aggregator};
 use ctt_core::time::{Span, Timestamp};
 
-/// Pre-aggregated summary of one rollup bucket within one sealed chunk.
+/// Pre-aggregated summary of one rollup bucket.
 ///
-/// Built from the chunk's sorted, deduplicated points at seal time;
-/// immutable afterwards (corruption invalidates the whole rollup vector
-/// rather than patching it).
+/// Folded from a chunk's sorted, deduplicated points at seal time (and
+/// then encoded into the chunk's [`RollupBlock`]), or from the open
+/// buffer at query time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RollupBucket {
     /// Bucket start as a count of rollup intervals from the chunk's base.
@@ -47,28 +74,29 @@ pub struct RollupBucket {
 }
 
 impl RollupBucket {
-    /// Fold one bucket's points (time order), replaying each aggregator's
-    /// fold from its identity element (`-0.0 + v`, not `v` and not
-    /// `0.0 + v`: std's `iter().sum()` folds from `-0.0`, so the raw sum
-    /// of `[-0.0]` is `-0.0`, and Avg divides this sum, so the sign of
-    /// zero is observable).
-    fn fold(offset: u32, run: &[(Timestamp, f64)]) -> RollupBucket {
-        let mut b = RollupBucket {
+    /// The empty bucket at `offset`: every fold at its identity element
+    /// (`-0.0 + v`, not `v` and not `0.0 + v`: std's `iter().sum()` folds
+    /// from `-0.0`, so the raw sum of `[-0.0]` is `-0.0`, and Avg divides
+    /// this sum, so the sign of zero is observable).
+    fn empty(offset: u32) -> RollupBucket {
+        RollupBucket {
             offset,
             count: 0,
             sum: -0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             last: f64::NAN,
-        };
-        for &(_, v) in run {
-            b.count = b.count.saturating_add(1);
-            b.sum += v;
-            b.min = min_step(b.min, v);
-            b.max = max_step(b.max, v);
-            b.last = v;
         }
-        b
+    }
+
+    /// Fold the bucket's next point (time order).
+    #[inline]
+    fn add(&mut self, v: f64) {
+        self.count = self.count.saturating_add(1);
+        self.sum += v;
+        self.min = min_step(self.min, v);
+        self.max = max_step(self.max, v);
+        self.last = v;
     }
 
     /// The value [`Aggregator::apply`] would produce over this bucket's
@@ -86,10 +114,6 @@ impl RollupBucket {
             }
         })
     }
-
-    /// Heap bytes one bucket takes in a rollup vector: rollup vectors are
-    /// built at their exact length, so len × this is what they hold.
-    pub const SIZE_BYTES: usize = std::mem::size_of::<RollupBucket>();
 }
 
 /// Whether an aggregator can ever be served from rollups.
@@ -100,46 +124,63 @@ pub fn rollup_servable(agg: Aggregator) -> bool {
     )
 }
 
-/// The time-sorted `points` split into runs that share a rollup bucket:
-/// `(bucket start, run)`, in time order. One division per bucket and one
-/// compare per point (a binary search per bucket cost more than it saved
-/// on runs of ≤ 12 points).
-fn bucket_runs(
+/// Fold the time-sorted `points` into one bucket per occupied interval, in
+/// time order, handing each to `emit` as it closes — one walk, one
+/// division per bucket and one compare per point. Offsets count from the
+/// first point's `align_down(interval)`; empty buckets are not
+/// materialized. `None` (after emitting the buckets before it) when an
+/// offset does not fit in `u32`.
+fn fold_buckets(
     points: &[(Timestamp, f64)],
     interval: Span,
-) -> impl Iterator<Item = (Timestamp, &[(Timestamp, f64)])> {
-    let mut rest = points;
-    std::iter::from_fn(move || {
-        let &(t, _) = rest.first()?;
-        let start = t.align_down(interval);
-        let len = match start.0.checked_add(interval.as_seconds()) {
-            Some(end) => rest
-                .iter()
-                .position(|&(t, _)| t.0 >= end)
-                .unwrap_or(rest.len()),
-            None => rest.len(),
-        };
-        let (run, tail) = rest.split_at_checked(len)?;
-        rest = tail;
-        Some((start, run))
-    })
+    mut emit: impl FnMut(&RollupBucket),
+) -> Option<()> {
+    let Some(&(first, _)) = points.first() else {
+        return Some(());
+    };
+    let base = first.align_down(interval);
+    // The bucket being folded and its end (`None`: past `i64`, so every
+    // later point falls in it).
+    let mut open: Option<(Option<i64>, RollupBucket)> = None;
+    for &(t, v) in points {
+        match &mut open {
+            Some((end, bucket)) if end.is_none_or(|end| t.0 < end) => bucket.add(v),
+            _ => {
+                if let Some((_, done)) = &open {
+                    emit(done);
+                }
+                let start = t.align_down(interval);
+                let offset = u32::try_from(offset_of(base, interval, start)?).ok()?;
+                let mut bucket = RollupBucket::empty(offset);
+                bucket.add(v);
+                open = Some((start.0.checked_add(interval.as_seconds()), bucket));
+            }
+        }
+    }
+    if let Some((_, done)) = &open {
+        emit(done);
+    }
+    Some(())
 }
 
-/// Build the rollup vector for a chunk's points (must be time-sorted and
-/// deduplicated — exactly the state a chunk is sealed in), at its exact
-/// length. One bucket per occupied interval, in time order, its offset
-/// counted from the first point's `align_down(interval)`; empty buckets
-/// are not materialized. `None` when an offset does not fit in `u32`:
-/// such a chunk has no rollups and is served raw.
-pub fn build_rollups(points: &[(Timestamp, f64)], interval: Span) -> Option<Vec<RollupBucket>> {
-    let base = points
-        .first()
-        .map_or(Timestamp(0), |&(t, _)| t.align_down(interval));
-    let mut out = Vec::with_capacity(bucket_runs(points, interval).count());
-    for (start, run) in bucket_runs(points, interval) {
-        let offset = u32::try_from(offset_of(base, interval, start)?).ok()?;
-        out.push(RollupBucket::fold(offset, run));
-    }
+/// Build the rollup block for a chunk's points (must be time-sorted and
+/// deduplicated — exactly the state a chunk is sealed in), folding
+/// straight into the encoder. `None` when an offset does not fit in
+/// `u32`: such a chunk has no rollups and is served raw.
+pub fn build_rollups(points: &[(Timestamp, f64)], interval: Span) -> Option<RollupBlock> {
+    let mut enc = BlockEncoder::with_capacity(points.len());
+    fold_buckets(points, interval, |b| enc.push(b))?;
+    Some(enc.finish())
+}
+
+/// The same fold as [`build_rollups`], kept as plain buckets: the open
+/// buffer's per-query fold.
+pub(crate) fn fold_rollups(
+    points: &[(Timestamp, f64)],
+    interval: Span,
+) -> Option<Vec<RollupBucket>> {
+    let mut out = Vec::new();
+    fold_buckets(points, interval, |b| out.push(*b))?;
     Some(out)
 }
 
@@ -162,6 +203,297 @@ pub fn find_bucket(rollups: &[RollupBucket], offset: i64) -> Option<&RollupBucke
         .binary_search_by_key(&offset, |b| b.offset)
         .ok()
         .and_then(|i| rollups.get(i))
+}
+
+/// One sealed chunk's rollup buckets, encoded (layout in the module doc).
+/// Immutable once built: corruption of its chunk drops the whole block
+/// rather than patching it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RollupBlock {
+    bytes: Box<[u8]>,
+}
+
+impl RollupBlock {
+    /// Heap bytes the block holds: it is built at its exact length.
+    pub fn size_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Buckets the block holds, read from its header (0 if it has none).
+    pub fn buckets(&self) -> u64 {
+        read_varint(&mut self.bytes.as_ref()).unwrap_or(0)
+    }
+}
+
+/// `(value, run length)` pairs of a run-length-encoded column.
+type Runs = Vec<(u32, u32)>;
+
+fn push_run(runs: &mut Runs, value: u32) {
+    match runs.last_mut() {
+        Some((v, run)) if *v == value => *run += 1,
+        _ => runs.push((value, 1)),
+    }
+}
+
+/// Builds a [`RollupBlock`] one bucket at a time.
+#[derive(Debug, Default)]
+struct BlockEncoder {
+    buckets: u64,
+    prev_offset: u32,
+    offset_deltas: Runs,
+    counts: Runs,
+    /// `sum`, `min`, `max`, `last`.
+    floats: [(BitWriter, XorEncoder); 4],
+}
+
+impl BlockEncoder {
+    /// An encoder whose columns need not grow for `points` folded points:
+    /// a float column rarely takes more than a byte per point.
+    fn with_capacity(points: usize) -> Self {
+        BlockEncoder {
+            floats: std::array::from_fn(|_| {
+                (BitWriter::with_capacity(points + 8), XorEncoder::default())
+            }),
+            ..BlockEncoder::default()
+        }
+    }
+
+    fn push(&mut self, b: &RollupBucket) {
+        push_run(
+            &mut self.offset_deltas,
+            b.offset.wrapping_sub(self.prev_offset),
+        );
+        self.prev_offset = b.offset;
+        push_run(&mut self.counts, b.count);
+        for ((w, xor), v) in self.floats.iter_mut().zip([b.sum, b.min, b.max, b.last]) {
+            if self.buckets == 0 {
+                *xor = XorEncoder::start(w, v.to_bits());
+            } else {
+                xor.push(w, v.to_bits());
+            }
+        }
+        self.buckets += 1;
+    }
+
+    fn finish(self) -> RollupBlock {
+        let mut ints = BitWriter::new();
+        for (value, run) in self.offset_deltas.iter().chain(&self.counts) {
+            write_gamma(&mut ints, u64::from(*value) + 1);
+            write_gamma(&mut ints, u64::from(*run));
+        }
+        let ints = ints.as_bytes();
+        let [sum, min, max, last] = self.floats.each_ref().map(|(w, _)| w.as_bytes());
+        let header = [
+            self.buckets,
+            sum.len() as u64,
+            min.len() as u64,
+            max.len() as u64,
+            last.len() as u64,
+        ];
+        let len = header.iter().map(|&v| varint_len(v)).sum::<usize>()
+            + ints.len()
+            + sum.len()
+            + min.len()
+            + max.len()
+            + last.len();
+        let mut bytes = Vec::with_capacity(len);
+        for v in header {
+            push_varint(&mut bytes, v);
+        }
+        for part in [ints, sum, min, max, last] {
+            bytes.extend_from_slice(part);
+        }
+        RollupBlock {
+            bytes: bytes.into_boxed_slice(),
+        }
+    }
+}
+
+/// The columns of one [`RollupBlock`] an aggregator reads, decoded into
+/// buffers a query reuses from chunk to chunk.
+#[derive(Debug, Default)]
+pub(crate) struct BlockColumns {
+    offsets: Vec<u32>,
+    /// Filled for `Avg` and `Count` only.
+    counts: Vec<u32>,
+    /// The one float column the aggregator reads (`sum` for `Avg`).
+    values: Vec<f64>,
+}
+
+impl BlockColumns {
+    /// Decode `block`'s offsets and the columns `agg` reads. `false`, with
+    /// nothing held, when the block does not parse or `agg` is not
+    /// rollup-servable.
+    pub(crate) fn load(&mut self, block: &RollupBlock, agg: Aggregator) -> bool {
+        self.clear();
+        let ok = self.decode(&block.bytes, agg).is_some();
+        if !ok {
+            self.clear();
+        }
+        ok
+    }
+
+    fn clear(&mut self) {
+        self.offsets.clear();
+        self.counts.clear();
+        self.values.clear();
+    }
+
+    fn decode(&mut self, bytes: &[u8], agg: Aggregator) -> Option<()> {
+        let mut rest = bytes;
+        let n = read_varint(&mut rest)?;
+        let mut lens = [0usize; 4];
+        for len in &mut lens {
+            *len = usize::try_from(read_varint(&mut rest)?).ok()?;
+        }
+        let [sum, min, max, last] = lens;
+        let floats = sum.checked_add(min)?.checked_add(max)?.checked_add(last)?;
+        let (ints, rest) = rest.split_at_checked(rest.len().checked_sub(floats)?)?;
+        // Every bucket after the first takes at least one bit of each float
+        // column, so a count past their bits is garbage: refuse it before it
+        // sizes a buffer.
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= rest.len().saturating_mul(8))?;
+        let mut r = BitReader::new(ints);
+        let mut prev = 0u32;
+        read_runs(&mut r, n, |delta, run| {
+            for _ in 0..run {
+                // Offsets strictly increase after the first.
+                prev = if self.offsets.is_empty() {
+                    delta
+                } else {
+                    prev.checked_add(delta).filter(|_| delta > 0)?
+                };
+                self.offsets.push(prev);
+            }
+            Some(())
+        })?;
+        let keep_counts = matches!(agg, Aggregator::Avg | Aggregator::Count);
+        read_runs(&mut r, n, |count, run| {
+            if keep_counts {
+                self.counts.extend(std::iter::repeat_n(count, run as usize));
+            }
+            Some(())
+        })?;
+        if skip_padding(&mut r)? != ints.len() {
+            return None;
+        }
+        let (sum_col, rest) = rest.split_at_checked(sum)?;
+        let (min_col, rest) = rest.split_at_checked(min)?;
+        let (max_col, last_col) = rest.split_at_checked(max)?;
+        let column = match agg {
+            Aggregator::Avg | Aggregator::Sum => sum_col,
+            Aggregator::Min => min_col,
+            Aggregator::Max => max_col,
+            Aggregator::Last => last_col,
+            Aggregator::Count => return Some(()),
+            Aggregator::First | Aggregator::Median | Aggregator::P95 | Aggregator::Dev => {
+                return None
+            }
+        };
+        decode_floats(column, n, &mut self.values)
+    }
+
+    /// The value [`RollupBucket::value_for`] gives for the bucket at
+    /// `offset`, or `None` when no bucket sits there (or the loaded
+    /// columns are not `agg`'s).
+    pub(crate) fn value_at(&self, offset: i64, agg: Aggregator) -> Option<f64> {
+        let offset = u32::try_from(offset).ok()?;
+        let i = self.offsets.binary_search(&offset).ok()?;
+        Some(match agg {
+            Aggregator::Avg => self.values.get(i)? / f64::from(*self.counts.get(i)?),
+            Aggregator::Count => f64::from(*self.counts.get(i)?),
+            Aggregator::Sum | Aggregator::Min | Aggregator::Max | Aggregator::Last => {
+                *self.values.get(i)?
+            }
+            Aggregator::First | Aggregator::Median | Aggregator::P95 | Aggregator::Dev => {
+                return None
+            }
+        })
+    }
+}
+
+/// Read a run-length-encoded column of `n` values, handing each run to
+/// `f`. `None` on a short stream, a value or run past `u32`, or runs that
+/// overshoot `n`.
+fn read_runs(r: &mut BitReader, n: usize, mut f: impl FnMut(u32, u32) -> Option<()>) -> Option<()> {
+    let mut left = n;
+    while left > 0 {
+        let value = u32::try_from(read_gamma(r)? - 1).ok()?;
+        let run = u32::try_from(read_gamma(r)?).ok()?;
+        left = left.checked_sub(run as usize)?;
+        f(value, run)?;
+    }
+    Some(())
+}
+
+/// Decode a float column of `n` values into `out`. The column must end in
+/// its last byte, padded with zeros: anything else is not what the
+/// encoder wrote.
+fn decode_floats(column: &[u8], n: usize, out: &mut Vec<f64>) -> Option<()> {
+    let mut r = BitReader::new(column);
+    if n > 0 {
+        out.reserve(n);
+        let (mut dec, first) = XorDecoder::start(&mut r)?;
+        out.push(f64::from_bits(first));
+        for _ in 1..n {
+            out.push(f64::from_bits(dec.next(&mut r).ok()?));
+        }
+    }
+    (skip_padding(&mut r)? == column.len()).then_some(())
+}
+
+/// Consume the zero bits that pad `r` to a byte boundary and return the
+/// byte position reached; `None` if a padding bit is set.
+fn skip_padding(r: &mut BitReader) -> Option<usize> {
+    let pad = (r.remaining_bits() % 8) as u8;
+    (r.read_bits(pad)? == 0).then(|| r.position_bytes())
+}
+
+/// Elias gamma code of `x ≥ 1` (at most 2³²): ⌊log₂ x⌋ zeros, then `x`.
+fn write_gamma(w: &mut BitWriter, x: u64) {
+    let z = (63 - x.leading_zeros()) as u8;
+    w.write_bits(0, z);
+    w.write_bits(x, z + 1);
+}
+
+fn read_gamma(r: &mut BitReader) -> Option<u64> {
+    let mut z = 0u8;
+    while !r.read_bit()? {
+        z += 1;
+        if z > 32 {
+            return None;
+        }
+    }
+    Some((1 << z) | r.read_bits(z)?)
+}
+
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// LEB128: seven bits a byte, low group first, high bit set on all but
+/// the last byte.
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn read_varint(bytes: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&b, rest) = bytes.split_first()?;
+        *bytes = rest;
+        v |= u64::from(b & 0x7f).checked_shl(shift)?;
+        if b & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -187,14 +519,92 @@ mod tests {
     }
 
     fn rollups(points: &[(Timestamp, f64)], interval: Span) -> Vec<RollupBucket> {
-        build_rollups(points, interval).expect("offsets fit")
+        fold_rollups(points, interval).expect("offsets fit")
+    }
+
+    /// Every bucket of a block, all six columns decoded: `None` when any
+    /// column does not.
+    fn decode_all(block: &RollupBlock) -> Option<Vec<RollupBucket>> {
+        let mut cols = BlockColumns::default();
+        let mut column = |agg| cols.load(block, agg).then(|| cols.values.clone());
+        let (sum, min, max, last) = (
+            column(Aggregator::Sum)?,
+            column(Aggregator::Min)?,
+            column(Aggregator::Max)?,
+            column(Aggregator::Last)?,
+        );
+        cols.load(block, Aggregator::Count).then_some(())?;
+        let buckets = (0..cols.offsets.len())
+            .map(|i| RollupBucket {
+                offset: cols.offsets[i],
+                count: cols.counts[i],
+                sum: sum[i],
+                min: min[i],
+                max: max[i],
+                last: last[i],
+            })
+            .collect();
+        Some(buckets)
+    }
+
+    /// A bucket as bits, so NaN payloads and zero signs compare exactly.
+    fn bucket_bits(b: &RollupBucket) -> (u32, u32, [u64; 4]) {
+        (
+            b.offset,
+            b.count,
+            [b.sum, b.min, b.max, b.last].map(f64::to_bits),
+        )
+    }
+
+    fn all_bits(buckets: &[RollupBucket]) -> Vec<(u32, u32, [u64; 4])> {
+        buckets.iter().map(bucket_bits).collect()
+    }
+
+    fn encode(buckets: &[RollupBucket]) -> RollupBlock {
+        let mut enc = BlockEncoder::default();
+        for b in buckets {
+            enc.push(b);
+        }
+        enc.finish()
+    }
+
+    /// Values a fold must carry bit for bit: signed zeros, infinities,
+    /// NaN payloads of both signs, subnormals, extremes, plain readings.
+    fn special(k: u8) -> f64 {
+        match k {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => f64::NAN,
+            5 => f64::from_bits(0x7ff0_0000_0000_0001), // signaling NaN
+            6 => f64::from_bits(0xfff8_dead_beef_0001), // negative NaN, payload
+            7 => f64::from_bits(1),                     // smallest subnormal
+            8 => -f64::MIN_POSITIVE / 3.0,              // negative subnormal
+            9 => f64::MAX,
+            10 => 1.5,
+            11 => -2.25,
+            _ => 412.7,
+        }
     }
 
     #[test]
-    fn a_bucket_is_forty_bytes() {
-        // Offset + count + sum/min/max/last. A new column shows up here.
-        assert_eq!(std::mem::size_of::<RollupBucket>(), 40);
-        assert_eq!(RollupBucket::SIZE_BYTES, 40);
+    fn empty_and_single_bucket_blocks_roundtrip() {
+        let empty = build_rollups(&[], Span::hours(1)).expect("no offsets to overflow");
+        assert_eq!(empty.buckets(), 0);
+        assert_eq!(decode_all(&empty), Some(Vec::new()));
+        assert_eq!(decode_all(&encode(&[])), Some(Vec::new()));
+        let one = pts(&[(7_200, 3.5)]);
+        let block = build_rollups(&one, Span::hours(1)).expect("fits");
+        assert_eq!(block.buckets(), 1);
+        let folded = rollups(&one, Span::hours(1));
+        assert_eq!(
+            decode_all(&block).map(|b| all_bits(&b)),
+            Some(all_bits(&folded))
+        );
+        // Four raw first values (32 B), the header and the runs: a lone
+        // bucket still fits in the 40 B a flat bucket takes.
+        assert!(block.size_bytes() <= 40, "{}", block.size_bytes());
     }
 
     #[test]
@@ -210,7 +620,8 @@ mod tests {
         let hour = Span::hours(1);
         let rollups = rollups(&points, hour);
         assert_eq!(rollups.len(), 3);
-        assert_eq!(rollups.capacity(), rollups.len(), "built at exact length");
+        let block = build_rollups(&points, hour).expect("fits");
+        let mut cols = BlockColumns::default();
         for rb in &rollups {
             let start = Timestamp(i64::from(rb.offset) * 3600);
             let offset = offset_of(Timestamp(0), hour, start).expect("on the grid");
@@ -222,6 +633,9 @@ mod tests {
                 .collect();
             for agg in SERVABLE {
                 let served = rb.value_for(agg).expect("servable");
+                assert!(cols.load(&block, agg));
+                let decoded = cols.value_at(offset, agg).expect("decoded bucket");
+                assert_eq!(decoded.to_bits(), served.to_bits(), "{agg} {start:?}");
                 let raw = agg.apply(&vals);
                 assert_eq!(
                     served.to_bits(),
@@ -309,14 +723,25 @@ mod tests {
     fn offsets_past_u32_build_no_rollups() {
         let points = pts(&[(0, 1.0), (1 << 33, 2.0)]);
         assert_eq!(build_rollups(&points, Span::seconds(1)), None);
+        assert_eq!(fold_rollups(&points, Span::seconds(1)), None);
         assert_eq!(
-            build_rollups(&[], Span::seconds(1)).map(|r| r.len()),
+            build_rollups(&[], Span::seconds(1)).map(|r| r.buckets()),
             Some(0)
         );
     }
 
+    /// Whether a sealed chunk's block decodes to the fold of the points
+    /// its chunk decodes to, bit for bit.
+    fn block_matches_its_chunk(sc: &crate::store::SealedChunk, interval: Span) -> bool {
+        let (Some(block), Ok(points)) = (sc.rollups.as_ref(), sc.chunk.decode()) else {
+            return false;
+        };
+        let folded = fold_rollups(&points, interval).map(|b| all_bits(&b));
+        folded.is_some() && decode_all(block).map(|b| all_bits(&b)) == folded
+    }
+
     #[test]
-    fn sealed_rollups_hold_exactly_their_length() {
+    fn sealed_blocks_decode_to_the_fold_of_their_chunk() {
         let mut db = Tsdb::with_layout(64, Span::minutes(10));
         let id = db.intern("m", &TagSet::new());
         let run: Vec<(Timestamp, f64)> =
@@ -328,8 +753,7 @@ mod tests {
         let sealed = &db.series[0].sealed;
         assert!(sealed.len() > 1);
         for c in sealed {
-            let r = c.rollups.as_ref().expect("rollups");
-            assert_eq!(r.capacity(), r.len());
+            assert!(block_matches_its_chunk(c, Span::minutes(10)));
         }
     }
 
@@ -418,14 +842,226 @@ mod tests {
                 db.append(id, t, v);
             }
             for sealed in &db.series[0].sealed {
-                let r = sealed.rollups.as_ref();
-                prop_assert!(r.is_some_and(|r| r.capacity() == r.len()));
+                prop_assert!(block_matches_its_chunk(sealed, Span::seconds(width)));
             }
             for anchor in [origin, cutoff, end, end + 1, t] {
                 let a = anchor.div_euclid(width) * width;
                 assert_served_matches_raw(&db, width, a - 3 * width, a + 4 * width)?;
                 assert_served_matches_raw(&db, width, a - 2 * width + 1, a + 2 * width - 1)?;
             }
+        }
+    }
+
+    proptest! {
+        /// Blocks built from points decode to exactly the buckets the fold
+        /// builds: one bucket or many, gaps of empty buckets between them,
+        /// any start, and values that keep their bits only if every column
+        /// does (signed zeros, infinities, NaN payloads, subnormals).
+        #[test]
+        fn blocks_decode_to_the_fold_bit_for_bit(
+            origin in -(1i64 << 40)..(1i64 << 40),
+            width in prop_oneof![Just(1i64), Just(3_600i64), 1i64..4_000],
+            gaps in proptest::collection::vec(prop_oneof![1i64..600, 1i64..50_000], 0..200),
+            kinds in proptest::collection::vec(0u8..13, 1..64),
+        ) {
+            let mut t = origin;
+            let mut value = kinds.iter().cycle().map(|&k| special(k));
+            let mut points = vec![(Timestamp(t), value.next().unwrap_or(0.0))];
+            for g in gaps {
+                t += g;
+                points.push((Timestamp(t), value.next().unwrap_or(0.0)));
+            }
+            let interval = Span::seconds(width);
+            let folded = rollups(&points, interval);
+            let block = build_rollups(&points, interval).expect("fits");
+            prop_assert_eq!(block.buckets(), folded.len() as u64);
+            prop_assert_eq!(decode_all(&block).map(|b| all_bits(&b)), Some(all_bits(&folded)));
+        }
+
+        /// Any bucket sequence the encoder can be handed round-trips: offsets
+        /// with gaps up to the top of `u32`, counts up to `u32::MAX` (and 0),
+        /// and special values in every float column.
+        #[test]
+        fn encoded_buckets_roundtrip(
+            first in any::<u32>(),
+            steps in proptest::collection::vec(prop_oneof![Just(1u32), 1u32..1_000, 1u32..u32::MAX], 0..120),
+            counts in proptest::collection::vec(prop_oneof![Just(7u32), 0u32..20, Just(u32::MAX), any::<u32>()], 1..40),
+            kinds in proptest::collection::vec(0u8..13, 4..64),
+        ) {
+            let mut offsets = vec![first];
+            for step in steps {
+                match offsets.last().and_then(|o| o.checked_add(step)) {
+                    Some(next) => offsets.push(next),
+                    None => break,
+                }
+            }
+            let mut value = kinds.iter().cycle().map(|&k| special(k));
+            let mut next = || value.next().unwrap_or(0.0);
+            let buckets: Vec<RollupBucket> = offsets
+                .iter()
+                .zip(counts.iter().cycle())
+                .map(|(&offset, &count)| RollupBucket {
+                    offset,
+                    count,
+                    sum: next(),
+                    min: next(),
+                    max: next(),
+                    last: next(),
+                })
+                .collect();
+            let block = encode(&buckets);
+            prop_assert_eq!(decode_all(&block).map(|b| all_bits(&b)), Some(all_bits(&buckets)));
+            let mut cols = BlockColumns::default();
+            for agg in SERVABLE {
+                prop_assert!(cols.load(&block, agg));
+                for b in &buckets {
+                    let served = cols.value_at(i64::from(b.offset), agg).map(f64::to_bits);
+                    prop_assert_eq!(served, b.value_for(agg).map(f64::to_bits));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes as a block: the decoder refuses them or yields
+        /// columns whose lookups are total. It never panics or hangs.
+        fn arbitrary_bytes_decode_or_refuse(
+            bytes in proptest::collection::vec(any::<u8>(), 0..320),
+            agg in 0usize..10,
+            probes in proptest::collection::vec(any::<i64>(), 1..8),
+        ) {
+            let agg = ALL_AGGREGATORS[agg];
+            let block = RollupBlock { bytes: bytes.into_boxed_slice() };
+            let mut cols = BlockColumns::default();
+            if cols.load(&block, agg) {
+                prop_assert!(rollup_servable(agg));
+                for p in probes.into_iter().chain(cols.offsets.first().map(|&o| i64::from(o))) {
+                    let _ = cols.value_at(p, agg);
+                }
+            } else {
+                prop_assert!(cols.offsets.is_empty() && cols.values.is_empty());
+            }
+            let _ = block.buckets();
+        }
+
+        /// A real block cut short refuses every aggregator; one with a
+        /// flipped bit or a replaced byte decodes or refuses, never panics.
+        fn damaged_blocks_refuse_or_decode(
+            gaps in proptest::collection::vec(1i64..2_000, 0..120),
+            kinds in proptest::collection::vec(0u8..13, 1..16),
+            flip in any::<u64>(),
+            byte in any::<u8>(),
+        ) {
+            let mut t = 0i64;
+            let mut value = kinds.iter().cycle().map(|&k| special(k));
+            let mut points = vec![(Timestamp(t), value.next().unwrap_or(0.0))];
+            for g in gaps {
+                t += g;
+                points.push((Timestamp(t), value.next().unwrap_or(0.0)));
+            }
+            let block = build_rollups(&points, Span::seconds(600)).expect("fits");
+            let mut cols = BlockColumns::default();
+            for len in 0..block.bytes.len() {
+                let short = RollupBlock { bytes: block.bytes[..len].into() };
+                for agg in SERVABLE {
+                    prop_assert!(!cols.load(&short, agg), "{} bytes of {} parsed for {}", len, block.bytes.len(), agg);
+                }
+            }
+            let bit = (flip % (block.bytes.len() as u64 * 8)) as usize;
+            let mut flipped = block.bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let mut replaced = block.bytes.clone();
+            replaced[bit / 8] = byte;
+            for bytes in [flipped, replaced] {
+                let garbled = RollupBlock { bytes };
+                for agg in SERVABLE {
+                    if cols.load(&garbled, agg) {
+                        prop_assert_eq!(cols.offsets.len() as u64, garbled.buckets());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_blocks_never_panic_or_hang() {
+        // Each property runs on its own thread under a watchdog: a decoder
+        // that loops on a crafted length fails here instead of hanging.
+        for property in [
+            arbitrary_bytes_decode_or_refuse,
+            damaged_blocks_refuse_or_decode,
+        ] {
+            let (done, watchdog) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                property();
+                let _ = done.send(());
+            });
+            watchdog
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a hostile block hung the decoder");
+            runner.join().expect("a hostile block panicked the decoder");
+        }
+    }
+
+    #[test]
+    fn a_garbled_block_is_served_raw() {
+        let hour = Span::hours(1);
+        let mut db = Tsdb::with_layout(64, hour);
+        let id = db.intern("m", &TagSet::new());
+        for i in 0..200i64 {
+            db.append(id, Timestamp(i * 600), (i % 17) as f64 - 3.0);
+        }
+        db.seal_all();
+        let q = Query::range("m", Timestamp(3_600), Timestamp(100_000)).downsample(Downsample {
+            interval: hour,
+            aggregator: Aggregator::Avg,
+            fill: FillPolicy::None,
+        });
+        let (intact, intact_counts) = execute_counted(&db, &q, true);
+        assert!(intact_counts.rollup_buckets > 20);
+        // Cut every block short by one byte: none decodes, so every bucket
+        // is answered from the chunks, with the same bits.
+        for sc in &mut db.series[0].sealed {
+            let block = sc.rollups.as_mut().expect("rollups");
+            block.bytes = block.bytes[..block.bytes.len() - 1].into();
+        }
+        let (served, counts) = execute_counted(&db, &q, true);
+        let (raw, _) = execute_counted(&db, &q, false);
+        let points = |rs: &[crate::query::QueryResult]| -> Vec<(i64, u64)> {
+            rs.iter().flat_map(|r| bits(&r.series.points)).collect()
+        };
+        assert_eq!(points(&served), points(&raw));
+        assert_eq!(points(&served), points(&intact));
+        assert_eq!(counts.rollup_buckets, 0);
+        assert_eq!(
+            counts.raw_buckets,
+            intact_counts.raw_buckets + intact_counts.rollup_buckets
+        );
+    }
+
+    #[test]
+    fn a_flipped_chunk_drops_its_block_and_serves_raw() {
+        let hour = Span::hours(1);
+        let mut db = Tsdb::with_layout(64, hour);
+        let id = db.intern("m", &TagSet::new());
+        for i in 0..200i64 {
+            db.append(id, Timestamp(i * 600), i as f64 * 0.5);
+        }
+        db.seal_all();
+        let blocks = |db: &Tsdb| {
+            db.series[0]
+                .sealed
+                .iter()
+                .filter(|c| c.rollups.is_some())
+                .count()
+        };
+        let before = blocks(&db);
+        let rollup_bytes = db.stats().rollup_bytes;
+        db.flip_chunk_bit(0, 300);
+        assert_eq!(blocks(&db), before - 1);
+        assert!(db.stats().rollup_bytes < rollup_bytes);
+        for lo in [0, 3_600, 7_200] {
+            assert_served_matches_raw(&db, 3_600, lo, 120_000).expect("served == raw");
         }
     }
 }

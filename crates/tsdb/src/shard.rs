@@ -281,6 +281,20 @@ impl ShardedTsdb {
         self.store.read().db.stats()
     }
 
+    /// `(buckets, bytes)` of each sealed chunk's rollup block, in series
+    /// order: the blocks [`StoreStats::rollup_bytes`] adds up.
+    pub fn rollup_blocks(&self) -> Vec<(u64, usize)> {
+        let store = self.store.read();
+        store
+            .db
+            .series
+            .iter()
+            .flat_map(|s| &s.sealed)
+            .filter_map(|c| c.rollups.as_ref())
+            .map(|b| (b.buckets(), b.size_bytes()))
+            .collect()
+    }
+
     /// All distinct metric names (sorted).
     pub fn metrics(&self) -> Vec<String> {
         let store = self.store.read();

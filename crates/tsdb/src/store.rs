@@ -12,7 +12,7 @@ use crate::error::TsdbError;
 use crate::gorilla::{CompressedChunk, EncCheckpoint, GorillaEncoder};
 use crate::intern::Interner;
 use crate::model::{check_series_names, DataPoint, TagSet};
-use crate::rollup::{build_rollups, RollupBucket};
+use crate::rollup::{build_rollups, fold_rollups, RollupBlock, RollupBucket};
 use ctt_core::time::{Span, Timestamp};
 use std::collections::HashMap;
 
@@ -78,11 +78,12 @@ pub(crate) struct SealedChunk {
     pub(crate) chunk: CompressedChunk,
     pub(crate) start: Timestamp,
     pub(crate) end: Timestamp,
-    /// Seal-time pre-downsampled summaries, sorted by offset from
-    /// `start.align_down(interval)`. `None` after the chunk has been
-    /// corrupted (or when an offset would not fit) — serving then falls
-    /// back to raw decode, which quarantines exactly like a plain read.
-    pub(crate) rollups: Option<Vec<RollupBucket>>,
+    /// Seal-time pre-downsampled summaries, one encoded block, its
+    /// offsets counted from `start.align_down(interval)`. `None` after the
+    /// chunk has been corrupted (or when an offset would not fit) —
+    /// serving then falls back to raw decode, which quarantines exactly
+    /// like a plain read.
+    pub(crate) rollups: Option<RollupBlock>,
 }
 
 /// Per-read scan accounting: how much work the block index and rollups
@@ -399,8 +400,8 @@ impl Series {
         (hits, skipped)
     }
 
-    /// The open buffer folded into rollup buckets with the same
-    /// [`build_rollups`] a seal uses, with the base its offsets count from
+    /// The open buffer folded into rollup buckets by the same fold a seal
+    /// encodes ([`fold_rollups`]), with the base its offsets count from
     /// (the first point's `align_down(interval)`), or `None` unless the
     /// buffer is strictly time-ordered — the condition under which
     /// [`OpenEnc`] keeps streaming. Only then is the fold in arrival order
@@ -416,7 +417,7 @@ impl Series {
         let &(first, _) = self.open.first().filter(|_| ordered)?;
         Some((
             first.align_down(interval),
-            build_rollups(&self.open, interval)?,
+            fold_rollups(&self.open, interval)?,
         ))
     }
 
@@ -525,16 +526,13 @@ impl Series {
             + self.open.len() * std::mem::size_of::<(Timestamp, f64)>()
     }
 
-    /// Heap bytes of this series' rollup vectors: len × `size_of`, which
-    /// is also their capacity, since they are built at their exact length.
+    /// Heap bytes of this series' rollup blocks, each built at its exact
+    /// length.
     fn rollup_bytes(&self) -> usize {
         self.sealed
             .iter()
-            .map(|s| {
-                s.rollups
-                    .as_ref()
-                    .map_or(0, |r| r.len() * RollupBucket::SIZE_BYTES)
-            })
+            .filter_map(|s| s.rollups.as_ref())
+            .map(RollupBlock::size_bytes)
             .sum()
     }
 }
@@ -598,8 +596,11 @@ pub struct StoreStats {
     /// excluding rollups so the raw compression ratio stays visible.
     pub bytes: usize,
     /// Heap bytes of seal-time rollup summaries (the cost of fast
-    /// serving): buckets × `size_of::<RollupBucket>()` (40 B), which is
-    /// exactly what the vectors hold, since each is built at its length.
+    /// serving): every byte of every sealed chunk's [`RollupBlock`] — a
+    /// varint header (bucket count, four column lengths), the run-length
+    /// offsets and counts, and the XOR-coded `sum`/`min`/`max`/`last`
+    /// columns (layout in [`crate::rollup`]). Each block is built at its
+    /// exact length, so this is what the heap holds.
     pub rollup_bytes: usize,
 }
 

@@ -22,28 +22,44 @@ fn parse_hex(c: &str) -> (u8, u8, u8) {
     (channel(0), channel(2), channel(4))
 }
 
-fn to_hex(r: u8, g: u8, b: u8) -> String {
-    format!("#{r:02x}{g:02x}{b:02x}")
+/// Append `#rrggbb` (lower-case, as `{:02x}` writes it) to `out`.
+fn push_hex(out: &mut String, r: u8, g: u8, b: u8) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.push('#');
+    for c in [r, g, b] {
+        out.push(char::from(DIGITS[usize::from(c >> 4)]));
+        out.push(char::from(DIGITS[usize::from(c & 0xf)]));
+    }
 }
 
-/// Interpolate between two hex colours, `t` in [0, 1].
-pub fn lerp(a: &str, b: &str, t: f64) -> String {
+fn to_hex(r: u8, g: u8, b: u8) -> String {
+    let mut out = String::with_capacity(7);
+    push_hex(&mut out, r, g, b);
+    out
+}
+
+/// Interpolate between two hex colours, `t` in [0, 1], writing the result
+/// into `out` in place of what it held.
+pub fn lerp_into(out: &mut String, a: &str, b: &str, t: f64) {
     let t = t.clamp(0.0, 1.0);
     let (ar, ag, ab) = parse_hex(a);
     let (br, bg, bb) = parse_hex(b);
     let mix = |x: u8, y: u8| (f64::from(x) + (f64::from(y) - f64::from(x)) * t).round() as u8;
-    to_hex(mix(ar, br), mix(ag, bg), mix(ab, bb))
+    out.clear();
+    push_hex(out, mix(ar, br), mix(ag, bg), mix(ab, bb));
 }
 
 /// Multi-stop sequential ramp (cold → hot) for pollution intensity.
 const RAMP: [&str; 5] = ["#2c7bb6", "#abd9e9", "#ffffbf", "#fdae61", "#d7191c"];
 
-/// Map `t` in [0, 1] through the sequential ramp.
-pub fn ramp(t: f64) -> String {
+/// Map `t` in [0, 1] through the sequential ramp, writing the colour into
+/// `out` in place of what it held: a caller colouring many cells reuses
+/// one buffer.
+pub fn ramp_into(out: &mut String, t: f64) {
     let t = t.clamp(0.0, 1.0);
     let scaled = t * (RAMP.len() - 1) as f64;
     let i = (scaled.floor() as usize).min(RAMP.len() - 2);
-    lerp(RAMP[i], RAMP[i + 1], scaled - i as f64)
+    lerp_into(out, RAMP[i], RAMP[i + 1], scaled - i as f64);
 }
 
 /// Scale a hex colour's brightness by `f` (0..1 darkens).
@@ -56,6 +72,37 @@ pub fn shade(c: &str, f: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lerp(a: &str, b: &str, t: f64) -> String {
+        let mut out = String::new();
+        lerp_into(&mut out, a, b, t);
+        out
+    }
+
+    fn ramp(t: f64) -> String {
+        let mut out = String::new();
+        ramp_into(&mut out, t);
+        out
+    }
+
+    #[test]
+    fn hex_matches_the_format_macro_for_every_channel_value() {
+        for c in 0..=255u8 {
+            assert_eq!(
+                to_hex(c, 255 - c, c / 3),
+                format!("#{c:02x}{:02x}{:02x}", 255 - c, c / 3)
+            );
+        }
+    }
+
+    #[test]
+    fn ramp_into_replaces_what_the_buffer_held() {
+        let mut out = String::from("#123456 and more");
+        ramp_into(&mut out, 0.0);
+        assert_eq!(out, RAMP[0]);
+        ramp_into(&mut out, 1.0);
+        assert_eq!(out, RAMP[RAMP.len() - 1]);
+    }
 
     #[test]
     fn categories_wrap() {

@@ -82,6 +82,8 @@ impl Heatmap {
         let plot_h = self.height - 34.0 - legend_h;
         let cell_w = plot_w / self.cols as f64;
         let cell_h = plot_h / self.rows as f64;
+        // One colour buffer for every cell and legend step.
+        let mut fill = String::with_capacity(7);
         for row in 0..self.rows {
             for col in 0..self.cols {
                 let Some(v) = self.values[row * self.cols + col] else {
@@ -91,7 +93,8 @@ impl Heatmap {
                 let x = 12.0 + col as f64 * cell_w;
                 // Row 0 at the bottom (geographic convention).
                 let y = 34.0 + (self.rows - 1 - row) as f64 * cell_h;
-                c.rect(x, y, cell_w + 0.4, cell_h + 0.4, &color::ramp(t), None);
+                color::ramp_into(&mut fill, t);
+                c.rect(x, y, cell_w + 0.4, cell_h + 0.4, &fill, None);
             }
         }
         // Legend: a ramp bar with min/max labels.
@@ -101,14 +104,8 @@ impl Heatmap {
         let steps = 32;
         for i in 0..steps {
             let t = i as f64 / (steps - 1) as f64;
-            c.rect(
-                lx + t * lw,
-                ly,
-                lw / steps as f64 + 0.5,
-                10.0,
-                &color::ramp(t),
-                None,
-            );
+            color::ramp_into(&mut fill, t);
+            c.rect(lx + t * lw, ly, lw / steps as f64 + 0.5, 10.0, &fill, None);
         }
         c.text(
             lx - 6.0,
