@@ -77,7 +77,12 @@ impl LedgerVerdict {
 /// Conservation accounting across a pipeline run.
 #[derive(Debug, Clone, Default)]
 pub struct LossLedger {
-    entries: BTreeMap<(DevEui, Timestamp), UplinkOutcome>,
+    /// Each device's entries, sorted by production time. A device produces
+    /// in rising time order, so a new entry is almost always an append;
+    /// iterating devices in order, then each list, is `(device, t)` order.
+    entries: BTreeMap<DevEui, Vec<(Timestamp, UplinkOutcome)>>,
+    /// Entries over all devices.
+    len: usize,
     accepted_total: u64,
     quarantined_points: u64,
     /// Attribution attempts on already-terminal entries (should stay 0;
@@ -91,31 +96,41 @@ impl LossLedger {
         LossLedger::default()
     }
 
+    /// The entry for `(device, t)`, opened as `Produced` if it is new.
+    fn entry(&mut self, device: DevEui, t: Timestamp) -> Option<&mut UplinkOutcome> {
+        let list = self.entries.entry(device).or_default();
+        let at = match list.last() {
+            Some(&(last, _)) if last >= t => match list.binary_search_by_key(&t, |&(at, _)| at) {
+                Ok(at) => return list.get_mut(at).map(|(_, outcome)| outcome),
+                Err(at) => at,
+            },
+            _ => list.len(),
+        };
+        list.insert(at, (t, UplinkOutcome::Produced));
+        self.len += 1;
+        list.get_mut(at).map(|(_, outcome)| outcome)
+    }
+
     /// Open an entry: the node produced a reading at `t`.
     pub fn produced(&mut self, device: DevEui, t: Timestamp) {
-        self.entries
-            .entry((device, t))
-            .or_insert(UplinkOutcome::Produced);
+        self.entry(device, t);
     }
 
     /// The network server accepted the uplink.
     pub fn accepted(&mut self, device: DevEui, t: Timestamp) {
         self.accepted_total += 1;
-        let e = self
-            .entries
-            .entry((device, t))
-            .or_insert(UplinkOutcome::Produced);
-        if !e.is_terminal() {
-            *e = UplinkOutcome::Accepted;
+        if let Some(e) = self.entry(device, t) {
+            if !e.is_terminal() {
+                *e = UplinkOutcome::Accepted;
+            }
         }
     }
 
     /// The uplink's points were written to the TSDB.
     pub fn stored(&mut self, device: DevEui, t: Timestamp) {
-        let e = self
-            .entries
-            .entry((device, t))
-            .or_insert(UplinkOutcome::Produced);
+        let Some(e) = self.entry(device, t) else {
+            return;
+        };
         // A deferred-then-redelivered uplink may be stored after a stall;
         // Stored wins over any non-terminal state.
         if !matches!(e, UplinkOutcome::Lost(_)) {
@@ -127,10 +142,9 @@ impl LossLedger {
 
     /// Attribute the uplink's loss to `cause`.
     pub fn attribute(&mut self, device: DevEui, t: Timestamp, cause: CauseCode) {
-        let e = self
-            .entries
-            .entry((device, t))
-            .or_insert(UplinkOutcome::Produced);
+        let Some(e) = self.entry(device, t) else {
+            return;
+        };
         if e.is_terminal() {
             self.conflicts += 1;
         } else {
@@ -155,18 +169,25 @@ impl LossLedger {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the ledger is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    /// Every entry in `(device, t)` order.
+    fn iter(&self) -> impl Iterator<Item = (DevEui, Timestamp, &UplinkOutcome)> {
+        self.entries
+            .iter()
+            .flat_map(|(&device, list)| list.iter().map(move |(t, outcome)| (device, *t, outcome)))
     }
 
     /// Per-cause loss counts, sorted by cause.
     pub fn cause_counts(&self) -> BTreeMap<CauseCode, u64> {
         let mut counts = BTreeMap::new();
-        for outcome in self.entries.values() {
+        for (_, _, outcome) in self.iter() {
             if let UplinkOutcome::Lost(cause) = outcome {
                 *counts.entry(*cause).or_insert(0) += 1;
             }
@@ -177,13 +198,13 @@ impl LossLedger {
     /// Run the conservation check.
     pub fn verify(&self) -> LedgerVerdict {
         let mut verdict = LedgerVerdict {
-            produced: self.entries.len() as u64,
+            produced: self.len as u64,
             accepted: self.accepted_total,
             stored: 0,
             attributed: 0,
             unattributed: Vec::new(),
         };
-        for (&(device, t), outcome) in &self.entries {
+        for (device, t, outcome) in self.iter() {
             match outcome {
                 UplinkOutcome::Stored => verdict.stored += 1,
                 UplinkOutcome::Lost(_) => verdict.attributed += 1,
@@ -212,7 +233,7 @@ impl LossLedger {
         for (cause, n) in self.cause_counts() {
             let _ = writeln!(out, "cause {}={n}", cause.label());
         }
-        for (&(device, t), outcome) in &self.entries {
+        for (device, t, outcome) in self.iter() {
             let _ = writeln!(
                 out,
                 "{:016x} t={} {}",

@@ -335,7 +335,7 @@ impl SensorNode {
         }
 
         self.battery.pay_sample();
-        let truth: Pollution = emission.sample(&self.site, now);
+        let truth: Pollution = emission.sample_in(&self.site, now, &wx);
         let age_days = (now - self.installed_at).as_seconds() as f64 / 86_400.0;
         let reading = SensorReading {
             device: self.eui,

@@ -33,7 +33,7 @@ pub use airtime::{
 };
 pub use dutycycle::DutyCycleTracker;
 pub use frame::{FrameError, UplinkFrame};
-pub use propagation::{link_budget, LinkBudget, PathLossModel};
+pub use propagation::{link_budget, LinkBudget, PathLossModel, StaticLink};
 pub use region::{Channel, DataRate, Region, SpreadingFactor};
 pub use server::{NetworkServer, UplinkRecord};
 pub use sim::{

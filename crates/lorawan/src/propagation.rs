@@ -65,32 +65,53 @@ impl PathLossModel {
     /// Static shadowing for a node–gateway link, dB. Deterministic in the
     /// endpoints: the same link always sees the same buildings.
     pub fn link_shadowing_db(&self, a: LatLon, b: LatLon) -> f64 {
-        let key = mix64(self.seed ^ pos_key(a) ^ pos_key(b).rotate_left(21));
-        gauss(key, GAUSS_SALT) * self.shadowing_sd_db
+        gauss(mix64(self.link_key(a, b)), GAUSS_SALT) * self.shadowing_sd_db
     }
 
     /// Per-transmission fading, dB, varying with a transmission nonce.
     pub fn fading_db(&self, a: LatLon, b: LatLon, nonce: u64) -> f64 {
-        let key = mix64(self.seed ^ pos_key(a) ^ pos_key(b).rotate_left(21) ^ mix64(nonce));
-        gauss(key, GAUSS_SALT) * self.fading_sd_db
+        self.fading_on(self.link_key(a, b), nonce)
     }
 
-    /// Total loss for one transmission on the link, dB. Antenna height
-    /// `gateway_antenna_m` grants up to ~9 dB of height gain.
-    pub fn transmission_loss_db(
-        &self,
-        node: LatLon,
-        gateway: LatLon,
-        gateway_antenna_m: f64,
-        nonce: u64,
-    ) -> f64 {
-        let d = node.distance_m(gateway);
-        let height_gain = 6.0 * (gateway_antenna_m.max(1.0) / 15.0).log2().clamp(0.0, 1.5);
-        self.mean_path_loss_db(d)
-            + self.link_shadowing_db(node, gateway)
-            + self.fading_db(node, gateway, nonce)
-            - height_gain
+    fn fading_on(&self, link_key: u64, nonce: u64) -> f64 {
+        gauss(mix64(link_key ^ mix64(nonce)), GAUSS_SALT) * self.fading_sd_db
     }
+
+    fn link_key(&self, a: LatLon, b: LatLon) -> u64 {
+        self.seed ^ pos_key(a) ^ pos_key(b).rotate_left(21)
+    }
+
+    /// Everything in a node–gateway link's loss but the fading: fixed for
+    /// as long as neither end moves, so a simulator computes it once per
+    /// link. Antenna height `gateway_antenna_m` grants up to ~9 dB of
+    /// height gain.
+    pub fn static_link(&self, node: LatLon, gateway: LatLon, gateway_antenna_m: f64) -> StaticLink {
+        StaticLink {
+            base_db: self.mean_path_loss_db(node.distance_m(gateway))
+                + self.link_shadowing_db(node, gateway),
+            height_gain_db: 6.0 * (gateway_antenna_m.max(1.0) / 15.0).log2().clamp(0.0, 1.5),
+            key: self.link_key(node, gateway),
+        }
+    }
+
+    /// Total loss for one transmission on `link`, dB:
+    /// mean path loss + shadowing + fading − height gain, summed left to
+    /// right.
+    pub fn loss_on(&self, link: &StaticLink, nonce: u64) -> f64 {
+        link.base_db + self.fading_on(link.key, nonce) - link.height_gain_db
+    }
+}
+
+/// The static part of one node–gateway link (see
+/// [`PathLossModel::static_link`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StaticLink {
+    /// Mean path loss plus shadowing, dB.
+    base_db: f64,
+    /// Gain from the gateway's antenna height, dB.
+    height_gain_db: f64,
+    /// The link's hash key, which the fading draw mixes with the nonce.
+    key: u64,
 }
 
 /// Salt of the second uniform in a shadowing or fading deviate.
@@ -115,17 +136,14 @@ pub struct LinkBudget {
 /// Thermal noise floor for 125 kHz at a typical gateway noise figure, dBm.
 pub const NOISE_FLOOR_DBM: f64 = -117.0;
 
-/// Compute the link budget for one transmission.
+/// Compute the link budget for one transmission on `link`.
 pub fn link_budget(
     model: &PathLossModel,
     tx_power_dbm: Dbm,
-    node: LatLon,
-    gateway: LatLon,
-    gateway_antenna_m: f64,
+    link: &StaticLink,
     nonce: u64,
 ) -> LinkBudget {
-    let loss = model.transmission_loss_db(node, gateway, gateway_antenna_m, nonce);
-    let rssi = tx_power_dbm.0 - loss;
+    let rssi = tx_power_dbm.0 - model.loss_on(link, nonce);
     LinkBudget {
         rssi_dbm: rssi,
         snr_db: rssi - NOISE_FLOOR_DBM,
@@ -199,16 +217,23 @@ mod tests {
     fn antenna_height_helps() {
         let m = PathLossModel::urban(5);
         let node = GW.offset(45.0, 1500.0);
-        let low = m.transmission_loss_db(node, GW, 15.0, 9);
-        let high = m.transmission_loss_db(node, GW, 45.0, 9);
+        let low = m.loss_on(&m.static_link(node, GW, 15.0), 9);
+        let high = m.loss_on(&m.static_link(node, GW, 45.0), 9);
         assert!(high < low, "high antenna should reduce loss");
     }
 
     #[test]
     fn link_budget_close_node_strong_far_node_weak() {
         let m = PathLossModel::free_space(1);
-        let close = link_budget(&m, Dbm(14.0), GW.offset(0.0, 100.0), GW, 30.0, 1);
-        let far = link_budget(&m, Dbm(14.0), GW.offset(0.0, 8000.0), GW, 30.0, 1);
+        let budget = |d| {
+            link_budget(
+                &m,
+                Dbm(14.0),
+                &m.static_link(GW.offset(0.0, d), GW, 30.0),
+                1,
+            )
+        };
+        let (close, far) = (budget(100.0), budget(8000.0));
         assert!(close.rssi_dbm > far.rssi_dbm + 30.0);
         assert!(close.snr_db > 0.0);
         // SNR consistent with RSSI and noise floor.
@@ -221,7 +246,7 @@ mod tests {
         // sensitivity (this is exactly the regime LoRa is designed for).
         let m = PathLossModel::urban(11);
         let node = GW.offset(120.0, 1500.0);
-        let lb = link_budget(&m, Dbm(14.0), node, GW, 40.0, 1);
+        let lb = link_budget(&m, Dbm(14.0), &m.static_link(node, GW, 40.0), 1);
         assert!(
             lb.rssi_dbm > -140.0 && lb.rssi_dbm < -70.0,
             "rssi {}",

@@ -14,7 +14,7 @@
 use crate::airtime::{time_on_air_s, AirtimeParams};
 use crate::dutycycle::DutyCycleTracker;
 use crate::frame::UplinkFrame;
-use crate::propagation::{link_budget, PathLossModel};
+use crate::propagation::{link_budget, LinkBudget, PathLossModel, StaticLink};
 use crate::region::{Region, SpreadingFactor};
 use ctt_core::geo::LatLon;
 use ctt_core::ids::{DevEui, GatewayId};
@@ -203,17 +203,39 @@ impl SimConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct InFlight {
     start_s: f64,
     end_s: f64,
-    req: TxRequest,
+    device: DevEui,
+    sf: SpreadingFactor,
+    channel: usize,
+    /// The frame until the transmission is resolved; then it moves into
+    /// the [`DeliveredUplink`] (or is dropped with a loss). A resolved
+    /// transmission stays in the window as an interferer for unresolved
+    /// overlapping ones until it is safely prunable.
+    frame: Option<UplinkFrame>,
     nonce: u64,
     time: Timestamp,
     airtime_s: f64,
-    /// Resolved transmissions stay in the window as interferers for
-    /// still-unresolved overlapping transmissions until safely prunable.
-    resolved: bool,
+    /// RSSI/SNR at each gateway, in gateway order, computed at submit.
+    budgets: Vec<LinkBudget>,
+}
+
+impl InFlight {
+    fn resolved(&self) -> bool {
+        self.frame.is_none()
+    }
+}
+
+/// What the simulator keeps per device: its duty cycle, and its static
+/// links to every gateway (in gateway order) for the position they were
+/// computed at, rebuilt when the device reports another position.
+#[derive(Debug)]
+struct Device {
+    duty: DutyCycleTracker,
+    position: Option<LatLon>,
+    links: Vec<StaticLink>,
 }
 
 /// The event-driven radio network simulator.
@@ -221,8 +243,11 @@ struct InFlight {
 pub struct RadioSimulator {
     config: SimConfig,
     gateways: Vec<GatewayConfig>,
-    duty: HashMap<DevEui, DutyCycleTracker>,
+    devices: HashMap<DevEui, Device>,
     in_flight: Vec<InFlight>,
+    /// Budget vectors of pruned transmissions, reused by the next submits
+    /// so that a steady-state submit allocates none.
+    spare_budgets: Vec<Vec<LinkBudget>>,
     delivered: Vec<DeliveredUplink>,
     lost: Vec<LostUplink>,
     stats: SimStats,
@@ -237,8 +262,9 @@ impl RadioSimulator {
         RadioSimulator {
             config,
             gateways,
-            duty: HashMap::new(),
+            devices: HashMap::new(),
             in_flight: Vec::new(),
+            spare_budgets: Vec::new(),
             delivered: Vec::new(),
             lost: Vec::new(),
             stats: SimStats::default(),
@@ -284,11 +310,12 @@ impl RadioSimulator {
         self.stats.submitted += 1;
 
         let airtime = time_on_air_s(&AirtimeParams::lorawan_uplink(req.sf, req.frame.phy_len()));
-        let duty = self
-            .duty
-            .entry(req.device)
-            .or_insert_with(|| DutyCycleTracker::new(self.config.region.duty_cycle));
-        if !duty.try_transmit(time, airtime) {
+        let device = self.devices.entry(req.device).or_insert_with(|| Device {
+            duty: DutyCycleTracker::new(self.config.region.duty_cycle),
+            position: None,
+            links: Vec::new(),
+        });
+        if !device.duty.try_transmit(time, airtime) {
             self.stats.lost_duty_cycle += 1;
             self.lost.push(LostUplink {
                 device: req.device,
@@ -298,19 +325,42 @@ impl RadioSimulator {
             return None;
         }
 
+        if device.position != Some(req.position) {
+            let path_loss = &self.config.path_loss;
+            device.links.clear();
+            device.links.extend(
+                self.gateways
+                    .iter()
+                    .map(|gw| path_loss.static_link(req.position, gw.position, gw.antenna_m)),
+            );
+            device.position = Some(req.position);
+        }
+        // `finalize_before` leaves the nonce counter alone, so the budgets
+        // can be computed while the device entry is at hand.
+        let nonce = self.next_nonce;
+        let mut budgets = self.spare_budgets.pop().unwrap_or_default();
+        budgets.clear();
+        budgets.extend(
+            device.links.iter().map(|link| {
+                link_budget(&self.config.path_loss, Dbm(req.tx_power_dbm), link, nonce)
+            }),
+        );
+
         // Finalize everything that can no longer be interfered with.
         self.finalize_before(start_s);
 
-        let nonce = self.next_nonce;
         self.next_nonce += 1;
         self.in_flight.push(InFlight {
             start_s,
             end_s: start_s + airtime,
-            req,
+            device: req.device,
+            sf: req.sf,
+            channel: req.channel,
+            frame: Some(req.frame),
             nonce,
             time,
             airtime_s: airtime,
-            resolved: false,
+            budgets,
         });
         Some(airtime)
     }
@@ -321,25 +371,29 @@ impl RadioSimulator {
     /// final. Afterwards, prune resolved entries that no unresolved entry
     /// overlaps.
     fn finalize_before(&mut self, cutoff_s: f64) {
-        let to_resolve: Vec<usize> = self
-            .in_flight
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.resolved && t.end_s <= cutoff_s)
-            .map(|(i, _)| i)
-            .collect();
-        for idx in to_resolve {
-            let Some(tx) = self.in_flight.get(idx).cloned() else {
+        for idx in 0..self.in_flight.len() {
+            let outcome = match self.in_flight.get(idx) {
+                Some(tx) if !tx.resolved() && tx.end_s <= cutoff_s => self.resolve(tx, idx),
+                _ => continue,
+            };
+            // Taking the frame marks the entry resolved.
+            let Some((tx, frame)) = self
+                .in_flight
+                .get_mut(idx)
+                .and_then(|tx| tx.frame.take().map(|frame| (tx, frame)))
+            else {
                 continue;
             };
-            let outcome = self.resolve(&tx, idx);
-            if let Some(entry) = self.in_flight.get_mut(idx) {
-                entry.resolved = true;
-            }
             match outcome {
-                Ok(delivery) => {
+                Ok(receptions) => {
                     self.stats.delivered += 1;
-                    self.delivered.push(delivery);
+                    self.delivered.push(DeliveredUplink {
+                        frame,
+                        time: tx.time,
+                        sf: tx.sf,
+                        airtime_s: tx.airtime_s,
+                        receptions,
+                    });
                 }
                 Err(reason) => {
                     match reason {
@@ -351,7 +405,7 @@ impl RadioSimulator {
                         LossReason::DutyCycle => self.stats.lost_duty_cycle += 1,
                     }
                     self.lost.push(LostUplink {
-                        device: tx.req.device,
+                        device: tx.device,
                         time: tx.time,
                         reason,
                     });
@@ -363,36 +417,31 @@ impl RadioSimulator {
         let min_unresolved_start = self
             .in_flight
             .iter()
-            .filter(|t| !t.resolved)
+            .filter(|t| !t.resolved())
             .map(|t| t.start_s)
             .fold(f64::INFINITY, f64::min);
-        self.in_flight
-            .retain(|t| !t.resolved || t.end_s > cutoff_s.min(min_unresolved_start));
-    }
-
-    /// RSSI/SNR of a transmission at a gateway.
-    fn budget(&self, tx: &InFlight, gw: &GatewayConfig) -> crate::propagation::LinkBudget {
-        link_budget(
-            &self.config.path_loss,
-            Dbm(tx.req.tx_power_dbm),
-            tx.req.position,
-            gw.position,
-            gw.antenna_m,
-            tx.nonce,
-        )
+        let horizon = cutoff_s.min(min_unresolved_start);
+        let spare = &mut self.spare_budgets;
+        self.in_flight.retain_mut(|t| {
+            let keep = !t.resolved() || t.end_s > horizon;
+            if !keep {
+                spare.push(std::mem::take(&mut t.budgets));
+            }
+            keep
+        });
     }
 
     /// Resolve the fate of a transmission (`idx` is its position in
-    /// `in_flight`; other in-flight entries are potential interferers).
-    fn resolve(&self, tx: &InFlight, idx: usize) -> Result<DeliveredUplink, LossReason> {
+    /// `in_flight`; other in-flight entries are potential interferers):
+    /// the gateways that demodulate it, strongest first, or why none did.
+    fn resolve(&self, tx: &InFlight, idx: usize) -> Result<Vec<Reception>, LossReason> {
+        let channels = self.config.region.channels.len();
         let mut receptions = Vec::new();
         let mut saw_sensitivity = false;
         let mut saw_busy = false;
         let mut saw_outage = false;
-        for gw in &self.gateways {
-            let lb = self.budget(tx, gw);
-            if lb.rssi_dbm < tx.req.sf.sensitivity_dbm() || lb.snr_db < tx.req.sf.required_snr_db()
-            {
+        for (g, (gw, lb)) in self.gateways.iter().zip(&tx.budgets).enumerate() {
+            if lb.rssi_dbm < tx.sf.sensitivity_dbm() || lb.snr_db < tx.sf.required_snr_db() {
                 continue; // below this gateway's floor
             }
             saw_sensitivity = true;
@@ -405,23 +454,22 @@ impl RadioSimulator {
                 continue;
             }
 
-            // Demod-path check: how many *receivable* transmissions overlap
-            // this one at this gateway (including itself), in start order?
-            let overlapping: Vec<&InFlight> = self
-                .in_flight
-                .iter()
-                .enumerate()
-                .filter(|(j, o)| {
-                    *j != idx && o.start_s < tx.end_s && tx.start_s < o.end_s && {
-                        let olb = self.budget(o, gw);
-                        olb.rssi_dbm >= o.req.sf.sensitivity_dbm()
-                    }
+            // The *receivable* transmissions that overlap this one at this
+            // gateway, each with its budget there, in start order.
+            let overlapping = || {
+                self.in_flight.iter().enumerate().filter_map(move |(j, o)| {
+                    let olb = o.budgets.get(g)?;
+                    (j != idx
+                        && o.start_s < tx.end_s
+                        && tx.start_s < o.end_s
+                        && olb.rssi_dbm >= o.sf.sensitivity_dbm())
+                    .then_some((o, olb))
                 })
-                .map(|(_, o)| o)
-                .collect();
-            let earlier = overlapping
-                .iter()
-                .filter(|o| (o.start_s, o.nonce) < (tx.start_s, tx.nonce))
+            };
+            // Demod-path check: how many of them (and this one) started
+            // before it?
+            let earlier = overlapping()
+                .filter(|(o, _)| (o.start_s, o.nonce) < (tx.start_s, tx.nonce))
                 .count();
             if earlier + 1 > gw.demod_paths {
                 saw_busy = true;
@@ -430,16 +478,11 @@ impl RadioSimulator {
 
             // Collision check: co-channel, co-SF overlaps.
             let mut collided = false;
-            for other in &overlapping {
-                if other.req.channel % self.config.region.channels.len()
-                    != tx.req.channel % self.config.region.channels.len()
-                    || other.req.sf != tx.req.sf
-                {
-                    continue; // different channel or quasi-orthogonal SF
-                }
-                let other_lb = self.budget(other, gw);
-                if other_lb.rssi_dbm < tx.req.sf.sensitivity_dbm() {
-                    continue; // interferer below floor contributes ~nothing
+            for (other, other_lb) in overlapping() {
+                // Different channel or quasi-orthogonal SF. (An interferer
+                // below the floor was never receivable, so is not here.)
+                if other.channel % channels != tx.channel % channels || other.sf != tx.sf {
+                    continue;
                 }
                 let advantage = lb.rssi_dbm - other_lb.rssi_dbm;
                 let survives =
@@ -471,13 +514,7 @@ impl RadioSimulator {
             return Err(LossReason::NoCoverage);
         }
         receptions.sort_by(|a, b| b.rssi_dbm.total_cmp(&a.rssi_dbm));
-        Ok(DeliveredUplink {
-            frame: tx.req.frame.clone(),
-            time: tx.time,
-            sf: tx.req.sf,
-            airtime_s: tx.airtime_s,
-            receptions,
-        })
+        Ok(receptions)
     }
 
     /// Resolve every in-flight transmission whose window ends at or before
@@ -505,7 +542,7 @@ impl RadioSimulator {
     pub fn next_deadline(&self) -> Option<Timestamp> {
         self.in_flight
             .iter()
-            .filter(|t| !t.resolved)
+            .filter(|t| !t.resolved())
             .map(|t| Timestamp(t.end_s.ceil() as i64))
             .min()
     }
@@ -761,6 +798,33 @@ mod tests {
         assert_eq!(lost.len(), 2);
         assert!(lost.iter().all(|l| l.reason == LossReason::GatewayDown));
         assert_eq!(s.stats().lost_collision, 0);
+    }
+
+    #[test]
+    fn a_moved_device_is_resolved_on_its_new_links() {
+        let mut s = sim();
+        let model = PathLossModel::urban(1);
+        let (here, there) = (GW_POS.offset(0.0, 200.0), GW_POS.offset(200.0, 900.0));
+        // The pre-cache budget of one transmission, written out; nonces
+        // count accepted submissions from 1.
+        let rssi = |pos: LatLon, nonce: u64| {
+            let height_gain = 6.0 * (40.0f64 / 15.0).log2().clamp(0.0, 1.5);
+            14.0 - (model.mean_path_loss_db(pos.distance_m(GW_POS))
+                + model.link_shadowing_db(pos, GW_POS)
+                + model.fading_db(pos, GW_POS, nonce)
+                - height_gain)
+        };
+        for (i, pos) in [here, there, here].into_iter().enumerate() {
+            let t = Timestamp(1000 * i as i64);
+            s.submit(t, req(1, pos, SpreadingFactor::Sf7, 0, i as u16));
+            let out = s.drain();
+            assert_eq!(out.len(), 1, "submit {i}");
+            assert_eq!(
+                out[0].best().rssi_dbm.to_bits(),
+                rssi(pos, i as u64 + 1).to_bits(),
+                "submit {i}"
+            );
+        }
     }
 
     #[test]

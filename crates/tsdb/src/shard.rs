@@ -165,11 +165,6 @@ impl ShardedTsdb {
         self.cache.stats()
     }
 
-    /// Drop every cached query entry (benchmark hygiene).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
     /// Run `f` on the data under the write lock and bump the epoch.
     fn mutate<R>(&self, f: impl FnOnce(&mut Tsdb) -> R) -> R {
         let mut store = self.store.write();
