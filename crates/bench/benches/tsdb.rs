@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use ctt_bench::{loaded_tsdb, synthetic_points};
 use ctt_core::time::{Span, Timestamp};
 use ctt_tsdb::{
-    execute, Aggregator, Downsample, FillPolicy, GorillaEncoder, Query, SeriesId, Tsdb,
+    execute, Aggregator, CompressedChunk, Downsample, FillPolicy, Query, SeriesId, Tsdb,
 };
 
 fn bench_ingest(c: &mut Criterion) {
@@ -65,11 +65,7 @@ fn bench_compression_ablation(c: &mut Criterion) {
         .map(|p| (p.time, p.value))
         .collect();
     // Report the space trade-off once.
-    let mut enc = GorillaEncoder::new();
-    for &(t, v) in &points {
-        enc.append(t, v);
-    }
-    let chunk = enc.finish();
+    let chunk = CompressedChunk::encode(&points);
     let raw_bytes = points.len() * std::mem::size_of::<(Timestamp, f64)>();
     println!(
         "[ablation] gorilla {} B vs raw {} B → ratio {:.1}×",
@@ -79,13 +75,7 @@ fn bench_compression_ablation(c: &mut Criterion) {
     );
     let mut g = c.benchmark_group("tsdb_compression");
     g.bench_function("gorilla_encode_4032", |b| {
-        b.iter(|| {
-            let mut enc = GorillaEncoder::new();
-            for &(t, v) in &points {
-                enc.append(black_box(t), black_box(v));
-            }
-            black_box(enc.finish().size_bytes())
-        })
+        b.iter(|| black_box(CompressedChunk::encode(black_box(&points)).size_bytes()))
     });
     g.bench_function("gorilla_decode_4032", |b| {
         b.iter(|| black_box(chunk.decode().map(|pts| pts.len())))

@@ -65,10 +65,9 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocations per delivered uplink at seed 42 over 23 558 uplinks:
-/// measured 9.03 in release and 11.03 in debug, where the broker's
-/// `debug_assert!`s build each topic a second time to validate it; plus
-/// 5 % headroom for change, not noise.
-const BOUND: f64 = if cfg!(debug_assertions) { 11.6 } else { 9.5 };
+/// measured 8.81, in debug and release alike, plus 5 % headroom for
+/// change, not noise.
+const BOUND: f64 = 9.25;
 
 #[test]
 fn a_steady_state_uplink_makes_its_measured_allocations() {

@@ -47,20 +47,27 @@ impl Topic {
     /// Validate and construct a topic name.
     pub fn new(s: impl Into<String>) -> Result<Topic, TopicError> {
         let s = s.into();
+        Topic::check(&s)?;
+        Ok(Topic(s.into()))
+    }
+
+    /// The rule [`Topic::new`] validates by: non-empty, no wildcard. It
+    /// allocates nothing, so a debug build checks each topic for free.
+    fn check(s: &str) -> Result<(), TopicError> {
         if s.is_empty() {
             return Err(TopicError::Empty);
         }
         if s.contains('+') || s.contains('#') {
             return Err(TopicError::WildcardInTopic);
         }
-        Ok(Topic(s.into()))
+        Ok(())
     }
 
     /// Crate-internal infallible constructor for topics assembled from
     /// pre-sanitized levels (see the bridge's level sanitizer). Validity is
     /// debug-asserted; release builds trust the caller.
     pub(crate) fn from_sanitized(s: &str) -> Topic {
-        debug_assert!(Topic::new(s).is_ok(), "unsanitized topic: {s:?}");
+        debug_assert!(Topic::check(s).is_ok(), "unsanitized topic: {s:?}");
         Topic(s.into())
     }
 

@@ -102,40 +102,12 @@ impl BitWriter {
         self.bytes.len()
     }
 
-    /// Capture the current write position so a later [`Self::truncate_to`]
-    /// can rewind every bit written after this instant. The partial final
-    /// byte is saved by value: bits ORed into it after the mark are erased
-    /// on rewind, not merely masked.
-    pub fn mark(&self) -> BitMark {
-        BitMark {
-            len: self.bytes.len(),
-            used: self.used,
-            last: self.bytes.last().copied().unwrap_or(0),
+    /// Pad the final byte with zeros, so the next write starts a byte.
+    pub fn pad_to_byte(&mut self) {
+        if self.used != 0 {
+            self.used = 8;
         }
     }
-
-    /// Rewind to a previously captured [`BitMark`], discarding everything
-    /// written since. The mark must come from this writer at a position at
-    /// or before the current one; a stale longer mark is ignored.
-    pub fn truncate_to(&mut self, mark: &BitMark) {
-        if mark.len > self.bytes.len() {
-            return;
-        }
-        self.bytes.truncate(mark.len);
-        if let Some(last) = self.bytes.last_mut() {
-            *last = mark.last;
-        }
-        self.used = mark.used;
-    }
-}
-
-/// A saved [`BitWriter`] position: byte length, bits used in the final
-/// byte, and the final byte's value at capture time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BitMark {
-    len: usize,
-    used: u8,
-    last: u8,
 }
 
 /// Bit reader over a byte slice.
@@ -308,44 +280,17 @@ mod tests {
     }
 
     #[test]
-    fn mark_and_truncate_restore_exact_state() {
+    fn padding_starts_the_next_byte() {
         let mut w = BitWriter::new();
-        w.write_bits(0b101_1011_0101, 11);
-        let mark = w.mark();
-        let before = w.clone();
-        w.write_bits(0xFFFF_FFFF, 32);
-        w.write_bit(true);
-        w.truncate_to(&mark);
-        assert_eq!(w.len_bits(), before.len_bits());
-        assert_eq!(w.len_bytes(), before.len_bytes());
-        // Continue writing on both and compare the final streams.
-        let mut a = w;
-        let mut b = before;
-        for wtr in [&mut a, &mut b] {
-            wtr.write_bits(0b10, 2);
-            wtr.write_bits(0xDEAD, 16);
-        }
-        assert_eq!(a.into_bytes(), b.into_bytes());
-    }
-
-    #[test]
-    fn truncate_at_byte_boundary_and_empty() {
-        // Mark at an exact byte boundary: `used == 8` on the live writer.
-        let mut w = BitWriter::new();
-        w.write_bits(0xAB, 8);
-        let mark = w.mark();
-        w.write_bits(0xCD, 8);
-        w.truncate_to(&mark);
+        w.pad_to_byte();
+        assert_eq!(w.len_bits(), 0, "an empty writer needs no padding");
+        w.write_bits(0b101, 3);
+        w.pad_to_byte();
         assert_eq!(w.len_bits(), 8);
-        w.write_bits(0xEF, 8);
-        assert_eq!(w.into_bytes(), vec![0xAB, 0xEF]);
-        // Mark on an empty writer rewinds to empty.
-        let mut w = BitWriter::new();
-        let mark = w.mark();
-        w.write_bits(0x1234, 16);
-        w.truncate_to(&mark);
-        assert_eq!(w.len_bits(), 0);
-        assert!(w.into_bytes().is_empty());
+        w.pad_to_byte();
+        assert_eq!(w.len_bits(), 8, "an aligned writer stays put");
+        w.write_bits(0xAB, 8);
+        assert_eq!(w.into_bytes(), vec![0b1010_0000, 0xAB]);
     }
 
     #[test]

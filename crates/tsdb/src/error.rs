@@ -25,6 +25,12 @@ pub enum TsdbError {
         /// Significant-bit count from the 6-bit header field.
         significant: u8,
     },
+    /// A value column's header byte names no coding: neither a decimal
+    /// exponent nor the XOR marker.
+    UnknownValueCoding {
+        /// The header byte read.
+        header: u8,
+    },
     /// A series id that does not exist in this store.
     UnknownSeries(SeriesId),
     /// A query referenced a metric with no series at all.
@@ -53,6 +59,9 @@ impl fmt::Display for TsdbError {
                 f,
                 "gorilla value window invalid: leading {leading} + significant {significant} > 64"
             ),
+            TsdbError::UnknownValueCoding { header } => {
+                write!(f, "value column header {header:#04x} names no coding")
+            }
             TsdbError::UnknownSeries(id) => write!(f, "unknown series id {}", id.0),
             TsdbError::NoSuchMetric(m) => write!(f, "no series recorded for metric {m:?}"),
             TsdbError::UnencodableChunk { gap } => write!(

@@ -1,158 +1,260 @@
-//! Gorilla compression for time-series chunks (Facebook's in-memory TSDB,
-//! VLDB 2015) — delta-of-delta timestamps and XOR-encoded float values.
+//! Sealed-chunk compression: Gorilla's timestamp stream (Facebook's
+//! in-memory TSDB, VLDB 2015) interleaved with a value column coded one of
+//! two ways, chosen once per column when it is sealed.
 //!
-//! Sensor uplinks arrive on a nearly regular cadence (5 minutes) with
-//! slowly-varying values, which is exactly the regime Gorilla exploits: a
-//! stable cadence makes almost every timestamp a single `0` bit, and small
-//! value changes share exponent/mantissa prefixes so XORs have long
-//! zero runs.
+//! Every value the pipeline stores comes from a fixed-point payload (×10,
+//! ×100 or ×2 integers), so it sits on a decimal grid. A **decimal**
+//! column stores each value `v` as the integer `n` with
+//! `v == (n as f64) / 10^e` bit for bit, for the smallest `e` at which every
+//! value of the column round-trips (ALP, Afroozeh, Kuffó and Boncz,
+//! SIGMOD 2023): the first `n` as a zigzag integer behind its 6-bit bit
+//! length, each later one as its delta in the prefix code the timestamps
+//! use. A column with any value off every grid — `-0.0`, NaN, ±∞,
+//! `|n| ≥ 2^53`, or readings no fixed point produced — keeps Gorilla's
+//! **XOR** coder. The rule has no knob: decimal if every value fits, XOR
+//! otherwise, and the encoder checks each value with the expression the
+//! decoder uses.
 //!
-//! Encoding details (as in the paper, with 64-bit timestamps):
-//! * first timestamp: 64 bits raw; first delta: 27-bit signed
-//! * delta-of-delta: `0` | `10`+7 bit | `110`+9 bit | `1110`+12 bit |
-//!   `1111`+32 bit (signed, zigzag-free, offset encoded)
-//! * first value: 64 bits raw
-//! * value XOR: `0` (same) | `10` (within previous leading/trailing window)
-//!   | `11` + 5-bit leading + 6-bit length + meaningful bits
+//! A chunk is one header byte — the value column's `e`, or
+//! [`XOR_HEADER`] — then one stream, decoded in one pass:
+//! * first timestamp: 64 bits raw; first delta: 27 bits, offset-encoded;
+//! * each later timestamp's delta-of-delta: `0` | `10`+7 | `110`+9 |
+//!   `1110`+12 | `1111`+32 bits;
+//! * each value after its timestamp: a decimal delta in the same classes
+//!   with a 64-bit escape, or an XOR code — `0` (same) | `10` + the
+//!   significand in the previous leading/trailing window | `11` + 5-bit
+//!   leading + 6-bit `sig - 1` + the significand (the first value raw).
+//!
+//! The rollup blocks code their float columns with the same pair of
+//! coders ([`Coding`], [`ValueEncoder`], [`ValueDecoder`]). Decoding only
+//! ever wraps integer arithmetic, so corrupt bytes decode or refuse with a
+//! [`TsdbError`]; they never panic.
 
-use crate::bits::{BitMark, BitReader, BitWriter};
+use crate::bits::{BitReader, BitWriter};
 use crate::error::TsdbError;
 use ctt_core::time::Timestamp;
 
-/// Streaming Gorilla encoder for one chunk.
-#[derive(Debug, Clone)]
-pub struct GorillaEncoder {
-    w: BitWriter,
-    count: u32,
-    prev_ts: i64,
-    prev_delta: i64,
-    values: XorEncoder,
+/// Largest decimal exponent a column is tried at: ALP's bound for doubles.
+/// Every `10^e` up to it is exact in an `f64`.
+const MAX_EXPONENT: u8 = 18;
+
+/// Header byte of a column kept by the XOR coder; `0..=MAX_EXPONENT`
+/// name a decimal column's exponent, and every other byte is refused.
+const XOR_HEADER: u8 = 0xff;
+
+/// `10^e` for every exponent a column can carry.
+const POW10: [f64; MAX_EXPONENT as usize + 1] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18,
+];
+
+/// How one value column is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Coding {
+    /// Integers `n` with `v == (n as f64) / 10^e`, bit for bit.
+    Decimal(u8),
+    /// Gorilla's XOR coder.
+    Xor,
 }
 
-impl Default for GorillaEncoder {
-    fn default() -> Self {
-        Self::new()
-    }
+/// `10^e`, or 1 past the table (no column header names such an `e`).
+fn scale(e: u8) -> f64 {
+    POW10.get(usize::from(e)).copied().unwrap_or(1.0)
 }
 
-impl GorillaEncoder {
-    /// Fresh encoder.
-    pub fn new() -> Self {
-        GorillaEncoder {
-            w: BitWriter::new(),
-            count: 0,
-            prev_ts: 0,
-            prev_delta: 0,
-            values: XorEncoder::default(),
-        }
-    }
+/// The integer nearest `v · scale`. A value fits only if this integer
+/// round-trips.
+#[inline]
+fn to_grid(v: f64, scale: f64) -> i64 {
+    (v * scale).round() as i64
+}
 
-    /// Number of points appended.
-    pub fn count(&self) -> u32 {
-        self.count
-    }
+/// Whether `v` round-trips bit for bit through the grid of `scale`. The
+/// cast saturates, so ±∞ and NaN land far off the grid or on `0`, and
+/// `0 / scale` is `+0.0`: neither they nor `-0.0` ever fit.
+#[inline]
+fn fits(v: f64, scale: f64) -> bool {
+    let n = to_grid(v, scale);
+    n.unsigned_abs() < 1 << 53 && (n as f64 / scale).to_bits() == v.to_bits()
+}
 
-    /// Compressed size so far, in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.w.len_bytes()
-    }
-
-    /// Append one point. Timestamps must be non-decreasing.
-    #[inline]
-    pub fn append(&mut self, t: Timestamp, value: f64) {
-        let ts = t.as_seconds();
-        let vbits = value.to_bits();
-        if self.count == 0 {
-            self.w.write_bits(ts as u64, 64);
-            self.values = XorEncoder::start(&mut self.w, vbits);
-        } else {
-            // lint:allow(panic): a series seals its sorted buffer, so appends are in time order
-            assert!(ts >= self.prev_ts, "out-of-order append to chunk");
-            let delta = ts - self.prev_ts;
-            if self.count == 1 {
-                // First delta: 27-bit offset-encoded (supports up to ~2 years).
-                debug_assert!(delta < (1 << 26));
-                self.w.write_bits((delta + (1 << 26)) as u64, 27);
-            } else {
-                let dod = delta - self.prev_delta;
-                match dod {
-                    0 => self.w.write_bit(false),
-                    -63..=64 => {
-                        self.w.write_bits(0b10, 2);
-                        self.w.write_bits((dod + 63) as u64, 7);
+impl Coding {
+    /// The coding of a column: the smallest exponent at which every value
+    /// fits, else XOR. An exponent below the one a value needs is never
+    /// retried, so the search stays near one pass over the values.
+    pub(crate) fn choose<I: Iterator<Item = f64> + Clone>(values: I) -> Coding {
+        let mut e = 0u8;
+        'search: loop {
+            for v in values.clone() {
+                if fits(v, scale(e)) {
+                    continue;
+                }
+                match (e + 1..=MAX_EXPONENT).find(|&up| fits(v, scale(up))) {
+                    Some(up) => {
+                        e = up;
+                        continue 'search;
                     }
-                    -255..=256 => {
-                        self.w.write_bits(0b110, 3);
-                        self.w.write_bits((dod + 255) as u64, 9);
-                    }
-                    -2047..=2048 => {
-                        self.w.write_bits(0b1110, 4);
-                        self.w.write_bits((dod + 2047) as u64, 12);
-                    }
-                    _ => {
-                        self.w.write_bits(0b1111, 4);
-                        self.w.write_bits((dod as i32) as u32 as u64, 32);
-                    }
+                    None => return Coding::Xor,
                 }
             }
-            self.prev_delta = delta;
-            self.values.push(&mut self.w, vbits);
-        }
-        self.prev_ts = ts;
-        self.count += 1;
-    }
-
-    /// Finish, producing the sealed chunk bytes (header + bitstream).
-    pub fn finish(self) -> CompressedChunk {
-        CompressedChunk {
-            count: self.count,
-            data: self.w.into_bytes(),
+            return Coding::Decimal(e);
         }
     }
 
-    /// Capture the full encoder state — bitstream position plus the
-    /// delta/XOR prediction context — so a later [`Self::restore`] rewinds
-    /// to exactly this instant. This is what lets a streaming appender
-    /// re-encode the final point (last-write-wins on duplicate timestamps)
-    /// or cut a chunk at a bucket boundary without re-walking the stream.
-    pub fn checkpoint(&self) -> EncCheckpoint {
-        EncCheckpoint {
-            mark: self.w.mark(),
-            count: self.count,
-            prev_ts: self.prev_ts,
-            prev_delta: self.prev_delta,
-            values: self.values,
+    /// The column's header byte.
+    pub(crate) fn header(self) -> u8 {
+        match self {
+            Coding::Decimal(e) => e,
+            Coding::Xor => XOR_HEADER,
         }
     }
 
-    /// Rewind to a previously captured checkpoint, discarding every point
-    /// appended since. The checkpoint must come from this encoder.
-    pub fn restore(&mut self, ck: &EncCheckpoint) {
-        self.w.truncate_to(&ck.mark);
-        self.count = ck.count;
-        self.prev_ts = ck.prev_ts;
-        self.prev_delta = ck.prev_delta;
-        self.values = ck.values;
+    /// The coding a header byte names, or `None` for a byte no encoder
+    /// writes.
+    pub(crate) fn from_header(byte: u8) -> Option<Coding> {
+        match byte {
+            XOR_HEADER => Some(Coding::Xor),
+            e if e <= MAX_EXPONENT => Some(Coding::Decimal(e)),
+            _ => None,
+        }
     }
 }
 
-/// A saved [`GorillaEncoder`] position: the bitstream mark plus the
-/// prediction context (previous timestamp, delta, value bits, XOR window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncCheckpoint {
-    mark: BitMark,
-    count: u32,
-    prev_ts: i64,
-    prev_delta: i64,
-    values: XorEncoder,
+/// Write `d` in Gorilla's delta-of-delta classes: `0` | `10`+7 | `110`+9 |
+/// `1110`+12 | `1111` + the low `wide` bits of `d`'s two's complement.
+#[inline]
+fn write_class(w: &mut BitWriter, d: i64, wide: u8) {
+    match d {
+        0 => w.write_bit(false),
+        -63..=64 => w.write_bits((0b10 << 7) | (d + 63) as u64, 9),
+        -255..=256 => w.write_bits((0b110 << 9) | (d + 255) as u64, 12),
+        -2047..=2048 => w.write_bits((0b1110 << 12) | (d + 2047) as u64, 16),
+        _ => {
+            w.write_bits(0b1111, 4);
+            w.write_bits(d as u64, wide);
+        }
+    }
 }
 
-/// Gorilla's XOR float coder, the value half of a chunk's stream, shared
-/// with the rollup block's float columns. The first value is written raw
-/// (64 bits); each later one as its XOR with the value before: `0` (same)
-/// | `10` + the significand in the previous leading/trailing window | `11`
-/// + 5-bit leading + 6-bit `sig - 1` + the significand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Read what [`write_class`] wrote (`wide` in `1..=64`); `None` when the
+/// stream ends first.
+#[inline]
+fn read_class(r: &mut BitReader, wide: u8) -> Option<i64> {
+    Some(if !r.read_bit()? {
+        0
+    } else if !r.read_bit()? {
+        r.read_bits(7)? as i64 - 63
+    } else if !r.read_bit()? {
+        r.read_bits(9)? as i64 - 255
+    } else if !r.read_bit()? {
+        r.read_bits(12)? as i64 - 2047
+    } else {
+        // Sign-extend the low `wide` bits.
+        let shift = 64 - u32::from(wide);
+        ((r.read_bits(wide)? << shift) as i64) >> shift
+    })
+}
+
+/// Writes one value column in its [`Coding`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueEncoder {
+    /// The grid's scale and the previous integer.
+    Decimal { scale: f64, prev: i64 },
+    /// Gorilla's XOR coder.
+    Xor(XorEncoder),
+}
+
+impl ValueEncoder {
+    /// An encoder for a column of `coding`; it writes no header.
+    pub(crate) fn new(coding: Coding) -> Self {
+        match coding {
+            Coding::Decimal(e) => ValueEncoder::Decimal {
+                scale: scale(e),
+                prev: 0,
+            },
+            Coding::Xor => ValueEncoder::Xor(XorEncoder::default()),
+        }
+    }
+
+    /// Write the column's first value: a decimal column's integer as its
+    /// zigzag code's 6-bit bit length and then the code, an XOR column's
+    /// bits raw.
+    #[inline]
+    pub(crate) fn first(&mut self, w: &mut BitWriter, v: f64) {
+        match self {
+            ValueEncoder::Decimal { scale, prev } => {
+                let n = to_grid(v, *scale);
+                let zigzag = ((n << 1) ^ (n >> 63)) as u64;
+                let len = 64 - zigzag.leading_zeros() as u8;
+                w.write_bits(u64::from(len), 6);
+                w.write_bits(zigzag, len);
+                *prev = n;
+            }
+            ValueEncoder::Xor(xor) => *xor = XorEncoder::start(w, v.to_bits()),
+        }
+    }
+
+    /// Write a value after the first.
+    #[inline]
+    pub(crate) fn push(&mut self, w: &mut BitWriter, v: f64) {
+        match self {
+            ValueEncoder::Decimal { scale, prev } => {
+                let n = to_grid(v, *scale);
+                write_class(w, n.wrapping_sub(*prev), 64);
+                *prev = n;
+            }
+            ValueEncoder::Xor(xor) => xor.push(w, v.to_bits()),
+        }
+    }
+}
+
+/// Reads one value column's codes. `next` gives `Err(None)` when the
+/// stream ends first and `Err(Some(_))` on a code no encoder writes.
+pub(crate) trait ValueDecoder {
+    /// Read the column's first value; `None` when the stream is too short.
+    fn first(&mut self, r: &mut BitReader) -> Option<f64>;
+    /// Read the next value.
+    fn next(&mut self, r: &mut BitReader) -> Result<f64, Option<TsdbError>>;
+}
+
+/// Reads a decimal column.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DecimalDecoder {
+    scale: f64,
+    prev: i64,
+}
+
+impl DecimalDecoder {
+    /// A decoder for the grid of exponent `e`.
+    pub(crate) fn new(e: u8) -> Self {
+        DecimalDecoder {
+            scale: scale(e),
+            prev: 0,
+        }
+    }
+}
+
+impl ValueDecoder for DecimalDecoder {
+    #[inline]
+    fn first(&mut self, r: &mut BitReader) -> Option<f64> {
+        let len = r.read_bits(6)? as u8;
+        let zigzag = r.read_bits(len)?;
+        self.prev = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+        Some(self.prev as f64 / self.scale)
+    }
+
+    #[inline]
+    fn next(&mut self, r: &mut BitReader) -> Result<f64, Option<TsdbError>> {
+        self.prev = self.prev.wrapping_add(read_class(r, 64).ok_or(None)?);
+        Ok(self.prev as f64 / self.scale)
+    }
+}
+
+/// Gorilla's XOR float coder. The first value is written raw (64 bits);
+/// each later one as its XOR with the value before: `0` (same) | `10` +
+/// the significand in the previous leading/trailing window | `11` + 5-bit
+/// leading + 6-bit `sig - 1` + the significand.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct XorEncoder {
     prev_bits: u64,
     prev_leading: u8,
@@ -172,7 +274,7 @@ impl Default for XorEncoder {
 impl XorEncoder {
     /// Start a stream: write its first value raw.
     #[inline]
-    pub(crate) fn start(w: &mut BitWriter, vbits: u64) -> Self {
+    fn start(w: &mut BitWriter, vbits: u64) -> Self {
         w.write_bits(vbits, 64);
         XorEncoder {
             prev_bits: vbits,
@@ -182,7 +284,7 @@ impl XorEncoder {
 
     /// Write one value after the first.
     #[inline]
-    pub(crate) fn push(&mut self, w: &mut BitWriter, vbits: u64) {
+    fn push(&mut self, w: &mut BitWriter, vbits: u64) {
         let xor = vbits ^ self.prev_bits;
         self.prev_bits = vbits;
         if xor == 0 {
@@ -232,24 +334,15 @@ pub(crate) struct XorDecoder {
     trailing: u8,
 }
 
-impl XorDecoder {
-    /// Read a stream's raw first value; `None` when the stream is too short.
+impl ValueDecoder for XorDecoder {
     #[inline]
-    pub(crate) fn start(r: &mut BitReader) -> Option<(Self, u64)> {
-        let bits = r.read_bits(64)?;
-        Some((
-            XorDecoder {
-                bits,
-                ..XorDecoder::default()
-            },
-            bits,
-        ))
+    fn first(&mut self, r: &mut BitReader) -> Option<f64> {
+        self.bits = r.read_bits(64)?;
+        Some(f64::from_bits(self.bits))
     }
 
-    /// Read the next value's bits. `Err(None)` when the stream ends first,
-    /// `Err(Some(_))` on a window header no encoder writes.
     #[inline]
-    pub(crate) fn next(&mut self, r: &mut BitReader) -> Result<u64, Option<TsdbError>> {
+    fn next(&mut self, r: &mut BitReader) -> Result<f64, Option<TsdbError>> {
         if r.read_bit().ok_or(None)? {
             if r.read_bit().ok_or(None)? {
                 let leading = r.read_bits(5).ok_or(None)? as u8;
@@ -268,7 +361,72 @@ impl XorDecoder {
             let sig = 64 - self.leading - self.trailing;
             self.bits ^= r.read_bits(sig).ok_or(None)? << self.trailing;
         }
-        Ok(self.bits)
+        Ok(f64::from_bits(self.bits))
+    }
+}
+
+/// Encodes one chunk, a point at a time, in the value coding fixed at
+/// construction. The seal walk drives it alongside the rollup fold.
+#[derive(Debug)]
+pub(crate) struct ChunkEncoder {
+    w: BitWriter,
+    coding: Coding,
+    count: u32,
+    prev_ts: i64,
+    prev_delta: i64,
+    values: ValueEncoder,
+}
+
+impl ChunkEncoder {
+    /// An encoder for exactly `points`, its value coding chosen from all
+    /// of their values. Push them next, in order.
+    pub(crate) fn for_points(points: &[(Timestamp, f64)]) -> Self {
+        let coding = Coding::choose(points.iter().map(|&(_, v)| v));
+        // Room for the usual case; a noisier column grows the buffer.
+        let per_point = if coding == Coding::Xor { 8 } else { 2 };
+        ChunkEncoder {
+            w: BitWriter::with_capacity(24 + points.len() * per_point),
+            coding,
+            count: 0,
+            prev_ts: 0,
+            prev_delta: 0,
+            values: ValueEncoder::new(coding),
+        }
+    }
+
+    /// Append one point. Timestamps must be non-decreasing, each less than
+    /// 2²⁶ s after the one before.
+    #[inline]
+    pub(crate) fn push(&mut self, t: Timestamp, value: f64) {
+        let ts = t.as_seconds();
+        if self.count == 0 {
+            self.w.write_bits(u64::from(self.coding.header()), 8);
+            self.w.write_bits(ts as u64, 64);
+            self.values.first(&mut self.w, value);
+        } else {
+            // lint:allow(panic): a series seals its sorted buffer, so points arrive in time order
+            assert!(ts >= self.prev_ts, "out-of-order append to chunk");
+            let delta = ts - self.prev_ts;
+            if self.count == 1 {
+                // First delta: 27-bit offset-encoded (supports up to ~2 years).
+                debug_assert!(delta < (1 << 26));
+                self.w.write_bits((delta + (1 << 26)) as u64, 27);
+            } else {
+                write_class(&mut self.w, delta - self.prev_delta, 32);
+            }
+            self.prev_delta = delta;
+            self.values.push(&mut self.w, value);
+        }
+        self.prev_ts = ts;
+        self.count += 1;
+    }
+
+    /// The sealed chunk, held at its exact length.
+    pub(crate) fn finish(self) -> CompressedChunk {
+        CompressedChunk {
+            count: self.count,
+            data: self.w.into_bytes(),
+        }
     }
 }
 
@@ -280,6 +438,17 @@ pub struct CompressedChunk {
 }
 
 impl CompressedChunk {
+    /// Encode time-sorted points (non-decreasing timestamps, neighbours
+    /// less than 2²⁶ s apart) as one chunk. Panics on an out-of-order
+    /// point.
+    pub fn encode(points: &[(Timestamp, f64)]) -> CompressedChunk {
+        let mut enc = ChunkEncoder::for_points(points);
+        for &(t, v) in points {
+            enc.push(t, v);
+        }
+        enc.finish()
+    }
+
     /// Number of points in the chunk.
     pub fn count(&self) -> u32 {
         self.count
@@ -309,42 +478,55 @@ impl CompressedChunk {
     /// Decode all points. A truncated or corrupt bitstream yields a typed
     /// error rather than a panic — chunks can arrive from disk or the wire.
     pub fn decode(&self) -> Result<Vec<(Timestamp, f64)>, TsdbError> {
-        let mut out = Vec::with_capacity(self.count as usize);
+        // Every point after the first takes at least two bits, so a count
+        // past that is corrupt and must not size the buffer.
+        let mut out = Vec::with_capacity((self.count as usize).min(self.data.len() * 4 + 1));
         if self.count == 0 {
             return Ok(out);
         }
+        let (&header, stream) = self.data.split_first().ok_or(TsdbError::TruncatedChunk {
+            decoded: 0,
+            expected: self.count,
+        })?;
+        let r = BitReader::new(stream);
+        match Coding::from_header(header) {
+            Some(Coding::Decimal(e)) => self.decode_into(r, DecimalDecoder::new(e), &mut out)?,
+            Some(Coding::Xor) => self.decode_into(r, XorDecoder::default(), &mut out)?,
+            None => return Err(TsdbError::UnknownValueCoding { header }),
+        }
+        Ok(out)
+    }
+
+    /// The decode loop, one copy per value decoder.
+    #[inline]
+    fn decode_into(
+        &self,
+        mut r: BitReader,
+        mut values: impl ValueDecoder,
+        out: &mut Vec<(Timestamp, f64)>,
+    ) -> Result<(), TsdbError> {
         let truncated = |decoded: usize| TsdbError::TruncatedChunk {
             decoded: decoded as u32,
             expected: self.count,
         };
-        let mut r = BitReader::new(&self.data);
         let mut ts = r.read_bits(64).ok_or_else(|| truncated(0))? as i64;
-        let (mut values, vbits) = XorDecoder::start(&mut r).ok_or_else(|| truncated(0))?;
-        out.push((Timestamp(ts), f64::from_bits(vbits)));
+        let first = values.first(&mut r).ok_or_else(|| truncated(0))?;
+        out.push((Timestamp(ts), first));
         let mut delta: i64 = 0;
         for i in 1..self.count {
-            let short = truncated(i as usize);
-            if i == 1 {
-                delta = r.read_bits(27).ok_or(short.clone())? as i64 - (1 << 26);
+            delta = if i == 1 {
+                r.read_bits(27).map(|d| d as i64 - (1 << 26))
             } else {
-                let dod = if !r.read_bit().ok_or(short.clone())? {
-                    0
-                } else if !r.read_bit().ok_or(short.clone())? {
-                    r.read_bits(7).ok_or(short.clone())? as i64 - 63
-                } else if !r.read_bit().ok_or(short.clone())? {
-                    r.read_bits(9).ok_or(short.clone())? as i64 - 255
-                } else if !r.read_bit().ok_or(short.clone())? {
-                    r.read_bits(12).ok_or(short.clone())? as i64 - 2047
-                } else {
-                    i64::from(r.read_bits(32).ok_or(short.clone())? as u32 as i32)
-                };
-                delta = delta.wrapping_add(dod);
+                read_class(&mut r, 32).map(|dod| delta.wrapping_add(dod))
             }
+            .ok_or_else(|| truncated(i as usize))?;
             ts = ts.wrapping_add(delta);
-            let vbits = values.next(&mut r).map_err(|e| e.unwrap_or(short))?;
-            out.push((Timestamp(ts), f64::from_bits(vbits)));
+            let v = values
+                .next(&mut r)
+                .map_err(|e| e.unwrap_or_else(|| truncated(i as usize)))?;
+            out.push((Timestamp(ts), v));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Serialize to bytes (length-prefixed) for export.
@@ -361,29 +543,30 @@ impl CompressedChunk {
 mod tests {
     use super::*;
     use ctt_core::time::Span;
+    use proptest::prelude::*;
 
-    fn roundtrip(points: &[(Timestamp, f64)]) {
-        let mut enc = GorillaEncoder::new();
-        for &(t, v) in points {
-            enc.append(t, v);
-        }
-        let chunk = enc.finish();
+    /// Encode, decode, and compare every point bit for bit.
+    fn roundtrip(points: &[(Timestamp, f64)]) -> CompressedChunk {
+        let chunk = CompressedChunk::encode(points);
         assert_eq!(chunk.count() as usize, points.len());
         let decoded = chunk.decode().expect("roundtrip chunk decodes");
         assert_eq!(decoded.len(), points.len());
         for (i, (&(t, v), &(dt, dv))) in points.iter().zip(&decoded).enumerate() {
             assert_eq!(t, dt, "timestamp {i}");
-            assert!(
-                v == dv || (v.is_nan() && dv.is_nan()),
-                "value {i}: {v} != {dv}"
-            );
+            assert_eq!(v.to_bits(), dv.to_bits(), "value {i}: {v} != {dv}");
         }
+        chunk
+    }
+
+    fn header(chunk: &CompressedChunk) -> Option<Coding> {
+        Coding::from_header(*chunk.data.first()?)
     }
 
     #[test]
     fn empty_chunk() {
-        let chunk = GorillaEncoder::new().finish();
+        let chunk = CompressedChunk::encode(&[]);
         assert_eq!(chunk.count(), 0);
+        assert_eq!(chunk.size_bytes(), 0);
         assert!(chunk.decode().expect("empty chunk decodes").is_empty());
     }
 
@@ -444,21 +627,15 @@ mod tests {
     #[test]
     fn constant_values_compress_to_single_bits() {
         let start = Timestamp(0);
-        let mut enc = GorillaEncoder::new();
-        for i in 0..1000i64 {
-            enc.append(start + Span::seconds(300 * i), 42.0);
-        }
-        let chunk = enc.finish();
+        let pts: Vec<_> = (0..1000i64)
+            .map(|i| (start + Span::seconds(300 * i), 42.0))
+            .collect();
+        let chunk = roundtrip(&pts);
         // 1000 points × 16 B raw = 16 kB; constant series ≈ 2 bits/point.
         assert!(
             chunk.size_bytes() < 450,
             "constant series took {} bytes",
             chunk.size_bytes()
-        );
-        roundtrip(
-            &(0..1000i64)
-                .map(|i| (start + Span::seconds(300 * i), 42.0))
-                .collect::<Vec<_>>(),
         );
     }
 
@@ -466,21 +643,40 @@ mod tests {
     fn sensor_like_series_compresses_well() {
         // Realistic CO2 series: regular cadence, smooth value changes.
         let start = Timestamp::from_civil(2017, 3, 1, 0, 0, 0);
-        let mut enc = GorillaEncoder::new();
         let n = 2016; // one week at 5 min
-        for i in 0..n {
-            let v = 410.0 + 25.0 * ((i as f64) * 0.02).sin() + ((i * 7919) % 13) as f64 * 0.1;
-            enc.append(start + Span::minutes(5 * i), v);
-        }
-        let chunk = enc.finish();
+        let pts: Vec<_> = (0..n)
+            .map(|i| {
+                let v = 410.0 + 25.0 * ((i as f64) * 0.02).sin() + ((i * 7919) % 13) as f64 * 0.1;
+                (start + Span::minutes(5 * i), v)
+            })
+            .collect();
+        let chunk = roundtrip(&pts);
+        assert_eq!(header(&chunk), Some(Coding::Xor), "a sine is off the grid");
         let raw = n as usize * 16;
         let ratio = raw as f64 / chunk.size_bytes() as f64;
         assert!(ratio > 1.8, "compression ratio {ratio:.2} too low");
     }
 
     #[test]
+    fn payload_readings_take_about_a_byte_a_point() {
+        // A ×10 fixed-point CO2 reading at a 5-minute cadence: one decimal
+        // per value, so the column is stored as integers at e = 1.
+        let start = Timestamp::from_civil(2017, 3, 1, 0, 0, 0);
+        let pts: Vec<_> = (0..512i64)
+            .map(|i| {
+                let tenths = 4100 + ((i * 7919) % 97) - 48;
+                (start + Span::minutes(5 * i), tenths as f64 / 10.0)
+            })
+            .collect();
+        let chunk = roundtrip(&pts);
+        assert_eq!(header(&chunk), Some(Coding::Decimal(1)));
+        let per_point = chunk.size_bytes() as f64 / 512.0;
+        assert!(per_point < 1.5, "{per_point:.2} B per point");
+    }
+
+    #[test]
     fn special_values() {
-        roundtrip(&[
+        let chunk = roundtrip(&[
             (Timestamp(0), 0.0),
             (Timestamp(10), -0.0),
             (Timestamp(20), f64::INFINITY),
@@ -489,6 +685,32 @@ mod tests {
             (Timestamp(50), f64::MIN_POSITIVE),
             (Timestamp(60), f64::MAX),
         ]);
+        assert_eq!(header(&chunk), Some(Coding::Xor));
+    }
+
+    #[test]
+    fn off_grid_values_never_fit() {
+        for v in [
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            9_007_199_254_740_992.0, // 2^53
+            -9_007_199_254_740_992.0,
+            f64::from_bits(1),
+            0.1 + 0.2,
+        ] {
+            assert_eq!(Coding::choose([v].into_iter()), Coding::Xor, "{v:e}");
+        }
+        assert_eq!(
+            Coding::choose([9_007_199_254_740_991.0].into_iter()),
+            Coding::Decimal(0)
+        );
+        assert_eq!(
+            Coding::choose([0.0, 1.5, -2.25].into_iter()),
+            Coding::Decimal(2)
+        );
+        assert_eq!(Coding::choose(std::iter::empty()), Coding::Decimal(0));
     }
 
     #[test]
@@ -503,71 +725,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "out-of-order")]
     fn out_of_order_panics() {
-        let mut enc = GorillaEncoder::new();
-        enc.append(Timestamp(100), 1.0);
-        enc.append(Timestamp(50), 2.0);
-    }
-
-    #[test]
-    fn checkpoint_restore_yields_identical_bytes() {
-        // Rewinding N points and re-appending the same tail must produce a
-        // chunk byte-identical to never having rewound — including when the
-        // rewind crosses XOR-window renegotiations.
-        let pts: Vec<(Timestamp, f64)> = (0..40i64)
-            .map(|i| {
-                let v = if i % 7 == 0 {
-                    f64::NAN
-                } else {
-                    400.0 + (i as f64) * 1.5
-                };
-                (Timestamp(i * 300), v)
-            })
-            .collect();
-        let mut straight = GorillaEncoder::new();
-        for &(t, v) in &pts {
-            straight.append(t, v);
-        }
-        for cut in [1usize, 13, 25, 39] {
-            let mut enc = GorillaEncoder::new();
-            for &(t, v) in &pts[..cut] {
-                enc.append(t, v);
-            }
-            let ck = enc.checkpoint();
-            // Scribble extra points, then rewind them all.
-            for i in 0..5i64 {
-                enc.append(Timestamp(pts[cut - 1].0 .0 + 1 + i), 9e9);
-            }
-            enc.restore(&ck);
-            assert_eq!(enc.count() as usize, cut);
-            for &(t, v) in &pts[cut..] {
-                enc.append(t, v);
-            }
-            assert_eq!(enc.clone().finish(), straight.clone().finish(), "cut {cut}");
-        }
+        CompressedChunk::encode(&[(Timestamp(100), 1.0), (Timestamp(50), 2.0)]);
     }
 
     #[test]
     fn truncated_bitstream_is_an_error_not_a_panic() {
         // Regression: decode() used to .expect() on every read, so a chunk
         // whose bitstream was cut short (disk corruption, partial write)
-        // panicked the ingest thread. It must return TruncatedChunk instead.
-        let mut enc = GorillaEncoder::new();
-        for i in 0..50i64 {
-            enc.append(Timestamp(i * 300), 400.0 + i as f64);
-        }
-        let chunk = enc.finish();
-        // Drop trailing payload bytes but keep the point count.
-        for cut in 1..chunk.data.len().min(24) {
-            let short = CompressedChunk {
-                count: chunk.count,
-                data: chunk.data[..chunk.data.len() - cut].to_vec(),
-            };
-            match short.decode() {
-                Err(TsdbError::TruncatedChunk { decoded, expected }) => {
-                    assert_eq!(expected, 50);
-                    assert!(decoded < 50);
+        // panicked the ingest thread. It must return TruncatedChunk instead,
+        // in either value coding.
+        for scale in [1.0, 1.1] {
+            let pts: Vec<_> = (0..50i64)
+                .map(|i| (Timestamp(i * 300), (400.0 + i as f64) * scale))
+                .collect();
+            let chunk = CompressedChunk::encode(&pts);
+            // Drop trailing payload bytes but keep the point count.
+            for cut in 1..chunk.data.len().min(24) {
+                let short = CompressedChunk {
+                    count: chunk.count,
+                    data: chunk.data[..chunk.data.len() - cut].to_vec(),
+                };
+                match short.decode() {
+                    Err(TsdbError::TruncatedChunk { decoded, expected }) => {
+                        assert_eq!(expected, 50);
+                        assert!(decoded < 50);
+                    }
+                    other => panic!("cut {cut}: expected TruncatedChunk, got {other:?}"),
                 }
-                other => panic!("cut {cut}: expected TruncatedChunk, got {other:?}"),
             }
         }
     }
@@ -579,6 +763,7 @@ mod tests {
         // builds. Craft that header by hand: 2 points, second value takes
         // the "new window" path with leading=31, sig=64.
         let mut w = BitWriter::new();
+        w.write_bits(u64::from(XOR_HEADER), 8);
         w.write_bits(0, 64); // first timestamp
         w.write_bits(42.0f64.to_bits(), 64); // first value
         w.write_bits(300 + (1 << 26), 27); // first delta (offset-encoded)
@@ -601,39 +786,182 @@ mod tests {
     }
 
     #[test]
-    fn random_garbage_never_panics() {
-        // Any byte soup must decode to Ok or a typed error — never unwind.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..200 {
-            let len = (next() % 96) as usize;
-            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            let chunk = CompressedChunk {
-                count: (next() % 64) as u32,
-                data,
-            };
-            let _ = chunk.decode(); // must not panic
-            let _ = trial;
+    fn an_unknown_header_is_refused() {
+        let mut chunk = CompressedChunk::encode(&[(Timestamp(0), 1.5), (Timestamp(300), 2.5)]);
+        for header in [MAX_EXPONENT + 1, 0x80, XOR_HEADER - 1] {
+            chunk.data[0] = header;
+            assert_eq!(
+                chunk.decode(),
+                Err(TsdbError::UnknownValueCoding { header })
+            );
         }
     }
 
     #[test]
     fn a_finished_chunk_holds_exactly_its_bytes() {
-        let mut enc = GorillaEncoder::new();
-        for i in 0..300i64 {
-            enc.append(Timestamp(i * 300), (i as f64).sin());
-        }
-        let ck = enc.checkpoint();
-        enc.append(Timestamp(300 * 300), 1.0);
-        let mut rewound = enc.clone();
-        rewound.restore(&ck);
-        for chunk in [enc.finish(), rewound.finish()] {
+        for scale in [1.0, 0.1, std::f64::consts::PI] {
+            let pts: Vec<_> = (0..300i64)
+                .map(|i| (Timestamp(i * 300), (i % 50) as f64 * scale))
+                .collect();
+            let chunk = CompressedChunk::encode(&pts);
             assert_eq!(chunk.data.capacity(), chunk.size_bytes());
+        }
+    }
+
+    /// Values no grid holds: NaN payloads, ±0.0, ±∞, subnormals, extremes.
+    const SPECIALS: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::from_bits(0xfff8_dead_beef_0001),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(1),
+        f64::MAX,
+    ];
+
+    /// Values a column must carry bit for bit, off the grid or on it:
+    /// arbitrary bit patterns, the specials, `n` near 2^53 at every
+    /// exponent, and grid values at every exponent.
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            (0usize..SPECIALS.len()).prop_map(|i| SPECIALS[i]),
+            (0u8..=MAX_EXPONENT, -3i64..=3).prop_map(|(e, d)| ((1i64 << 53) + d) as f64 / scale(e)),
+            (0u8..=MAX_EXPONENT, -5_000i64..5_000).prop_map(|(e, n)| n as f64 / scale(e)),
+        ]
+    }
+
+    /// Points at non-decreasing timestamps, gaps small and large.
+    fn with_times(origin: i64, gaps: &[i64], values: &[f64]) -> Vec<(Timestamp, f64)> {
+        let mut t = origin;
+        values
+            .iter()
+            .zip(gaps.iter().cycle())
+            .map(|(&v, &g)| {
+                let p = (Timestamp(t), v);
+                t += g;
+                p
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Chunks round-trip bit for bit whatever their values hold, and a
+        /// chunk's coding is the smallest grid every value fits, else XOR.
+        #[test]
+        fn chunks_roundtrip_bit_for_bit(
+            origin in -(1i64 << 40)..(1i64 << 40),
+            gaps in proptest::collection::vec(prop_oneof![0i64..600, 0i64..(1 << 25)], 1..16),
+            values in proptest::collection::vec(value(), 1..120),
+        ) {
+            let points = with_times(origin, &gaps, &values);
+            let chunk = roundtrip(&points);
+            let coding = Coding::choose(values.iter().copied());
+            prop_assert_eq!(header(&chunk), Some(coding));
+            match coding {
+                Coding::Decimal(e) => {
+                    prop_assert!(values.iter().all(|&v| fits(v, scale(e))));
+                    for below in 0..e {
+                        prop_assert!(!values.iter().all(|&v| fits(v, scale(below))));
+                    }
+                }
+                Coding::Xor => {
+                    for e in 0..=MAX_EXPONENT {
+                        prop_assert!(!values.iter().all(|&v| fits(v, scale(e))));
+                    }
+                }
+            }
+        }
+
+        /// A column on one exponent's grid is stored decimal at that
+        /// exponent or a smaller one; one off-grid value anywhere in it
+        /// sends the whole column to XOR. Both round-trip bit for bit.
+        #[test]
+        fn grid_and_mixed_columns_roundtrip(
+            e in 0u8..=MAX_EXPONENT,
+            ns in proptest::collection::vec(
+                prop_oneof![-5_000i64..5_000, -(1i64 << 50)..(1i64 << 50)],
+                1..80,
+            ),
+            poison in 0usize..5,
+            at in any::<usize>(),
+        ) {
+            // |n| < 2^50 keeps `n / 10^e · 10^e` within a quarter of `n`.
+            let column: Vec<f64> = ns.iter().map(|&n| n as f64 / scale(e)).collect();
+            let poison = [-0.0, f64::NAN, f64::INFINITY, 0.1 + 0.2, 1e300][poison];
+            let gaps = [300i64];
+            let chunk = roundtrip(&with_times(0, &gaps, &column));
+            prop_assert!(matches!(header(&chunk), Some(Coding::Decimal(got)) if got <= e));
+            let mut mixed = column.clone();
+            mixed.insert(at % (column.len() + 1), poison);
+            let chunk = roundtrip(&with_times(0, &gaps, &mixed));
+            prop_assert_eq!(header(&chunk), Some(Coding::Xor));
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes under any point count: the decoder returns
+        /// points or a typed error, never panics or hangs.
+        fn arbitrary_chunks_decode_or_refuse(
+            data in proptest::collection::vec(any::<u8>(), 0..160),
+            header in prop_oneof![Just(XOR_HEADER), 0u8..=MAX_EXPONENT, any::<u8>()],
+            count in prop_oneof![0u32..64, any::<u32>()],
+        ) {
+            let mut data = data;
+            if let Some(first) = data.first_mut() {
+                *first = header;
+            }
+            let chunk = CompressedChunk { count, data };
+            if let Ok(points) = chunk.decode() {
+                prop_assert_eq!(points.len() as u64, u64::from(count));
+            }
+        }
+
+        /// A real chunk, either coding, with a flipped bit or a replaced
+        /// byte decodes or refuses; cut short, it refuses.
+        fn damaged_chunks_decode_or_refuse(
+            values in proptest::collection::vec(value(), 1..60),
+            gaps in proptest::collection::vec(0i64..4_000, 1..8),
+            flip in any::<u64>(),
+            byte in any::<u8>(),
+        ) {
+            let chunk = CompressedChunk::encode(&with_times(0, &gaps, &values));
+            let bit = (flip % (chunk.data.len() as u64 * 8)) as usize;
+            let mut flipped = chunk.clone();
+            prop_assert!(flipped.flip_bit(bit as u64));
+            let mut replaced = chunk.clone();
+            replaced.data[bit / 8] = byte;
+            for damaged in [flipped, replaced] {
+                if let Ok(points) = damaged.decode() {
+                    prop_assert_eq!(points.len(), values.len());
+                }
+            }
+            let short = CompressedChunk {
+                count: chunk.count,
+                data: chunk.data[..bit / 8].to_vec(),
+            };
+            prop_assert!(short.decode().is_err());
+        }
+    }
+
+    #[test]
+    fn hostile_chunks_never_panic_or_hang() {
+        // Each property runs on its own thread under a watchdog: a decoder
+        // that loops on a crafted count fails here instead of hanging.
+        for property in [
+            arbitrary_chunks_decode_or_refuse,
+            damaged_chunks_decode_or_refuse,
+        ] {
+            let (done, watchdog) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                property();
+                let _ = done.send(());
+            });
+            watchdog
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a hostile chunk hung the decoder");
+            runner.join().expect("a hostile chunk panicked the decoder");
         }
     }
 }

@@ -4,8 +4,8 @@
 //! database" (§2.4). This crate reproduces that storage layer:
 //!
 //! * [`model`] — metric + tag data model with OpenTSDB naming rules.
-//! * [`bits`] / [`gorilla`] — bit-packed Gorilla chunk compression
-//!   (delta-of-delta timestamps, XOR floats).
+//! * [`bits`] / [`gorilla`] — bit-packed chunk compression: Gorilla's
+//!   delta-of-delta timestamps, values as decimal integers or XOR floats.
 //! * `intern` — the identity tables behind [`Tsdb`]: each metric name and
 //!   tag set held once, named by a dense id.
 //! * [`store`] — interned series, chunked storage, a per-series
@@ -38,7 +38,7 @@ pub mod store;
 
 pub use cache::{CacheStats, QueryCache};
 pub use error::TsdbError;
-pub use gorilla::{CompressedChunk, GorillaEncoder};
+pub use gorilla::CompressedChunk;
 pub use model::{DataPoint, ModelError, TagFilter, TagSet};
 pub use query::{execute, execute_raw, Aggregator, Downsample, FillPolicy, Query, QueryResult};
 pub use shard::{ServePolicy, ShardedTsdb, DEFAULT_SHARDS};

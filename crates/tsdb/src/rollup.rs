@@ -19,11 +19,12 @@
 //! from the chunk's *base* (the first point's bucket start,
 //! `align_down(interval)`), its point count, and the four folds. A chunk
 //! spans less than 2²⁶ seconds and the interval is at least one second, so
-//! the offset fits; where it would not, [`build_rollups`] builds nothing
+//! the offset fits; where it would not, [`seal_chunk`] builds no block
 //! and the chunk is served raw.
 //!
 //! **Block layout.** A sealed chunk keeps its buckets as one
-//! [`RollupBlock`], encoded in the single walk that folds them:
+//! [`RollupBlock`], folded in the walk that encodes the chunk
+//! ([`seal_chunk`]):
 //!
 //! * header — five LEB128 varints: the bucket count `n`, then the byte
 //!   lengths of the `sum`, `min`, `max` and `last` columns;
@@ -31,9 +32,11 @@
 //!   offsets as runs of equal deltas (the first from 0), then the counts as
 //!   runs of equal values, each run an Elias-gamma `value + 1` and an
 //!   Elias-gamma length; the runs of a column add up to `n`;
-//! * four float columns, `sum`, `min`, `max`, `last`, each a zero-padded
-//!   bitstream of `gorilla::XorEncoder`, the coder Gorilla chunks store
-//!   their values with.
+//! * four float columns, `sum`, `min`, `max`, `last`, each coded as a
+//!   chunk's value column is (`gorilla::Coding`): one header byte, the
+//!   column's decimal exponent or the XOR marker, then a zero-padded
+//!   bitstream. A bucket's `min`, `max` and `last` are readings, so they
+//!   sit on the payload's grid; a `sum` rarely does and stays XOR.
 //!
 //! The integer section takes the bytes the header leaves, so a block's
 //! length is fixed by its header: a truncated block never parses.
@@ -48,7 +51,9 @@
 //! [`RollupBucket`]s.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::gorilla::{XorDecoder, XorEncoder};
+use crate::gorilla::{
+    ChunkEncoder, Coding, CompressedChunk, DecimalDecoder, ValueDecoder, ValueEncoder, XorDecoder,
+};
 use crate::query::{max_step, min_step, Aggregator};
 use ctt_core::time::{Span, Timestamp};
 
@@ -126,13 +131,15 @@ pub fn rollup_servable(agg: Aggregator) -> bool {
 
 /// Fold the time-sorted `points` into one bucket per occupied interval, in
 /// time order, handing each to `emit` as it closes — one walk, one
-/// division per bucket and one compare per point. Offsets count from the
-/// first point's `align_down(interval)`; empty buckets are not
-/// materialized. `None` (after emitting the buckets before it) when an
-/// offset does not fit in `u32`.
+/// division per bucket and one compare per point — and every point to
+/// `each` first. Offsets count from the first point's
+/// `align_down(interval)`; empty buckets are not materialized. `None`
+/// when an offset does not fit in `u32`: the fold stops there (after
+/// emitting the buckets before it), the walk does not.
 fn fold_buckets(
     points: &[(Timestamp, f64)],
     interval: Span,
+    mut each: impl FnMut(Timestamp, f64),
     mut emit: impl FnMut(&RollupBucket),
 ) -> Option<()> {
     let Some(&(first, _)) = points.first() else {
@@ -142,45 +149,70 @@ fn fold_buckets(
     // The bucket being folded and its end (`None`: past `i64`, so every
     // later point falls in it).
     let mut open: Option<(Option<i64>, RollupBucket)> = None;
+    let mut fits = true;
     for &(t, v) in points {
+        each(t, v);
+        if !fits {
+            continue;
+        }
         match &mut open {
             Some((end, bucket)) if end.is_none_or(|end| t.0 < end) => bucket.add(v),
             _ => {
-                if let Some((_, done)) = &open {
-                    emit(done);
+                if let Some((_, done)) = open.take() {
+                    emit(&done);
                 }
                 let start = t.align_down(interval);
-                let offset = u32::try_from(offset_of(base, interval, start)?).ok()?;
-                let mut bucket = RollupBucket::empty(offset);
-                bucket.add(v);
-                open = Some((start.0.checked_add(interval.as_seconds()), bucket));
+                match offset_of(base, interval, start).and_then(|o| u32::try_from(o).ok()) {
+                    Some(offset) => {
+                        let mut bucket = RollupBucket::empty(offset);
+                        bucket.add(v);
+                        open = Some((start.0.checked_add(interval.as_seconds()), bucket));
+                    }
+                    None => fits = false,
+                }
             }
         }
     }
     if let Some((_, done)) = &open {
         emit(done);
     }
-    Some(())
+    fits.then_some(())
 }
 
-/// Build the rollup block for a chunk's points (must be time-sorted and
-/// deduplicated — exactly the state a chunk is sealed in), folding
-/// straight into the encoder. `None` when an offset does not fit in
-/// `u32`: such a chunk has no rollups and is served raw.
-pub fn build_rollups(points: &[(Timestamp, f64)], interval: Span) -> Option<RollupBlock> {
-    let mut enc = BlockEncoder::with_capacity(points.len());
-    fold_buckets(points, interval, |b| enc.push(b))?;
-    Some(enc.finish())
+/// Seal a chunk's points (time-sorted and deduplicated, neighbours less
+/// than 2²⁶ s apart): encode the chunk and fold its rollup buckets in one
+/// walk, then encode the block. The block is `None` when an offset does
+/// not fit in `u32`: such a chunk is served raw.
+pub(crate) fn seal_chunk(
+    points: &[(Timestamp, f64)],
+    interval: Span,
+) -> (CompressedChunk, Option<RollupBlock>) {
+    let mut chunk = ChunkEncoder::for_points(points);
+    // One bucket per interval the points span, at most one per point.
+    let spanned = match (points.first(), points.last()) {
+        (Some(&(first, _)), Some(&(last, _))) => {
+            last.0.saturating_sub(first.align_down(interval).0) / interval.as_seconds().max(1) + 1
+        }
+        _ => 0,
+    };
+    let mut buckets = Vec::with_capacity(points.len().min(usize::try_from(spanned).unwrap_or(0)));
+    let fits = fold_buckets(
+        points,
+        interval,
+        |t, v| chunk.push(t, v),
+        |b| buckets.push(*b),
+    );
+    (chunk.finish(), fits.map(|()| encode_block(&buckets)))
 }
 
-/// The same fold as [`build_rollups`], kept as plain buckets: the open
+/// The fold [`seal_chunk`] encodes, kept as plain buckets: the open
 /// buffer's per-query fold.
 pub(crate) fn fold_rollups(
     points: &[(Timestamp, f64)],
     interval: Span,
 ) -> Option<Vec<RollupBucket>> {
     let mut out = Vec::new();
-    fold_buckets(points, interval, |b| out.push(*b))?;
+    fold_buckets(points, interval, |_, _| {}, |b| out.push(*b))?;
     Some(out)
 }
 
@@ -225,87 +257,76 @@ impl RollupBlock {
     }
 }
 
-/// `(value, run length)` pairs of a run-length-encoded column.
-type Runs = Vec<(u32, u32)>;
-
-fn push_run(runs: &mut Runs, value: u32) {
-    match runs.last_mut() {
-        Some((v, run)) if *v == value => *run += 1,
-        _ => runs.push((value, 1)),
-    }
-}
-
-/// Builds a [`RollupBlock`] one bucket at a time.
-#[derive(Debug, Default)]
-struct BlockEncoder {
-    buckets: u64,
-    prev_offset: u32,
-    offset_deltas: Runs,
-    counts: Runs,
-    /// `sum`, `min`, `max`, `last`.
-    floats: [(BitWriter, XorEncoder); 4],
-}
-
-impl BlockEncoder {
-    /// An encoder whose columns need not grow for `points` folded points:
-    /// a float column rarely takes more than a byte per point.
-    fn with_capacity(points: usize) -> Self {
-        BlockEncoder {
-            floats: std::array::from_fn(|_| {
-                (BitWriter::with_capacity(points + 8), XorEncoder::default())
-            }),
-            ..BlockEncoder::default()
-        }
-    }
-
-    fn push(&mut self, b: &RollupBucket) {
-        push_run(
-            &mut self.offset_deltas,
-            b.offset.wrapping_sub(self.prev_offset),
-        );
-        self.prev_offset = b.offset;
-        push_run(&mut self.counts, b.count);
-        for ((w, xor), v) in self.floats.iter_mut().zip([b.sum, b.min, b.max, b.last]) {
-            if self.buckets == 0 {
-                *xor = XorEncoder::start(w, v.to_bits());
-            } else {
-                xor.push(w, v.to_bits());
+/// Write a column of `n` integers as runs of equal values, each run an
+/// Elias-gamma `value + 1` and an Elias-gamma length.
+fn write_runs(w: &mut BitWriter, values: impl Iterator<Item = u32>) {
+    let mut run: Option<(u32, u64)> = None;
+    for v in values {
+        run = match run {
+            Some((same, len)) if same == v => Some((same, len + 1)),
+            Some((done, len)) => {
+                write_gamma(w, u64::from(done) + 1);
+                write_gamma(w, len);
+                Some((v, 1))
             }
-        }
-        self.buckets += 1;
+            None => Some((v, 1)),
+        };
     }
+    if let Some((done, len)) = run {
+        write_gamma(w, u64::from(done) + 1);
+        write_gamma(w, len);
+    }
+}
 
-    fn finish(self) -> RollupBlock {
-        let mut ints = BitWriter::new();
-        for (value, run) in self.offset_deltas.iter().chain(&self.counts) {
-            write_gamma(&mut ints, u64::from(*value) + 1);
-            write_gamma(&mut ints, u64::from(*run));
+/// Write one float column: its [`Coding`]'s header byte, then its codes,
+/// padded to a byte.
+fn write_column<I: Iterator<Item = f64> + Clone>(w: &mut BitWriter, values: I) {
+    let coding = Coding::choose(values.clone());
+    w.write_bits(u64::from(coding.header()), 8);
+    let mut enc = ValueEncoder::new(coding);
+    for (i, v) in values.enumerate() {
+        if i == 0 {
+            enc.first(w, v);
+        } else {
+            enc.push(w, v);
         }
-        let ints = ints.as_bytes();
-        let [sum, min, max, last] = self.floats.each_ref().map(|(w, _)| w.as_bytes());
-        let header = [
-            self.buckets,
-            sum.len() as u64,
-            min.len() as u64,
-            max.len() as u64,
-            last.len() as u64,
-        ];
-        let len = header.iter().map(|&v| varint_len(v)).sum::<usize>()
-            + ints.len()
-            + sum.len()
-            + min.len()
-            + max.len()
-            + last.len();
-        let mut bytes = Vec::with_capacity(len);
-        for v in header {
-            push_varint(&mut bytes, v);
-        }
-        for part in [ints, sum, min, max, last] {
-            bytes.extend_from_slice(part);
-        }
-        RollupBlock {
-            bytes: bytes.into_boxed_slice(),
-        }
+    }
+    w.pad_to_byte();
+}
+
+/// Encode buckets (sorted by offset) as one [`RollupBlock`].
+fn encode_block(buckets: &[RollupBucket]) -> RollupBlock {
+    let mut ints = BitWriter::with_capacity(16);
+    let mut prev = 0u32;
+    write_runs(
+        &mut ints,
+        buckets.iter().map(|b| {
+            let delta = b.offset.wrapping_sub(prev);
+            prev = b.offset;
+            delta
+        }),
+    );
+    write_runs(&mut ints, buckets.iter().map(|b| b.count));
+    let mut floats = BitWriter::with_capacity(16 + buckets.len() * 8);
+    let mut lens = [0u64; 4];
+    let columns: [fn(&RollupBucket) -> f64; 4] = [|b| b.sum, |b| b.min, |b| b.max, |b| b.last];
+    for (len, column) in lens.iter_mut().zip(columns) {
+        let before = floats.len_bytes();
+        write_column(&mut floats, buckets.iter().map(column));
+        *len = (floats.len_bytes() - before) as u64;
+    }
+    let (ints, floats) = (ints.as_bytes(), floats.as_bytes());
+    let [sum, min, max, last] = lens;
+    let header = [buckets.len() as u64, sum, min, max, last];
+    let len = header.iter().map(|&v| varint_len(v)).sum::<usize>() + ints.len() + floats.len();
+    let mut bytes = Vec::with_capacity(len);
+    for v in header {
+        push_varint(&mut bytes, v);
+    }
+    bytes.extend_from_slice(ints);
+    bytes.extend_from_slice(floats);
+    RollupBlock {
+        bytes: bytes.into_boxed_slice(),
     }
 }
 
@@ -428,20 +449,34 @@ fn read_runs(r: &mut BitReader, n: usize, mut f: impl FnMut(u32, u32) -> Option<
     Some(())
 }
 
-/// Decode a float column of `n` values into `out`. The column must end in
-/// its last byte, padded with zeros: anything else is not what the
-/// encoder wrote.
+/// Decode a float column of `n` values into `out`: its header byte names
+/// the coding. The column must end in its last byte, padded with zeros:
+/// anything else is not what the encoder wrote.
 fn decode_floats(column: &[u8], n: usize, out: &mut Vec<f64>) -> Option<()> {
-    let mut r = BitReader::new(column);
+    let (&header, codes) = column.split_first()?;
+    let mut r = BitReader::new(codes);
+    match Coding::from_header(header)? {
+        Coding::Decimal(e) => read_values(&mut r, n, DecimalDecoder::new(e), out)?,
+        Coding::Xor => read_values(&mut r, n, XorDecoder::default(), out)?,
+    }
+    (skip_padding(&mut r)? == codes.len()).then_some(())
+}
+
+/// Read `n` values with `dec` into `out`.
+fn read_values(
+    r: &mut BitReader,
+    n: usize,
+    mut dec: impl ValueDecoder,
+    out: &mut Vec<f64>,
+) -> Option<()> {
     if n > 0 {
         out.reserve(n);
-        let (mut dec, first) = XorDecoder::start(&mut r)?;
-        out.push(f64::from_bits(first));
+        out.push(dec.first(r)?);
         for _ in 1..n {
-            out.push(f64::from_bits(dec.next(&mut r).ok()?));
+            out.push(dec.next(r).ok()?);
         }
     }
-    (skip_padding(&mut r)? == column.len()).then_some(())
+    Some(())
 }
 
 /// Consume the zero bits that pad `r` to a byte boundary and return the
@@ -561,11 +596,12 @@ mod tests {
     }
 
     fn encode(buckets: &[RollupBucket]) -> RollupBlock {
-        let mut enc = BlockEncoder::default();
-        for b in buckets {
-            enc.push(b);
-        }
-        enc.finish()
+        encode_block(buckets)
+    }
+
+    /// The block of `points` alone, no chunk encoded: the fold, encoded.
+    fn build_rollups(points: &[(Timestamp, f64)], interval: Span) -> Option<RollupBlock> {
+        fold_rollups(points, interval).map(|b| encode_block(&b))
     }
 
     /// Values a fold must carry bit for bit: signed zeros, infinities,
@@ -920,6 +956,77 @@ mod tests {
                 }
             }
         }
+
+        /// Float columns on one exponent's grid are stored decimal at that
+        /// exponent or a smaller one, and a column holding one value off
+        /// every grid (a special, or a raw bit pattern) goes XOR, while the
+        /// other columns keep their grid. Every column round-trips bit for
+        /// bit either way.
+        #[test]
+        fn grid_and_mixed_columns_roundtrip(
+            e in 0u8..19,
+            ns in proptest::collection::vec(prop_oneof![-5_000i64..5_000, -(1i64 << 50)..(1i64 << 50)], 4..160),
+            poisoned in 0usize..5,
+            poison in prop_oneof![(0u8..10).prop_map(special), any::<u64>().prop_map(f64::from_bits)],
+            at in any::<usize>(),
+        ) {
+            let scale = 10f64.powi(i32::from(e));
+            let mut grid = ns.iter().map(|&n| n as f64 / scale);
+            let mut buckets: Vec<RollupBucket> = (0..ns.len() / 4)
+                .map(|i| RollupBucket {
+                    offset: i as u32 * 2,
+                    count: 1,
+                    sum: grid.next().unwrap_or(0.0),
+                    min: grid.next().unwrap_or(0.0),
+                    max: grid.next().unwrap_or(0.0),
+                    last: grid.next().unwrap_or(0.0),
+                })
+                .collect();
+            let off_grid = Coding::choose(std::iter::once(poison)) == Coding::Xor;
+            let hit = at % buckets.len();
+            if let Some(b) = buckets.get_mut(hit) {
+                match poisoned {
+                    0 => b.sum = poison,
+                    1 => b.min = poison,
+                    2 => b.max = poison,
+                    3 => b.last = poison,
+                    _ => {}
+                }
+            }
+            let block = encode(&buckets);
+            prop_assert_eq!(decode_all(&block).map(|b| all_bits(&b)), Some(all_bits(&buckets)));
+            // A poison on some grid of its own may or may not share one
+            // with the column, so only the clean and the off-grid columns
+            // have a coding to check.
+            for (column, coding) in column_codings(&block).into_iter().enumerate() {
+                prop_assert!(coding.is_some(), "column {} has no coding", column);
+                if column != poisoned {
+                    prop_assert!(matches!(coding, Some(Coding::Decimal(got)) if got <= e), "column {}: {:?}", column, coding);
+                } else if off_grid {
+                    prop_assert_eq!(coding, Some(Coding::Xor));
+                }
+            }
+        }
+    }
+
+    /// The coding each of a block's four float columns names in its header
+    /// byte.
+    fn column_codings(block: &RollupBlock) -> [Option<Coding>; 4] {
+        let mut rest: &[u8] = &block.bytes;
+        let _buckets = read_varint(&mut rest);
+        let lens: Vec<usize> = (0..4)
+            .map(|_| read_varint(&mut rest).unwrap_or(0) as usize)
+            .collect();
+        let mut at = rest.len() - lens.iter().sum::<usize>();
+        lens.iter()
+            .map(|&len| {
+                let coding = rest.get(at).and_then(|&h| Coding::from_header(h));
+                at += len;
+                coding
+            })
+            .collect::<Vec<_>>()
+            .try_into()
+            .unwrap_or([None; 4])
     }
 
     proptest! {

@@ -9,10 +9,10 @@
 //! each distinct tag set is held once, in the store's two [`Interner`]s.
 
 use crate::error::TsdbError;
-use crate::gorilla::{CompressedChunk, EncCheckpoint, GorillaEncoder};
+use crate::gorilla::CompressedChunk;
 use crate::intern::Interner;
 use crate::model::{check_series_names, DataPoint, TagSet};
-use crate::rollup::{build_rollups, fold_rollups, RollupBlock, RollupBucket};
+use crate::rollup::{fold_rollups, seal_chunk, RollupBlock, RollupBucket};
 use ctt_core::time::{Span, Timestamp};
 use std::collections::HashMap;
 
@@ -111,82 +111,6 @@ impl ScanCounts {
     }
 }
 
-/// Streaming encoder over a series' open buffer: the Gorilla bitstream is
-/// built as points arrive, so an in-order seal is a checkpoint rewind plus
-/// `finish()` instead of an O(chunk) re-walk of every point.
-///
-/// The stream mirrors what `sort_dedup_open` would produce for strictly
-/// increasing arrivals; a duplicate timestamp (last-write-wins rewrite) or
-/// an out-of-order arrival abandons the stream (`push` returns `false`),
-/// and the seal falls back to re-encoding the sorted, deduped buffer —
-/// byte-identical output, and self-healing, since the post-seal rebuild
-/// walks the sorted tail. Keeping the in-order fast path checkpoint-free
-/// matters: it runs once per ingested point.
-#[derive(Debug, Clone)]
-struct OpenEnc {
-    enc: GorillaEncoder,
-    /// The threshold-seal cut: `(points before the last rollup-bucket
-    /// boundary crossed, encoder state at that instant)`. `None` while all
-    /// points sit in one bucket.
-    cut: Option<(usize, EncCheckpoint)>,
-    last_ts: Timestamp,
-    /// End of the rollup bucket containing `last_ts`, cached so the
-    /// boundary test is one compare per point instead of two `align_down`
-    /// divisions. Valid whenever `count > 0` (the store's interval is
-    /// fixed at construction).
-    bucket_end: Timestamp,
-}
-
-impl OpenEnc {
-    fn new() -> Self {
-        OpenEnc {
-            enc: GorillaEncoder::new(),
-            cut: None,
-            last_ts: Timestamp(i64::MIN),
-            bucket_end: Timestamp(i64::MIN),
-        }
-    }
-
-    /// Feed one arrival. Returns `false` when the stream cannot follow
-    /// (out-of-order point, or a duplicate timestamp whose last-write-wins
-    /// rewrite would mean re-encoding) — the caller then drops the stream
-    /// and the next seal re-encodes from the sorted buffer.
-    #[inline]
-    fn push(&mut self, t: Timestamp, v: f64, interval: Span) -> bool {
-        if self.enc.count() > 0 {
-            if t <= self.last_ts {
-                return false;
-            }
-            if t >= self.bucket_end {
-                self.cut = Some((self.enc.count() as usize, self.enc.checkpoint()));
-                self.bucket_end = t.align_down(interval) + interval;
-            }
-        } else {
-            self.bucket_end = t.align_down(interval) + interval;
-        }
-        self.enc.append(t, v);
-        self.last_ts = t;
-        true
-    }
-
-    /// Consume the stream into the sealed chunk for its first `cut`
-    /// points, if the stream can produce it without a re-walk: either the
-    /// whole stream is sealed, or `cut` lands exactly on the recorded
-    /// bucket-boundary checkpoint.
-    fn into_chunk_for(mut self, cut: usize) -> Option<CompressedChunk> {
-        if cut == self.enc.count() as usize {
-            return Some(self.enc.finish());
-        }
-        match self.cut {
-            Some((at, ck)) if at == cut => {
-                self.enc.restore(&ck);
-                Some(self.enc.finish())
-            }
-            _ => None,
-        }
-    }
-}
-
 /// One stored series.
 #[derive(Debug, Clone)]
 pub(crate) struct Series {
@@ -203,9 +127,6 @@ pub(crate) struct Series {
     /// range read binary-searches instead of walking every chunk.
     index: Vec<u32>,
     points: u64,
-    /// Streaming encoder shadowing `open`; `None` after an out-of-order
-    /// arrival until the next seal rebuilds it from the sorted tail.
-    stream: Option<OpenEnc>,
 }
 
 impl Series {
@@ -218,12 +139,11 @@ impl Series {
             open_span: None,
             index: Vec::new(),
             points: 0,
-            stream: Some(OpenEnc::new()),
         }
     }
 
-    /// Append one arrival to the open buffer, keeping the streaming
-    /// encoder in lockstep. Reached only through [`Tsdb::append`], and so
+    /// Append one arrival to the open buffer. Reached only through
+    /// [`Tsdb::append`], and so
     /// the one place that keeps the buffer's span under
     /// [`MAX_OPEN_SPAN_SECS`]: an arrival that would stretch it that far,
     /// in either direction, seals the buffer first and starts the next one.
@@ -239,11 +159,6 @@ impl Series {
         }
         self.open.push((t, v));
         self.points += 1;
-        if let Some(st) = &mut self.stream {
-            if !st.push(t, v, interval) {
-                self.stream = None;
-            }
-        }
     }
 
     /// Recompute `open_span` after points left the open buffer (a seal
@@ -253,21 +168,6 @@ impl Series {
         self.open_span = times
             .next()
             .map(|t| times.fold((t, t), |(lo, hi), t| (lo.min(t), hi.max(t))));
-    }
-
-    /// Rebuild the streaming encoder from the current open buffer (after a
-    /// seal drained a prefix, or retention rewrote the tail). Walks at most
-    /// one chunk's worth of points; goes dormant again if the buffer holds
-    /// out-of-order data.
-    fn rebuild_stream(&mut self, interval: Span) {
-        let mut st = OpenEnc::new();
-        for &(t, v) in &self.open {
-            if !st.push(t, v, interval) {
-                self.stream = None;
-                return;
-            }
-        }
-        self.stream = Some(st);
     }
 
     /// Sort the open buffer and collapse duplicate timestamps.
@@ -315,32 +215,14 @@ impl Series {
         self.index = ix;
     }
 
-    /// Encode the first `cut` points of the (sorted, deduplicated) open
-    /// buffer into a sealed chunk, materializing its rollups. When the
-    /// streaming encoder tracked the buffer (in-order arrivals) and `cut`
-    /// lands on its bucket checkpoint, the chunk is a checkpoint rewind —
-    /// no bitstream re-walk; otherwise the points are re-encoded. Either
-    /// way the stream is rebuilt over the surviving tail.
+    /// Seal the first `cut` points of the (sorted, deduplicated) open
+    /// buffer: encode them once, in the walk that folds their rollups.
     fn seal_prefix(&mut self, cut: usize, interval: Span) {
         let pts = self.open.get(..cut).unwrap_or(&[]);
         let (Some(&(start, _)), Some(&(end, _))) = (pts.first(), pts.last()) else {
             return; // nothing to seal
         };
-        let rollups = build_rollups(pts, interval);
-        // The stream is trustworthy only if it followed every arrival: its
-        // point count then equals the deduplicated buffer's length.
-        let chunk = self
-            .stream
-            .take()
-            .filter(|st| st.enc.count() as usize == self.open.len())
-            .and_then(|st| st.into_chunk_for(cut))
-            .unwrap_or_else(|| {
-                let mut enc = GorillaEncoder::new();
-                for &(t, v) in pts {
-                    enc.append(t, v);
-                }
-                enc.finish()
-            });
+        let (chunk, rollups) = seal_chunk(pts, interval);
         self.push_sealed(SealedChunk {
             chunk,
             start,
@@ -349,7 +231,6 @@ impl Series {
         });
         self.open.drain(..cut);
         self.rescan_open_span();
-        self.rebuild_stream(interval);
     }
 
     /// Seal the entire open buffer (force-flush path).
@@ -403,8 +284,7 @@ impl Series {
     /// The open buffer folded into rollup buckets by the same fold a seal
     /// encodes ([`fold_rollups`]), with the base its offsets count from
     /// (the first point's `align_down(interval)`), or `None` unless the
-    /// buffer is strictly time-ordered — the condition under which
-    /// [`OpenEnc`] keeps streaming. Only then is the fold in arrival order
+    /// buffer is strictly time-ordered. Only then is the fold in arrival order
     /// the fold of the sorted, deduplicated points a raw read sees. Built
     /// per query, not kept: it then needs no upkeep under dedup, retention,
     /// bit flips or seals, and it costs one fold per buffered point.
@@ -598,8 +478,8 @@ pub struct StoreStats {
     /// Heap bytes of seal-time rollup summaries (the cost of fast
     /// serving): every byte of every sealed chunk's [`RollupBlock`] — a
     /// varint header (bucket count, four column lengths), the run-length
-    /// offsets and counts, and the XOR-coded `sum`/`min`/`max`/`last`
-    /// columns (layout in [`crate::rollup`]). Each block is built at its
+    /// offsets and counts, and the `sum`/`min`/`max`/`last` columns, each
+    /// decimal or XOR (layout in [`crate::rollup`]). Each block is built at its
     /// exact length, so this is what the heap holds.
     pub rollup_bytes: usize,
 }
@@ -789,6 +669,15 @@ impl Tsdb {
             .collect(start, end))
     }
 
+    /// The sealed chunks of a series, in seal order (none for unknown
+    /// ids).
+    pub fn chunks(&self, id: SeriesId) -> impl Iterator<Item = &CompressedChunk> {
+        self.series
+            .get(id.0 as usize)
+            .into_iter()
+            .flat_map(|s| s.sealed.iter().map(|sc| &sc.chunk))
+    }
+
     /// Fault injection: flip one bit in the `nth` sealed chunk (modulo the
     /// number of sealed chunks, in series order) and report whether the
     /// chunk survived. Returns [`BitFlipOutcome::NoChunks`] when nothing is
@@ -923,20 +812,16 @@ impl Tsdb {
                     };
                     dropped += u64::from(sc.chunk.count()) - pts.len() as u64;
                     if let (Some(&(start, _)), Some(&(end, _))) = (pts.first(), pts.last()) {
-                        let mut enc = GorillaEncoder::new();
-                        for &(t, v) in &pts {
-                            enc.append(t, v);
-                        }
-                        let chunk = enc.finish();
                         // Rollups rebuilt over the surviving points only,
                         // their offsets counted from the new first point:
                         // the truncated leading bucket summarizes exactly
                         // what a raw decode of the new chunk would see.
+                        let (chunk, rollups) = seal_chunk(&pts, rollup_interval);
                         kept_sealed.push(SealedChunk {
                             chunk,
                             start,
                             end,
-                            rollups: build_rollups(&pts, rollup_interval),
+                            rollups,
                         });
                     }
                 }
@@ -947,10 +832,7 @@ impl Tsdb {
             s.open.retain(|&(t, _)| t >= cutoff);
             dropped += (before - s.open.len()) as u64;
             if before != s.open.len() {
-                // Retention rewrote the open buffer underneath the
-                // streaming encoder; rebuild it over what survived.
                 s.rescan_open_span();
-                s.rebuild_stream(rollup_interval);
             }
         }
         // Recompute per-series point counts after sealed drops.

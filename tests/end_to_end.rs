@@ -166,8 +166,10 @@ fn tsdb_compression_pays_off_on_pipeline_data() {
     db.seal_all();
     let st = db.stats();
     let raw_bytes = st.points as usize * 16;
+    // Seed 13 compresses 13.45×: payload readings are stored as decimal
+    // integers. The ratio is exact; 12× leaves a 10 % margin for change.
     assert!(
-        st.bytes * 2 < raw_bytes,
+        st.bytes * 12 < raw_bytes,
         "compression ratio too low: {} vs {raw_bytes}",
         st.bytes
     );

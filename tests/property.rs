@@ -5,7 +5,7 @@ use ctt_broker::{Topic, TopicFilter};
 use ctt_core::payload;
 use ctt_core::time::Span as CSpan;
 use ctt_lorawan::UplinkFrame;
-use ctt_tsdb::GorillaEncoder;
+use ctt_tsdb::CompressedChunk;
 use proptest::prelude::*;
 
 proptest! {
@@ -97,15 +97,13 @@ proptest! {
     ) {
         let n = deltas.len().min(values.len());
         deltas.truncate(n);
-        let mut enc = GorillaEncoder::new();
         let mut t = 1_483_228_800i64;
         let mut pts = Vec::new();
         for (d, v) in deltas.iter().zip(&values) {
             t += d;
-            enc.append(Timestamp(t), *v);
             pts.push((Timestamp(t), *v));
         }
-        let decoded = enc.finish().decode();
+        let decoded = CompressedChunk::encode(&pts).decode();
         prop_assert_eq!(decoded, Ok(pts));
     }
 
