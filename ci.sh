@@ -48,9 +48,10 @@ cargo test --offline -q --release --workspace
 
 echo "==> figures + examples (results/ is the standing golden: every SVG, CSV and profile export byte for byte)"
 cargo run --offline -q --release -p ctt-bench --bin figures > /dev/null
-# Two examples write results/example_*.svg, which figures does not.
+# Two examples write results/example_*.svg, which figures does not; every
+# example's stdout is pinned as results/example_<name>.txt.
 for example in citizen_dashboard city_pilot network_monitoring quickstart urban_planning; do
-    cargo run --offline -q --release --example "$example" > /dev/null
+    cargo run --offline -q --release --example "$example" > "results/example_$example.txt"
 done
 git diff --exit-code --stat -- results/
 

@@ -4,9 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctt_bench::{loaded_tsdb, synthetic_points};
 use ctt_core::time::{Span, Timestamp};
-use ctt_tsdb::{
-    execute, Aggregator, CompressedChunk, Downsample, FillPolicy, Query, SeriesId, Tsdb,
-};
+use ctt_tsdb::{execute, Aggregator, CompressedChunk, Downsample, FillPolicy, Query, Tsdb};
 
 fn bench_ingest(c: &mut Criterion) {
     let mut g = c.benchmark_group("tsdb_ingest");
@@ -89,22 +87,9 @@ fn bench_compression_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_retention(c: &mut Criterion) {
-    c.bench_function("tsdb_evict_half", |b| {
-        b.iter_with_setup(
-            || loaded_tsdb(4, 2016),
-            |mut db| {
-                let cutoff = Timestamp::from_civil(2017, 1, 4, 0, 0, 0);
-                black_box(db.evict_before(cutoff))
-            },
-        )
-    });
-    let _ = SeriesId(0);
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_ingest, bench_query, bench_compression_ablation, bench_retention
+    targets = bench_ingest, bench_query, bench_compression_ablation
 }
 criterion_main!(benches);

@@ -214,12 +214,12 @@ impl<'a> CallGraph<'a> {
                         }
                     };
                     // Bare-name self-links are almost always a shared method
-                    // name on a different receiver (`db.put(point)` inside
-                    // `ShardedTsdb::put`), not recursion — and recursion adds
-                    // no reachability anyway. Drop them. A call chained on a
-                    // lock guard runs on the *inner* guarded type, so
-                    // candidates on the caller's own type (the lock wrapper)
-                    // are type confusion — drop those too.
+                    // name on a different receiver (`db.put_batch(points)`
+                    // inside `ShardedTsdb::put_batch`), not recursion — and
+                    // recursion adds no reachability anyway. Drop them. A
+                    // call chained on a lock guard runs on the *inner*
+                    // guarded type, so candidates on the caller's own type
+                    // (the lock wrapper) are type confusion — drop those too.
                     let caller_ty = f.impl_type.as_deref();
                     let via_guard = call.via_guard;
                     let targets = targets.into_iter().filter(|&t| {

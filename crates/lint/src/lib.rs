@@ -195,7 +195,6 @@ impl Default for LintConfig {
             entry_points: vec![
                 ("Broker".into(), "publish".into()),
                 ("Broker".into(), "publish_with_outcome".into()),
-                ("ShardedTsdb".into(), "put".into()),
                 ("ShardedTsdb".into(), "put_batch".into()),
                 ("ShardedTsdb".into(), "execute".into()),
                 ("ShardedTsdb".into(), "execute_with".into()),

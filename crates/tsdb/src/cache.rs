@@ -4,8 +4,8 @@
 //! drilldown queries fire over and over while ingest trickles in. This
 //! cache serves repeats without running the query, and invalidates
 //! *deterministically*: the store carries a monotonically increasing
-//! **epoch counter** bumped by any mutation (`put`, `put_batch`, a write
-//! session, `seal_all`, `evict_before`, `flip_chunk_bit`). A cached entry —
+//! **epoch counter** bumped by any mutation (`put_batch`, `register`, an
+//! `append` that wrote, `seal_all`, `flip_chunk_bit`). A cached entry —
 //! the finalized `Vec<QueryResult>`, keyed by the canonical query
 //! signature — records the epoch it was computed at and is served only
 //! while it still matches, so one write invalidates every entry. No wall

@@ -35,14 +35,6 @@ pub enum TsdbError {
     UnknownSeries(SeriesId),
     /// A query referenced a metric with no series at all.
     NoSuchMetric(String),
-    /// A chunk decodes, but into points no chunk can hold: neighbouring
-    /// timestamps run backwards or lie 2²⁶ s or more apart. Only a
-    /// corrupted chunk decodes like that, so it is kept, not re-encoded.
-    UnencodableChunk {
-        /// The first such gap between neighbouring timestamps, in seconds
-        /// (negative when they run backwards).
-        gap: i64,
-    },
 }
 
 impl fmt::Display for TsdbError {
@@ -64,10 +56,6 @@ impl fmt::Display for TsdbError {
             }
             TsdbError::UnknownSeries(id) => write!(f, "unknown series id {}", id.0),
             TsdbError::NoSuchMetric(m) => write!(f, "no series recorded for metric {m:?}"),
-            TsdbError::UnencodableChunk { gap } => write!(
-                f,
-                "gorilla chunk decodes to a {gap} s timestamp gap no chunk can hold"
-            ),
         }
     }
 }

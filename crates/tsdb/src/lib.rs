@@ -8,8 +8,8 @@
 //!   delta-of-delta timestamps, values as decimal integers or XOR floats.
 //! * `intern` — the identity tables behind [`Tsdb`]: each metric name and
 //!   tag set held once, named by a dense id.
-//! * [`store`] — interned series, chunked storage, a per-series
-//!   time-range block index, retention, stats.
+//! * [`store`] — interned series, append-only chunked storage, a
+//!   per-series time-range block index, stats.
 //! * [`rollup`] — seal-time materialized rollups (pre-downsampled
 //!   per-bucket summaries, one encoded block per sealed chunk) serving
 //!   dashboard queries without a chunk decode.

@@ -830,8 +830,7 @@ mod tests {
     proptest! {
         /// Served ≡ raw under the offset layout, for all ten aggregators:
         /// one chunk starting anywhere (pre-epoch included), optionally
-        /// stretched to `MAX_OPEN_SPAN_SECS - 1` at a 1 s interval,
-        /// optionally re-based by a retention straddle re-encode, and an
+        /// stretched to `MAX_OPEN_SPAN_SECS - 1` at a 1 s interval, and an
         /// in-order open head folded per query. Windows sit around the
         /// chunk's base (their first buckets lie before it), its end and
         /// the head.
@@ -841,7 +840,6 @@ mod tests {
             width in prop_oneof![Just(1i64), 1i64..4_000],
             gaps in proptest::collection::vec(1i64..5_000, 1..40),
             stretch in any::<bool>(),
-            cut in 0usize..48,
             head in proptest::collection::vec(1i64..900, 0..24),
             kinds in proptest::collection::vec(0u8..9, 1..64),
         ) {
@@ -863,8 +861,6 @@ mod tests {
             }
             db.seal_all();
             prop_assert_eq!(db.series[0].sealed.len(), 1);
-            let cutoff = times.get(cut).copied().unwrap_or(origin);
-            prop_assert!(db.evict_before(Timestamp(cutoff)).is_ok());
             let end = times.last().copied().unwrap_or(origin);
             let mut t = end;
             let open: Vec<(Timestamp, f64)> = head
@@ -880,7 +876,7 @@ mod tests {
             for sealed in &db.series[0].sealed {
                 prop_assert!(block_matches_its_chunk(sealed, Span::seconds(width)));
             }
-            for anchor in [origin, cutoff, end, end + 1, t] {
+            for anchor in [origin, end, end + 1, t] {
                 let a = anchor.div_euclid(width) * width;
                 assert_served_matches_raw(&db, width, a - 3 * width, a + 4 * width)?;
                 assert_served_matches_raw(&db, width, a - 2 * width + 1, a + 2 * width - 1)?;

@@ -2,14 +2,14 @@
 //! `RwLock`, with the query cache that validates against that epoch.
 //!
 //! The paper gives each city one OpenTSDB behind its dashboards (§2.4), and
-//! so does this crate. Every mutation (`put`, `put_batch`, `register`, an
-//! `append` that wrote, `seal_all`, `evict_before`, a successful
-//! `flip_chunk_bit`) bumps the epoch under the same write guard that
-//! changes the data, so a reader holding the read guard sees exactly the
-//! data its epoch names. A query with the cache on reads the epoch, looks
-//! its answer up at that epoch, and on a miss runs [`crate::query`] under
-//! the same read guard and stores the answer. Invalidation is deterministic
-//! (no wall clock, lint R5).
+//! so does this crate. Every mutation (`put_batch`, `register`, an
+//! `append` that wrote, `seal_all`, a successful `flip_chunk_bit`) bumps
+//! the epoch under the same write guard that changes the data, so a reader
+//! holding the read guard sees exactly the data its epoch names. A query
+//! with the cache on reads the epoch, looks its answer up at that epoch,
+//! and on a miss runs [`crate::query`] under the same read guard and
+//! stores the answer. Invalidation is deterministic (no wall clock, lint
+//! R5).
 //!
 //! The type keeps its name, and [`ShardedTsdb::new`] its shard-count
 //! argument, only because the frozen `benchmark/` harness names them; the
@@ -172,13 +172,6 @@ impl ShardedTsdb {
         f(&mut store.db)
     }
 
-    /// Insert one data point. Prefer [`ShardedTsdb::put_batch`] on the hot
-    /// path — it locks once per batch, not per point.
-    pub fn put(&self, point: &DataPoint) {
-        self.mutate(|db| db.put(point));
-        self.obs.puts.inc();
-    }
-
     /// Batched ingest under one write lock. An empty batch changes nothing
     /// and keeps the epoch. Returns points written.
     pub fn put_batch(&self, points: &[DataPoint]) -> u64 {
@@ -301,13 +294,6 @@ impl ShardedTsdb {
         self.mutate(Tsdb::seal_all);
     }
 
-    /// Retention: drop data strictly before `cutoff` (see
-    /// [`Tsdb::evict_before`]). Returns points dropped, or the first error
-    /// from a corrupt straddling chunk after every series was swept.
-    pub fn evict_before(&self, cutoff: Timestamp) -> Result<u64, TsdbError> {
-        self.mutate(|db| db.evict_before(cutoff))
-    }
-
     /// Trial-decode every sealed chunk. `readable_points +
     /// quarantined_points == stats().points`, the conservation invariant
     /// the chaos loss ledger checks.
@@ -369,18 +355,20 @@ mod tests {
     fn sharded_query_matches_flat_store() {
         let served = ShardedTsdb::with_chunk_size(16);
         let mut flat = Tsdb::with_chunk_size(16);
-        for d in 0..6u32 {
-            for i in 0..100i64 {
-                let p = dp(
-                    "m",
-                    &format!("n{d}"),
-                    i * 300,
-                    f64::from(d) * 10.0 + i as f64,
-                );
-                served.put(&p);
-                flat.put(&p);
-            }
-        }
+        let points: Vec<DataPoint> = (0..6u32)
+            .flat_map(|d| {
+                (0..100i64).map(move |i| {
+                    dp(
+                        "m",
+                        &format!("n{d}"),
+                        i * 300,
+                        f64::from(d) * 10.0 + i as f64,
+                    )
+                })
+            })
+            .collect();
+        served.put_batch(&points);
+        flat.put_batch(&points);
         for q in [
             Query::range("m", Timestamp(0), Timestamp(100 * 300)),
             Query::range("m", Timestamp(0), Timestamp(100 * 300)).group_by("device"),
@@ -440,7 +428,7 @@ mod tests {
         let before = db.execute(&q).unwrap();
         assert_eq!(db.execute(&q).unwrap(), before, "cached repeat");
         // A new point must invalidate: the cached answer is stale.
-        db.put(&dp("m", "n0", 9000, 1234.5));
+        db.put_batch(&[dp("m", "n0", 9000, 1234.5)]);
         let after = db.execute(&q).unwrap();
         assert_ne!(after, before, "epoch bump must invalidate the cache");
         assert_eq!(
@@ -459,7 +447,7 @@ mod tests {
         let q = Query::range("m", Timestamp(0), Timestamp(10_000)).group_by("device");
         db.execute(&q).unwrap(); // miss
         db.execute(&q).unwrap(); // hit
-        db.put(&dp("m", "n0", 9000, 1.0));
+        db.put_batch(&[dp("m", "n0", 9000, 1.0)]);
         db.execute(&q).unwrap(); // miss: the put bumped the epoch
         db.execute_with(&q, ServePolicy::raw()).unwrap(); // uncached
         let st = db.cache_stats();
@@ -523,15 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_before_sums_across_shards() {
-        let db = ShardedTsdb::with_chunk_size(8);
-        fill(&db, 8, 50);
-        let dropped = db.evict_before(Timestamp(25 * 300)).unwrap();
-        assert_eq!(dropped, 8 * 25);
-        assert_eq!(db.stats().points, 8 * 25);
-    }
-
-    #[test]
     fn flip_chunk_bit_walks_global_chunk_index() {
         let db = ShardedTsdb::with_chunk_size(8);
         assert_eq!(db.flip_chunk_bit(0, 0), BitFlipOutcome::NoChunks);
@@ -574,8 +553,8 @@ mod tests {
     fn metrics_merged_and_deduped() {
         let db = ShardedTsdb::default();
         for d in 0..8u32 {
-            db.put(&dp("b.metric", &format!("n{d}"), 0, 1.0));
-            db.put(&dp("a.metric", &format!("n{d}"), 0, 1.0));
+            let n = format!("n{d}");
+            db.put_batch(&[dp("b.metric", &n, 0, 1.0), dp("a.metric", &n, 0, 1.0)]);
         }
         assert_eq!(db.metrics(), vec!["a.metric", "b.metric"]);
     }

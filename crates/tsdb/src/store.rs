@@ -1,8 +1,9 @@
-//! The series store: interned series, Gorilla-chunked storage, retention.
+//! The series store: interned series, Gorilla-chunked storage.
 //!
 //! Writes go to a per-series open buffer that tolerates out-of-order
 //! arrival (radio and broker hops reorder); when the buffer reaches the
-//! chunk size it is sorted and sealed into an immutable compressed chunk.
+//! chunk size it is sorted and sealed into an immutable compressed chunk,
+//! written once and never rewritten (only a chaos bit flip alters one).
 //! Reads merge sealed chunks and the open buffer.
 //!
 //! A series' identity is a pair of small ids: each distinct metric name and
@@ -34,16 +35,6 @@ pub const DEFAULT_ROLLUP_INTERVAL: Span = Span::hours(1);
 /// [`Series::push_point`]; real traffic is cut by the size threshold long
 /// before.
 pub(crate) const MAX_OPEN_SPAN_SECS: i64 = 1 << 26;
-
-/// The first gap between neighbouring timestamps that a Gorilla chunk
-/// cannot hold: negative (out of order), or [`MAX_OPEN_SPAN_SECS`] or more
-/// (past the 27-bit first delta). `None` when every gap fits.
-fn unencodable_gap(pts: &[(Timestamp, f64)]) -> Option<i64> {
-    pts.iter()
-        .zip(pts.iter().skip(1))
-        .map(|(&(a, _), &(b, _))| b.0.saturating_sub(a.0))
-        .find(|gap| !(0..MAX_OPEN_SPAN_SECS).contains(gap))
-}
 
 /// Collapse duplicate timestamps in a time-sorted point list, keeping the
 /// last occurrence of each run (last write wins). Returns how many points
@@ -162,7 +153,7 @@ impl Series {
     }
 
     /// Recompute `open_span` after points left the open buffer (a seal
-    /// drained a prefix, or retention dropped some).
+    /// drained a prefix).
     fn rescan_open_span(&mut self) {
         let mut times = self.open.iter().map(|&(t, _)| t);
         self.open_span = times
@@ -201,7 +192,8 @@ impl Series {
         self.index.insert(pos, idx);
     }
 
-    /// Rebuild the block index from scratch (after retention rewrites).
+    /// Rebuild the block index from scratch (after a bit flip widened a
+    /// chunk's time range).
     fn rebuild_index(&mut self) {
         let mut ix: Vec<u32> = (0..self.sealed.len() as u32).collect();
         ix.sort_by_key(|&i| {
@@ -286,8 +278,8 @@ impl Series {
     /// (the first point's `align_down(interval)`), or `None` unless the
     /// buffer is strictly time-ordered. Only then is the fold in arrival order
     /// the fold of the sorted, deduplicated points a raw read sees. Built
-    /// per query, not kept: it then needs no upkeep under dedup, retention,
-    /// bit flips or seals, and it costs one fold per buffered point.
+    /// per query, not kept: it then needs no upkeep under dedup, bit flips
+    /// or seals, and it costs one fold per buffered point.
     pub(crate) fn open_rollups(&self, interval: Span) -> Option<(Timestamp, Vec<RollupBucket>)> {
         let ordered = self
             .open
@@ -753,11 +745,6 @@ impl Tsdb {
         report
     }
 
-    /// Number of points stored for a series (0 for unknown ids).
-    pub fn point_count(&self, id: SeriesId) -> u64 {
-        self.series.get(id.0 as usize).map_or(0, |s| s.points)
-    }
-
     /// Storage statistics.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
@@ -773,76 +760,6 @@ impl Tsdb {
     pub fn seal_all(&mut self) {
         for s in &mut self.series {
             s.seal_open(self.rollup_interval);
-        }
-    }
-
-    /// Retention: drop all data strictly before `cutoff`. Sealed chunks that
-    /// straddle the cutoff are re-encoded. Returns points dropped, or the
-    /// first error from a corrupt straddling chunk — one that fails to
-    /// decode, or decodes into points no chunk can hold
-    /// ([`TsdbError::UnencodableChunk`]). Such a chunk is kept as-is.
-    pub fn evict_before(&mut self, cutoff: Timestamp) -> Result<u64, TsdbError> {
-        let mut dropped = 0u64;
-        let mut first_err = None;
-        let rollup_interval = self.rollup_interval;
-        for s in &mut self.series {
-            let mut kept_sealed = Vec::with_capacity(s.sealed.len());
-            for sc in s.sealed.drain(..) {
-                if sc.end < cutoff {
-                    dropped += u64::from(sc.chunk.count());
-                } else if sc.start >= cutoff {
-                    kept_sealed.push(sc);
-                } else {
-                    // Straddles: re-encode the surviving tail.
-                    let tail = sc.chunk.decode().and_then(|pts| {
-                        let tail: Vec<_> = pts.into_iter().filter(|&(t, _)| t >= cutoff).collect();
-                        match unencodable_gap(&tail) {
-                            Some(gap) => Err(TsdbError::UnencodableChunk { gap }),
-                            None => Ok(tail),
-                        }
-                    });
-                    let pts = match tail {
-                        Ok(pts) => pts,
-                        Err(e) => {
-                            // Keep the corrupt chunk rather than guess.
-                            first_err.get_or_insert(e);
-                            kept_sealed.push(sc);
-                            continue;
-                        }
-                    };
-                    dropped += u64::from(sc.chunk.count()) - pts.len() as u64;
-                    if let (Some(&(start, _)), Some(&(end, _))) = (pts.first(), pts.last()) {
-                        // Rollups rebuilt over the surviving points only,
-                        // their offsets counted from the new first point:
-                        // the truncated leading bucket summarizes exactly
-                        // what a raw decode of the new chunk would see.
-                        let (chunk, rollups) = seal_chunk(&pts, rollup_interval);
-                        kept_sealed.push(SealedChunk {
-                            chunk,
-                            start,
-                            end,
-                            rollups,
-                        });
-                    }
-                }
-            }
-            s.sealed = kept_sealed;
-            s.rebuild_index();
-            let before = s.open.len();
-            s.open.retain(|&(t, _)| t >= cutoff);
-            dropped += (before - s.open.len()) as u64;
-            if before != s.open.len() {
-                s.rescan_open_span();
-            }
-        }
-        // Recompute per-series point counts after sealed drops.
-        for s in &mut self.series {
-            let sealed_pts: u64 = s.sealed.iter().map(|c| u64::from(c.chunk.count())).sum();
-            s.points = sealed_pts + s.open.len() as u64;
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(dropped),
         }
     }
 }
@@ -1017,77 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn retention_drops_old_points() {
-        let mut db = Tsdb::with_chunk_size(10);
-        for i in 0..100 {
-            db.put(&dp("m", "n1", i * 100, i as f64));
-        }
-        let dropped = db.evict_before(Timestamp(5000)).unwrap();
-        assert_eq!(dropped, 50);
-        let pts = db
-            .read(SeriesId(0), Timestamp(0), Timestamp(100 * 100))
-            .unwrap();
-        assert_eq!(pts.len(), 50);
-        assert!(pts.iter().all(|&(t, _)| t >= Timestamp(5000)));
-        assert_eq!(db.point_count(SeriesId(0)), 50);
-        assert_eq!(db.stats().points, 50);
-    }
-
-    #[test]
-    fn retention_straddling_chunk_reencoded() {
-        let mut db = Tsdb::with_chunk_size(10);
-        for i in 0..10 {
-            db.put(&dp("m", "n1", i * 100, i as f64));
-        }
-        // Chunk spans 0..900; cutoff mid-chunk.
-        let dropped = db.evict_before(Timestamp(450)).unwrap();
-        assert_eq!(dropped, 5);
-        let pts = db
-            .read(SeriesId(0), Timestamp(0), Timestamp(10_000))
-            .unwrap();
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts.first().unwrap().0, Timestamp(500));
-    }
-
-    #[test]
-    fn retention_keeps_a_decodable_chunk_it_cannot_reencode() {
-        // A bit flip can leave a chunk decodable into timestamps that run
-        // backwards or lie 2²⁶ s apart, which no chunk can hold. Find the
-        // first such flip of one chunk, then evict through the middle of it.
-        let build = || {
-            let mut db = Tsdb::with_chunk_size(10);
-            for i in 0..10 {
-                db.put(&dp("m", "n1", i * 100, i as f64));
-            }
-            db
-        };
-        let bits = build().series[0].sealed[0].chunk.size_bytes() as u64 * 8;
-        let found = (0..bits).find_map(|bit| {
-            let mut db = build();
-            if db.flip_chunk_bit(0, bit) != BitFlipOutcome::StillReadable {
-                return None;
-            }
-            let sc = &db.series[0].sealed[0];
-            let cutoff = Timestamp(sc.start.0.saturating_add(1));
-            let pts = sc.chunk.decode().ok()?;
-            let tail: Vec<i64> = pts
-                .iter()
-                .map(|&(t, _)| t.0)
-                .filter(|&t| t >= cutoff.0)
-                .collect();
-            let bad = tail
-                .windows(2)
-                .any(|w| w[1] < w[0] || w[1].saturating_sub(w[0]) >= 1 << 26);
-            (bad && cutoff <= sc.end).then_some((db, cutoff))
-        });
-        let (mut db, cutoff) = found.expect("some flip decodes into an unencodable chunk");
-        let before = db.stats();
-        let err = db.evict_before(cutoff).unwrap_err();
-        assert!(matches!(err, TsdbError::UnencodableChunk { .. }), "{err:?}");
-        assert_eq!(db.stats(), before, "the chunk is kept as-is");
-    }
-
-    #[test]
     fn corrupt_chunk_quarantined_rest_of_range_survives() {
         let mut db = Tsdb::with_chunk_size(10);
         for i in 0..30 {
@@ -1212,7 +1058,6 @@ mod tests {
         let st = db.stats();
         assert_eq!(st.chunks, 1);
         assert_eq!(st.points, 3, "duplicate must not be stored twice");
-        assert_eq!(db.point_count(SeriesId(0)), 3);
         let pts = db
             .read(SeriesId(0), Timestamp(0), Timestamp(10_000))
             .unwrap();

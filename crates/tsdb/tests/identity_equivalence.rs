@@ -67,7 +67,8 @@ fn tags(spec: TagSpec) -> TagSet {
 #[derive(Debug, Default)]
 struct Model {
     by_key: HashMap<String, SeriesId>,
-    series: Vec<(String, TagSet, u64)>,
+    series: Vec<(String, TagSet)>,
+    points: u64,
 }
 
 impl Model {
@@ -75,7 +76,7 @@ impl Model {
         let next = SeriesId(self.series.len() as u32);
         let id = *self.by_key.entry(series_key(metric, tags)).or_insert(next);
         if id == next {
-            self.series.push((metric.to_string(), tags.clone(), 0));
+            self.series.push((metric.to_string(), tags.clone()));
         }
         id
     }
@@ -97,9 +98,7 @@ proptest! {
                     let p = DataPoint::new(metric, tags.clone(), Timestamp(ts), v)
                         .map_err(|e| TestCaseError::fail(e.to_string()))?;
                     let id = model.intern(metric, &tags);
-                    if let Some(s) = model.series.get_mut(id.0 as usize) {
-                        s.2 += 1;
-                    }
+                    model.points += 1;
                     prop_assert_eq!(db.put(&p), id, "{:?}", op);
                 }
                 Op::Lookup(m, t) => {
@@ -109,16 +108,16 @@ proptest! {
                 }
             }
         }
-        // Every series reads back its own names and points, and is found
-        // again by them.
+        // The store holds every point written, and every series reads back
+        // its own names and is found again by them.
         prop_assert_eq!(db.stats().series, model.series.len());
+        prop_assert_eq!(db.stats().points, model.points);
         let mut by_metric: BTreeMap<&str, Vec<SeriesId>> = BTreeMap::new();
-        for (i, (metric, tags, points)) in model.series.iter().enumerate() {
+        for (i, (metric, tags)) in model.series.iter().enumerate() {
             let id = SeriesId(i as u32);
             prop_assert_eq!(db.metric(id), Some(metric.as_str()));
             prop_assert_eq!(db.tags(id), Some(tags));
             prop_assert_eq!(db.series_id(metric, tags), Some(id));
-            prop_assert_eq!(db.point_count(id), *points);
             by_metric.entry(metric.as_str()).or_default().push(id);
         }
         let unknown = SeriesId(model.series.len() as u32);

@@ -2,13 +2,13 @@
 //! per-query fold, block index, seal-aware cache) is byte-identical to the
 //! raw reference path (uncached, full Gorilla re-decode) for *any*
 //! interleaving of batched writes, writes by series id, in-order appended
-//! runs, late out-of-order points, seals, retention sweeps, and bit-flip
-//! corruption. [`ServePolicy`] chooses how much work a query skips — never
-//! what it answers.
+//! runs, late out-of-order points, seals, and bit-flip corruption.
+//! [`ServePolicy`] chooses how much work a query skips — never what it
+//! answers.
 //!
 //! A second store takes every write through `put_batch`. The two write
-//! paths must agree: stats, flip and eviction outcomes, every series'
-//! points, every query shape and the `tsdb.shard0.puts` counter.
+//! paths must agree: stats, flip outcomes, every series' points, every
+//! query shape and the `tsdb.shard0.puts` counter.
 //!
 //! The store uses a small rollup interval (10 min) and chunk size so that
 //! sealed chunks, rollup-served buckets, partially-covered edge buckets,
@@ -39,8 +39,6 @@ enum Op {
     Append(Vec<(u8, u8, i64, f64)>),
     /// Force-seal open buffers (materializes rollups + block index).
     SealAll,
-    /// Drop everything strictly before the cutoff.
-    EvictBefore(i64),
     /// Corrupt one bit of one sealed chunk (drops its rollups).
     FlipBit(u64, u64),
     /// Append a strictly increasing run to one series by its id, starting `gap` after the series' last point and `step`
@@ -62,7 +60,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         5 => specs_strategy().prop_map(Op::PutBatch),
         3 => specs_strategy().prop_map(Op::Append),
         2 => Just(Op::SealAll),
-        1 => (0i64..HORIZON).prop_map(Op::EvictBefore),
         2 => (0u64..64, 1u64..512).prop_map(|(n, b)| Op::FlipBit(n, b)),
         4 => (
             (0u8..2, 0u8..4),
@@ -234,13 +231,6 @@ proptest! {
                 Op::SealAll => {
                     db.seal_all();
                     mirror.seal_all();
-                }
-                // Retention may legitimately report a corrupt straddling
-                // chunk after FlipBit; equivalence must hold either way.
-                Op::EvictBefore(cutoff) => {
-                    let a = db.evict_before(Timestamp(*cutoff));
-                    let b = mirror.evict_before(Timestamp(*cutoff));
-                    prop_assert_eq!(a, b, "evictions diverged");
                 }
                 Op::FlipBit(nth, bit) => {
                     let a = db.flip_chunk_bit(*nth, *bit);

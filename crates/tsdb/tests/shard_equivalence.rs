@@ -1,8 +1,8 @@
 //! Property: the served store ([`ShardedTsdb`]: one lock, epoch, cache,
 //! rollups) is observationally identical to a plain [`Tsdb`] read through
 //! the raw reference path [`execute_raw`], for *any* interleaving of
-//! batched writes, retention sweeps, seals and bit flips. The serving
-//! stack around the store must never leak into results.
+//! batched writes, seals and bit flips. The serving stack around the
+//! store must never leak into results.
 
 use ctt_core::time::{Span, Timestamp};
 use ctt_tsdb::{
@@ -15,8 +15,6 @@ use proptest::prelude::*;
 enum Op {
     /// Write a batch of points (metric idx, device idx, time, value).
     PutBatch(Vec<(u8, u8, i64, f64)>),
-    /// Drop everything strictly before the cutoff.
-    EvictBefore(i64),
     /// Force-seal open buffers.
     SealAll,
     /// Flip one bit of the nth sealed chunk (corruption drill).
@@ -30,7 +28,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             1..40
         )
         .prop_map(Op::PutBatch),
-        1 => (0i64..50_000).prop_map(Op::EvictBefore),
         1 => Just(Op::SealAll),
         1 => (0u64..64, 1u64..512).prop_map(|(n, b)| Op::FlipBit(n, b)),
     ]
@@ -88,11 +85,6 @@ proptest! {
                     let a = flat.put_batch(&batch);
                     let b = served.put_batch(&batch);
                     prop_assert_eq!(a, b, "write counts diverged");
-                }
-                Op::EvictBefore(cutoff) => {
-                    let a = flat.evict_before(Timestamp(*cutoff));
-                    let b = served.evict_before(Timestamp(*cutoff));
-                    prop_assert_eq!(a, b, "evicted counts diverged");
                 }
                 Op::SealAll => {
                     flat.seal_all();

@@ -85,35 +85,3 @@ fn concurrent_writers_do_not_lose_or_duplicate_points() {
         assert_eq!(got, want, "writer {w} series diverged from serial ingest");
     }
 }
-
-#[test]
-fn concurrent_writers_with_interleaved_eviction() {
-    const WRITERS: usize = 4;
-    let db = Arc::new(ShardedTsdb::with_chunk_size(16));
-    let handles: Vec<_> = (0..WRITERS)
-        .map(|w| {
-            let db = Arc::clone(&db);
-            std::thread::spawn(move || {
-                for chunk in writer_points(w, 300).chunks(25) {
-                    db.put_batch(chunk);
-                }
-            })
-        })
-        .collect();
-    // Evictions race with the writers; they must stay panic-free and
-    // keep the store consistent.
-    for cutoff in [1_000i64, 5_000, 9_000] {
-        let _ = db.evict_before(Timestamp(cutoff));
-    }
-    for h in handles {
-        h.join().expect("writer panicked");
-    }
-    // Final sweep removes everything below the last cutoff deterministically.
-    db.evict_before(Timestamp(9_000)).expect("evict");
-    let st = db.stats();
-    // Each writer wrote times 0..300*60; at least points >= 9000/60 survive.
-    let survivors_per_writer = 300 - 9_000 / 60;
-    assert_eq!(st.points, (WRITERS as u64) * survivors_per_writer as u64);
-    let scan = db.integrity_scan();
-    assert_eq!(scan.readable_points + scan.quarantined_points, st.points);
-}

@@ -54,11 +54,14 @@ fn main() {
             radio.lost_gateway_busy
         );
         println!("  ADR commands:   {}", st.adr_commands);
+        // Seal the open buffers so the byte count is the compressed store.
+        // Reads are unchanged by it: a read dedups the open buffer exactly
+        // as a seal does, and a sealed chunk decodes to the same points.
+        pipeline.tsdb.seal_all();
+        let tsdb = pipeline.tsdb.stats();
         println!(
             "  TSDB:           {} points, {} series, {} bytes",
-            pipeline.tsdb.stats().points,
-            pipeline.tsdb.stats().series,
-            pipeline.tsdb.stats().bytes
+            tsdb.points, tsdb.series, tsdb.bytes
         );
 
         // Per-node completeness (the §2.2 missing-data reality).

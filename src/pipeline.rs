@@ -1150,29 +1150,28 @@ impl Pipeline {
         from: Timestamp,
         to: Timestamp,
     ) -> Series {
-        let q = Query::range(quantity.metric_name(), from, to)
-            .with_tag("device", format!("{:016x}", device.0))
-            .aggregate(Aggregator::Avg);
-        // Storage corruption degrades to an empty series here: dashboard
-        // reads prefer availability, and the error is already typed at the
-        // tsdb layer for callers that need it.
-        self.tsdb
-            .execute(&q)
-            .unwrap_or_default()
-            .into_iter()
-            .next()
-            .map(|r| r.series)
-            .unwrap_or_default()
+        self.avg_series(quantity, from, to, "device", format!("{:016x}", device.0))
     }
 
     /// City-wide average series for a quantity.
     pub fn city_series(&self, quantity: Quantity, from: Timestamp, to: Timestamp) -> Series {
+        self.avg_series(quantity, from, to, "city", self.city_slug.clone())
+    }
+
+    /// The average over every series of `quantity` tagged `key=value`, in
+    /// `[from, to)`; empty when none matches. A corrupt chunk is
+    /// quarantined inside the query result, so the read itself answers.
+    fn avg_series(
+        &self,
+        quantity: Quantity,
+        from: Timestamp,
+        to: Timestamp,
+        key: &str,
+        value: String,
+    ) -> Series {
         let q = Query::range(quantity.metric_name(), from, to)
-            .with_tag("city", self.city_slug.clone())
+            .with_tag(key, value)
             .aggregate(Aggregator::Avg);
-        // Storage corruption degrades to an empty series here: dashboard
-        // reads prefer availability, and the error is already typed at the
-        // tsdb layer for callers that need it.
         self.tsdb
             .execute(&q)
             .unwrap_or_default()

@@ -206,3 +206,105 @@ proptest! {
         prop_assert!((sum - avg * values.len() as f64).abs() < 1e-3_f64.max(sum.abs() * 1e-9));
     }
 }
+
+/// A metric kind in a snapshot export line: the two valid ones, an
+/// unknown one, an empty one, a stray quote.
+fn json_kind() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        3 => Just("counter"),
+        3 => Just("gauge"),
+        1 => Just("histogram"),
+        1 => Just(""),
+        1 => Just("\""),
+    ]
+}
+
+/// A number in a snapshot export line: in range, at the `u64`/`i64`
+/// edges, one past them, past `i128`, a sign alone, nothing.
+fn json_number() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("7"),
+        Just("-1"),
+        Just("18446744073709551615"),
+        Just("18446744073709551616"),
+        Just("-9223372036854775808"),
+        Just("-9223372036854775809"),
+        Just("340282366920938463463374607431768211456"),
+        Just("-"),
+        Just(""),
+    ]
+}
+
+proptest! {
+    /// Any bytes decode to a reading or a typed error, and only a
+    /// payload-length frame decodes. A frame with the version byte and a
+    /// matching CRC always decodes, whatever its fields hold.
+    fn payloads_decode_or_refuse(
+        bytes in proptest::collection::vec(any::<u8>(), 0..40),
+        body in proptest::collection::vec(any::<u8>(), 15..16),
+        pad in any::<u8>(),
+    ) {
+        let (dev, t) = (DevEui::ctt(3), Timestamp(0));
+        if payload::decode(&bytes, dev, t).is_ok() {
+            prop_assert_eq!(bytes.len(), payload::PAYLOAD_LEN);
+        }
+        let mut frame = body;
+        frame[0] = payload::PAYLOAD_VERSION;
+        frame.extend(payload::crc16_ccitt(&frame).to_be_bytes());
+        frame.push(pad);
+        prop_assert!(payload::decode(&frame, dev, t).is_ok());
+    }
+
+    /// Noise, lines of the export format built from edge pieces, and a
+    /// real export cut short or with one byte replaced each parse or
+    /// refuse; whatever parses renders back to text that parses to the
+    /// same snapshot.
+    fn snapshot_json_parses_or_refuses(
+        noise in proptest::collection::vec(any::<u8>(), 0..200),
+        at_s in json_number(),
+        lines in proptest::collection::vec((json_kind(), json_number(), 0u8..8), 0..4),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut snap = ctt_obs::Snapshot::new(Timestamp(-5));
+        snap.push_counter("a.count", u64::MAX);
+        snap.push_gauge("b.level", i64::MIN);
+        let real = snap.to_json().into_bytes();
+        let at = at % (real.len() + 1);
+        let mut replaced = real.clone();
+        if let Some(b) = replaced.get_mut(at) {
+            *b = byte;
+        }
+        let mut built = format!("{{\"at_s\": {at_s},\n\"metrics\": [\n");
+        for (kind, value, draw) in &lines {
+            // One line in eight has a name key but no name.
+            let name = if *draw > 0 { "\"name\": \"m\", " } else { "\"name\", " };
+            built += &format!("{{{name}\"kind\": \"{kind}\", \"value\": {value}}}\n");
+        }
+        for text in [&noise[..], built.as_bytes(), &real[..at], &replaced[..]] {
+            if let Ok(parsed) = ctt_obs::Snapshot::from_json(&String::from_utf8_lossy(text)) {
+                prop_assert_eq!(ctt_obs::Snapshot::from_json(&parsed.to_json()), Ok(parsed));
+            }
+        }
+    }
+}
+
+/// The two hostile-input properties, each on its own thread under a
+/// watchdog: a decoder that loops on crafted input fails here instead of
+/// hanging the suite.
+#[test]
+fn hostile_bytes_never_panic_or_hang() {
+    for property in [payloads_decode_or_refuse, snapshot_json_parses_or_refuses] {
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            property();
+            let _ = done.send(());
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            watchdog.recv_timeout(std::time::Duration::from_secs(60))
+        {
+            panic!("a hostile input hung a decoder");
+        }
+        runner.join().expect("a hostile input panicked a decoder");
+    }
+}
