@@ -37,6 +37,16 @@ if [ -n "$uses" ]; then
     exit 1
 fi
 
+echo "==> no new shared state (lint:allow(shared) only in the registry, the broker and the store; crates/lint/ and vendor/ excluded)"
+shared=$(grep -rn --include='*.rs' --exclude-dir=.git --exclude-dir=target --exclude-dir=vendor \
+    'lint:allow(shared)' . | grep -v -e '^\./crates/lint/' -e '^\./crates/obs/src/registry\.rs:' \
+    -e '^\./crates/broker/src/broker\.rs:' -e '^\./crates/tsdb/src/shard\.rs:' || true)
+if [ -n "$shared" ]; then
+    echo "$shared"
+    echo "a new lint:allow(shared) site: own the state by value and take &mut self instead" >&2
+    exit 1
+fi
+
 echo "==> chaos soak (fault injection + loss-ledger conservation)"
 cargo test --offline -q -p ctt-chaos
 

@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctt_bench::{loaded_tsdb, synthetic_points};
 use ctt_core::time::{Span, Timestamp};
-use ctt_tsdb::{execute, Aggregator, CompressedChunk, Downsample, FillPolicy, Query, Tsdb};
+use ctt_tsdb::{execute_raw, Aggregator, CompressedChunk, Downsample, FillPolicy, Query, Tsdb};
 
 fn bench_ingest(c: &mut Criterion) {
     let mut g = c.benchmark_group("tsdb_ingest");
@@ -30,7 +30,7 @@ fn bench_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("tsdb_query");
     g.bench_function("raw_range_single_device", |b| {
         let q = Query::range("ctt.air.co2", start, end).with_tag("device", "n3");
-        b.iter(|| black_box(execute(&db, &q).map(|r| r.len())))
+        b.iter(|| black_box(execute_raw(&db, &q).len()))
     });
     g.bench_function("downsample_1h_avg_all_devices", |b| {
         let q = Query::range("ctt.air.co2", start, end)
@@ -40,17 +40,11 @@ fn bench_query(c: &mut Criterion) {
                 aggregator: Aggregator::Avg,
                 fill: FillPolicy::None,
             });
-        b.iter(|| black_box(execute(&db, &q).map(|r| r.len())))
+        b.iter(|| black_box(execute_raw(&db, &q).len()))
     });
     g.bench_function("cross_series_avg", |b| {
         let q = Query::range("ctt.air.co2", start, end).with_tag("city", "trondheim");
-        b.iter(|| {
-            black_box(
-                execute(&db, &q)
-                    .ok()
-                    .and_then(|r| r.first().map(|s| s.series.len())),
-            )
-        })
+        b.iter(|| black_box(execute_raw(&db, &q).first().map(|s| s.series.len())))
     });
     g.finish();
 }

@@ -9,7 +9,7 @@
 //! * **Quantities**: [`quantity`] (CO2/NO2/PMx/T/P/RH/battery), [`units`]
 //!   (ppm ↔ µg/m³ conversions), [`aqi`] (European CAQI), [`stats`] (the one
 //!   sample quantile the TSDB and the analytics layer share).
-//! * **Records**: [`measurement`] (readings, flattened measurements, series)
+//! * **Records**: [`measurement`] (readings, series)
 //!   and [`payload`] (the 18-byte binary LoRa uplink codec).
 //! * **Physical models**: [`weather`], [`traffic`], and [`emission`] — the
 //!   deterministic, seedable synthetic "reality" the pilots observe — plus
@@ -52,7 +52,7 @@ pub use deployment::{CostModel, Deployment};
 pub use emission::{EmissionModel, Pollution, Site};
 pub use geo::{BoundingBox, LatLon, LocalProjection};
 pub use ids::{DevEui, GatewayId};
-pub use measurement::{Measurement, QualityFlag, SensorReading, Series};
+pub use measurement::{SensorReading, Series};
 pub use node::{NodeHealth, SensorNode, SensorSpec};
 pub use quantity::{Pollutant, Quantity};
 pub use scenario::{Injection, ScenarioKind, ScenarioSet};

@@ -1,75 +1,13 @@
 //! Measurement records flowing through the pipeline.
 //!
 //! A [`SensorReading`] is one complete uplink from a node: all eight
-//! quantities sampled at the same instant. A [`Measurement`] is the flattened
-//! per-quantity record that the time-series database and analytics operate
-//! on. Quality flags track provenance through validation and calibration.
+//! quantities sampled at the same instant. A [`Series`] is one quantity's
+//! time-ordered points, the exchange format between the time-series
+//! database and analytics.
 
 use crate::ids::DevEui;
 use crate::quantity::{Pollutant, Quantity};
 use crate::time::Timestamp;
-
-/// Quality/provenance flag for a measurement value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QualityFlag {
-    /// Raw value as received from the device.
-    #[default]
-    Raw,
-    /// Passed plausibility validation.
-    Validated,
-    /// Adjusted by the calibration model.
-    Calibrated,
-    /// Gap-filled by imputation (not an actual observation).
-    Imputed,
-    /// Flagged as an outlier by QC.
-    Suspect,
-}
-
-impl QualityFlag {
-    /// Short code for CSV export.
-    pub fn code(self) -> &'static str {
-        match self {
-            QualityFlag::Raw => "raw",
-            QualityFlag::Validated => "ok",
-            QualityFlag::Calibrated => "cal",
-            QualityFlag::Imputed => "imp",
-            QualityFlag::Suspect => "sus",
-        }
-    }
-}
-
-/// One quantity observed by one device at one instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measurement {
-    /// Originating device.
-    pub device: DevEui,
-    /// Which quantity.
-    pub quantity: Quantity,
-    /// Value in the quantity's native unit.
-    pub value: f64,
-    /// Observation time (UTC).
-    pub time: Timestamp,
-    /// Quality flag.
-    pub flag: QualityFlag,
-}
-
-impl Measurement {
-    /// A raw measurement.
-    pub fn raw(device: DevEui, quantity: Quantity, value: f64, time: Timestamp) -> Self {
-        Measurement {
-            device,
-            quantity,
-            value,
-            time,
-            flag: QualityFlag::Raw,
-        }
-    }
-
-    /// True if the value passes the quantity's plausibility check.
-    pub fn is_plausible(&self) -> bool {
-        self.quantity.is_plausible(self.value)
-    }
-}
 
 /// One full multi-quantity reading from a node (payload of one uplink).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,13 +148,6 @@ mod tests {
         let mut bad = reading();
         bad.co2_ppm = -5.0;
         assert!(!bad.is_plausible());
-    }
-
-    #[test]
-    fn measurement_flag_transitions() {
-        let m = Measurement::raw(DevEui::ctt(1), Quantity::Temperature, 12.0, Timestamp(0));
-        assert_eq!(m.flag, QualityFlag::Raw);
-        assert_eq!(QualityFlag::Imputed.code(), "imp");
     }
 
     #[test]

@@ -198,7 +198,6 @@ impl Default for LintConfig {
                 ("ShardedTsdb".into(), "put_batch".into()),
                 ("ShardedTsdb".into(), "execute".into()),
                 ("ShardedTsdb".into(), "execute_with".into()),
-                ("ShardedTsdb".into(), "read_series".into()),
                 // Query-serving layer: the cache sits on every dashboard
                 // query; rollup serving runs per bucket.
                 ("QueryCache".into(), "get_results".into()),

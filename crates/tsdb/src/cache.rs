@@ -12,14 +12,13 @@
 //! clock is involved anywhere (lint R5: replay-safe), and recency for
 //! eviction is a logical tick counter.
 //!
-//! Lock discipline: the cache's one mutex is a leaf — nothing else is
-//! locked while it is held.
+//! The cache is plain data: it lives next to the data and the epoch under
+//! the store's one lock, so a lookup, a miss's compute and its insert all
+//! happen under one guard.
 
 use crate::model::{is_name_char, TagFilter};
 use crate::query::{Query, QueryResult};
 use ctt_obs::{Counter, Registry};
-// lint:allow(shared): the cache lives inside the Sync ShardedTsdb
-use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -114,8 +113,8 @@ struct Slot {
 struct Level {
     entries: BTreeMap<String, Slot>,
     /// `tick → key`, built the first time the level overflows and kept
-    /// until [`Level::clear`] (nothing else removes entries, so a level
-    /// that has filled stays full). Exactly one record per entry: a new key
+    /// from then on (only eviction removes entries, so a level that has
+    /// filled stays full). Exactly one record per entry: a new key
     /// adds one, eviction removes one, and a re-put or a hit only moves the
     /// entry's tick forward. A record older than its entry's tick is stale;
     /// eviction re-files it at the entry's tick before trusting the next
@@ -165,11 +164,6 @@ impl Level {
         }
         evicted
     }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.recency = None;
-    }
 }
 
 /// Counters exported as `tsdb.cache.*` once attached to a registry.
@@ -193,28 +187,14 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Everything the cache holds, behind its one lock.
-#[derive(Debug, Default)]
-struct CacheState {
+/// The seal-aware query cache: plain data, owned by the store and used
+/// under its lock.
+#[derive(Debug)]
+pub(crate) struct QueryCache {
     results: Level,
     /// Logical recency clock (no wall time): bumped per cache operation.
     tick: u64,
     obs: CacheObs,
-}
-
-impl CacheState {
-    fn next_tick(&mut self) -> u64 {
-        self.tick = self.tick.wrapping_add(1);
-        self.tick
-    }
-}
-
-/// The seal-aware query cache. Lookups and inserts take `&self`, so the
-/// store can consult it under concurrent readers; each one takes the
-/// cache's single lock once.
-#[derive(Debug)]
-pub struct QueryCache {
-    state: Mutex<CacheState>,
     capacity: usize,
 }
 
@@ -226,17 +206,24 @@ impl Default for QueryCache {
 
 impl QueryCache {
     /// New cache holding at most `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         QueryCache {
-            state: Mutex::new(CacheState::default()),
+            results: Level::default(),
+            tick: 0,
+            obs: CacheObs::default(),
             capacity: capacity.max(1),
         }
     }
 
+    fn next_tick(&mut self) -> u64 {
+        self.tick = self.tick.wrapping_add(1);
+        self.tick
+    }
+
     /// Register `tsdb.cache.{hits,misses,evictions}` into `registry`.
     /// Counts accumulated before attachment are discarded.
-    pub fn attach_registry(&self, registry: &Registry) {
-        self.state.lock().obs = CacheObs {
+    pub(crate) fn attach_registry(&mut self, registry: &Registry) {
+        self.obs = CacheObs {
             hits: registry.counter("tsdb.cache.hits"),
             misses: registry.counter("tsdb.cache.misses"),
             evictions: registry.counter("tsdb.cache.evictions"),
@@ -244,60 +231,37 @@ impl QueryCache {
     }
 
     /// Finalized results for `sig`, if cached at exactly this epoch.
-    pub(crate) fn get_results(&self, sig: &str, epoch: u64) -> Option<Vec<QueryResult>> {
-        let mut state = self.state.lock();
-        let tick = state.next_tick();
-        let CacheState { results, obs, .. } = &mut *state;
-        match results.entries.get_mut(sig) {
+    pub(crate) fn get_results(&mut self, sig: &str, epoch: u64) -> Option<Vec<QueryResult>> {
+        let tick = self.next_tick();
+        match self.results.entries.get_mut(sig) {
             Some(slot) if slot.value.epoch == epoch => {
                 slot.tick = tick;
-                obs.hits.inc();
+                self.obs.hits.inc();
                 Some(slot.value.results.clone())
             }
             _ => {
-                obs.misses.inc();
+                self.obs.misses.inc();
                 None
             }
         }
     }
 
     /// Cache finalized results for `sig` computed at `epoch`.
-    pub(crate) fn put_results(&self, sig: String, epoch: u64, results: Vec<QueryResult>) {
-        let mut state = self.state.lock();
-        let tick = state.next_tick();
-        let CacheState {
-            results: level,
-            obs,
-            ..
-        } = &mut *state;
+    pub(crate) fn put_results(&mut self, sig: String, epoch: u64, results: Vec<QueryResult>) {
+        let tick = self.next_tick();
         let entry = ResultEntry { epoch, results };
-        obs.evictions
-            .add(level.insert(sig, entry, tick, self.capacity));
-    }
-
-    /// Drop every entry (used by tests and explicit resets).
-    pub fn clear(&self) {
-        self.state.lock().results.clear();
+        self.obs
+            .evictions
+            .add(self.results.insert(sig, entry, tick, self.capacity));
     }
 
     /// Current counter values.
-    pub fn stats(&self) -> CacheStats {
-        let state = self.state.lock();
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: state.obs.hits.get(),
-            misses: state.obs.misses.get(),
-            evictions: state.obs.evictions.get(),
+            hits: self.obs.hits.get(),
+            misses: self.obs.misses.get(),
+            evictions: self.obs.evictions.get(),
         }
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.state.lock().results.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -339,7 +303,7 @@ mod tests {
 
     #[test]
     fn results_served_only_at_matching_epochs() {
-        let cache = QueryCache::default();
+        let mut cache = QueryCache::default();
         cache.put_results("s".into(), 1, Vec::new());
         assert!(cache.get_results("s", 1).is_some());
         assert!(
@@ -353,7 +317,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_by_logical_tick() {
-        let cache = QueryCache::with_capacity(2);
+        let mut cache = QueryCache::with_capacity(2);
         cache.put_results("a".into(), 0, Vec::new());
         cache.put_results("b".into(), 0, Vec::new());
         let _ = cache.get_results("a", 0); // refresh "a"
@@ -500,16 +464,16 @@ mod tests {
     }
 
     proptest! {
-        /// Random get / put / epoch-bump / clear sequences at capacities
+        /// Random get / put / epoch-bump sequences at capacities
         /// 1–8: the cache holds exactly the entries the scanning model holds
         /// (so it evicted the same victims), counts the same hits, misses
         /// and evictions, and keeps one recency record per entry.
         #[test]
         fn recency_index_evicts_the_scan_victim(
             capacity in 1usize..9,
-            ops in collection::vec((0u8..7, 0u8..10), 1..200),
+            ops in collection::vec((0u8..6, 0u8..10), 1..200),
         ) {
-            let cache = QueryCache::with_capacity(capacity);
+            let mut cache = QueryCache::with_capacity(capacity);
             let mut model = Model::default();
             let mut epoch = 0u64;
             for &(kind, sig) in &ops {
@@ -523,18 +487,12 @@ mod tests {
                         model.insert(name.clone(), epoch, capacity);
                         cache.put_results(name, epoch, Vec::new());
                     }
-                    5 => epoch += 1,
-                    _ => {
-                        model.results.clear();
-                        cache.clear();
-                    }
+                    _ => epoch += 1,
                 }
-                let state = cache.state.lock();
-                let results: Vec<&String> = state.results.entries.keys().collect();
+                let results: Vec<&String> = cache.results.entries.keys().collect();
                 let want: Vec<&String> = model.results.keys().collect();
                 prop_assert_eq!(results, want);
-                recency_is_one_record_per_entry(&state.results)?;
-                drop(state);
+                recency_is_one_record_per_entry(&cache.results)?;
                 prop_assert_eq!(cache.stats(), model.stats);
             }
         }

@@ -13,9 +13,9 @@
 //! * [`rollup`] — seal-time materialized rollups (pre-downsampled
 //!   per-bucket summaries, one encoded block per sealed chunk) serving
 //!   dashboard queries without a chunk decode.
-//! * [`shard`] — a city's one store: a [`Tsdb`] and its mutation epoch
-//!   behind one lock, written by [`SeriesId`] or by [`DataPoint`], with
-//!   served queries.
+//! * [`shard`] — a city's one store: a [`Tsdb`], its mutation epoch and
+//!   the query cache behind one lock, written by [`SeriesId`] or by
+//!   [`DataPoint`], with served queries.
 //! * [`query`] — tag filters, group-by, downsampling (`1h-avg`),
 //!   cross-series aggregation, rate.
 //! * [`cache`] — seal-aware query result cache with deterministic
@@ -36,11 +36,11 @@ pub mod rollup;
 pub mod shard;
 pub mod store;
 
-pub use cache::{CacheStats, QueryCache};
+pub use cache::CacheStats;
 pub use error::TsdbError;
 pub use gorilla::CompressedChunk;
 pub use model::{DataPoint, ModelError, TagFilter, TagSet};
-pub use query::{execute, execute_raw, Aggregator, Downsample, FillPolicy, Query, QueryResult};
+pub use query::{execute_raw, Aggregator, Downsample, FillPolicy, Query, QueryResult};
 pub use shard::{ServePolicy, ShardedTsdb, DEFAULT_SHARDS};
 pub use store::{
     BitFlipOutcome, IntegrityReport, QuarantineReport, ScanCounts, SeriesId, StoreStats, Tsdb,

@@ -6,7 +6,6 @@
 //! cross-series aggregator. Wildcarded tag keys become group-by dimensions,
 //! so `device=*` yields one result series per device.
 
-use crate::error::TsdbError;
 use crate::model::{TagFilter, TagSet};
 use crate::rollup::{find_bucket, offset_of, rollup_servable, BlockColumns, RollupBucket};
 use crate::store::{dedup_last_write_wins, ScanCounts, SealedChunk, Series, SeriesId, Tsdb};
@@ -724,19 +723,13 @@ pub(crate) fn execute_counted(
     (finalize_groups(groups, q), counts)
 }
 
-/// Execute a query through the full serving stack (block index + seal-time
-/// rollups). Storage corruption does not fail the query: corrupt chunks
-/// are quarantined and surfaced in the per-group quarantine counts. An
-/// unmatched metric or filter is an empty result set, not an error.
-pub fn execute(db: &Tsdb, q: &Query) -> Result<Vec<QueryResult>, TsdbError> {
-    Ok(execute_counted(db, q, true).0)
-}
-
 /// Execute a query strictly by decoding raw chunks — the reference path
 /// the serving stack must match byte for byte. Used by the equivalence
-/// suite and the before/after benchmarks.
-pub fn execute_raw(db: &Tsdb, q: &Query) -> Result<Vec<QueryResult>, TsdbError> {
-    Ok(execute_counted(db, q, false).0)
+/// suite and the before/after benchmarks. Storage corruption does not fail
+/// the query: corrupt chunks are quarantined and surfaced in the per-group
+/// quarantine counts. An unmatched metric or filter is an empty result set.
+pub fn execute_raw(db: &Tsdb, q: &Query) -> Vec<QueryResult> {
+    execute_counted(db, q, false).0
 }
 
 #[cfg(test)]
@@ -858,7 +851,7 @@ pub(crate) mod tests {
             let q = Query::range("co2", Timestamp(0), Timestamp(900))
                 .with_tag("device", "n1")
                 .aggregate(agg);
-            let rs = execute(&db, &q).unwrap();
+            let rs = served(&db, &q);
             let want: Vec<(Timestamp, f64)> = values
                 .iter()
                 .enumerate()
@@ -866,6 +859,11 @@ pub(crate) mod tests {
                 .collect();
             assert_eq!(bits(&rs[0].series.points), bits(&want), "{agg}");
         }
+    }
+
+    /// The serving path without a cache: block index + seal-time rollups.
+    fn served(db: &Tsdb, q: &Query) -> Vec<QueryResult> {
+        execute_counted(db, q, true).0
     }
 
     fn dp(metric: &str, device: &str, city: &str, t: i64, v: f64) -> DataPoint {
@@ -976,7 +974,7 @@ pub(crate) mod tests {
     fn single_series_query() {
         let db = sample_db();
         let q = Query::range("co2", Timestamp(0), Timestamp(3600)).with_tag("device", "n1");
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].source_series, 1);
         assert_eq!(rs[0].series.len(), 12);
@@ -987,7 +985,7 @@ pub(crate) mod tests {
     fn cross_series_average() {
         let db = sample_db();
         let q = Query::range("co2", Timestamp(0), Timestamp(3600)).with_tag("city", "trd");
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].source_series, 2);
         // avg(400, 500) = 450 at t=0.
@@ -998,7 +996,7 @@ pub(crate) mod tests {
     fn group_by_device() {
         let db = sample_db();
         let q = Query::range("co2", Timestamp(0), Timestamp(3600)).group_by("device");
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         assert_eq!(rs.len(), 3);
         let groups: Vec<String> = rs
             .iter()
@@ -1013,7 +1011,7 @@ pub(crate) mod tests {
         let q = Query::range("co2", Timestamp(0), Timestamp(3600))
             .with_tag("city", "trd")
             .group_by("device");
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         assert_eq!(rs.len(), 2);
     }
 
@@ -1025,7 +1023,7 @@ pub(crate) mod tests {
             "device".to_string(),
             TagFilter::OneOf(vec!["n1".to_string(), "n3".to_string()]),
         );
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         assert_eq!(rs[0].source_series, 2);
     }
 
@@ -1039,7 +1037,7 @@ pub(crate) mod tests {
                 aggregator: Aggregator::Avg,
                 fill: FillPolicy::None,
             });
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         // 12 points over 60 min → 4 buckets of 3.
         assert_eq!(rs[0].series.len(), 4);
         // First bucket: avg(400,401,402) = 401.
@@ -1136,7 +1134,7 @@ pub(crate) mod tests {
                 aggregator: Aggregator::Last,
                 fill: FillPolicy::Previous,
             });
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         // Last pre-range point is (1500, 405): every empty bucket carries it.
         assert_eq!(
             rs[0].series.points,
@@ -1147,7 +1145,7 @@ pub(crate) mod tests {
             ]
         );
         // The raw reference path agrees byte for byte.
-        assert_eq!(execute_raw(&db, &q).unwrap(), rs);
+        assert_eq!(execute_raw(&db, &q), rs);
     }
 
     #[test]
@@ -1163,7 +1161,7 @@ pub(crate) mod tests {
                 aggregator: Aggregator::Avg,
                 fill: FillPolicy::Previous,
             });
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         assert_eq!(
             rs[0].series.points,
             vec![
@@ -1173,7 +1171,7 @@ pub(crate) mod tests {
             ],
             "pre-epoch buckets must align via div_euclid and carry the seed"
         );
-        assert_eq!(execute_raw(&db, &q).unwrap(), rs);
+        assert_eq!(execute_raw(&db, &q), rs);
     }
 
     #[test]
@@ -1186,7 +1184,7 @@ pub(crate) mod tests {
         let q = Query::range("ctr", Timestamp(0), Timestamp(3000))
             .with_tag("device", "n1")
             .as_rate();
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         assert_eq!(rs[0].series.len(), 4);
         for &(_, v) in &rs[0].series.points {
             assert!((v - 0.2).abs() < 1e-12);
@@ -1197,9 +1195,9 @@ pub(crate) mod tests {
     fn empty_results() {
         let db = sample_db();
         let q = Query::range("nope", Timestamp(0), Timestamp(3600));
-        assert!(execute(&db, &q).unwrap().is_empty());
+        assert!(served(&db, &q).is_empty());
         let q = Query::range("co2", Timestamp(0), Timestamp(3600)).with_tag("device", "nope");
-        assert!(execute(&db, &q).unwrap().is_empty());
+        assert!(served(&db, &q).is_empty());
     }
 
     #[test]
@@ -1216,7 +1214,7 @@ pub(crate) mod tests {
             .unwrap(),
         );
         let q = Query::range("co2", Timestamp(0), Timestamp(3600)).group_by("city");
-        let rs = execute(&db, &q).unwrap();
+        let rs = served(&db, &q);
         // n9 has no city tag: excluded by the wildcard filter.
         let total: usize = rs.iter().map(|r| r.source_series).sum();
         assert_eq!(total, 3);

@@ -1,15 +1,14 @@
-//! One store per city: a [`Tsdb`] and its mutation epoch behind one
-//! `RwLock`, with the query cache that validates against that epoch.
+//! One store per city: a [`Tsdb`], its mutation epoch and the query cache
+//! that validates against that epoch, all behind one `Mutex`.
 //!
 //! The paper gives each city one OpenTSDB behind its dashboards (§2.4), and
 //! so does this crate. Every mutation (`put_batch`, `register`, an
 //! `append` that wrote, `seal_all`, a successful `flip_chunk_bit`) bumps
-//! the epoch under the same write guard that changes the data, so a reader
-//! holding the read guard sees exactly the data its epoch names. A query
-//! with the cache on reads the epoch, looks its answer up at that epoch,
-//! and on a miss runs [`crate::query`] under the same read guard and
-//! stores the answer. Invalidation is deterministic (no wall clock, lint
-//! R5).
+//! the epoch under the same guard that changes the data, so the epoch
+//! always names exactly the data beside it. A query with the cache on
+//! takes the guard once: it looks its answer up at the current epoch and,
+//! on a miss, runs [`crate::query`] and stores the answer. Invalidation is
+//! deterministic (no wall clock, lint R5).
 //!
 //! The type keeps its name, and [`ShardedTsdb::new`] its shard-count
 //! argument, only because the frozen `benchmark/` harness names them; the
@@ -20,13 +19,13 @@ use crate::error::TsdbError;
 use crate::model::{DataPoint, TagSet};
 use crate::query::{execute_counted, Query, QueryResult};
 use crate::store::{
-    BitFlipOutcome, IntegrityReport, QuarantineReport, ScanCounts, SeriesId, StoreStats, Tsdb,
-    DEFAULT_CHUNK_SIZE, DEFAULT_ROLLUP_INTERVAL,
+    BitFlipOutcome, IntegrityReport, ScanCounts, SeriesId, StoreStats, Tsdb, DEFAULT_CHUNK_SIZE,
+    DEFAULT_ROLLUP_INTERVAL,
 };
 use ctt_core::time::{Span, Timestamp};
 use ctt_obs::{Counter, Registry};
 // lint:allow(shared): ShardedTsdb is Sync (shard_stress queries while other threads write)
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 /// No effect — kept only because `benchmark/` names it. A city has one
 /// store.
@@ -94,21 +93,21 @@ impl StoreObs {
     }
 }
 
-/// The data and its mutation epoch, under one lock.
+/// The data, its mutation epoch and the cache, under one lock.
 #[derive(Debug)]
 struct Store {
     db: Tsdb,
-    /// Bumped by every mutation, under the write guard that makes it.
+    /// Bumped by every mutation, under the guard that makes it.
     epoch: u64,
+    cache: QueryCache,
 }
 
 /// A city's time-series store: one [`Tsdb`] behind one lock, with the
 /// serving stack (epoch-validated query cache, rollups, block index) on top.
 #[derive(Debug)]
 pub struct ShardedTsdb {
-    store: RwLock<Store>,
+    store: Mutex<Store>,
     obs: StoreObs,
-    cache: QueryCache,
 }
 
 impl Default for ShardedTsdb {
@@ -133,12 +132,12 @@ impl ShardedTsdb {
     /// [`Tsdb::with_layout`]).
     pub fn with_layout(chunk_size: usize, rollup_interval: Span) -> Self {
         ShardedTsdb {
-            store: RwLock::new(Store {
+            store: Mutex::new(Store {
                 db: Tsdb::with_layout(chunk_size, rollup_interval),
                 epoch: 0,
+                cache: QueryCache::default(),
             }),
             obs: StoreObs::default(),
-            cache: QueryCache::default(),
         }
     }
 
@@ -157,22 +156,22 @@ impl ShardedTsdb {
             rollup_buckets: counter("rollup_buckets"),
             raw_buckets: counter("raw_buckets"),
         };
-        self.cache.attach_registry(registry);
+        self.store.get_mut().cache.attach_registry(registry);
     }
 
     /// Cache hit/miss/eviction counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.store.lock().cache.stats()
     }
 
-    /// Run `f` on the data under the write lock and bump the epoch.
+    /// Run `f` on the data under the lock and bump the epoch.
     fn mutate<R>(&self, f: impl FnOnce(&mut Tsdb) -> R) -> R {
-        let mut store = self.store.write();
+        let mut store = self.store.lock();
         store.epoch += 1;
         f(&mut store.db)
     }
 
-    /// Batched ingest under one write lock. An empty batch changes nothing
+    /// Batched ingest under one lock. An empty batch changes nothing
     /// and keeps the epoch. Returns points written.
     pub fn put_batch(&self, points: &[DataPoint]) -> u64 {
         if points.is_empty() {
@@ -191,13 +190,13 @@ impl ShardedTsdb {
         self.mutate(|db| db.register(metric, tags))
     }
 
-    /// Append points by series id under one write lock: the id-keyed
+    /// Append points by series id under one lock: the id-keyed
     /// [`ShardedTsdb::put_batch`]. A non-finite value is skipped, as
     /// [`DataPoint::new`] would have refused it, and so is an id this
     /// store never issued; neither is counted. The epoch and the `puts`
     /// counter move only if something was written. Returns points written.
     pub fn append(&self, points: &[(SeriesId, Timestamp, f64)]) -> u64 {
-        let mut store = self.store.write();
+        let mut store = self.store.lock();
         let mut written = 0u64;
         for &(id, t, v) in points {
             if v.is_finite() && store.db.append(id, t, v) {
@@ -214,14 +213,17 @@ impl ShardedTsdb {
 
     /// Execute a query with the full serving stack (cache + rollups).
     /// Byte-identical to [`crate::query::execute_raw`] on a [`Tsdb`] holding
-    /// the same data.
+    /// the same data. Never returns `Err`: corruption is reported as
+    /// quarantine counts in the results. The `Result` stays only because
+    /// the frozen `benchmark/` harness matches on it.
     pub fn execute(&self, q: &Query) -> Result<Vec<QueryResult>, TsdbError> {
         self.execute_with(q, ServePolicy::full())
     }
 
     /// Execute a query with an explicit [`ServePolicy`]. All policies
     /// return byte-identical results — the policy only chooses how much
-    /// work is skipped getting there.
+    /// work is skipped getting there. Never returns `Err` (see
+    /// [`ShardedTsdb::execute`]).
     pub fn execute_with(
         &self,
         q: &Query,
@@ -230,49 +232,31 @@ impl ShardedTsdb {
         // Cache-served queries are still queries: count every one.
         self.obs.queries.inc();
         let sig = policy.cache.then(|| query_signature(q));
-        let store = self.store.read();
+        let mut store = self.store.lock();
+        let Store { db, epoch, cache } = &mut *store;
         if let Some(sig) = &sig {
-            if let Some(results) = self.cache.get_results(sig, store.epoch) {
+            if let Some(results) = cache.get_results(sig, *epoch) {
                 return Ok(results);
             }
         }
-        let (results, counts) = execute_counted(&store.db, q, policy.rollups);
-        let epoch = store.epoch;
+        let (results, counts) = execute_counted(db, q, policy.rollups);
+        if let Some(sig) = sig {
+            cache.put_results(sig, *epoch, results.clone());
+        }
         drop(store);
         self.obs.record_scan(counts);
-        if let Some(sig) = sig {
-            self.cache.put_results(sig, epoch, results.clone());
-        }
         Ok(results)
-    }
-
-    /// Raw points of one exactly-identified series in `[start, end)`, with
-    /// the quarantine report. `None` when the series is unknown.
-    pub fn read_series(
-        &self,
-        metric: &str,
-        tags: &TagSet,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Option<(Vec<(Timestamp, f64)>, QuarantineReport)> {
-        // Count before the lookup resolves: unknown-series probes are real
-        // query traffic, and hiding them skews every hit/miss ratio built
-        // on this counter.
-        self.obs.queries.inc();
-        let store = self.store.read();
-        let id = store.db.series_id(metric, tags)?;
-        store.db.read_with_quarantine(id, start, end).ok()
     }
 
     /// Storage statistics.
     pub fn stats(&self) -> StoreStats {
-        self.store.read().db.stats()
+        self.store.lock().db.stats()
     }
 
     /// `(buckets, bytes)` of each sealed chunk's rollup block, in series
     /// order: the blocks [`StoreStats::rollup_bytes`] adds up.
     pub fn rollup_blocks(&self) -> Vec<(u64, usize)> {
-        let store = self.store.read();
+        let store = self.store.lock();
         store
             .db
             .series
@@ -281,12 +265,6 @@ impl ShardedTsdb {
             .filter_map(|c| c.rollups.as_ref())
             .map(|b| (b.buckets(), b.size_bytes()))
             .collect()
-    }
-
-    /// All distinct metric names (sorted).
-    pub fn metrics(&self) -> Vec<String> {
-        let store = self.store.read();
-        store.db.metrics().into_iter().map(str::to_string).collect()
     }
 
     /// Force-seal all open buffers.
@@ -298,7 +276,7 @@ impl ShardedTsdb {
     /// quarantined_points == stats().points`, the conservation invariant
     /// the chaos loss ledger checks.
     pub fn integrity_scan(&self) -> IntegrityReport {
-        self.store.read().db.integrity_scan()
+        self.store.lock().db.integrity_scan()
     }
 
     /// Fault injection: flip one bit in the `nth` sealed chunk (modulo the
@@ -306,7 +284,7 @@ impl ShardedTsdb {
     /// Deterministic for a fixed ingest history.
     pub fn flip_chunk_bit(&self, nth_chunk: u64, bit: u64) -> BitFlipOutcome {
         let outcome = {
-            let mut store = self.store.write();
+            let mut store = self.store.lock();
             let outcome = store.db.flip_chunk_bit(nth_chunk, bit);
             // Any successful flip mutated stored bytes (and dropped the
             // chunk's rollups): cached answers over them are invalid.
@@ -382,7 +360,7 @@ mod tests {
                 }),
         ] {
             let a = served.execute(&q).unwrap();
-            let b = crate::query::execute(&flat, &q).unwrap();
+            let b = crate::query::execute_raw(&flat, &q);
             assert_eq!(a, b, "served vs flat diverged on {q:?}");
         }
     }
@@ -478,19 +456,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn read_series_routes_to_owning_shard() {
-        let db = ShardedTsdb::default();
-        fill(&db, 8, 10);
-        let tags: TagSet = [("device".to_string(), "n3".to_string())].into();
-        let (pts, q) = db
-            .read_series("m", &tags, Timestamp(0), Timestamp(10_000))
-            .expect("series exists");
-        assert_eq!(pts.len(), 10);
-        assert_eq!(q, QuarantineReport::default());
-        assert!(db
-            .read_series("m", &TagSet::new(), Timestamp(0), Timestamp(1))
-            .is_none());
+    /// Every point of `device`'s series of metric `m`: one exact query.
+    fn read_device(db: &ShardedTsdb, device: &str) -> Vec<(Timestamp, f64)> {
+        let q = Query::range("m", Timestamp(0), Timestamp(i64::MAX)).with_tag("device", device);
+        let results = db.execute(&q).unwrap();
+        results.into_iter().flat_map(|r| r.series.points).collect()
     }
 
     #[test]
@@ -498,10 +468,7 @@ mod tests {
         let registry = Registry::new();
         let mut db = ShardedTsdb::default();
         db.attach_registry(&registry);
-        let tags: TagSet = [("device".to_string(), "ghost".to_string())].into();
-        assert!(db
-            .read_series("m", &tags, Timestamp(0), Timestamp(1))
-            .is_none());
+        assert!(read_device(&db, "ghost").is_empty());
         let snap = registry.snapshot(Timestamp(0));
         assert_eq!(
             snap.value("tsdb.shard0.queries"),
@@ -547,16 +514,6 @@ mod tests {
         let after = db.execute(&q).unwrap();
         assert_ne!(after, before, "quarantine must not serve stale cache");
         assert_eq!(after, db.execute_with(&q, ServePolicy::raw()).unwrap());
-    }
-
-    #[test]
-    fn metrics_merged_and_deduped() {
-        let db = ShardedTsdb::default();
-        for d in 0..8u32 {
-            let n = format!("n{d}");
-            db.put_batch(&[dp("b.metric", &n, 0, 1.0), dp("a.metric", &n, 0, 1.0)]);
-        }
-        assert_eq!(db.metrics(), vec!["a.metric", "b.metric"]);
     }
 
     #[test]
@@ -618,12 +575,12 @@ mod tests {
     fn an_append_that_writes_nothing_keeps_the_epoch() {
         let db = ShardedTsdb::default();
         let id = db.register("m", &device_tags("n0")).unwrap();
-        let before = db.store.read().epoch;
+        let before = db.store.lock().epoch;
         assert_eq!(db.append(&[]), 0);
         assert_eq!(db.append(&[(id, Timestamp(0), f64::NAN)]), 0);
-        assert_eq!(db.store.read().epoch, before);
+        assert_eq!(db.store.lock().epoch, before);
         assert_eq!(db.append(&[(id, Timestamp(0), 1.0)]), 1);
-        assert_eq!(db.store.read().epoch, before + 1);
+        assert_eq!(db.store.lock().epoch, before + 1);
     }
 
     fn device_tags(device: &str) -> TagSet {
@@ -664,10 +621,10 @@ mod tests {
         assert_eq!(db.stats().points, 2);
         let snap = registry.snapshot(Timestamp(0));
         assert_eq!(snap.value("tsdb.shard0.puts"), Some(2));
-        let (stored, _) = db
-            .read_series("m", &device_tags("n0"), Timestamp(0), Timestamp(i64::MAX))
-            .expect("series exists");
-        assert_eq!(stored, vec![(Timestamp(0), 1.0), (Timestamp(1200), 2.0)]);
+        assert_eq!(
+            read_device(&db, "n0"),
+            vec![(Timestamp(0), 1.0), (Timestamp(1200), 2.0)]
+        );
     }
 
     #[test]
@@ -679,10 +636,7 @@ mod tests {
         let points = [(Timestamp(0), 1.0), (Timestamp(100_000_000), 2.0)];
         assert_eq!(db.append(&points.map(|(t, v)| (id, t, v))), 2);
         db.seal_all();
-        let (stored, _) = db
-            .read_series("m", &device_tags("n0"), Timestamp(0), Timestamp(i64::MAX))
-            .expect("series exists");
-        assert_eq!(stored, points);
+        assert_eq!(read_device(&db, "n0"), points);
     }
 
     #[test]

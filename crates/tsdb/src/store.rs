@@ -633,21 +633,9 @@ impl Tsdb {
         v
     }
 
-    /// Points of one series in `[start, end)`, time-sorted. Corrupt chunks
-    /// are silently quarantined; use [`Tsdb::read_with_quarantine`] when the
-    /// caller needs to know how much data was unreadable.
-    pub fn read(
-        &self,
-        id: SeriesId,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<Vec<(Timestamp, f64)>, TsdbError> {
-        self.read_with_quarantine(id, start, end)
-            .map(|(pts, _)| pts)
-    }
-
-    /// Like [`Tsdb::read`], but also reports chunks that failed to decode
-    /// and were skipped (graceful degradation under storage corruption).
+    /// Points of one series in `[start, end)`, time-sorted, with the
+    /// chunks that failed to decode and were skipped (graceful degradation
+    /// under storage corruption).
     pub fn read_with_quarantine(
         &self,
         id: SeriesId,
@@ -778,6 +766,11 @@ mod tests {
         .unwrap()
     }
 
+    /// Every point of series 0 in `[start, end)`.
+    fn read0(db: &Tsdb, start: Timestamp, end: Timestamp) -> Vec<(Timestamp, f64)> {
+        db.read_with_quarantine(SeriesId(0), start, end).unwrap().0
+    }
+
     #[test]
     fn put_and_read_roundtrip() {
         let mut db = Tsdb::new();
@@ -786,7 +779,9 @@ mod tests {
         }
         let tags = db.tags(SeriesId(0)).expect("series 0 exists").clone();
         let id = db.series_id("m", &tags).expect("series exists");
-        let pts = db.read(id, Timestamp(0), Timestamp(100 * 300)).unwrap();
+        let (pts, _) = db
+            .read_with_quarantine(id, Timestamp(0), Timestamp(100 * 300))
+            .unwrap();
         assert_eq!(pts.len(), 100);
         assert_eq!(pts[7], (Timestamp(7 * 300), 7.0));
     }
@@ -801,8 +796,7 @@ mod tests {
             db.put(&dp("m", "n1", t, f64::from(i)));
         }
         db.seal_all();
-        db.read(SeriesId(0), Timestamp(i64::MIN), Timestamp(i64::MAX))
-            .unwrap()
+        read0(&db, Timestamp(i64::MIN), Timestamp(i64::MAX))
     }
 
     fn numbered(times: &[i64]) -> Vec<(Timestamp, f64)> {
@@ -859,9 +853,7 @@ mod tests {
         assert_eq!(st.chunks, 2, "two sealed chunks of 10");
         assert_eq!(st.points, 25);
         // All 25 still readable.
-        let pts = db
-            .read(SeriesId(0), Timestamp(0), Timestamp(i64::MAX / 2))
-            .unwrap();
+        let pts = read0(&db, Timestamp(0), Timestamp(i64::MAX / 2));
         assert_eq!(pts.len(), 25);
     }
 
@@ -871,9 +863,7 @@ mod tests {
         db.put(&dp("m", "n1", 600, 2.0));
         db.put(&dp("m", "n1", 0, 0.0));
         db.put(&dp("m", "n1", 300, 1.0));
-        let pts = db
-            .read(SeriesId(0), Timestamp(0), Timestamp(10_000))
-            .unwrap();
+        let pts = read0(&db, Timestamp(0), Timestamp(10_000));
         assert_eq!(
             pts,
             vec![
@@ -893,9 +883,7 @@ mod tests {
         }
         // Late straggler older than the sealed chunk.
         db.put(&dp("m", "n1", 500, 9.9));
-        let pts = db
-            .read(SeriesId(0), Timestamp(0), Timestamp(10_000))
-            .unwrap();
+        let pts = read0(&db, Timestamp(0), Timestamp(10_000));
         assert_eq!(pts.first(), Some(&(Timestamp(500), 9.9)));
         assert_eq!(pts.len(), 5);
         assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0));
@@ -907,9 +895,7 @@ mod tests {
         for i in 0..50 {
             db.put(&dp("m", "n1", i * 100, i as f64));
         }
-        let pts = db
-            .read(SeriesId(0), Timestamp(1000), Timestamp(2000))
-            .unwrap();
+        let pts = read0(&db, Timestamp(1000), Timestamp(2000));
         assert_eq!(pts.len(), 10);
         assert_eq!(pts.first().unwrap().0, Timestamp(1000));
         assert_eq!(pts.last().unwrap().0, Timestamp(1900));
@@ -960,13 +946,7 @@ mod tests {
         assert_eq!(q.chunks, 1);
         assert_eq!(q.points, 10);
         assert_eq!(pts.len(), 20);
-        // Plain read agrees, and the conservation invariant holds.
-        assert_eq!(
-            db.read(SeriesId(0), Timestamp(0), Timestamp(10_000))
-                .unwrap()
-                .len(),
-            20
-        );
+        // The conservation invariant holds.
         let scan = db.integrity_scan();
         assert_eq!(scan.quarantined_chunks, 1);
         assert_eq!(
@@ -1042,9 +1022,7 @@ mod tests {
         db.put(&dp("m", "n1", 300, 1.0));
         db.put(&dp("m", "n1", 300, 2.0)); // QoS1 redelivery with a new value
         db.put(&dp("m", "n1", 600, 3.0));
-        let pts = db
-            .read(SeriesId(0), Timestamp(0), Timestamp(10_000))
-            .unwrap();
+        let pts = read0(&db, Timestamp(0), Timestamp(10_000));
         assert_eq!(pts, vec![(Timestamp(300), 2.0), (Timestamp(600), 3.0)]);
     }
 
@@ -1058,9 +1036,7 @@ mod tests {
         let st = db.stats();
         assert_eq!(st.chunks, 1);
         assert_eq!(st.points, 3, "duplicate must not be stored twice");
-        let pts = db
-            .read(SeriesId(0), Timestamp(0), Timestamp(10_000))
-            .unwrap();
+        let pts = read0(&db, Timestamp(0), Timestamp(10_000));
         assert_eq!(
             pts,
             vec![
@@ -1079,9 +1055,7 @@ mod tests {
         }
         // A late redelivery of t=300 lands in the open buffer.
         db.put(&dp("m", "n1", 300, 99.0));
-        let pts = db
-            .read(SeriesId(0), Timestamp(0), Timestamp(10_000))
-            .unwrap();
+        let pts = read0(&db, Timestamp(0), Timestamp(10_000));
         assert_eq!(pts.len(), 3, "no double-count across sealed + open");
         assert_eq!(pts[1], (Timestamp(300), 99.0), "open buffer wins");
     }
@@ -1098,10 +1072,8 @@ mod tests {
         }
         assert_eq!(a.stats(), b.stats());
         assert_eq!(
-            a.read(SeriesId(0), Timestamp(0), Timestamp(i64::MAX / 2))
-                .unwrap(),
-            b.read(SeriesId(0), Timestamp(0), Timestamp(i64::MAX / 2))
-                .unwrap()
+            read0(&a, Timestamp(0), Timestamp(i64::MAX / 2)),
+            read0(&b, Timestamp(0), Timestamp(i64::MAX / 2))
         );
     }
 

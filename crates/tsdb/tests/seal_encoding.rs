@@ -16,7 +16,7 @@
 //! whatever the gaps and arrival order, what was put is what is read.
 
 use ctt_core::time::Timestamp;
-use ctt_tsdb::{CompressedChunk, DataPoint, SeriesId, TagSet, Tsdb};
+use ctt_tsdb::{CompressedChunk, DataPoint, QuarantineReport, SeriesId, TagSet, Tsdb};
 use proptest::prelude::*;
 
 /// One generated series: a start instant (possibly negative), then a run
@@ -142,7 +142,7 @@ proptest! {
             .into_iter()
             .map(|(t, v)| (Timestamp(t), v))
             .collect();
-        let stored = db.read(SeriesId(0), Timestamp(i64::MIN), Timestamp(i64::MAX));
-        prop_assert_eq!(stored, Ok(expected));
+        let stored = db.read_with_quarantine(SeriesId(0), Timestamp(i64::MIN), Timestamp(i64::MAX));
+        prop_assert_eq!(stored, Ok((expected, QuarantineReport::default())));
     }
 }

@@ -4,21 +4,30 @@
 //! interleaving of batched writes, writes by series id, in-order appended
 //! runs, late out-of-order points, seals, and bit-flip corruption.
 //! [`ServePolicy`] chooses how much work a query skips — never what it
-//! answers.
+//! answers. The cache key does not hold the policy, so an answer cached
+//! under one policy serves the others: every query runs under all four
+//! `(cache, rollups)` combinations, in a seeded order.
 //!
-//! A second store takes every write through `put_batch`. The two write
-//! paths must agree: stats, flip outcomes, every series' points, every
-//! query shape and the `tsdb.shard0.puts` counter.
+//! Three stores take the same workload:
+//! * the served store, written by series id where the op says so;
+//! * a served mirror that takes every write through `put_batch`. The two
+//!   write paths must agree: stats, flip outcomes, every query shape and
+//!   the `tsdb.shard0.puts` counter;
+//! * a plain [`Tsdb`] fed by `put_batch` and read by [`execute_raw`], the
+//!   reference every answer is checked against: the lock, epoch, cache
+//!   and rollups around the served store must never leak into a result,
+//!   its stats or its integrity scan.
 //!
 //! The store uses a small rollup interval (10 min) and chunk size so that
 //! sealed chunks, rollup-served buckets, partially-covered edge buckets,
 //! open-buffer overlaps, and index skips all occur within short workloads.
 
+use ctt_core::rng::SplitMix64;
 use ctt_core::time::{Span, Timestamp};
 use ctt_obs::Registry;
 use ctt_tsdb::{
-    Aggregator, DataPoint, Downsample, FillPolicy, Query, SeriesId, ServePolicy, ShardedTsdb,
-    TagSet,
+    execute_raw, Aggregator, DataPoint, Downsample, FillPolicy, Query, SeriesId, ServePolicy,
+    ShardedTsdb, TagSet, Tsdb,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -115,6 +124,8 @@ fn queries() -> Vec<Query> {
     let full = || Query::range("metric.0", Timestamp(0), Timestamp(END));
     vec![
         full(),
+        full().group_by("device"),
+        full().aggregate(Aggregator::P95),
         full().downsample(ds(ROLLUP, Aggregator::Avg, FillPolicy::None)),
         full()
             .group_by("device")
@@ -153,12 +164,57 @@ fn queries() -> Vec<Query> {
     ]
 }
 
+/// One exact `device=` query per series: its every point, as stored.
+fn series_queries() -> impl Iterator<Item = Query> {
+    (0..2u8).flat_map(|m| {
+        (0..4u8).map(move |d| {
+            Query::range(metric_name(m), Timestamp(0), Timestamp(i64::MAX))
+                .with_tag("device", format!("node{d}"))
+        })
+    })
+}
+
+/// The four `(cache, rollups)` policies, in an order drawn from `rng`.
+fn shuffled_policies(rng: &mut SplitMix64) -> [ServePolicy; 4] {
+    let policy = |cache, rollups| ServePolicy {
+        cache,
+        rollups,
+        parallel: false,
+    };
+    let mut all = [
+        policy(false, false),
+        policy(false, true),
+        policy(true, false),
+        policy(true, true),
+    ];
+    for i in (1..all.len()).rev() {
+        all.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+    all
+}
+
+/// The reference and written-by-`put_batch` sides of the workload.
+struct Reference {
+    mirror: ShardedTsdb,
+    flat: Tsdb,
+}
+
+impl Reference {
+    /// Write `batch` to both sides; they must accept the same points.
+    fn put_batch(&mut self, batch: &[DataPoint]) -> Result<u64, TestCaseError> {
+        let written = self.mirror.put_batch(batch);
+        prop_assert_eq!(written, self.flat.put_batch(batch), "write counts diverged");
+        Ok(written)
+    }
+}
+
 /// Apply points by series id to `db` — each series registered at first
-/// use — and through `put_batch` to `mirror`; both must accept the same.
+/// use — and through `put_batch` to the reference sides; all must accept
+/// the same.
 fn append_both(
     db: &ShardedTsdb,
     ids: &mut BTreeMap<(u8, u8), SeriesId>,
-    mirror: &ShardedTsdb,
+    reference: &mut Reference,
     specs: &[(u8, u8, i64, f64)],
 ) -> Result<(), TestCaseError> {
     let by_id: Vec<(SeriesId, Timestamp, f64)> = specs
@@ -172,7 +228,7 @@ fn append_both(
         })
         .collect();
     let written = db.append(&by_id);
-    prop_assert_eq!(written, mirror.put_batch(&build_batch(specs)));
+    prop_assert_eq!(written, reference.put_batch(&build_batch(specs))?);
     Ok(())
 }
 
@@ -186,15 +242,18 @@ fn note_latest(last: &mut BTreeMap<(u8, u8), i64>, specs: &[(u8, u8, i64, f64)])
 
 proptest! {
     /// Replay an arbitrary op sequence; after every op, every query shape
-    /// must answer byte-identically under the full and raw policies, a
-    /// cache-hot repeat must not change the answer, and the `put_batch`
-    /// mirror must hold exactly the same data.
+    /// must answer under each of the four policies exactly as the plain
+    /// `Tsdb` answers raw, the mirror must answer the same, and the three
+    /// stores must agree on stats and on the integrity scan.
     #[test]
     fn full_serving_stack_matches_raw_decode(
         ops in proptest::collection::vec(op_strategy(), 1..12),
+        order_seed in any::<u64>(),
     ) {
         let (db, registry) = store();
         let (mirror, mirror_registry) = store();
+        let mut reference = Reference { mirror, flat: Tsdb::with_layout(16, ROLLUP) };
+        let mut order = SplitMix64::seed_from_u64(order_seed);
         let mut ids: BTreeMap<(u8, u8), SeriesId> = BTreeMap::new();
         // Each series' latest timestamp written so far.
         let mut last: BTreeMap<(u8, u8), i64> = BTreeMap::new();
@@ -202,11 +261,11 @@ proptest! {
             match op {
                 Op::PutBatch(specs) => {
                     let batch = build_batch(specs);
-                    prop_assert_eq!(db.put_batch(&batch), mirror.put_batch(&batch));
+                    prop_assert_eq!(db.put_batch(&batch), reference.put_batch(&batch)?);
                     note_latest(&mut last, specs);
                 }
                 Op::Append(specs) => {
-                    append_both(&db, &mut ids, &mirror, specs)?;
+                    append_both(&db, &mut ids, &mut reference, specs)?;
                     note_latest(&mut last, specs);
                 }
                 Op::AppendRun(m, d, gap, step, values) => {
@@ -216,7 +275,7 @@ proptest! {
                         .enumerate()
                         .map(|(i, &v)| (*m, *d, first + i as i64 * step, v))
                         .collect();
-                    append_both(&db, &mut ids, &mirror, &specs)?;
+                    append_both(&db, &mut ids, &mut reference, &specs)?;
                     if let Some(&(_, _, t, _)) = specs.last() {
                         last.insert((*m, *d), t);
                     }
@@ -224,41 +283,36 @@ proptest! {
                 Op::LatePoint(m, d, back, v) => {
                     let t = last.get(&(*m, *d)).map_or(0, |&l| (l - back).max(0));
                     let batch = [build_point(*m, *d, t, *v)];
-                    db.put_batch(&batch);
-                    mirror.put_batch(&batch);
+                    prop_assert_eq!(db.put_batch(&batch), reference.put_batch(&batch)?);
                     last.entry((*m, *d)).or_insert(t);
                 }
                 Op::SealAll => {
                     db.seal_all();
-                    mirror.seal_all();
+                    reference.mirror.seal_all();
+                    reference.flat.seal_all();
                 }
                 Op::FlipBit(nth, bit) => {
                     let a = db.flip_chunk_bit(*nth, *bit);
-                    prop_assert_eq!(a, mirror.flip_chunk_bit(*nth, *bit), "flips diverged");
+                    prop_assert_eq!(a, reference.mirror.flip_chunk_bit(*nth, *bit), "flips diverged");
+                    prop_assert_eq!(a, reference.flat.flip_chunk_bit(*nth, *bit), "flips diverged");
                 }
             }
-            prop_assert_eq!(db.stats(), mirror.stats(), "stats diverged after {:?}", op);
-            for q in queries() {
-                let raw = db.execute_with(&q, ServePolicy::raw());
-                let full = db.execute_with(&q, ServePolicy::full());
-                prop_assert_eq!(&full, &raw, "policy diverged on {:?} after {:?}", q, op);
-                let cached = db.execute_with(&q, ServePolicy::full());
-                prop_assert_eq!(&cached, &raw, "cache-hot repeat diverged on {:?}", q);
-                let mirrored = mirror.execute_with(&q, ServePolicy::raw());
+            let flat = &reference.flat;
+            prop_assert_eq!(db.stats(), flat.stats(), "stats diverged after {:?}", op);
+            prop_assert_eq!(reference.mirror.stats(), flat.stats(), "stats diverged after {:?}", op);
+            prop_assert_eq!(db.integrity_scan(), flat.integrity_scan(), "scan diverged after {:?}", op);
+            for q in queries().into_iter().chain(series_queries()) {
+                let raw = execute_raw(flat, &q);
+                for policy in shuffled_policies(&mut order) {
+                    let served = db.execute_with(&q, policy).unwrap();
+                    prop_assert_eq!(&served, &raw, "{:?} diverged on {:?} after {:?}", policy, q, op);
+                }
+                let mirrored = reference.mirror.execute_with(&q, ServePolicy::raw()).unwrap();
                 prop_assert_eq!(&mirrored, &raw, "write paths diverged on {:?}", q);
             }
         }
         // The workload above must actually exercise the cache.
-        prop_assert!(db.cache_stats().misses > 0);
-        prop_assert_eq!(db.metrics(), mirror.metrics());
-        for m in 0..2u8 {
-            for d in 0..4u8 {
-                let read = |s: &ShardedTsdb| {
-                    s.read_series(&metric_name(m), &device_tags(d), Timestamp(0), Timestamp(i64::MAX))
-                };
-                prop_assert_eq!(read(&db), read(&mirror), "series m={} d={} diverged", m, d);
-            }
-        }
+        prop_assert!(db.cache_stats().hits > 0 && db.cache_stats().misses > 0);
         let puts = |r: &Registry| r.snapshot(Timestamp(0)).value("tsdb.shard0.puts");
         prop_assert_eq!(puts(&registry), puts(&mirror_registry));
     }

@@ -4,7 +4,7 @@
 //! contents must equal a serial reference ingest of the same points.
 
 use ctt_core::time::Timestamp;
-use ctt_tsdb::{DataPoint, Query, ShardedTsdb, TagSet};
+use ctt_tsdb::{DataPoint, Query, ShardedTsdb};
 use std::sync::Arc;
 
 fn writer_points(writer: usize, points: i64) -> Vec<DataPoint> {
@@ -79,9 +79,14 @@ fn concurrent_writers_do_not_lose_or_duplicate_points() {
         reference.put_batch(&writer_points(w, POINTS));
     }
     for w in 0..WRITERS {
-        let tags: TagSet = [("device".to_string(), format!("w{w}"))].into();
-        let got = db.read_series("stress.metric", &tags, Timestamp(0), Timestamp(i64::MAX));
-        let want = reference.read_series("stress.metric", &tags, Timestamp(0), Timestamp(i64::MAX));
-        assert_eq!(got, want, "writer {w} series diverged from serial ingest");
+        let q = Query::range("stress.metric", Timestamp(0), Timestamp(i64::MAX))
+            .with_tag("device", format!("w{w}"));
+        let got = db.execute(&q).unwrap();
+        assert_eq!(got.len(), 1, "writer {w} series missing");
+        assert_eq!(
+            got,
+            reference.execute(&q).unwrap(),
+            "writer {w} series diverged from serial ingest"
+        );
     }
 }
