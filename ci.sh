@@ -47,6 +47,15 @@ if [ -n "$shared" ]; then
     exit 1
 fi
 
+echo "==> one read surface (a pipeline's tsdb field read only in src/pipeline.rs and the frozen benchmark/)"
+reads=$(grep -rnE --include='*.rs' --exclude-dir=.git --exclude-dir=target --exclude-dir=vendor \
+    '\.tsdb(\.[a-z_]+\(|[);, ])' . | grep -v -e '^\./src/pipeline\.rs:' -e '^\./benchmark/' || true)
+if [ -n "$reads" ]; then
+    echo "$reads"
+    echo "a read of Pipeline::tsdb: use Pipeline::{query, query_raw, store_stats, cache_stats, seal_all, integrity_scan} instead" >&2
+    exit 1
+fi
+
 echo "==> chaos soak (fault injection + loss-ledger conservation)"
 cargo test --offline -q -p ctt-chaos
 

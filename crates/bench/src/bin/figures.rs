@@ -50,6 +50,7 @@ fn fig1() {
         let start = p.deployment.started;
         p.run_until(start + Span::days(1));
         let st = p.stats();
+        let store = p.store_stats();
         let snap = p.dataport.snapshot(p.now());
         let _ = writeln!(
             csv,
@@ -60,8 +61,8 @@ fn fig1() {
             st.delivered,
             st.radio_lost,
             p.radio_stats().pdr(),
-            p.tsdb.stats().points,
-            p.tsdb.stats().series,
+            store.points,
+            store.series,
             snap.active_alarms.len(),
         );
         println!(
@@ -70,8 +71,8 @@ fn fig1() {
             st.readings,
             st.delivered,
             p.radio_stats().pdr() * 100.0,
-            p.tsdb.stats().points,
-            p.tsdb.stats().series
+            store.points,
+            store.series
         );
     }
     out("fig1_pipeline.csv", &csv);
@@ -311,7 +312,7 @@ fn fig4() {
 /// Fig. 5: CO2 dynamics vs traffic jam factor.
 fn fig5() {
     println!("FIG5 — CO2 dynamics vs traffic jam factor (7 days)");
-    let p = ctt_bench::run_pipeline(Deployment::trondheim(), 7 * 24);
+    let mut p = ctt_bench::run_pipeline(Deployment::trondheim(), 7 * 24);
     let start = p.deployment.started;
     let end = start + Span::days(7);
     let dev = p.deployment.nodes[2].eui; // Midtbyen urban background
@@ -388,14 +389,14 @@ fn fig5() {
 // ------------------------------------------------------------------- FIG 6
 
 /// Build the air-quality + traffic dashboard for a pipeline state.
-fn build_dashboard(p: &ctt::Pipeline, title: &str) -> Dashboard {
+fn build_dashboard(p: &mut ctt::Pipeline, title: &str) -> Dashboard {
     let end = p.now();
     let start = end - Span::days(1);
     let mut map = MapView::new("Sensors (CAQI)");
     map.width = 360.0;
     map.height = 260.0;
     let mut worst = AqiBand::VeryLow;
-    for node in &p.deployment.nodes {
+    for node in p.deployment.nodes.clone() {
         let no2 = p.device_series(
             node.eui,
             Quantity::Pollutant(Pollutant::No2),
@@ -457,8 +458,8 @@ fn build_dashboard(p: &ctt::Pipeline, title: &str) -> Dashboard {
 /// Fig. 6: the air quality and traffic dashboard.
 fn fig6() {
     println!("FIG6 — air quality + traffic dashboard (Trondheim, 2 days)");
-    let p = ctt_bench::run_pipeline(Deployment::trondheim(), 48);
-    let dash = build_dashboard(&p, "CTT — air quality & traffic (Zeppelin-style)");
+    let mut p = ctt_bench::run_pipeline(Deployment::trondheim(), 48);
+    let dash = build_dashboard(&mut p, "CTT — air quality & traffic (Zeppelin-style)");
     out("fig6_dashboard.svg", &dash.render());
 }
 
@@ -467,12 +468,12 @@ fn fig6() {
 /// Fig. 7: sensor data integrated into the 3D city model.
 fn fig7() {
     println!("FIG7 — 3D city model integration (Vejle)");
-    let p = ctt_bench::run_pipeline(Deployment::vejle(), 24);
+    let mut p = ctt_bench::run_pipeline(Deployment::vejle(), 24);
     let end = p.now();
     let model = generate_district("Vejle LOD1", p.deployment.center, 8, 6);
     // Place the two pilot sensors in the model with their latest readings.
     let mut placed = Vec::new();
-    for node in &p.deployment.nodes {
+    for node in p.deployment.nodes.clone() {
         let local = model.to_local(node.site.position);
         let no2 = p.device_series(
             node.eui,
@@ -557,7 +558,7 @@ fn fig8() {
     p.nodes_mut()[8].set_health(ctt_core::node::NodeHealth::Dead);
     p.run_until(start + Span::hours(14));
     let snap = p.dataport.snapshot(p.now());
-    let dash = build_dashboard(&p, "data overview");
+    let dash = build_dashboard(&mut p, "data overview");
     // Network panel.
     let mut map = MapView::new("Network monitoring");
     map.width = 740.0;
@@ -871,7 +872,7 @@ fn txt3() {
 /// before/after.
 fn calibration() {
     println!("TXT4 — co-located calibration (Trondheim, 7 days)");
-    let p = ctt_bench::run_pipeline(Deployment::trondheim(), 7 * 24);
+    let mut p = ctt_bench::run_pipeline(Deployment::trondheim(), 7 * 24);
     let start = p.deployment.started;
     let end = start + Span::days(7);
     let spec = p.deployment.reference_station.clone().expect("station");
@@ -927,13 +928,14 @@ fn surface() {
     use ctt_analytics::{idw_surface, GaussianPlume, SpatialSample, Stability};
     use ctt_viz::Heatmap;
     println!("EXT — pollution surface + dispersion (paper §4 future work)");
-    let p = ctt_bench::run_pipeline(Deployment::trondheim(), 24);
+    let mut p = ctt_bench::run_pipeline(Deployment::trondheim(), 24);
     let end = p.now();
     // Last-hour NO2 mean per sensor → spatial samples.
     let samples: Vec<SpatialSample> = p
         .deployment
         .nodes
-        .iter()
+        .clone()
+        .into_iter()
         .map(|n| {
             let s = p.device_series(
                 n.eui,

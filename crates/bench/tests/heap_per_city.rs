@@ -92,7 +92,7 @@ fn a_trondheim_city_holds_its_measured_heap_after_two_hours() {
         // One-hour segments, as the fleet workloads run them.
         p.run_until(start + Span::hours(1));
         p.run_until(start + Span::hours(2));
-        p.tsdb.seal_all();
+        p.seal_all();
     }
     let kib = (live_bytes() - before) as f64 / 1024.0 / CITIES as f64;
     eprintln!("heap per city after 2 h + seal_all: {kib:.1} KiB (bound {BOUND_KIB} KiB)");

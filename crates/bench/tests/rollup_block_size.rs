@@ -8,15 +8,14 @@
 //! `sum`/`min`/`max`/`last` columns coded the same two ways). Sizes are a
 //! pure function of the seed, so the figures are exact and the gates
 //! cannot flap; their margins are headroom for future change, not noise.
+//! That the store's totals count every block, and that no block outgrows
+//! the flat buckets it replaced, is `ctt-tsdb`'s
+//! `rollup::tests::stats_count_every_sealed_block`.
 //!
 //! Run: `cargo test --offline -p ctt-bench --test rollup_block_size -- --nocapture`
 //! prints the measured figures.
 
 use ctt::prelude::*;
-
-/// What one bucket took before rollups were encoded: a flat `offset`,
-/// `count` and four `f64` folds.
-const FLAT_BUCKET_BYTES: usize = 40;
 
 /// Bytes per bucket, seed 42: measured 10.23, plus 10 % headroom.
 const BOUND_BYTES_PER_BUCKET: f64 = 11.25;
@@ -29,8 +28,8 @@ fn trondheim_chunks_hold_their_measured_size() {
     let mut p = Pipeline::new(Deployment::trondheim(), 42);
     let start = p.now();
     p.run_until(start + Span::days(2));
-    p.tsdb.seal_all();
-    let st = p.tsdb.stats();
+    p.seal_all();
+    let st = p.store_stats();
     assert!(st.points > 0 && st.chunks > 0, "two days seal some chunks");
     let per_point = st.bytes as f64 / st.points as f64;
     eprintln!(
@@ -49,28 +48,18 @@ fn trondheim_rollup_blocks_hold_their_measured_size() {
     let mut p = Pipeline::new(Deployment::trondheim(), 42);
     let start = p.now();
     p.run_until(start + Span::days(2));
-    p.tsdb.seal_all();
-    let blocks = p.tsdb.rollup_blocks();
-    let buckets: u64 = blocks.iter().map(|&(n, _)| n).sum();
-    let bytes: usize = blocks.iter().map(|&(_, b)| b).sum();
-    assert_eq!(bytes, p.tsdb.stats().rollup_bytes, "every block counted");
+    p.seal_all();
+    let st = p.store_stats();
+    let (buckets, bytes) = (st.rollup_buckets, st.rollup_bytes);
     assert!(buckets > 0, "two days seal some rollups");
     let per_bucket = bytes as f64 / buckets as f64;
     eprintln!(
-        "rollup blocks after 2 d + seal_all: {} blocks, {buckets} buckets, {bytes} B, \
+        "rollup blocks after 2 d + seal_all: {} chunks, {buckets} buckets, {bytes} B, \
          {per_bucket:.2} B per bucket (bound {BOUND_BYTES_PER_BUCKET})",
-        blocks.len()
+        st.chunks
     );
     assert!(
         per_bucket <= BOUND_BYTES_PER_BUCKET,
         "{per_bucket:.2} B per bucket exceeds the {BOUND_BYTES_PER_BUCKET} B bound"
     );
-    // Short chunks never lose: a block is never larger than the flat
-    // buckets it replaces.
-    for &(n, b) in &blocks {
-        assert!(
-            b <= FLAT_BUCKET_BYTES * n as usize,
-            "a {n}-bucket block takes {b} B"
-        );
-    }
 }

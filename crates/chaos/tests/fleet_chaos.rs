@@ -114,7 +114,7 @@ fn fleet_under_chaos_conserves_per_city_and_matches_solo() {
         assert_eq!(p.ledger().render(), s.ledger().render(), "{city}");
         assert_eq!(p.alarm_trace(), s.alarm_trace(), "{city}");
         assert_eq!(p.stats(), s.stats(), "{city}");
-        assert_eq!(p.tsdb.stats().points, s.tsdb.stats().points, "{city}");
+        assert_eq!(p.store_stats().points, s.store_stats().points, "{city}");
         assert_eq!(
             p.metrics_snapshot().to_csv(),
             s.metrics_snapshot().to_csv(),

@@ -121,10 +121,10 @@ fn soak_city(deployment: Deployment, seed: u64, days: i64) {
 
     // Storage-level conservation: the integrity scan accounts for every
     // point ever written, and quarantine matches the ledger's expectation.
-    let scan = p.tsdb.integrity_scan();
+    let scan = p.integrity_scan();
     assert_eq!(
         scan.readable_points + scan.quarantined_points,
-        p.tsdb.stats().points,
+        p.store_stats().points,
         "{scan:?}"
     );
     assert_eq!(scan.quarantined_points, p.ledger().quarantined_points());

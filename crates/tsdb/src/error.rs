@@ -1,13 +1,12 @@
 //! Typed errors for the storage and query layers.
 //!
 //! The hot path is panic-free (enforced by `ctt-lint` rule R1): corrupt
-//! chunks, unknown series, and malformed queries surface as [`TsdbError`]
-//! values instead of unwinding the ingest thread.
+//! chunks and malformed queries surface as [`TsdbError`] values instead
+//! of unwinding the ingest thread.
 
-use crate::store::SeriesId;
 use std::fmt;
 
-/// Failures surfaced by chunk decoding, series reads, and query execution.
+/// Failures surfaced by chunk decoding and query execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TsdbError {
     /// A Gorilla bitstream ended before all advertised points were decoded.
@@ -31,8 +30,6 @@ pub enum TsdbError {
         /// The header byte read.
         header: u8,
     },
-    /// A series id that does not exist in this store.
-    UnknownSeries(SeriesId),
     /// A query referenced a metric with no series at all.
     NoSuchMetric(String),
 }
@@ -54,7 +51,6 @@ impl fmt::Display for TsdbError {
             TsdbError::UnknownValueCoding { header } => {
                 write!(f, "value column header {header:#04x} names no coding")
             }
-            TsdbError::UnknownSeries(id) => write!(f, "unknown series id {}", id.0),
             TsdbError::NoSuchMetric(m) => write!(f, "no series recorded for metric {m:?}"),
         }
     }

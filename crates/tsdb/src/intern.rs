@@ -62,6 +62,7 @@ impl<T> Interner<T> {
     }
 
     /// The values in id order.
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> std::slice::Iter<'_, T> {
         self.values.iter()
     }

@@ -793,6 +793,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn stats_count_every_sealed_block() {
+        let interval = Span::minutes(10);
+        let mut db = Tsdb::with_layout(64, interval);
+        for s in 0..3i64 {
+            let id = db.intern(&format!("m{s}"), &TagSet::new());
+            // Readings on a 0.1 grid, as payloads store them.
+            for i in 0..500 + 37 * s {
+                db.append(id, Timestamp(i * 97), (i % 400) as f64 / 10.0);
+            }
+        }
+        db.seal_all();
+        // A flipped chunk drops its block, which then counts nowhere.
+        db.flip_chunk_bit(1, 300);
+        let sealed: Vec<_> = db.series.iter().flat_map(|s| &s.sealed).collect();
+        let blocks: Vec<&RollupBlock> = sealed.iter().filter_map(|c| c.rollups.as_ref()).collect();
+        assert_eq!(blocks.len(), sealed.len() - 1);
+        let folded: usize = sealed
+            .iter()
+            .filter(|c| c.rollups.is_some())
+            .filter_map(|c| c.chunk.decode().ok())
+            .map(|pts| rollups(&pts, interval).len())
+            .sum();
+        let st = db.stats();
+        assert_eq!(st.rollup_buckets, folded as u64);
+        assert_eq!(
+            blocks.iter().map(|b| b.buckets()).sum::<u64>(),
+            st.rollup_buckets
+        );
+        assert_eq!(
+            blocks.iter().map(|b| b.size_bytes()).sum::<usize>(),
+            st.rollup_bytes
+        );
+        // A block is never larger than the flat `offset`, `count` and four
+        // `f64` folds (40 B a bucket) it replaces.
+        for b in blocks {
+            assert!(b.size_bytes() <= 40 * b.buckets() as usize, "{b:?}");
+        }
+    }
+
     /// One series written through `append` (which takes NaNs), every
     /// aggregator asked over `[lo, hi)` served and raw.
     fn assert_served_matches_raw(

@@ -253,20 +253,6 @@ impl ShardedTsdb {
         self.store.lock().db.stats()
     }
 
-    /// `(buckets, bytes)` of each sealed chunk's rollup block, in series
-    /// order: the blocks [`StoreStats::rollup_bytes`] adds up.
-    pub fn rollup_blocks(&self) -> Vec<(u64, usize)> {
-        let store = self.store.lock();
-        store
-            .db
-            .series
-            .iter()
-            .flat_map(|s| &s.sealed)
-            .filter_map(|c| c.rollups.as_ref())
-            .map(|b| (b.buckets(), b.size_bytes()))
-            .collect()
-    }
-
     /// Force-seal all open buffers.
     pub fn seal_all(&self) {
         self.mutate(Tsdb::seal_all);

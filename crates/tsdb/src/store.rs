@@ -9,7 +9,6 @@
 //! A series' identity is a pair of small ids: each distinct metric name and
 //! each distinct tag set is held once, in the store's two [`Interner`]s.
 
-use crate::error::TsdbError;
 use crate::gorilla::CompressedChunk;
 use crate::intern::Interner;
 use crate::model::{check_series_names, DataPoint, TagSet};
@@ -398,14 +397,13 @@ impl Series {
             + self.open.len() * std::mem::size_of::<(Timestamp, f64)>()
     }
 
-    /// Heap bytes of this series' rollup blocks, each built at its exact
-    /// length.
-    fn rollup_bytes(&self) -> usize {
+    /// Buckets and heap bytes of this series' rollup blocks, each block
+    /// built at its exact length.
+    fn rollup_size(&self) -> (u64, usize) {
         self.sealed
             .iter()
             .filter_map(|s| s.rollups.as_ref())
-            .map(RollupBlock::size_bytes)
-            .sum()
+            .fold((0, 0), |(n, b), r| (n + r.buckets(), b + r.size_bytes()))
     }
 }
 
@@ -474,6 +472,8 @@ pub struct StoreStats {
     /// decimal or XOR (layout in [`crate::rollup`]). Each block is built at its
     /// exact length, so this is what the heap holds.
     pub rollup_bytes: usize,
+    /// Buckets held by those rollup blocks.
+    pub rollup_buckets: u64,
 }
 
 /// The time-series database.
@@ -607,7 +607,8 @@ impl Tsdb {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// A series id by exact metric + tags.
+    /// A series id by exact metric + tags: the interner lookup that
+    /// `identity_equivalence`'s `Op::Lookup` checks against its model.
     pub fn series_id(&self, metric: &str, tags: &TagSet) -> Option<SeriesId> {
         let m = self.metric_names.find(metric)?;
         let t = self.tag_sets.find(tags)?;
@@ -624,29 +625,6 @@ impl Tsdb {
     pub fn metric(&self, id: SeriesId) -> Option<&str> {
         let s = self.series.get(id.0 as usize)?;
         self.metric_names.get(s.metric).map(String::as_str)
-    }
-
-    /// All distinct metric names (sorted).
-    pub fn metrics(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.metric_names.iter().map(String::as_str).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Points of one series in `[start, end)`, time-sorted, with the
-    /// chunks that failed to decode and were skipped (graceful degradation
-    /// under storage corruption).
-    pub fn read_with_quarantine(
-        &self,
-        id: SeriesId,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<(Vec<(Timestamp, f64)>, QuarantineReport), TsdbError> {
-        Ok(self
-            .series
-            .get(id.0 as usize)
-            .ok_or(TsdbError::UnknownSeries(id))?
-            .collect(start, end))
     }
 
     /// The sealed chunks of a series, in seal order (none for unknown
@@ -735,12 +713,18 @@ impl Tsdb {
 
     /// Storage statistics.
     pub fn stats(&self) -> StoreStats {
+        let (rollup_buckets, rollup_bytes) = self
+            .series
+            .iter()
+            .map(Series::rollup_size)
+            .fold((0, 0), |(n, b), (sn, sb)| (n + sn, b + sb));
         StoreStats {
             series: self.series.len(),
             points: self.series.iter().map(|s| s.points).sum(),
             chunks: self.series.iter().map(|s| s.sealed.len()).sum(),
             bytes: self.series.iter().map(Series::compressed_bytes).sum(),
-            rollup_bytes: self.series.iter().map(Series::rollup_bytes).sum(),
+            rollup_bytes,
+            rollup_buckets,
         }
     }
 
@@ -768,7 +752,7 @@ mod tests {
 
     /// Every point of series 0 in `[start, end)`.
     fn read0(db: &Tsdb, start: Timestamp, end: Timestamp) -> Vec<(Timestamp, f64)> {
-        db.read_with_quarantine(SeriesId(0), start, end).unwrap().0
+        db.series[0].collect(start, end).0
     }
 
     #[test]
@@ -779,9 +763,7 @@ mod tests {
         }
         let tags = db.tags(SeriesId(0)).expect("series 0 exists").clone();
         let id = db.series_id("m", &tags).expect("series exists");
-        let (pts, _) = db
-            .read_with_quarantine(id, Timestamp(0), Timestamp(100 * 300))
-            .unwrap();
+        let (pts, _) = db.series[id.0 as usize].collect(Timestamp(0), Timestamp(100 * 300));
         assert_eq!(pts.len(), 100);
         assert_eq!(pts[7], (Timestamp(7 * 300), 7.0));
     }
@@ -940,9 +922,7 @@ mod tests {
         };
         assert_eq!(points, 10);
         // The read degrades to the surviving chunks instead of failing.
-        let (pts, q) = db
-            .read_with_quarantine(SeriesId(0), Timestamp(0), Timestamp(10_000))
-            .unwrap();
+        let (pts, q) = db.series[0].collect(Timestamp(0), Timestamp(10_000));
         assert_eq!(q.chunks, 1);
         assert_eq!(q.points, 10);
         assert_eq!(pts.len(), 20);
@@ -1000,14 +980,6 @@ mod tests {
             db.put(&dp("m", "n1", i * 100, i as f64));
         }
         assert_eq!(db.series[0].sealed.len(), 3, "later seals still grow");
-    }
-
-    #[test]
-    fn metrics_listing() {
-        let mut db = Tsdb::new();
-        db.put(&dp("b.metric", "n", 0, 1.0));
-        db.put(&dp("a.metric", "n", 0, 1.0));
-        assert_eq!(db.metrics(), vec!["a.metric", "b.metric"]);
     }
 
     #[test]

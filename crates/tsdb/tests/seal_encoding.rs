@@ -16,7 +16,7 @@
 //! whatever the gaps and arrival order, what was put is what is read.
 
 use ctt_core::time::Timestamp;
-use ctt_tsdb::{CompressedChunk, DataPoint, QuarantineReport, SeriesId, TagSet, Tsdb};
+use ctt_tsdb::{execute_raw, Aggregator, CompressedChunk, DataPoint, Query, TagSet, Tsdb};
 use proptest::prelude::*;
 
 /// One generated series: a start instant (possibly negative), then a run
@@ -105,7 +105,7 @@ proptest! {
     }
 
     /// Timestamps across ±2⁴⁰ s with gaps from seconds to millennia, in
-    /// arbitrary arrival order, through `put` → `seal_all` → `read`: the
+    /// arbitrary arrival order, through `put` → `seal_all` → raw query: the
     /// store answers the sorted, last-write-wins input.
     #[test]
     fn any_gaps_in_any_arrival_order_read_back(
@@ -142,7 +142,17 @@ proptest! {
             .into_iter()
             .map(|(t, v)| (Timestamp(t), v))
             .collect();
-        let stored = db.read_with_quarantine(SeriesId(0), Timestamp(i64::MIN), Timestamp(i64::MAX));
-        prop_assert_eq!(stored, Ok((expected, QuarantineReport::default())));
+        // A lone series' `Last` is its own points, value bits and all.
+        let q = Query::range("m", Timestamp(i64::MIN), Timestamp(i64::MAX))
+            .aggregate(Aggregator::Last);
+        let results = execute_raw(&db, &q);
+        prop_assert_eq!(results.len(), 1);
+        let read = &results[0];
+        prop_assert_eq!((read.quarantined_chunks, read.quarantined_points), (0, 0));
+        let stored: Vec<(Timestamp, u64)> =
+            read.series.times().zip(read.series.values().map(f64::to_bits)).collect();
+        let expected: Vec<(Timestamp, u64)> =
+            expected.into_iter().map(|(t, v)| (t, v.to_bits())).collect();
+        prop_assert_eq!(stored, expected);
     }
 }

@@ -57,8 +57,8 @@ fn main() {
         // Seal the open buffers so the byte count is the compressed store.
         // Reads are unchanged by it: a read dedups the open buffer exactly
         // as a seal does, and a sealed chunk decodes to the same points.
-        pipeline.tsdb.seal_all();
-        let tsdb = pipeline.tsdb.stats();
+        pipeline.seal_all();
+        let tsdb = pipeline.store_stats();
         println!(
             "  TSDB:           {} points, {} series, {} bytes",
             tsdb.points, tsdb.series, tsdb.bytes

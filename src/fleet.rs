@@ -26,6 +26,7 @@ use ctt_core::time::{Span, Timestamp};
 use ctt_dataport::TwinState;
 use ctt_obs::{Registry, Snapshot};
 use ctt_sim::SimClock;
+use ctt_tsdb::{Query, QueryResult};
 
 /// How a [`Fleet`] runs.
 #[derive(Debug, Clone, Copy)]
@@ -118,6 +119,12 @@ impl Fleet {
         self.cities.iter()
     }
 
+    /// Serve a query from the store of the city at fleet index `city`
+    /// (see [`Pipeline::query`]); `None` if there is no such city.
+    pub fn query(&mut self, city: usize, q: &Query) -> Option<Vec<QueryResult>> {
+        self.cities.get_mut(city).map(|p| p.query(q))
+    }
+
     /// Advance every city to `end`, stopping all of them at each rollup
     /// instant `≤ end` to fold the fleet gauges there.
     pub fn run_until(&mut self, end: Timestamp) {
@@ -192,7 +199,7 @@ mod tests {
             p.ledger().render(),
             p.alarm_trace(),
             p.stats(),
-            p.tsdb.stats().points,
+            p.store_stats().points,
         )
     }
 

@@ -17,11 +17,24 @@
 //!
 //! ```
 //! use ctt::prelude::*;
+//! use ctt::tsdb::Query;
 //!
 //! let mut pipeline = Pipeline::new(Deployment::vejle(), 42);
 //! let start = pipeline.deployment.started;
 //! pipeline.run_until(start + Span::hours(1));
 //! assert!(pipeline.stats().delivered > 0);
+//!
+//! // The city's dashboards read its store through one served query, which
+//! // answers exactly as the uncached raw-decode oracle does.
+//! let co2 = Query::range(
+//!     Quantity::Pollutant(Pollutant::Co2).metric_name(),
+//!     start,
+//!     start + Span::hours(1),
+//! )
+//! .with_tag("city", "vejle");
+//! let served = pipeline.query(&co2);
+//! assert!(served.iter().any(|r| !r.series.is_empty()));
+//! assert_eq!(served, pipeline.query_raw(&co2));
 //! ```
 //!
 //! The sub-crates are re-exported: [`core`](ctt_core), [`lorawan`](ctt_lorawan),

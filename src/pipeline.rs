@@ -37,7 +37,10 @@ use ctt_lorawan::{
 };
 use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
 use ctt_sim::{EventQueue, QueueObs, Schedulable, SimClock};
-use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, SeriesId, ShardedTsdb, TagSet};
+use ctt_tsdb::{
+    Aggregator, BitFlipOutcome, CacheStats, IntegrityReport, Query, QueryResult, SeriesId,
+    ServePolicy, ShardedTsdb, StoreStats, TagSet,
+};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -189,8 +192,9 @@ pub struct Pipeline {
     server: NetworkServer,
     broker: Broker,
     storage_sub: Subscriber,
-    /// The time-series store (public: queried by analyses and dashboards).
-    /// One store behind one lock; safe to query from other threads.
+    /// The city's time-series store. Public only because the frozen
+    /// `benchmark/` harness reads it (it goes with ROADMAP item 1); every
+    /// other reader goes through [`Pipeline::query`] and its siblings.
     pub tsdb: ShardedTsdb,
     /// The monitoring dataport.
     pub dataport: Dataport,
@@ -1141,10 +1145,47 @@ impl Pipeline {
         ids.try_into().ok()
     }
 
+    /// Serve a query from the city's store, through its query cache and
+    /// rollups. Answers exactly as [`Pipeline::query_raw`] does.
+    pub fn query(&mut self, q: &Query) -> Vec<QueryResult> {
+        // The store reports corruption as quarantine counts, never `Err`.
+        self.tsdb.execute(q).unwrap_or_default()
+    }
+
+    /// The oracle for [`Pipeline::query`]: the same query, uncached and
+    /// decoded from raw chunks.
+    pub fn query_raw(&self, q: &Query) -> Vec<QueryResult> {
+        self.tsdb
+            .execute_with(q, ServePolicy::raw())
+            .unwrap_or_default()
+    }
+
+    /// The store's size: series, points, chunks and bytes.
+    pub fn store_stats(&self) -> StoreStats {
+        self.tsdb.stats()
+    }
+
+    /// The query cache's hit, miss and eviction counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.tsdb.cache_stats()
+    }
+
+    /// Seal every open buffer into chunks (e.g. before measuring bytes).
+    pub fn seal_all(&mut self) {
+        self.tsdb.seal_all();
+    }
+
+    /// Trial-decode every sealed chunk: `readable_points +
+    /// quarantined_points` equals the points stored, the conservation
+    /// the chaos loss ledger checks.
+    pub fn integrity_scan(&self) -> IntegrityReport {
+        self.tsdb.integrity_scan()
+    }
+
     /// Query one device's series for a quantity over `[from, to)` at the
     /// stored resolution.
     pub fn device_series(
-        &self,
+        &mut self,
         device: DevEui,
         quantity: Quantity,
         from: Timestamp,
@@ -1154,7 +1195,7 @@ impl Pipeline {
     }
 
     /// City-wide average series for a quantity.
-    pub fn city_series(&self, quantity: Quantity, from: Timestamp, to: Timestamp) -> Series {
+    pub fn city_series(&mut self, quantity: Quantity, from: Timestamp, to: Timestamp) -> Series {
         self.avg_series(quantity, from, to, "city", self.city_slug.clone())
     }
 
@@ -1162,7 +1203,7 @@ impl Pipeline {
     /// `[from, to)`; empty when none matches. A corrupt chunk is
     /// quarantined inside the query result, so the read itself answers.
     fn avg_series(
-        &self,
+        &mut self,
         quantity: Quantity,
         from: Timestamp,
         to: Timestamp,
@@ -1172,9 +1213,7 @@ impl Pipeline {
         let q = Query::range(quantity.metric_name(), from, to)
             .with_tag(key, value)
             .aggregate(Aggregator::Avg);
-        self.tsdb
-            .execute(&q)
-            .unwrap_or_default()
+        self.query(&q)
             .into_iter()
             .next()
             .map(|r| r.series)
@@ -1211,7 +1250,7 @@ mod tests {
         assert_eq!(st.decode_errors, 0);
         // 9 points per uplink (8 quantities + RSSI).
         assert_eq!(st.points_stored, st.delivered * 9);
-        assert_eq!(p.tsdb.stats().points, st.points_stored);
+        assert_eq!(p.store_stats().points, st.points_stored);
         // Conservation holds even without chaos: every reading is stored
         // or attributed to a radio-level cause.
         let verdict = p.ledger().verify();
@@ -1234,7 +1273,7 @@ mod tests {
         assert!(st.delivered > 300, "delivered {}", st.delivered);
         assert_eq!(st.decode_errors, 0);
         assert_eq!(st.points_stored, st.delivered * 9);
-        assert_eq!(p.tsdb.stats().points, st.points_stored);
+        assert_eq!(p.store_stats().points, st.points_stored);
         let verdict = p.ledger().verify();
         assert!(verdict.is_balanced(), "{verdict:?}");
         assert_eq!(verdict.stored, st.delivered);
@@ -1244,7 +1283,7 @@ mod tests {
             start + Span::hours(3),
         )
         .with_tag("city", "new_york");
-        let stored = p.tsdb.execute(&by_city).unwrap();
+        let stored = p.query(&by_city);
         assert!(stored.iter().any(|r| !r.series.is_empty()));
         assert!(!p
             .city_series(Quantity::Temperature, start, start + Span::hours(3))
@@ -1253,7 +1292,7 @@ mod tests {
 
     #[test]
     fn tsdb_contains_queryable_series() {
-        let p = run_hours(3);
+        let mut p = run_hours(3);
         let start = p.deployment.started;
         let dev = p.deployment.nodes[0].eui;
         let co2 = p.device_series(
@@ -1350,7 +1389,7 @@ mod tests {
     fn deterministic_replay() {
         let run = || {
             let p = run_hours(1);
-            (p.stats(), p.tsdb.stats().points)
+            (p.stats(), p.store_stats().points)
         };
         assert_eq!(run(), run());
     }

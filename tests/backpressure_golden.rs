@@ -16,7 +16,7 @@ use ctt::prelude::*;
 /// and TSDB point/series totals — the same observable set the run-split
 /// determinism suite uses.
 fn render_observables(p: &Pipeline) -> String {
-    let st = p.tsdb.stats();
+    let st = p.store_stats();
     format!(
         "== ledger ==\n{}== alarms ==\n{}== stats ==\n{:?}\n== tsdb ==\npoints={} series={}\n",
         p.ledger().render(),

@@ -3,6 +3,7 @@
 
 use ctt::analytics;
 use ctt::prelude::*;
+use ctt::tsdb::{Aggregator, Downsample, FillPolicy, Query};
 use ctt_core::deployment::CostModel;
 
 #[test]
@@ -162,9 +163,8 @@ fn tsdb_compression_pays_off_on_pipeline_data() {
     let mut p = Pipeline::new(Deployment::vejle(), 13);
     let start = p.deployment.started;
     p.run_until(start + Span::days(2));
-    let db = std::mem::take(&mut p.tsdb);
-    db.seal_all();
-    let st = db.stats();
+    p.seal_all();
+    let st = p.store_stats();
     let raw_bytes = st.points as usize * 16;
     // Seed 13 compresses 13.45×: payload readings are stored as decimal
     // integers. The ratio is exact; 12× leaves a 10 % margin for change.
@@ -262,4 +262,101 @@ fn table1_sources_all_produce_data() {
     // 3D city model (Table 1 row 5) and municipal tools are exercised in
     // the citymodel test above; the metadata table itself:
     assert_eq!(SourceKind::ALL.len(), 7);
+}
+
+/// Every dashboard shape, over `[from, to)`: device-exact, city `Avg`,
+/// per-device groups, `P95`, rate, and 1 h downsamples with each
+/// rollup-servable fold and fill.
+fn dashboard_shapes(city: &str, device: DevEui, from: Timestamp, to: Timestamp) -> Vec<Query> {
+    let co2 = Quantity::Pollutant(Pollutant::Co2).metric_name();
+    let range = || Query::range(co2.clone(), from, to);
+    let mut shapes = vec![
+        range()
+            .with_tag("city", city)
+            .with_tag("device", format!("{:016x}", device.0)),
+        range().with_tag("city", city).aggregate(Aggregator::Avg),
+        range().group_by("device"),
+        range().aggregate(Aggregator::P95),
+        range().with_tag("city", city).as_rate(),
+    ];
+    for aggregator in [
+        Aggregator::Avg,
+        Aggregator::Min,
+        Aggregator::Max,
+        Aggregator::Sum,
+        Aggregator::Count,
+    ] {
+        for fill in [FillPolicy::None, FillPolicy::Previous, FillPolicy::Zero] {
+            shapes.push(range().with_tag("city", city).downsample(Downsample {
+                interval: Span::hours(1),
+                aggregator,
+                fill,
+            }));
+        }
+    }
+    shapes
+}
+
+#[test]
+fn served_queries_answer_as_the_raw_oracle_on_pipeline_data() {
+    use ctt::fleet::Fleet;
+    use ctt_chaos::{FaultKind, FaultPlan};
+    let d = Deployment::vejle();
+    let start = d.started;
+    // Vejle's series seal their first chunk after about 43 h, CO2 first
+    // for each device: the flips quarantine CO2 points the reads cross.
+    let plan = [(0, 741), (9, 371)]
+        .into_iter()
+        .fold(FaultPlan::new(), |plan, (nth_chunk, bit)| {
+            plan.at(
+                FaultKind::TsdbBitFlip { nth_chunk, bit },
+                start + Span::hours(46),
+            )
+        });
+    let mut p = Pipeline::with_chaos(d, 42, plan);
+    p.run_until(start + Span::hours(48));
+    assert_eq!(
+        p.integrity_scan().quarantined_chunks,
+        2,
+        "both flips quarantine"
+    );
+    let device = p.deployment.nodes[0].eui;
+    // The window reaches past the clock, so later runs write into it.
+    let shapes = dashboard_shapes("vejle", device, start, start + Span::hours(60));
+    let mut quarantined = 0;
+    for q in &shapes {
+        let served = p.query(q);
+        assert!(served.iter().any(|r| !r.series.is_empty()), "{q:?}");
+        assert_eq!(served, p.query_raw(q), "{q:?}");
+        quarantined += served.iter().map(|r| r.quarantined_points).sum::<u64>();
+        let hits = p.cache_stats().hits;
+        assert_eq!(p.query(q), served, "{q:?}");
+        assert!(
+            p.cache_stats().hits > hits,
+            "a repeat is a cache hit: {q:?}"
+        );
+    }
+    assert!(quarantined > 0, "quarantine is on the read path");
+    // New points in the window move the store's epoch: no cached answer
+    // may outlive them.
+    p.run_until(start + Span::hours(54));
+    for q in &shapes {
+        assert_eq!(p.query(q), p.query_raw(q), "after more data: {q:?}");
+    }
+
+    // The same through a fleet, whose second city differs from its first.
+    let mut second = Deployment::vejle();
+    second.city = "Pilot1".to_string();
+    let mut fleet = Fleet::new(vec![
+        Pipeline::new(Deployment::vejle(), 42),
+        Pipeline::new(second, 43),
+    ]);
+    fleet.run_until(start + Span::hours(6));
+    for (i, city) in ["vejle", "pilot1"].into_iter().enumerate() {
+        for q in dashboard_shapes(city, device, start, start + Span::hours(6)) {
+            let served = fleet.query(i, &q).expect("a city at each index");
+            let raw = fleet.city(i).map(|p| p.query_raw(&q));
+            assert_eq!(Some(served), raw, "city {i}: {q:?}");
+        }
+    }
 }

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 /// alarm trace, counters, TSDB totals, and the full metrics snapshot in
 /// both export formats.
 fn observables(p: &Pipeline) -> (String, String, PipelineStats, u64, usize, String, String) {
-    let st = p.tsdb.stats();
+    let st = p.store_stats();
     let snap = p.metrics_snapshot();
     (
         p.ledger().render(),
@@ -37,7 +37,7 @@ fn observables(p: &Pipeline) -> (String, String, PipelineStats, u64, usize, Stri
 /// window makes one extra (idle) consumer attempt — so the full metrics
 /// snapshot is compared only between equal-schedule runs.
 fn split_observables(p: &Pipeline) -> (String, String, PipelineStats, u64, usize) {
-    let st = p.tsdb.stats();
+    let st = p.store_stats();
     (
         p.ledger().render(),
         p.alarm_trace(),

@@ -17,7 +17,7 @@ use ctt_chaos::{FaultKind, FaultPlan};
 /// Everything the determinism suite compares: ledger render, alarm trace,
 /// counters, and TSDB point/series totals.
 fn observables(p: &Pipeline) -> (String, String, PipelineStats, u64, usize) {
-    let st = p.tsdb.stats();
+    let st = p.store_stats();
     (
         p.ledger().render(),
         p.alarm_trace(),

@@ -6,6 +6,7 @@
 #![cfg(target_os = "linux")]
 
 use ctt::prelude::*;
+use ctt::tsdb::Query;
 
 /// The `Threads:` line of `/proc/self/status`.
 fn os_threads() -> u64 {
@@ -38,11 +39,15 @@ fn an_eight_city_fleet_starts_no_threads() {
         city.metrics_snapshot();
     }
     assert_eq!(os_threads(), before, "snapshots");
-    let co2 = Quantity::Pollutant(Pollutant::Co2);
-    for city in fleet.cities() {
-        let served = city.city_series(co2, start, start + Span::hours(2));
+    let co2 = Query::range(
+        Quantity::Pollutant(Pollutant::Co2).metric_name(),
+        start,
+        start + Span::hours(2),
+    );
+    for i in 0..fleet.len() {
+        let served = fleet.query(i, &co2).expect("a city at each index");
         assert!(
-            !served.is_empty(),
+            served.iter().any(|r| !r.series.is_empty()),
             "a served query returns the stored points"
         );
     }
