@@ -7,7 +7,7 @@
 //! so `device=*` yields one result series per device.
 
 use crate::model::{TagFilter, TagSet};
-use crate::rollup::{find_bucket, offset_of, rollup_servable, BlockColumns, RollupBucket};
+use crate::rollup::{offset_of, rollup_servable, BlockColumns, RollupBucket};
 use crate::store::{dedup_last_write_wins, ScanCounts, SealedChunk, Series, SeriesId, Tsdb};
 use ctt_core::measurement::Series as OutSeries;
 use ctt_core::stats::quantile;
@@ -266,6 +266,81 @@ pub struct QueryResult {
     pub quarantined_points: u64,
 }
 
+/// A downsample's output as it is emitted, bucket by bucket in time order
+/// on the grid `grid + k·interval`: a bucket's value, which becomes the
+/// [`FillPolicy::Previous`] carry, or for an empty bucket what the fill
+/// policy puts there.
+struct Emitter {
+    out: Vec<(Timestamp, f64)>,
+    carry: Option<f64>,
+    fill: FillPolicy,
+    grid: Timestamp,
+    interval: Span,
+}
+
+impl Emitter {
+    /// An emitter for `[start, end)`, its carry seeded with `seed`. The
+    /// output has room for one point per bucket, but under
+    /// [`FillPolicy::None`] for no more than `points`, since only a bucket
+    /// holding a point is emitted. The room is reserved fallibly: a window
+    /// too wide to reserve grows as it fills instead.
+    fn new(
+        ds: Downsample,
+        start: Timestamp,
+        end: Timestamp,
+        seed: Option<f64>,
+        points: u64,
+    ) -> Self {
+        let grid = start.align_down(ds.interval);
+        let width = ds.interval.as_seconds();
+        let span = end.0.saturating_sub(grid.0).max(0);
+        let mut buckets = span / width + i64::from(span % width != 0);
+        if ds.fill == FillPolicy::None {
+            buckets = buckets.min(i64::try_from(points).unwrap_or(i64::MAX));
+        }
+        let mut out = Vec::new();
+        let _ = out.try_reserve_exact(usize::try_from(buckets).unwrap_or(0));
+        Emitter {
+            out,
+            carry: seed,
+            fill: ds.fill,
+            grid,
+            interval: ds.interval,
+        }
+    }
+
+    /// Emit the bucket starting at `bucket_start`: `Some` its value, `None`
+    /// empty.
+    fn push(&mut self, bucket_start: Timestamp, value: Option<f64>) {
+        let filled = match (value, self.fill) {
+            (Some(v), _) => {
+                self.carry = Some(v);
+                Some(v)
+            }
+            (None, FillPolicy::None) => None,
+            (None, FillPolicy::Zero) => Some(0.0),
+            (None, FillPolicy::Previous) => self.carry,
+        };
+        if let Some(v) = filled {
+            self.out.push((bucket_start, v));
+        }
+    }
+
+    /// The start of bucket `k`.
+    fn start_of(&self, k: i64) -> Timestamp {
+        Timestamp(self.grid.0 + k * self.interval.as_seconds())
+    }
+
+    /// Emit buckets `from..to` as empty: nothing under [`FillPolicy::None`].
+    fn empty(&mut self, from: i64, to: i64) {
+        if self.fill != FillPolicy::None {
+            for k in from..to {
+                self.push(self.start_of(k), None);
+            }
+        }
+    }
+}
+
 /// Downsample a sorted point list. `seed` initializes the
 /// [`FillPolicy::Previous`] carry — the value of the last point *before*
 /// `start` — so leading empty buckets extend the pre-range value instead
@@ -278,17 +353,17 @@ fn downsample_points(
     end: Timestamp,
     seed: Option<f64>,
 ) -> Vec<(Timestamp, f64)> {
-    let mut out = Vec::new();
     if points.is_empty() && ds.fill == FillPolicy::None {
-        return out;
+        return Vec::new();
     }
-    let first_bucket = start.align_down(ds.interval);
-    let mut bucket_start = first_bucket;
+    let mut emitter = Emitter::new(ds, start, end, seed, points.len() as u64);
+    let mut bucket_start = emitter.grid;
     let mut idx = 0usize;
-    let mut prev_value: Option<f64> = seed;
+    // One buffer for every bucket's values.
+    let mut vals = Vec::new();
     while bucket_start < end {
         let bucket_end = bucket_start + ds.interval;
-        let mut vals = Vec::new();
+        vals.clear();
         while let Some(&(t, v)) = points.get(idx) {
             if t >= bucket_end {
                 break;
@@ -298,24 +373,11 @@ fn downsample_points(
             }
             idx += 1;
         }
-        if vals.is_empty() {
-            match ds.fill {
-                FillPolicy::None => {}
-                FillPolicy::Zero => out.push((bucket_start, 0.0)),
-                FillPolicy::Previous => {
-                    if let Some(v) = prev_value {
-                        out.push((bucket_start, v));
-                    }
-                }
-            }
-        } else {
-            let v = ds.aggregator.apply(&vals);
-            prev_value = Some(v);
-            out.push((bucket_start, v));
-        }
+        let value = (!vals.is_empty()).then(|| ds.aggregator.apply(&vals));
+        emitter.push(bucket_start, value);
         bucket_start = bucket_end;
     }
-    out
+    emitter.out
 }
 
 /// Convert a point list to per-second rates (length n-1 after duplicate
@@ -345,19 +407,78 @@ fn to_rate(points: &[(Timestamp, f64)]) -> Vec<(Timestamp, f64)> {
         .collect()
 }
 
-/// Serve one series' downsample over `[start, end)` bucket by bucket,
-/// answering from a fold wherever a bucket is provably owned by one: the
-/// seal-time rollup block of the single sealed chunk that covers it
-/// (decoded once per chunk into `columns`, which the caller reuses across
-/// series), or — for a bucket only the open buffer covers — that buffer
-/// folded once per call by the fold a seal encodes (when the buffer is
-/// strictly time-ordered; see [`Series::open_rollups`]). Everywhere else
-/// it decodes raw points, memoized per chunk. The output is bit-identical
-/// to `downsample_points(collect(start, end), ...)`: fold values replay
-/// the raw aggregator folds exactly (see [`crate::rollup`]), and every
-/// bucket no fold can prove — or whose block does not decode — goes
-/// through the same decode → sort → dedup → aggregate sequence the raw
-/// path uses.
+/// A sealed chunk that meets the current bucket of
+/// [`serve_downsample_series`]'s walk.
+struct Owner<'a> {
+    /// Position in `Series::sealed`: seal order.
+    pos: usize,
+    chunk: &'a SealedChunk,
+    /// Decoded the first time a raw bucket needs it: its points, or `None`
+    /// when it did not decode (quarantined once).
+    points: Option<Option<Vec<(Timestamp, f64)>>>,
+}
+
+/// How the walk serves a run of interior buckets without a decode.
+enum Fold {
+    /// No chunk and no open point can fall in them.
+    Empty,
+    /// The loaded block of their one owner, a sealed chunk.
+    Block(Option<i64>),
+    /// The open buffer's fold: they meet only the open buffer.
+    Head(Option<i64>),
+}
+
+/// Emit buckets `k..run_end` from a fold whose `i`-th bucket sits at
+/// `offset(i)` (ascending) and holds `value(i)`, placed so that its offset
+/// of bucket 0 is `placed` (`None`: off the grid, so every bucket is
+/// empty). A bucket the fold holds gets its value and every other one is
+/// empty. `at` is the walk's cursor into the fold, which only moves
+/// forward.
+fn emit_run(
+    emitter: &mut Emitter,
+    at: &mut usize,
+    placed: Option<i64>,
+    (k, run_end): (i64, i64),
+    offset: impl Fn(usize) -> Option<u32>,
+    value: impl Fn(usize) -> Option<f64>,
+) {
+    let mut next = k;
+    if let Some(p) = placed {
+        let (from, to) = (p.saturating_add(k), p.saturating_add(run_end));
+        while let Some(o) = offset(*at).map(i64::from).filter(|&o| o < to) {
+            if o >= from {
+                let j = o - p;
+                emitter.empty(next, j);
+                emitter.push(emitter.start_of(j), value(*at));
+                next = j + 1;
+            }
+            *at += 1;
+        }
+    }
+    emitter.empty(next, run_end);
+}
+
+/// Serve one series' downsample over `[start, end)` in one forward walk
+/// over the window's bucket grid, answering from a fold wherever a bucket
+/// is provably owned by one: the seal-time rollup block of the single
+/// sealed chunk that meets it (decoded once per chunk into `columns`,
+/// which the caller reuses across series), or — for a bucket only the open
+/// buffer meets — that buffer folded once per call by the fold a seal
+/// encodes (when the buffer is strictly time-ordered; see
+/// [`Series::open_rollups`]). Everywhere else it decodes raw points, each
+/// chunk at most once. The output is bit-identical to
+/// `downsample_points(collect(start, end), ...)`: fold values replay the
+/// raw aggregator folds exactly (see [`crate::rollup`]), and every bucket
+/// no fold can prove — or whose block does not decode — goes through the
+/// same decode → sort → dedup → aggregate sequence the raw path uses.
+///
+/// The walk admits sealed chunks in block-index order as the buckets reach
+/// their start and retires each once the buckets pass its end, so a
+/// bucket's owners are at hand without a search. Owners change only where
+/// a chunk starts or ends or the open buffer's span does, so a bucket a
+/// fold serves is the first of a run the same fold serves up to the next
+/// such change: the run is emitted in one pass over the fold's offsets
+/// from a cursor, which makes each bucket O(1) amortized.
 #[allow(clippy::too_many_arguments)]
 fn serve_downsample_series(
     s: &Series,
@@ -378,115 +499,105 @@ fn serve_downsample_series(
         counts.merge(c);
         return downsample_points(&pts, ds, start, end, seed);
     }
-    let (hits, skipped) = s.chunks_overlapping(start, end);
-    counts.chunks_skipped += skipped;
+    let agg = ds.aggregator;
+    let width = ds.interval.as_seconds();
     let open_span = s.open_span();
-    // Bucket `k` of the loop starts `k` intervals after `grid`. A rollup
-    // block's offsets count from its own base, so each block is placed on
+    let mut emitter = Emitter::new(ds, start, end, seed, s.points());
+    // Bucket `k` of the walk starts `k` intervals after `grid`. A rollup
+    // fold's offsets count from its own base, so each fold is placed on
     // this grid once (`offset_of`, one division) and bucket `k` is then its
     // offset `placed + k`: no division per bucket.
-    let grid = start.align_down(ds.interval);
+    let grid = emitter.grid;
     let place = |base: Timestamp| offset_of(base, rollup_interval, grid);
-    // The open buffer's fold and its placement, built the first time a
-    // bucket needs it: `Some(None)` when the buffer is out of order and
-    // cannot be folded.
-    let mut head: Option<Option<(Option<i64>, Vec<RollupBucket>)>> = None;
+    // The bucket holding `t`, for `t` at or after `grid`; a run bound, so
+    // saturating far out is harmless.
+    let bucket_of = |t: Timestamp| t.0.saturating_sub(grid.0) / width;
+    // Buckets `0..interior_end` end by `end`.
+    let interior_end = bucket_of(end);
+    // Chunks not yet admitted, and how many were.
+    let mut pending = s.chunks_meeting(start, end).peekable();
+    let mut admitted = 0usize;
+    // The chunks meeting the current bucket, in seal order.
+    let mut owners: Vec<Owner<'_>> = Vec::new();
     // The sealed chunk whose block `columns` holds, and its placement:
     // `None` when the block did not decode. A chunk's buckets are
     // contiguous in the walk, so each block is decoded at most once.
     let mut loaded: Option<(usize, Option<Option<i64>>)> = None;
-    // Per-call decode memo: a chunk is decoded (and, on failure,
-    // quarantine-counted) at most once, matching the raw path's accounting.
-    let mut memo: BTreeMap<usize, Option<Vec<(Timestamp, f64)>>> = BTreeMap::new();
-    let mut in_bucket: Vec<usize> = Vec::new();
+    let mut column_at = 0usize;
+    // The open buffer's fold and its placement, built the first time a
+    // bucket needs it: `Some(None)` when the buffer is out of order and
+    // cannot be folded.
+    let mut head: Option<Option<(Option<i64>, Vec<RollupBucket>)>> = None;
+    let mut head_at = 0usize;
     let mut pts: Vec<(Timestamp, f64)> = Vec::new();
     let mut vals: Vec<f64> = Vec::new();
-    let mut out = Vec::new();
-    let mut prev_value = seed;
     let mut bucket_start = grid;
     let mut k = 0i64;
     while bucket_start < end {
         let bucket_end = bucket_start + ds.interval;
         let lo = bucket_start.max(start);
         let hi = bucket_end.min(end);
-        in_bucket.clear();
-        in_bucket.extend(
-            hits.iter()
-                .copied()
-                .filter(|&i| s.sealed.get(i).is_some_and(|c| c.start < hi && c.end >= lo)),
-        );
+        while let Some((pos, chunk)) = pending.next_if(|(_, c)| c.start < hi) {
+            admitted += 1;
+            let at = owners.partition_point(|o| o.pos < pos);
+            owners.insert(
+                at,
+                Owner {
+                    pos,
+                    chunk,
+                    points: None,
+                },
+            );
+        }
+        owners.retain(|o| o.chunk.end >= lo);
         let open_overlaps = open_span.is_some_and(|(omin, omax)| omin < hi && omax >= lo);
         let interior = bucket_start >= start && bucket_end <= end;
-        // `Some(v)` = the bucket's aggregated value; `None` = empty bucket.
-        let mut value: Option<f64> = None;
-        let mut resolved = false;
-        if interior {
-            match (in_bucket.as_slice(), open_overlaps) {
-                // No chunk and no open point can fall in the bucket.
-                ([], false) => resolved = true,
-                ([only], false) => {
-                    if let Some(SealedChunk {
-                        start: first,
-                        rollups: Some(block),
-                        ..
-                    }) = s.sealed.get(*only)
-                    {
-                        let placed = match loaded {
-                            Some((i, placed)) if i == *only => placed,
-                            _ => {
-                                let placed = columns
-                                    .load(block, ds.aggregator)
-                                    .then(|| place(first.align_down(rollup_interval)));
-                                loaded = Some((*only, placed));
-                                placed
-                            }
-                        };
-                        if let Some(placed) = placed {
-                            resolved = true;
-                            counts.rollup_buckets += 1;
-                            value = placed
-                                .and_then(|p| columns.value_at(p.saturating_add(k), ds.aggregator));
-                        }
+        let fold = match (interior, owners.as_slice(), open_overlaps) {
+            (false, ..) => None,
+            (true, [], false) => Some(Fold::Empty),
+            (true, [only], false) => only.chunk.rollups.as_ref().and_then(|block| {
+                let placed = match loaded {
+                    Some((pos, placed)) if pos == only.pos => placed,
+                    _ => {
+                        let placed = columns
+                            .load(block, agg)
+                            .then(|| place(only.chunk.start.align_down(rollup_interval)));
+                        loaded = Some((only.pos, placed));
+                        column_at = 0;
+                        placed
                     }
-                }
-                // Only the open buffer can hold the bucket's points.
-                ([], true) => {
-                    let folded = head.get_or_insert_with(|| {
-                        s.open_rollups(rollup_interval)
-                            .map(|(base, folded)| (place(base), folded))
-                    });
-                    if let Some((placed, folded)) = folded {
-                        resolved = true;
-                        counts.rollup_buckets += 1;
-                        value = placed
-                            .and_then(|p| find_bucket(folded, p.saturating_add(k)))
-                            .and_then(|b| b.value_for(ds.aggregator));
-                    }
-                }
-                // Several owners (chunks from out-of-order seals, or a
-                // chunk and the open buffer): only a merged decode
-                // resolves duplicate timestamps.
-                _ => {}
-            }
-        }
-        if !resolved {
+                };
+                placed.map(Fold::Block)
+            }),
+            (true, [], true) => head
+                .get_or_insert_with(|| {
+                    s.open_rollups(rollup_interval)
+                        .map(|(base, folded)| (place(base), folded))
+                })
+                .as_ref()
+                .map(|(placed, _)| Fold::Head(*placed)),
+            // Several owners (chunks from out-of-order seals, or a chunk
+            // and the open buffer): only a merged decode resolves
+            // duplicate timestamps.
+            (true, ..) => None,
+        };
+        let Some(fold) = fold else {
             counts.raw_buckets += 1;
             pts.clear();
-            for &i in &in_bucket {
-                let decoded = memo.entry(i).or_insert_with(|| match s.sealed.get(i) {
-                    Some(sc) => match sc.chunk.decode() {
+            for o in &mut owners {
+                let decoded = o
+                    .points
+                    .get_or_insert_with(|| match o.chunk.chunk.decode() {
                         Ok(p) => {
                             counts.chunks_decoded += 1;
                             Some(p)
                         }
                         Err(_) => {
                             quarantine.chunks += 1;
-                            quarantine.points += u64::from(sc.chunk.count());
+                            quarantine.points += u64::from(o.chunk.chunk.count());
                             None
                         }
-                    },
-                    None => None,
-                });
+                    });
                 if let Some(p) = decoded {
                     pts.extend(p.iter().copied().filter(|&(t, _)| t >= lo && t < hi));
                 }
@@ -496,31 +607,60 @@ fn serve_downsample_series(
             }
             pts.sort_by_key(|&(t, _)| t);
             dedup_last_write_wins(&mut pts);
-            if !pts.is_empty() {
+            let value = (!pts.is_empty()).then(|| {
                 vals.clear();
                 vals.extend(pts.iter().map(|&(_, v)| v));
-                value = Some(ds.aggregator.apply(&vals));
+                agg.apply(&vals)
+            });
+            emitter.push(bucket_start, value);
+            bucket_start = bucket_end;
+            k += 1;
+            continue;
+        };
+        // The run this fold serves ends at the window's last interior
+        // bucket, or where a chunk arrives, an owner leaves, or the open
+        // buffer starts or stops meeting the buckets. Each bound lies past
+        // bucket `k`, which this fold serves.
+        let mut run_end = interior_end;
+        if let Some((_, next)) = pending.peek() {
+            run_end = run_end.min(bucket_of(next.start));
+        }
+        for o in &owners {
+            run_end = run_end.min(bucket_of(o.chunk.end).saturating_add(1));
+        }
+        if let Some((omin, omax)) = open_span {
+            if open_overlaps {
+                run_end = run_end.min(bucket_of(omax).saturating_add(1));
+            } else if omax >= lo {
+                run_end = run_end.min(bucket_of(omin));
             }
         }
-        match value {
-            Some(v) => {
-                prev_value = Some(v);
-                out.push((bucket_start, v));
+        let run = (k, run_end);
+        match fold {
+            Fold::Empty => emitter.empty(k, run_end),
+            Fold::Block(placed) => {
+                counts.rollup_buckets += (run_end - k) as u64;
+                let columns = &*columns;
+                let offset = |i| columns.offset(i);
+                let value = |i| columns.value(i, agg);
+                emit_run(&mut emitter, &mut column_at, placed, run, offset, value);
             }
-            None => match ds.fill {
-                FillPolicy::None => {}
-                FillPolicy::Zero => out.push((bucket_start, 0.0)),
-                FillPolicy::Previous => {
-                    if let Some(v) = prev_value {
-                        out.push((bucket_start, v));
-                    }
-                }
-            },
+            Fold::Head(placed) => {
+                counts.rollup_buckets += (run_end - k) as u64;
+                let folded = head.as_ref().and_then(Option::as_ref);
+                let folded = folded.map(|(_, f)| f.as_slice()).unwrap_or_default();
+                let offset = |i| folded.get(i).map(|b: &RollupBucket| b.offset);
+                let value = |i| folded.get(i).and_then(|b: &RollupBucket| b.value_for(agg));
+                emit_run(&mut emitter, &mut head_at, placed, run, offset, value);
+            }
         }
-        bucket_start = bucket_end;
-        k += 1;
+        bucket_start = emitter.start_of(run_end);
+        k = run_end;
     }
-    out
+    // Every chunk the walk never admitted was excluded by the block index.
+    admitted += pending.count();
+    counts.chunks_skipped += s.sealed.len().saturating_sub(admitted) as u64;
+    emitter.out
 }
 
 /// Raw per-series points collected for one result group, before any rate /

@@ -188,14 +188,7 @@ pub(crate) fn seal_chunk(
     interval: Span,
 ) -> (CompressedChunk, Option<RollupBlock>) {
     let mut chunk = ChunkEncoder::for_points(points);
-    // One bucket per interval the points span, at most one per point.
-    let spanned = match (points.first(), points.last()) {
-        (Some(&(first, _)), Some(&(last, _))) => {
-            last.0.saturating_sub(first.align_down(interval).0) / interval.as_seconds().max(1) + 1
-        }
-        _ => 0,
-    };
-    let mut buckets = Vec::with_capacity(points.len().min(usize::try_from(spanned).unwrap_or(0)));
+    let mut buckets = Vec::with_capacity(bucket_bound(points, interval));
     let fits = fold_buckets(
         points,
         interval,
@@ -205,15 +198,34 @@ pub(crate) fn seal_chunk(
     (chunk.finish(), fits.map(|()| encode_block(&buckets)))
 }
 
+/// How many buckets a fold of the time-sorted `points` can emit: one per
+/// interval they span, at most one per point.
+fn bucket_bound(points: &[(Timestamp, f64)], interval: Span) -> usize {
+    let spanned = match (points.first(), points.last()) {
+        (Some(&(first, _)), Some(&(last, _))) => {
+            last.0.saturating_sub(first.align_down(interval).0) / interval.as_seconds().max(1) + 1
+        }
+        _ => 0,
+    };
+    points.len().min(usize::try_from(spanned).unwrap_or(0))
+}
+
 /// The fold [`seal_chunk`] encodes, kept as plain buckets: the open
-/// buffer's per-query fold.
+/// buffer's per-query fold. `None` unless `points` are strictly
+/// time-ordered (checked in the same walk) and every offset fits.
 pub(crate) fn fold_rollups(
     points: &[(Timestamp, f64)],
     interval: Span,
 ) -> Option<Vec<RollupBucket>> {
-    let mut out = Vec::new();
-    fold_buckets(points, interval, |_, _| {}, |b| out.push(*b))?;
-    Some(out)
+    let mut out = Vec::with_capacity(bucket_bound(points, interval));
+    let mut last: Option<Timestamp> = None;
+    let mut ordered = true;
+    let each = |t: Timestamp, _| {
+        ordered &= last.is_none_or(|last| last < t);
+        last = Some(t);
+    };
+    fold_buckets(points, interval, each, |b| out.push(*b))?;
+    ordered.then_some(out)
 }
 
 /// How many `interval`s `start` lies after `base`: in a rollup vector
@@ -224,17 +236,6 @@ pub fn offset_of(base: Timestamp, interval: Span, start: Timestamp) -> Option<i6
     let width = interval.as_seconds();
     let diff = start.0.checked_sub(base.0)?;
     (width > 0 && diff % width == 0).then(|| diff / width)
-}
-
-/// The rollup bucket at `offset`, if materialized. The vector is sorted by
-/// offset, so this is a binary search. A negative offset (a bucket before
-/// the base) or one past `u32` finds nothing.
-pub fn find_bucket(rollups: &[RollupBucket], offset: i64) -> Option<&RollupBucket> {
-    let offset = u32::try_from(offset).ok()?;
-    rollups
-        .binary_search_by_key(&offset, |b| b.offset)
-        .ok()
-        .and_then(|i| rollups.get(i))
 }
 
 /// One sealed chunk's rollup buckets, encoded (layout in the module doc).
@@ -416,12 +417,16 @@ impl BlockColumns {
         decode_floats(column, n, &mut self.values)
     }
 
-    /// The value [`RollupBucket::value_for`] gives for the bucket at
-    /// `offset`, or `None` when no bucket sits there (or the loaded
-    /// columns are not `agg`'s).
-    pub(crate) fn value_at(&self, offset: i64, agg: Aggregator) -> Option<f64> {
-        let offset = u32::try_from(offset).ok()?;
-        let i = self.offsets.binary_search(&offset).ok()?;
+    /// The offset of the `i`-th bucket (ascending in `i`), `None` past the
+    /// last.
+    pub(crate) fn offset(&self, i: usize) -> Option<u32> {
+        self.offsets.get(i).copied()
+    }
+
+    /// The value [`RollupBucket::value_for`] gives for the `i`-th bucket,
+    /// or `None` past the last (or when the loaded columns are not
+    /// `agg`'s).
+    pub(crate) fn value(&self, i: usize, agg: Aggregator) -> Option<f64> {
         Some(match agg {
             Aggregator::Avg => self.values.get(i)? / f64::from(*self.counts.get(i)?),
             Aggregator::Count => f64::from(*self.counts.get(i)?),
@@ -555,6 +560,21 @@ mod tests {
 
     fn rollups(points: &[(Timestamp, f64)], interval: Span) -> Vec<RollupBucket> {
         fold_rollups(points, interval).expect("offsets fit")
+    }
+
+    /// The bucket at `offset`, if materialized.
+    fn find_bucket(rollups: &[RollupBucket], offset: i64) -> Option<&RollupBucket> {
+        let offset = u32::try_from(offset).ok()?;
+        let i = rollups.binary_search_by_key(&offset, |b| b.offset).ok()?;
+        rollups.get(i)
+    }
+
+    impl BlockColumns {
+        /// The value of the bucket at `offset`, if one sits there.
+        fn value_at(&self, offset: i64, agg: Aggregator) -> Option<f64> {
+            let offset = u32::try_from(offset).ok()?;
+            self.value(self.offsets.binary_search(&offset).ok()?, agg)
+        }
     }
 
     /// Every bucket of a block, all six columns decoded: `None` when any
@@ -865,6 +885,83 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    proptest! {
+        /// The forward walk answers bit for bit as the raw path, quarantine
+        /// included, on any layout: writes in any order (so threshold seals
+        /// cut chunks that overlap in time), duplicate timestamps, forced
+        /// seals, late writes that put the open buffer inside the last
+        /// chunk's span, one block cut short so it does not decode, windows
+        /// whose ends sit anywhere on or off the grid, and every aggregator
+        /// under every fill policy.
+        #[test]
+        fn the_walk_answers_as_the_raw_path_on_any_layout(
+            chunk_size in 2usize..12,
+            writes in proptest::collection::vec((0i64..48, 0u8..9), 1..120),
+            seals in proptest::collection::vec(0usize..120, 0..3),
+            late in proptest::collection::vec((0i64..48, 0u8..9), 0..10),
+            garble in (any::<bool>(), 0usize..16, 0usize..64),
+            window in (-300i64..12_500, 1i64..12_500),
+        ) {
+            let width = 1_000;
+            let mut db = Tsdb::with_layout(chunk_size, Span::seconds(width));
+            let id = db.intern("m", &TagSet::new());
+            let put = |db: &mut Tsdb, (slot, k): (i64, u8)| {
+                db.append(id, Timestamp(slot * 250), palette(k));
+            };
+            for (i, &w) in writes.iter().enumerate() {
+                put(&mut db, w);
+                if seals.contains(&i) {
+                    db.seal_all();
+                }
+            }
+            db.seal_all();
+            // Late points land in the open buffer, inside the sealed spans.
+            for &w in &late {
+                put(&mut db, w);
+            }
+            if let (true, nth, cut) = garble {
+                let sealed = &mut db.series[0].sealed;
+                let n = sealed.len();
+                if let Some(sc) = sealed.get_mut(nth % n.max(1)) {
+                    if let Some(block) = &sc.rollups {
+                        let keep = cut % block.bytes.len().max(1);
+                        let bytes = block.bytes[..keep].to_vec().into_boxed_slice();
+                        sc.rollups = Some(RollupBlock { bytes });
+                    }
+                }
+            }
+            let (start, len) = window;
+            for agg in ALL_AGGREGATORS {
+                for fill in [FillPolicy::None, FillPolicy::Zero, FillPolicy::Previous] {
+                    let q = Query::range("m", Timestamp(start), Timestamp(start + len))
+                        .downsample(Downsample {
+                            interval: Span::seconds(width),
+                            aggregator: agg,
+                            fill,
+                        });
+                    let served = execute_counted(&db, &q, true).0;
+                    let raw = crate::query::execute_raw(&db, &q);
+                    prop_assert_eq!(served.len(), raw.len());
+                    for (s, r) in served.iter().zip(&raw) {
+                        prop_assert_eq!(
+                            bits(&s.series.points),
+                            bits(&r.series.points),
+                            "{} {:?} over [{}, {})",
+                            agg,
+                            fill,
+                            start,
+                            start + len
+                        );
+                        prop_assert_eq!(
+                            (s.quarantined_chunks, s.quarantined_points),
+                            (r.quarantined_chunks, r.quarantined_points)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -17,7 +17,7 @@
 use crate::cache::{query_signature, CacheStats, QueryCache};
 use crate::error::TsdbError;
 use crate::model::{DataPoint, TagSet};
-use crate::query::{execute_counted, Query, QueryResult};
+use crate::query::{execute_counted, execute_raw, Query, QueryResult};
 use crate::store::{
     BitFlipOutcome, IntegrityReport, ScanCounts, SeriesId, StoreStats, Tsdb, DEFAULT_CHUNK_SIZE,
     DEFAULT_ROLLUP_INTERVAL,
@@ -246,6 +246,14 @@ impl ShardedTsdb {
         drop(store);
         self.obs.record_scan(counts);
         Ok(results)
+    }
+
+    /// The raw reference answer ([`crate::query::execute_raw`]) over this
+    /// store's data, taken under the lock: no cache, no rollups, and no
+    /// counter moves, so reading the oracle leaves every observable where
+    /// it was.
+    pub fn execute_raw(&self, q: &Query) -> Vec<QueryResult> {
+        execute_raw(&self.store.lock().db, q)
     }
 
     /// Storage statistics.

@@ -251,25 +251,31 @@ impl Series {
         }
     }
 
-    /// Sealed-chunk positions (in seal order) whose time span intersects
-    /// `[start, end)`, plus how many chunks the block index excluded
-    /// without decoding. The hit list is re-sorted into seal order so the
-    /// downstream stable sort resolves duplicate timestamps exactly as the
-    /// pre-index code did.
-    pub(crate) fn chunks_overlapping(&self, start: Timestamp, end: Timestamp) -> (Vec<usize>, u64) {
+    /// Sealed chunks whose time span meets `[start, end)`, with their
+    /// positions in `sealed`, in block-index order (by start, then seal
+    /// order). Every chunk it does not yield is one the block index
+    /// excluded without a decode.
+    pub(crate) fn chunks_meeting(
+        &self,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> impl Iterator<Item = (usize, &SealedChunk)> + '_ {
         let cut = self
             .index
             .partition_point(|&i| self.sealed.get(i as usize).is_some_and(|c| c.start < end));
-        let mut skipped = (self.index.len() - cut) as u64;
-        let mut hits = Vec::new();
-        for &i in self.index.get(..cut).unwrap_or(&[]) {
-            match self.sealed.get(i as usize) {
-                Some(c) if c.end >= start => hits.push(i as usize),
-                _ => skipped += 1,
-            }
-        }
-        hits.sort_unstable();
-        (hits, skipped)
+        self.index
+            .get(..cut)
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(move |&i| {
+                let c = self.sealed.get(i as usize).filter(|c| c.end >= start)?;
+                Some((i as usize, c))
+            })
+    }
+
+    /// Points stored in the series, sealed and open.
+    pub(crate) fn points(&self) -> u64 {
+        self.points
     }
 
     /// The open buffer folded into rollup buckets by the same fold a seal
@@ -280,12 +286,7 @@ impl Series {
     /// per query, not kept: it then needs no upkeep under dedup, bit flips
     /// or seals, and it costs one fold per buffered point.
     pub(crate) fn open_rollups(&self, interval: Span) -> Option<(Timestamp, Vec<RollupBucket>)> {
-        let ordered = self
-            .open
-            .iter()
-            .zip(self.open.iter().skip(1))
-            .all(|(a, b)| a.0 < b.0);
-        let &(first, _) = self.open.first().filter(|_| ordered)?;
+        let &(first, _) = self.open.first()?;
         Some((
             first.align_down(interval),
             fold_rollups(&self.open, interval)?,
@@ -310,8 +311,11 @@ impl Series {
         let mut out = Vec::new();
         let mut quarantine = QuarantineReport::default();
         let mut counts = ScanCounts::default();
-        let (hits, skipped) = self.chunks_overlapping(start, end);
-        counts.chunks_skipped = skipped;
+        // Seal order, so the stable sort below resolves duplicate
+        // timestamps as a walk of every chunk would.
+        let mut hits: Vec<usize> = self.chunks_meeting(start, end).map(|(i, _)| i).collect();
+        hits.sort_unstable();
+        counts.chunks_skipped = self.sealed.len().saturating_sub(hits.len()) as u64;
         for i in hits {
             let Some(sc) = self.sealed.get(i) else {
                 continue;

@@ -72,7 +72,43 @@ impl LineChart {
 
     /// Render to a canvas (for dashboard embedding).
     pub fn render_canvas(&self) -> Canvas {
-        let mut c = Canvas::new(self.width, self.height);
+        let plot_x0 = MARGIN_LEFT;
+        let plot_x1 = self.width - MARGIN_RIGHT;
+        let plot_y0 = self.height - MARGIN_BOTTOM;
+        let plot_y1 = MARGIN_TOP;
+        // Domains: the time span in one pass.
+        let span = self.series.iter().flat_map(|s| s.series.times()).fold(
+            None,
+            |span: Option<(Timestamp, Timestamp)>, t| {
+                Some(span.map_or((t, t), |(a, b)| (a.min(t), b.max(t))))
+            },
+        );
+        let (t0, t1) = match span {
+            Some((a, b)) if a < b => (a, b),
+            Some((a, _)) => (a, Timestamp(a.as_seconds() + 1)),
+            None => (Timestamp(0), Timestamp(1)),
+        };
+        let xs = TimeScale::new(t0, t1, plot_x0, plot_x1);
+        let ys = LinearScale::fit(
+            self.series.iter().flat_map(|s| s.series.values()),
+            0.08,
+            plot_y0,
+            plot_y1,
+        );
+        let (x_ticks, y_ticks) = (xs.ticks(8), ys.ticks(6));
+        let ticks = x_ticks.len() + y_ticks.len();
+        // Background, title, axes and y label; a line and a label per
+        // tick; a polyline, a swatch and a name per series.
+        let mut c = Canvas::sized(
+            self.width,
+            self.height,
+            5 + 2 * ticks + 3 * self.series.len(),
+            self.series.iter().map(|s| s.series.len()).sum(),
+            self.title.len()
+                + self.y_label.len()
+                + self.series.iter().map(|s| s.name.len()).sum::<usize>()
+                + TICK_LABEL_BYTES * ticks,
+        );
         c.background("#ffffff");
         c.text(
             self.width / 2.0,
@@ -82,42 +118,33 @@ impl LineChart {
             Anchor::Middle,
             &self.title,
         );
-        let plot_x0 = MARGIN_LEFT;
-        let plot_x1 = self.width - MARGIN_RIGHT;
-        let plot_y0 = self.height - MARGIN_BOTTOM;
-        let plot_y1 = MARGIN_TOP;
-        // Domains.
-        let times = || self.series.iter().flat_map(|s| s.series.times());
-        let (t0, t1) = match (times().min(), times().max()) {
-            (Some(a), Some(b)) if a < b => (a, b),
-            (Some(a), _) => (a, Timestamp(a.as_seconds() + 1)),
-            _ => (Timestamp(0), Timestamp(1)),
-        };
-        let xs = TimeScale::new(t0, t1, plot_x0, plot_x1);
-        let ys = LinearScale::fit(
-            self.series.iter().flat_map(|s| s.series.values()),
-            0.08,
-            plot_y0,
-            plot_y1,
-        );
         // Axes.
         c.line(plot_x0, plot_y0, plot_x1, plot_y0, "#444444", 1.0);
         c.line(plot_x0, plot_y0, plot_x0, plot_y1, "#444444", 1.0);
-        for (t, label) in xs.ticks(8) {
+        for (t, label) in x_ticks {
             let x = xs.map(t);
             c.line(x, plot_y0, x, plot_y0 + 4.0, "#444444", 1.0);
-            c.text(x, plot_y0 + 16.0, 10.0, "#444444", Anchor::Middle, &label);
+            c.text(
+                x,
+                plot_y0 + 16.0,
+                10.0,
+                "#444444",
+                Anchor::Middle,
+                label.as_str(),
+            );
         }
-        for v in ys.ticks(6) {
+        for v in y_ticks {
             let y = ys.map(v);
             c.dashed_line(plot_x0, y, plot_x1, y, "#dddddd", 0.6);
-            c.text(
+            let decimals = tick_decimals(v);
+            c.number(
                 plot_x0 - 6.0,
                 y + 3.0,
                 10.0,
                 "#444444",
                 Anchor::End,
-                &format_tick(v),
+                v,
+                decimals,
             );
         }
         c.text(
@@ -151,13 +178,18 @@ impl LineChart {
     }
 }
 
-fn format_tick(v: f64) -> String {
+/// Bytes a tick label takes on the charts' own scales: up to `-1234.5`.
+const TICK_LABEL_BYTES: usize = 8;
+
+/// The decimals of a value tick's label: none from 1000 on, one from 10
+/// (and at 0), two below.
+fn tick_decimals(v: f64) -> usize {
     if v.abs() >= 1000.0 {
-        format!("{:.0}", v)
+        0
     } else if v.abs() >= 10.0 || v == 0.0 {
-        format!("{:.1}", v)
+        1
     } else {
-        format!("{:.2}", v)
+        2
     }
 }
 
@@ -232,7 +264,28 @@ impl ScatterChart {
 
     /// Render to a canvas.
     pub fn render_canvas(&self) -> Canvas {
-        let mut c = Canvas::new(self.width, self.height);
+        let plot_x0 = MARGIN_LEFT;
+        let plot_x1 = self.width - MARGIN_RIGHT;
+        let plot_y0 = self.height - MARGIN_BOTTOM;
+        let plot_y1 = MARGIN_TOP;
+        let xs = LinearScale::fit(self.points.iter().map(|p| p.x), 0.05, plot_x0, plot_x1);
+        let ys = LinearScale::fit(self.points.iter().map(|p| p.y), 0.08, plot_y0, plot_y1);
+        let (x_ticks, y_ticks) = (xs.ticks(8), ys.ticks(6));
+        let ticks = x_ticks.len() + y_ticks.len();
+        // Background, title, axes, axis labels and zero line; a line and a
+        // label per tick; a circle per point; a swatch and a name per
+        // category.
+        let mut c = Canvas::sized(
+            self.width,
+            self.height,
+            7 + 2 * ticks + self.points.len() + 2 * self.categories.len(),
+            0,
+            self.title.len()
+                + self.x_label.len()
+                + self.y_label.len()
+                + self.categories.iter().map(String::len).sum::<usize>()
+                + TICK_LABEL_BYTES * ticks,
+        );
         c.background("#ffffff");
         c.text(
             self.width / 2.0,
@@ -242,36 +295,34 @@ impl ScatterChart {
             Anchor::Middle,
             &self.title,
         );
-        let plot_x0 = MARGIN_LEFT;
-        let plot_x1 = self.width - MARGIN_RIGHT;
-        let plot_y0 = self.height - MARGIN_BOTTOM;
-        let plot_y1 = MARGIN_TOP;
-        let xs = LinearScale::fit(self.points.iter().map(|p| p.x), 0.05, plot_x0, plot_x1);
-        let ys = LinearScale::fit(self.points.iter().map(|p| p.y), 0.08, plot_y0, plot_y1);
         c.line(plot_x0, plot_y0, plot_x1, plot_y0, "#444444", 1.0);
         c.line(plot_x0, plot_y0, plot_x0, plot_y1, "#444444", 1.0);
-        for v in xs.ticks(8) {
+        for v in x_ticks {
             let x = xs.map(v);
             c.line(x, plot_y0, x, plot_y0 + 4.0, "#444444", 1.0);
-            c.text(
+            let decimals = tick_decimals(v);
+            c.number(
                 x,
                 plot_y0 + 16.0,
                 10.0,
                 "#444444",
                 Anchor::Middle,
-                &format_tick(v),
+                v,
+                decimals,
             );
         }
-        for v in ys.ticks(6) {
+        for v in y_ticks {
             let y = ys.map(v);
             c.dashed_line(plot_x0, y, plot_x1, y, "#dddddd", 0.6);
-            c.text(
+            let decimals = tick_decimals(v);
+            c.number(
                 plot_x0 - 6.0,
                 y + 3.0,
                 10.0,
                 "#444444",
                 Anchor::End,
-                &format_tick(v),
+                v,
+                decimals,
             );
         }
         c.text(
@@ -409,9 +460,17 @@ mod tests {
 
     #[test]
     fn tick_formatting() {
-        assert_eq!(format_tick(1234.0), "1234");
-        assert_eq!(format_tick(12.34), "12.3");
-        assert_eq!(format_tick(1.234), "1.23");
-        assert_eq!(format_tick(0.0), "0.0");
+        let tick = |v: f64| {
+            let mut c = Canvas::new(1.0, 1.0);
+            c.number(0.0, 0.0, 10.0, "#000", Anchor::Start, v, tick_decimals(v));
+            let svg = c.finish();
+            let label = svg.split("\">").nth(2).and_then(|s| s.split('<').next());
+            label.unwrap_or_default().to_string()
+        };
+        assert_eq!(tick(1234.0), "1234");
+        assert_eq!(tick(12.34), "12.3");
+        assert_eq!(tick(1.234), "1.23");
+        assert_eq!(tick(0.0), "0.0");
+        assert_eq!(tick(-2.5), "-2.50");
     }
 }

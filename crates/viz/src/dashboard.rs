@@ -21,7 +21,8 @@ pub struct StatTile {
 impl StatTile {
     /// Render at a given size.
     pub fn render_canvas(&self, width: f64, height: f64) -> Canvas {
-        let mut c = Canvas::new(width, height);
+        let text = self.color.len() + self.value.len() + self.label.len();
+        let mut c = Canvas::sized(width, height, 4, 0, text);
         c.background("#ffffff");
         c.rect(0.0, 0.0, width, 4.0, &self.color, None);
         c.text(
@@ -56,12 +57,15 @@ pub struct AlarmList {
 impl AlarmList {
     /// Render at a given size; overflowing rows are summarised.
     pub fn render_canvas(&self, width: f64, height: f64) -> Canvas {
-        let mut c = Canvas::new(width, height);
-        c.background("#ffffff");
-        c.text(10.0, 20.0, 13.0, "#222222", Anchor::Start, &self.title);
         let row_h = 18.0;
         let max_rows = ((height - 40.0) / row_h) as usize;
-        for (i, (color, text)) in self.rows.iter().take(max_rows).enumerate() {
+        let shown = &self.rows[..self.rows.len().min(max_rows)];
+        // Background, title and the summary line; a dot and a text per row.
+        let text = self.title.len() + shown.iter().map(|(c, t)| c.len() + t.len()).sum::<usize>();
+        let mut c = Canvas::sized(width, height, 3 + 2 * shown.len(), 0, text);
+        c.background("#ffffff");
+        c.text(10.0, 20.0, 13.0, "#222222", Anchor::Start, &self.title);
+        for (i, (color, text)) in shown.iter().enumerate() {
             let y = 40.0 + i as f64 * row_h;
             c.circle(14.0, y - 4.0, 5.0, color, None);
             c.text(26.0, y, 11.0, "#333333", Anchor::Start, text);
@@ -173,10 +177,19 @@ impl Dashboard {
         (w + 2.0 * GAP, h + 2.0 * GAP + TITLE_H)
     }
 
-    /// Render the dashboard.
+    /// Render the dashboard: each panel's body is copied once, into the
+    /// document, which is sized for all of them up front.
     pub fn render(&self) -> String {
         let (w, h) = self.size();
-        let mut c = Canvas::new(w, h);
+        // Background, title bar and title; a frame and a group per panel.
+        let panels: usize = self.panels.iter().map(|p| p.content.body().len()).sum();
+        let mut c = Canvas::sized(
+            w,
+            h,
+            3 + 2 * self.panels.len(),
+            0,
+            self.title.len() + panels,
+        );
         c.background("#e8eaed");
         c.rect(0.0, 0.0, w, TITLE_H, "#1f3044", None);
         c.text(

@@ -116,7 +116,27 @@ impl MapView {
 
     /// Render to a canvas for embedding.
     pub fn render_canvas(&self) -> Canvas {
-        let mut c = Canvas::new(self.width, self.height);
+        // Background and title; a line per link; a glyph, a label and a
+        // value per marker, a station's diamond four points.
+        let text = self.title.len()
+            + self.links.iter().map(|l| l.color.len()).sum::<usize>()
+            + self
+                .markers
+                .iter()
+                .map(|m| m.color.len() + m.label.len() + m.value.as_ref().map_or(0, String::len))
+                .sum::<usize>();
+        let stations = self
+            .markers
+            .iter()
+            .filter(|m| m.kind == MarkerKind::Station)
+            .count();
+        let mut c = Canvas::sized(
+            self.width,
+            self.height,
+            2 + self.links.len() + 3 * self.markers.len(),
+            4 * stations,
+            text,
+        );
         c.background("#f4f2ee");
         c.text(
             self.width / 2.0,

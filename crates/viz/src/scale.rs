@@ -88,6 +88,24 @@ impl LinearScale {
     }
 }
 
+/// A time tick's label: `MM-DD` for steps of a day or more, `HH:MM` below,
+/// as `{:02}` prints each part — five ASCII bytes, no `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TickLabel([u8; 5]);
+
+impl TickLabel {
+    /// `a` and `b` (each below 100), two digits each, around `sep`.
+    fn new(a: u8, sep: u8, b: u8) -> Self {
+        let digit = |n: u8, place: u8| b'0' + n / place % 10;
+        TickLabel([digit(a, 10), digit(a, 1), sep, digit(b, 10), digit(b, 1)])
+    }
+
+    /// The label text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).unwrap_or_default()
+    }
+}
+
 /// Time scale: timestamps onto pixels, with calendar-aware ticks.
 #[derive(Debug, Clone, Copy)]
 pub struct TimeScale {
@@ -107,8 +125,8 @@ impl TimeScale {
         self.inner.map(t.as_seconds() as f64)
     }
 
-    /// Tick instants plus label strings, spaced at a calendar-friendly step.
-    pub fn ticks(&self, max_ticks: usize) -> Vec<(Timestamp, String)> {
+    /// Tick instants plus labels, spaced at a calendar-friendly step.
+    pub fn ticks(&self, max_ticks: usize) -> Vec<(Timestamp, TickLabel)> {
         let span_s = (self.inner.d1 - self.inner.d0).max(1.0) as i64;
         let candidates = [
             60,
@@ -135,9 +153,9 @@ impl TimeScale {
         while (t.as_seconds() as f64) <= self.inner.d1 {
             let c = t.civil();
             let label = if step >= DAY {
-                format!("{:02}-{:02}", c.month, c.day)
+                TickLabel::new(c.month, b'-', c.day)
             } else {
-                format!("{:02}:{:02}", c.hour, c.minute)
+                TickLabel::new(c.hour, b':', c.minute)
             };
             out.push((t, label));
             t += Span::seconds(step);
@@ -227,7 +245,10 @@ mod tests {
             ticks.len()
         );
         // Labels are HH:MM for sub-day steps.
-        assert!(ticks[0].1.contains(':'));
+        for (t, label) in &ticks {
+            let c = t.civil();
+            assert_eq!(label.as_str(), format!("{:02}:{:02}", c.hour, c.minute));
+        }
         assert_eq!(ts.map(t0), 0.0);
         assert_eq!(ts.map(t1), 800.0);
     }
@@ -239,6 +260,9 @@ mod tests {
         let ticks = TimeScale::new(t0, t1, 0.0, 800.0).ticks(12);
         assert!(!ticks.is_empty());
         // Labels are MM-DD for day-or-larger steps.
-        assert!(ticks[0].1.contains('-'));
+        for (t, label) in &ticks {
+            let c = t.civil();
+            assert_eq!(label.as_str(), format!("{:02}-{:02}", c.month, c.day));
+        }
     }
 }

@@ -39,7 +39,7 @@ use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
 use ctt_sim::{EventQueue, QueueObs, Schedulable, SimClock};
 use ctt_tsdb::{
     Aggregator, BitFlipOutcome, CacheStats, IntegrityReport, Query, QueryResult, SeriesId,
-    ServePolicy, ShardedTsdb, StoreStats, TagSet,
+    ShardedTsdb, StoreStats, TagSet,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -1153,11 +1153,10 @@ impl Pipeline {
     }
 
     /// The oracle for [`Pipeline::query`]: the same query, uncached and
-    /// decoded from raw chunks.
+    /// decoded from raw chunks. It counts nothing, so reading it moves no
+    /// metric of [`Pipeline::metrics_snapshot`].
     pub fn query_raw(&self, q: &Query) -> Vec<QueryResult> {
-        self.tsdb
-            .execute_with(q, ServePolicy::raw())
-            .unwrap_or_default()
+        self.tsdb.execute_raw(q)
     }
 
     /// The store's size: series, points, chunks and bytes.

@@ -360,3 +360,89 @@ fn served_queries_answer_as_the_raw_oracle_on_pipeline_data() {
         }
     }
 }
+
+/// Reading the oracle leaves every observable where it was: `query_raw`
+/// counts no query and no scan work, so a replay-compared snapshot is the
+/// same with or without it.
+#[test]
+fn the_raw_oracle_moves_no_observable() {
+    let d = Deployment::vejle();
+    let start = d.started;
+    let mut p = Pipeline::new(d, 42);
+    p.run_until(start + Span::hours(2));
+    let device = p.deployment.nodes[0].eui;
+    let before = p.metrics_snapshot().to_csv();
+    for q in dashboard_shapes("vejle", device, start, start + Span::hours(2)) {
+        assert!(
+            p.query_raw(&q).iter().any(|r| !r.series.is_empty()),
+            "{q:?}"
+        );
+    }
+    assert_eq!(p.metrics_snapshot().to_csv(), before);
+}
+
+/// The scan work of the Fig. 6 refresh's queries, a 37-minute downsample
+/// and a P95 over Trondheim's store 47 days and 23 minutes in (seed 42, so
+/// the windows end off the hourly grid), each run once uncached: `(rollup_buckets, raw_buckets, chunks_decoded,
+/// chunks_skipped)` as the store's counters read them. Every figure is a
+/// pure function of the seed; the rollup walk must serve every bucket
+/// from the owner the per-bucket search chose.
+#[test]
+fn fig6_scan_counts_are_pinned_on_trondheim_day_47() {
+    let d = Deployment::trondheim();
+    let start = d.started;
+    let mut p = Pipeline::new(d, 42);
+    let now = start + Span::days(47) + Span::minutes(23);
+    p.run_until(now);
+    let metric = |q: Pollutant| Quantity::Pollutant(q).metric_name();
+    let device = format!("{:016x}", p.deployment.nodes[0].eui.0);
+    let hourly = |interval: Span, aggregator: Aggregator| Downsample {
+        interval,
+        aggregator,
+        fill: FillPolicy::None,
+    };
+    let shapes = [
+        Query::range(metric(Pollutant::No2), now - Span::hours(1), now)
+            .with_tag("device", device.clone()),
+        Query::range(metric(Pollutant::Pm10), now - Span::hours(1), now).with_tag("device", device),
+        Query::range(metric(Pollutant::Co2), now - Span::days(1), now)
+            .with_tag("city", "trondheim"),
+        Query::range(metric(Pollutant::Co2), now - Span::days(7), now)
+            .with_tag("city", "trondheim")
+            .group_by("device")
+            .downsample(hourly(Span::hours(1), Aggregator::Avg)),
+        Query::range(metric(Pollutant::Co2), now - Span::days(2), now)
+            .downsample(hourly(Span::minutes(37), Aggregator::Avg)),
+        Query::range(metric(Pollutant::Co2), now - Span::days(7), now)
+            .group_by("device")
+            .downsample(hourly(Span::hours(1), Aggregator::P95)),
+    ];
+    let scan = |p: &Pipeline| {
+        let snap = p.metrics_snapshot();
+        let get = |name: &str| snap.value(&format!("tsdb.shard0.{name}")).unwrap_or(-1);
+        [
+            get("rollup_buckets"),
+            get("raw_buckets"),
+            get("chunks_decoded"),
+            get("blocks_skipped"),
+        ]
+    };
+    let got: Vec<[i128; 4]> = shapes
+        .iter()
+        .map(|q| {
+            let before = scan(&p);
+            assert!(!p.query(q).is_empty(), "{q:?}");
+            let after = scan(&p);
+            [0, 1, 2, 3].map(|i| after[i] - before[i])
+        })
+        .collect();
+    let recorded: [[i128; 4]; 6] = [
+        [0, 0, 0, 13],
+        [0, 0, 0, 13],
+        [0, 0, 0, 152],
+        [2004, 24, 12, 140],
+        [0, 0, 0, 152],
+        [0, 0, 12, 140],
+    ];
+    assert_eq!(got, recorded);
+}
