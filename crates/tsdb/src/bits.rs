@@ -141,6 +141,31 @@ impl<'a> BitReader<'a> {
         Some(bit)
     }
 
+    /// The next bits at the top of a word, without consuming them: at
+    /// least 57 of them, zeros past the end of the stream.
+    #[inline(always)]
+    pub fn peek(&self) -> u64 {
+        let (at, skip) = (self.pos_bits / 8, self.pos_bits % 8);
+        let word = match self.bytes.get(at..at + 8) {
+            Some(bytes) => u64::from_be_bytes(<[u8; 8]>::try_from(bytes).unwrap_or_default()),
+            // Fewer than eight bytes left: they, then zeros.
+            None => self
+                .bytes
+                .get(at..)
+                .unwrap_or(&[])
+                .iter()
+                .rev()
+                .fold(0, |w, &b| (w >> 8) | u64::from(b) << 56),
+        };
+        word << skip
+    }
+
+    /// Consume `n` bits; `None`, consuming nothing, past the end.
+    #[inline]
+    pub fn skip(&mut self, n: usize) -> Option<()> {
+        (n <= self.remaining_bits()).then(|| self.pos_bits += n)
+    }
+
     /// Read `n` bits into the low bits of a u64. Consumes whole bytes per
     /// step (the mirror of [`BitWriter::write_bits`]), so seal-time and
     /// query-time decodes don't pay a call per bit.
@@ -253,6 +278,25 @@ mod tests {
                     assert_eq!(fast.remaining_bits(), slow.remaining_bits());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn peeks_match_reads_and_skips_stop_at_the_end() {
+        // At every position, a peek's top 57 bits are the next 57 read
+        // bit by bit, zeros past the end; a skip past the end moves
+        // nothing.
+        let bytes: Vec<u8> = (0..23u8).map(|i| i.wrapping_mul(0x9d) ^ 0x5a).collect();
+        for start in 0..=bytes.len() * 8 {
+            let mut r = BitReader::new(&bytes);
+            assert_eq!(r.skip(start), Some(()));
+            let mut slow = r.clone();
+            let expected = (0..57).fold(0u64, |v, _| {
+                (v << 1) | u64::from(slow.read_bit().unwrap_or(false))
+            });
+            assert_eq!(r.peek() >> 7, expected, "at {start}");
+            assert_eq!(r.skip(r.remaining_bits() + 1), None);
+            assert_eq!(r.position_bytes(), start.div_ceil(8));
         }
     }
 

@@ -26,8 +26,10 @@
 //!   leading + 6-bit `sig - 1` + the significand (the first value raw).
 //!
 //! The rollup blocks code their float columns with the same pair of
-//! coders ([`Coding`], [`ValueEncoder`], [`ValueDecoder`]). Decoding only
-//! ever wraps integer arithmetic, so corrupt bytes decode or refuse with a
+//! coders ([`Coding`], [`ValueEncoder`], [`ValueDecoder`]), and a block's
+//! `sum` column, when its chunk is decimal, with a third one on the
+//! chunk's grid ([`GridSumEncoder`]). Decoding only ever wraps integer
+//! arithmetic or checks it, so corrupt bytes decode or refuse with a
 //! [`TsdbError`]; they never panic.
 
 use crate::bits::{BitReader, BitWriter};
@@ -41,6 +43,11 @@ const MAX_EXPONENT: u8 = 18;
 /// Header byte of a column kept by the XOR coder; `0..=MAX_EXPONENT`
 /// name a decimal column's exponent, and every other byte is refused.
 const XOR_HEADER: u8 = 0xff;
+
+/// Header byte of a rollup block's `sum` column on its chunk's grid:
+/// `GRID_SUM_HEADER | e`. [`Coding::from_header`] refuses it, so no value
+/// column parses as one.
+const GRID_SUM_HEADER: u8 = 0x80;
 
 /// `10^e` for every exponent a column can carry.
 const POW10: [f64; MAX_EXPONENT as usize + 1] = [
@@ -183,12 +190,8 @@ impl ValueEncoder {
     pub(crate) fn first(&mut self, w: &mut BitWriter, v: f64) {
         match self {
             ValueEncoder::Decimal { scale, prev } => {
-                let n = to_grid(v, *scale);
-                let zigzag = ((n << 1) ^ (n >> 63)) as u64;
-                let len = 64 - zigzag.leading_zeros() as u8;
-                w.write_bits(u64::from(len), 6);
-                w.write_bits(zigzag, len);
-                *prev = n;
+                *prev = to_grid(v, *scale);
+                write_first_int(w, *prev);
             }
             ValueEncoder::Xor(xor) => *xor = XorEncoder::start(w, v.to_bits()),
         }
@@ -206,6 +209,24 @@ impl ValueEncoder {
             ValueEncoder::Xor(xor) => xor.push(w, v.to_bits()),
         }
     }
+}
+
+/// Write a decimal column's first integer: its zigzag code's 6-bit bit
+/// length, then the code.
+#[inline]
+fn write_first_int(w: &mut BitWriter, n: i64) {
+    let zigzag = ((n << 1) ^ (n >> 63)) as u64;
+    let len = 64 - zigzag.leading_zeros() as u8;
+    w.write_bits(u64::from(len), 6);
+    w.write_bits(zigzag, len);
+}
+
+/// Read what [`write_first_int`] wrote.
+#[inline]
+fn read_first_int(r: &mut BitReader) -> Option<i64> {
+    let len = r.read_bits(6)? as u8;
+    let zigzag = r.read_bits(len)?;
+    Some((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64))
 }
 
 /// Reads one value column's codes. `next` gives `Err(None)` when the
@@ -237,9 +258,7 @@ impl DecimalDecoder {
 impl ValueDecoder for DecimalDecoder {
     #[inline]
     fn first(&mut self, r: &mut BitReader) -> Option<f64> {
-        let len = r.read_bits(6)? as u8;
-        let zigzag = r.read_bits(len)?;
-        self.prev = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+        self.prev = read_first_int(r)?;
         Some(self.prev as f64 / self.scale)
     }
 
@@ -248,6 +267,282 @@ impl ValueDecoder for DecimalDecoder {
         self.prev = self.prev.wrapping_add(read_class(r, 64).ok_or(None)?);
         Ok(self.prev as f64 / self.scale)
     }
+}
+
+/// A bucket's grid sum predicted from the last one stored: that grid sum
+/// when the two counts agree (or the one before is 0), else that sum
+/// scaled by `count / prev_count`, rounded half away from zero. `None`
+/// when the product overflows.
+#[inline]
+fn predict_sum(prev: i64, prev_count: u32, count: u32) -> Option<i64> {
+    if count == prev_count {
+        return Some(prev);
+    }
+    let den = i64::from(prev_count);
+    if den == 0 {
+        return Some(prev);
+    }
+    let num = prev.checked_mul(i64::from(count))?;
+    Some(num.checked_add(num.signum() * (den / 2))? / den)
+}
+
+/// The ulp residual `bits(sum) - bits(s / 10^e)`, or `None` (the escape)
+/// when it lies past ±2, the two signs differ (`-0.0`, or a sum the grid
+/// rounds to `+0.0` from below) or `s` is off the exact range (`|s| ≥
+/// 2^53`, as NaN and ±∞ land).
+#[inline]
+fn grid_residual(sum: f64, s: i64, scale: f64) -> Option<i64> {
+    let (bits, grid) = (sum.to_bits(), (s as f64 / scale).to_bits());
+    // Of one sign, the two bit patterns are less than 2^63 apart.
+    let r = bits.wrapping_sub(grid) as i64;
+    (s.unsigned_abs() < 1 << 53 && (bits ^ grid) >> 63 == 0 && (-2..=2).contains(&r)).then_some(r)
+}
+
+/// Writes a rollup block's `sum` column on its chunk's grid, exponent `e`,
+/// one bucket at a time. A sum whose bits are those of `S as f64 / 10^e`,
+/// `S = round(sum · 10^e)`, give or take 2 ulp, is its residual — `0` |
+/// `10s` (±1 ulp) | `110s` (±2), `s` the sign — then `S`: the first as a
+/// decimal column's first value, each later one less its prediction
+/// ([`predict_sum`] from the last `S` stored) in the timestamps' classes.
+/// Any other sum — and one whose prediction overflows or misses by 2^31 or
+/// more — escapes: `111`, then its 64 bits raw, and it leaves the
+/// prediction as it was. So every fold encodes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GridSumEncoder {
+    e: u8,
+    scale: f64,
+    /// The last `S` stored and its bucket's count.
+    prev: Option<(i64, u32)>,
+}
+
+impl GridSumEncoder {
+    /// An encoder for the grid of exponent `e` (at most `MAX_EXPONENT`).
+    pub(crate) fn new(e: u8) -> Self {
+        GridSumEncoder {
+            e,
+            scale: scale(e),
+            prev: None,
+        }
+    }
+
+    /// The column's header byte.
+    pub(crate) fn header(&self) -> u8 {
+        GRID_SUM_HEADER | self.e
+    }
+
+    /// Write the next bucket's sum.
+    #[inline]
+    pub(crate) fn push(&mut self, w: &mut BitWriter, count: u32, sum: f64) {
+        let s = to_grid(sum, self.scale);
+        let coded = grid_residual(sum, s, self.scale).and_then(|r| match self.prev {
+            Some((prev, prev_count)) => {
+                let delta = s.checked_sub(predict_sum(prev, prev_count, count)?)?;
+                Some((r, Some(i32::try_from(delta).ok()?)))
+            }
+            None => Some((r, None)),
+        });
+        let Some((r, delta)) = coded else {
+            w.write_bits(0b111, 3);
+            w.write_bits(sum.to_bits(), 64);
+            return;
+        };
+        match r {
+            0 => w.write_bit(false),
+            -1 | 1 => w.write_bits(0b100 | u64::from(r < 0), 3),
+            _ => w.write_bits(0b1100 | u64::from(r < 0), 4),
+        }
+        match delta {
+            Some(d) => write_class(w, i64::from(d), 32),
+            None => write_first_int(w, s),
+        }
+        self.prev = Some((s, count));
+    }
+}
+
+/// Reads what [`GridSumEncoder`] wrote, given each bucket's count. Every
+/// overflow a corrupt column can reach — the prediction, `S`, a residual
+/// below `+0.0` — refuses, and so does an `S` past `2^53`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GridSumDecoder {
+    scale: f64,
+}
+
+impl GridSumDecoder {
+    /// A decoder for the column a header byte names; `None` when it names
+    /// no grid sum.
+    pub(crate) fn from_header(byte: u8) -> Option<Self> {
+        let e = byte
+            .checked_sub(GRID_SUM_HEADER)
+            .filter(|&e| e <= MAX_EXPONENT)?;
+        Some(GridSumDecoder { scale: scale(e) })
+    }
+
+    /// Decode one sum per count from `r` onto the end of `out`. Every
+    /// bucket after the first `S` but an escape is a residual and a delta,
+    /// both named by the first byte of its codes ([`GRID_CODES`]): a run
+    /// of them is read from one peeked word, a table lookup each.
+    pub(crate) fn decode(
+        self,
+        r: &mut BitReader,
+        counts: &[u32],
+        out: &mut Vec<f64>,
+    ) -> Option<()> {
+        let start = out.len();
+        out.resize(start + counts.len(), 0.0);
+        let mut buckets = out.get_mut(start..)?.iter_mut().zip(counts.iter().copied());
+        // Up to the first `S` stored, a bucket at a time.
+        let (mut prev, mut prev_count) = loop {
+            let Some((slot, count)) = buckets.next() else {
+                return Some(());
+            };
+            let (sum, first) = self.first(r, count)?;
+            *slot = sum;
+            if let Some(first) = first {
+                break first;
+            }
+        };
+        let mut word = r.peek();
+        let mut used = 0;
+        for (slot, count) in buckets {
+            let [mut code, mut payload] = grid_code(word);
+            // A peek holds at least 57 bits: past them, peek again. An
+            // escape never fits, so it is read here.
+            if used + usize::from((code >> 8) as u8) > 57 {
+                r.skip(used)?;
+                (word, used) = (r.peek(), 0);
+                [code, payload] = grid_code(word);
+                if code & GRID_ESCAPE != 0 {
+                    // On a copy, so that the reader stays in registers.
+                    let mut raw = r.clone();
+                    raw.skip(3)?;
+                    *slot = f64::from_bits(raw.read_bits(64)?);
+                    *r = raw;
+                    word = r.peek();
+                    continue;
+                }
+            }
+            let bits = (word >> ((code >> 16) as u8)) & u64::from(payload as u32);
+            let delta = if code & GRID_WIDE != 0 {
+                i64::from(bits as u32 as i32)
+            } else {
+                bits as i64 - (payload >> 32) as i64
+            };
+            prev = predict_sum(prev, prev_count, count)?.checked_add(delta)?;
+            prev_count = count;
+            *slot = grid_sum(prev, self.scale, i64::from((code >> 24) as u8 as i8))?;
+            let len = usize::from(code as u8);
+            word <<= len;
+            used += len;
+        }
+        r.skip(used)
+    }
+
+    /// A bucket before any `S` is stored: its sum, and its `S` and count
+    /// unless it escaped.
+    #[inline]
+    fn first(&self, r: &mut BitReader, count: u32) -> Option<(f64, Option<(i64, u32)>)> {
+        let [code, _] = grid_code(r.peek());
+        if code & GRID_ESCAPE != 0 {
+            r.skip(3)?;
+            return Some((f64::from_bits(r.read_bits(64)?), None));
+        }
+        r.skip(usize::from((code >> 32) as u8))?;
+        let s = read_first_int(r)?;
+        let sum = grid_sum(s, self.scale, i64::from((code >> 24) as u8 as i8))?;
+        Some((sum, Some((s, count))))
+    }
+}
+
+/// The sum a grid integer `s` and its residual rebuild; `None` for an `s`
+/// past `2^53` or a residual below `+0.0`.
+#[inline]
+fn grid_sum(s: i64, scale: f64, residual: i64) -> Option<f64> {
+    // `|s| < 2^53` in one compare.
+    if s.wrapping_add((1 << 53) - 1) as u64 >= (1 << 54) - 1 {
+        return None;
+    }
+    // Within 2 of a grid value's bits, only `+0.0 - r` wraps, and a wrap
+    // leaves the sign.
+    let grid = (s as f64 / scale).to_bits();
+    let bits = grid.wrapping_add_signed(residual);
+    ((bits ^ grid) >> 63 == 0).then_some(f64::from_bits(bits))
+}
+
+/// How [`GridSumDecoder::decode`] reads a bucket whose codes start with a
+/// given byte, in two words. The first: bits 0–7 the codes' length, 8–15
+/// the bits a peek must hold to read them (past any peek for an escape),
+/// 16–23 the right shift that leaves the delta's payload in the low bits,
+/// 24–31 the residual as an `i8`, 32–39 the residual's length, and the
+/// flags [`GRID_WIDE`] (a delta in the widest class, its payload
+/// sign-extended) and [`GRID_ESCAPE`]. The second: the payload's mask in
+/// bits 0–31 and its bias in 32–63.
+const GRID_CODES: [[u64; 2]; 256] = grid_codes();
+
+/// A [`GRID_CODES`] entry's flag for a delta in the widest class.
+const GRID_WIDE: u64 = 1 << 40;
+
+/// A [`GRID_CODES`] entry's flag for an escape.
+const GRID_ESCAPE: u64 = 1 << 41;
+
+/// The [`GRID_CODES`] entry for the codes at the top of `word`.
+#[inline]
+fn grid_code(word: u64) -> [u64; 2] {
+    GRID_CODES
+        .get((word >> 56) as usize)
+        .copied()
+        .unwrap_or([GRID_ESCAPE | 0xff << 8, 0])
+}
+
+const fn grid_codes() -> [[u64; 2]; 256] {
+    let mut codes = [[0u64; 2]; 256];
+    let mut byte = 0usize;
+    while byte < 256 {
+        let b = byte as u8;
+        // The residual: `0` | `10s` | `110s`; three ones escape.
+        let (residual, residual_len) = match b.leading_ones() {
+            0 => (0, 1),
+            1 => (1, 3),
+            2 => (2, 4),
+            _ => (0, 0),
+        };
+        let residual = if residual != 0 && (b >> (8 - residual_len)) & 1 == 1 {
+            -residual
+        } else {
+            residual
+        };
+        // `write_class`'s classes at 32 bits wide, by the prefix's ones:
+        // the code's length, the payload's bits and its bias.
+        let ones = (b << residual_len).leading_ones();
+        let (class_len, payload, bias) = match ones {
+            0 => (1, 0, 0),
+            1 => (9, 7, 63),
+            2 => (12, 9, 255),
+            3 => (16, 12, 2047),
+            _ => (36, 32, 0),
+        };
+        let code = if residual_len == 0 {
+            [GRID_ESCAPE | 0xff << 8, 0]
+        } else {
+            let len = residual_len + class_len;
+            // The next code's first byte must be in the peek too.
+            let need = if len < 8 { 8 } else { len };
+            [
+                len as u64
+                    | (need as u64) << 8
+                    | ((64 - len) as u64) << 16
+                    | (residual as u8 as u64) << 24
+                    | (residual_len as u64) << 32
+                    | if ones > 3 { GRID_WIDE } else { 0 },
+                ((1u64 << payload) - 1) | (bias as u64) << 32,
+            ]
+        };
+        let (_, rest) = codes.split_at_mut(byte);
+        if let Some(slot) = rest.first_mut() {
+            *slot = code;
+        }
+        byte += 1;
+    }
+    codes
 }
 
 /// Gorilla's XOR float coder. The first value is written raw (64 bits);
@@ -392,6 +687,11 @@ impl ChunkEncoder {
             prev_delta: 0,
             values: ValueEncoder::new(coding),
         }
+    }
+
+    /// The chunk's value coding.
+    pub(crate) fn coding(&self) -> Coding {
+        self.coding
     }
 
     /// Append one point. Timestamps must be non-decreasing, each less than
@@ -788,12 +1088,68 @@ mod tests {
     #[test]
     fn an_unknown_header_is_refused() {
         let mut chunk = CompressedChunk::encode(&[(Timestamp(0), 1.5), (Timestamp(300), 2.5)]);
-        for header in [MAX_EXPONENT + 1, 0x80, XOR_HEADER - 1] {
+        let grid_sums = (0..=MAX_EXPONENT).map(|e| GridSumEncoder::new(e).header());
+        for header in [MAX_EXPONENT + 1, XOR_HEADER - 1]
+            .into_iter()
+            .chain(grid_sums)
+        {
             chunk.data[0] = header;
             assert_eq!(
                 chunk.decode(),
                 Err(TsdbError::UnknownValueCoding { header })
             );
+        }
+    }
+
+    /// Decode a grid-sum column written by `write`, one bucket per count.
+    fn grid_sums(e: u8, counts: &[u32], write: impl Fn(&mut BitWriter)) -> Option<Vec<f64>> {
+        let mut w = BitWriter::new();
+        write(&mut w);
+        let dec = GridSumDecoder::from_header(GridSumEncoder::new(e).header())?;
+        let mut out = Vec::new();
+        dec.decode(&mut BitReader::new(w.as_bytes()), counts, &mut out)?;
+        Some(out)
+    }
+
+    #[test]
+    fn grid_sums_that_overflow_refuse() {
+        let exact = |w: &mut BitWriter| w.write_bit(false);
+        // A stored `S` of 2^52 - 1, then an exact sum at its prediction.
+        let near = |w: &mut BitWriter| {
+            exact(w);
+            write_first_int(w, (1 << 52) - 1);
+            exact(w);
+            write_class(w, 0, 32);
+        };
+        let same = grid_sums(0, &[3, 3], near).expect("no overflow");
+        assert_eq!(same, [4_503_599_627_370_495.0; 2]);
+        // The prediction's product overflows.
+        assert_eq!(grid_sums(0, &[1, u32::MAX], near), None);
+        // The prediction plus the delta overflows.
+        let far = |w: &mut BitWriter| {
+            exact(w);
+            write_first_int(w, (i64::MAX - 1_000) / 2_047);
+            exact(w);
+            write_class(w, i64::from(i32::MAX), 32);
+        };
+        assert_eq!(grid_sums(0, &[1, 2_047], far), None);
+        assert!(grid_sums(0, &[1], far).is_some());
+        // An `S` of 2^53, which no grid sum stores.
+        let wide = |w: &mut BitWriter| {
+            exact(w);
+            write_first_int(w, 1 << 53);
+        };
+        assert_eq!(grid_sums(0, &[1], wide), None);
+        // A residual of -1 ulp on `+0.0`.
+        let below = |w: &mut BitWriter| {
+            w.write_bits(0b101, 3);
+            write_first_int(w, 0);
+        };
+        assert_eq!(grid_sums(2, &[1], below), None);
+        // Past the end of the column.
+        assert_eq!(grid_sums(2, &[1, 1], |w| exact(w)), None);
+        for header in [0x7f, 0x80 + MAX_EXPONENT + 1, XOR_HEADER, 0, MAX_EXPONENT] {
+            assert!(GridSumDecoder::from_header(header).is_none(), "{header:#x}");
         }
     }
 

@@ -41,6 +41,7 @@ pub use error::TsdbError;
 pub use gorilla::CompressedChunk;
 pub use model::{DataPoint, ModelError, TagFilter, TagSet};
 pub use query::{execute_raw, Aggregator, Downsample, FillPolicy, Query, QueryResult};
+pub use rollup::ColumnBytes;
 pub use shard::{ServePolicy, ShardedTsdb, DEFAULT_SHARDS};
 pub use store::{
     BitFlipOutcome, IntegrityReport, QuarantineReport, ScanCounts, SeriesId, StoreStats, Tsdb,

@@ -32,27 +32,35 @@
 //!   offsets as runs of equal deltas (the first from 0), then the counts as
 //!   runs of equal values, each run an Elias-gamma `value + 1` and an
 //!   Elias-gamma length; the runs of a column add up to `n`;
-//! * four float columns, `sum`, `min`, `max`, `last`, each coded as a
-//!   chunk's value column is (`gorilla::Coding`): one header byte, the
-//!   column's decimal exponent or the XOR marker, then a zero-padded
-//!   bitstream. A bucket's `min`, `max` and `last` are readings, so they
-//!   sit on the payload's grid; a `sum` rarely does and stays XOR.
+//! * four float columns, `sum`, `min`, `max`, `last`, each one header
+//!   byte and then a zero-padded bitstream. A bucket's `min`, `max` and
+//!   `last` are readings, so they sit on the payload's grid: each is coded
+//!   as a chunk's value column is (`gorilla::Coding`, decimal at the
+//!   column's exponent, or XOR). A `sum` is a fold of f64 additions that
+//!   lands within an ulp or two of the grid: under a decimal chunk it is
+//!   stored on the chunk's own grid (`gorilla::GridSumEncoder`, header
+//!   `0x80 | e`) as the integer `S = round(sum · 10^e)` less a prediction
+//!   (the last `S` stored, scaled by the counts), plus the ulp residual
+//!   that rebuilds its bits; the decoder reads each bucket's count to
+//!   undo the prediction. Under an XOR chunk it is coded as the other
+//!   columns are.
 //!
 //! The integer section takes the bytes the header leaves, so a block's
 //! length is fixed by its header: a truncated block never parses.
 //!
 //! A query decodes a block at most once per chunk, into `BlockColumns`:
-//! the offsets plus the columns its aggregator reads (`Avg`: counts and
-//! `sum`; `Max`: `max`). A block whose header, runs or columns do not add
-//! up — a short or garbled block — decodes to nothing, and its buckets are
-//! served raw. A block carries no checksum: a flipped significand bit
-//! decodes to a wrong value unseen, which is why a flipped chunk drops its
-//! block rather than keep it. The open buffer's per-query fold stays plain
-//! [`RollupBucket`]s.
+//! the offsets plus the columns its aggregator reads (`Avg` and `Sum`:
+//! counts and `sum`; `Max`: `max`). A block whose header, runs or columns
+//! do not add up — a short or garbled block — decodes to nothing, and its
+//! buckets are served raw. A block carries no checksum: a flipped
+//! significand bit decodes to a wrong value unseen, which is why a flipped
+//! chunk drops its block rather than keep it. The open buffer's per-query
+//! fold stays plain [`RollupBucket`]s.
 
 use crate::bits::{BitReader, BitWriter};
 use crate::gorilla::{
-    ChunkEncoder, Coding, CompressedChunk, DecimalDecoder, ValueDecoder, ValueEncoder, XorDecoder,
+    ChunkEncoder, Coding, CompressedChunk, DecimalDecoder, GridSumDecoder, GridSumEncoder,
+    ValueDecoder, ValueEncoder, XorDecoder,
 };
 use crate::query::{max_step, min_step, Aggregator};
 use ctt_core::time::{Span, Timestamp};
@@ -195,7 +203,8 @@ pub(crate) fn seal_chunk(
         |t, v| chunk.push(t, v),
         |b| buckets.push(*b),
     );
-    (chunk.finish(), fits.map(|()| encode_block(&buckets)))
+    let block = fits.map(|()| encode_block(&buckets, chunk.coding()));
+    (chunk.finish(), block)
 }
 
 /// How many buckets a fold of the time-sorted `points` can emit: one per
@@ -256,6 +265,59 @@ impl RollupBlock {
     pub fn buckets(&self) -> u64 {
         read_varint(&mut self.bytes.as_ref()).unwrap_or(0)
     }
+
+    /// Each float column's bytes (its header byte included) and header
+    /// byte, in the order `sum`, `min`, `max`, `last`, read from the
+    /// block's header; `None` when that does not add up.
+    fn column_headers(&self) -> Option<[(usize, u8); 4]> {
+        let mut rest: &[u8] = &self.bytes;
+        read_varint(&mut rest)?;
+        let mut columns = [(0usize, 0u8); 4];
+        for (len, _) in &mut columns {
+            *len = usize::try_from(read_varint(&mut rest)?).ok()?;
+        }
+        let floats = columns
+            .iter()
+            .try_fold(0usize, |total, &(len, _)| total.checked_add(len))?;
+        let mut at = rest.len().checked_sub(floats)?;
+        for (len, header) in &mut columns {
+            *header = *rest.get(at)?;
+            at += *len;
+        }
+        Some(columns)
+    }
+}
+
+/// A store's rollup bytes per float column and coding, tallied from each
+/// block's header.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnBytes {
+    /// Bytes, header bytes included, per column (`sum`, `min`, `max`,
+    /// `last`) and coding (decimal, XOR, grid sum).
+    pub bytes: [[usize; 3]; 4],
+    /// Blocks per column and coding.
+    pub blocks: [[u64; 3]; 4],
+}
+
+impl ColumnBytes {
+    /// Count one block's columns.
+    pub(crate) fn add(&mut self, block: &RollupBlock) {
+        let columns = block.column_headers().into_iter().flatten();
+        for ((len, header), (bytes, blocks)) in
+            columns.zip(self.bytes.iter_mut().zip(&mut self.blocks))
+        {
+            let coding = match Coding::from_header(header) {
+                Some(Coding::Decimal(_)) => 0,
+                Some(Coding::Xor) => 1,
+                None if GridSumDecoder::from_header(header).is_some() => 2,
+                None => continue,
+            };
+            if let (Some(b), Some(n)) = (bytes.get_mut(coding), blocks.get_mut(coding)) {
+                *b += len;
+                *n += 1;
+            }
+        }
+    }
 }
 
 /// Write a column of `n` integers as runs of equal values, each run an
@@ -295,8 +357,20 @@ fn write_column<I: Iterator<Item = f64> + Clone>(w: &mut BitWriter, values: I) {
     w.pad_to_byte();
 }
 
-/// Encode buckets (sorted by offset) as one [`RollupBlock`].
-fn encode_block(buckets: &[RollupBucket]) -> RollupBlock {
+/// Write the `sum` column on the grid of exponent `e` ([`GridSumEncoder`]).
+fn write_grid_sums(w: &mut BitWriter, e: u8, buckets: &[RollupBucket]) {
+    let mut enc = GridSumEncoder::new(e);
+    w.write_bits(u64::from(enc.header()), 8);
+    for b in buckets {
+        enc.push(w, b.count, b.sum);
+    }
+    w.pad_to_byte();
+}
+
+/// Encode buckets (sorted by offset) as one [`RollupBlock`], its `sum`
+/// column on the grid of `chunk`, the coding of the chunk they fold, when
+/// that is decimal.
+fn encode_block(buckets: &[RollupBucket], chunk: Coding) -> RollupBlock {
     let mut ints = BitWriter::with_capacity(16);
     let mut prev = 0u32;
     write_runs(
@@ -311,9 +385,12 @@ fn encode_block(buckets: &[RollupBucket]) -> RollupBlock {
     let mut floats = BitWriter::with_capacity(16 + buckets.len() * 8);
     let mut lens = [0u64; 4];
     let columns: [fn(&RollupBucket) -> f64; 4] = [|b| b.sum, |b| b.min, |b| b.max, |b| b.last];
-    for (len, column) in lens.iter_mut().zip(columns) {
+    for (i, (len, column)) in lens.iter_mut().zip(columns).enumerate() {
         let before = floats.len_bytes();
-        write_column(&mut floats, buckets.iter().map(column));
+        match chunk {
+            Coding::Decimal(e) if i == 0 => write_grid_sums(&mut floats, e, buckets),
+            _ => write_column(&mut floats, buckets.iter().map(column)),
+        }
         *len = (floats.len_bytes() - before) as u64;
     }
     let (ints, floats) = (ints.as_bytes(), floats.as_bytes());
@@ -379,19 +456,23 @@ impl BlockColumns {
             .filter(|&n| n <= rest.len().saturating_mul(8))?;
         let mut r = BitReader::new(ints);
         let mut prev = 0u32;
-        read_runs(&mut r, n, |delta, run| {
-            for _ in 0..run {
-                // Offsets strictly increase after the first.
-                prev = if self.offsets.is_empty() {
-                    delta
-                } else {
-                    prev.checked_add(delta).filter(|_| delta > 0)?
-                };
+        read_runs(&mut r, n, |delta, mut run| {
+            if self.offsets.is_empty() {
+                prev = delta;
                 self.offsets.push(prev);
+                run -= 1;
+            }
+            // Offsets strictly increase after the first.
+            if run > 0 {
+                let last = prev
+                    .checked_add(delta.checked_mul(run)?)
+                    .filter(|_| delta > 0)?;
+                self.offsets.extend((1..=run).map(|k| prev + k * delta));
+                prev = last;
             }
             Some(())
         })?;
-        let keep_counts = matches!(agg, Aggregator::Avg | Aggregator::Count);
+        let keep_counts = matches!(agg, Aggregator::Avg | Aggregator::Sum | Aggregator::Count);
         read_runs(&mut r, n, |count, run| {
             if keep_counts {
                 self.counts.extend(std::iter::repeat_n(count, run as usize));
@@ -405,7 +486,9 @@ impl BlockColumns {
         let (min_col, rest) = rest.split_at_checked(min)?;
         let (max_col, last_col) = rest.split_at_checked(max)?;
         let column = match agg {
-            Aggregator::Avg | Aggregator::Sum => sum_col,
+            Aggregator::Avg | Aggregator::Sum => {
+                return decode_sums(sum_col, &self.counts, &mut self.values)
+            }
             Aggregator::Min => min_col,
             Aggregator::Max => max_col,
             Aggregator::Last => last_col,
@@ -464,6 +547,19 @@ fn decode_floats(column: &[u8], n: usize, out: &mut Vec<f64>) -> Option<()> {
         Coding::Decimal(e) => read_values(&mut r, n, DecimalDecoder::new(e), out)?,
         Coding::Xor => read_values(&mut r, n, XorDecoder::default(), out)?,
     }
+    (skip_padding(&mut r)? == codes.len()).then_some(())
+}
+
+/// Decode a `sum` column of `counts.len()` buckets into `out`: on its
+/// chunk's grid, which reads each bucket's count, or coded as any other
+/// float column.
+fn decode_sums(column: &[u8], counts: &[u32], out: &mut Vec<f64>) -> Option<()> {
+    let (&header, codes) = column.split_first()?;
+    let Some(dec) = GridSumDecoder::from_header(header) else {
+        return decode_floats(column, counts.len(), out);
+    };
+    let mut r = BitReader::new(codes);
+    dec.decode(&mut r, counts, out)?;
     (skip_padding(&mut r)? == codes.len()).then_some(())
 }
 
@@ -615,13 +711,16 @@ mod tests {
         buckets.iter().map(bucket_bits).collect()
     }
 
-    fn encode(buckets: &[RollupBucket]) -> RollupBlock {
-        encode_block(buckets)
+    /// The block of `points` alone, no chunk encoded: the fold, encoded on
+    /// the grid the points' chunk would take.
+    fn build_rollups(points: &[(Timestamp, f64)], interval: Span) -> Option<RollupBlock> {
+        let chunk = Coding::choose(points.iter().map(|&(_, v)| v));
+        fold_rollups(points, interval).map(|b| encode_block(&b, chunk))
     }
 
-    /// The block of `points` alone, no chunk encoded: the fold, encoded.
-    fn build_rollups(points: &[(Timestamp, f64)], interval: Span) -> Option<RollupBlock> {
-        fold_rollups(points, interval).map(|b| encode_block(&b))
+    /// The coding of a chunk: XOR, or decimal at any exponent.
+    fn chunk_coding() -> impl Strategy<Value = Coding> {
+        prop_oneof![Just(Coding::Xor), (0u8..19).prop_map(Coding::Decimal)]
     }
 
     /// Values a fold must carry bit for bit: signed zeros, infinities,
@@ -649,7 +748,9 @@ mod tests {
         let empty = build_rollups(&[], Span::hours(1)).expect("no offsets to overflow");
         assert_eq!(empty.buckets(), 0);
         assert_eq!(decode_all(&empty), Some(Vec::new()));
-        assert_eq!(decode_all(&encode(&[])), Some(Vec::new()));
+        for chunk in [Coding::Xor, Coding::Decimal(1)] {
+            assert_eq!(decode_all(&encode_block(&[], chunk)), Some(Vec::new()));
+        }
         let one = pts(&[(7_200, 3.5)]);
         let block = build_rollups(&one, Span::hours(1)).expect("fits");
         assert_eq!(block.buckets(), 1);
@@ -1025,20 +1126,26 @@ mod tests {
         /// Blocks built from points decode to exactly the buckets the fold
         /// builds: one bucket or many, gaps of empty buckets between them,
         /// any start, and values that keep their bits only if every column
-        /// does (signed zeros, infinities, NaN payloads, subnormals).
+        /// does (signed zeros, infinities, NaN payloads, subnormals), or
+        /// readings on one grid, whose sums are stored on it.
         #[test]
         fn blocks_decode_to_the_fold_bit_for_bit(
             origin in -(1i64 << 40)..(1i64 << 40),
             width in prop_oneof![Just(1i64), Just(3_600i64), 1i64..4_000],
             gaps in proptest::collection::vec(prop_oneof![1i64..600, 1i64..50_000], 0..200),
             kinds in proptest::collection::vec(0u8..13, 1..64),
+            grid in proptest::collection::vec(-100_000i64..100_000, 1..64),
+            e in prop_oneof![Just(None), (0u8..19).prop_map(Some)],
         ) {
+            let value = |i: usize| match e {
+                Some(e) => grid[i % grid.len()] as f64 / 10f64.powi(i32::from(e)),
+                None => special(kinds[i % kinds.len()]),
+            };
             let mut t = origin;
-            let mut value = kinds.iter().cycle().map(|&k| special(k));
-            let mut points = vec![(Timestamp(t), value.next().unwrap_or(0.0))];
-            for g in gaps {
+            let mut points = vec![(Timestamp(t), value(0))];
+            for (i, g) in gaps.into_iter().enumerate() {
                 t += g;
-                points.push((Timestamp(t), value.next().unwrap_or(0.0)));
+                points.push((Timestamp(t), value(i + 1)));
             }
             let interval = Span::seconds(width);
             let folded = rollups(&points, interval);
@@ -1047,15 +1154,17 @@ mod tests {
             prop_assert_eq!(decode_all(&block).map(|b| all_bits(&b)), Some(all_bits(&folded)));
         }
 
-        /// Any bucket sequence the encoder can be handed round-trips: offsets
-        /// with gaps up to the top of `u32`, counts up to `u32::MAX` (and 0),
-        /// and special values in every float column.
+        /// Any bucket sequence the encoder can be handed round-trips, under
+        /// a chunk of any coding: offsets with gaps up to the top of `u32`,
+        /// counts up to `u32::MAX` (and 0), and special values in every
+        /// float column. A decimal chunk's `sum` column is on its grid.
         #[test]
         fn encoded_buckets_roundtrip(
             first in any::<u32>(),
             steps in proptest::collection::vec(prop_oneof![Just(1u32), 1u32..1_000, 1u32..u32::MAX], 0..120),
             counts in proptest::collection::vec(prop_oneof![Just(7u32), 0u32..20, Just(u32::MAX), any::<u32>()], 1..40),
             kinds in proptest::collection::vec(0u8..13, 4..64),
+            chunk in chunk_coding(),
         ) {
             let mut offsets = vec![first];
             for step in steps {
@@ -1078,7 +1187,7 @@ mod tests {
                     last: next(),
                 })
                 .collect();
-            let block = encode(&buckets);
+            let block = encode_block(&buckets, chunk);
             prop_assert_eq!(decode_all(&block).map(|b| all_bits(&b)), Some(all_bits(&buckets)));
             let mut cols = BlockColumns::default();
             for agg in SERVABLE {
@@ -1088,13 +1197,17 @@ mod tests {
                     prop_assert_eq!(served, b.value_for(agg).map(f64::to_bits));
                 }
             }
+            if let Coding::Decimal(e) = chunk {
+                prop_assert_eq!(sum_header(&block), Some(grid_sum_header(e)));
+            }
         }
 
         /// Float columns on one exponent's grid are stored decimal at that
         /// exponent or a smaller one, and a column holding one value off
         /// every grid (a special, or a raw bit pattern) goes XOR, while the
-        /// other columns keep their grid. Every column round-trips bit for
-        /// bit either way.
+        /// other columns keep their grid. The `sum` column of a chunk on
+        /// that grid stays on it, its poison escaped. Every column
+        /// round-trips bit for bit either way.
         #[test]
         fn grid_and_mixed_columns_roundtrip(
             e in 0u8..19,
@@ -1126,13 +1239,15 @@ mod tests {
                     _ => {}
                 }
             }
-            let block = encode(&buckets);
+            let block = encode_block(&buckets, Coding::Decimal(e));
             prop_assert_eq!(decode_all(&block).map(|b| all_bits(&b)), Some(all_bits(&buckets)));
+            let headers = block.column_headers().expect("the header parses");
+            prop_assert_eq!(headers[0].1, grid_sum_header(e));
             // A poison on some grid of its own may or may not share one
             // with the column, so only the clean and the off-grid columns
             // have a coding to check.
-            for (column, coding) in column_codings(&block).into_iter().enumerate() {
-                prop_assert!(coding.is_some(), "column {} has no coding", column);
+            for (column, &(_, header)) in headers.iter().enumerate().skip(1) {
+                let coding = Coding::from_header(header);
                 if column != poisoned {
                     prop_assert!(matches!(coding, Some(Coding::Decimal(got)) if got <= e), "column {}: {:?}", column, coding);
                 } else if off_grid {
@@ -1140,41 +1255,105 @@ mod tests {
                 }
             }
         }
+
+        /// A sealed chunk's block decodes to its fold bit for bit, and its
+        /// `sum` column sits on the chunk's grid at every exponent: readings
+        /// of either sign (folds that cross zero), `+0.0`, count-1 buckets
+        /// and counts that change from bucket to bucket, and sums near
+        /// `2^53`. One value off every grid (`-0.0`, NaN, ±∞, a raw bit
+        /// pattern) makes the chunk XOR, and its `sum` column is coded as
+        /// any float column is.
+        #[test]
+        fn sealed_grid_sums_roundtrip(
+            e in 0u8..19,
+            ns in proptest::collection::vec(prop_oneof![
+                -5_000i64..5_000,
+                Just(0i64),
+                -(1i64 << 50)..(1i64 << 50),
+                ((1i64 << 52) - 4_096)..((1i64 << 52) + 4_096),
+                -((1i64 << 52) + 4_096)..-((1i64 << 52) - 4_096),
+            ], 1..200),
+            gaps in proptest::collection::vec(prop_oneof![1i64..400, 1i64..8_000], 1..16),
+            poisoned in any::<bool>(),
+            poison in prop_oneof![(0u8..10).prop_map(special), any::<u64>().prop_map(f64::from_bits)],
+            at in any::<usize>(),
+        ) {
+            let scale = 10f64.powi(i32::from(e));
+            let mut values: Vec<f64> = ns.iter().map(|&n| n as f64 / scale).collect();
+            if poisoned {
+                values.insert(at % (values.len() + 1), poison);
+            }
+            let mut t = 0i64;
+            let points: Vec<(Timestamp, f64)> = values
+                .iter()
+                .zip(gaps.iter().cycle())
+                .map(|(&v, &g)| {
+                    t += g;
+                    (Timestamp(t), v)
+                })
+                .collect();
+            let interval = Span::seconds(3_600);
+            let (chunk, block) = seal_chunk(&points, interval);
+            let block = block.expect("offsets fit");
+            let folded = rollups(&points, interval);
+            prop_assert_eq!(decode_all(&block).map(|b| all_bits(&b)), Some(all_bits(&folded)));
+            let chunk_header = chunk.to_bytes().get(8).copied();
+            let sum = sum_header(&block);
+            match chunk_header.and_then(Coding::from_header) {
+                // Sums below 2^61 and counts below 2^8: no prediction
+                // overflows.
+                Some(Coding::Decimal(got)) => prop_assert_eq!(sum, Some(grid_sum_header(got))),
+                coding => {
+                    prop_assert_eq!(coding, Some(Coding::Xor));
+                    prop_assert_eq!(sum, Some(Coding::choose(folded.iter().map(|b| b.sum)).header()));
+                }
+            }
+        }
     }
 
-    /// The coding each of a block's four float columns names in its header
-    /// byte.
-    fn column_codings(block: &RollupBlock) -> [Option<Coding>; 4] {
-        let mut rest: &[u8] = &block.bytes;
-        let _buckets = read_varint(&mut rest);
-        let lens: Vec<usize> = (0..4)
-            .map(|_| read_varint(&mut rest).unwrap_or(0) as usize)
-            .collect();
-        let mut at = rest.len() - lens.iter().sum::<usize>();
-        lens.iter()
-            .map(|&len| {
-                let coding = rest.get(at).and_then(|&h| Coding::from_header(h));
-                at += len;
-                coding
-            })
-            .collect::<Vec<_>>()
-            .try_into()
-            .unwrap_or([None; 4])
+    /// The header byte a `sum` column on the grid of `e` carries.
+    fn grid_sum_header(e: u8) -> u8 {
+        GridSumEncoder::new(e).header()
+    }
+
+    /// The header byte of a block's `sum` column.
+    fn sum_header(block: &RollupBlock) -> Option<u8> {
+        block.column_headers().map(|h| h[0].1)
     }
 
     proptest! {
         /// Arbitrary bytes as a block: the decoder refuses them or yields
         /// columns whose lookups are total. It never panics or hangs.
+        /// Grafted as the codes of a real block's grid `sum` column (its
+        /// buckets' counts changing or not), they decode to one sum per
+        /// bucket or refuse.
         fn arbitrary_bytes_decode_or_refuse(
             bytes in proptest::collection::vec(any::<u8>(), 0..320),
             agg in 0usize..10,
             probes in proptest::collection::vec(any::<i64>(), 1..8),
+            graft in any::<bool>(),
+            e in 0u8..19,
+            counts in proptest::collection::vec(prop_oneof![Just(4u32), 1u32..9, any::<u32>()], 1..40),
         ) {
             let agg = ALL_AGGREGATORS[agg];
-            let block = RollupBlock { bytes: bytes.into_boxed_slice() };
+            let block = if graft {
+                let buckets: Vec<RollupBucket> = counts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &count)| RollupBucket { count, offset: i as u32, ..RollupBucket::empty(0) })
+                    .collect();
+                let grid = encode_block(&buckets, Coding::Decimal(e));
+                prop_assert_eq!(sum_header(&grid), Some(grid_sum_header(e)));
+                with_sum_codes(&grid, &bytes)
+            } else {
+                RollupBlock { bytes: bytes.into_boxed_slice() }
+            };
             let mut cols = BlockColumns::default();
             if cols.load(&block, agg) {
                 prop_assert!(rollup_servable(agg));
+                if graft && matches!(agg, Aggregator::Avg | Aggregator::Sum) {
+                    prop_assert_eq!(cols.values.len(), counts.len());
+                }
                 for p in probes.into_iter().chain(cols.offsets.first().map(|&o| i64::from(o))) {
                     let _ = cols.value_at(p, agg);
                 }
@@ -1184,13 +1363,15 @@ mod tests {
             let _ = block.buckets();
         }
 
-        /// A real block cut short refuses every aggregator; one with a
-        /// flipped bit or a replaced byte decodes or refuses, never panics.
+        /// A real block, its `sum` column on a grid or not, cut short
+        /// refuses every aggregator; one with a flipped bit or a replaced
+        /// byte decodes or refuses, never panics.
         fn damaged_blocks_refuse_or_decode(
             gaps in proptest::collection::vec(1i64..2_000, 0..120),
             kinds in proptest::collection::vec(0u8..13, 1..16),
             flip in any::<u64>(),
             byte in any::<u8>(),
+            chunk in chunk_coding(),
         ) {
             let mut t = 0i64;
             let mut value = kinds.iter().cycle().map(|&k| special(k));
@@ -1199,7 +1380,8 @@ mod tests {
                 t += g;
                 points.push((Timestamp(t), value.next().unwrap_or(0.0)));
             }
-            let block = build_rollups(&points, Span::seconds(600)).expect("fits");
+            let folded = rollups(&points, Span::seconds(600));
+            let block = encode_block(&folded, chunk);
             let mut cols = BlockColumns::default();
             for len in 0..block.bytes.len() {
                 let short = RollupBlock { bytes: block.bytes[..len].into() };
@@ -1220,6 +1402,82 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `block` with the codes of its `sum` column (all but the header
+    /// byte) replaced by `codes`.
+    fn with_sum_codes(block: &RollupBlock, codes: &[u8]) -> RollupBlock {
+        let mut rest: &[u8] = &block.bytes;
+        let n = read_varint(&mut rest).expect("a real block");
+        let [sum, min, max, last] = [0; 4].map(|_| read_varint(&mut rest).expect("a real block"));
+        let floats = (sum + min + max + last) as usize;
+        let (ints, columns) = rest.split_at(rest.len() - floats);
+        let (sum_col, others) = columns.split_at(sum as usize);
+        let mut bytes = Vec::new();
+        for v in [n, 1 + codes.len() as u64, min, max, last] {
+            push_varint(&mut bytes, v);
+        }
+        bytes.extend_from_slice(ints);
+        bytes.extend_from_slice(&sum_col[..1]);
+        bytes.extend_from_slice(codes);
+        bytes.extend_from_slice(others);
+        RollupBlock {
+            bytes: bytes.into(),
+        }
+    }
+
+    #[test]
+    fn a_prediction_that_overflows_escapes() {
+        let bucket = |offset, count, sum| RollupBucket {
+            offset,
+            count,
+            sum,
+            min: 1.0,
+            max: 1.0,
+            last: 1.0,
+        };
+        // 2^52 · (2^32 - 1) overflows an i64, and 2^52 · 4 misses 3 by more
+        // than 2^31: both sums escape, and every bucket after them is
+        // predicted from the first.
+        let buckets = [
+            bucket(0, 1, 4_503_599_627_370_496.0),
+            bucket(1, u32::MAX, 3.0),
+            bucket(2, 4, 3.0),
+            bucket(3, 2, 9_007_199_254_740_990.0),
+        ];
+        let block = encode_block(&buckets, Coding::Decimal(0));
+        assert_eq!(sum_header(&block), Some(grid_sum_header(0)));
+        assert_eq!(
+            decode_all(&block).map(|b| all_bits(&b)),
+            Some(all_bits(&buckets))
+        );
+    }
+
+    #[test]
+    fn only_a_sum_column_takes_the_grid_sum_header() {
+        let points = pts(&[(0, 1.5), (700, 2.5), (1_500, -0.5)]);
+        let block = build_rollups(&points, Span::seconds(600)).expect("fits");
+        let headers = block.column_headers().expect("the header parses");
+        assert_eq!(headers[0].1, grid_sum_header(1));
+        let mut cols = BlockColumns::default();
+        let mut at = block.bytes.len() - headers.iter().map(|&(len, _)| len).sum::<usize>();
+        for (column, agg) in [
+            Aggregator::Sum,
+            Aggregator::Min,
+            Aggregator::Max,
+            Aggregator::Last,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert!(cols.load(&block, agg), "{agg}");
+            if column > 0 {
+                let mut bytes = block.bytes.clone();
+                bytes[at] = grid_sum_header(1);
+                assert!(!cols.load(&RollupBlock { bytes }, agg), "{agg}");
+            }
+            at += headers[column].0;
         }
     }
 

@@ -18,6 +18,7 @@ use crate::cache::{query_signature, CacheStats, QueryCache};
 use crate::error::TsdbError;
 use crate::model::{DataPoint, TagSet};
 use crate::query::{execute_counted, execute_raw, Query, QueryResult};
+use crate::rollup::ColumnBytes;
 use crate::store::{
     BitFlipOutcome, IntegrityReport, ScanCounts, SeriesId, StoreStats, Tsdb, DEFAULT_CHUNK_SIZE,
     DEFAULT_ROLLUP_INTERVAL,
@@ -259,6 +260,11 @@ impl ShardedTsdb {
     /// Storage statistics.
     pub fn stats(&self) -> StoreStats {
         self.store.lock().db.stats()
+    }
+
+    /// The rollup blocks' bytes per float column and coding.
+    pub fn rollup_column_bytes(&self) -> ColumnBytes {
+        self.store.lock().db.rollup_column_bytes()
     }
 
     /// Force-seal all open buffers.

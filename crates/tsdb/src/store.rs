@@ -12,7 +12,7 @@
 use crate::gorilla::CompressedChunk;
 use crate::intern::Interner;
 use crate::model::{check_series_names, DataPoint, TagSet};
-use crate::rollup::{fold_rollups, seal_chunk, RollupBlock, RollupBucket};
+use crate::rollup::{fold_rollups, seal_chunk, ColumnBytes, RollupBlock, RollupBucket};
 use ctt_core::time::{Span, Timestamp};
 use std::collections::HashMap;
 
@@ -473,8 +473,9 @@ pub struct StoreStats {
     /// serving): every byte of every sealed chunk's [`RollupBlock`] — a
     /// varint header (bucket count, four column lengths), the run-length
     /// offsets and counts, and the `sum`/`min`/`max`/`last` columns, each
-    /// decimal or XOR (layout in [`crate::rollup`]). Each block is built at its
-    /// exact length, so this is what the heap holds.
+    /// decimal or XOR, or for a `sum` on its decimal chunk's grid (layout
+    /// in [`crate::rollup`]). Each block is built at its exact length, so
+    /// this is what the heap holds.
     pub rollup_bytes: usize,
     /// Buckets held by those rollup blocks.
     pub rollup_buckets: u64,
@@ -730,6 +731,16 @@ impl Tsdb {
             rollup_bytes,
             rollup_buckets,
         }
+    }
+
+    /// The rollup blocks' bytes per float column and coding.
+    pub fn rollup_column_bytes(&self) -> ColumnBytes {
+        let mut tally = ColumnBytes::default();
+        let blocks = self.series.iter().flat_map(|s| &s.sealed);
+        for block in blocks.filter_map(|c| c.rollups.as_ref()) {
+            tally.add(block);
+        }
+        tally
     }
 
     /// Force-seal all open buffers (e.g. before measuring compression).

@@ -38,8 +38,8 @@ use ctt_lorawan::{
 use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
 use ctt_sim::{EventQueue, QueueObs, Schedulable, SimClock};
 use ctt_tsdb::{
-    Aggregator, BitFlipOutcome, CacheStats, IntegrityReport, Query, QueryResult, SeriesId,
-    ShardedTsdb, StoreStats, TagSet,
+    Aggregator, BitFlipOutcome, CacheStats, ColumnBytes, IntegrityReport, Query, QueryResult,
+    SeriesId, ShardedTsdb, StoreStats, TagSet,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -1162,6 +1162,11 @@ impl Pipeline {
     /// The store's size: series, points, chunks and bytes.
     pub fn store_stats(&self) -> StoreStats {
         self.tsdb.stats()
+    }
+
+    /// The store's rollup bytes per float column and coding.
+    pub fn rollup_column_bytes(&self) -> ColumnBytes {
+        self.tsdb.rollup_column_bytes()
     }
 
     /// The query cache's hit, miss and eviction counters.
