@@ -1,99 +1,10 @@
-//! Broker benchmarks: publish fan-out throughput, the topic-trie vs
-//! linear-scan routing ablation from DESIGN.md, and the pipeline's uplink
-//! hop (bridge → broker → storage consumer) split into its parts.
+//! Broker benchmark: the pipeline's uplink hop (bridge → broker → storage
+//! consumer), whole and split into its parts.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ctt_broker::{Broker, Message, QoS, RetryPolicy, Topic, TopicFilter, UplinkEvent};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ctt_broker::{Broker, Message, QoS, RetryPolicy, UplinkEvent};
 use ctt_core::ids::{DevEui, GatewayId};
 use ctt_core::time::Timestamp;
-
-fn make_broker(subs: usize) -> (Broker, Vec<ctt_broker::Subscriber>) {
-    let broker = Broker::new();
-    let handles = (0..subs)
-        .map(|i| {
-            // A mix of exact, city-wide, and global subscriptions.
-            let filter = match i % 3 {
-                0 => format!("ctt/trondheim/devices/dev{i}/up"),
-                1 => "ctt/trondheim/devices/+/up".to_string(),
-                _ => "ctt/#".to_string(),
-            };
-            broker.subscribe(TopicFilter::new(filter).unwrap(), QoS::AtMostOnce, 1 << 14)
-        })
-        .collect();
-    (broker, handles)
-}
-
-fn bench_publish(c: &mut Criterion) {
-    let mut g = c.benchmark_group("broker_publish");
-    for &subs in &[10usize, 100, 1000] {
-        let (broker, handles) = make_broker(subs);
-        let topic = Topic::new("ctt/trondheim/devices/dev1/up").unwrap();
-        g.bench_with_input(BenchmarkId::new("fanout", subs), &subs, |b, _| {
-            b.iter(|| {
-                let m = Message::new(topic.clone(), vec![0u8; 64], Timestamp(0));
-                black_box(broker.publish(m))
-            })
-        });
-        // Drain so queues don't fill (drops would change the cost profile).
-        for h in &handles {
-            h.drain();
-        }
-    }
-    g.finish();
-}
-
-/// Ablation: trie routing vs scanning every subscription filter.
-fn bench_routing_ablation(c: &mut Criterion) {
-    let n = 1000usize;
-    let filters: Vec<TopicFilter> = (0..n)
-        .map(|i| {
-            TopicFilter::new(match i % 3 {
-                0 => format!("ctt/trondheim/devices/dev{i}/up"),
-                1 => "ctt/trondheim/devices/+/up".to_string(),
-                _ => "ctt/#".to_string(),
-            })
-            .unwrap()
-        })
-        .collect();
-    let topic = Topic::new("ctt/trondheim/devices/dev42/up").unwrap();
-    let mut g = c.benchmark_group("broker_routing");
-    // Linear baseline: match the topic against every filter.
-    g.bench_function("linear_scan_1000", |b| {
-        b.iter(|| {
-            let hits = filters.iter().filter(|f| f.matches(&topic)).count();
-            black_box(hits)
-        })
-    });
-    // Trie: the broker's routing path (publish to a broker with these
-    // subscriptions but empty queues → routing dominates).
-    let broker = Broker::new();
-    let _handles: Vec<_> = filters
-        .iter()
-        .map(|f| broker.subscribe(f.clone(), QoS::AtMostOnce, 1))
-        .collect();
-    g.bench_function("trie_route_1000", |b| {
-        b.iter(|| {
-            let m = Message::new(topic.clone(), vec![], Timestamp(0));
-            black_box(broker.publish(m))
-        })
-    });
-    g.finish();
-}
-
-fn bench_qos1_ack_cycle(c: &mut Criterion) {
-    let broker = Broker::new();
-    let sub = broker.subscribe(TopicFilter::new("t/#").unwrap(), QoS::AtLeastOnce, 1 << 14);
-    let topic = Topic::new("t/x").unwrap();
-    c.bench_function("broker_qos1_publish_ack", |b| {
-        b.iter(|| {
-            broker.publish(
-                Message::new(topic.clone(), vec![1, 2, 3], Timestamp(0)).with_qos(QoS::AtLeastOnce),
-            );
-            let d = sub.try_recv().expect("delivered");
-            broker.ack(sub.id, d.packet_id.expect("qos1"));
-        })
-    });
-}
 
 /// One uplink's trip over the broker as `Pipeline` makes it — a broker
 /// whose only subscription is the storage consumer's QoS1 `all_filter`, an
@@ -101,7 +12,7 @@ fn bench_qos1_ack_cycle(c: &mut Criterion) {
 /// Ungated: the rows say where a hop's time goes, the end-to-end claim is
 /// `ctt-benchmark`'s.
 fn bench_uplink_hop(c: &mut Criterion) {
-    let broker = Broker::new();
+    let broker = Broker::default();
     let sub = broker.subscribe(UplinkEvent::all_filter(), QoS::AtLeastOnce, 65_536);
     let event = UplinkEvent {
         city: "trondheim".to_string(),
@@ -122,11 +33,9 @@ fn bench_uplink_hop(c: &mut Criterion) {
     g.bench_function("publish_drain_ack", |b| {
         let topic = event.topic();
         b.iter(|| {
-            broker.publish(
-                Message::new(topic.clone(), line.clone(), event.time).with_qos(QoS::AtLeastOnce),
-            );
+            broker.publish_with_outcome(Message::new(topic.clone(), line.clone()));
             let d = sub.try_recv().expect("delivered");
-            broker.ack(sub.id, d.packet_id.expect("qos1"))
+            broker.ack(sub.id, d.packet_id.expect("packet id"))
         })
     });
     g.bench_function("decode", |b| {
@@ -143,7 +52,7 @@ fn bench_uplink_hop(c: &mut Criterion) {
                 .extend_from_slice(black_box(&event.payload));
             outbound.publish_with_retry(&broker, RetryPolicy::default());
             let d = sub.try_recv().expect("delivered");
-            broker.ack(sub.id, d.packet_id.expect("qos1"));
+            broker.ack(sub.id, d.packet_id.expect("packet id"));
             inbound.decode_into(&d.message.payload).expect("valid line");
             inbound.fcnt
         })
@@ -154,6 +63,6 @@ fn bench_uplink_hop(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_publish, bench_routing_ablation, bench_qos1_ack_cycle, bench_uplink_hop
+    targets = bench_uplink_hop
 }
 criterion_main!(benches);

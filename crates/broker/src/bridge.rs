@@ -7,11 +7,11 @@
 //! human-readable like TTN's JSON but dependency-free — plus the decoder
 //! the storage/dataport consumers use.
 
-use crate::broker::Broker;
-use crate::message::{Message, QoS};
+use crate::broker::{Broker, PublishOutcome};
+use crate::message::Message;
 use crate::topic::{Topic, TopicFilter};
 use ctt_core::ids::{DevEui, GatewayId};
-use ctt_core::time::{Span, Timestamp};
+use ctt_core::time::Timestamp;
 use std::borrow::Cow;
 use std::fmt;
 use std::io::Write;
@@ -354,11 +354,6 @@ impl UplinkEvent {
         Topic::from_sanitized(&topic)
     }
 
-    /// Subscription filter for all uplinks of a city.
-    pub fn city_filter(city: &str) -> TopicFilter {
-        TopicFilter::from_sanitized(format!("ctt/{}/devices/+/up", topic_level(city)))
-    }
-
     /// Subscription filter for all uplinks of all cities.
     pub fn all_filter() -> TopicFilter {
         TopicFilter::from_sanitized("ctt/+/devices/+/up".to_string())
@@ -501,80 +496,23 @@ impl UplinkEvent {
         Ok(1 << bit)
     }
 
-    /// Publish this event to a broker (QoS1, since measurement loss after
-    /// successful radio reception would be self-inflicted).
-    pub fn publish(&self, broker: &Broker) -> usize {
-        broker.publish(
-            Message::new(self.topic(), self.encode(), self.time).with_qos(QoS::AtLeastOnce),
-        )
-    }
-
-    /// Publish with bounded retry: when the QoS1 publish defers on a full
-    /// subscriber queue, retry the deferred deliveries under exponential
-    /// backoff until they land or the attempt budget runs out. Undelivered
-    /// messages stay in the broker's in-flight store either way, so giving
-    /// up here loses nothing — a later ack/redeliver cycle recovers them.
-    pub fn publish_with_retry(&self, broker: &Broker, policy: RetryPolicy) -> PublishReport {
-        let outcome = broker.publish_with_outcome(
-            Message::new(self.topic(), self.encode(), self.time).with_qos(QoS::AtLeastOnce),
-        );
-        let mut report = PublishReport {
-            routed: outcome.routed,
-            enqueued: outcome.enqueued,
-            retries: 0,
-            backoff: Span::seconds(0),
-            still_deferred: outcome.deferred_qos1,
-            shed: outcome.shed,
-        };
-        while report.still_deferred > 0 && report.retries < policy.max_attempts {
-            // Simulated-time backoff: 1×, 2×, 4×, … the base interval.
-            let factor = 1i64 << report.retries.min(16);
-            report.backoff =
-                report.backoff + Span::seconds(policy.base_backoff.as_seconds() * factor);
-            report.retries += 1;
-            let recovered = broker.redeliver_deferred();
-            report.enqueued += recovered;
-            report.still_deferred = report.still_deferred.saturating_sub(recovered);
-        }
-        report
+    /// Publish this event to a broker: one QoS 1 publish (measurement loss
+    /// after successful radio reception would be self-inflicted). A copy
+    /// deferred on a full queue stays in the broker's in-flight store; the
+    /// consumer's drain pass retries it ([`Broker::redeliver_deferred`]),
+    /// since nothing drains between a deferral and an immediate retry.
+    /// The name and the `RetryPolicy` argument stay for the frozen
+    /// `benchmark/` harness, until ROADMAP item 1.
+    pub fn publish_with_retry(&self, broker: &Broker, _policy: RetryPolicy) -> PublishOutcome {
+        broker.publish_with_outcome(Message::new(self.topic(), self.encode()))
     }
 }
 
-/// Bounded exponential backoff for deferred QoS1 publishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum retry attempts after the initial publish.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles each attempt.
-    pub base_backoff: Span,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Span::seconds(1),
-        }
-    }
-}
-
-/// What a retried publish accomplished.
+/// What [`UplinkEvent::publish_with_retry`] takes: a marker with nothing to
+/// set, kept for the frozen `benchmark/` harness (which builds it with
+/// `RetryPolicy::default()`) until ROADMAP item 1.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PublishReport {
-    /// Subscriptions the message was routed to.
-    pub routed: usize,
-    /// Deliveries enqueued (initial + recovered by retry).
-    pub enqueued: usize,
-    /// Retry rounds performed.
-    pub retries: u32,
-    /// Total simulated backoff accumulated across retries.
-    pub backoff: Span,
-    /// Deliveries still deferred when the attempt budget ran out.
-    pub still_deferred: usize,
-    /// Deliveries shed at a subscriber's in-flight cap: the broker gave
-    /// this copy up for good. The publisher owns the loss accounting.
-    pub shed: usize,
-}
+pub struct RetryPolicy {}
 
 /// A deterministic token bucket refilled in *logical* time.
 ///
@@ -724,7 +662,9 @@ impl AdmissionControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::QoS;
     use ctt_core::rng::SplitMix64;
+    use ctt_core::time::Span;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -756,28 +696,23 @@ mod tests {
     }
 
     #[test]
-    fn publish_with_retry_bounded_giveup_preserves_message() {
-        let broker = Broker::new();
+    fn a_deferred_publish_waits_for_the_drain_pass() {
+        let broker = Broker::default();
         let sub = broker.subscribe(UplinkEvent::all_filter(), QoS::AtLeastOnce, 1);
         let e = event();
         let first = e.publish_with_retry(&broker, RetryPolicy::default());
-        assert_eq!(
-            (first.enqueued, first.retries, first.still_deferred),
-            (1, 0, 0)
-        );
-        // Queue full and the consumer stalled: retries are bounded…
+        assert_eq!((first.routed, first.enqueued), (1, 1));
+        // Queue full and the consumer stalled: the copy is deferred, not
+        // lost…
         let second = e.publish_with_retry(&broker, RetryPolicy::default());
-        assert_eq!(second.retries, RetryPolicy::default().max_attempts);
-        assert_eq!(second.still_deferred, 1);
-        // …under exponential backoff: 1 + 2 + 4 + 8 seconds.
-        assert_eq!(second.backoff, Span::seconds(15));
-        // Giving up lost nothing: drain + deferred retry recovers it.
+        assert_eq!((second.enqueued, second.deferred_qos1), (0, 1));
+        // …and the drain pass (ack, then deferred retry) recovers it.
         let d = sub.try_recv().unwrap();
-        broker.ack(sub.id, d.packet_id.unwrap());
+        assert!(broker.ack(sub.id, d.packet_id.unwrap()));
         assert_eq!(broker.redeliver_deferred(), 1);
         let d2 = sub.try_recv().unwrap();
-        broker.ack(sub.id, d2.packet_id.unwrap());
-        assert_eq!(broker.inflight_count(sub.id), 0);
+        assert!(broker.ack(sub.id, d2.packet_id.unwrap()));
+        assert_eq!(UplinkEvent::decode(&d2.message.payload), Ok(e));
         assert_eq!(broker.deferred_count(), 0);
     }
 
@@ -792,11 +727,12 @@ mod tests {
     fn topic_shape() {
         let e = event();
         let t = e.topic();
-        assert!(t.as_str().starts_with("ctt/trondheim/devices/"));
-        assert!(t.as_str().ends_with("/up"));
-        assert!(UplinkEvent::city_filter("trondheim").matches(&t));
+        assert!(t.to_string().starts_with("ctt/trondheim/devices/"));
+        assert!(t.to_string().ends_with("/up"));
         assert!(UplinkEvent::all_filter().matches(&t));
-        assert!(!UplinkEvent::city_filter("vejle").matches(&t));
+        assert!(!TopicFilter::new("ctt/vejle/devices/+/up")
+            .unwrap()
+            .matches(&t));
     }
 
     #[test]
@@ -850,15 +786,12 @@ mod tests {
         e.city = "tr#nd/heim+".to_string();
         let t = e.topic();
         assert_eq!(
-            t.as_str(),
+            t.to_string(),
             format!("ctt/tr_nd_heim_/devices/{}/up", e.device.0)
         );
-        // A hostile name must not be able to subscribe across cities.
-        let f = UplinkEvent::city_filter("+");
-        assert!(!f.matches(&event().topic()));
         // Empty city still yields a valid, non-empty level.
         e.city = String::new();
-        assert!(e.topic().as_str().starts_with("ctt/unknown/"));
+        assert!(e.topic().to_string().starts_with("ctt/unknown/"));
     }
 
     #[test]
@@ -919,19 +852,6 @@ mod tests {
         let late = t0 + Span::hours(10);
         assert!(bucket.try_take(late));
         assert!(!bucket.try_take(late), "capacity caps the bank at 1");
-    }
-
-    #[test]
-    fn publish_reaches_subscriber() {
-        let broker = Broker::new();
-        let sub = broker.subscribe(UplinkEvent::all_filter(), QoS::AtLeastOnce, 8);
-        let e = event();
-        assert_eq!(e.publish(&broker), 1);
-        let d = sub.try_recv().unwrap();
-        assert!(d.packet_id.is_some());
-        let decoded = UplinkEvent::decode(&d.message.payload).unwrap();
-        assert_eq!(decoded, e);
-        broker.ack(sub.id, d.packet_id.unwrap());
     }
 
     // ---------------------------------------------------------------
@@ -1330,7 +1250,7 @@ mod tests {
                 let mut e = words.event();
                 prop_assert_eq!(e.encode(), encode_v0(&e), "{:?}", e);
                 prop_assert_eq!(
-                    e.topic().as_str(),
+                    e.topic().to_string(),
                     format!("ctt/{}/devices/{}/up", topic_level(&e.city), e.device.0)
                 );
                 // Whitespace in the city: the old line did not decode; the

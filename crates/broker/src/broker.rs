@@ -1,21 +1,22 @@
 //! The event-driven message broker.
 //!
-//! A thread-safe MQTT-style broker: subscriptions live in a topic trie so
-//! publishing is O(topic depth) rather than O(subscriptions); retained
-//! messages provide "last known good" values to late subscribers (this is
-//! how the dashboards warm up, §2.4); QoS 1 subscriptions get packet ids,
-//! an in-flight store, acknowledgements, and redelivery.
+//! The one pub/sub hop between the network server and storage (§2.1).
+//! Every subscription is QoS 1 (MQTT 3.1.1 §4.3.2): a publish is matched
+//! against each subscription's filter, in subscription order, and every
+//! matching one gets a copy under a packet id that stays in its in-flight
+//! store until acknowledged. A copy that meets a full queue waits in the
+//! store and is retried by [`Broker::redeliver_deferred`].
 //!
 //! All state — every subscriber's queue included — sits behind the one
 //! broker mutex; a [`Subscriber`] is the broker handle plus its id.
 
 use crate::message::{Message, QoS};
-use crate::topic::{Topic, TopicFilter};
+use crate::topic::TopicFilter;
 use ctt_obs::{Counter, Gauge, Registry};
 // lint:allow(shared): a Broker is a Clone + Sync handle its callers share
 use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Identifies one subscription inside the broker.
@@ -27,8 +28,9 @@ pub struct SubscriptionId(u64);
 pub struct Delivery {
     /// The message.
     pub message: Message,
-    /// Packet id, present iff the effective QoS is `AtLeastOnce`;
-    /// the subscriber must [`Broker::ack`] it.
+    /// Packet id; the subscriber must [`Broker::ack`] it. Always `Some`:
+    /// an `Option` only because the frozen `benchmark/` harness matches on
+    /// it, until ROADMAP item 1.
     pub packet_id: Option<u16>,
 }
 
@@ -39,106 +41,30 @@ pub struct BrokerStats {
     pub published: u64,
     /// Deliveries enqueued to subscribers.
     pub delivered: u64,
-    /// QoS0 deliveries dropped because a subscriber queue was full.
-    pub dropped_qos0: u64,
-    /// QoS1 deliveries deferred to the in-flight store on full queues.
+    /// Deliveries deferred to the in-flight store on full queues.
     pub deferred_qos1: u64,
-    /// Redeliveries performed.
+    /// Deferred deliveries later enqueued.
     pub redelivered: u64,
-    /// QoS1 deliveries shed because a subscriber's in-flight store was at
-    /// its cap (backpressure drop, after deferral was exhausted).
+    /// Deliveries shed because a subscriber's in-flight store was at its
+    /// cap (backpressure drop, after deferral was exhausted).
     pub shed: u64,
-    /// Messages currently retained.
-    pub retained: usize,
     /// Active subscriptions.
     pub subscriptions: usize,
 }
 
-/// What happened to one publish, per delivery attempt.
+/// What happened to one publish.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublishOutcome {
     /// Subscriptions the message was routed to.
     pub routed: usize,
     /// Deliveries that made it into a subscriber queue.
     pub enqueued: usize,
-    /// QoS1 deliveries deferred to the in-flight store (queue full).
+    /// Deliveries deferred to the in-flight store (queue full).
     pub deferred_qos1: usize,
-    /// QoS0 deliveries dropped (queue full).
-    pub dropped_qos0: usize,
-    /// QoS1 deliveries shed because the subscriber's in-flight store was
-    /// at its cap — the broker gave up on this copy; publishers must
-    /// account for the loss.
+    /// Deliveries shed because the subscriber's in-flight store was at its
+    /// cap — the broker gave up on this copy; publishers must account for
+    /// the loss.
     pub shed: usize,
-    /// Deliveries skipped because the subscription is misconfigured
-    /// (zero queue capacity).
-    pub misconfigured: usize,
-}
-
-#[derive(Debug, Default)]
-struct TrieNode {
-    children: HashMap<String, TrieNode>,
-    /// Subscriptions attached via a `+` at this level.
-    plus: Option<Box<TrieNode>>,
-    /// Subscriptions attached via a trailing `#` here.
-    hash_subs: Vec<SubscriptionId>,
-    /// Subscriptions terminating exactly here.
-    subs: Vec<SubscriptionId>,
-}
-
-impl TrieNode {
-    fn insert(&mut self, mut levels: std::str::Split<'_, char>, id: SubscriptionId) {
-        match levels.next() {
-            None => self.subs.push(id),
-            Some("#") => self.hash_subs.push(id),
-            Some("+") => self
-                .plus
-                .get_or_insert_with(Default::default)
-                .insert(levels, id),
-            Some(level) => self
-                .children
-                .entry(level.to_string())
-                .or_default()
-                .insert(levels, id),
-        }
-    }
-
-    fn remove(&mut self, mut levels: std::str::Split<'_, char>, id: SubscriptionId) {
-        match levels.next() {
-            None => self.subs.retain(|s| *s != id),
-            Some("#") => self.hash_subs.retain(|s| *s != id),
-            Some("+") => {
-                if let Some(p) = self.plus.as_mut() {
-                    p.remove(levels, id);
-                }
-            }
-            Some(level) => {
-                if let Some(c) = self.children.get_mut(level) {
-                    c.remove(levels, id);
-                }
-            }
-        }
-    }
-
-    /// Append every subscription matching the topic whose remaining levels
-    /// are `tail` (`None` once the topic is used up). Walks the string in
-    /// place: no per-publish list of levels.
-    fn collect(&self, tail: Option<&str>, out: &mut Vec<SubscriptionId>) {
-        out.extend_from_slice(&self.hash_subs);
-        let Some(tail) = tail else {
-            out.extend_from_slice(&self.subs);
-            return;
-        };
-        let (first, rest) = match tail.split_once('/') {
-            Some((first, rest)) => (first, Some(rest)),
-            None => (tail, None),
-        };
-        if let Some(child) = self.children.get(first) {
-            child.collect(rest, out);
-        }
-        if let Some(plus) = &self.plus {
-            plus.collect(rest, out);
-        }
-    }
 }
 
 /// Per-subscriber counters, backed by registry cells so they show up in
@@ -146,12 +72,11 @@ impl TrieNode {
 #[derive(Debug, Clone)]
 struct SessionCounters {
     delivered: Counter,
-    dropped_qos0: Counter,
     deferred_qos1: Counter,
     redelivered: Counter,
     shed: Counter,
     /// High-water of the in-flight store (queued + deferred, unacked);
-    /// bounded by the in-flight cap when one is configured.
+    /// bounded by the in-flight cap.
     inflight_hw: Gauge,
 }
 
@@ -159,7 +84,6 @@ impl SessionCounters {
     fn register(registry: &Registry, id: SubscriptionId) -> Self {
         SessionCounters {
             delivered: registry.counter(&format!("broker.sub{}.delivered", id.0)),
-            dropped_qos0: registry.counter(&format!("broker.sub{}.dropped_qos0", id.0)),
             deferred_qos1: registry.counter(&format!("broker.sub{}.deferred_qos1", id.0)),
             redelivered: registry.counter(&format!("broker.sub{}.redelivered", id.0)),
             shed: registry.counter(&format!("broker.sub{}.shed", id.0)),
@@ -171,38 +95,79 @@ impl SessionCounters {
 #[derive(Debug)]
 struct Session {
     filter: TopicFilter,
-    qos: QoS,
     /// Deliveries waiting for the subscriber, oldest first.
     queue: VecDeque<Delivery>,
-    /// How many deliveries `queue` may hold: the subscription's capacity,
-    /// and 0 once its [`Subscriber`] is dropped, so every later copy counts
-    /// as a full queue's would (QoS1 deferred, QoS0 dropped).
-    room: usize,
+    /// How many deliveries `queue` may hold.
+    capacity: usize,
     next_pid: u16,
     inflight: BTreeMap<u16, Message>,
-    /// Packet ids whose initial delivery hit a full queue, in deferral
-    /// order; retried by [`Broker::redeliver_deferred`].
+    /// Packet ids whose delivery hit a full queue, in deferral order;
+    /// retried by [`Broker::redeliver_deferred`].
     deferred: Vec<u16>,
-    /// Cap on the in-flight store (queued + deferred, unacked). `None`
-    /// means unbounded (the pre-backpressure behaviour); at the cap, QoS1
-    /// overflow is shed instead of deferred.
-    inflight_cap: Option<usize>,
-    /// The subscription was created with queue capacity 0 — a config
-    /// error; deliveries are skipped and surfaced via
-    /// [`PublishOutcome::misconfigured`].
-    zero_capacity: bool,
+    /// Cap on the in-flight store (queued + deferred, unacked), at most
+    /// [`PACKET_IDS`]; at the cap a copy is shed instead of deferred.
+    inflight_cap: usize,
     counters: SessionCounters,
 }
 
 impl Session {
     /// Queue one delivery if the queue has room. `false` leaves the copy
-    /// to the caller, to defer or drop.
-    fn offer(&mut self, message: Message, packet_id: Option<u16>) -> bool {
-        if self.queue.len() >= self.room {
+    /// deferred in the in-flight store.
+    fn offer(&mut self, message: Message, packet_id: u16) -> bool {
+        if self.queue.len() >= self.capacity {
             return false;
         }
-        self.queue.push_back(Delivery { message, packet_id });
+        self.queue.push_back(Delivery {
+            message,
+            packet_id: Some(packet_id),
+        });
         true
+    }
+
+    /// Deliver one copy of `message`. A copy is two reference count bumps
+    /// (topic and payload), never a byte copy.
+    fn deliver(
+        &mut self,
+        message: &Message,
+        stats: &mut BrokerStats,
+        outcome: &mut PublishOutcome,
+    ) {
+        // Full means the in-flight cap, and in any case every packet id
+        // being taken. Deferral space is exhausted either way: shed the
+        // copy. The publisher sees it in the outcome and owns the loss.
+        if self.inflight.len() >= self.inflight_cap {
+            stats.shed += 1;
+            self.counters.shed.inc();
+            outcome.shed += 1;
+            return;
+        }
+        // MQTT 3.1.1 §2.3.1: a packet id is reusable only after its ack, so
+        // step past the ids still in flight. One is free — the store holds
+        // fewer than `PACKET_IDS` entries.
+        let mut pid = self.next_pid;
+        loop {
+            match self.inflight.entry(pid) {
+                Entry::Vacant(slot) => {
+                    slot.insert(message.clone());
+                    break;
+                }
+                Entry::Occupied(_) => pid = next_packet_id(pid),
+            }
+        }
+        self.next_pid = next_packet_id(pid);
+        let depth = i64::try_from(self.inflight.len()).unwrap_or(i64::MAX);
+        self.counters.inflight_hw.raise_to(depth);
+        if self.offer(message.clone(), pid) {
+            stats.delivered += 1;
+            self.counters.delivered.inc();
+            outcome.enqueued += 1;
+        } else {
+            // Still in the in-flight store: will be redelivered.
+            stats.deferred_qos1 += 1;
+            self.counters.deferred_qos1.inc();
+            self.deferred.push(pid);
+            outcome.deferred_qos1 += 1;
+        }
     }
 }
 
@@ -214,43 +179,15 @@ fn next_packet_id(pid: u16) -> u16 {
     pid.wrapping_add(1).max(1)
 }
 
-/// Result of one delivery attempt.
-enum DeliverOutcome {
-    Enqueued,
-    Deferred,
-    Dropped,
-    Shed,
-    Misconfigured,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
-    trie: TrieNode,
     sessions: BTreeMap<SubscriptionId, Session>,
-    /// What an unsubscribed but still live [`Subscriber`] had queued: it
-    /// may drain these, and nothing new arrives. Freed when it is dropped.
-    unsubscribed: BTreeMap<SubscriptionId, VecDeque<Delivery>>,
-    retained: BTreeMap<String, Message>,
     next_id: u64,
     stats: BrokerStats,
-    /// The subscriptions one publish routes to; emptied after every publish
-    /// and kept for its capacity.
-    routed: Vec<SubscriptionId>,
     /// Where per-subscriber counters are registered. A private (default)
     /// registry when the broker runs standalone; shared via
     /// [`Broker::with_registry`] when embedded in an instrumented pipeline.
     registry: Registry,
-}
-
-impl Inner {
-    /// The queue subscription `id` reads from: its session's, or what it
-    /// left queued when it unsubscribed.
-    fn queue_mut(&mut self, id: SubscriptionId) -> Option<&mut VecDeque<Delivery>> {
-        match self.sessions.get_mut(&id) {
-            Some(session) => Some(&mut session.queue),
-            None => self.unsubscribed.get_mut(&id),
-        }
-    }
 }
 
 /// The broker. Cheaply clonable handle (`Arc` inside).
@@ -260,7 +197,7 @@ pub struct Broker {
 }
 
 /// A subscriber handle: the receiving end of one subscription. Its queue
-/// lives in the broker; dropping the handle frees it.
+/// lives in the broker; dropping the handle ends the subscription.
 #[derive(Debug)]
 pub struct Subscriber {
     /// Subscription identity (needed for acks).
@@ -271,44 +208,24 @@ pub struct Subscriber {
 impl Subscriber {
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Delivery> {
-        self.broker.inner.lock().queue_mut(self.id)?.pop_front()
-    }
-
-    /// Drain everything currently queued.
-    pub fn drain(&self) -> Vec<Delivery> {
         let mut inner = self.broker.inner.lock();
-        inner
-            .queue_mut(self.id)
-            .map_or_else(Vec::new, |queue| queue.drain(..).collect())
+        inner.sessions.get_mut(&self.id)?.queue.pop_front()
     }
 
     /// Number of deliveries currently waiting.
     pub fn pending(&self) -> usize {
-        self.broker
-            .inner
-            .lock()
-            .queue_mut(self.id)
-            .map_or(0, |queue| queue.len())
+        let inner = self.broker.inner.lock();
+        inner.sessions.get(&self.id).map_or(0, |s| s.queue.len())
     }
 }
 
 impl Drop for Subscriber {
     fn drop(&mut self) {
-        let mut inner = self.broker.inner.lock();
-        if let Some(session) = inner.sessions.get_mut(&self.id) {
-            session.room = 0;
-            session.queue = VecDeque::new();
-        }
-        inner.unsubscribed.remove(&self.id);
+        self.broker.inner.lock().sessions.remove(&self.id);
     }
 }
 
 impl Broker {
-    /// New empty broker.
-    pub fn new() -> Self {
-        Broker::default()
-    }
-
     /// New empty broker whose per-subscriber counters register into
     /// `registry` (as `broker.sub<id>.*`), so they appear alongside the
     /// rest of a pipeline's metrics in snapshots.
@@ -318,245 +235,92 @@ impl Broker {
         broker
     }
 
-    /// Subscribe to `filter` with the given QoS and queue capacity.
-    /// Retained messages matching the filter are delivered immediately.
-    /// The in-flight store is unbounded; see [`Broker::subscribe_bounded`]
-    /// for backpressure caps.
-    pub fn subscribe(&self, filter: TopicFilter, qos: QoS, capacity: usize) -> Subscriber {
-        self.subscribe_inner(filter, qos, capacity, None)
+    /// Subscribe to `filter` with a queue of `capacity` deliveries. The
+    /// in-flight store is bounded only by the packet ids; see
+    /// [`Broker::subscribe_bounded`] for a backpressure cap. `QoS` has one
+    /// level, so `_qos` says nothing; it stays in the signature for the
+    /// frozen `benchmark/` harness until ROADMAP item 1.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` is 0: such a subscription could never receive.
+    pub fn subscribe(&self, filter: TopicFilter, _qos: QoS, capacity: usize) -> Subscriber {
+        self.subscribe_bounded(filter, QoS::AtLeastOnce, capacity, PACKET_IDS)
     }
 
-    /// Subscribe with a cap on the in-flight/deferred QoS1 store. At the
-    /// cap the broker sheds overflow ([`PublishOutcome::shed`],
+    /// Subscribe with a cap on the in-flight/deferred store. At the cap the
+    /// broker sheds overflow ([`PublishOutcome::shed`],
     /// `broker.sub<id>.shed`) instead of deferring it, bounding memory
     /// under overload.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` or `inflight_cap` is 0: the first could never
+    /// receive, the second would shed everything.
     pub fn subscribe_bounded(
         &self,
         filter: TopicFilter,
-        qos: QoS,
+        _qos: QoS,
         capacity: usize,
         inflight_cap: usize,
     ) -> Subscriber {
-        debug_assert!(inflight_cap > 0, "in-flight cap 0 would shed everything");
-        self.subscribe_inner(filter, qos, capacity, Some(inflight_cap))
-    }
-
-    fn subscribe_inner(
-        &self,
-        filter: TopicFilter,
-        qos: QoS,
-        capacity: usize,
-        inflight_cap: Option<usize>,
-    ) -> Subscriber {
-        // Queue capacity 0 is a config error: the subscription could never
-        // receive anything. Loud in debug builds; in release it is kept
-        // inert and surfaced through `PublishOutcome::misconfigured`.
-        debug_assert!(
-            capacity > 0,
-            "subscriber queue capacity 0 is a config error"
+        // lint:allow(panic): a zero queue or cap is a config error, refused where it is made
+        assert!(
+            capacity > 0 && inflight_cap > 0,
+            "zero queue or in-flight cap"
         );
-        let zero_capacity = capacity == 0;
         let mut inner = self.inner.lock();
         let id = SubscriptionId(inner.next_id);
         inner.next_id += 1;
-        inner.trie.insert(filter.as_str().split('/'), id);
         let counters = SessionCounters::register(&inner.registry, id);
-        let mut session = Session {
-            filter: filter.clone(),
-            qos,
+        let session = Session {
+            filter,
             queue: VecDeque::new(),
-            room: capacity,
+            capacity,
             next_pid: 1,
             inflight: BTreeMap::new(),
             deferred: Vec::new(),
-            inflight_cap,
-            zero_capacity,
+            inflight_cap: inflight_cap.min(PACKET_IDS),
             counters,
         };
-        // Replay retained messages, in topic order (BTreeMap — replay
-        // determinism).
-        let retained: Vec<Message> = inner
-            .retained
-            .values()
-            .filter(|m| filter.matches(&m.topic))
-            .cloned()
-            .collect();
-        for m in &retained {
-            Self::deliver_to(&mut session, m, &mut inner.stats);
-        }
         inner.sessions.insert(id, session);
-        inner.stats.subscriptions = inner.sessions.len();
         Subscriber {
             id,
             broker: self.clone(),
         }
     }
 
-    /// Remove a subscription entirely. The subscriber can still drain what
-    /// was already queued for it.
-    pub fn unsubscribe(&self, sub: &Subscriber) {
-        let mut inner = self.inner.lock();
-        if let Some(session) = inner.sessions.remove(&sub.id) {
-            inner
-                .trie
-                .remove(session.filter.as_str().split('/'), sub.id);
-            if !session.queue.is_empty() {
-                inner.unsubscribed.insert(sub.id, session.queue);
-            }
-        }
-        inner.stats.subscriptions = inner.sessions.len();
-    }
-
-    /// Deliver one copy of `message` to `session`. A copy is two reference
-    /// count bumps (topic and payload), never a byte copy.
-    fn deliver_to(
-        session: &mut Session,
-        message: &Message,
-        stats: &mut BrokerStats,
-    ) -> DeliverOutcome {
-        if session.zero_capacity {
-            return DeliverOutcome::Misconfigured;
-        }
-        let packet_id = if message.qos.min(session.qos) == QoS::AtLeastOnce {
-            // Full means the in-flight cap when one is configured, and in
-            // any case every packet id being taken. Deferral space is
-            // exhausted either way: shed the copy. The publisher sees it in
-            // the outcome and owns the loss accounting.
-            let room = session.inflight_cap.unwrap_or(usize::MAX).min(PACKET_IDS);
-            if session.inflight.len() >= room {
-                stats.shed += 1;
-                session.counters.shed.inc();
-                return DeliverOutcome::Shed;
-            }
-            // MQTT 3.1.1 §2.3.1: a packet id is reusable only after its
-            // ack, so step past the ids still in flight. One is free — the
-            // store holds fewer than `PACKET_IDS` entries.
-            let mut pid = session.next_pid;
-            loop {
-                match session.inflight.entry(pid) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(message.clone());
-                        break;
-                    }
-                    Entry::Occupied(_) => pid = next_packet_id(pid),
-                }
-            }
-            session.next_pid = next_packet_id(pid);
-            let depth = i64::try_from(session.inflight.len()).unwrap_or(i64::MAX);
-            session.counters.inflight_hw.raise_to(depth);
-            Some(pid)
-        } else {
-            None
-        };
-        if session.offer(message.clone(), packet_id) {
-            stats.delivered += 1;
-            session.counters.delivered.inc();
-            DeliverOutcome::Enqueued
-        } else if let Some(pid) = packet_id {
-            // Still in the in-flight store: will be redelivered.
-            stats.deferred_qos1 += 1;
-            session.counters.deferred_qos1.inc();
-            session.deferred.push(pid);
-            DeliverOutcome::Deferred
-        } else {
-            stats.dropped_qos0 += 1;
-            session.counters.dropped_qos0.inc();
-            DeliverOutcome::Dropped
-        }
-    }
-
-    /// Publish a message; returns the number of subscriptions it was routed
-    /// to (before any queue-full drops).
-    pub fn publish(&self, message: Message) -> usize {
-        self.publish_with_outcome(message).routed
-    }
-
-    /// Publish a message and report per-attempt delivery outcomes, so
-    /// publishers (e.g. the TTN bridge) can react to deferrals.
+    /// Publish a message to every subscription whose filter matches its
+    /// topic, in subscription order, and report what became of the copies.
     pub fn publish_with_outcome(&self, message: Message) -> PublishOutcome {
         let mut inner = self.inner.lock();
-        inner.stats.published += 1;
-        if message.retain {
-            if message.payload.is_empty() {
-                // MQTT: empty retained payload clears the retained message.
-                inner.retained.remove(message.topic.as_str());
-            } else {
-                inner
-                    .retained
-                    .insert(message.topic.as_str().to_string(), message.clone());
-            }
-            inner.stats.retained = inner.retained.len();
-        }
         let Inner {
-            trie,
-            sessions,
-            stats,
-            routed,
-            ..
+            sessions, stats, ..
         } = &mut *inner;
-        trie.collect(Some(message.topic.as_str()), routed);
-        routed.sort_unstable();
-        routed.dedup();
-        let mut outcome = PublishOutcome {
-            routed: routed.len(),
-            ..PublishOutcome::default()
-        };
-        for id in routed.drain(..) {
-            if let Some(session) = sessions.get_mut(&id) {
-                match Self::deliver_to(session, &message, stats) {
-                    DeliverOutcome::Enqueued => outcome.enqueued += 1,
-                    DeliverOutcome::Deferred => outcome.deferred_qos1 += 1,
-                    DeliverOutcome::Dropped => outcome.dropped_qos0 += 1,
-                    DeliverOutcome::Shed => outcome.shed += 1,
-                    DeliverOutcome::Misconfigured => outcome.misconfigured += 1,
-                }
+        stats.published += 1;
+        let mut outcome = PublishOutcome::default();
+        for session in sessions.values_mut() {
+            if session.filter.matches(&message.topic) {
+                outcome.routed += 1;
+                session.deliver(&message, stats, &mut outcome);
             }
         }
         outcome
     }
 
-    /// Acknowledge a QoS1 delivery.
+    /// Acknowledge a delivery. `false` when the id is not in flight: the
+    /// delivery was a copy of one already acknowledged.
     pub fn ack(&self, sub: SubscriptionId, packet_id: u16) -> bool {
         let mut inner = self.inner.lock();
         inner
             .sessions
             .get_mut(&sub)
-            .map(|s| s.inflight.remove(&packet_id).is_some())
-            .unwrap_or(false)
+            .is_some_and(|s| s.inflight.remove(&packet_id).is_some())
     }
 
-    /// Redeliver all unacknowledged QoS1 messages of a subscription.
-    /// Returns how many were re-enqueued.
-    pub fn redeliver(&self, sub: SubscriptionId) -> usize {
-        let mut inner = self.inner.lock();
-        let Some(session) = inner.sessions.get_mut(&sub) else {
-            return 0;
-        };
-        // BTreeMap iteration is already packet-id order (replay determinism).
-        let entries: Vec<(u16, Message)> = session
-            .inflight
-            .iter()
-            .map(|(&pid, msg)| (pid, msg.clone()))
-            .collect();
-        let mut n = 0;
-        for (pid, msg) in entries {
-            if session.offer(msg, Some(pid)) {
-                n += 1;
-                session.deferred.retain(|&d| d != pid);
-            }
-        }
-        let redelivered = n as u64;
-        session.counters.redelivered.add(redelivered);
-        session.counters.delivered.add(redelivered);
-        inner.stats.redelivered += redelivered;
-        inner.stats.delivered += redelivered;
-        n
-    }
-
-    /// Retry only deliveries that were deferred on a full queue (a subset
-    /// of [`Broker::redeliver`] that cannot duplicate messages still
-    /// sitting in a subscriber queue). Returns how many were re-enqueued
-    /// across all subscriptions.
+    /// Retry the deliveries that were deferred on a full queue, in
+    /// deferral order. Returns how many were enqueued across all
+    /// subscriptions.
     pub fn redeliver_deferred(&self) -> usize {
         let mut inner = self.inner.lock();
         let mut n = 0;
@@ -568,7 +332,7 @@ impl Broker {
                 let Some(msg) = session.inflight.get(&pid).cloned() else {
                     continue;
                 };
-                if session.offer(msg, Some(pid)) {
+                if session.offer(msg, pid) {
                     n += 1;
                     session.counters.redelivered.inc();
                     session.counters.delivered.inc();
@@ -582,8 +346,8 @@ impl Broker {
         n
     }
 
-    /// Deferred (queue-full) QoS1 deliveries currently awaiting retry,
-    /// across all subscriptions.
+    /// Deferred (queue-full) deliveries currently awaiting retry, across
+    /// all subscriptions.
     pub fn deferred_count(&self) -> usize {
         self.inner
             .lock()
@@ -593,30 +357,20 @@ impl Broker {
             .sum()
     }
 
-    /// Number of unacknowledged in-flight messages for a subscription.
-    pub fn inflight_count(&self, sub: SubscriptionId) -> usize {
-        self.inner
-            .lock()
-            .sessions
-            .get(&sub)
-            .map(|s| s.inflight.len())
-            .unwrap_or(0)
-    }
-
-    /// The retained message for a topic, if any.
-    pub fn retained(&self, topic: &Topic) -> Option<Message> {
-        self.inner.lock().retained.get(topic.as_str()).cloned()
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> BrokerStats {
-        self.inner.lock().stats
+        let inner = self.inner.lock();
+        BrokerStats {
+            subscriptions: inner.sessions.len(),
+            ..inner.stats
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topic::Topic;
     use ctt_core::time::Timestamp;
 
     /// One subscription's registry-backed counters (exported as
@@ -624,7 +378,6 @@ mod tests {
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     struct SubscriberStats {
         delivered: u64,
-        dropped_qos0: u64,
         deferred_qos1: u64,
         redelivered: u64,
         shed: u64,
@@ -638,295 +391,153 @@ mod tests {
                 .get(&sub)
                 .map(|s| SubscriberStats {
                     delivered: s.counters.delivered.get(),
-                    dropped_qos0: s.counters.dropped_qos0.get(),
                     deferred_qos1: s.counters.deferred_qos1.get(),
                     redelivered: s.counters.redelivered.get(),
                     shed: s.counters.shed.get(),
                 })
         }
+
+        /// Unacknowledged deliveries of a subscription: queued, deferred,
+        /// or received and not yet acked.
+        fn unacked(&self, sub: SubscriptionId) -> usize {
+            self.inner
+                .lock()
+                .sessions
+                .get(&sub)
+                .map_or(0, |s| s.inflight.len())
+        }
+
+        fn publish(&self, message: Message) -> usize {
+            self.publish_with_outcome(message).routed
+        }
     }
 
-    fn topic(s: &str) -> Topic {
-        Topic::new(s).unwrap()
-    }
     fn filter(s: &str) -> TopicFilter {
         TopicFilter::new(s).unwrap()
     }
     fn msg(t: &str, body: &str) -> Message {
-        Message::new(topic(t), body.as_bytes().to_vec(), Timestamp(0))
+        Message::new(Topic::new(t).unwrap(), body.as_bytes().to_vec())
+    }
+    fn subscribe(b: &Broker, f: &str, capacity: usize) -> Subscriber {
+        b.subscribe(filter(f), QoS::AtLeastOnce, capacity)
+    }
+    fn body(d: &Delivery) -> String {
+        String::from_utf8(d.message.payload.to_vec()).unwrap()
     }
 
     #[test]
     fn publish_routes_to_matching_subscribers() {
-        let b = Broker::new();
-        let s1 = b.subscribe(filter("ctt/+/up"), QoS::AtMostOnce, 16);
-        let s2 = b.subscribe(filter("ctt/node1/#"), QoS::AtMostOnce, 16);
-        let s3 = b.subscribe(filter("other/#"), QoS::AtMostOnce, 16);
-        let n = b.publish(msg("ctt/node1/up", "x"));
-        assert_eq!(n, 2);
-        assert!(s1.try_recv().is_some());
-        assert!(s2.try_recv().is_some());
+        let registry = Registry::new();
+        let b = Broker::with_registry(registry.clone());
+        let s1 = subscribe(&b, "ctt/+/up", 16);
+        let s2 = subscribe(&b, "ctt/node1/#", 16);
+        let s3 = subscribe(&b, "other/#", 16);
+        let out = b.publish_with_outcome(msg("ctt/node1/up", "x"));
+        let expected = PublishOutcome {
+            routed: 2,
+            enqueued: 2,
+            ..PublishOutcome::default()
+        };
+        assert_eq!(out, expected);
+        // Each subscription numbers its own packet ids.
+        assert_eq!(s1.try_recv().unwrap().packet_id, Some(1));
+        assert_eq!(s2.try_recv().unwrap().packet_id, Some(1));
         assert!(s3.try_recv().is_none());
+        let snap = registry.snapshot(Timestamp(0));
+        assert_eq!(snap.value("broker.sub0.delivered"), Some(1));
+        assert_eq!(snap.value("broker.sub1.delivered"), Some(1));
+        assert_eq!(snap.value("broker.sub2.delivered"), Some(0));
     }
 
     #[test]
-    fn overlapping_filters_deliver_once_per_subscription() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("a/#"), QoS::AtMostOnce, 16);
-        // Same subscriber id also matches via the trie only once.
-        b.publish(msg("a/b", "x"));
-        assert_eq!(s.drain().len(), 1);
-    }
-
-    #[test]
-    fn qos0_dropped_when_queue_full() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtMostOnce, 2);
-        for i in 0..5 {
-            b.publish(msg("t", &format!("{i}")));
-        }
-        assert_eq!(s.drain().len(), 2);
-        let st = b.stats();
-        assert_eq!(st.dropped_qos0, 3);
-        assert_eq!(st.delivered, 2);
-    }
-
-    #[test]
-    fn qos1_requires_ack_and_redelivers() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 16);
-        b.publish(msg("t", "important").with_qos(QoS::AtLeastOnce));
+    fn delivery_requires_an_ack_and_an_id_is_acked_once() {
+        let b = Broker::default();
+        let s = subscribe(&b, "t", 16);
+        b.publish(msg("t", "important"));
         let d = s.try_recv().unwrap();
-        let pid = d.packet_id.expect("QoS1 must carry a packet id");
-        assert_eq!(b.inflight_count(s.id), 1);
-        // Unacked: redeliver queues it again.
-        assert_eq!(b.redeliver(s.id), 1);
-        let again = s.try_recv().unwrap();
-        assert_eq!(again.packet_id, Some(pid));
-        // Ack clears it.
+        let pid = d.packet_id.expect("every delivery carries a packet id");
+        assert_eq!(b.unacked(s.id), 1, "received is not acked");
         assert!(b.ack(s.id, pid));
-        assert_eq!(b.inflight_count(s.id), 0);
-        assert_eq!(b.redeliver(s.id), 0);
+        assert_eq!(b.unacked(s.id), 0);
         assert!(!b.ack(s.id, pid), "double ack must fail");
-    }
-
-    #[test]
-    fn qos1_deferred_on_full_queue_then_redelivered() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 1);
-        b.publish(msg("t", "a").with_qos(QoS::AtLeastOnce));
-        b.publish(msg("t", "b").with_qos(QoS::AtLeastOnce));
-        // Queue held one; the other was deferred but is in flight.
-        assert_eq!(b.stats().deferred_qos1, 1);
-        assert_eq!(b.inflight_count(s.id), 2);
-        let first = s.try_recv().unwrap();
-        b.ack(s.id, first.packet_id.unwrap());
-        // Space freed: redelivery brings the deferred one through.
-        assert_eq!(b.redeliver(s.id), 1);
-        let second = s.try_recv().unwrap();
-        b.ack(s.id, second.packet_id.unwrap());
-        assert_eq!(b.inflight_count(s.id), 0);
-    }
-
-    #[test]
-    fn per_subscriber_counters_split_qos0_drops_from_qos1_deferrals() {
-        let b = Broker::new();
-        // Two capacity-1 subscribers on the same topic: one QoS0, one QoS1.
-        let s0 = b.subscribe(filter("t"), QoS::AtMostOnce, 1);
-        let s1 = b.subscribe(filter("t"), QoS::AtLeastOnce, 1);
-        for body in ["a", "b", "c"] {
-            b.publish(msg("t", body).with_qos(QoS::AtLeastOnce));
-        }
-        let st0 = b.subscriber_stats(s0.id).unwrap();
-        let st1 = b.subscriber_stats(s1.id).unwrap();
-        // QoS0 subscriber: overflow is dropped outright, never deferred.
-        assert_eq!(st0.delivered, 1);
-        assert_eq!(st0.dropped_qos0, 2);
-        assert_eq!(st0.deferred_qos1, 0);
-        // QoS1 subscriber: overflow is deferred into the in-flight store.
-        assert_eq!(st1.delivered, 1);
-        assert_eq!(st1.dropped_qos0, 0);
-        assert_eq!(st1.deferred_qos1, 2);
-        assert_eq!(b.inflight_count(s1.id), 3);
-        // Aggregates are the per-subscriber sums.
-        let agg = b.stats();
-        assert_eq!(agg.dropped_qos0, st0.dropped_qos0);
-        assert_eq!(agg.deferred_qos1, st1.deferred_qos1);
-        assert_eq!(agg.delivered, st0.delivered + st1.delivered);
+        assert_eq!(b.redeliver_deferred(), 0, "nothing was deferred");
     }
 
     #[test]
     fn redeliver_deferred_retries_only_queue_full_deferrals() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 1);
-        b.publish(msg("t", "a").with_qos(QoS::AtLeastOnce));
-        b.publish(msg("t", "b").with_qos(QoS::AtLeastOnce));
+        let b = Broker::default();
+        let s = subscribe(&b, "t", 1);
+        b.publish(msg("t", "a"));
+        b.publish(msg("t", "b"));
         assert_eq!(b.deferred_count(), 1);
+        assert_eq!(b.stats().deferred_qos1, 1);
+        assert_eq!(b.unacked(s.id), 2, "the deferred copy is in flight");
         // Queue still full: the deferred delivery cannot land yet…
         assert_eq!(b.redeliver_deferred(), 0);
         // …and crucially, "a" (undelivered but queued) is NOT duplicated.
         let first = s.try_recv().unwrap();
-        assert_eq!(first.message.payload_str(), Some("a"));
+        assert_eq!(body(&first), "a");
         b.ack(s.id, first.packet_id.unwrap());
         assert_eq!(b.redeliver_deferred(), 1);
         assert_eq!(b.deferred_count(), 0);
         let second = s.try_recv().unwrap();
-        assert_eq!(second.message.payload_str(), Some("b"));
+        assert_eq!(body(&second), "b");
         assert!(s.try_recv().is_none(), "no duplicate of a");
         b.ack(s.id, second.packet_id.unwrap());
-        assert_eq!(b.inflight_count(s.id), 0);
+        assert_eq!(b.unacked(s.id), 0);
         assert_eq!(b.subscriber_stats(s.id).unwrap().redelivered, 1);
     }
 
     #[test]
-    fn effective_qos_is_min_of_pub_and_sub() {
-        let b = Broker::new();
-        let s0 = b.subscribe(filter("t"), QoS::AtMostOnce, 4);
-        let s1 = b.subscribe(filter("t"), QoS::AtLeastOnce, 4);
-        b.publish(msg("t", "x").with_qos(QoS::AtLeastOnce));
-        assert!(s0.try_recv().unwrap().packet_id.is_none());
-        assert!(s1.try_recv().unwrap().packet_id.is_some());
-        // QoS0 publish to QoS1 subscription is still QoS0.
-        b.publish(msg("t", "y"));
-        assert!(s1.try_recv().unwrap().packet_id.is_none());
-    }
-
-    #[test]
-    fn retained_message_replayed_to_new_subscriber() {
-        let b = Broker::new();
-        b.publish(msg("status/node1", "online").retained());
-        let s = b.subscribe(filter("status/#"), QoS::AtMostOnce, 4);
-        let d = s.try_recv().expect("retained replay");
-        assert_eq!(d.message.payload_str(), Some("online"));
-        assert_eq!(
-            b.retained(&topic("status/node1")).unwrap().payload_str(),
-            Some("online")
-        );
-    }
-
-    #[test]
-    fn empty_retained_payload_clears() {
-        let b = Broker::new();
-        b.publish(msg("status/node1", "online").retained());
-        assert_eq!(b.stats().retained, 1);
-        b.publish(Message::new(topic("status/node1"), vec![], Timestamp(1)).retained());
-        assert_eq!(b.stats().retained, 0);
-        let s = b.subscribe(filter("status/#"), QoS::AtMostOnce, 4);
+    fn a_copy_acked_while_deferred_is_not_redelivered() {
+        let b = Broker::default();
+        let s = subscribe(&b, "t", 1);
+        b.publish(msg("t", "a"));
+        b.publish(msg("t", "b"));
+        // The consumer acks the deferred id before it ever arrives.
+        assert!(b.ack(s.id, 2));
+        assert_eq!(body(&s.try_recv().unwrap()), "a");
+        assert_eq!(b.redeliver_deferred(), 0);
+        assert_eq!(b.deferred_count(), 0);
         assert!(s.try_recv().is_none());
-    }
-
-    #[test]
-    fn unsubscribe_stops_delivery() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtMostOnce, 4);
-        b.publish(msg("t", "1"));
-        b.unsubscribe(&s);
-        b.publish(msg("t", "2"));
-        assert_eq!(s.drain().len(), 1);
-        assert_eq!(b.stats().subscriptions, 0);
     }
 
     #[test]
     fn subscriber_lifecycle_counts_exactly() {
-        let qos1 = |body: &str| msg("t", body).with_qos(QoS::AtLeastOnce);
-        let payloads = |ds: Vec<Delivery>| -> Vec<String> {
-            ds.iter()
-                .map(|d| d.message.payload_str().unwrap().to_string())
-                .collect()
-        };
-
-        // Queued, then unsubscribed, then drained: the queued copies stay
-        // readable, nothing new arrives, and the session is gone.
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 4);
-        b.publish(qos1("a"));
-        b.publish(qos1("b"));
-        b.unsubscribe(&s);
-        assert_eq!(b.publish(qos1("c")), 0);
-        assert_eq!(s.pending(), 2);
-        assert_eq!(payloads(s.drain()), ["a", "b"]);
-        assert!(s.try_recv().is_none());
-        assert!(!b.ack(s.id, 1), "no session left to ack into");
-        assert_eq!(b.subscriber_stats(s.id), None);
-        assert_eq!(b.inflight_count(s.id), 0);
-        let expected = BrokerStats {
-            published: 3,
-            delivered: 2,
-            ..BrokerStats::default()
-        };
-        assert_eq!(b.stats(), expected);
-
-        // Dropped while subscribed: every later copy counts as a full
-        // queue's would, QoS1 deferred and QoS0 dropped, and nothing can
-        // redeliver the deferred copy.
-        let b = Broker::new();
-        let s0 = b.subscribe(filter("t"), QoS::AtMostOnce, 4);
-        let s1 = b.subscribe(filter("t"), QoS::AtLeastOnce, 4);
-        b.publish(qos1("queued"));
-        let (id0, id1) = (s0.id, s1.id);
-        drop(s0);
-        drop(s1);
-        let qos0_out = b.publish_with_outcome(msg("t", "x"));
-        let expected = PublishOutcome {
-            routed: 2,
-            dropped_qos0: 2,
-            ..PublishOutcome::default()
-        };
-        assert_eq!(qos0_out, expected);
-        let qos1_out = b.publish_with_outcome(qos1("y"));
-        let expected = PublishOutcome {
-            routed: 2,
-            deferred_qos1: 1,
-            dropped_qos0: 1,
-            ..PublishOutcome::default()
-        };
-        assert_eq!(qos1_out, expected);
-        let expected = SubscriberStats {
-            delivered: 1,
-            dropped_qos0: 2,
-            ..SubscriberStats::default()
-        };
-        assert_eq!(b.subscriber_stats(id0), Some(expected));
-        let expected = SubscriberStats {
-            delivered: 1,
-            dropped_qos0: 1,
-            deferred_qos1: 1,
-            ..SubscriberStats::default()
-        };
-        assert_eq!(b.subscriber_stats(id1), Some(expected));
+        // Dropped: the session goes with its queue and in-flight store, so
+        // nothing is routed to it, deferred for it or acked into it.
+        let b = Broker::default();
+        let s = subscribe(&b, "t", 1);
+        b.publish(msg("t", "queued"));
+        b.publish(msg("t", "deferred"));
+        let id = s.id;
+        drop(s);
         assert_eq!(
-            b.inflight_count(id1),
-            2,
-            "the unacked copy and the deferred one"
+            b.publish_with_outcome(msg("t", "x")),
+            PublishOutcome::default()
         );
+        assert!(!b.ack(id, 1), "no session left to ack into");
+        assert_eq!(b.subscriber_stats(id), None);
+        assert_eq!(b.deferred_count(), 0);
         assert_eq!(b.redeliver_deferred(), 0);
-        assert_eq!(b.redeliver(id1), 0);
-        assert_eq!(b.deferred_count(), 1);
         let expected = BrokerStats {
             published: 3,
-            delivered: 2,
-            dropped_qos0: 3,
+            delivered: 1,
             deferred_qos1: 1,
-            subscriptions: 2,
             ..BrokerStats::default()
         };
         assert_eq!(b.stats(), expected);
 
-        // The storage consumer's swap on a chaos attach: unsubscribe, then
-        // resubscribe bounded in place (the old handle drops on assignment).
+        // The storage consumer's bounded subscription, drained as the
+        // pipeline drains: ack gate, then deferred retry.
         let registry = Registry::new();
         let b = Broker::with_registry(registry.clone());
-        let mut sub = b.subscribe(filter("t"), QoS::AtLeastOnce, 65_536);
-        b.publish(qos1("before"));
-        let old = sub.id;
-        b.unsubscribe(&sub);
-        sub = b.subscribe_bounded(filter("t"), QoS::AtLeastOnce, 2, 3);
+        let sub = b.subscribe_bounded(filter("t"), QoS::AtLeastOnce, 2, 3);
         let shed: usize = ["a", "b", "c", "d", "e"]
             .into_iter()
-            .map(|body| b.publish_with_outcome(qos1(body)).shed)
+            .map(|body| b.publish_with_outcome(msg("t", body)).shed)
             .sum();
         assert_eq!(shed, 2);
-        assert_eq!(b.subscriber_stats(old), None);
         let expected = SubscriberStats {
             delivered: 2,
             deferred_qos1: 1,
@@ -935,15 +546,13 @@ mod tests {
         };
         assert_eq!(b.subscriber_stats(sub.id), Some(expected));
         let snap = registry.snapshot(Timestamp(0));
-        assert_eq!(snap.value("broker.sub0.delivered"), Some(1));
-        assert_eq!(snap.value("broker.sub1.delivered"), Some(2));
-        assert_eq!(snap.value("broker.sub1.shed"), Some(2));
-        // Drained as the pipeline drains: ack gate, then deferred retry.
+        assert_eq!(snap.value("broker.sub0.delivered"), Some(2));
+        assert_eq!(snap.value("broker.sub0.shed"), Some(2));
         let mut seen = Vec::new();
         loop {
             while let Some(d) = sub.try_recv() {
                 if b.ack(sub.id, d.packet_id.unwrap()) {
-                    seen.extend(payloads(vec![d]));
+                    seen.push(body(&d));
                 }
             }
             if b.redeliver_deferred() == 0 {
@@ -956,26 +565,24 @@ mod tests {
             deferred_qos1: 1,
             redelivered: 1,
             shed: 2,
-            ..SubscriberStats::default()
         };
         assert_eq!(b.subscriber_stats(sub.id), Some(expected));
         let expected = BrokerStats {
-            published: 6,
-            delivered: 4,
+            published: 5,
+            delivered: 3,
             deferred_qos1: 1,
             redelivered: 1,
             shed: 2,
             subscriptions: 1,
-            ..BrokerStats::default()
         };
         assert_eq!(b.stats(), expected);
-        assert_eq!(b.inflight_count(sub.id), 0);
+        assert_eq!(b.unacked(sub.id), 0);
     }
 
     #[test]
     fn concurrent_publish_and_consume() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("load/#"), QoS::AtMostOnce, 100_000);
+        let b = Broker::default();
+        let s = subscribe(&b, "load/#", 100_000);
         let publishers: Vec<_> = (0..4)
             .map(|p| {
                 let b = b.clone();
@@ -989,7 +596,12 @@ mod tests {
         for p in publishers {
             p.join().unwrap();
         }
-        assert_eq!(s.drain().len(), 4000);
+        let mut received = 0;
+        while let Some(d) = s.try_recv() {
+            assert!(b.ack(s.id, d.packet_id.unwrap()));
+            received += 1;
+        }
+        assert_eq!(received, 4000);
         assert_eq!(b.stats().published, 4000);
     }
 
@@ -997,32 +609,31 @@ mod tests {
     fn with_registry_exports_per_subscriber_counters() {
         let registry = Registry::new();
         let b = Broker::with_registry(registry.clone());
-        let s = b.subscribe(filter("t"), QoS::AtMostOnce, 1);
+        let s = subscribe(&b, "t", 1);
         b.publish(msg("t", "a"));
-        b.publish(msg("t", "b")); // queue full → dropped
+        b.publish(msg("t", "b")); // queue full → deferred
         let snap = registry.snapshot(Timestamp(0));
         assert_eq!(snap.value("broker.sub0.delivered"), Some(1));
-        assert_eq!(snap.value("broker.sub0.dropped_qos0"), Some(1));
-        // The legacy getter is a view over the same cells.
+        assert_eq!(snap.value("broker.sub0.deferred_qos1"), Some(1));
+        assert_eq!(snap.value("broker.sub0.inflight_hw"), Some(2));
+        // The test getter is a view over the same cells.
         let st = b.subscriber_stats(s.id).unwrap();
         assert_eq!(st.delivered, 1);
-        assert_eq!(st.dropped_qos0, 1);
+        assert_eq!(st.deferred_qos1, 1);
     }
 
     #[test]
-    fn qos1_overflow_sheds_at_inflight_cap() {
+    fn overflow_sheds_at_inflight_cap() {
         let registry = Registry::new();
         let b = Broker::with_registry(registry.clone());
         // Queue 1, in-flight cap 3: one queued, two deferred, then shed.
         let s = b.subscribe_bounded(filter("t"), QoS::AtLeastOnce, 1, 3);
         let mut shed = 0;
         for body in ["a", "b", "c", "d", "e"] {
-            shed += b
-                .publish_with_outcome(msg("t", body).with_qos(QoS::AtLeastOnce))
-                .shed;
+            shed += b.publish_with_outcome(msg("t", body)).shed;
         }
         assert_eq!(shed, 2);
-        assert_eq!(b.inflight_count(s.id), 3, "store bounded at the cap");
+        assert_eq!(b.unacked(s.id), 3, "store bounded at the cap");
         assert_eq!(b.deferred_count(), 2);
         let st = b.subscriber_stats(s.id).unwrap();
         assert_eq!(st.shed, 2);
@@ -1039,7 +650,7 @@ mod tests {
         loop {
             while let Some(d) = s.try_recv() {
                 if b.ack(s.id, d.packet_id.unwrap()) {
-                    seen.push(d.message.payload_str().unwrap().to_string());
+                    seen.push(body(&d));
                 }
             }
             if b.redeliver_deferred() == 0 {
@@ -1049,44 +660,30 @@ mod tests {
             assert!(guard < 100, "redelivery must converge");
         }
         assert_eq!(seen, vec!["a", "b", "c"]);
-        assert_eq!(b.inflight_count(s.id), 0);
+        assert_eq!(b.unacked(s.id), 0);
     }
 
     #[test]
-    fn zero_capacity_subscription_is_a_config_error() {
-        // Debug builds assert loudly at subscribe time; release builds keep
-        // the subscription inert and surface skipped deliveries through
-        // `PublishOutcome::misconfigured`.
-        #[cfg(debug_assertions)]
-        {
-            let b = Broker::new();
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                b.subscribe(filter("t"), QoS::AtMostOnce, 0)
-            }));
-            assert!(r.is_err(), "capacity 0 must debug-assert");
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            let b = Broker::new();
-            let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 0);
-            let out = b.publish_with_outcome(msg("t", "x").with_qos(QoS::AtLeastOnce));
-            assert_eq!(out.routed, 1);
-            assert_eq!(out.misconfigured, 1);
-            assert_eq!(out.enqueued, 0);
-            assert_eq!(b.inflight_count(s.id), 0, "nothing enters the store");
-            assert!(s.try_recv().is_none());
-        }
+    #[should_panic(expected = "zero queue or in-flight cap")]
+    fn a_zero_capacity_queue_is_refused() {
+        subscribe(&Broker::default(), "t", 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero queue or in-flight cap")]
+    fn a_zero_inflight_cap_is_refused() {
+        Broker::default().subscribe_bounded(filter("t"), QoS::AtLeastOnce, 1, 0);
     }
 
     #[test]
     fn uncapped_subscription_never_sheds() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 1);
+        let b = Broker::default();
+        let s = subscribe(&b, "t", 1);
         for i in 0..50 {
-            let out = b.publish_with_outcome(msg("t", &format!("{i}")).with_qos(QoS::AtLeastOnce));
+            let out = b.publish_with_outcome(msg("t", &format!("{i}")));
             assert_eq!(out.shed, 0);
         }
-        assert_eq!(b.inflight_count(s.id), 50);
+        assert_eq!(b.unacked(s.id), 50);
         assert_eq!(b.stats().shed, 0);
     }
 
@@ -1096,21 +693,21 @@ mod tests {
         // out before the queue does. Reusing one would overwrite an
         // unacked message in the store, and the consumer's ack gate would
         // then drop the later delivery as a duplicate, uncounted.
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 70_000);
-        let topic = topic("t");
+        let b = Broker::default();
+        let s = subscribe(&b, "t", 70_000);
+        let topic = Topic::new("t").unwrap();
         let published = 65_540u64;
         let mut shed = 0;
         for i in 0..published {
             let body = i.to_string().into_bytes();
-            let m = Message::new(topic.clone(), body, Timestamp(0)).with_qos(QoS::AtLeastOnce);
+            let m = Message::new(topic.clone(), body);
             shed += b.publish_with_outcome(m).shed as u64;
         }
-        assert_eq!(b.inflight_count(s.id), PACKET_IDS);
+        assert_eq!(b.unacked(s.id), PACKET_IDS);
         let (mut processed, mut skipped) = (Vec::new(), 0u64);
         while let Some(d) = s.try_recv() {
             if b.ack(s.id, d.packet_id.unwrap()) {
-                processed.push(d.message.payload_str().unwrap().parse::<u64>().unwrap());
+                processed.push(body(&d).parse::<u64>().unwrap());
             } else {
                 skipped += 1;
             }
@@ -1122,16 +719,15 @@ mod tests {
         assert_eq!(processed, (0..65_535).collect::<Vec<u64>>());
         // Ids freed by the acks are handed out again, past the ones a
         // straggler still holds.
-        let m = |body: &str| msg("t", body).with_qos(QoS::AtLeastOnce);
-        b.publish(m("straggler"));
+        b.publish(msg("t", "straggler"));
         let straggler = s.try_recv().unwrap().packet_id.unwrap();
         for _ in 0..PACKET_IDS - 1 {
-            b.publish(m("x"));
+            b.publish(msg("t", "x"));
             let d = s.try_recv().unwrap();
             assert_ne!(d.packet_id, Some(straggler));
             assert!(b.ack(s.id, d.packet_id.unwrap()));
         }
-        b.publish(m("wrapped"));
+        b.publish(msg("t", "wrapped"));
         let wrapped = s.try_recv().unwrap();
         assert_ne!(wrapped.packet_id, Some(straggler), "stepped past it");
         assert!(b.ack(s.id, wrapped.packet_id.unwrap()));
@@ -1140,8 +736,8 @@ mod tests {
 
     #[test]
     fn pending_counts_queue_depth() {
-        let b = Broker::new();
-        let s = b.subscribe(filter("t"), QoS::AtMostOnce, 8);
+        let b = Broker::default();
+        let s = subscribe(&b, "t", 8);
         assert_eq!(s.pending(), 0);
         b.publish(msg("t", "a"));
         b.publish(msg("t", "b"));

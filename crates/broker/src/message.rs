@@ -1,15 +1,14 @@
-//! Broker messages and quality-of-service levels.
+//! Broker messages and the quality-of-service level.
 
 use crate::topic::Topic;
-use ctt_core::time::Timestamp;
 use std::sync::Arc;
 
-/// MQTT quality of service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// MQTT quality of service. The broker delivers at least once, and only
+/// so; the type stays because the frozen `benchmark/` harness passes
+/// `QoS::AtLeastOnce` to [`crate::Broker::subscribe`], until ROADMAP
+/// item 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QoS {
-    /// At most once: fire and forget.
-    #[default]
-    AtMostOnce,
     /// At least once: requires acknowledgement, may be redelivered.
     AtLeastOnce,
 }
@@ -22,80 +21,27 @@ pub struct Message {
     pub topic: Topic,
     /// Opaque payload bytes.
     pub payload: Arc<Vec<u8>>,
-    /// Quality of service requested by the publisher.
-    pub qos: QoS,
-    /// Retain flag: stored as the topic's "last known good" value.
-    pub retain: bool,
-    /// Publish time (from the simulation clock).
-    pub time: Timestamp,
 }
 
 impl Message {
-    /// Build a non-retained QoS0 message.
-    pub fn new(topic: Topic, payload: Vec<u8>, time: Timestamp) -> Self {
+    /// Build a message.
+    pub fn new(topic: Topic, payload: Vec<u8>) -> Self {
         Message {
             topic,
             payload: Arc::new(payload),
-            qos: QoS::AtMostOnce,
-            retain: false,
-            time,
         }
-    }
-
-    /// Set QoS.
-    pub fn with_qos(mut self, qos: QoS) -> Self {
-        self.qos = qos;
-        self
-    }
-
-    /// Set the retain flag.
-    pub fn retained(mut self) -> Self {
-        self.retain = true;
-        self
-    }
-
-    /// Payload as UTF-8, if valid.
-    pub fn payload_str(&self) -> Option<&str> {
-        std::str::from_utf8(&self.payload).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topic::Topic;
-
-    #[test]
-    fn builders() {
-        let t = Topic::new("a/b").unwrap();
-        let m = Message::new(t.clone(), b"hello".to_vec(), Timestamp(7))
-            .with_qos(QoS::AtLeastOnce)
-            .retained();
-        assert_eq!(m.topic, t);
-        assert_eq!(m.qos, QoS::AtLeastOnce);
-        assert!(m.retain);
-        assert_eq!(m.payload_str(), Some("hello"));
-        assert_eq!(m.time, Timestamp(7));
-    }
 
     #[test]
     fn clone_shares_payload() {
         let t = Topic::new("a").unwrap();
-        let m = Message::new(t, vec![0u8; 1024], Timestamp(0));
+        let m = Message::new(t, vec![0u8; 1024]);
         let c = m.clone();
         assert!(Arc::ptr_eq(&m.payload, &c.payload));
-    }
-
-    #[test]
-    fn non_utf8_payload() {
-        let t = Topic::new("a").unwrap();
-        let m = Message::new(t, vec![0xFF, 0xFE], Timestamp(0));
-        assert_eq!(m.payload_str(), None);
-    }
-
-    #[test]
-    fn qos_ordering() {
-        assert!(QoS::AtMostOnce < QoS::AtLeastOnce);
-        assert_eq!(QoS::default(), QoS::AtMostOnce);
     }
 }

@@ -70,16 +70,6 @@ impl Topic {
         debug_assert!(Topic::check(s).is_ok(), "unsanitized topic: {s:?}");
         Topic(s.into())
     }
-
-    /// The topic string.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// The topic levels.
-    pub fn levels(&self) -> impl Iterator<Item = &str> {
-        self.0.split('/')
-    }
 }
 
 impl fmt::Display for Topic {
@@ -123,27 +113,19 @@ impl TopicFilter {
         TopicFilter(s)
     }
 
-    /// The filter string.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// The filter levels.
-    pub fn levels(&self) -> impl Iterator<Item = &str> {
-        self.0.split('/')
-    }
-
-    /// MQTT matching: does this filter match `topic`?
+    /// MQTT 3.1.1 §4.7 matching: does this filter match `topic`? The
+    /// broker's only router, so it walks both strings in place.
     pub fn matches(&self, topic: &Topic) -> bool {
-        let mut f = self.0.split('/').peekable();
+        let mut f = self.0.split('/');
         let mut t = topic.0.split('/');
         loop {
             match (f.next(), t.next()) {
+                // `#` matches the rest, none included: `a/#` matches `a`.
                 (Some("#"), _) => return true,
+                // `+` matches any one level, an empty one included.
                 (Some("+"), Some(_)) => continue,
                 (Some(fl), Some(tl)) if fl == tl => continue,
                 (None, None) => return true,
-                // Trailing "/#" also matches the parent level itself.
                 _ => return false,
             }
         }
@@ -221,13 +203,36 @@ mod tests {
         assert!(filter("ctt/+/devices/+/up").matches(&up));
         assert!(filter("ctt/trondheim/#").matches(&up));
         assert!(!filter("ctt/vejle/#").matches(&up));
-        assert_eq!(up.levels().count(), 5);
+    }
+
+    /// The edges no other case pins: `#` and its parent level, `+` and a
+    /// missing level, empty levels.
+    #[test]
+    fn edge_levels() {
+        for (f, t, expect) in [
+            ("a/#", "a", true),
+            ("+/#", "a", true),
+            ("a/+/#", "a", false),
+            ("a/+", "a", false),
+            ("a/#", "ab", false),
+            ("a/+/b", "a//b", true),
+            ("a//b", "a//b", true),
+            ("a/b", "a//b", false),
+            ("a/+", "a/", true),
+            ("a/#", "a/", true),
+            ("+/+", "/", true),
+            ("+", "/", false),
+            ("#", "/", true),
+            ("/#", "/a", true),
+            ("+", "/a", false),
+        ] {
+            assert_eq!(filter(f).matches(&topic(t)), expect, "{f} vs {t}");
+        }
     }
 
     #[test]
     fn display_roundtrip() {
         assert_eq!(topic("a/b").to_string(), "a/b");
         assert_eq!(filter("a/#").to_string(), "a/#");
-        assert_eq!(filter("a/#").as_str(), "a/#");
     }
 }

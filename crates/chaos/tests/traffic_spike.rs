@@ -93,8 +93,8 @@ fn x100_spike_sheds_visibly_and_conserves_every_uplink() {
 
     // The advertised bound held: the storage subscriber's in-flight store
     // never exceeded its cap, even at the spike's peak (high-water gauge).
-    // The storage subscription is re-made by attach_chaos, so it is sub1.
-    let hw = snap.value("broker.sub1.inflight_hw").unwrap_or(-1);
+    // The storage subscription is the broker's only one: sub0.
+    let hw = snap.value("broker.sub0.inflight_hw").unwrap_or(-1);
     assert!(
         (0..=64).contains(&hw),
         "in-flight high-water {hw} breached cap 64"

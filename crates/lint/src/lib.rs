@@ -193,7 +193,6 @@ impl Default for LintConfig {
                 "src/".into(),
             ],
             entry_points: vec![
-                ("Broker".into(), "publish".into()),
                 ("Broker".into(), "publish_with_outcome".into()),
                 ("ShardedTsdb".into(), "put_batch".into()),
                 ("ShardedTsdb".into(), "execute".into()),

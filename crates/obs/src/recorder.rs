@@ -103,7 +103,7 @@ impl FlightRecorder {
         out
     }
 
-    /// Canonical post-mortem dump: a header, then one line per retained
+    /// Canonical post-mortem dump: a header, then one line per kept
     /// event oldest-to-newest. Byte-identical across replays.
     pub fn dump(&self) -> String {
         let events = self.events();

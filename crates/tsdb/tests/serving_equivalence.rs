@@ -21,13 +21,16 @@
 //! The store uses a small rollup interval (10 min) and chunk size so that
 //! sealed chunks, rollup-served buckets, partially-covered edge buckets,
 //! open-buffer overlaps, and index skips all occur within short workloads.
+//! Most cases put every value on a decimal grid `n / 10^e`, as payload
+//! readings are, so chunks and rollup sums take the grid coding; answers
+//! are compared bit for bit, where an ulp off in a grid sum shows.
 
 use ctt_core::rng::SplitMix64;
 use ctt_core::time::{Span, Timestamp};
 use ctt_obs::Registry;
 use ctt_tsdb::{
-    execute_raw, Aggregator, DataPoint, Downsample, FillPolicy, Query, SeriesId, ServePolicy,
-    ShardedTsdb, TagSet, Tsdb,
+    execute_raw, Aggregator, DataPoint, Downsample, FillPolicy, Query, QueryResult, SeriesId,
+    ServePolicy, ShardedTsdb, TagSet, Tsdb,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -232,6 +235,61 @@ fn append_both(
     Ok(())
 }
 
+/// `v` moved onto the decimal grid `n / 10^e` (`e` < 4), with `n / 10^e`
+/// the expression a grid-coded column decodes by; `v` itself for any
+/// other `e`. `-0.0` stays, and keeps its chunk off the grid.
+fn on_grid(v: f64, e: u8) -> f64 {
+    if e >= 4 {
+        return v;
+    }
+    let scale = 10f64.powi(i32::from(e));
+    (v * scale).round() / scale
+}
+
+/// Every value of `op` moved onto the grid of exponent `e`.
+fn gridded(op: &Op, e: u8) -> Op {
+    let specs = |specs: &[(u8, u8, i64, f64)]| {
+        specs
+            .iter()
+            .map(|&(m, d, t, v)| (m, d, t, on_grid(v, e)))
+            .collect()
+    };
+    match op {
+        Op::PutBatch(s) => Op::PutBatch(specs(s)),
+        Op::Append(s) => Op::Append(specs(s)),
+        Op::AppendRun(m, d, gap, step, vs) => Op::AppendRun(
+            *m,
+            *d,
+            *gap,
+            *step,
+            vs.iter().map(|&v| on_grid(v, e)).collect(),
+        ),
+        Op::LatePoint(m, d, back, v) => Op::LatePoint(*m, *d, *back, on_grid(*v, e)),
+        Op::SealAll | Op::FlipBit(..) => op.clone(),
+    }
+}
+
+/// A result set with each value as its bits, NaNs made canonical: `-0.0`
+/// and `0.0` differ, and so does a value one ulp off.
+type Exact<'a> = Vec<(&'a TagSet, usize, usize, u64, Vec<(Timestamp, u64)>)>;
+
+fn exact(results: &[QueryResult]) -> Exact<'_> {
+    let bits = |v: f64| if v.is_nan() { f64::NAN } else { v }.to_bits();
+    results
+        .iter()
+        .map(|r| {
+            let points = r.series.points.iter().map(|&(t, v)| (t, bits(v)));
+            (
+                &r.group,
+                r.source_series,
+                r.quarantined_chunks,
+                r.quarantined_points,
+                points.collect(),
+            )
+        })
+        .collect()
+}
+
 /// Advance each written series' latest timestamp.
 fn note_latest(last: &mut BTreeMap<(u8, u8), i64>, specs: &[(u8, u8, i64, f64)]) {
     for &(m, d, t, _) in specs {
@@ -241,15 +299,18 @@ fn note_latest(last: &mut BTreeMap<(u8, u8), i64>, specs: &[(u8, u8, i64, f64)])
 }
 
 proptest! {
-    /// Replay an arbitrary op sequence; after every op, every query shape
-    /// must answer under each of the four policies exactly as the plain
+    /// Replay an arbitrary op sequence, its values on the grid of exponent
+    /// `grid` (< 4) or as drawn; after every op, every query shape must
+    /// answer under each of the four policies bit for bit as the plain
     /// `Tsdb` answers raw, the mirror must answer the same, and the three
     /// stores must agree on stats and on the integrity scan.
     #[test]
     fn full_serving_stack_matches_raw_decode(
         ops in proptest::collection::vec(op_strategy(), 1..12),
         order_seed in any::<u64>(),
+        grid in 0u8..6,
     ) {
+        let ops: Vec<Op> = ops.iter().map(|op| gridded(op, grid)).collect();
         let (db, registry) = store();
         let (mirror, mirror_registry) = store();
         let mut reference = Reference { mirror, flat: Tsdb::with_layout(16, ROLLUP) };
@@ -305,10 +366,10 @@ proptest! {
                 let raw = execute_raw(flat, &q);
                 for policy in shuffled_policies(&mut order) {
                     let served = db.execute_with(&q, policy).unwrap();
-                    prop_assert_eq!(&served, &raw, "{:?} diverged on {:?} after {:?}", policy, q, op);
+                    prop_assert_eq!(exact(&served), exact(&raw), "{:?} diverged on {:?} after {:?}", policy, q, op);
                 }
                 let mirrored = reference.mirror.execute_with(&q, ServePolicy::raw()).unwrap();
-                prop_assert_eq!(&mirrored, &raw, "write paths diverged on {:?}", q);
+                prop_assert_eq!(exact(&mirrored), exact(&raw), "write paths diverged on {:?}", q);
             }
         }
         // The workload above must actually exercise the cache.

@@ -103,6 +103,9 @@ const PRIO_DRAIN: u8 = 4;
 /// seeds stay byte-identical; overload runs bound each dispatch to this.
 const DEFAULT_DRAIN_BATCH: usize = 64;
 
+/// The storage subscription's queue capacity unless a fault plan sets one.
+const STORAGE_QUEUE: usize = 65_536;
+
 /// EUI base for synthetic traffic-spike devices. Far above any deployment's
 /// sequential numbering, so spike traffic can never collide with a real
 /// device's ledger keys.
@@ -213,8 +216,7 @@ pub struct Pipeline {
     /// The discrete-event calendar every time-driven layer schedules into.
     events: EventQueue<SimEvent>,
     stats: PipelineStats,
-    seed: u64,
-    /// Fault-injection interpreter, when chaos is attached.
+    /// Fault-injection interpreter, when built with a fault plan.
     chaos: Option<ChaosEngine>,
     /// Conservation accounting — maintained on every run, chaos or not.
     ledger: LossLedger,
@@ -265,6 +267,13 @@ pub struct Pipeline {
 impl Pipeline {
     /// Build the pipeline for a deployment.
     pub fn new(deployment: Deployment, seed: u64) -> Self {
+        Pipeline::build(deployment, seed, STORAGE_QUEUE, usize::MAX)
+    }
+
+    /// Build the pipeline with its one storage subscription: a queue of
+    /// `storage_queue` deliveries and an in-flight store of at most
+    /// `inflight_cap` (and at most the 65 535 packet ids).
+    fn build(deployment: Deployment, seed: u64, storage_queue: usize, inflight_cap: usize) -> Self {
         let emission = deployment.emission_model(seed);
         let nodes = deployment.spawn_nodes(seed);
         let gateways = deployment
@@ -276,7 +285,14 @@ impl Pipeline {
         let registry = Registry::new();
         let chaos_obs = ChaosObs::register(&registry);
         let broker = Broker::with_registry(registry.clone());
-        let storage_sub = broker.subscribe(UplinkEvent::all_filter(), QoS::AtLeastOnce, 65_536);
+        // Past the in-flight cap the broker sheds a copy, which this
+        // pipeline owns as `Lost(Backpressure)` at the publish site.
+        let storage_sub = broker.subscribe_bounded(
+            UplinkEvent::all_filter(),
+            QoS::AtLeastOnce,
+            storage_queue,
+            inflight_cap,
+        );
         let mut tsdb = ShardedTsdb::default();
         tsdb.attach_registry(&registry);
         let mut dataport = Dataport::new(DataportConfig::default());
@@ -328,7 +344,6 @@ impl Pipeline {
             clock: SimClock::new(start),
             events,
             stats: PipelineStats::default(),
-            seed,
             chaos: None,
             ledger: LossLedger::new(),
             chaos_dead: HashMap::new(),
@@ -348,58 +363,43 @@ impl Pipeline {
         }
     }
 
-    /// Build a pipeline with a chaos plan attached from the start.
+    /// Build a pipeline with a fault plan. The plan's storage knobs size
+    /// the storage subscription, each at least 1 (a zero queue could never
+    /// receive, a zero cap would shed everything); gateway outage windows
+    /// are handed to the radio simulator; everything else is consulted at
+    /// stage boundaries while the simulation runs. The engine is seeded
+    /// with the pipeline seed, so the same (seed, plan) pair replays
+    /// byte-identically.
     pub fn with_chaos(deployment: Deployment, seed: u64, plan: FaultPlan) -> Self {
-        let mut p = Pipeline::new(deployment, seed);
-        p.attach_chaos(plan);
-        p
-    }
-
-    /// Attach a fault plan. Gateway outage windows are handed to the radio
-    /// simulator; everything else is consulted at stage boundaries while
-    /// the simulation runs. The engine is seeded with the pipeline seed, so
-    /// the same (seed, plan) pair replays byte-identically.
-    pub fn attach_chaos(&mut self, plan: FaultPlan) {
-        if plan.storage_queue_capacity.is_some() || plan.storage_inflight_cap.is_some() {
-            let capacity = plan.storage_queue_capacity.unwrap_or(65_536);
-            self.broker.unsubscribe(&self.storage_sub);
-            self.storage_sub = match plan.storage_inflight_cap {
-                // Bounded in-flight store: past the cap the broker sheds
-                // QoS1 overflow, which this pipeline owns as
-                // `Lost(Backpressure)` at the publish site.
-                Some(cap) => self.broker.subscribe_bounded(
-                    UplinkEvent::all_filter(),
-                    QoS::AtLeastOnce,
-                    capacity,
-                    cap,
-                ),
-                None => {
-                    self.broker
-                        .subscribe(UplinkEvent::all_filter(), QoS::AtLeastOnce, capacity)
-                }
-            };
-        }
+        let queue = plan
+            .storage_queue_capacity
+            .map_or(STORAGE_QUEUE, |queue| queue.max(1));
+        let cap = plan
+            .storage_inflight_cap
+            .map_or(usize::MAX, |cap| cap.max(1));
+        let mut p = Pipeline::build(deployment, seed, queue, cap);
         if let Some(batch) = plan.drain_batch {
-            self.drain_batch = batch.max(1);
+            p.drain_batch = batch.max(1);
         }
         if let Some(cfg) = plan.admission {
-            self.admission = Some(AdmissionControl::new(
+            p.admission = Some(AdmissionControl::new(
                 cfg.burst,
                 cfg.refill_per_hour,
                 cfg.defer_cap,
             ));
         }
-        let engine = ChaosEngine::new(self.seed, plan);
-        self.radio.set_outages(engine.outage_windows());
+        let engine = ChaosEngine::new(seed, plan);
+        p.radio.set_outages(engine.outage_windows());
         // Register the engine's windowed-state transitions (death edges,
-        // bit-flip fire times) as events; past instants clamp to now so a
-        // late attach still applies them on the next dispatch.
-        let now = self.clock.now();
+        // bit-flip fire times) as events; instants before the deployment
+        // start clamp to it, so they apply on the first dispatch.
+        let start = p.clock.now();
         for t in engine.transition_times() {
-            self.events
-                .schedule(t.max(now), PRIO_CHAOS, SimEvent::ChaosTransition);
+            p.events
+                .schedule(t.max(start), PRIO_CHAOS, SimEvent::ChaosTransition);
         }
-        self.chaos = Some(engine);
+        p.chaos = Some(engine);
+        p
     }
 
     /// Current simulation time.
@@ -503,11 +503,9 @@ impl Pipeline {
         let bs = self.broker.stats();
         snap.push_counter("stage.broker.published", bs.published);
         snap.push_counter("stage.broker.delivered", bs.delivered);
-        snap.push_counter("stage.broker.dropped_qos0", bs.dropped_qos0);
         snap.push_counter("stage.broker.deferred_qos1", bs.deferred_qos1);
         snap.push_counter("stage.broker.redelivered", bs.redelivered);
         snap.push_counter("stage.broker.shed", bs.shed);
-        snap.push_gauge("stage.broker.retained", bs.retained as i64);
         snap.push_gauge("stage.broker.subscriptions", bs.subscriptions as i64);
         snap.push_counter("stage.server.adr_commands", self.stats.adr_commands);
         snap.push_counter("stage.tsdb.points_stored", self.stats.points_stored);
@@ -955,10 +953,10 @@ impl Pipeline {
         }
     }
 
-    /// The admitted publish: broker delivery with bounded retry. A copy
-    /// shed at the storage subscriber's in-flight cap is gone for good —
-    /// only the storage subscription is ever capped, so `shed > 0` means
-    /// the uplink will never be stored and the publisher owns the loss.
+    /// The admitted publish: one broker publish. A copy shed at the
+    /// storage subscriber's in-flight cap is gone for good — only the
+    /// storage subscription is ever capped, so `shed > 0` means the uplink
+    /// will never be stored and the publisher owns the loss.
     fn publish_to_broker(&mut self, r: &UplinkRecord) {
         let event = &mut self.outbound;
         event.device = r.device;
@@ -971,11 +969,10 @@ impl Pipeline {
         event.gateway_count = r.gateway_count;
         event.payload.clear();
         event.payload.extend_from_slice(&r.payload);
-        // Bounded retry with exponential backoff: a full storage queue
-        // defers QoS1 deliveries instead of losing them, and the bridge
-        // gives up after the policy's attempts rather than spinning.
-        let report = event.publish_with_retry(&self.broker, RetryPolicy::default());
-        if report.shed > 0 {
+        // A full storage queue defers the copy instead of losing it; the
+        // drain pass retries it.
+        let outcome = event.publish_with_retry(&self.broker, RetryPolicy::default());
+        if outcome.shed > 0 {
             self.ledger
                 .attribute(r.device, r.time, CauseCode::Backpressure);
             self.dataport.raise_alarm(
