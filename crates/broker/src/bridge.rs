@@ -700,12 +700,13 @@ mod tests {
         let broker = Broker::default();
         let sub = broker.subscribe(UplinkEvent::all_filter(), QoS::AtLeastOnce, 1);
         let e = event();
-        let first = e.publish_with_retry(&broker, RetryPolicy::default());
-        assert_eq!((first.routed, first.enqueued), (1, 1));
+        let counts = |b: &Broker| (b.stats().delivered, b.stats().deferred_qos1);
+        e.publish_with_retry(&broker, RetryPolicy::default());
+        assert_eq!(counts(&broker), (1, 0));
         // Queue full and the consumer stalled: the copy is deferred, not
         // lost…
         let second = e.publish_with_retry(&broker, RetryPolicy::default());
-        assert_eq!((second.enqueued, second.deferred_qos1), (0, 1));
+        assert_eq!((second.shed, counts(&broker)), (0, (1, 1)));
         // …and the drain pass (ack, then deferred retry) recovers it.
         let d = sub.try_recv().unwrap();
         assert!(broker.ack(sub.id, d.packet_id.unwrap()));

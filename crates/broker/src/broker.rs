@@ -7,12 +7,12 @@
 //! store until acknowledged. A copy that meets a full queue waits in the
 //! store and is retried by [`Broker::redeliver_deferred`].
 //!
-//! All state — every subscriber's queue included — sits behind the one
-//! broker mutex; a [`Subscriber`] is the broker handle plus its id.
+//! All state — every subscriber's queue and counts included — sits behind
+//! the one broker mutex; a [`Subscriber`] is the broker handle plus its id.
 
 use crate::message::{Message, QoS};
 use crate::topic::TopicFilter;
-use ctt_obs::{Counter, Gauge, Registry};
+use ctt_obs::{Registry, Snapshot};
 // lint:allow(shared): a Broker is a Clone + Sync handle its callers share
 use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
@@ -34,7 +34,8 @@ pub struct Delivery {
     pub packet_id: Option<u16>,
 }
 
-/// Aggregate broker counters.
+/// Aggregate broker counters: `published` and `subscriptions`, plus the
+/// sums of every subscription's counts, dropped ones included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerStats {
     /// Messages published.
@@ -52,44 +53,28 @@ pub struct BrokerStats {
     pub subscriptions: usize,
 }
 
-/// What happened to one publish.
+/// What happened to one publish. Deliveries and deferrals are in the
+/// subscriptions' counts ([`Broker::stats`], [`Broker::export`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublishOutcome {
-    /// Subscriptions the message was routed to.
-    pub routed: usize,
-    /// Deliveries that made it into a subscriber queue.
-    pub enqueued: usize,
-    /// Deliveries deferred to the in-flight store (queue full).
-    pub deferred_qos1: usize,
     /// Deliveries shed because the subscriber's in-flight store was at its
     /// cap — the broker gave up on this copy; publishers must account for
     /// the loss.
     pub shed: usize,
 }
 
-/// Per-subscriber counters, backed by registry cells so they show up in
-/// metric exports under `broker.sub<id>.*`.
-#[derive(Debug, Clone)]
-struct SessionCounters {
-    delivered: Counter,
-    deferred_qos1: Counter,
-    redelivered: Counter,
-    shed: Counter,
+/// One subscription's counts, exported as `broker.sub<id>.*`. Each event
+/// is counted here and nowhere else: [`BrokerStats`] sums them.
+#[derive(Debug, Default)]
+struct SessionCounts {
+    /// Deliveries enqueued, redeliveries included.
+    delivered: u64,
+    deferred_qos1: u64,
+    redelivered: u64,
+    shed: u64,
     /// High-water of the in-flight store (queued + deferred, unacked);
     /// bounded by the in-flight cap.
-    inflight_hw: Gauge,
-}
-
-impl SessionCounters {
-    fn register(registry: &Registry, id: SubscriptionId) -> Self {
-        SessionCounters {
-            delivered: registry.counter(&format!("broker.sub{}.delivered", id.0)),
-            deferred_qos1: registry.counter(&format!("broker.sub{}.deferred_qos1", id.0)),
-            redelivered: registry.counter(&format!("broker.sub{}.redelivered", id.0)),
-            shed: registry.counter(&format!("broker.sub{}.shed", id.0)),
-            inflight_hw: registry.gauge(&format!("broker.sub{}.inflight_hw", id.0)),
-        }
-    }
+    inflight_hw: usize,
 }
 
 #[derive(Debug)]
@@ -107,7 +92,7 @@ struct Session {
     /// Cap on the in-flight store (queued + deferred, unacked), at most
     /// [`PACKET_IDS`]; at the cap a copy is shed instead of deferred.
     inflight_cap: usize,
-    counters: SessionCounters,
+    counts: SessionCounts,
 }
 
 impl Session {
@@ -126,18 +111,12 @@ impl Session {
 
     /// Deliver one copy of `message`. A copy is two reference count bumps
     /// (topic and payload), never a byte copy.
-    fn deliver(
-        &mut self,
-        message: &Message,
-        stats: &mut BrokerStats,
-        outcome: &mut PublishOutcome,
-    ) {
+    fn deliver(&mut self, message: &Message, outcome: &mut PublishOutcome) {
         // Full means the in-flight cap, and in any case every packet id
         // being taken. Deferral space is exhausted either way: shed the
         // copy. The publisher sees it in the outcome and owns the loss.
         if self.inflight.len() >= self.inflight_cap {
-            stats.shed += 1;
-            self.counters.shed.inc();
+            self.counts.shed += 1;
             outcome.shed += 1;
             return;
         }
@@ -155,18 +134,13 @@ impl Session {
             }
         }
         self.next_pid = next_packet_id(pid);
-        let depth = i64::try_from(self.inflight.len()).unwrap_or(i64::MAX);
-        self.counters.inflight_hw.raise_to(depth);
+        self.counts.inflight_hw = self.counts.inflight_hw.max(self.inflight.len());
         if self.offer(message.clone(), pid) {
-            stats.delivered += 1;
-            self.counters.delivered.inc();
-            outcome.enqueued += 1;
+            self.counts.delivered += 1;
         } else {
             // Still in the in-flight store: will be redelivered.
-            stats.deferred_qos1 += 1;
-            self.counters.deferred_qos1.inc();
+            self.counts.deferred_qos1 += 1;
             self.deferred.push(pid);
-            outcome.deferred_qos1 += 1;
         }
     }
 }
@@ -182,12 +156,18 @@ fn next_packet_id(pid: u16) -> u16 {
 #[derive(Debug, Default)]
 struct Inner {
     sessions: BTreeMap<SubscriptionId, Session>,
+    /// The counts of dropped subscriptions, which outlive their sessions.
+    retired: BTreeMap<SubscriptionId, SessionCounts>,
     next_id: u64,
-    stats: BrokerStats,
-    /// Where per-subscriber counters are registered. A private (default)
-    /// registry when the broker runs standalone; shared via
-    /// [`Broker::with_registry`] when embedded in an instrumented pipeline.
-    registry: Registry,
+    published: u64,
+}
+
+impl Inner {
+    /// Every subscription's counts, live and dropped.
+    fn counts(&self) -> impl Iterator<Item = (&SubscriptionId, &SessionCounts)> {
+        let live = self.sessions.iter().map(|(id, s)| (id, &s.counts));
+        live.chain(self.retired.iter())
+    }
 }
 
 /// The broker. Cheaply clonable handle (`Arc` inside).
@@ -221,18 +201,19 @@ impl Subscriber {
 
 impl Drop for Subscriber {
     fn drop(&mut self) {
-        self.broker.inner.lock().sessions.remove(&self.id);
+        let mut inner = self.broker.inner.lock();
+        if let Some(session) = inner.sessions.remove(&self.id) {
+            inner.retired.insert(self.id, session.counts);
+        }
     }
 }
 
 impl Broker {
-    /// New empty broker whose per-subscriber counters register into
-    /// `registry` (as `broker.sub<id>.*`), so they appear alongside the
-    /// rest of a pipeline's metrics in snapshots.
-    pub fn with_registry(registry: Registry) -> Self {
-        let broker = Broker::default();
-        broker.inner.lock().registry = registry;
-        broker
+    /// A new empty broker: [`Broker::default`]. The broker keeps its own
+    /// counts ([`Broker::export`]), so the marker says nothing; it stays
+    /// for the frozen `benchmark/` harness until ROADMAP item 1.
+    pub fn with_registry(_registry: Registry) -> Self {
+        Broker::default()
     }
 
     /// Subscribe to `filter` with a queue of `capacity` deliveries. The
@@ -272,7 +253,6 @@ impl Broker {
         let mut inner = self.inner.lock();
         let id = SubscriptionId(inner.next_id);
         inner.next_id += 1;
-        let counters = SessionCounters::register(&inner.registry, id);
         let session = Session {
             filter,
             queue: VecDeque::new(),
@@ -281,7 +261,7 @@ impl Broker {
             inflight: BTreeMap::new(),
             deferred: Vec::new(),
             inflight_cap: inflight_cap.min(PACKET_IDS),
-            counters,
+            counts: SessionCounts::default(),
         };
         inner.sessions.insert(id, session);
         Subscriber {
@@ -294,15 +274,11 @@ impl Broker {
     /// topic, in subscription order, and report what became of the copies.
     pub fn publish_with_outcome(&self, message: Message) -> PublishOutcome {
         let mut inner = self.inner.lock();
-        let Inner {
-            sessions, stats, ..
-        } = &mut *inner;
-        stats.published += 1;
+        inner.published += 1;
         let mut outcome = PublishOutcome::default();
-        for session in sessions.values_mut() {
+        for session in inner.sessions.values_mut() {
             if session.filter.matches(&message.topic) {
-                outcome.routed += 1;
-                session.deliver(&message, stats, &mut outcome);
+                session.deliver(&message, &mut outcome);
             }
         }
         outcome
@@ -334,15 +310,13 @@ impl Broker {
                 };
                 if session.offer(msg, pid) {
                     n += 1;
-                    session.counters.redelivered.inc();
-                    session.counters.delivered.inc();
+                    session.counts.redelivered += 1;
+                    session.counts.delivered += 1;
                 } else {
                     session.deferred.push(pid);
                 }
             }
         }
-        inner.stats.redelivered += n as u64;
-        inner.stats.delivered += n as u64;
         n
     }
 
@@ -360,9 +334,32 @@ impl Broker {
     /// Counters snapshot.
     pub fn stats(&self) -> BrokerStats {
         let inner = self.inner.lock();
-        BrokerStats {
+        let mut stats = BrokerStats {
+            published: inner.published,
             subscriptions: inner.sessions.len(),
-            ..inner.stats
+            ..BrokerStats::default()
+        };
+        for (_, c) in inner.counts() {
+            stats.delivered += c.delivered;
+            stats.deferred_qos1 += c.deferred_qos1;
+            stats.redelivered += c.redelivered;
+            stats.shed += c.shed;
+        }
+        stats
+    }
+
+    /// Write every subscription's counts, live and dropped, into `snap` as
+    /// `broker.sub<id>.{delivered, deferred_qos1, redelivered, shed}` and
+    /// the `broker.sub<id>.inflight_hw` gauge.
+    pub fn export(&self, snap: &mut Snapshot) {
+        let inner = self.inner.lock();
+        for (id, c) in inner.counts() {
+            let name = |field: &str| format!("broker.sub{}.{field}", id.0);
+            snap.push_counter(&name("delivered"), c.delivered);
+            snap.push_counter(&name("deferred_qos1"), c.deferred_qos1);
+            snap.push_counter(&name("redelivered"), c.redelivered);
+            snap.push_counter(&name("shed"), c.shed);
+            snap.push_gauge(&name("inflight_hw"), c.inflight_hw as i64);
         }
     }
 }
@@ -373,8 +370,8 @@ mod tests {
     use crate::topic::Topic;
     use ctt_core::time::Timestamp;
 
-    /// One subscription's registry-backed counters (exported as
-    /// `broker.sub<id>.*`), read straight from its session.
+    /// One subscription's counts (exported as `broker.sub<id>.*`), read
+    /// straight from its live session.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     struct SubscriberStats {
         delivered: u64,
@@ -390,10 +387,10 @@ mod tests {
                 .sessions
                 .get(&sub)
                 .map(|s| SubscriberStats {
-                    delivered: s.counters.delivered.get(),
-                    deferred_qos1: s.counters.deferred_qos1.get(),
-                    redelivered: s.counters.redelivered.get(),
-                    shed: s.counters.shed.get(),
+                    delivered: s.counts.delivered,
+                    deferred_qos1: s.counts.deferred_qos1,
+                    redelivered: s.counts.redelivered,
+                    shed: s.counts.shed,
                 })
         }
 
@@ -407,9 +404,16 @@ mod tests {
                 .map_or(0, |s| s.inflight.len())
         }
 
-        fn publish(&self, message: Message) -> usize {
-            self.publish_with_outcome(message).routed
+        fn publish(&self, message: Message) {
+            self.publish_with_outcome(message);
         }
+    }
+
+    /// What the broker's export writes.
+    fn exported(b: &Broker) -> Snapshot {
+        let mut snap = Snapshot::new(Timestamp(0));
+        b.export(&mut snap);
+        snap
     }
 
     fn filter(s: &str) -> TopicFilter {
@@ -427,23 +431,18 @@ mod tests {
 
     #[test]
     fn publish_routes_to_matching_subscribers() {
-        let registry = Registry::new();
-        let b = Broker::with_registry(registry.clone());
+        let b = Broker::default();
         let s1 = subscribe(&b, "ctt/+/up", 16);
         let s2 = subscribe(&b, "ctt/node1/#", 16);
         let s3 = subscribe(&b, "other/#", 16);
         let out = b.publish_with_outcome(msg("ctt/node1/up", "x"));
-        let expected = PublishOutcome {
-            routed: 2,
-            enqueued: 2,
-            ..PublishOutcome::default()
-        };
-        assert_eq!(out, expected);
+        assert_eq!(out, PublishOutcome::default(), "nothing shed");
+        assert_eq!(b.stats().delivered, 2, "routed to two, both enqueued");
         // Each subscription numbers its own packet ids.
         assert_eq!(s1.try_recv().unwrap().packet_id, Some(1));
         assert_eq!(s2.try_recv().unwrap().packet_id, Some(1));
         assert!(s3.try_recv().is_none());
-        let snap = registry.snapshot(Timestamp(0));
+        let snap = exported(&b);
         assert_eq!(snap.value("broker.sub0.delivered"), Some(1));
         assert_eq!(snap.value("broker.sub1.delivered"), Some(1));
         assert_eq!(snap.value("broker.sub2.delivered"), Some(0));
@@ -530,8 +529,7 @@ mod tests {
 
         // The storage consumer's bounded subscription, drained as the
         // pipeline drains: ack gate, then deferred retry.
-        let registry = Registry::new();
-        let b = Broker::with_registry(registry.clone());
+        let b = Broker::default();
         let sub = b.subscribe_bounded(filter("t"), QoS::AtLeastOnce, 2, 3);
         let shed: usize = ["a", "b", "c", "d", "e"]
             .into_iter()
@@ -545,7 +543,7 @@ mod tests {
             ..SubscriberStats::default()
         };
         assert_eq!(b.subscriber_stats(sub.id), Some(expected));
-        let snap = registry.snapshot(Timestamp(0));
+        let snap = exported(&b);
         assert_eq!(snap.value("broker.sub0.delivered"), Some(2));
         assert_eq!(snap.value("broker.sub0.shed"), Some(2));
         let mut seen = Vec::new();
@@ -606,26 +604,27 @@ mod tests {
     }
 
     #[test]
-    fn with_registry_exports_per_subscriber_counters() {
-        let registry = Registry::new();
-        let b = Broker::with_registry(registry.clone());
+    fn export_writes_per_subscriber_counts() {
+        let b = Broker::default();
         let s = subscribe(&b, "t", 1);
         b.publish(msg("t", "a"));
         b.publish(msg("t", "b")); // queue full → deferred
-        let snap = registry.snapshot(Timestamp(0));
+        let snap = exported(&b);
         assert_eq!(snap.value("broker.sub0.delivered"), Some(1));
         assert_eq!(snap.value("broker.sub0.deferred_qos1"), Some(1));
         assert_eq!(snap.value("broker.sub0.inflight_hw"), Some(2));
-        // The test getter is a view over the same cells.
+        // The test getter reads the same counts.
         let st = b.subscriber_stats(s.id).unwrap();
         assert_eq!(st.delivered, 1);
         assert_eq!(st.deferred_qos1, 1);
+        // A dropped subscription's counts outlive its session.
+        drop(s);
+        assert_eq!(exported(&b), snap);
     }
 
     #[test]
     fn overflow_sheds_at_inflight_cap() {
-        let registry = Registry::new();
-        let b = Broker::with_registry(registry.clone());
+        let b = Broker::default();
         // Queue 1, in-flight cap 3: one queued, two deferred, then shed.
         let s = b.subscribe_bounded(filter("t"), QoS::AtLeastOnce, 1, 3);
         let mut shed = 0;
@@ -639,8 +638,8 @@ mod tests {
         assert_eq!(st.shed, 2);
         assert_eq!(st.deferred_qos1, 2);
         assert_eq!(b.stats().shed, 2);
-        // The registry sees the shed tally and the bounded high-water.
-        let snap = registry.snapshot(Timestamp(0));
+        // The export carries the shed tally and the bounded high-water.
+        let snap = exported(&b);
         assert_eq!(snap.value("broker.sub0.shed"), Some(2));
         assert_eq!(snap.value("broker.sub0.inflight_hw"), Some(3));
         // The consumer catches up: every admitted message still arrives

@@ -7,7 +7,7 @@
 
 use ctt_broker::{Broker, Message, QoS, Subscriber, Topic, TopicFilter};
 use ctt_core::time::Timestamp;
-use ctt_obs::Registry;
+use ctt_obs::Snapshot;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -101,8 +101,7 @@ proptest! {
     /// or shed — never both, never neither, no matter the interleaving.
     #[test]
     fn qos1_capped_sheds_or_processes_every_publish(ops in vec(any::<u8>(), 1..120)) {
-        let registry = Registry::new();
-        let broker = Broker::with_registry(registry.clone());
+        let broker = Broker::default();
         // Tiny queue and a tight in-flight cap so both deferral and
         // shedding are common in the interleavings.
         let sub = broker.subscribe_bounded(
@@ -114,7 +113,9 @@ proptest! {
         let (published, processed) = run(&broker, &sub, &ops)?;
         // The advertised bound held at every step: the store's high-water
         // is raised on every insertion.
-        let hw = registry.snapshot(Timestamp(0)).value("broker.sub0.inflight_hw");
+        let mut snap = Snapshot::new(Timestamp(0));
+        broker.export(&mut snap);
+        let hw = snap.value("broker.sub0.inflight_hw");
         prop_assert!(hw.is_some_and(|hw| hw <= 3), "in-flight high-water {:?}", hw);
         let shed = broker.stats().shed;
         // Conservation: shed + processed == published, with no duplicate

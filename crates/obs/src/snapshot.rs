@@ -1,147 +1,17 @@
-//! The metrics registry: interned-name counters and gauges with a
-//! deterministic snapshot.
+//! The metrics export: a point-in-time [`Snapshot`] of named integer
+//! counters and gauges, rendered in sorted name order.
 //!
-//! Handles are `Arc`-backed atomics, so incrementing on a hot path is one
-//! relaxed atomic op and never takes a lock; the registry's lock is touched
-//! only on (cold) registration and snapshot. All values are integers:
-//! float formatting is platform-honest but invites accidental
+//! Each layer counts its events in plain integers it owns and writes them
+//! into a snapshot on request (`publish`/`export(&self, &mut Snapshot)`),
+//! so a count has one increment and one exporter. All values are
+//! integers: float formatting is platform-honest but invites accidental
 //! nondeterminism the moment someone averages, so ratios are left to the
 //! consumers of the export.
 
 use crate::trace::PercentileEstimate;
 use ctt_core::time::Timestamp;
-// lint:allow(shared): a Registry is a Clone handle every layer shares
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-// lint:allow(shared): Counter and Gauge handles share one cell per metric
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A monotonically increasing counter. Cloning shares the underlying cell.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// A counter not registered anywhere (still usable, never exported).
-    pub fn detached() -> Self {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can move both ways (queue depths, high-water
-/// marks). Cloning shares the underlying cell.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// A gauge not registered anywhere (still usable, never exported).
-    pub fn detached() -> Self {
-        Gauge::default()
-    }
-
-    /// Set the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the value to `v` if `v` is larger (high-water semantics).
-    pub fn raise_to(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
-}
-
-/// The registry: a clonable handle to a shared name → metric map.
-///
-/// Registering an already-known name returns a handle to the *existing*
-/// cell (this is what lets the broker keep its legacy getters as thin
-/// views). A name registered as one kind and requested as the other keeps
-/// its original kind and hands back a detached cell — panic-free by
-/// design, since registration sits close to hot paths.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    inner: Arc<Mutex<BTreeMap<String, Metric>>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Get or register the counter `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock();
-        match inner
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
-            Metric::Gauge(_) => Counter::detached(),
-        }
-    }
-
-    /// Get or register the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock();
-        match inner
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            Metric::Counter(_) => Gauge::detached(),
-        }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-
-    /// Capture every registered metric at logical time `at`. The snapshot
-    /// owns plain integers — reading it later cannot race with writers.
-    pub fn snapshot(&self, at: Timestamp) -> Snapshot {
-        let mut snap = Snapshot::new(at);
-        for (name, metric) in self.inner.lock().iter() {
-            match metric {
-                Metric::Counter(c) => snap.push_counter(name, c.get()),
-                Metric::Gauge(g) => snap.push_gauge(name, g.get()),
-            }
-        }
-        snap
-    }
-}
 
 /// One exported value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -433,59 +303,31 @@ impl SnapshotDiff {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_and_gauges_roundtrip() {
-        let r = Registry::new();
-        let c = r.counter("a.count");
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        // Re-registration returns the same cell.
-        assert_eq!(r.counter("a.count").get(), 5);
-        let g = r.gauge("a.depth");
-        g.set(7);
-        g.raise_to(3); // lower: no-op
-        assert_eq!(g.get(), 7);
-        g.raise_to(11);
-        assert_eq!(g.get(), 11);
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn kind_mismatch_hands_back_detached_cell() {
-        let r = Registry::new();
-        let c = r.counter("x");
-        c.inc();
-        // Same name as a gauge: detached, does not clobber the counter.
-        let g = r.gauge("x");
-        g.set(99);
-        let snap = r.snapshot(Timestamp(0));
-        assert_eq!(snap.value("x"), Some(1));
+    /// Pushed out of order, rendered sorted.
+    fn unsorted(at: i64) -> Snapshot {
+        let mut snap = Snapshot::new(Timestamp(at));
+        snap.push_counter("z.last", 1);
+        snap.push_counter("a.first", 2);
+        snap.push_gauge("m.mid", -3);
+        snap
     }
 
     #[test]
     fn snapshot_is_sorted_and_stable() {
-        let r = Registry::new();
-        r.counter("z.last").add(1);
-        r.counter("a.first").add(2);
-        r.gauge("m.mid").set(-3);
-        let snap = r.snapshot(Timestamp(60));
+        let snap = unsorted(60);
         assert_eq!(
             snap.to_csv(),
             "name,kind,value\na.first,counter,2\nm.mid,gauge,-3\nz.last,counter,1\n"
         );
         // Two captures of the same state are byte-identical.
-        assert_eq!(snap.to_csv(), r.snapshot(Timestamp(60)).to_csv());
-        assert_eq!(snap.to_json(), r.snapshot(Timestamp(60)).to_json());
+        assert_eq!(snap.to_csv(), unsorted(60).to_csv());
+        assert_eq!(snap.to_json(), unsorted(60).to_json());
         assert!(snap.to_json().starts_with("{\"at_s\": 60,\n"));
     }
 
     #[test]
     fn json_roundtrips_through_from_json() {
-        let r = Registry::new();
-        r.counter("a.count").add(7);
-        r.gauge("b.depth").set(-3);
-        let mut snap = r.snapshot(Timestamp(120));
+        let mut snap = unsorted(120);
         let mut h = crate::FixedHistogram::new(&[1, 5]);
         h.observe(0);
         h.observe(9);

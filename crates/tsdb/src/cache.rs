@@ -18,7 +18,6 @@
 
 use crate::model::{is_name_char, TagFilter};
 use crate::query::{Query, QueryResult};
-use ctt_obs::{Counter, Registry};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -166,17 +165,9 @@ impl Level {
     }
 }
 
-/// Counters exported as `tsdb.cache.*` once attached to a registry.
-#[derive(Debug, Default)]
-struct CacheObs {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-/// Aggregate cache statistics (reads the counters, not the maps). Every
-/// query served with the cache on looks it up exactly once, so `hits +
-/// misses` is the number of such queries.
+/// The cache's counts, kept by the cache and exported as `tsdb.cache.*`.
+/// Every query served with the cache on looks it up exactly once, so
+/// `hits + misses` is the number of such queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cache.
@@ -194,7 +185,7 @@ pub(crate) struct QueryCache {
     results: Level,
     /// Logical recency clock (no wall time): bumped per cache operation.
     tick: u64,
-    obs: CacheObs,
+    stats: CacheStats,
     capacity: usize,
 }
 
@@ -210,7 +201,7 @@ impl QueryCache {
         QueryCache {
             results: Level::default(),
             tick: 0,
-            obs: CacheObs::default(),
+            stats: CacheStats::default(),
             capacity: capacity.max(1),
         }
     }
@@ -220,27 +211,17 @@ impl QueryCache {
         self.tick
     }
 
-    /// Register `tsdb.cache.{hits,misses,evictions}` into `registry`.
-    /// Counts accumulated before attachment are discarded.
-    pub(crate) fn attach_registry(&mut self, registry: &Registry) {
-        self.obs = CacheObs {
-            hits: registry.counter("tsdb.cache.hits"),
-            misses: registry.counter("tsdb.cache.misses"),
-            evictions: registry.counter("tsdb.cache.evictions"),
-        };
-    }
-
     /// Finalized results for `sig`, if cached at exactly this epoch.
     pub(crate) fn get_results(&mut self, sig: &str, epoch: u64) -> Option<Vec<QueryResult>> {
         let tick = self.next_tick();
         match self.results.entries.get_mut(sig) {
             Some(slot) if slot.value.epoch == epoch => {
                 slot.tick = tick;
-                self.obs.hits.inc();
+                self.stats.hits += 1;
                 Some(slot.value.results.clone())
             }
             _ => {
-                self.obs.misses.inc();
+                self.stats.misses += 1;
                 None
             }
         }
@@ -250,18 +231,12 @@ impl QueryCache {
     pub(crate) fn put_results(&mut self, sig: String, epoch: u64, results: Vec<QueryResult>) {
         let tick = self.next_tick();
         let entry = ResultEntry { epoch, results };
-        self.obs
-            .evictions
-            .add(self.results.insert(sig, entry, tick, self.capacity));
+        self.stats.evictions += self.results.insert(sig, entry, tick, self.capacity);
     }
 
-    /// Current counter values.
+    /// Current counts.
     pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.obs.hits.get(),
-            misses: self.obs.misses.get(),
-            evictions: self.obs.evictions.get(),
-        }
+        self.stats
     }
 }
 

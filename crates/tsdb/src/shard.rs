@@ -12,7 +12,9 @@
 //!
 //! The type keeps its name, and [`ShardedTsdb::new`] its shard-count
 //! argument, only because the frozen `benchmark/` harness names them; the
-//! store's counters keep the `tsdb.shard0.*` names the harness sums.
+//! store's counts keep the `tsdb.shard0.*` names the harness sums. They
+//! are plain integers under the same lock, like the cache's
+//! ([`ShardedTsdb::export`]).
 
 use crate::cache::{query_signature, CacheStats, QueryCache};
 use crate::error::TsdbError;
@@ -24,7 +26,7 @@ use crate::store::{
     DEFAULT_ROLLUP_INTERVAL,
 };
 use ctt_core::time::{Span, Timestamp};
-use ctt_obs::{Counter, Registry};
+use ctt_obs::{Registry, Snapshot};
 // lint:allow(shared): ShardedTsdb is Sync (shard_stress queries while other threads write)
 use parking_lot::Mutex;
 
@@ -72,35 +74,24 @@ impl Default for ServePolicy {
     }
 }
 
-/// Store counters, registered as `tsdb.shard0.*`. Detached (uncounted into
-/// any registry) until [`ShardedTsdb::attach_registry`] is called.
+/// The store's counts, exported as `tsdb.shard0.*`.
 #[derive(Debug, Default)]
 struct StoreObs {
-    puts: Counter,
-    queries: Counter,
-    quarantined_points: Counter,
-    blocks_skipped: Counter,
-    chunks_decoded: Counter,
-    rollup_buckets: Counter,
-    raw_buckets: Counter,
+    puts: u64,
+    queries: u64,
+    quarantined_points: u64,
+    /// The served queries' [`ScanCounts`], summed.
+    scans: ScanCounts,
 }
 
-impl StoreObs {
-    fn record_scan(&self, counts: ScanCounts) {
-        self.blocks_skipped.add(counts.chunks_skipped);
-        self.chunks_decoded.add(counts.chunks_decoded);
-        self.rollup_buckets.add(counts.rollup_buckets);
-        self.raw_buckets.add(counts.raw_buckets);
-    }
-}
-
-/// The data, its mutation epoch and the cache, under one lock.
+/// The data, its mutation epoch, the cache and the counts, under one lock.
 #[derive(Debug)]
 struct Store {
     db: Tsdb,
     /// Bumped by every mutation, under the guard that makes it.
     epoch: u64,
     cache: QueryCache,
+    obs: StoreObs,
 }
 
 /// A city's time-series store: one [`Tsdb`] behind one lock, with the
@@ -108,7 +99,6 @@ struct Store {
 #[derive(Debug)]
 pub struct ShardedTsdb {
     store: Mutex<Store>,
-    obs: StoreObs,
 }
 
 impl Default for ShardedTsdb {
@@ -137,32 +127,42 @@ impl ShardedTsdb {
                 db: Tsdb::with_layout(chunk_size, rollup_interval),
                 epoch: 0,
                 cache: QueryCache::default(),
+                obs: StoreObs::default(),
             }),
-            obs: StoreObs::default(),
         }
     }
 
-    /// Register the store's put/query/quarantine/scan counters (as
-    /// `tsdb.shard0.*`) and the cache counters (`tsdb.cache.*`) into
-    /// `registry`. Counts accumulated before attachment are discarded —
-    /// attach before ingest starts.
-    pub fn attach_registry(&mut self, registry: &Registry) {
-        let counter = |name: &str| registry.counter(&format!("tsdb.shard0.{name}"));
-        self.obs = StoreObs {
-            puts: counter("puts"),
-            queries: counter("queries"),
-            quarantined_points: counter("quarantined_points"),
-            blocks_skipped: counter("blocks_skipped"),
-            chunks_decoded: counter("chunks_decoded"),
-            rollup_buckets: counter("rollup_buckets"),
-            raw_buckets: counter("raw_buckets"),
-        };
-        self.store.get_mut().cache.attach_registry(registry);
-    }
+    /// Does nothing: the store keeps its own counts
+    /// ([`ShardedTsdb::export`]). It stays for the frozen `benchmark/`
+    /// harness until ROADMAP item 1.
+    pub fn attach_registry(&mut self, _registry: &Registry) {}
 
     /// Cache hit/miss/eviction counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.store.lock().cache.stats()
+    }
+
+    /// Write the store's counts into `snap` as `tsdb.shard0.{puts, queries,
+    /// quarantined_points, blocks_skipped, chunks_decoded, rollup_buckets,
+    /// raw_buckets}` and the cache's as `tsdb.cache.{hits, misses,
+    /// evictions}`.
+    pub fn export(&self, snap: &mut Snapshot) {
+        let store = self.store.lock();
+        let (obs, scans, cache) = (&store.obs, store.obs.scans, store.cache.stats());
+        for (name, value) in [
+            ("tsdb.shard0.puts", obs.puts),
+            ("tsdb.shard0.queries", obs.queries),
+            ("tsdb.shard0.quarantined_points", obs.quarantined_points),
+            ("tsdb.shard0.blocks_skipped", scans.chunks_skipped),
+            ("tsdb.shard0.chunks_decoded", scans.chunks_decoded),
+            ("tsdb.shard0.rollup_buckets", scans.rollup_buckets),
+            ("tsdb.shard0.raw_buckets", scans.raw_buckets),
+            ("tsdb.cache.hits", cache.hits),
+            ("tsdb.cache.misses", cache.misses),
+            ("tsdb.cache.evictions", cache.evictions),
+        ] {
+            snap.push_counter(name, value);
+        }
     }
 
     /// Run `f` on the data under the lock and bump the epoch.
@@ -178,8 +178,10 @@ impl ShardedTsdb {
         if points.is_empty() {
             return 0;
         }
-        let written = self.mutate(|db| db.put_batch(points));
-        self.obs.puts.add(written);
+        let mut store = self.store.lock();
+        store.epoch += 1;
+        let written = store.db.put_batch(points);
+        store.obs.puts += written;
         written
     }
 
@@ -206,8 +208,7 @@ impl ShardedTsdb {
         }
         if written > 0 {
             store.epoch += 1;
-            drop(store);
-            self.obs.puts.add(written);
+            store.obs.puts += written;
         }
         written
     }
@@ -230,11 +231,16 @@ impl ShardedTsdb {
         q: &Query,
         policy: ServePolicy,
     ) -> Result<Vec<QueryResult>, TsdbError> {
-        // Cache-served queries are still queries: count every one.
-        self.obs.queries.inc();
         let sig = policy.cache.then(|| query_signature(q));
         let mut store = self.store.lock();
-        let Store { db, epoch, cache } = &mut *store;
+        let Store {
+            db,
+            epoch,
+            cache,
+            obs,
+        } = &mut *store;
+        // Cache-served queries are still queries: count every one.
+        obs.queries += 1;
         if let Some(sig) = &sig {
             if let Some(results) = cache.get_results(sig, *epoch) {
                 return Ok(results);
@@ -244,8 +250,7 @@ impl ShardedTsdb {
         if let Some(sig) = sig {
             cache.put_results(sig, *epoch, results.clone());
         }
-        drop(store);
-        self.obs.record_scan(counts);
+        obs.scans.merge(counts);
         Ok(results)
     }
 
@@ -283,21 +288,18 @@ impl ShardedTsdb {
     /// number of sealed chunks, in series order) and report the outcome.
     /// Deterministic for a fixed ingest history.
     pub fn flip_chunk_bit(&self, nth_chunk: u64, bit: u64) -> BitFlipOutcome {
-        let outcome = {
-            let mut store = self.store.lock();
-            let outcome = store.db.flip_chunk_bit(nth_chunk, bit);
-            // Any successful flip mutated stored bytes (and dropped the
-            // chunk's rollups): cached answers over them are invalid.
-            if !matches!(
-                outcome,
-                BitFlipOutcome::NoChunks | BitFlipOutcome::BitOutOfRange
-            ) {
-                store.epoch += 1;
-            }
-            outcome
-        };
+        let mut store = self.store.lock();
+        let outcome = store.db.flip_chunk_bit(nth_chunk, bit);
+        // Any successful flip mutated stored bytes (and dropped the
+        // chunk's rollups): cached answers over them are invalid.
+        if !matches!(
+            outcome,
+            BitFlipOutcome::NoChunks | BitFlipOutcome::BitOutOfRange
+        ) {
+            store.epoch += 1;
+        }
         if let BitFlipOutcome::Quarantined { points } = outcome {
-            self.obs.quarantined_points.add(u64::from(points));
+            store.obs.quarantined_points += u64::from(points);
         }
         outcome
     }
@@ -456,6 +458,13 @@ mod tests {
         }
     }
 
+    /// What the store's export writes.
+    fn exported(db: &ShardedTsdb) -> Snapshot {
+        let mut snap = Snapshot::new(Timestamp(0));
+        db.export(&mut snap);
+        snap
+    }
+
     /// Every point of `device`'s series of metric `m`: one exact query.
     fn read_device(db: &ShardedTsdb, device: &str) -> Vec<(Timestamp, f64)> {
         let q = Query::range("m", Timestamp(0), Timestamp(i64::MAX)).with_tag("device", device);
@@ -465,11 +474,9 @@ mod tests {
 
     #[test]
     fn unknown_series_lookup_is_counted() {
-        let registry = Registry::new();
-        let mut db = ShardedTsdb::default();
-        db.attach_registry(&registry);
+        let db = ShardedTsdb::default();
         assert!(read_device(&db, "ghost").is_empty());
-        let snap = registry.snapshot(Timestamp(0));
+        let snap = exported(&db);
         assert_eq!(
             snap.value("tsdb.shard0.queries"),
             Some(1),
@@ -517,14 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn attached_registry_counts_per_shard_activity() {
-        let registry = Registry::new();
-        let mut db = ShardedTsdb::with_chunk_size(8);
-        db.attach_registry(&registry);
+    fn export_counts_the_store_activity() {
+        let db = ShardedTsdb::with_chunk_size(8);
         fill(&db, 4, 10);
         db.execute(&Query::range("m", Timestamp(0), Timestamp(10_000)))
             .unwrap();
-        let snap = registry.snapshot(Timestamp(0));
+        let snap = exported(&db);
         assert_eq!(snap.value("tsdb.shard0.puts"), Some(40));
         assert_eq!(snap.value("tsdb.shard0.queries"), Some(1));
         assert_eq!(snap.value("tsdb.shard1.puts"), None, "one store");
@@ -536,7 +541,7 @@ mod tests {
                 flipped += i128::from(points);
             }
         }
-        let snap = registry.snapshot(Timestamp(0));
+        let snap = exported(&db);
         assert_eq!(snap.value("tsdb.shard0.quarantined_points"), Some(flipped));
     }
 
@@ -545,20 +550,15 @@ mod tests {
         // Registering each series at first sight and appending by id must
         // leave the store, the cache's view of it, and the puts counter
         // exactly as put_batch would.
-        let mk = || {
-            let registry = Registry::new();
-            let mut db = ShardedTsdb::with_chunk_size(8);
-            db.attach_registry(&registry);
-            (registry, db)
-        };
+        let mk = || ShardedTsdb::with_chunk_size(8);
         let points: Vec<DataPoint> = (0..6u32)
             .flat_map(|d| {
                 (0..30i64).map(move |i| dp("m", &format!("n{d}"), i * 300, f64::from(d) + i as f64))
             })
             .collect();
-        let (reg_a, a) = mk();
+        let a = mk();
         assert_eq!(a.put_batch(&points), points.len() as u64);
-        let (reg_b, b) = mk();
+        let b = mk();
         let by_id: Vec<(SeriesId, Timestamp, f64)> = points
             .iter()
             .map(|p| (b.register(&p.metric, &p.tags).unwrap(), p.time, p.value))
@@ -567,8 +567,7 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         let q = Query::range("m", Timestamp(0), Timestamp(30 * 300)).group_by("device");
         assert_eq!(a.execute(&q).unwrap(), b.execute(&q).unwrap());
-        let at = Timestamp(0);
-        assert_eq!(reg_a.snapshot(at).to_csv(), reg_b.snapshot(at).to_csv());
+        assert_eq!(exported(&a).to_csv(), exported(&b).to_csv());
     }
 
     #[test]
@@ -606,9 +605,7 @@ mod tests {
 
     #[test]
     fn append_skips_non_finite_values_uncounted() {
-        let registry = Registry::new();
-        let mut db = ShardedTsdb::with_chunk_size(16);
-        db.attach_registry(&registry);
+        let db = ShardedTsdb::with_chunk_size(16);
         let id = db.register("m", &device_tags("n0")).expect("valid names");
         let written = db.append(&[
             (id, Timestamp(0), 1.0),
@@ -619,7 +616,7 @@ mod tests {
         ]);
         assert_eq!(written, 2);
         assert_eq!(db.stats().points, 2);
-        let snap = registry.snapshot(Timestamp(0));
+        let snap = exported(&db);
         assert_eq!(snap.value("tsdb.shard0.puts"), Some(2));
         assert_eq!(
             read_device(&db, "n0"),
@@ -641,9 +638,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_are_dropped_uncounted() {
-        let registry = Registry::new();
-        let mut db = ShardedTsdb::with_chunk_size(16);
-        db.attach_registry(&registry);
+        let db = ShardedTsdb::with_chunk_size(16);
         let own = db.register("m", &device_tags("n0")).expect("valid names");
         let mut batch: Vec<(SeriesId, Timestamp, f64)> = (1..64)
             .chain([u32::MAX])
@@ -652,7 +647,7 @@ mod tests {
         batch.push((own, Timestamp(0), 1.0));
         assert_eq!(db.append(&batch), 1);
         assert_eq!((db.stats().series, db.stats().points), (1, 1));
-        let snap = registry.snapshot(Timestamp(0));
+        let snap = exported(&db);
         assert_eq!(snap.value("tsdb.shard0.puts"), Some(1));
     }
 

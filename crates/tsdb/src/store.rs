@@ -77,7 +77,7 @@ pub(crate) struct SealedChunk {
 }
 
 /// Per-read scan accounting: how much work the block index and rollups
-/// saved. Exposed through query results up to the `ctt-obs` counters.
+/// saved. The store sums them into its `tsdb.shard0.*` counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanCounts {
     /// Sealed chunks excluded by the time-range block index (no decode).

@@ -27,7 +27,7 @@
 
 use ctt_core::rng::SplitMix64;
 use ctt_core::time::{Span, Timestamp};
-use ctt_obs::Registry;
+use ctt_obs::Snapshot;
 use ctt_tsdb::{
     execute_raw, Aggregator, DataPoint, Downsample, FillPolicy, Query, QueryResult, SeriesId,
     ServePolicy, ShardedTsdb, TagSet, Tsdb,
@@ -105,14 +105,6 @@ fn build_batch(specs: &[(u8, u8, i64, f64)]) -> Vec<DataPoint> {
         .iter()
         .map(|&(m, d, t, v)| build_point(m, d, t, v))
         .collect()
-}
-
-/// A store with its own registry, so its `puts` counter can be read.
-fn store() -> (ShardedTsdb, Registry) {
-    let registry = Registry::new();
-    let mut db = ShardedTsdb::with_layout(16, ROLLUP);
-    db.attach_registry(&registry);
-    (db, registry)
 }
 
 /// Dashboard query shapes: rollup-servable downsamples (interval matches
@@ -311,8 +303,8 @@ proptest! {
         grid in 0u8..6,
     ) {
         let ops: Vec<Op> = ops.iter().map(|op| gridded(op, grid)).collect();
-        let (db, registry) = store();
-        let (mirror, mirror_registry) = store();
+        let db = ShardedTsdb::with_layout(16, ROLLUP);
+        let mirror = ShardedTsdb::with_layout(16, ROLLUP);
         let mut reference = Reference { mirror, flat: Tsdb::with_layout(16, ROLLUP) };
         let mut order = SplitMix64::seed_from_u64(order_seed);
         let mut ids: BTreeMap<(u8, u8), SeriesId> = BTreeMap::new();
@@ -374,7 +366,11 @@ proptest! {
         }
         // The workload above must actually exercise the cache.
         prop_assert!(db.cache_stats().hits > 0 && db.cache_stats().misses > 0);
-        let puts = |r: &Registry| r.snapshot(Timestamp(0)).value("tsdb.shard0.puts");
-        prop_assert_eq!(puts(&registry), puts(&mirror_registry));
+        let puts = |db: &ShardedTsdb| {
+            let mut snap = Snapshot::new(Timestamp(0));
+            db.export(&mut snap);
+            snap.value("tsdb.shard0.puts")
+        };
+        prop_assert_eq!(puts(&db), puts(&reference.mirror));
     }
 }

@@ -24,7 +24,7 @@
 use crate::pipeline::Pipeline;
 use ctt_core::time::{Span, Timestamp};
 use ctt_dataport::TwinState;
-use ctt_obs::{Registry, Snapshot};
+use ctt_obs::Snapshot;
 use ctt_sim::SimClock;
 use ctt_tsdb::{Query, QueryResult};
 
@@ -62,8 +62,10 @@ pub struct Fleet {
     next_rollup: Option<Timestamp>,
     /// Fleet time: the last instant every city was run to.
     clock: SimClock,
-    /// Fleet-level gauges the rollup maintains.
-    registry: Registry,
+    /// Rollups run so far (`fleet.rollups`).
+    rollups: u64,
+    /// The last rollup's gauges by name; `None` until the first rollup.
+    gauges: Option<[(&'static str, i64); 4]>,
 }
 
 impl Fleet {
@@ -82,15 +84,13 @@ impl Fleet {
             .map(Pipeline::now)
             .min()
             .unwrap_or(Timestamp(0));
-        let registry = Registry::new();
-        // Registered up front so the snapshot reads 0 while no rollup ran.
-        registry.counter("fleet.rollups");
         Fleet {
             cities: pipelines,
             config,
             next_rollup: config.rollup_cadence.map(|c| start + c),
             clock: SimClock::new(start),
-            registry,
+            rollups: 0,
+            gauges: None,
         }
     }
 
@@ -163,21 +163,26 @@ impl Fleet {
                 .count() as i64;
             alarms += snap.active_alarms.len() as i64;
         }
-        self.registry.counter("fleet.rollups").inc();
-        self.registry.gauge("fleet.readings").set(readings as i64);
-        self.registry
-            .gauge("fleet.points_stored")
-            .set(stored as i64);
-        self.registry.gauge("fleet.sensors_online").set(online);
-        self.registry.gauge("fleet.active_alarms").set(alarms);
+        self.rollups += 1;
+        self.gauges = Some([
+            ("fleet.readings", readings as i64),
+            ("fleet.points_stored", stored as i64),
+            ("fleet.sensors_online", online),
+            ("fleet.active_alarms", alarms),
+        ]);
         self.next_rollup = self.config.rollup_cadence.map(|c| now + c);
     }
 
-    /// Fleet-level metrics: `fleet.cities`, the `fleet.rollups` counter and
-    /// the rollup gauges. Byte-identical across replays of the same fleet.
+    /// Fleet-level metrics: `fleet.cities`, the `fleet.rollups` counter and,
+    /// once a rollup ran, the rollup gauges. Byte-identical across replays
+    /// of the same fleet.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        let mut snap = self.registry.snapshot(self.clock.now());
+        let mut snap = Snapshot::new(self.clock.now());
         snap.push_gauge("fleet.cities", self.cities.len() as i64);
+        snap.push_counter("fleet.rollups", self.rollups);
+        for (name, value) in self.gauges.iter().flatten() {
+            snap.push_gauge(name, *value);
+        }
         snap
     }
 

@@ -35,7 +35,7 @@ use ctt_lorawan::{
     collision_horizon, DataRate, GatewayConfig, LinkBackoff, NetworkServer, RadioSimulator,
     SimConfig, TxRequest, UplinkFrame, UplinkRecord,
 };
-use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
+use ctt_obs::{FlightRecorder, Snapshot};
 use ctt_sim::{EventQueue, QueueObs, Schedulable, SimClock};
 use ctt_tsdb::{
     Aggregator, BitFlipOutcome, CacheStats, ColumnBytes, IntegrityReport, Query, QueryResult,
@@ -120,32 +120,6 @@ const RSSI_METRIC: &str = "ctt.net.rssi";
 /// post-mortems: enough dispatch context around a failure, bounded so a
 /// week-long soak costs the same memory as a minute-long one.
 const FLIGHT_RECORDER_CAPACITY: usize = 256;
-
-/// Chaos fault-activation counters, registered as `chaos.activation.*`.
-/// Incremented pipeline-side at the points where the engine is consulted,
-/// so the engine itself stays a pure fault-plan interpreter.
-#[derive(Debug, Clone)]
-struct ChaosObs {
-    frame_fault: Counter,
-    bitflip: Counter,
-    death_edge: Counter,
-    /// Distinct broker-stall windows the consumer observed (edge-counted).
-    broker_stall: Counter,
-    /// Raw tally of consumer runs skipped while stalled (`broker.stall_ticks`).
-    stall_ticks: Counter,
-}
-
-impl ChaosObs {
-    fn register(registry: &Registry) -> Self {
-        ChaosObs {
-            frame_fault: registry.counter("chaos.activation.frame_fault"),
-            bitflip: registry.counter("chaos.activation.bitflip"),
-            death_edge: registry.counter("chaos.activation.death_edge"),
-            broker_stall: registry.counter("chaos.activation.broker_stall"),
-            stall_ticks: registry.counter("broker.stall_ticks"),
-        }
-    }
-}
 
 /// One scheduled pipeline event. All five time-driven sources (node tx,
 /// radio window resolution, dataport tick, chaos window transition, due
@@ -234,12 +208,14 @@ pub struct Pipeline {
     series: HashMap<DevEui, Option<[SeriesId; SERIES_PER_DEVICE]>>,
     /// One drain pass's points, reused across passes.
     points: Vec<(SeriesId, Timestamp, f64)>,
-    /// The metrics registry every layer publishes into (broker subscriber
-    /// counters, TSDB store counters, chaos activations).
-    registry: Registry,
-    /// Chaos fault-activation counters (registered even when no plan is
-    /// attached, so snapshots have a stable shape).
-    chaos_obs: ChaosObs,
+    /// Node death and revival edges the pipeline applied
+    /// (`chaos.activation.death_edge`).
+    death_edges: u64,
+    /// Distinct broker-stall windows the consumer observed, edge-counted
+    /// (`chaos.activation.broker_stall`).
+    broker_stalls: u64,
+    /// Consumer runs skipped while stalled (`broker.stall_ticks`).
+    stall_ticks: u64,
     /// Ring of recent stage enter/exit spans, dumped on soak failures.
     recorder: FlightRecorder,
     /// Max deliveries one storage drain dispatch processes.
@@ -282,9 +258,7 @@ impl Pipeline {
             .map(|g| GatewayConfig::standard(g.id, g.position, g.antenna_m))
             .collect();
         let radio = RadioSimulator::new(SimConfig::urban(seed), gateways);
-        let registry = Registry::new();
-        let chaos_obs = ChaosObs::register(&registry);
-        let broker = Broker::with_registry(registry.clone());
+        let broker = Broker::default();
         // Past the in-flight cap the broker sheds a copy, which this
         // pipeline owns as `Lost(Backpressure)` at the publish site.
         let storage_sub = broker.subscribe_bounded(
@@ -293,8 +267,7 @@ impl Pipeline {
             storage_queue,
             inflight_cap,
         );
-        let mut tsdb = ShardedTsdb::default();
-        tsdb.attach_registry(&registry);
+        let tsdb = ShardedTsdb::default();
         let mut dataport = Dataport::new(DataportConfig::default());
         for n in &deployment.nodes {
             dataport.register_sensor(n.eui);
@@ -350,8 +323,9 @@ impl Pipeline {
             node_index,
             series: HashMap::new(),
             points: Vec::new(),
-            registry,
-            chaos_obs,
+            death_edges: 0,
+            broker_stalls: 0,
+            stall_ticks: 0,
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             drain_batch: DEFAULT_DRAIN_BATCH,
             drain_scheduled: false,
@@ -470,12 +444,6 @@ impl Pipeline {
         out
     }
 
-    /// The metrics registry every layer of this pipeline publishes into
-    /// (broker subscriber counters, TSDB store counters, chaos activations).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// The flight recorder: the ring of recent stage enter/exit spans.
     /// Soak harnesses dump this on ledger-imbalance or alarm-mismatch.
     pub fn flight_recorder(&self) -> &FlightRecorder {
@@ -492,11 +460,24 @@ impl Pipeline {
         }
     }
 
-    /// Capture every metric — registered cells plus stage-boundary,
-    /// ledger-cause, and scheduler values — at the current simulation time.
-    /// Byte-identical (CSV and JSON) across replays of the same seed+plan.
+    /// Capture every metric at the current simulation time: the
+    /// pipeline's own counts, then each layer's export (broker
+    /// subscriptions, store and cache, scheduler). Byte-identical (CSV and
+    /// JSON) across replays of the same seed+plan.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        let mut snap = self.registry.snapshot(self.clock.now());
+        let mut snap = Snapshot::new(self.clock.now());
+        self.export(&mut snap);
+        self.broker.export(&mut snap);
+        self.tsdb.export(&mut snap);
+        if let Some(obs) = self.events.obs() {
+            obs.publish(&mut snap);
+        }
+        snap
+    }
+
+    /// Write the pipeline's own counts: stage boundaries, ledger causes,
+    /// chaos activations, admission control and queue depths.
+    fn export(&self, snap: &mut Snapshot) {
         snap.push_counter("stage.node.readings", self.stats.readings);
         snap.push_counter("stage.radio.delivered", self.stats.delivered);
         snap.push_counter("stage.radio.lost", self.stats.radio_lost);
@@ -517,6 +498,13 @@ impl Pipeline {
         for (cause, n) in self.ledger.cause_counts() {
             snap.push_counter(&format!("ledger.cause.{cause:?}"), n);
         }
+        let injected = self.chaos_stats();
+        let frame_faults = injected.corrupted_frames + injected.truncated_frames;
+        snap.push_counter("chaos.activation.frame_fault", frame_faults);
+        snap.push_counter("chaos.activation.bitflip", injected.bitflips);
+        snap.push_counter("chaos.activation.death_edge", self.death_edges);
+        snap.push_counter("chaos.activation.broker_stall", self.broker_stalls);
+        snap.push_counter("broker.stall_ticks", self.stall_ticks);
         if let Some(a) = &self.admission {
             snap.push_counter("stage.bridge.admission_shed", a.shed_total());
             snap.push_counter("stage.bridge.admission_deferred", a.deferred_total());
@@ -527,10 +515,6 @@ impl Pipeline {
         }
         snap.push_gauge("sim.queue.len", self.events.len() as i64);
         snap.push_gauge("sim.queue.high_water", self.events.high_water() as i64);
-        if let Some(obs) = self.events.obs() {
-            obs.publish(&mut snap);
-        }
-        snap
     }
 
     /// Canonical rendering of the scheduler's dispatch profile: queue
@@ -675,7 +659,6 @@ impl Pipeline {
             let tx_power_dbm = state.tx_power_dbm;
             let mut submit = true;
             if let Some(fault) = self.chaos.as_mut().and_then(|c| c.frame_fault(device, now)) {
-                self.chaos_obs.frame_fault.inc();
                 match Self::mutate_frame(&frame, fault) {
                     // The mangled frame still decodes (flip landed in
                     // padding, truncation kept a valid prefix): it
@@ -741,7 +724,6 @@ impl Pipeline {
             .map(|c| c.due_bitflips(now))
             .unwrap_or_default();
         for (nth_chunk, bit) in flips {
-            self.chaos_obs.bitflip.inc();
             match self.tsdb.flip_chunk_bit(nth_chunk, bit) {
                 BitFlipOutcome::Quarantined { points } => {
                     // The integrity scan must later account for exactly these.
@@ -778,7 +760,7 @@ impl Pipeline {
                         NodeHealth::Healthy
                     });
                     self.chaos_dead.insert(device, want_dead);
-                    self.chaos_obs.death_edge.inc();
+                    self.death_edges += 1;
                 }
             }
         }
@@ -1005,9 +987,9 @@ impl Pipeline {
             // tallies the raw skipped runs.
             if !self.stall_active {
                 self.stall_active = true;
-                self.chaos_obs.broker_stall.inc();
+                self.broker_stalls += 1;
             }
-            self.chaos_obs.stall_ticks.inc();
+            self.stall_ticks += 1;
             // Keep a drain on the calendar so the backlog is picked up
             // when the window passes even if the radio goes quiet.
             self.ensure_drain_scheduled(now);
@@ -1230,6 +1212,8 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::Fleet;
+    use ctt_chaos::{AdmissionConfig, FaultKind};
     use ctt_core::node::NodeHealth;
     use ctt_core::quantity::Pollutant;
     use ctt_dataport::AlarmKind;
@@ -1393,6 +1377,81 @@ mod tests {
             (p.stats(), p.store_stats().points)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The entries `metrics_snapshot`'s exporters write, each into a
+    /// snapshot of its own, summed.
+    fn entries_per_exporter(p: &Pipeline) -> usize {
+        let exporters: [&dyn Fn(&mut Snapshot); 4] = [
+            &|s| p.export(s),
+            &|s| p.broker.export(s),
+            &|s| p.tsdb.export(s),
+            &|s| {
+                if let Some(obs) = p.events.obs() {
+                    obs.publish(s);
+                }
+            },
+        ];
+        exporters
+            .iter()
+            .map(|export| {
+                let mut snap = Snapshot::new(p.now());
+                export(&mut snap);
+                snap.len()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn every_metric_name_has_one_exporter() {
+        // An export overwrites an entry of the same name, so a name two
+        // layers wrote would keep one count and drop the other unseen.
+        let d = Deployment::vejle();
+        let (t0, node) = (d.started, d.nodes[0].eui);
+        let hours = |h: i64| t0 + Span::hours(h);
+        let plan = FaultPlan::new()
+            .with(
+                FaultKind::FrameCorruption { device: node },
+                hours(1),
+                hours(2),
+            )
+            .with(FaultKind::NodeDeath { device: node }, hours(2), hours(3))
+            .with(FaultKind::BrokerStall, hours(3), hours(4))
+            .at(
+                FaultKind::TsdbBitFlip {
+                    nth_chunk: 0,
+                    bit: 9,
+                },
+                hours(5),
+            )
+            .with_storage_queue(4)
+            .with_storage_inflight_cap(64)
+            .with_admission(AdmissionConfig {
+                burst: 8,
+                refill_per_hour: 60,
+                defer_cap: 4,
+            });
+        let mut chaos = Pipeline::with_chaos(d, 42, plan);
+        chaos.run_until(hours(6));
+        assert!(
+            chaos
+                .metrics_snapshot()
+                .value("chaos.activation.frame_fault")
+                > Some(0)
+        );
+        let mut fleet = Fleet::new(vec![
+            Pipeline::new(Deployment::vejle(), 42),
+            Pipeline::new(Deployment::trondheim(), 7),
+        ]);
+        fleet.run_until(hours(3));
+        for p in std::iter::once(&chaos).chain(fleet.cities()) {
+            let snap = p.metrics_snapshot();
+            assert!(snap.len() > 30, "thin snapshot: {}", snap.to_csv());
+            assert_eq!(entries_per_exporter(p), snap.len(), "{}", snap.to_csv());
+        }
+        // The fleet's own: `fleet.cities`, `fleet.rollups` and the four
+        // rollup gauges.
+        assert_eq!(fleet.metrics_snapshot().len(), 6);
     }
 
     #[test]

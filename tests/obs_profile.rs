@@ -64,7 +64,7 @@ fn snapshot_agrees_with_pipeline_stats() {
         snap.value("stage.tsdb.points_stored"),
         Some(i128::from(st.points_stored))
     );
-    // The storage subscriber's registry-backed counter saw every delivery.
+    // The storage subscription's exported count saw every delivery.
     assert_eq!(
         snap.value("broker.sub0.delivered"),
         Some(i128::from(p.broker().stats().delivered))
